@@ -6,7 +6,7 @@
 //!
 //! * **L1** `ordering-justified` — every `Ordering::` use is `SeqCst` or
 //!   carries an adjacent `// ordering:` justification comment;
-//! * **L2** `forbid-unsafe` — every non-bench crate root carries
+//! * **L2** `forbid-unsafe` — every crate root carries
 //!   `#![forbid(unsafe_code)]`;
 //! * **L3** `deterministic` — no `thread::sleep` / `Instant::now` outside
 //!   bench, example and workload-timing code (a `// determinism:`
@@ -16,9 +16,9 @@
 //!   in-body evidence of a bound (budget/retry/attempt identifiers, a
 //!   yield/backoff, a `MAX_`/`BOUND`/`LIMIT` constant) or an adjacent
 //!   `// retry-bound:` justification;
-//! * **L5** `reclaimer-docs` — the `Reclaimer`/`Guard` trait surface in
-//!   `crates/reclaim` is fully rustdoc'd (every `fn`/`type` item and the
-//!   trait declarations themselves).
+//! * **L5** `reclaimer-docs` — the `Reclaimer`/`Guard`/`LinkCodec` trait
+//!   surface in `crates/reclaim` is fully rustdoc'd (every `fn`/`type` item
+//!   and the trait declarations themselves).
 
 use crate::lexer::{lex, matching_brace, Comment, Lexed, TokKind, Token};
 
@@ -44,7 +44,7 @@ pub const RULE_ROSTER: [Rule; 5] = [
     Rule {
         id: "L2",
         name: "forbid-unsafe",
-        summary: "every non-bench crate root carries #![forbid(unsafe_code)]",
+        summary: "every crate root carries #![forbid(unsafe_code)]",
     },
     Rule {
         id: "L3",
@@ -59,7 +59,7 @@ pub const RULE_ROSTER: [Rule; 5] = [
     Rule {
         id: "L5",
         name: "reclaimer-docs",
-        summary: "the Reclaimer/Guard trait surface is fully rustdoc'd",
+        summary: "the Reclaimer/Guard/LinkCodec trait surface is fully rustdoc'd",
     },
 ];
 
@@ -80,7 +80,7 @@ pub struct Finding {
 /// workspace-relative path.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FileClass {
-    /// Benchmark code: the `aba-bench` crate and any `benches/` directory.
+    /// Benchmark code: the `aba-bench` crate.
     pub bench: bool,
     /// Example programs (`examples/`): real-thread demos, allowed to sleep.
     pub example: bool,
@@ -96,7 +96,7 @@ pub struct FileClass {
 /// Classify a workspace-relative, `/`-separated path.
 pub fn classify(path: &str) -> FileClass {
     FileClass {
-        bench: path.starts_with("crates/bench/") || path.contains("/benches/"),
+        bench: path.starts_with("crates/bench/"),
         example: path.starts_with("examples/"),
         crate_root: path == "src/lib.rs"
             || (path.starts_with("crates/") && path.ends_with("/src/lib.rs")),
@@ -160,7 +160,7 @@ fn rule_l2_forbid_unsafe(
     lexed: &Lexed,
     findings: &mut Vec<Finding>,
 ) {
-    if !class.crate_root || class.bench {
+    if !class.crate_root {
         return;
     }
     let t = &lexed.tokens;
@@ -304,7 +304,7 @@ fn rule_l5_reclaimer_docs(
         let Some(name) = t[i + 2].ident() else {
             continue;
         };
-        if name != "Reclaimer" && name != "Guard" {
+        if !["Reclaimer", "Guard", "LinkCodec"].contains(&name) {
             continue;
         }
         // The trait declaration itself must be documented.
@@ -382,7 +382,6 @@ mod tests {
         assert!(classify("crates/sim/src/lib.rs").crate_root);
         assert!(!classify("crates/sim/src/executor.rs").crate_root);
         assert!(classify("crates/bench/src/bin/table_lint.rs").bench);
-        assert!(classify("crates/bench/benches/llsc.rs").bench);
         assert!(classify("examples/quickstart.rs").example);
         assert!(classify("crates/workload/src/engine.rs").timing);
         assert!(classify("crates/reclaim/src/lib.rs").reclaim_root);

@@ -71,15 +71,15 @@ fn l2_flags_crate_root_without_forbid_unsafe() {
 }
 
 #[test]
-fn l2_accepts_crate_root_with_forbid_and_skips_non_roots_and_bench() {
+fn l2_accepts_crate_root_with_forbid_and_skips_non_roots() {
     let with = "#![forbid(unsafe_code)]\npub fn f() {}\n";
     assert!(findings_for("crates/x/src/lib.rs", with).is_empty());
 
     let without = "pub fn f() {}\n";
     // Not a crate root: rule does not apply.
     assert!(findings_for("crates/x/src/module.rs", without).is_empty());
-    // Bench crate root: exempt (criterion harness needs flexibility).
-    assert!(findings_for("crates/bench/src/lib.rs", without).is_empty());
+    // The bench crate root is a crate root like any other.
+    assert_eq!(rules_hit("crates/bench/src/lib.rs", without), ["L2"]);
 }
 
 // ---------------------------------------------------------------------------
@@ -98,7 +98,7 @@ fn l3_flags_sleep_and_instant_now_in_library_code() {
 #[test]
 fn l3_allowlists_bench_examples_timing_and_justified_sites() {
     let now = "fn f() { let t = std::time::Instant::now(); }\n";
-    assert!(findings_for("crates/bench/src/lib.rs", now).is_empty());
+    assert!(findings_for("crates/bench/src/baseline.rs", now).is_empty());
     assert!(findings_for("examples/demo.rs", now).is_empty());
     assert!(findings_for("crates/workload/src/engine.rs", now).is_empty());
 
@@ -157,6 +157,10 @@ fn l5_flags_undocumented_trait_and_items() {
     let hits = l5_findings(src);
     // Trait itself + `type Guard` + `fn collect` all undocumented.
     assert_eq!(hits.len(), 3, "{hits:?}");
+
+    // The codec trait is part of the same surface.
+    let codec = "pub trait LinkCodec {\n    fn encode(raw: u64) -> u64;\n}\n";
+    assert_eq!(l5_findings(codec).len(), 2, "{:?}", l5_findings(codec));
 }
 
 #[test]

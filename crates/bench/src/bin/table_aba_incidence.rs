@@ -32,9 +32,9 @@ fn main() {
     for stack in all_stacks(capacity, threads) {
         let report = stress_stack(stack.as_ref(), threads, ops);
         table.row(&[
-            report.stack.clone(),
-            report.pushed.to_string(),
-            report.popped.to_string(),
+            report.structure.clone(),
+            report.inserted.to_string(),
+            report.removed.to_string(),
             report.remaining.to_string(),
             report.aba_events.to_string(),
             report.lost.to_string(),

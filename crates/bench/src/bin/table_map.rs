@@ -155,7 +155,7 @@ fn main() {
     for map in all_maps(512, threads_stress) {
         let report = stress_map(map.as_ref(), threads_stress, ops);
         anomalies.row(&[
-            report.map.clone(),
+            report.structure.clone(),
             report.inserted.to_string(),
             (report.removed + report.remaining).to_string(),
             report.lost.to_string(),
@@ -166,7 +166,7 @@ fn main() {
         let initial = map.arena_initial_capacity();
         let live = map.arena_live_capacity();
         growth.row(&[
-            report.map.clone(),
+            report.structure.clone(),
             initial.to_string(),
             live.to_string(),
             if live > initial { "yes" } else { "NO" }.to_string(),
@@ -175,7 +175,7 @@ fn main() {
         assert!(
             live > initial,
             "{}: the conservation run must outgrow the initial arena segment",
-            report.map
+            report.structure
         );
     }
     println!("{}", anomalies.render());

@@ -144,7 +144,7 @@ fn main() {
     for set in all_sets(24, threads_stress) {
         let report = stress_set(set.as_ref(), threads_stress, ops);
         anomalies.row(&[
-            report.set.clone(),
+            report.structure.clone(),
             report.inserted.to_string(),
             (report.removed + report.remaining).to_string(),
             report.lost.to_string(),

@@ -1,10 +1,13 @@
 //! # aba-bench
 //!
-//! The experiment harness: table formatting and the shared plumbing used by
-//! the table-generating binaries (`table_step_complexity`, `table_tradeoff`,
-//! `table_aba_incidence`, `table_throughput`, `lowerbound_witness`) and the
-//! Criterion benches.  Throughput measurement itself lives in the
-//! `aba-workload` engine, which `table_throughput` drives.
+//! The experiment harness: table formatting, the `BENCH_lint.json` emitter
+//! and the paired-ratio regression gate ([`baseline`]) shared by the ten
+//! table-generating binaries — `table_step_complexity`, `table_tradeoff`,
+//! `lowerbound_witness`, `table_aba_incidence`, `table_throughput`,
+//! `table_reclamation`, `table_set`, `table_map`, `table_dpor` and
+//! `table_lint`.  Throughput measurement itself lives in the `aba-workload`
+//! engine, which the throughput-style tables drive; per-layer latency lives
+//! in the standalone `benchmark/` package.
 //!
 //! Every binary prints a self-contained plain-text table whose rows map
 //! one-to-one onto the experiment index in `DESIGN.md` / `EXPERIMENTS.md`.

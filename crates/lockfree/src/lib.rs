@@ -28,6 +28,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use aba_reclaim::{Reclaimer, SchemeFn};
+
 pub mod arena;
 pub mod event;
 pub mod map;
@@ -36,6 +38,9 @@ pub mod set;
 pub mod stack;
 pub mod stress;
 
+/// The scheme axis of the [`Family`] × `Scheme` roster, re-exported so
+/// roster consumers need only this crate.
+pub use aba_reclaim::Scheme;
 pub use arena::{NodeArena, NIL};
 
 /// The window between reading a structure's link words and the CAS that
@@ -64,83 +69,182 @@ pub use stack::{
     UnprotectedElimStack, UnprotectedStack,
 };
 pub use stress::{
-    conservation_capacity, stress_map, stress_queue, stress_set, stress_stack, MapStressReport,
-    QueueStressReport, SetStressReport, StressReport,
+    conservation_capacity, stress_map, stress_queue, stress_set, stress_stack, StressReport,
 };
+
+// ---------------------------------------------------------------------------
+// The Family × Scheme roster
+// ---------------------------------------------------------------------------
+
+/// The structure families, in roster order.  Together with
+/// [`Scheme`](aba_reclaim::Scheme) this is the one description of the
+/// structure roster: registry keys, display labels, builders, the workload
+/// backends and the roster tests are all derived from `Family × Scheme`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// [`GenericStack`]: Treiber stack (E6).
+    Stack,
+    /// [`ElimStack`]: Treiber stack behind an elimination array (E14).
+    ElimStack,
+    /// [`GenericQueue`]: Michael–Scott queue (E8).
+    Queue,
+    /// [`GenericSet`]: Harris–Michael ordered set (E10).
+    Set,
+    /// [`GenericMap`]: split-ordered hash map (E13).
+    Map,
+}
+
+/// One freshly built structure of some [`Family`], behind its family's
+/// object-safe trait.
+#[allow(missing_debug_implementations)] // the structure traits are not `Debug`
+pub enum Structure {
+    /// A [`Family::Stack`] or [`Family::ElimStack`] instance.
+    Stack(Box<dyn Stack>),
+    /// A [`Family::Queue`] instance.
+    Queue(Box<dyn Queue>),
+    /// A [`Family::Set`] instance.
+    Set(Box<dyn Set>),
+    /// A [`Family::Map`] instance.
+    Map(Box<dyn Map>),
+}
+
+impl Family {
+    /// Every family, in roster order.
+    pub const ALL: [Family; 5] = [
+        Family::Stack,
+        Family::ElimStack,
+        Family::Queue,
+        Family::Set,
+        Family::Map,
+    ];
+
+    /// The roster table: `(registry key, display label)` of every
+    /// `(family, scheme)` pair.  Both strings are stable — keys name cells in
+    /// the BENCH documents, labels are quoted in EXPERIMENTS.md — so a new
+    /// scheme adds a column and never renames an entry (pinned by the roster
+    /// golden in `aba-workload` and the label golden in this crate's tests).
+    const fn entry(self, scheme: Scheme) -> (&'static str, &'static str) {
+        use Family::*;
+        use Scheme::*;
+        match (self, scheme) {
+            (Stack, Unprotected) => ("stack/unprotected", "Treiber (unprotected)"),
+            (Stack, Tagged) => ("stack/tagged", "Treiber (tagged head)"),
+            (Stack, Hazard) => ("stack/hazard", "Treiber (hazard pointers)"),
+            (Stack, LlSc) => ("stack/llsc-head", "Treiber (LL/SC head)"),
+            (Stack, Epoch) => ("stack/epoch", "Treiber (epoch)"),
+            (ElimStack, Unprotected) => ("stack-elim/unprotected", "Treiber+elim (unprotected)"),
+            (ElimStack, Tagged) => ("stack-elim/tagged", "Treiber+elim (tagged)"),
+            (ElimStack, Hazard) => ("stack-elim/hazard", "Treiber+elim (hazard pointers)"),
+            (ElimStack, LlSc) => ("stack-elim/llsc-head", "Treiber+elim (LL/SC)"),
+            (ElimStack, Epoch) => ("stack-elim/epoch", "Treiber+elim (epoch)"),
+            (Queue, Unprotected) => ("queue/unprotected", "MS queue (unprotected)"),
+            (Queue, Tagged) => ("queue/tagged", "MS queue (tagged)"),
+            (Queue, Hazard) => ("queue/hazard", "MS queue (hazard pointers)"),
+            (Queue, LlSc) => ("queue/llsc", "MS queue (LL/SC head+tail)"),
+            (Queue, Epoch) => ("queue/epoch", "MS queue (epoch)"),
+            (Set, Unprotected) => ("set/unprotected", "HM set (unprotected)"),
+            (Set, Tagged) => ("set/tagged", "HM set (tagged links)"),
+            (Set, Hazard) => ("set/hazard", "HM set (hazard pointers)"),
+            // Only registered slots are LL/SC objects; deep links are arena
+            // words under the counted encoding (DESIGN.md §7).
+            (Set, LlSc) => ("set/llsc", "HM set (LL/SC head, counted links)"),
+            (Set, Epoch) => ("set/epoch", "HM set (epoch)"),
+            (Map, Unprotected) => ("map/unprotected", "SO map (unprotected)"),
+            (Map, Tagged) => ("map/tagged", "SO map (tagged links)"),
+            (Map, Hazard) => ("map/hazard", "SO map (hazard pointers)"),
+            (Map, LlSc) => ("map/llsc", "SO map (LL/SC slots, counted links)"),
+            (Map, Epoch) => ("map/epoch", "SO map (epoch)"),
+        }
+    }
+
+    /// Stable registry key of this family under `scheme` (`"stack/tagged"`).
+    pub const fn key(self, scheme: Scheme) -> &'static str {
+        self.entry(scheme).0
+    }
+
+    /// Display label of this family under `scheme`, as every structure's
+    /// `name()` reports it (`"Treiber (tagged head)"`).
+    pub const fn label(self, scheme: Scheme) -> &'static str {
+        self.entry(scheme).1
+    }
+
+    /// Build this family's structure over `scheme`, backed by `capacity`
+    /// nodes and sized for `threads` threads — the one scheme-dispatching
+    /// constructor behind every registry below.
+    pub fn build(self, scheme: Scheme, capacity: usize, threads: usize) -> Structure {
+        struct New(Family, usize, usize);
+        impl SchemeFn for New {
+            type Out = Structure;
+            fn call<R: Reclaimer>(self) -> Structure {
+                let New(family, capacity, threads) = self;
+                match family {
+                    Family::Stack => Structure::Stack(Box::new(GenericStack::<R>::with_threads(
+                        capacity, threads,
+                    ))),
+                    Family::ElimStack => {
+                        Structure::Stack(Box::new(ElimStack::<R>::with_threads(capacity, threads)))
+                    }
+                    Family::Queue => Structure::Queue(Box::new(GenericQueue::<R>::with_threads(
+                        capacity, threads,
+                    ))),
+                    Family::Set => {
+                        Structure::Set(Box::new(GenericSet::<R>::with_threads(capacity, threads)))
+                    }
+                    Family::Map => {
+                        Structure::Map(Box::new(GenericMap::<R>::with_threads(capacity, threads)))
+                    }
+                }
+            }
+        }
+        scheme.dispatch(New(self, capacity, threads))
+    }
+}
+
+/// A constructor for one structure variant: `(capacity, threads) -> T`.
+type Builder<T> = Box<dyn Fn(usize, usize) -> Box<T> + Send + Sync>;
+
+/// Named builders of `family`, one per scheme in roster order; `unwrap`
+/// projects the family's own [`Structure`] variant.
+fn builders<T: ?Sized + 'static>(
+    family: Family,
+    unwrap: fn(Structure) -> Option<Box<T>>,
+) -> Vec<(&'static str, Builder<T>)> {
+    Scheme::ALL
+        .into_iter()
+        .map(|scheme| {
+            let build = move |capacity, threads| {
+                unwrap(family.build(scheme, capacity, threads))
+                    .expect("a family builds its own structure kind")
+            };
+            (family.key(scheme), Box::new(build) as Builder<T>)
+        })
+        .collect()
+}
 
 /// A named constructor for one stack variant: `(capacity, threads) -> stack`.
 ///
 /// Harnesses that build a fresh instance per measurement cell (the
 /// `aba-workload` engine, the stress loops) go through these instead of
 /// hard-coding the roster.
-pub type StackBuilder = Box<dyn Fn(usize, usize) -> Box<dyn Stack> + Send + Sync>;
+pub type StackBuilder = Builder<dyn Stack>;
 
 /// Named builders for the standard roster of stack variants, in E6 display
-/// order.  The names are stable registry keys (used in experiment tables and
-/// `BENCH_throughput.json`); adding a scheme appends a key, it never renames
-/// one (the roster-golden test in `aba-workload` pins this).
+/// order.  The names are the [`Family::key`]s (used in experiment tables and
+/// `BENCH_throughput.json`).
 pub fn stack_builders() -> Vec<(&'static str, StackBuilder)> {
-    vec![
-        (
-            "stack/unprotected",
-            Box::new(|cap, _threads| Box::new(UnprotectedStack::new(cap)) as Box<dyn Stack>),
-        ),
-        (
-            "stack/tagged",
-            Box::new(|cap, _threads| Box::new(TaggedStack::new(cap)) as Box<dyn Stack>),
-        ),
-        (
-            "stack/hazard",
-            Box::new(|cap, threads| Box::new(HazardStack::new(cap, threads)) as Box<dyn Stack>),
-        ),
-        (
-            "stack/llsc-head",
-            Box::new(|cap, threads| Box::new(LlScStack::new(cap, threads)) as Box<dyn Stack>),
-        ),
-        (
-            "stack/epoch",
-            Box::new(|cap, threads| Box::new(EpochStack::new(cap, threads)) as Box<dyn Stack>),
-        ),
-    ]
+    builders(Family::Stack, |s| match s {
+        Structure::Stack(stack) => Some(stack),
+        _ => None,
+    })
 }
 
 /// Named builders for the elimination-backoff stack roster (experiment
-/// E14), one per reclamation scheme, mirroring [`stack_builders`].  The
-/// names are stable registry keys; adding a scheme appends a key, it never
-/// renames one (the roster-golden test in `aba-workload` pins this).
+/// E14), one per reclamation scheme, mirroring [`stack_builders`].
 pub fn elim_stack_builders() -> Vec<(&'static str, StackBuilder)> {
-    vec![
-        (
-            "stack-elim/unprotected",
-            Box::new(|cap, threads| {
-                Box::new(UnprotectedElimStack::with_threads(cap, threads)) as Box<dyn Stack>
-            }),
-        ),
-        (
-            "stack-elim/tagged",
-            Box::new(|cap, threads| {
-                Box::new(TaggedElimStack::with_threads(cap, threads)) as Box<dyn Stack>
-            }),
-        ),
-        (
-            "stack-elim/hazard",
-            Box::new(|cap, threads| {
-                Box::new(HazardElimStack::with_threads(cap, threads)) as Box<dyn Stack>
-            }),
-        ),
-        (
-            "stack-elim/llsc-head",
-            Box::new(|cap, threads| {
-                Box::new(LlScElimStack::with_threads(cap, threads)) as Box<dyn Stack>
-            }),
-        ),
-        (
-            "stack-elim/epoch",
-            Box::new(|cap, threads| {
-                Box::new(EpochElimStack::with_threads(cap, threads)) as Box<dyn Stack>
-            }),
-        ),
-    ]
+    builders(Family::ElimStack, |s| match s {
+        Structure::Stack(stack) => Some(stack),
+        _ => None,
+    })
 }
 
 /// The standard roster of stack variants for experiment E6, sized for
@@ -154,34 +258,16 @@ pub fn all_stacks(capacity: usize, threads: usize) -> Vec<Box<dyn Stack>> {
 
 /// A named constructor for one queue variant: `(capacity, threads) -> queue`,
 /// mirroring [`StackBuilder`].
-pub type QueueBuilder = Box<dyn Fn(usize, usize) -> Box<dyn Queue> + Send + Sync>;
+pub type QueueBuilder = Builder<dyn Queue>;
 
 /// Named builders for the standard roster of queue variants, in E8 display
 /// order.  The names are stable registry keys (used in experiment tables and
 /// `BENCH_throughput.json`), mirroring [`stack_builders`].
 pub fn queue_builders() -> Vec<(&'static str, QueueBuilder)> {
-    vec![
-        (
-            "queue/unprotected",
-            Box::new(|cap, _threads| Box::new(UnprotectedQueue::new(cap)) as Box<dyn Queue>),
-        ),
-        (
-            "queue/tagged",
-            Box::new(|cap, _threads| Box::new(TaggedQueue::new(cap)) as Box<dyn Queue>),
-        ),
-        (
-            "queue/hazard",
-            Box::new(|cap, threads| Box::new(HazardQueue::new(cap, threads)) as Box<dyn Queue>),
-        ),
-        (
-            "queue/llsc",
-            Box::new(|cap, threads| Box::new(LlScQueue::new(cap, threads)) as Box<dyn Queue>),
-        ),
-        (
-            "queue/epoch",
-            Box::new(|cap, threads| Box::new(EpochQueue::new(cap, threads)) as Box<dyn Queue>),
-        ),
-    ]
+    builders(Family::Queue, |s| match s {
+        Structure::Queue(queue) => Some(queue),
+        _ => None,
+    })
 }
 
 /// The standard roster of queue variants for experiment E8, sized for
@@ -195,35 +281,17 @@ pub fn all_queues(capacity: usize, threads: usize) -> Vec<Box<dyn Queue>> {
 
 /// A named constructor for one ordered-set variant:
 /// `(capacity, threads) -> set`, mirroring [`StackBuilder`].
-pub type SetBuilder = Box<dyn Fn(usize, usize) -> Box<dyn Set> + Send + Sync>;
+pub type SetBuilder = Builder<dyn Set>;
 
 /// Named builders for the standard roster of Harris–Michael set variants, in
 /// E10 display order.  The names are stable registry keys (used in
 /// experiment tables and `BENCH_throughput.json`), mirroring
 /// [`stack_builders`].
 pub fn set_builders() -> Vec<(&'static str, SetBuilder)> {
-    vec![
-        (
-            "set/unprotected",
-            Box::new(|cap, _threads| Box::new(UnprotectedSet::new(cap)) as Box<dyn Set>),
-        ),
-        (
-            "set/tagged",
-            Box::new(|cap, _threads| Box::new(TaggedSet::new(cap)) as Box<dyn Set>),
-        ),
-        (
-            "set/hazard",
-            Box::new(|cap, threads| Box::new(HazardSet::new(cap, threads)) as Box<dyn Set>),
-        ),
-        (
-            "set/llsc",
-            Box::new(|cap, threads| Box::new(LlScSet::new(cap, threads)) as Box<dyn Set>),
-        ),
-        (
-            "set/epoch",
-            Box::new(|cap, threads| Box::new(EpochSet::new(cap, threads)) as Box<dyn Set>),
-        ),
-    ]
+    builders(Family::Set, |s| match s {
+        Structure::Set(set) => Some(set),
+        _ => None,
+    })
 }
 
 /// The standard roster of set variants for experiment E10, sized for
@@ -237,35 +305,17 @@ pub fn all_sets(capacity: usize, threads: usize) -> Vec<Box<dyn Set>> {
 
 /// A named constructor for one split-ordered-map variant:
 /// `(capacity, threads) -> map`, mirroring [`StackBuilder`].
-pub type MapBuilder = Box<dyn Fn(usize, usize) -> Box<dyn Map> + Send + Sync>;
+pub type MapBuilder = Builder<dyn Map>;
 
 /// Named builders for the standard roster of split-ordered hash-map
 /// variants, in E13 display order.  The names are stable registry keys
 /// (used in experiment tables and `BENCH_map.json`), mirroring
 /// [`stack_builders`].
 pub fn map_builders() -> Vec<(&'static str, MapBuilder)> {
-    vec![
-        (
-            "map/unprotected",
-            Box::new(|cap, _threads| Box::new(UnprotectedMap::new(cap)) as Box<dyn Map>),
-        ),
-        (
-            "map/tagged",
-            Box::new(|cap, _threads| Box::new(TaggedMap::new(cap)) as Box<dyn Map>),
-        ),
-        (
-            "map/hazard",
-            Box::new(|cap, threads| Box::new(HazardMap::new(cap, threads)) as Box<dyn Map>),
-        ),
-        (
-            "map/llsc",
-            Box::new(|cap, threads| Box::new(LlScMap::new(cap, threads)) as Box<dyn Map>),
-        ),
-        (
-            "map/epoch",
-            Box::new(|cap, threads| Box::new(EpochMap::new(cap, threads)) as Box<dyn Map>),
-        ),
-    ]
+    builders(Family::Map, |s| match s {
+        Structure::Map(map) => Some(map),
+        _ => None,
+    })
 }
 
 /// The standard roster of map variants for experiment E13, provisioned for
@@ -281,163 +331,98 @@ pub fn all_maps(capacity: usize, threads: usize) -> Vec<Box<dyn Map>> {
 mod tests {
     use super::*;
 
+    /// The 25 structure keys of the roster, family-major in roster order.
+    const KEYS: [[&str; 5]; 5] = [
+        [
+            "stack/unprotected",
+            "stack/tagged",
+            "stack/hazard",
+            "stack/llsc-head",
+            "stack/epoch",
+        ],
+        [
+            "stack-elim/unprotected",
+            "stack-elim/tagged",
+            "stack-elim/hazard",
+            "stack-elim/llsc-head",
+            "stack-elim/epoch",
+        ],
+        [
+            "queue/unprotected",
+            "queue/tagged",
+            "queue/hazard",
+            "queue/llsc",
+            "queue/epoch",
+        ],
+        [
+            "set/unprotected",
+            "set/tagged",
+            "set/hazard",
+            "set/llsc",
+            "set/epoch",
+        ],
+        [
+            "map/unprotected",
+            "map/tagged",
+            "map/hazard",
+            "map/llsc",
+            "map/epoch",
+        ],
+    ];
+
     #[test]
-    fn roster_contains_all_five_variants() {
-        let stacks = all_stacks(8, 2);
-        assert_eq!(stacks.len(), 5);
-        for stack in &stacks {
-            let mut h = stack.handle(0);
-            assert!(h.push(1));
-            assert_eq!(h.pop(), Some(1));
+    fn every_family_scheme_pair_has_its_stable_key_and_a_working_structure() {
+        for (family, keys) in Family::ALL.into_iter().zip(KEYS) {
+            for (scheme, key) in Scheme::ALL.into_iter().zip(keys) {
+                assert_eq!(family.key(scheme), key);
+                let label = family.label(scheme);
+                match family.build(scheme, 4, 2) {
+                    Structure::Stack(stack) => {
+                        assert_eq!(stack.name(), label);
+                        let mut h = stack.handle(1);
+                        assert!(h.push(9));
+                        assert_eq!(h.pop(), Some(9));
+                    }
+                    Structure::Queue(queue) => {
+                        assert_eq!(queue.name(), label);
+                        let mut h = queue.handle(1);
+                        assert!(h.enqueue(9));
+                        assert_eq!(h.dequeue(), Some(9));
+                    }
+                    Structure::Set(set) => {
+                        assert_eq!(set.name(), label);
+                        let mut h = set.handle(1);
+                        assert!(h.insert(9));
+                        assert!(h.contains(9));
+                        assert!(h.remove(9));
+                        assert!(!h.contains(9));
+                    }
+                    Structure::Map(map) => {
+                        assert_eq!(map.name(), label);
+                        let mut h = map.handle(1);
+                        assert!(h.insert(9, 90));
+                        assert_eq!(h.get(9), Some(90));
+                        assert!(h.remove(9));
+                        assert_eq!(h.get(9), None);
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn builder_registry_names_are_stable_and_distinct() {
-        let builders = stack_builders();
-        let names: Vec<_> = builders.iter().map(|(n, _)| *n).collect();
-        assert_eq!(
-            names,
-            [
-                "stack/unprotected",
-                "stack/tagged",
-                "stack/hazard",
-                "stack/llsc-head",
-                "stack/epoch",
-            ]
-        );
-        for (_, build) in builders {
-            let stack = build(4, 2);
-            let mut h = stack.handle(1);
-            assert!(h.push(9));
-            assert_eq!(h.pop(), Some(9));
+    fn builder_registries_list_their_family_row_in_roster_order() {
+        fn names<T>(builders: Vec<(&'static str, T)>) -> Vec<&'static str> {
+            builders.into_iter().map(|(name, _)| name).collect()
         }
-    }
-
-    #[test]
-    fn elim_builder_registry_names_are_stable_and_distinct() {
-        let builders = elim_stack_builders();
-        let names: Vec<_> = builders.iter().map(|(n, _)| *n).collect();
-        assert_eq!(
-            names,
-            [
-                "stack-elim/unprotected",
-                "stack-elim/tagged",
-                "stack-elim/hazard",
-                "stack-elim/llsc-head",
-                "stack-elim/epoch",
-            ]
-        );
-        for (_, build) in builders {
-            let stack = build(4, 2);
-            let mut h = stack.handle(1);
-            assert!(h.push(9));
-            assert_eq!(h.pop(), Some(9));
-        }
-    }
-
-    #[test]
-    fn queue_roster_contains_all_five_variants() {
-        let queues = all_queues(8, 2);
-        assert_eq!(queues.len(), 5);
-        for queue in &queues {
-            let mut h = queue.handle(0);
-            assert!(h.enqueue(1));
-            assert_eq!(h.dequeue(), Some(1));
-        }
-    }
-
-    #[test]
-    fn queue_builder_registry_names_are_stable_and_distinct() {
-        let builders = queue_builders();
-        let names: Vec<_> = builders.iter().map(|(n, _)| *n).collect();
-        assert_eq!(
-            names,
-            [
-                "queue/unprotected",
-                "queue/tagged",
-                "queue/hazard",
-                "queue/llsc",
-                "queue/epoch",
-            ]
-        );
-        for (_, build) in builders {
-            let queue = build(4, 2);
-            let mut h = queue.handle(1);
-            assert!(h.enqueue(9));
-            assert_eq!(h.dequeue(), Some(9));
-        }
-    }
-
-    #[test]
-    fn set_roster_contains_all_five_variants() {
-        let sets = all_sets(8, 2);
-        assert_eq!(sets.len(), 5);
-        for set in &sets {
-            let mut h = set.handle(0);
-            assert!(h.insert(1));
-            assert!(h.contains(1));
-            assert!(h.remove(1));
-        }
-    }
-
-    #[test]
-    fn map_roster_contains_all_five_variants() {
-        let maps = all_maps(8, 2);
-        assert_eq!(maps.len(), 5);
-        for map in &maps {
-            let mut h = map.handle(0);
-            assert!(h.insert(1, 10));
-            assert_eq!(h.get(1), Some(10));
-            assert!(h.remove(1));
-        }
-    }
-
-    #[test]
-    fn map_builder_registry_names_are_stable_and_distinct() {
-        let builders = map_builders();
-        let names: Vec<_> = builders.iter().map(|(n, _)| *n).collect();
-        assert_eq!(
-            names,
-            [
-                "map/unprotected",
-                "map/tagged",
-                "map/hazard",
-                "map/llsc",
-                "map/epoch",
-            ]
-        );
-        for (_, build) in builders {
-            let map = build(4, 2);
-            let mut h = map.handle(1);
-            assert!(h.insert(9, 90));
-            assert_eq!(h.get(9), Some(90));
-            assert!(h.remove(9));
-            assert_eq!(h.get(9), None);
-        }
-    }
-
-    #[test]
-    fn set_builder_registry_names_are_stable_and_distinct() {
-        let builders = set_builders();
-        let names: Vec<_> = builders.iter().map(|(n, _)| *n).collect();
-        assert_eq!(
-            names,
-            [
-                "set/unprotected",
-                "set/tagged",
-                "set/hazard",
-                "set/llsc",
-                "set/epoch",
-            ]
-        );
-        for (_, build) in builders {
-            let set = build(4, 2);
-            let mut h = set.handle(1);
-            assert!(h.insert(9));
-            assert!(h.contains(9));
-            assert!(h.remove(9));
-            assert!(!h.contains(9));
-        }
+        assert_eq!(names(stack_builders()), KEYS[0]);
+        assert_eq!(names(elim_stack_builders()), KEYS[1]);
+        assert_eq!(names(queue_builders()), KEYS[2]);
+        assert_eq!(names(set_builders()), KEYS[3]);
+        assert_eq!(names(map_builders()), KEYS[4]);
+        assert_eq!(all_stacks(8, 2).len(), 5);
+        assert_eq!(all_queues(8, 2).len(), 5);
+        assert_eq!(all_sets(8, 2).len(), 5);
+        assert_eq!(all_maps(8, 2).len(), 5);
     }
 }

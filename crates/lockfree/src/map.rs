@@ -60,7 +60,7 @@ use aba_reclaim::{
 };
 
 use crate::arena::{CacheAligned, NodeArena, NIL};
-use crate::preemption_window;
+use crate::{preemption_window, Family};
 
 /// A concurrent `u32 -> u32` hash map with per-thread handles.
 pub trait Map: Send + Sync {
@@ -284,11 +284,6 @@ impl<R: Reclaimer> GenericMap<R> {
         map.buckets.cell(0).store(idx, Ordering::SeqCst);
         map
     }
-
-    /// The reclamation scheme's short name ("unprotected", "epoch", …).
-    pub fn scheme(&self) -> &'static str {
-        self.reclaim.scheme()
-    }
 }
 
 impl<R: Reclaimer> Map for GenericMap<R> {
@@ -297,7 +292,7 @@ impl<R: Reclaimer> Map for GenericMap<R> {
     }
 
     fn name(&self) -> &'static str {
-        self.reclaim.map_label()
+        Family::Map.label(R::SCHEME)
     }
 
     fn aba_events(&self) -> u64 {
@@ -1022,21 +1017,6 @@ mod tests {
         for key in 0..8 {
             assert!(h.insert(key, key), "node for key {key} was not reclaimed");
         }
-    }
-
-    #[test]
-    fn names_are_distinct() {
-        let names = [
-            UnprotectedMap::new(1).name(),
-            TaggedMap::new(1).name(),
-            HazardMap::new(1, 1).name(),
-            EpochMap::new(1, 1).name(),
-            LlScMap::new(1, 1).name(),
-        ];
-        let mut unique = names.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), 5);
     }
 
     #[test]

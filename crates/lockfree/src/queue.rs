@@ -25,7 +25,7 @@ use aba_reclaim::{
 };
 
 use crate::arena::{NodeArena, NIL};
-use crate::preemption_window;
+use crate::{preemption_window, Family};
 
 /// A bounded, concurrent FIFO with per-thread handles.
 pub trait Queue: Send + Sync {
@@ -106,11 +106,6 @@ impl<R: Reclaimer> GenericQueue<R> {
             alloc_failures: AtomicU64::new(0),
         }
     }
-
-    /// The reclamation scheme's short name ("unprotected", "epoch", …).
-    pub fn scheme(&self) -> &'static str {
-        self.reclaim.scheme()
-    }
 }
 
 impl<R: Reclaimer> Queue for GenericQueue<R> {
@@ -119,7 +114,7 @@ impl<R: Reclaimer> Queue for GenericQueue<R> {
     }
 
     fn name(&self) -> &'static str {
-        self.reclaim.queue_label()
+        Family::Queue.label(R::SCHEME)
     }
 
     fn aba_events(&self) -> u64 {
@@ -446,21 +441,6 @@ mod tests {
             }
             assert_eq!(queue.aba_events(), 0);
         }
-    }
-
-    #[test]
-    fn names_are_distinct() {
-        let names = [
-            UnprotectedQueue::new(1).name(),
-            TaggedQueue::new(1).name(),
-            HazardQueue::new(1, 1).name(),
-            EpochQueue::new(1, 1).name(),
-            LlScQueue::new(1, 1).name(),
-        ];
-        let mut unique = names.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), 5);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use aba_reclaim::{
 };
 
 use crate::arena::{NodeArena, NIL};
-use crate::preemption_window;
+use crate::{preemption_window, Family};
 
 /// A bounded, concurrent ordered set of `u32` keys with per-thread handles.
 pub trait Set: Send + Sync {
@@ -107,11 +107,6 @@ impl<R: Reclaimer> GenericSet<R> {
             alloc_failures: AtomicU64::new(0),
         }
     }
-
-    /// The reclamation scheme's short name ("unprotected", "epoch", …).
-    pub fn scheme(&self) -> &'static str {
-        self.reclaim.scheme()
-    }
 }
 
 impl<R: Reclaimer> Set for GenericSet<R> {
@@ -120,7 +115,7 @@ impl<R: Reclaimer> Set for GenericSet<R> {
     }
 
     fn name(&self) -> &'static str {
-        self.reclaim.set_label()
+        Family::Set.label(R::SCHEME)
     }
 
     fn aba_events(&self) -> u64 {
@@ -620,21 +615,6 @@ mod tests {
             assert!(h.remove(u32::MAX), "{}: tail remove", set.name());
             assert!(h.contains(50));
         }
-    }
-
-    #[test]
-    fn names_are_distinct() {
-        let names = [
-            UnprotectedSet::new(1).name(),
-            TaggedSet::new(1).name(),
-            HazardSet::new(1, 1).name(),
-            EpochSet::new(1, 1).name(),
-            LlScSet::new(1, 1).name(),
-        ];
-        let mut unique = names.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), 5);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use aba_reclaim::{
 };
 
 use crate::arena::{NodeArena, NIL};
-use crate::preemption_window;
+use crate::{preemption_window, Family};
 
 /// A bounded, concurrent LIFO with per-thread handles.
 pub trait Stack: Send + Sync {
@@ -93,11 +93,6 @@ impl<R: Reclaimer> GenericStack<R> {
             alloc_failures: AtomicU64::new(0),
         }
     }
-
-    /// The reclamation scheme's short name ("unprotected", "epoch", …).
-    pub fn scheme(&self) -> &'static str {
-        self.reclaim.scheme()
-    }
 }
 
 impl<R: Reclaimer> Stack for GenericStack<R> {
@@ -106,7 +101,7 @@ impl<R: Reclaimer> Stack for GenericStack<R> {
     }
 
     fn name(&self) -> &'static str {
-        self.reclaim.stack_label()
+        Family::Stack.label(R::SCHEME)
     }
 
     fn aba_events(&self) -> u64 {
@@ -445,11 +440,6 @@ impl<R: Reclaimer> ElimStack<R> {
         }
     }
 
-    /// The reclamation scheme's short name ("unprotected", "epoch", …).
-    pub fn scheme(&self) -> &'static str {
-        self.inner.scheme()
-    }
-
     /// Number of push/pop pairs that exchanged values off-stack (counted
     /// once per pair, on the popper's claim).
     pub fn exchanges(&self) -> u64 {
@@ -463,14 +453,7 @@ impl<R: Reclaimer> Stack for ElimStack<R> {
     }
 
     fn name(&self) -> &'static str {
-        match self.inner.scheme() {
-            "unprotected" => "Treiber+elim (unprotected)",
-            "tagged" => "Treiber+elim (tagged)",
-            "hazard pointers" => "Treiber+elim (hazard pointers)",
-            "epoch" => "Treiber+elim (epoch)",
-            "LL/SC" => "Treiber+elim (LL/SC)",
-            other => unreachable!("unknown scheme {other}"),
-        }
+        Family::ElimStack.label(R::SCHEME)
     }
 
     fn aba_events(&self) -> u64 {
@@ -852,26 +835,6 @@ mod tests {
             }
             assert_eq!(stack.aba_events(), 0);
         }
-    }
-
-    #[test]
-    fn names_are_distinct() {
-        let names = [
-            UnprotectedStack::new(1).name(),
-            TaggedStack::new(1).name(),
-            HazardStack::new(1, 1).name(),
-            EpochStack::new(1, 1).name(),
-            LlScStack::new(1, 1).name(),
-            UnprotectedElimStack::with_threads(1, 1).name(),
-            TaggedElimStack::with_threads(1, 1).name(),
-            HazardElimStack::with_threads(1, 1).name(),
-            EpochElimStack::with_threads(1, 1).name(),
-            LlScElimStack::with_threads(1, 1).name(),
-        ];
-        let mut unique = names.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), 10);
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! *duplicated* value is structural corruption caused by an ABA on the
 //! head/tail words.
 //!
-//! Both harnesses are thin role definitions over one shared
-//! [conservation driver](run_conservation): barrier-started workers, private
-//! per-thread value logs merged after join, a bounded post-run drain (a
-//! corrupted structure can contain a cycle) and multiset accounting.  Every
+//! All four harnesses are thin role definitions over one shared
+//! [conservation driver](run_conservation) and return the same
+//! [`StressReport`]: barrier-started workers, private per-thread value logs
+//! merged after join, a bounded post-run drain (a corrupted structure can
+//! contain a cycle) and multiset accounting.  Every
 //! structure variant — including any scheme added to `aba-reclaim` later —
 //! gets its conservation check from the same scaffolding.
 
@@ -36,19 +37,41 @@ pub fn conservation_capacity(contended: usize, threads: usize) -> usize {
     contended + threads * 2
 }
 
-/// Merged outcome of one conservation run, before harness-specific labels.
+/// Result of one conservation run of any structure family: what went in,
+/// what came out (taken by the workers, or recovered by the post-run drain)
+/// and the multiset difference between the two.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Conservation {
-    /// Values successfully inserted across all workers.
-    inserted: u64,
-    /// Values extracted by the workers themselves.
-    taken: u64,
-    /// Values recovered by the post-run drain.
-    remaining: u64,
+pub struct StressReport {
+    /// Display label of the structure variant (its `name()`).
+    pub structure: String,
+    /// Number of worker threads (for a queue: producers plus consumers).
+    pub threads: usize,
+    /// Insert attempts per inserting thread.
+    pub ops_per_thread: usize,
+    /// Values (keys) successfully pushed / enqueued / inserted.
+    pub inserted: u64,
+    /// `inserted` under the stack harness's original name.  The committed
+    /// benchmark (`benchmark/src/gate.rs`, frozen by `BENCHMARK.json`) reads
+    /// this field, so it stays until the benchmark can be touched.
+    pub pushed: u64,
+    /// Values popped / dequeued / removed by the workers themselves.
+    pub removed: u64,
+    /// Values recovered from the structure by the post-run drain.
+    pub remaining: u64,
+    /// ABA events the structure itself detected (only the unprotected
+    /// variants report these).
+    pub aba_events: u64,
     /// Values that were inserted but never seen again.
-    lost: u64,
+    pub lost: u64,
     /// Values that were seen more often than they were inserted.
-    duplicated: u64,
+    pub duplicated: u64,
+}
+
+impl StressReport {
+    /// `true` iff every inserted value was seen exactly once afterwards.
+    pub fn is_conserved(&self) -> bool {
+        self.lost == 0 && self.duplicated == 0
+    }
 }
 
 /// Run `threads` barrier-started workers, merge their private insert/extract
@@ -58,13 +81,16 @@ struct Conservation {
 ///
 /// `worker(tid)` performs one thread's whole script and returns
 /// `(inserted values, extracted values)`; `drain()` pops/dequeues one
-/// leftover value.
+/// leftover value.  The report's `aba_events` is left 0 for the caller to
+/// fill in from the structure once the run is over.
 fn run_conservation(
+    name: &str,
     threads: usize,
+    ops_per_thread: usize,
     worker: impl Fn(usize) -> (Vec<u32>, Vec<u32>) + Sync,
     mut drain: impl FnMut() -> Option<u32>,
     drain_limit: usize,
-) -> Conservation {
+) -> StressReport {
     assert!(threads > 0, "need at least one thread");
     let barrier = Barrier::new(threads);
     let per_thread: Vec<(Vec<u32>, Vec<u32>)> = std::thread::scope(|s| {
@@ -86,10 +112,10 @@ fn run_conservation(
 
     let mut inserted_values: Vec<u32> = Vec::new();
     let mut observed: HashMap<u32, i64> = HashMap::new();
-    let mut taken = 0u64;
+    let mut removed = 0u64;
     for (inserted, extracted) in per_thread {
         inserted_values.extend(inserted);
-        taken += extracted.len() as u64;
+        removed += extracted.len() as u64;
         for v in extracted {
             *observed.entry(v).or_insert(0) += 1;
         }
@@ -123,51 +149,28 @@ fn run_conservation(
         }
     }
 
-    Conservation {
-        inserted: inserted_values.len() as u64,
-        taken,
+    let inserted = inserted_values.len() as u64;
+    StressReport {
+        structure: name.to_string(),
+        threads,
+        ops_per_thread,
+        inserted,
+        pushed: inserted,
+        removed,
         remaining,
+        aba_events: 0,
         lost,
         duplicated,
-    }
-}
-
-/// Result of one stack stress run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StressReport {
-    /// Stack variant name.
-    pub stack: String,
-    /// Number of threads.
-    pub threads: usize,
-    /// Push attempts per thread.
-    pub ops_per_thread: usize,
-    /// Values successfully pushed.
-    pub pushed: u64,
-    /// Values popped.
-    pub popped: u64,
-    /// Values drained from the stack afterwards.
-    pub remaining: u64,
-    /// ABA events the stack itself detected (only the unprotected variant
-    /// reports these).
-    pub aba_events: u64,
-    /// Values that were pushed but never seen again.
-    pub lost: u64,
-    /// Values that were seen more often than they were pushed.
-    pub duplicated: u64,
-}
-
-impl StressReport {
-    /// `true` iff every pushed value was seen exactly once afterwards.
-    pub fn is_conserved(&self) -> bool {
-        self.lost == 0 && self.duplicated == 0
     }
 }
 
 /// Run `threads` threads, each performing `ops_per_thread` push/pop rounds of
 /// unique values, then drain the stack and check conservation.
 pub fn stress_stack(stack: &dyn Stack, threads: usize, ops_per_thread: usize) -> StressReport {
-    let outcome = run_conservation(
+    let mut report = run_conservation(
+        stack.name(),
         threads,
+        ops_per_thread,
         |tid| {
             let mut handle = stack.handle(tid);
             let mut pushed = Vec::new();
@@ -198,50 +201,8 @@ pub fn stress_stack(stack: &dyn Stack, threads: usize, ops_per_thread: usize) ->
         },
         stack.capacity() * 4 + 16,
     );
-    StressReport {
-        stack: stack.name().to_string(),
-        threads,
-        ops_per_thread,
-        pushed: outcome.inserted,
-        popped: outcome.taken,
-        remaining: outcome.remaining,
-        aba_events: stack.aba_events(),
-        lost: outcome.lost,
-        duplicated: outcome.duplicated,
-    }
-}
-
-/// Result of one queue stress run (experiment E8's conservation check).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueueStressReport {
-    /// Queue variant name.
-    pub queue: String,
-    /// Number of producer threads.
-    pub producers: usize,
-    /// Number of consumer threads.
-    pub consumers: usize,
-    /// Enqueue attempts per producer.
-    pub ops_per_thread: usize,
-    /// Values successfully enqueued.
-    pub enqueued: u64,
-    /// Values dequeued by the consumers.
-    pub dequeued: u64,
-    /// Values drained from the queue afterwards.
-    pub remaining: u64,
-    /// ABA events the queue itself detected (only the unprotected variant
-    /// reports these).
-    pub aba_events: u64,
-    /// Values that were enqueued but never seen again.
-    pub lost: u64,
-    /// Values that were seen more often than they were enqueued.
-    pub duplicated: u64,
-}
-
-impl QueueStressReport {
-    /// `true` iff every enqueued value was seen exactly once afterwards.
-    pub fn is_conserved(&self) -> bool {
-        self.lost == 0 && self.duplicated == 0
-    }
+    report.aba_events = stack.aba_events();
+    report
 }
 
 /// Run `producers` enqueuing threads (disjoint unique values; an enqueue
@@ -261,11 +222,13 @@ pub fn stress_queue(
     producers: usize,
     consumers: usize,
     ops_per_thread: usize,
-) -> QueueStressReport {
+) -> StressReport {
     assert!(producers > 0, "need at least one producer");
     assert!(consumers > 0, "need at least one consumer");
-    let outcome = run_conservation(
+    let mut report = run_conservation(
+        queue.name(),
         producers + consumers,
+        ops_per_thread,
         |tid| {
             let mut handle = queue.handle(tid);
             if tid < producers {
@@ -306,73 +269,47 @@ pub fn stress_queue(
         },
         queue.capacity() * 4 + 16,
     );
-    QueueStressReport {
-        queue: queue.name().to_string(),
-        producers,
-        consumers,
-        ops_per_thread,
-        enqueued: outcome.inserted,
-        dequeued: outcome.taken,
-        remaining: outcome.remaining,
-        aba_events: queue.aba_events(),
-        lost: outcome.lost,
-        duplicated: outcome.duplicated,
-    }
+    report.aba_events = queue.aba_events();
+    report
 }
 
-/// Result of one set stress run (experiment E10's membership-conservation
-/// check).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SetStressReport {
-    /// Set variant name.
-    pub set: String,
-    /// Number of threads.
-    pub threads: usize,
-    /// Insert attempts per thread.
-    pub ops_per_thread: usize,
-    /// Keys successfully inserted.
-    pub inserted: u64,
-    /// Keys removed by the workers themselves.
-    pub removed: u64,
-    /// Keys drained from the set afterwards.
-    pub remaining: u64,
-    /// ABA events the set itself detected (only the unprotected variant
-    /// reports these).
-    pub aba_events: u64,
-    /// Keys that were inserted but never seen again.
-    pub lost: u64,
-    /// Keys that were seen more often than they were inserted.
-    pub duplicated: u64,
+/// One operation of the keyed families' (set, map) churn script.
+enum KeyOp {
+    Insert(u32),
+    Remove(u32),
 }
 
-impl SetStressReport {
-    /// `true` iff every inserted key was seen exactly once afterwards.
-    pub fn is_conserved(&self) -> bool {
-        self.lost == 0 && self.duplicated == 0
-    }
-}
-
-/// Run `threads` threads, each inserting a disjoint range of keys and
-/// removing its own earlier insertions with a 50% duty cycle, then drain the
-/// set and check membership conservation: every key that went in must come
-/// out (by its inserter or the drain) exactly once.
+/// The churn script and drain the set and map harnesses share: each thread
+/// inserts a disjoint range of keys and removes its own earlier insertions
+/// with a 50% duty cycle; the drain then sweeps the whole key range.
+/// `handle(tid)` opens a per-thread handle and `apply` performs one
+/// [`KeyOp`] on it, reporting whether it took effect.
 ///
 /// Key ranges are disjoint per thread, so a *failed* remove of an own key is
 /// a key some ABA already lost, and a key seen twice (removed *and* drained,
 /// or drained twice off a corrupted chain) is a duplication — the same
 /// multiset accounting as the stack and queue harnesses, via the shared
 /// [`run_conservation`] driver.
-pub fn stress_set(set: &dyn Set, threads: usize, ops_per_thread: usize) -> SetStressReport {
-    let outcome = run_conservation(
+fn stress_keyed<H>(
+    name: &str,
+    capacity: usize,
+    threads: usize,
+    ops_per_thread: usize,
+    handle: impl Fn(usize) -> H + Sync,
+    apply: impl Fn(&mut H, KeyOp) -> bool + Sync,
+) -> StressReport {
+    run_conservation(
+        name,
         threads,
+        ops_per_thread,
         |tid| {
-            let mut handle = set.handle(tid);
+            let mut handle = handle(tid);
             let mut inserted = Vec::new();
             let mut removed = Vec::new();
             let mut live: Vec<u32> = Vec::new();
             for i in 0..ops_per_thread {
                 let key = (tid * ops_per_thread + i) as u32 + 1;
-                if handle.insert(key) {
+                if apply(&mut handle, KeyOp::Insert(key)) {
                     inserted.push(key);
                     live.push(key);
                 } else {
@@ -382,10 +319,10 @@ pub fn stress_set(set: &dyn Set, threads: usize, ops_per_thread: usize) -> SetSt
                     std::thread::yield_now();
                 }
                 // Remove an own earlier key with 50% duty cycle to keep the
-                // chain short and the free list hot (recycling pressure).
+                // chains short and the free list hot (recycling pressure).
                 if i % 2 == 0 {
                     if let Some(key) = live.pop() {
-                        if handle.remove(key) {
+                        if apply(&mut handle, KeyOp::Remove(key)) {
                             removed.push(key);
                         }
                         // A failed remove of an own key: the key was lost
@@ -401,120 +338,57 @@ pub fn stress_set(set: &dyn Set, threads: usize, ops_per_thread: usize) -> SetSt
             // call removes the next key still present.  A budget-bailing
             // remove on a corrupted chain returns `false` and the sweep
             // moves on, so the drain terminates even on a cycle.
-            let mut handle = set.handle(0);
+            let mut handle = handle(0);
             let mut candidates = 1..=(threads * ops_per_thread) as u32;
-            move || candidates.by_ref().find(|&key| handle.remove(key))
-        },
-        set.capacity() * 4 + 16,
-    );
-    SetStressReport {
-        set: set.name().to_string(),
-        threads,
-        ops_per_thread,
-        inserted: outcome.inserted,
-        removed: outcome.taken,
-        remaining: outcome.remaining,
-        aba_events: set.aba_events(),
-        lost: outcome.lost,
-        duplicated: outcome.duplicated,
-    }
-}
-
-/// Result of one split-ordered-map stress run (experiment E13's
-/// key-conservation check).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MapStressReport {
-    /// Map variant name.
-    pub map: String,
-    /// Number of threads.
-    pub threads: usize,
-    /// Insert attempts per thread.
-    pub ops_per_thread: usize,
-    /// Keys successfully inserted.
-    pub inserted: u64,
-    /// Keys removed by the workers themselves.
-    pub removed: u64,
-    /// Keys drained from the map afterwards.
-    pub remaining: u64,
-    /// ABA events the map itself detected (only the unprotected variant
-    /// reports these).
-    pub aba_events: u64,
-    /// Keys that were inserted but never seen again.
-    pub lost: u64,
-    /// Keys that were seen more often than they were inserted.
-    pub duplicated: u64,
-}
-
-impl MapStressReport {
-    /// `true` iff every inserted key was seen exactly once afterwards.
-    pub fn is_conserved(&self) -> bool {
-        self.lost == 0 && self.duplicated == 0
-    }
-}
-
-/// Run `threads` threads, each inserting a disjoint range of keys (each
-/// mapped to a value derived from the key, so a value swap would surface as
-/// a lookup mismatch in the map's own tests) and removing its own earlier
-/// insertions with a 50% duty cycle, then drain the map and check key
-/// conservation — the same multiset accounting as the set harness, via the
-/// shared [`run_conservation`] driver.  The churn doubles as the growth
-/// workload: the map's arena starts small and must publish segments to keep
-/// up.
-pub fn stress_map(map: &dyn Map, threads: usize, ops_per_thread: usize) -> MapStressReport {
-    let outcome = run_conservation(
-        threads,
-        |tid| {
-            let mut handle = map.handle(tid);
-            let mut inserted = Vec::new();
-            let mut removed = Vec::new();
-            let mut live: Vec<u32> = Vec::new();
-            for i in 0..ops_per_thread {
-                let key = (tid * ops_per_thread + i) as u32 + 1;
-                if handle.insert(key, key ^ 0x5A5A_5A5A) {
-                    inserted.push(key);
-                    live.push(key);
-                } else {
-                    // Arena exhausted: hand the core to whoever can remove
-                    // (essential on single-core hosts, where a spinning
-                    // worker otherwise monopolises the timeslice).
-                    std::thread::yield_now();
-                }
-                // Remove an own earlier key with 50% duty cycle to keep the
-                // chains short and the free list hot (recycling pressure).
-                if i % 2 == 0 {
-                    if let Some(key) = live.pop() {
-                        if handle.remove(key) {
-                            removed.push(key);
-                        }
-                        // A failed remove of an own key: the key was lost
-                        // (nobody else ever removes it).
-                    }
-                }
+            let apply = &apply;
+            move || {
+                candidates
+                    .by_ref()
+                    .find(|&key| apply(&mut handle, KeyOp::Remove(key)))
             }
-            (inserted, removed)
         },
-        {
-            // Drain by sweeping the whole (disjoint, known) key range: each
-            // call removes the next key still present.  A budget-bailing
-            // remove on a corrupted chain returns `false` and the sweep
-            // moves on, so the drain terminates even on a cycle.
-            let mut handle = map.handle(0);
-            let mut candidates = 1..=(threads * ops_per_thread) as u32;
-            move || candidates.by_ref().find(|&key| handle.remove(key))
-        },
-        map.capacity() * 4 + 16,
-    );
-    MapStressReport {
-        map: map.name().to_string(),
+        capacity * 4 + 16,
+    )
+}
+
+/// Run the keyed churn ([`stress_keyed`]) on a set and check membership
+/// conservation: every key that went in must come out (by its inserter or
+/// the drain) exactly once.
+pub fn stress_set(set: &dyn Set, threads: usize, ops_per_thread: usize) -> StressReport {
+    let mut report = stress_keyed(
+        set.name(),
+        set.capacity(),
         threads,
         ops_per_thread,
-        inserted: outcome.inserted,
-        removed: outcome.taken,
-        remaining: outcome.remaining,
-        aba_events: map.aba_events(),
-        lost: outcome.lost,
-        duplicated: outcome.duplicated,
-    }
+        |tid| set.handle(tid),
+        |handle, op| match op {
+            KeyOp::Insert(key) => handle.insert(key),
+            KeyOp::Remove(key) => handle.remove(key),
+        },
+    );
+    report.aba_events = set.aba_events();
+    report
+}
+
+/// Run the keyed churn ([`stress_keyed`]) on a map — each key bound to a
+/// value derived from it, so a value swap would surface as a lookup mismatch
+/// in the map's own tests — and check key conservation.  The churn doubles
+/// as the growth workload: the map's arena starts small and must publish
+/// segments to keep up.
+pub fn stress_map(map: &dyn Map, threads: usize, ops_per_thread: usize) -> StressReport {
+    let mut report = stress_keyed(
+        map.name(),
+        map.capacity(),
+        threads,
+        ops_per_thread,
+        |tid| map.handle(tid),
+        |handle, op| match op {
+            KeyOp::Insert(key) => handle.insert(key, key ^ 0x5A5A_5A5A),
+            KeyOp::Remove(key) => handle.remove(key),
+        },
+    );
+    report.aba_events = map.aba_events();
+    report
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ use std::sync::Mutex;
 
 use aba_core::CachePadded;
 
-use crate::{Guard, Reclaimer, SlotId};
+use crate::{BareLinks, Guard, Reclaimer, Scheme, SlotId};
 
 /// Maximum retirements between a guard's epoch-advance attempts (amortizes
 /// the O(threads) local-epoch scan; allocation pressure forces attempts
@@ -105,6 +105,8 @@ pub struct EpochReclaim {
 impl Reclaimer for EpochReclaim {
     type Guard<'a> = EpochGuard<'a>;
 
+    const SCHEME: Scheme = Scheme::Epoch;
+
     fn new(threads: usize, _lanes: usize) -> Self {
         EpochReclaim {
             global: AtomicU64::new(0),
@@ -141,26 +143,6 @@ impl Reclaimer for EpochReclaim {
             since_advance: 0,
             blocked_advances: 0,
         }
-    }
-
-    fn scheme(&self) -> &'static str {
-        "epoch"
-    }
-
-    fn stack_label(&self) -> &'static str {
-        "Treiber (epoch)"
-    }
-
-    fn queue_label(&self) -> &'static str {
-        "MS queue (epoch)"
-    }
-
-    fn set_label(&self) -> &'static str {
-        "HM set (epoch)"
-    }
-
-    fn map_label(&self) -> &'static str {
-        "SO map (epoch)"
     }
 
     fn unreclaimed(&self) -> u64 {
@@ -360,6 +342,11 @@ impl EpochGuard<'_> {
 }
 
 impl Guard for EpochGuard<'_> {
+    // The pin already protects every reachable node, so extending
+    // protection along a link only needs the snapshot's freshness confirmed
+    // (the provided `protect_link*`), and link words stay bare.
+    type Links = BareLinks;
+
     fn protect(&mut self, _lane: usize, slot: SlotId) -> u64 {
         // The pin is the protection: while our local epoch is published,
         // nothing retired from now on can complete two advances, so every
@@ -382,55 +369,8 @@ impl Guard for EpochGuard<'_> {
             .is_ok()
     }
 
-    fn protect_link(&mut self, _lane: usize, _idx: u64, slot: SlotId, raw: u64) -> bool {
-        // The pin already protects every reachable node; only the snapshot
-        // freshness needs confirming.
-        self.shared.slots[slot].load(Ordering::SeqCst) == raw
-    }
-
-    fn protect_link_word(&mut self, _lane: usize, _idx: u64, link: &AtomicU64, raw: u64) -> bool {
-        // As with `protect_link`: the pin is the protection, the re-read is
-        // the snapshot validation.
-        link.load(Ordering::SeqCst) == raw
-    }
-
-    fn load_link(&self, link: &AtomicU64) -> u64 {
-        link.load(Ordering::SeqCst)
-    }
-
-    fn store_link(&self, link: &AtomicU64, idx: u64) {
-        link.store(idx, Ordering::SeqCst);
-    }
-
-    fn cas_link(&self, link: &AtomicU64, raw: u64, idx: u64) -> bool {
-        link.compare_exchange(raw, idx, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    }
-
     fn index_of(&self, raw: u64) -> u64 {
         raw
-    }
-
-    fn store_link_mark(&self, link: &AtomicU64, idx: u64, marked: bool) {
-        link.store(crate::bare_mark_encode(idx, marked), Ordering::SeqCst);
-    }
-
-    fn cas_link_mark(&self, link: &AtomicU64, raw: u64, idx: u64, marked: bool) -> bool {
-        link.compare_exchange(
-            raw,
-            crate::bare_mark_encode(idx, marked),
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        )
-        .is_ok()
-    }
-
-    fn marked_index_of(&self, raw: u64) -> u64 {
-        crate::bare_mark_index(raw)
-    }
-
-    fn mark_of(&self, raw: u64) -> bool {
-        crate::bare_mark_of(raw)
     }
 
     fn retire(&mut self, idx: u64, mut free: impl FnMut(u64)) {

@@ -1,25 +1,26 @@
 //! # aba-reclaim
 //!
-//! Every ABA-prevention scheme the paper discusses is, operationally, a
-//! *node-reclamation policy*: it decides how a structure word (a stack head,
-//! a queue head/tail, a next link) is represented, how a thread may safely
-//! read through it, and when a node removed from the structure may be handed
-//! back to its allocator.  This crate factors that decision out of the
-//! lock-free structures in `aba-lockfree` behind one [`Reclaimer`] trait, so
-//! a Treiber stack or Michael–Scott queue is written *once* and instantiated
-//! per scheme:
+//! Every ABA-prevention scheme the paper discusses makes two decisions: how
+//! a structure word is *represented* (bare, tagged, LL/SC) and *when* a node
+//! removed from the structure may be handed back to its allocator (now,
+//! after a hazard scan, after two epochs).  This crate factors both out of
+//! the lock-free structures in `aba-lockfree`, so a Treiber stack or
+//! Michael–Scott queue is written *once* and instantiated per scheme:
 //!
-//! | Impl | Scheme (paper §1 taxonomy) | Word encoding | Free deferred? |
-//! |------|---------------------------|---------------|----------------|
-//! | [`NoReclaim`] | none — the ABA victim | bare index | no (immediate) |
-//! | [`TagReclaim`] | tagging, unbounded tag | `(index, tag)` via [`TagWord`] | no |
-//! | [`HazardReclaim`] | hazard pointers [20, 21] | bare index | until unprotected |
-//! | [`EpochReclaim`] | epoch / quiescence-based | bare index | until 2 epoch advances |
-//! | [`LlScReclaim`] | LL/SC words (Theorem 2 context) | [`AnnounceLlSc`] triple | no |
+//! | [`Scheme`] | Impl | Paper §1 taxonomy | Slot word | [`LinkCodec`] | Free deferred? |
+//! |------------|------|-------------------|-----------|---------------|----------------|
+//! | `Unprotected` | [`NoReclaim`] | none — the ABA victim | bare index | [`BareLinks`] | no (immediate) |
+//! | `Tagged` | [`TagReclaim`] | tagging, unbounded tag | `(index, tag)` via [`TagWord`] | [`CountedLinks`] | no |
+//! | `Hazard` | [`HazardReclaim`] | hazard pointers [20, 21] | bare index | [`BareLinks`] | until unprotected |
+//! | `LlSc` | [`LlScReclaim`] | LL/SC words (Theorem 2 context) | [`AnnounceLlSc`] triple | [`CountedLinks`] | no |
+//! | `Epoch` | [`EpochReclaim`] | epoch / quiescence-based | bare index | [`BareLinks`] | until 2 epoch advances |
 //!
 //! A structure registers its shared words as *slots* ([`Reclaimer::add_slot`])
 //! at construction time and performs every access through a per-thread
-//! [`Guard`]: `protect` (validated load), `cas`, `retire`, `quiesce`.  The
+//! [`Guard`].  A scheme implements only the guard's *protection core* —
+//! `protect`, `load`, `validate`, `cas`, `index_of`, `retire`, `quiesce`,
+//! `reclaim_pressure` — and names its [`LinkCodec`]; every link-word method
+//! is written once, as a provided method over that codec.  The
 //! scheme-specific protocols — publish-then-revalidate for hazard pointers,
 //! pin/unpin with three limbo bags for epochs, LL/VL/SC for the LL/SC words,
 //! tag bumps for tagging — live entirely behind that interface.
@@ -46,70 +47,154 @@ pub const NIL: u64 = u64::MAX;
 pub type SlotId = usize;
 
 // ---------------------------------------------------------------------------
-// Mark-capable link-word encodings (shared helpers)
+// The scheme roster
 // ---------------------------------------------------------------------------
-//
-// Two encodings cover the five schemes:
-//
-// * **bare + flag** (unprotected, hazard, epoch): index in the low 32 bits
-//   (`0xFFFF_FFFF` = nil), the deleted mark in bit 32.  The legacy bare nil
-//   `u64::MAX` (a fresh arena link, or a `store_link(NIL)`) still decodes as
-//   an unmarked nil, so mark-capable and bare consumers can share an arena.
-// * **counted + flag** (tagged, LL/SC links): a [`TagWord`] whose value
-//   field holds the index (`u32::MAX` = nil) and whose tag field keeps a
-//   31-bit CAS counter with the deleted mark in the tag's top bit — marking
-//   a node is itself a tag bump, so a stale CAS can neither miss the mark
-//   nor resurrect a recycled link.
 
-/// Deleted-mark flag of the bare mark-capable encoding.
-const BARE_MARK_BIT: u64 = 1 << 32;
-/// Index mask / in-band nil of the bare mark-capable encoding.
-const BARE_IDX_MASK: u64 = 0xFFFF_FFFF;
-/// Deleted-mark flag inside the tag field of the counted encoding.
-const TAG_MARK_BIT: u32 = 1 << 31;
-
-pub(crate) fn bare_mark_encode(idx: u64, marked: bool) -> u64 {
-    let base = if idx == NIL { BARE_IDX_MASK } else { idx };
-    base | if marked { BARE_MARK_BIT } else { 0 }
+/// The protection schemes, in roster order (the order every registry,
+/// experiment table and BENCH document lists them in — defined once, here).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scheme {
+    /// [`NoReclaim`]: no protection, the ABA victim.
+    Unprotected,
+    /// [`TagReclaim`]: §1 tagging.
+    Tagged,
+    /// [`HazardReclaim`]: hazard pointers.
+    Hazard,
+    /// [`LlScReclaim`]: LL/SC structure words.
+    LlSc,
+    /// [`EpochReclaim`]: epoch-based reclamation.
+    Epoch,
 }
 
-pub(crate) fn bare_mark_index(raw: u64) -> u64 {
-    let low = raw & BARE_IDX_MASK;
-    if low == BARE_IDX_MASK {
-        NIL
-    } else {
-        low
+/// A computation generic in the reclaimer type, selected at run time by
+/// [`Scheme::dispatch`] — how a registry builds "the structure for scheme
+/// `s`" while the structure itself stays statically dispatched.
+pub trait SchemeFn {
+    /// What the computation produces.
+    type Out;
+    /// Run with the reclaimer type of the selected scheme.
+    fn call<R: Reclaimer>(self) -> Self::Out;
+}
+
+impl Scheme {
+    /// Every scheme, in roster order.
+    pub const ALL: [Scheme; 5] = [
+        Scheme::Unprotected,
+        Scheme::Tagged,
+        Scheme::Hazard,
+        Scheme::LlSc,
+        Scheme::Epoch,
+    ];
+
+    /// Run `f` with this scheme's [`Reclaimer`] type — the one place that
+    /// maps the enum onto the implementations.
+    pub fn dispatch<F: SchemeFn>(self, f: F) -> F::Out {
+        match self {
+            Scheme::Unprotected => f.call::<NoReclaim>(),
+            Scheme::Tagged => f.call::<TagReclaim>(),
+            Scheme::Hazard => f.call::<HazardReclaim>(),
+            Scheme::LlSc => f.call::<LlScReclaim>(),
+            Scheme::Epoch => f.call::<EpochReclaim>(),
+        }
     }
 }
 
-pub(crate) fn bare_mark_of(raw: u64) -> bool {
-    raw != NIL && raw & BARE_MARK_BIT != 0
+// ---------------------------------------------------------------------------
+// Mark-capable link-word encodings
+// ---------------------------------------------------------------------------
+
+/// How a *mark-capable* link word (a Harris–Michael next link, which folds a
+/// "logically deleted" mark into the word so one CAS verifies the successor
+/// *and* the deletion status) is represented.  Stateless: a link word is
+/// mark-capable only if every write to it went through
+/// [`Guard::store_link_mark`] / [`Guard::cas_link_mark`], which encode
+/// through the guard's codec.  Two encodings cover the five schemes
+/// (DESIGN.md §7): [`BareLinks`] and [`CountedLinks`].
+pub trait LinkCodec {
+    /// The word that replaces `prev_raw` to designate `idx` ([`NIL`]
+    /// allowed) with the given deleted mark.
+    fn encode(prev_raw: u64, idx: u64, marked: bool) -> u64;
+
+    /// The index field of a link word ([`NIL`] if none).
+    fn index(raw: u64) -> u64;
+
+    /// The logical-deletion mark of a link word.  A fresh arena link holds
+    /// the legacy bare nil `u64::MAX`; both codecs decode it as an unmarked
+    /// nil, so mark-capable and bare consumers can share an arena.
+    fn mark(raw: u64) -> bool;
 }
 
-fn counted_mark_encode(old_raw: u64, idx: u64, marked: bool) -> u64 {
-    let old = TagWord::unpack(old_raw);
-    let tag = (old.tag.wrapping_add(1) & !TAG_MARK_BIT) | if marked { TAG_MARK_BIT } else { 0 };
-    TagWord {
-        value: tag_encode(idx),
-        tag,
+/// **Bare + flag** (unprotected, hazard, epoch): the index in the low 32
+/// bits (`0xFFFF_FFFF` = nil), the deleted mark in bit 32.  Nothing
+/// distinguishes a recycled word from its previous incarnation — protection,
+/// if any, is the scheme's deferral of the free.
+#[derive(Debug, Clone, Copy)]
+pub struct BareLinks;
+
+impl BareLinks {
+    const MARK_BIT: u64 = 1 << 32;
+    /// Index mask and in-band nil.
+    const IDX_MASK: u64 = 0xFFFF_FFFF;
+}
+
+impl LinkCodec for BareLinks {
+    #[inline]
+    fn encode(_prev_raw: u64, idx: u64, marked: bool) -> u64 {
+        let base = if idx == NIL { Self::IDX_MASK } else { idx };
+        base | if marked { Self::MARK_BIT } else { 0 }
     }
-    .pack()
-}
 
-fn counted_mark_index(raw: u64) -> u64 {
-    let value = TagWord::unpack(raw).value;
-    if value == TAG_IDX_NIL {
-        NIL
-    } else {
-        value as u64
+    #[inline]
+    fn index(raw: u64) -> u64 {
+        let low = raw & Self::IDX_MASK;
+        if low == Self::IDX_MASK {
+            NIL
+        } else {
+            low
+        }
+    }
+
+    #[inline]
+    fn mark(raw: u64) -> bool {
+        raw != NIL && raw & Self::MARK_BIT != 0
     }
 }
 
-fn counted_mark_of(raw: u64) -> bool {
-    // A fresh arena link holds the legacy bare nil `u64::MAX`, whose tag
-    // field would read as "marked"; it decodes as an unmarked nil instead
-    // (the in-band collision costs one word of the 31-bit counter space).
-    raw != NIL && TagWord::unpack(raw).tag & TAG_MARK_BIT != 0
+/// **Counted + flag** (tagged, LL/SC deep links): a [`TagWord`] whose value
+/// field holds the index (`u32::MAX` = nil) and whose tag field keeps a
+/// 31-bit write counter with the deleted mark in the tag's top bit — marking
+/// a node is itself a counter bump, so a stale CAS can neither miss the mark
+/// nor resurrect a recycled link.
+#[derive(Debug, Clone, Copy)]
+pub struct CountedLinks;
+
+impl CountedLinks {
+    /// Deleted-mark flag inside the tag field.
+    const MARK_BIT: u32 = 1 << 31;
+}
+
+impl LinkCodec for CountedLinks {
+    #[inline]
+    fn encode(prev_raw: u64, idx: u64, marked: bool) -> u64 {
+        let count = TagWord::unpack(prev_raw).tag.wrapping_add(1) & !Self::MARK_BIT;
+        TagWord {
+            value: tag_encode(idx),
+            tag: count | if marked { Self::MARK_BIT } else { 0 },
+        }
+        .pack()
+    }
+
+    #[inline]
+    fn index(raw: u64) -> u64 {
+        tag_decode(TagWord::unpack(raw).value)
+    }
+
+    #[inline]
+    fn mark(raw: u64) -> bool {
+        // The legacy bare nil's tag field would read as "marked"; excluding
+        // it costs one word of the 31-bit counter space.
+        raw != NIL && TagWord::unpack(raw).tag & Self::MARK_BIT != 0
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -133,6 +218,10 @@ pub trait Reclaimer: Send + Sync + 'static {
     where
         Self: 'a;
 
+    /// Which roster entry this is; display labels and registry keys are
+    /// derived from it (`aba-lockfree`'s `Family` table), not stored here.
+    const SCHEME: Scheme;
+
     /// A reclaimer for `threads` threads, each of which may protect up to
     /// `lanes` nodes simultaneously (1 for a stack, 2 for an MS queue).
     fn new(threads: usize, lanes: usize) -> Self;
@@ -146,23 +235,6 @@ pub trait Reclaimer: Send + Sync + 'static {
     /// capacity, used by deferred schemes to size their eager-reclamation
     /// policy (small arenas must not starve behind a long limbo list).
     fn guard(&self, tid: usize, capacity: usize) -> Self::Guard<'_>;
-
-    /// Short scheme name for taxonomy tables ("unprotected", "tagged", …).
-    fn scheme(&self) -> &'static str;
-
-    /// Display name for the Treiber-stack instantiation (stable registry
-    /// value, used in experiment tables).
-    fn stack_label(&self) -> &'static str;
-
-    /// Display name for the MS-queue instantiation.
-    fn queue_label(&self) -> &'static str;
-
-    /// Display name for the Harris–Michael ordered-set instantiation.
-    fn set_label(&self) -> &'static str;
-
-    /// Display name for the split-ordered hash-map instantiation (stable
-    /// registry value, used in experiment tables).
-    fn map_label(&self) -> &'static str;
 
     /// Number of nodes retired but not yet handed back to the allocator —
     /// the scheme's *space overhead*, the paper's second axis.  Always 0 for
@@ -182,11 +254,19 @@ pub trait Reclaimer: Send + Sync + 'static {
 
 /// Per-thread access handle of a [`Reclaimer`].
 ///
-/// `raw` words returned by [`Guard::protect`] / [`Guard::load`] /
+/// A scheme implements the eight-method *protection core* (`protect`,
+/// `load`, `validate`, `cas`, `index_of`, `retire`, `quiesce`,
+/// `reclaim_pressure`) and names its [`LinkCodec`]; everything else is
+/// provided.  `raw` words returned by [`Guard::protect`] / [`Guard::load`] /
 /// [`Guard::load_link`] are opaque to the structure: it extracts the
 /// designated node with [`Guard::index_of`] and passes the raw word back to
 /// [`Guard::validate`] / [`Guard::cas`] unchanged.
 pub trait Guard: Send {
+    /// The encoding of this scheme's mark-capable link words.
+    type Links: LinkCodec;
+
+    // -- the protection core ------------------------------------------------
+
     /// Validated, *protected* load of a slot: after this returns, the
     /// designated node (if any) will not be recycled until the protection is
     /// released by [`Guard::retire`] or [`Guard::quiesce`].  `lane` selects
@@ -205,68 +285,9 @@ pub trait Guard: Send {
     /// fail.
     fn cas(&mut self, slot: SlotId, raw: u64, idx: u64) -> bool;
 
-    /// Extend protection in `lane` to node `idx` (read out of a link word),
-    /// then confirm `slot` still holds `raw`; `false` means the snapshot went
-    /// stale and the caller must retry before trusting the protection.
-    fn protect_link(&mut self, lane: usize, idx: u64, slot: SlotId, raw: u64) -> bool;
-
-    /// [`Guard::protect_link`] re-anchored on a *link word* instead of a
-    /// slot: extend protection in `lane` to node `idx` (read out of `link`),
-    /// then confirm `link` still holds `raw`.  This is the hand-over-hand
-    /// step of a chain traversal (Harris–Michael set): `link` belongs to a
-    /// node that is itself still protected, so if it still designates `idx`,
-    /// the new protection was published while `idx` was reachable.
-    fn protect_link_word(&mut self, lane: usize, idx: u64, link: &AtomicU64, raw: u64) -> bool;
-
-    /// Load a link word (a node's next field).
-    fn load_link(&self, link: &AtomicU64) -> u64;
-
-    /// Store a link word designating `idx` ([`NIL`] allowed).  Only legal on
-    /// a node the calling thread owns (freshly allocated, not yet linked);
-    /// tagging schemes preserve — and bump — the link's tag across recycling
-    /// here, which is what keeps a stale CAS aimed at the node's previous
-    /// incarnation from succeeding.
-    fn store_link(&self, link: &AtomicU64, idx: u64);
-
-    /// CAS a link word from the observed `raw` to a word designating `idx`.
-    fn cas_link(&self, link: &AtomicU64, raw: u64, idx: u64) -> bool;
-
-    /// Whether `link` still holds `raw` — the `*prev == cur` re-validation
-    /// of a Harris–Michael traversal.  Unlike [`Guard::protect_link_word`]
-    /// this publishes nothing.
-    fn validate_link(&self, link: &AtomicU64, raw: u64) -> bool {
-        self.load_link(link) == raw
-    }
-
-    /// The node a raw word designates ([`NIL`] if none).
+    /// The node a raw slot word — or a plain ([`Guard::store_link`]) link
+    /// word — designates ([`NIL`] if none).
     fn index_of(&self, raw: u64) -> u64;
-
-    // -- mark-capable link words (Harris–Michael logical deletion) ---------
-    //
-    // Ordered-set links fold a "logically deleted" mark bit into the link
-    // word, so that one CAS atomically verifies the successor *and* the
-    // deletion status.  The mark encoding is scheme-specific (see each
-    // implementation and DESIGN.md §7); a link word is mark-capable only if
-    // every write to it went through `store_link_mark`/`cas_link_mark`, and
-    // its index field must then be decoded with `marked_index_of` (legacy
-    // bare/`store_link` words may place [`NIL`] where a mark-capable decoder
-    // expects a flag).
-
-    /// Store a mark-capable link word designating `idx` with the given
-    /// deleted mark.  Only legal on a node the calling thread owns; like
-    /// [`Guard::store_link`], tagging schemes preserve — and bump — the
-    /// link's tag here.
-    fn store_link_mark(&self, link: &AtomicU64, idx: u64, marked: bool);
-
-    /// CAS a mark-capable link word from the observed `raw` to a word
-    /// designating `idx` carrying `marked`.
-    fn cas_link_mark(&self, link: &AtomicU64, raw: u64, idx: u64, marked: bool) -> bool;
-
-    /// The index field of a mark-capable link word ([`NIL`] if none).
-    fn marked_index_of(&self, raw: u64) -> u64;
-
-    /// The logical-deletion mark of a mark-capable link word.
-    fn mark_of(&self, raw: u64) -> bool;
 
     /// Hand over a node unlinked by a successful [`Guard::cas`].  Releases
     /// this operation's protections, then frees the node through `free` —
@@ -295,6 +316,106 @@ pub trait Guard: Send {
         let _ = (live_capacity, free);
         true
     }
+
+    // -- extending protection along links -----------------------------------
+    //
+    // For every scheme whose protection does not name individual nodes
+    // (tags and LL/SC words fail a stale CAS; an epoch pin covers everything
+    // reachable) extending protection is just re-validating the snapshot —
+    // the defaults.  Only hazard pointers publish something first.
+
+    /// Extend protection in `lane` to node `idx` (read out of a link word),
+    /// then confirm `slot` still holds `raw`; `false` means the snapshot went
+    /// stale and the caller must retry before trusting the protection.
+    #[inline]
+    fn protect_link(&mut self, lane: usize, idx: u64, slot: SlotId, raw: u64) -> bool {
+        let _ = (lane, idx);
+        self.validate(slot, raw)
+    }
+
+    /// [`Guard::protect_link`] re-anchored on a *link word* instead of a
+    /// slot: extend protection in `lane` to node `idx` (read out of `link`),
+    /// then confirm `link` still holds `raw`.  This is the hand-over-hand
+    /// step of a chain traversal (Harris–Michael set): `link` belongs to a
+    /// node that is itself still protected, so if it still designates `idx`,
+    /// the new protection was published while `idx` was reachable.
+    #[inline]
+    fn protect_link_word(&mut self, lane: usize, idx: u64, link: &AtomicU64, raw: u64) -> bool {
+        let _ = (lane, idx);
+        self.validate_link(link, raw)
+    }
+
+    // -- link words (a node's next field) -----------------------------------
+
+    /// Load a link word.
+    #[inline]
+    fn load_link(&self, link: &AtomicU64) -> u64 {
+        link.load(Ordering::SeqCst)
+    }
+
+    /// Whether `link` still holds `raw` — the `*prev == cur` re-validation
+    /// of a Harris–Michael traversal.  Unlike [`Guard::protect_link_word`]
+    /// this publishes nothing.
+    #[inline]
+    fn validate_link(&self, link: &AtomicU64, raw: u64) -> bool {
+        self.load_link(link) == raw
+    }
+
+    /// Store a plain link word designating `idx` ([`NIL`] allowed), in the
+    /// slot-word encoding [`Guard::index_of`] decodes.  Only legal on a node
+    /// the calling thread owns (freshly allocated, not yet linked).  The
+    /// default is the bare store; the tagging scheme overrides it to
+    /// preserve — and bump — the link's tag across recycling.
+    #[inline]
+    fn store_link(&self, link: &AtomicU64, idx: u64) {
+        link.store(idx, Ordering::SeqCst);
+    }
+
+    /// CAS a plain link word from the observed `raw` to a word designating
+    /// `idx` (the bare CAS by default; tag-bumping under tagging).
+    #[inline]
+    fn cas_link(&self, link: &AtomicU64, raw: u64, idx: u64) -> bool {
+        link.compare_exchange(raw, idx, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+    }
+
+    // -- mark-capable link words (Harris–Michael logical deletion) ----------
+    //
+    // Written once over `Self::Links`.  A mark-capable word's index field
+    // must be decoded with `marked_index_of`, never `index_of` (a plain word
+    // may place [`NIL`] where the codec expects a flag).
+
+    /// Store a mark-capable link word designating `idx` with the given
+    /// deleted mark.  Only legal on a node the calling thread owns, which
+    /// makes the read-then-store race-free; the counted codec continues the
+    /// word's previous counter, which is what defeats a stale CAS aimed at
+    /// the node's earlier incarnation.
+    #[inline]
+    fn store_link_mark(&self, link: &AtomicU64, idx: u64, marked: bool) {
+        let old = link.load(Ordering::SeqCst);
+        link.store(Self::Links::encode(old, idx, marked), Ordering::SeqCst);
+    }
+
+    /// CAS a mark-capable link word from the observed `raw` to a word
+    /// designating `idx` carrying `marked`.
+    #[inline]
+    fn cas_link_mark(&self, link: &AtomicU64, raw: u64, idx: u64, marked: bool) -> bool {
+        let new = Self::Links::encode(raw, idx, marked);
+        link.compare_exchange(raw, new, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+    }
+
+    /// The index field of a mark-capable link word ([`NIL`] if none).
+    #[inline]
+    fn marked_index_of(&self, raw: u64) -> u64 {
+        Self::Links::index(raw)
+    }
+
+    /// The logical-deletion mark of a mark-capable link word.
+    #[inline]
+    fn mark_of(&self, raw: u64) -> bool {
+        Self::Links::mark(raw)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -311,6 +432,8 @@ pub struct NoReclaim {
 impl Reclaimer for NoReclaim {
     type Guard<'a> = NoGuard<'a>;
 
+    const SCHEME: Scheme = Scheme::Unprotected;
+
     fn new(_threads: usize, _lanes: usize) -> Self {
         NoReclaim { slots: Vec::new() }
     }
@@ -322,26 +445,6 @@ impl Reclaimer for NoReclaim {
 
     fn guard(&self, _tid: usize, _capacity: usize) -> NoGuard<'_> {
         NoGuard { slots: &self.slots }
-    }
-
-    fn scheme(&self) -> &'static str {
-        "unprotected"
-    }
-
-    fn stack_label(&self) -> &'static str {
-        "Treiber (unprotected)"
-    }
-
-    fn queue_label(&self) -> &'static str {
-        "MS queue (unprotected)"
-    }
-
-    fn set_label(&self) -> &'static str {
-        "HM set (unprotected)"
-    }
-
-    fn map_label(&self) -> &'static str {
-        "SO map (unprotected)"
     }
 
     fn retry_bound(&self, capacity: usize) -> Option<usize> {
@@ -359,6 +462,8 @@ pub struct NoGuard<'a> {
 }
 
 impl Guard for NoGuard<'_> {
+    type Links = BareLinks;
+
     fn protect(&mut self, _lane: usize, slot: SlotId) -> u64 {
         self.slots[slot].load(Ordering::SeqCst)
     }
@@ -377,51 +482,8 @@ impl Guard for NoGuard<'_> {
             .is_ok()
     }
 
-    fn protect_link(&mut self, _lane: usize, _idx: u64, slot: SlotId, raw: u64) -> bool {
-        self.slots[slot].load(Ordering::SeqCst) == raw
-    }
-
-    fn protect_link_word(&mut self, _lane: usize, _idx: u64, link: &AtomicU64, raw: u64) -> bool {
-        link.load(Ordering::SeqCst) == raw
-    }
-
-    fn load_link(&self, link: &AtomicU64) -> u64 {
-        link.load(Ordering::SeqCst)
-    }
-
-    fn store_link(&self, link: &AtomicU64, idx: u64) {
-        link.store(idx, Ordering::SeqCst);
-    }
-
-    fn cas_link(&self, link: &AtomicU64, raw: u64, idx: u64) -> bool {
-        link.compare_exchange(raw, idx, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    }
-
     fn index_of(&self, raw: u64) -> u64 {
         raw
-    }
-
-    fn store_link_mark(&self, link: &AtomicU64, idx: u64, marked: bool) {
-        link.store(bare_mark_encode(idx, marked), Ordering::SeqCst);
-    }
-
-    fn cas_link_mark(&self, link: &AtomicU64, raw: u64, idx: u64, marked: bool) -> bool {
-        link.compare_exchange(
-            raw,
-            bare_mark_encode(idx, marked),
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        )
-        .is_ok()
-    }
-
-    fn marked_index_of(&self, raw: u64) -> u64 {
-        bare_mark_index(raw)
-    }
-
-    fn mark_of(&self, raw: u64) -> bool {
-        bare_mark_of(raw)
     }
 
     fn retire(&mut self, idx: u64, mut free: impl FnMut(u64)) {
@@ -449,6 +511,14 @@ fn tag_encode(idx: u64) -> u32 {
     }
 }
 
+fn tag_decode(value: u32) -> u64 {
+    if value == TAG_IDX_NIL {
+        NIL
+    } else {
+        value as u64
+    }
+}
+
 /// The §1 tagging technique: every structure and link word packs
 /// `(index, tag)` into one CAS word (via `aba-core`'s [`TagWord`], the same
 /// helper behind the tagged register baseline), and every successful CAS
@@ -461,6 +531,8 @@ pub struct TagReclaim {
 
 impl Reclaimer for TagReclaim {
     type Guard<'a> = TagGuard<'a>;
+
+    const SCHEME: Scheme = Scheme::Tagged;
 
     fn new(_threads: usize, _lanes: usize) -> Self {
         TagReclaim { slots: Vec::new() }
@@ -480,26 +552,6 @@ impl Reclaimer for TagReclaim {
     fn guard(&self, _tid: usize, _capacity: usize) -> TagGuard<'_> {
         TagGuard { slots: &self.slots }
     }
-
-    fn scheme(&self) -> &'static str {
-        "tagged"
-    }
-
-    fn stack_label(&self) -> &'static str {
-        "Treiber (tagged head)"
-    }
-
-    fn queue_label(&self) -> &'static str {
-        "MS queue (tagged)"
-    }
-
-    fn set_label(&self) -> &'static str {
-        "HM set (tagged links)"
-    }
-
-    fn map_label(&self) -> &'static str {
-        "SO map (tagged links)"
-    }
 }
 
 /// Guard of [`TagReclaim`]: packed-word loads, tag-bumping CASes.
@@ -515,6 +567,8 @@ impl TagGuard<'_> {
 }
 
 impl Guard for TagGuard<'_> {
+    type Links = CountedLinks;
+
     fn protect(&mut self, _lane: usize, slot: SlotId) -> u64 {
         self.slots[slot].load(Ordering::SeqCst)
     }
@@ -538,18 +592,6 @@ impl Guard for TagGuard<'_> {
             .is_ok()
     }
 
-    fn protect_link(&mut self, _lane: usize, _idx: u64, slot: SlotId, raw: u64) -> bool {
-        self.slots[slot].load(Ordering::SeqCst) == raw
-    }
-
-    fn protect_link_word(&mut self, _lane: usize, _idx: u64, link: &AtomicU64, raw: u64) -> bool {
-        link.load(Ordering::SeqCst) == raw
-    }
-
-    fn load_link(&self, link: &AtomicU64) -> u64 {
-        link.load(Ordering::SeqCst)
-    }
-
     fn store_link(&self, link: &AtomicU64, idx: u64) {
         // The node is exclusively owned by the caller here, so a plain
         // read-then-store is race-free; preserving (and bumping) the link's
@@ -570,35 +612,7 @@ impl Guard for TagGuard<'_> {
     }
 
     fn index_of(&self, raw: u64) -> u64 {
-        let idx = TagWord::unpack(raw).value;
-        if idx == TAG_IDX_NIL {
-            NIL
-        } else {
-            idx as u64
-        }
-    }
-
-    fn store_link_mark(&self, link: &AtomicU64, idx: u64, marked: bool) {
-        let old = link.load(Ordering::SeqCst);
-        link.store(counted_mark_encode(old, idx, marked), Ordering::SeqCst);
-    }
-
-    fn cas_link_mark(&self, link: &AtomicU64, raw: u64, idx: u64, marked: bool) -> bool {
-        link.compare_exchange(
-            raw,
-            counted_mark_encode(raw, idx, marked),
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        )
-        .is_ok()
-    }
-
-    fn marked_index_of(&self, raw: u64) -> u64 {
-        counted_mark_index(raw)
-    }
-
-    fn mark_of(&self, raw: u64) -> bool {
-        counted_mark_of(raw)
+        tag_decode(TagWord::unpack(raw).value)
     }
 
     fn retire(&mut self, idx: u64, mut free: impl FnMut(u64)) {
@@ -627,6 +641,8 @@ pub struct HazardReclaim {
 
 impl Reclaimer for HazardReclaim {
     type Guard<'a> = HazardGuard<'a>;
+
+    const SCHEME: Scheme = Scheme::Hazard;
 
     fn new(threads: usize, lanes: usize) -> Self {
         let lanes = lanes.max(1);
@@ -657,26 +673,6 @@ impl Reclaimer for HazardReclaim {
             batch: Vec::new(),
             batch_trigger: (self.domain.scan_threshold() / 4).max(1),
         }
-    }
-
-    fn scheme(&self) -> &'static str {
-        "hazard pointers"
-    }
-
-    fn stack_label(&self) -> &'static str {
-        "Treiber (hazard pointers)"
-    }
-
-    fn queue_label(&self) -> &'static str {
-        "MS queue (hazard pointers)"
-    }
-
-    fn set_label(&self) -> &'static str {
-        "HM set (hazard pointers)"
-    }
-
-    fn map_label(&self) -> &'static str {
-        "SO map (hazard pointers)"
     }
 
     fn unreclaimed(&self) -> u64 {
@@ -741,6 +737,8 @@ impl HazardGuard<'_> {
 }
 
 impl Guard for HazardGuard<'_> {
+    type Links = BareLinks;
+
     fn protect(&mut self, lane: usize, slot: SlotId) -> u64 {
         // Hot path: if the lane's cached snapshot still matches this slot,
         // publish the cached word first and pay a single shared validating
@@ -806,43 +804,8 @@ impl Guard for HazardGuard<'_> {
         link.load(Ordering::SeqCst) == raw
     }
 
-    fn load_link(&self, link: &AtomicU64) -> u64 {
-        link.load(Ordering::SeqCst)
-    }
-
-    fn store_link(&self, link: &AtomicU64, idx: u64) {
-        link.store(idx, Ordering::SeqCst);
-    }
-
-    fn cas_link(&self, link: &AtomicU64, raw: u64, idx: u64) -> bool {
-        link.compare_exchange(raw, idx, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    }
-
     fn index_of(&self, raw: u64) -> u64 {
         raw
-    }
-
-    fn store_link_mark(&self, link: &AtomicU64, idx: u64, marked: bool) {
-        link.store(bare_mark_encode(idx, marked), Ordering::SeqCst);
-    }
-
-    fn cas_link_mark(&self, link: &AtomicU64, raw: u64, idx: u64, marked: bool) -> bool {
-        link.compare_exchange(
-            raw,
-            bare_mark_encode(idx, marked),
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        )
-        .is_ok()
-    }
-
-    fn marked_index_of(&self, raw: u64) -> u64 {
-        bare_mark_index(raw)
-    }
-
-    fn mark_of(&self, raw: u64) -> bool {
-        bare_mark_of(raw)
     }
 
     fn retire(&mut self, idx: u64, mut free: impl FnMut(u64)) {
@@ -924,6 +887,8 @@ pub struct LlScReclaim {
 impl Reclaimer for LlScReclaim {
     type Guard<'a> = LlScGuard<'a>;
 
+    const SCHEME: Scheme = Scheme::LlSc;
+
     fn new(threads: usize, _lanes: usize) -> Self {
         LlScReclaim {
             threads: threads.max(1),
@@ -943,32 +908,6 @@ impl Reclaimer for LlScReclaim {
             handles: self.slots.iter().map(|s| s.handle(tid)).collect(),
         }
     }
-
-    fn scheme(&self) -> &'static str {
-        "LL/SC"
-    }
-
-    fn stack_label(&self) -> &'static str {
-        "Treiber (LL/SC head)"
-    }
-
-    fn queue_label(&self) -> &'static str {
-        "MS queue (LL/SC head+tail)"
-    }
-
-    fn set_label(&self) -> &'static str {
-        // Only registered *slots* are LL/SC objects; a set's deep links are
-        // arena words, so they carry the counted mark encoding instead (see
-        // the mark-capable link methods below and DESIGN.md §7).
-        "HM set (LL/SC head, counted links)"
-    }
-
-    fn map_label(&self) -> &'static str {
-        // Same split as the set: registered slots (the bucket cells live in
-        // the arena, so only the pin slot is an LL/SC object) vs counted
-        // deep links.
-        "SO map (LL/SC slots, counted links)"
-    }
 }
 
 /// Guard of [`LlScReclaim`]: one persistent [`AnnounceLlScHandle`] per slot
@@ -979,6 +918,12 @@ pub struct LlScGuard<'a> {
 }
 
 impl Guard for LlScGuard<'_> {
+    // Only registered *slots* are LL/SC objects; a set's or map's deep links
+    // are arena words, so their protection is the counted encoding (a stale
+    // CAS fails on the bumped counter) and advancing along them only needs
+    // the snapshot re-validated — the provided `protect_link_word`.
+    type Links = CountedLinks;
+
     fn protect(&mut self, _lane: usize, slot: SlotId) -> u64 {
         self.handles[slot].ll() as u64
     }
@@ -989,6 +934,9 @@ impl Guard for LlScGuard<'_> {
     }
 
     fn validate(&mut self, slot: SlotId, _raw: u64) -> bool {
+        // The VL certifies that no SC succeeded on the word since our LL —
+        // which is also all `protect_link` needs: the link we read out of
+        // the designated node was, and still is, its successor.
         self.handles[slot].vl()
     }
 
@@ -997,61 +945,12 @@ impl Guard for LlScGuard<'_> {
         self.handles[slot].sc(word)
     }
 
-    fn protect_link(&mut self, _lane: usize, _idx: u64, slot: SlotId, _raw: u64) -> bool {
-        // The VL certifies that no SC succeeded on the anchoring word since
-        // our LL, so the link we read was — and still is — its successor.
-        self.handles[slot].vl()
-    }
-
-    fn protect_link_word(&mut self, _lane: usize, _idx: u64, link: &AtomicU64, raw: u64) -> bool {
-        // Deep links are not LL/SC objects; their protection is the counted
-        // mark encoding (a stale CAS fails on the bumped tag), so advancing
-        // only needs the snapshot re-validated.
-        link.load(Ordering::SeqCst) == raw
-    }
-
-    fn load_link(&self, link: &AtomicU64) -> u64 {
-        link.load(Ordering::SeqCst)
-    }
-
-    fn store_link(&self, link: &AtomicU64, idx: u64) {
-        link.store(idx, Ordering::SeqCst);
-    }
-
-    fn cas_link(&self, link: &AtomicU64, raw: u64, idx: u64) -> bool {
-        link.compare_exchange(raw, idx, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    }
-
     fn index_of(&self, raw: u64) -> u64 {
         if raw == NIL || raw == LLSC_NIL as u64 {
             NIL
         } else {
             raw
         }
-    }
-
-    fn store_link_mark(&self, link: &AtomicU64, idx: u64, marked: bool) {
-        let old = link.load(Ordering::SeqCst);
-        link.store(counted_mark_encode(old, idx, marked), Ordering::SeqCst);
-    }
-
-    fn cas_link_mark(&self, link: &AtomicU64, raw: u64, idx: u64, marked: bool) -> bool {
-        link.compare_exchange(
-            raw,
-            counted_mark_encode(raw, idx, marked),
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        )
-        .is_ok()
-    }
-
-    fn marked_index_of(&self, raw: u64) -> u64 {
-        counted_mark_index(raw)
-    }
-
-    fn mark_of(&self, raw: u64) -> bool {
-        counted_mark_of(raw)
     }
 
     fn retire(&mut self, idx: u64, mut free: impl FnMut(u64)) {
@@ -1067,57 +966,6 @@ impl Guard for LlScGuard<'_> {
 mod tests {
     use super::*;
 
-    fn roundtrip<R: Reclaimer>() {
-        let mut r = R::new(2, 1);
-        let head = r.add_slot(NIL);
-        let mut g = r.guard(0, 8);
-        let raw = g.protect(0, head);
-        assert_eq!(g.index_of(raw), NIL);
-        let raw = g.load(head);
-        assert!(g.cas(head, raw, 3));
-        let raw = g.protect(0, head);
-        assert_eq!(g.index_of(raw), 3);
-        assert!(g.validate(head, raw));
-        assert!(g.cas(head, raw, NIL));
-        let mut freed = Vec::new();
-        g.retire(3, |v| freed.push(v));
-        g.quiesce();
-        g.reclaim_pressure(|v| freed.push(v));
-        assert_eq!(freed, vec![3], "{} must free the sole retiree", r.scheme());
-        assert_eq!(r.unreclaimed(), 0);
-    }
-
-    #[test]
-    fn all_schemes_roundtrip_protect_cas_retire() {
-        roundtrip::<NoReclaim>();
-        roundtrip::<TagReclaim>();
-        roundtrip::<HazardReclaim>();
-        roundtrip::<EpochReclaim>();
-        roundtrip::<LlScReclaim>();
-    }
-
-    fn link_roundtrip<R: Reclaimer>() {
-        let r = R::new(1, 1);
-        let g = r.guard(0, 8);
-        let link = AtomicU64::new(NIL);
-        assert_eq!(g.index_of(g.load_link(&link)), NIL);
-        g.store_link(&link, 5);
-        assert_eq!(g.index_of(g.load_link(&link)), 5);
-        let raw = g.load_link(&link);
-        assert!(g.cas_link(&link, raw, 6));
-        assert_eq!(g.index_of(g.load_link(&link)), 6);
-        assert!(!g.cas_link(&link, raw, 7), "stale link CAS must fail");
-    }
-
-    #[test]
-    fn all_schemes_roundtrip_links() {
-        link_roundtrip::<NoReclaim>();
-        link_roundtrip::<TagReclaim>();
-        link_roundtrip::<HazardReclaim>();
-        link_roundtrip::<EpochReclaim>();
-        link_roundtrip::<LlScReclaim>();
-    }
-
     /// Layout regression: the structure hot words (stack heads, queue
     /// heads/tails) registered through `add_slot` must each own a 64-byte
     /// cache line, or head and tail of the same queue false-share.
@@ -1130,13 +978,13 @@ mod tests {
             let (pa, pb) = (slot_addr(&r, a), slot_addr(&r, b));
             assert!(
                 pa.is_multiple_of(64) && pb.is_multiple_of(64),
-                "{}: slot misaligned",
-                r.scheme()
+                "{:?}: slot misaligned",
+                R::SCHEME
             );
             assert!(
                 pb.abs_diff(pa) >= 64,
-                "{}: adjacent slots share a cache line",
-                r.scheme()
+                "{:?}: adjacent slots share a cache line",
+                R::SCHEME
             );
         }
         stride_check::<NoReclaim>(|r, s| &r.slots[s] as *const _ as usize);
@@ -1228,74 +1076,55 @@ mod tests {
     }
 
     #[test]
-    fn labels_and_schemes_are_distinct() {
-        fn row<R: Reclaimer>() -> [&'static str; 5] {
-            let r = R::new(1, 1);
-            [
-                r.scheme(),
-                r.stack_label(),
-                r.queue_label(),
-                r.set_label(),
-                r.map_label(),
-            ]
+    fn dispatch_reaches_the_reclaimer_that_names_the_scheme() {
+        struct Named;
+        impl SchemeFn for Named {
+            type Out = Scheme;
+            fn call<R: Reclaimer>(self) -> Scheme {
+                R::SCHEME
+            }
         }
-        let labels = [
-            row::<NoReclaim>(),
-            row::<TagReclaim>(),
-            row::<HazardReclaim>(),
-            row::<EpochReclaim>(),
-            row::<LlScReclaim>(),
-        ];
-        for proj in 0..5 {
-            let mut one: Vec<&str> = labels.iter().map(|row| row[proj]).collect();
-            one.sort_unstable();
-            one.dedup();
-            assert_eq!(one.len(), 5, "projection {proj} must be distinct");
+        for scheme in Scheme::ALL {
+            assert_eq!(scheme.dispatch(Named), scheme);
         }
     }
 
-    fn mark_roundtrip<R: Reclaimer>() {
-        let r = R::new(1, 1);
-        let g = r.guard(0, 8);
-        let link = AtomicU64::new(NIL); // a fresh arena link: legacy bare nil
-        assert_eq!(g.marked_index_of(g.load_link(&link)), NIL);
-        assert!(
-            !g.mark_of(g.load_link(&link)),
-            "{}: a fresh link must decode unmarked",
-            r.scheme()
-        );
-        g.store_link_mark(&link, 5, false);
-        let raw = g.load_link(&link);
-        assert_eq!(g.marked_index_of(raw), 5);
-        assert!(!g.mark_of(raw));
-        // Logical deletion: same successor, mark set, one CAS.
-        assert!(g.cas_link_mark(&link, raw, 5, true));
-        let marked = g.load_link(&link);
+    fn codec_roundtrip<C: LinkCodec>() {
+        // A fresh arena link (the legacy bare nil) decodes as unmarked nil.
+        assert_eq!(C::index(NIL), NIL);
+        assert!(!C::mark(NIL));
+        let mut raw = NIL;
+        for (idx, marked) in [(5, false), (5, true), (NIL, true), (NIL, false), (0, false)] {
+            raw = C::encode(raw, idx, marked);
+            assert_eq!(C::index(raw), idx, "index of ({idx}, {marked})");
+            assert_eq!(C::mark(raw), marked, "mark of ({idx}, {marked})");
+        }
         assert_eq!(
-            g.marked_index_of(marked),
-            5,
-            "mark must not disturb the index"
+            C::index(C::encode(NIL, u32::MAX as u64 - 1, true)),
+            u32::MAX as u64 - 1
         );
-        assert!(g.mark_of(marked));
-        assert!(
-            !g.cas_link_mark(&link, raw, 7, false),
-            "{}: a stale CAS must fail once the link is marked",
-            r.scheme()
-        );
-        // Marked nil (deleted last node) is representable too.
-        assert!(g.cas_link_mark(&link, marked, NIL, true));
-        let tail = g.load_link(&link);
-        assert_eq!(g.marked_index_of(tail), NIL);
-        assert!(g.mark_of(tail));
     }
 
     #[test]
-    fn all_schemes_roundtrip_marked_links() {
-        mark_roundtrip::<NoReclaim>();
-        mark_roundtrip::<TagReclaim>();
-        mark_roundtrip::<HazardReclaim>();
-        mark_roundtrip::<EpochReclaim>();
-        mark_roundtrip::<LlScReclaim>();
+    fn both_codecs_round_trip_index_mark_and_nil() {
+        codec_roundtrip::<BareLinks>();
+        codec_roundtrip::<CountedLinks>();
+    }
+
+    #[test]
+    fn only_the_counted_codec_tells_a_recycled_word_from_its_first_life() {
+        // A-B-A on the index: 3 -> 7 -> 3, each word encoded over its
+        // predecessor as a CAS would.
+        fn recycled_equals_original<C: LinkCodec>() -> bool {
+            let first = C::encode(NIL, 3, false);
+            let away = C::encode(first, 7, false);
+            C::encode(away, 3, false) == first
+        }
+        assert!(recycled_equals_original::<BareLinks>());
+        assert!(!recycled_equals_original::<CountedLinks>());
+        // Marking is itself a bump: a CAS armed with the unmarked word fails.
+        let live = CountedLinks::encode(NIL, 3, false);
+        assert_ne!(CountedLinks::encode(live, 3, true), live);
     }
 
     #[test]
@@ -1315,7 +1144,7 @@ mod tests {
             assert!(g.cas_link_mark(&link, raw, 3, false)); // A-B-A on the index
             assert_eq!(g.marked_index_of(g.load_link(&link)), 3);
             let fooled = g.cas_link_mark(&link, stale, 9, false);
-            assert_eq!(fooled, !expect_protected, "{}", r.scheme());
+            assert_eq!(fooled, !expect_protected, "{:?}", R::SCHEME);
         }
         recycle::<TagReclaim>(true);
         recycle::<LlScReclaim>(true);

@@ -1,9 +1,10 @@
 //! The backend side of the matrix: everything a scenario can drive.
 //!
-//! A [`Workload`] adapts one shared object — an [`LlScObject`], a
-//! [`Stack`](aba_lockfree::Stack) or a [`Queue`](aba_lockfree::Queue) — to
-//! the three abstract operations the scenarios are written in terms of
-//! ([`WorkloadOps`]): `read`, `write` and `rmw` (read-modify-write).  A
+//! A [`Workload`] adapts one shared object — an [`LlScObject`] or one of
+//! `aba-lockfree`'s structure families ([`Stack`], [`Queue`], [`Set`],
+//! [`Map`]) — to the three abstract operations the scenarios are written in
+//! terms of ([`WorkloadOps`]): `read`, `write` and `rmw`
+//! (read-modify-write).  A
 //! [`BackendSpec`] is a named factory that builds a fresh, correctly-sized
 //! instance for every measurement cell, so that repetitions never observe
 //! each other's state.
@@ -20,8 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use aba_core::{AnnounceLlSc, CasLlSc, MoirLlSc};
 use aba_lockfree::{
-    elim_stack_builders, map_builders, queue_builders, set_builders, stack_builders, Map,
-    MapHandle, Queue, QueueHandle, Set, SetHandle, Stack, StackHandle,
+    Family, Map, MapHandle, Queue, QueueHandle, Scheme, Set, SetHandle, Stack, StackHandle,
+    Structure,
 };
 use aba_spec::{LlScHandle, LlScObject};
 
@@ -534,24 +535,20 @@ impl BackendSpec {
     }
 }
 
-/// Node-arena capacity for the stack and queue backends, scaled with the
-/// thread count so that churn scenarios always have headroom but recycling
-/// stays hot.
 /// Node capacity the roster provisions each structure backend with at
-/// `threads` workers.  Public so experiment binaries can gate measured
-/// footprints against the arena they actually ran on (e.g. E9/E15's
-/// limbo-bound check `peak_unreclaimed < capacity`).
+/// `threads` workers: scaled with the thread count so that churn scenarios
+/// always have headroom but recycling stays hot.  Public so experiment
+/// binaries can gate measured footprints against the arena they actually ran
+/// on (e.g. E9/E15's limbo-bound check `peak_unreclaimed < capacity`).
 pub fn roster_node_capacity(threads: usize) -> usize {
     64 + 16 * threads
 }
 
-fn stack_capacity(threads: usize) -> usize {
-    roster_node_capacity(threads)
-}
-
-/// The standard E7/E8 backend roster: every LL/SC implementation (Moir at
-/// tag widths 8, 16 and 32) plus every Treiber-stack variant and every
-/// MS-queue variant.
+/// The standard backend roster, 30 entries: the five LL/SC objects (Figure
+/// 3, the announce array, Moir at tag widths 32, 16 and 8), then every
+/// structure [`Family`] (stack, elimination stack, queue, set, map) under
+/// every [`Scheme`], family-major in roster order, keyed by
+/// [`Family::key`].
 pub fn standard_backends() -> Vec<BackendSpec> {
     let mut specs: Vec<BackendSpec> = vec![
         BackendSpec::new("llsc/cas (Fig 3)", |t| {
@@ -579,30 +576,18 @@ pub fn standard_backends() -> Vec<BackendSpec> {
             ))
         }),
     ];
-    for (name, builder) in stack_builders() {
-        specs.push(BackendSpec::new(name, move |t| {
-            Box::new(StackWorkload::new(builder(stack_capacity(t), t), t))
-        }));
-    }
-    for (name, builder) in elim_stack_builders() {
-        specs.push(BackendSpec::new(name, move |t| {
-            Box::new(StackWorkload::new(builder(stack_capacity(t), t), t))
-        }));
-    }
-    for (name, builder) in queue_builders() {
-        specs.push(BackendSpec::new(name, move |t| {
-            Box::new(QueueWorkload::new(builder(stack_capacity(t), t), t))
-        }));
-    }
-    for (name, builder) in set_builders() {
-        specs.push(BackendSpec::new(name, move |t| {
-            Box::new(SetWorkload::new(builder(stack_capacity(t), t), t))
-        }));
-    }
-    for (name, builder) in map_builders() {
-        specs.push(BackendSpec::new(name, move |t| {
-            Box::new(MapWorkload::new(builder(stack_capacity(t), t), t))
-        }));
+    for family in Family::ALL {
+        for scheme in Scheme::ALL {
+            specs.push(BackendSpec::new(
+                family.key(scheme),
+                move |t| match family.build(scheme, roster_node_capacity(t), t) {
+                    Structure::Stack(stack) => Box::new(StackWorkload::new(stack, t)),
+                    Structure::Queue(queue) => Box::new(QueueWorkload::new(queue, t)),
+                    Structure::Set(set) => Box::new(SetWorkload::new(set, t)),
+                    Structure::Map(map) => Box::new(MapWorkload::new(map, t)),
+                },
+            ));
+        }
     }
     specs
 }

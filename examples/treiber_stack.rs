@@ -28,9 +28,9 @@ fn main() {
         let report = stress_stack(stack.as_ref(), threads, ops);
         println!(
             "{:<28} {:>8} {:>8} {:>10} {:>6} {:>11} {:>10}",
-            report.stack,
-            report.pushed,
-            report.popped + report.remaining,
+            report.structure,
+            report.inserted,
+            report.removed + report.remaining,
             report.aba_events,
             report.lost,
             report.duplicated,

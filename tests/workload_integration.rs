@@ -24,8 +24,8 @@ fn protected_stacks_conserve_values_under_concurrency() {
     ];
     for stack in protected {
         let report = stress_stack(stack.as_ref(), threads, ops);
-        assert!(report.is_conserved(), "{}: {report:?}", report.stack);
-        assert_eq!(report.aba_events, 0, "{}", report.stack);
+        assert!(report.is_conserved(), "{}: {report:?}", report.structure);
+        assert_eq!(report.aba_events, 0, "{}", report.structure);
     }
 }
 
@@ -35,7 +35,7 @@ fn stack_roster_runs_end_to_end() {
         let report = stress_stack(stack.as_ref(), 2, 2_000);
         // Every variant, including the unprotected one, completes the stress
         // without deadlock and reports its accounting.
-        assert!(report.pushed > 0);
+        assert!(report.inserted > 0);
         assert_eq!(report.threads, 2);
     }
 }
@@ -55,8 +55,8 @@ fn protected_queues_conserve_values_under_concurrency() {
     ];
     for queue in protected {
         let report = stress_queue(queue.as_ref(), producers, consumers, ops);
-        assert!(report.is_conserved(), "{}: {report:?}", report.queue);
-        assert_eq!(report.aba_events, 0, "{}", report.queue);
+        assert!(report.is_conserved(), "{}: {report:?}", report.structure);
+        assert_eq!(report.aba_events, 0, "{}", report.structure);
     }
 }
 
@@ -66,9 +66,8 @@ fn queue_roster_runs_end_to_end() {
         let report = stress_queue(queue.as_ref(), 2, 2, 2_000);
         // Every variant, including the unprotected one, completes the stress
         // without deadlock and reports its accounting.
-        assert!(report.enqueued > 0, "{}", report.queue);
-        assert_eq!(report.producers, 2);
-        assert_eq!(report.consumers, 2);
+        assert!(report.inserted > 0, "{}", report.structure);
+        assert_eq!(report.threads, 4, "2 producers + 2 consumers");
     }
 }
 
