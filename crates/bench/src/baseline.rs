@@ -13,6 +13,12 @@
 //! median-of-normalized-cells comparisons noisy; what remains is exactly
 //! "did this backend get slower relative to the fleet".
 //!
+//! Because the median is divided out, the gate cannot tell "most of the
+//! fleet got faster" from "the rest got slower": a change that speeds up
+//! the majority of backends by a common factor makes every untouched
+//! backend read as regressed by that factor.  Such a fleet-wide change
+//! therefore re-records `BENCH_baseline.json` in the same commit.
+//!
 //! (Measured on the seed machine across eight back-to-back quick runs,
 //! the worst per-backend paired drift is ~8% — a 3× margin inside the 25%
 //! band — where unpaired per-cell and per-backend-median statistics both

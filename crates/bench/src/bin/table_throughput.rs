@@ -19,7 +19,7 @@
 //!
 //! Run with `cargo run -p aba-bench --bin table_throughput --release`.
 //! Flags:
-//! - `--quick`: CI-sized sweep (threads 1/2/4, ~10× fewer ops).
+//! - `--quick`: CI-sized sweep (threads 1/2/4, median of 2).
 //! - `--out <path>`: JSON destination (default `BENCH_throughput.json`).
 //! - `--threads <a,b,c>`: override the swept thread counts — the E14
 //!   hardware-limit trajectory runs `--threads 16,32,64`.

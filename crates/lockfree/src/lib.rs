@@ -43,15 +43,55 @@ pub mod stress;
 pub use aba_reclaim::Scheme;
 pub use arena::{NodeArena, NIL};
 
-/// The window between reading a structure's link words and the CAS that
-/// acts on them is where the ABA happens in practice (a preempted thread
-/// resumes and CASes against a recycled node).  Every stack and queue
-/// variant yields here, uniformly, so the E6/E8 comparisons measure the
-/// protection strategy and not the accident of scheduling.
-#[inline]
-pub(crate) fn preemption_window() {
-    std::thread::yield_now();
+/// What a handle does in the window between reading a structure's link
+/// words and the CAS that acts on them — where the ABA happens in practice
+/// (a preempted thread resumes and CASes against a recycled node).
+///
+/// The window is a property of *how a handle was obtained*, fixed by this
+/// type parameter of the one generic handle each family has:
+///
+/// * `handle(tid)` instantiates it with [`Production`]: the window is
+///   empty, the monomorphised operations contain no `yield_now`, and an
+///   operation costs what the algorithm costs.  The workload engine's
+///   1-thread cells — and so every single-thread throughput number and the
+///   benchmark's per-layer ladder — use these handles.
+/// * `racing_handle(tid)` instantiates it with [`Racing`]: the thread
+///   yields inside every window, uniformly for every scheme, so a short run
+///   on few cores provokes the preemptions a long run on many would.  The
+///   stress harnesses (`stress_*`, hence E6/E8/E10/E13's incidence columns
+///   and the benchmark's correctness gate) and the tests that provoke or
+///   rule out a race attack through these handles; they compare protection
+///   strategies, not the accident of scheduling.  The workload engine's
+///   contended cells use them too, for repeatability rather than attack:
+///   window-free workers sharing a structure run at the host's inter-core
+///   latency, which the reference host does not hold still (see
+///   `aba-workload`'s `backend` module and EXPERIMENTS.md E16).
+pub(crate) trait Window: Send {
+    /// Called at each read-then-CAS window of a structure operation.
+    fn preemption_window();
 }
+
+/// The [`Window`] of `handle(tid)`: nothing happens in the window.
+#[derive(Debug)]
+pub(crate) struct Production;
+
+impl Window for Production {
+    #[inline(always)]
+    fn preemption_window() {}
+}
+
+/// The [`Window`] of `racing_handle(tid)`: the thread hands its core to the
+/// scheduler, inviting another thread to recycle the node it just read.
+#[derive(Debug)]
+pub(crate) struct Racing;
+
+impl Window for Racing {
+    #[inline]
+    fn preemption_window() {
+        std::thread::yield_now();
+    }
+}
+
 pub use event::{EventSignal, NaiveEventSignal, Signaler, Waiter};
 pub use map::{
     EpochMap, GenericMap, HazardMap, LlScMap, Map, MapHandle, TaggedMap, UnprotectedMap,

@@ -51,6 +51,7 @@
 //! for the doubled size *first*, then advances the size word with a single
 //! CAS — a lost race just means another thread already grew.
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -60,7 +61,7 @@ use aba_reclaim::{
 };
 
 use crate::arena::{CacheAligned, NodeArena, NIL};
-use crate::{preemption_window, Family};
+use crate::{Family, Production, Racing, Window};
 
 /// A concurrent `u32 -> u32` hash map with per-thread handles.
 pub trait Map: Send + Sync {
@@ -96,8 +97,14 @@ pub trait Map: Send + Sync {
     fn arena_live_capacity(&self) -> usize;
     /// Arena nodes published at construction time.
     fn arena_initial_capacity(&self) -> usize;
-    /// Obtain the per-thread handle for `tid`.
+    /// Obtain the per-thread handle for `tid`: operations run at algorithm
+    /// cost.
     fn handle(&self, tid: usize) -> Box<dyn MapHandle + '_>;
+    /// The same handle with the preemption window open: the thread yields
+    /// at every traversal step and before every link CAS.  For the stress
+    /// harnesses, race-provoking tests and the workload engine's contended
+    /// cells (DESIGN.md §7).
+    fn racing_handle(&self, tid: usize) -> Box<dyn MapHandle + '_>;
 }
 
 /// Per-thread handle of a [`Map`].
@@ -324,6 +331,23 @@ impl<R: Reclaimer> Map for GenericMap<R> {
     }
 
     fn handle(&self, tid: usize) -> Box<dyn MapHandle + '_> {
+        Box::new(GenericMapHandle::<R, Production>::new(self, tid))
+    }
+
+    fn racing_handle(&self, tid: usize) -> Box<dyn MapHandle + '_> {
+        Box::new(GenericMapHandle::<R, Racing>::new(self, tid))
+    }
+}
+
+struct GenericMapHandle<'a, R: Reclaimer, W: Window> {
+    map: &'a GenericMap<R>,
+    guard: R::Guard<'a>,
+    backoff: Backoff,
+    window: PhantomData<W>,
+}
+
+impl<'a, R: Reclaimer, W: Window> GenericMapHandle<'a, R, W> {
+    fn new(map: &'a GenericMap<R>, tid: usize) -> Self {
         // Seed the guard's capacity-scaled heuristics from today's *live*
         // capacity, not the arena's full plan: a plan-sized trigger is far
         // too lax for the small published segments (the deferred schemes
@@ -331,21 +355,16 @@ impl<R: Reclaimer> Map for GenericMap<R> {
         // segment exists).  Growth is handled per-operation: `admit_alloc`
         // re-feeds the latest live capacity before every allocation, so the
         // heuristics track the arena as segments publish.
-        Box::new(GenericMapHandle {
-            map: self,
-            guard: self.reclaim.guard(tid, self.arena.live_capacity()),
+        GenericMapHandle {
+            map,
+            guard: map.reclaim.guard(tid, map.arena.live_capacity()),
             backoff: Backoff::new(tid as u64),
-        })
+            window: PhantomData,
+        }
     }
 }
 
-struct GenericMapHandle<'a, R: Reclaimer> {
-    map: &'a GenericMap<R>,
-    guard: R::Guard<'a>,
-    backoff: Backoff,
-}
-
-impl<R: Reclaimer> std::fmt::Debug for GenericMapHandle<'_, R> {
+impl<R: Reclaimer, W: Window> std::fmt::Debug for GenericMapHandle<'_, R, W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GenericMapHandle").finish_non_exhaustive()
     }
@@ -383,7 +402,7 @@ struct Traversal {
     found: bool,
 }
 
-impl<R: Reclaimer> GenericMapHandle<'_, R> {
+impl<R: Reclaimer, W: Window> GenericMapHandle<'_, R, W> {
     fn budget(&self) -> Budget {
         Budget(self.map.reclaim.retry_bound(self.map.arena.live_capacity()))
     }
@@ -430,7 +449,7 @@ impl<R: Reclaimer> GenericMapHandle<'_, R> {
             }
             self.guard
                 .store_link_mark(arena.next_word(idx), t.cur, false);
-            preemption_window();
+            W::preemption_window();
             if self
                 .guard
                 .cas_link_mark(arena.next_word(t.prev), t.prev_raw, idx, false)
@@ -496,7 +515,7 @@ impl<R: Reclaimer> GenericMapHandle<'_, R> {
                 let next = self.guard.marked_index_of(next_raw);
                 if self.guard.mark_of(next_raw) {
                     // cur is logically deleted: help unlink, retire, restart.
-                    preemption_window();
+                    W::preemption_window();
                     if self
                         .guard
                         .cas_link_mark(arena.next_word(prev), prev_raw, next, false)
@@ -511,7 +530,7 @@ impl<R: Reclaimer> GenericMapHandle<'_, R> {
                 // Decisive window: the validated snapshot's split-order key
                 // steers the answer — a lapsed protection reads a recycled
                 // node here (see the set's twin comment).
-                preemption_window();
+                W::preemption_window();
                 let cur_so = arena.value(cur);
                 if cur_so >= so {
                     return Some(Traversal {
@@ -569,7 +588,7 @@ impl<R: Reclaimer> GenericMapHandle<'_, R> {
     }
 }
 
-impl<R: Reclaimer> MapHandle for GenericMapHandle<'_, R> {
+impl<R: Reclaimer, W: Window> MapHandle for GenericMapHandle<'_, R, W> {
     fn insert(&mut self, key: u32, value: u32) -> bool {
         let key = key & KEY_MASK;
         let arena = &self.map.arena;
@@ -629,7 +648,7 @@ impl<R: Reclaimer> MapHandle for GenericMapHandle<'_, R> {
             }
             self.guard
                 .store_link_mark(arena.next_word(idx), t.cur, false);
-            preemption_window();
+            W::preemption_window();
             if self
                 .guard
                 .cas_link_mark(arena.next_word(t.prev), t.prev_raw, idx, false)
@@ -681,7 +700,7 @@ impl<R: Reclaimer> MapHandle for GenericMapHandle<'_, R> {
             let next = self.guard.marked_index_of(t.cur_next_raw);
             // Logical deletion: one CAS sets the mark in cur's own link,
             // atomically verifying the successor did not change.
-            preemption_window();
+            W::preemption_window();
             if !self
                 .guard
                 .cas_link_mark(arena.next_word(t.cur), t.cur_next_raw, next, true)
@@ -743,7 +762,7 @@ impl<R: Reclaimer> MapHandle for GenericMapHandle<'_, R> {
     }
 }
 
-impl<R: Reclaimer> Drop for GenericMapHandle<'_, R> {
+impl<R: Reclaimer, W: Window> Drop for GenericMapHandle<'_, R, W> {
     fn drop(&mut self) {
         let arena = &self.map.arena;
         self.guard.quiesce();
@@ -1023,12 +1042,14 @@ mod tests {
     fn concurrent_churn_is_coherent_for_protected_variants() {
         // Two threads over disjoint key ranges: a protected map must never
         // lose or invent a key, and values must stay attached to their keys.
+        // `may_deny`: the epoch scheme alone may refuse an allocation by
+        // design (limbo-bound admission while the other thread is pinned).
         use std::sync::Barrier;
-        for map in [
-            Box::new(TaggedMap::new(64)) as Box<dyn Map>,
-            Box::new(HazardMap::new(64, 2)),
-            Box::new(EpochMap::new(64, 2)),
-            Box::new(LlScMap::new(64, 2)),
+        for (map, may_deny) in [
+            (Box::new(TaggedMap::new(64)) as Box<dyn Map>, false),
+            (Box::new(HazardMap::new(64, 2)), false),
+            (Box::new(EpochMap::new(64, 2)), true),
+            (Box::new(LlScMap::new(64, 2)), false),
         ] {
             let barrier = Barrier::new(2);
             std::thread::scope(|s| {
@@ -1036,13 +1057,21 @@ mod tests {
                     let map = &*map;
                     let barrier = &barrier;
                     s.spawn(move || {
-                        let mut h = map.handle(tid);
+                        let mut h = map.racing_handle(tid);
                         let base = tid as u32 * 1000;
                         barrier.wait();
                         for round in 0..300u32 {
                             for k in 0..8u32 {
                                 let key = base + k;
-                                assert!(h.insert(key, key ^ round), "{} insert", map.name());
+                                let mut denied = map.alloc_failures();
+                                while !h.insert(key, key ^ round) {
+                                    // Only a counted admission denial excuses
+                                    // a failed insert of an absent key.
+                                    let now = map.alloc_failures();
+                                    assert!(may_deny && now > denied, "{} insert", map.name());
+                                    denied = now;
+                                    std::thread::yield_now();
+                                }
                             }
                             for k in 0..8u32 {
                                 let key = base + k;
@@ -1056,6 +1085,102 @@ mod tests {
                 }
             });
             assert_eq!(map.aba_events(), 0, "{}", map.name());
+        }
+    }
+
+    /// Far beyond any honest operation on a ≤ 128-key map (a handful of
+    /// hops per walk, tens of restarts under 4-thread contention).
+    const HOP_BUDGET: usize = 1 << 16;
+
+    thread_local! {
+        /// Windows the current thread has passed since it last reset this.
+        static HOPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The [`Racing`] window with a hop meter: every node a traversal visits
+    /// passes one window, so a walk that would spin forever panics instead.
+    struct HopBudget;
+
+    impl Window for HopBudget {
+        fn preemption_window() {
+            Racing::preemption_window();
+            let hops = HOPS.with(|h| h.replace(h.get() + 1));
+            assert!(
+                hops < HOP_BUDGET,
+                "an operation exceeded its budget of {HOP_BUDGET} traversal hops"
+            );
+        }
+    }
+
+    /// One engine cell of `table_throughput --quick --threads 4` on
+    /// `aba-workload`'s `hot-key-contention` mix (publish/retract cycles on
+    /// 4 hot keys, a cold 64-key range, rolling-probe gets; a 100-op warm-up
+    /// and two 800-op rounds on one 128-key map), through racing handles
+    /// that carry the hop meter.  Returns how many workers blew the budget.
+    fn hot_key_cell<R: Reclaimer>() -> usize {
+        const THREADS: usize = 4;
+        let map = GenericMap::<R>::with_threads(64 + 16 * THREADS, THREADS);
+        for ops in [100, 800, 800] {
+            let barrier = std::sync::Barrier::new(THREADS);
+            let wedged = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..THREADS)
+                    .map(|tid| {
+                        let (map, barrier) = (&map, &barrier);
+                        s.spawn(move || {
+                            let mut h = GenericMapHandle::<R, HopBudget>::new(map, tid);
+                            let mut probe = tid as u32;
+                            barrier.wait();
+                            for i in 0..ops {
+                                HOPS.with(|h| h.set(0));
+                                let hot = ((i / 8 + tid) % 4) as u32;
+                                let cold = 4 + (((i / 8) * 29 + tid * 17) % 64) as u32;
+                                match i % 8 {
+                                    0 | 4 => _ = h.insert(hot, hot ^ 0xA5A5_A5A5),
+                                    2 | 5 => _ = h.remove(hot),
+                                    3 => _ = h.insert(cold, cold ^ 0xA5A5_A5A5),
+                                    7 => _ = h.remove(cold),
+                                    _ => {
+                                        probe = probe.wrapping_add(13) % 128;
+                                        _ = h.get(probe);
+                                    }
+                                }
+                            }
+                        })
+                    })
+                    .collect();
+                workers.into_iter().filter_map(|w| w.join().err()).count()
+            });
+            if wedged > 0 {
+                return wedged; // the chain is cyclic from here on
+            }
+        }
+        0
+    }
+
+    /// Reproduction of ROADMAP item 4's counted-links livelock: under the
+    /// preemption window, 4 threads of hot-key churn leave the workers of
+    /// `map/tagged` / `map/llsc` walking a cycle in `find_from` forever in
+    /// about one cell in forty on 2 vCPUs.  The hop meter turns that hang
+    /// into a panic.  Ignored because it fails by design until the defect
+    /// is fixed:
+    ///
+    /// ```text
+    /// cargo test --release -p aba-lockfree --lib -- --ignored counted_links
+    /// ```
+    #[test]
+    #[ignore = "reproduces an open defect (ROADMAP item 4); fails by design"]
+    fn counted_links_maps_finish_hot_key_churn_within_the_hop_budget() {
+        for cell in 0..400 {
+            let wedged = hot_key_cell::<TagReclaim>();
+            assert_eq!(
+                wedged, 0,
+                "map/tagged: {wedged} workers wedged in cell {cell}"
+            );
+            let wedged = hot_key_cell::<LlScReclaim>();
+            assert_eq!(
+                wedged, 0,
+                "map/llsc: {wedged} workers wedged in cell {cell}"
+            );
         }
     }
 }

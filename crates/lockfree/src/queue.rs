@@ -17,6 +17,7 @@
 //! | [`EpochQueue`] | [`EpochReclaim`] | epoch / quiescence reclamation | correct |
 //! | [`LlScQueue`] | [`LlScReclaim`] | LL/SC head and tail words | correct |
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use aba_core::Backoff;
@@ -25,7 +26,7 @@ use aba_reclaim::{
 };
 
 use crate::arena::{NodeArena, NIL};
-use crate::{preemption_window, Family};
+use crate::{Family, Production, Racing, Window};
 
 /// A bounded, concurrent FIFO with per-thread handles.
 pub trait Queue: Send + Sync {
@@ -45,8 +46,14 @@ pub trait Queue: Send + Sync {
     fn alloc_failures(&self) -> u64 {
         0
     }
-    /// Obtain the per-thread handle for `tid`.
+    /// Obtain the per-thread handle for `tid`: operations run at algorithm
+    /// cost.
     fn handle(&self, tid: usize) -> Box<dyn QueueHandle + '_>;
+    /// The same handle with the preemption window open: the thread yields
+    /// between reading head/tail and the CAS that acts on them.  For the
+    /// stress harnesses, race-provoking tests and the workload engine's
+    /// contended cells (DESIGN.md §7).
+    fn racing_handle(&self, tid: usize) -> Box<dyn QueueHandle + '_>;
 }
 
 /// Per-thread handle of a [`Queue`].
@@ -130,21 +137,33 @@ impl<R: Reclaimer> Queue for GenericQueue<R> {
     }
 
     fn handle(&self, tid: usize) -> Box<dyn QueueHandle + '_> {
-        Box::new(GenericQueueHandle {
-            queue: self,
-            guard: self.reclaim.guard(tid, self.arena.live_capacity()),
-            backoff: Backoff::new(tid as u64),
-        })
+        Box::new(GenericQueueHandle::<R, Production>::new(self, tid))
+    }
+
+    fn racing_handle(&self, tid: usize) -> Box<dyn QueueHandle + '_> {
+        Box::new(GenericQueueHandle::<R, Racing>::new(self, tid))
     }
 }
 
-struct GenericQueueHandle<'a, R: Reclaimer> {
+struct GenericQueueHandle<'a, R: Reclaimer, W: Window> {
     queue: &'a GenericQueue<R>,
     guard: R::Guard<'a>,
     backoff: Backoff,
+    window: PhantomData<W>,
 }
 
-impl<R: Reclaimer> std::fmt::Debug for GenericQueueHandle<'_, R> {
+impl<'a, R: Reclaimer, W: Window> GenericQueueHandle<'a, R, W> {
+    fn new(queue: &'a GenericQueue<R>, tid: usize) -> Self {
+        GenericQueueHandle {
+            queue,
+            guard: queue.reclaim.guard(tid, queue.arena.live_capacity()),
+            backoff: Backoff::new(tid as u64),
+            window: PhantomData,
+        }
+    }
+}
+
+impl<R: Reclaimer, W: Window> std::fmt::Debug for GenericQueueHandle<'_, R, W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GenericQueueHandle").finish_non_exhaustive()
     }
@@ -169,7 +188,7 @@ impl Budget {
     }
 }
 
-impl<R: Reclaimer> GenericQueueHandle<'_, R> {
+impl<R: Reclaimer, W: Window> GenericQueueHandle<'_, R, W> {
     fn budget(&self) -> Budget {
         Budget(
             self.queue
@@ -179,7 +198,7 @@ impl<R: Reclaimer> GenericQueueHandle<'_, R> {
     }
 }
 
-impl<R: Reclaimer> QueueHandle for GenericQueueHandle<'_, R> {
+impl<R: Reclaimer, W: Window> QueueHandle for GenericQueueHandle<'_, R, W> {
     fn enqueue(&mut self, value: u32) -> bool {
         let q = self.queue;
         let arena = &q.arena;
@@ -229,7 +248,7 @@ impl<R: Reclaimer> QueueHandle for GenericQueueHandle<'_, R> {
                 let _ = self.guard.cas(q.tail, tail_raw, next);
                 continue;
             }
-            preemption_window();
+            W::preemption_window();
             if self.guard.cas_link(arena.next_word(tail), next_raw, idx) {
                 let _ = self.guard.cas(q.tail, tail_raw, idx);
                 self.guard.quiesce();
@@ -291,7 +310,7 @@ impl<R: Reclaimer> QueueHandle for GenericQueueHandle<'_, R> {
             // node may be dequeued (and under immediate-free schemes,
             // recycled) by anyone.
             let value = arena.value(next);
-            preemption_window();
+            W::preemption_window();
             if self.guard.cas(q.head, head_raw, next) {
                 if arena.generation(head) != generation {
                     q.aba_events.fetch_add(1, Ordering::SeqCst);
@@ -315,7 +334,7 @@ impl<R: Reclaimer> QueueHandle for GenericQueueHandle<'_, R> {
     }
 }
 
-impl<R: Reclaimer> Drop for GenericQueueHandle<'_, R> {
+impl<R: Reclaimer, W: Window> Drop for GenericQueueHandle<'_, R, W> {
     fn drop(&mut self) {
         let arena = &self.queue.arena;
         self.guard.quiesce();

@@ -27,6 +27,7 @@
 //! node CASes it out of the chain and [`retires`](aba_reclaim::Guard::retire)
 //! it, then restarts from the head.
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use aba_core::Backoff;
@@ -35,7 +36,7 @@ use aba_reclaim::{
 };
 
 use crate::arena::{NodeArena, NIL};
-use crate::{preemption_window, Family};
+use crate::{Family, Production, Racing, Window};
 
 /// A bounded, concurrent ordered set of `u32` keys with per-thread handles.
 pub trait Set: Send + Sync {
@@ -55,8 +56,14 @@ pub trait Set: Send + Sync {
     fn alloc_failures(&self) -> u64 {
         0
     }
-    /// Obtain the per-thread handle for `tid`.
+    /// Obtain the per-thread handle for `tid`: operations run at algorithm
+    /// cost.
     fn handle(&self, tid: usize) -> Box<dyn SetHandle + '_>;
+    /// The same handle with the preemption window open: the thread yields
+    /// at every traversal step and before every link CAS.  For the stress
+    /// harnesses, race-provoking tests and the workload engine's contended
+    /// cells (DESIGN.md §7).
+    fn racing_handle(&self, tid: usize) -> Box<dyn SetHandle + '_>;
 }
 
 /// Per-thread handle of a [`Set`].
@@ -131,21 +138,33 @@ impl<R: Reclaimer> Set for GenericSet<R> {
     }
 
     fn handle(&self, tid: usize) -> Box<dyn SetHandle + '_> {
-        Box::new(GenericSetHandle {
-            set: self,
-            guard: self.reclaim.guard(tid, self.arena.live_capacity()),
-            backoff: Backoff::new(tid as u64),
-        })
+        Box::new(GenericSetHandle::<R, Production>::new(self, tid))
+    }
+
+    fn racing_handle(&self, tid: usize) -> Box<dyn SetHandle + '_> {
+        Box::new(GenericSetHandle::<R, Racing>::new(self, tid))
     }
 }
 
-struct GenericSetHandle<'a, R: Reclaimer> {
+struct GenericSetHandle<'a, R: Reclaimer, W: Window> {
     set: &'a GenericSet<R>,
     guard: R::Guard<'a>,
     backoff: Backoff,
+    window: PhantomData<W>,
 }
 
-impl<R: Reclaimer> std::fmt::Debug for GenericSetHandle<'_, R> {
+impl<'a, R: Reclaimer, W: Window> GenericSetHandle<'a, R, W> {
+    fn new(set: &'a GenericSet<R>, tid: usize) -> Self {
+        GenericSetHandle {
+            set,
+            guard: set.reclaim.guard(tid, set.arena.live_capacity()),
+            backoff: Backoff::new(tid as u64),
+            window: PhantomData,
+        }
+    }
+}
+
+impl<R: Reclaimer, W: Window> std::fmt::Debug for GenericSetHandle<'_, R, W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GenericSetHandle").finish_non_exhaustive()
     }
@@ -193,7 +212,7 @@ struct Traversal {
     found: bool,
 }
 
-impl<R: Reclaimer> GenericSetHandle<'_, R> {
+impl<R: Reclaimer, W: Window> GenericSetHandle<'_, R, W> {
     fn budget(&self) -> Budget {
         Budget(self.set.reclaim.retry_bound(self.set.arena.live_capacity()))
     }
@@ -265,7 +284,7 @@ impl<R: Reclaimer> GenericSetHandle<'_, R> {
                 if self.guard.mark_of(next_raw) {
                     // cur is logically deleted: help unlink it, retire it,
                     // and restart (the CAS invalidated our snapshot anyway).
-                    preemption_window();
+                    W::preemption_window();
                     if self.cas_prev(prev, prev_raw, next) {
                         if arena.generation(cur) != cur_gen {
                             self.set.aba_events.fetch_add(1, Ordering::SeqCst);
@@ -279,10 +298,10 @@ impl<R: Reclaimer> GenericSetHandle<'_, R> {
                 // answer.  A scheme whose protection lapsed here (a hazard
                 // published too late for the retirement scan, a stale epoch
                 // pin) reads the key of a *recycled* node and reports a
-                // present key absent.  Every variant yields here, uniformly,
-                // so the E10 comparison measures the protection strategy and
-                // not the accident of scheduling.
-                preemption_window();
+                // present key absent.  A racing handle yields here, under
+                // every scheme alike, so the E10 incidence columns measure
+                // the protection strategy and not the accident of scheduling.
+                W::preemption_window();
                 let cur_key = arena.value(cur);
                 if cur_key >= key {
                     return Some(Traversal {
@@ -320,7 +339,7 @@ impl<R: Reclaimer> GenericSetHandle<'_, R> {
     }
 }
 
-impl<R: Reclaimer> SetHandle for GenericSetHandle<'_, R> {
+impl<R: Reclaimer, W: Window> SetHandle for GenericSetHandle<'_, R, W> {
     fn insert(&mut self, key: u32) -> bool {
         let arena = &self.set.arena;
         // Admission before allocation: a deferred scheme retunes its
@@ -370,7 +389,7 @@ impl<R: Reclaimer> SetHandle for GenericSetHandle<'_, R> {
             // link's tag across recycling.
             self.guard
                 .store_link_mark(arena.next_word(idx), t.cur, false);
-            preemption_window();
+            W::preemption_window();
             if self.cas_prev(t.prev, t.prev_raw, idx) {
                 if let Prev::Node(p) = t.prev {
                     // The splice succeeded — but did it splice onto the node
@@ -408,7 +427,7 @@ impl<R: Reclaimer> SetHandle for GenericSetHandle<'_, R> {
             // Logical deletion: one CAS sets the mark in cur's own link,
             // atomically verifying the successor did not change.  From this
             // instant the key is gone; everything after is physical cleanup.
-            preemption_window();
+            W::preemption_window();
             if !self
                 .guard
                 .cas_link_mark(arena.next_word(t.cur), t.cur_next_raw, next, true)
@@ -448,7 +467,7 @@ impl<R: Reclaimer> SetHandle for GenericSetHandle<'_, R> {
     }
 }
 
-impl<R: Reclaimer> Drop for GenericSetHandle<'_, R> {
+impl<R: Reclaimer, W: Window> Drop for GenericSetHandle<'_, R, W> {
     fn drop(&mut self) {
         let arena = &self.set.arena;
         self.guard.quiesce();
@@ -743,7 +762,7 @@ mod tests {
                 // traverser adopts) through the arena.  Wall-clock bounded:
                 // the yield-free traverser burns whole scheduler quanta, so
                 // a round count would translate into minutes.
-                let mut h = set.handle(0);
+                let mut h = set.racing_handle(0);
                 barrier.wait();
                 // determinism: wall-clock deadline is deliberate here (see
                 // the comment above); test-only, never in simulation code.

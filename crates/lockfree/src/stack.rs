@@ -21,6 +21,7 @@
 //! off-stack.  Exchanged values never touch the [`NodeArena`], so the
 //! protocol is orthogonal to the reclamation scheme — see DESIGN.md §11.
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use aba_core::Backoff;
@@ -29,7 +30,7 @@ use aba_reclaim::{
 };
 
 use crate::arena::{NodeArena, NIL};
-use crate::{preemption_window, Family};
+use crate::{Family, Production, Racing, Window};
 
 /// A bounded, concurrent LIFO with per-thread handles.
 pub trait Stack: Send + Sync {
@@ -49,8 +50,14 @@ pub trait Stack: Send + Sync {
     fn alloc_failures(&self) -> u64 {
         0
     }
-    /// Obtain the per-thread handle for `tid`.
+    /// Obtain the per-thread handle for `tid`: operations run at algorithm
+    /// cost.
     fn handle(&self, tid: usize) -> Box<dyn StackHandle + '_>;
+    /// The same handle with the preemption window open: the thread yields
+    /// between reading the head and the CAS that acts on it.  For the
+    /// stress harnesses, race-provoking tests and the workload engine's
+    /// contended cells (DESIGN.md §7).
+    fn racing_handle(&self, tid: usize) -> Box<dyn StackHandle + '_>;
 }
 
 /// Per-thread handle of a [`Stack`].
@@ -117,7 +124,11 @@ impl<R: Reclaimer> Stack for GenericStack<R> {
     }
 
     fn handle(&self, tid: usize) -> Box<dyn StackHandle + '_> {
-        Box::new(GenericStackHandle::new(self, tid))
+        Box::new(GenericStackHandle::<R, Production>::new(self, tid))
+    }
+
+    fn racing_handle(&self, tid: usize) -> Box<dyn StackHandle + '_> {
+        Box::new(GenericStackHandle::<R, Racing>::new(self, tid))
     }
 }
 
@@ -141,24 +152,26 @@ enum CentralPop {
     Contended,
 }
 
-struct GenericStackHandle<'a, R: Reclaimer> {
+struct GenericStackHandle<'a, R: Reclaimer, W: Window> {
     stack: &'a GenericStack<R>,
     guard: R::Guard<'a>,
     backoff: Backoff,
+    window: PhantomData<W>,
 }
 
-impl<R: Reclaimer> std::fmt::Debug for GenericStackHandle<'_, R> {
+impl<R: Reclaimer, W: Window> std::fmt::Debug for GenericStackHandle<'_, R, W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GenericStackHandle").finish_non_exhaustive()
     }
 }
 
-impl<'a, R: Reclaimer> GenericStackHandle<'a, R> {
+impl<'a, R: Reclaimer, W: Window> GenericStackHandle<'a, R, W> {
     fn new(stack: &'a GenericStack<R>, tid: usize) -> Self {
         GenericStackHandle {
             stack,
             guard: stack.reclaim.guard(tid, stack.arena.live_capacity()),
             backoff: Backoff::new(tid as u64),
+            window: PhantomData,
         }
     }
 
@@ -252,7 +265,7 @@ impl<'a, R: Reclaimer> GenericStackHandle<'a, R> {
             let generation = arena.generation(head);
             let next_raw = self.guard.load_link(arena.next_word(head));
             let next = self.guard.index_of(next_raw);
-            preemption_window();
+            W::preemption_window();
             if self.guard.cas(stack.head, head_raw, next) {
                 if arena.generation(head) != generation {
                     stack.aba_events.fetch_add(1, Ordering::SeqCst);
@@ -280,7 +293,7 @@ impl<'a, R: Reclaimer> GenericStackHandle<'a, R> {
     }
 }
 
-impl<R: Reclaimer> StackHandle for GenericStackHandle<'_, R> {
+impl<R: Reclaimer, W: Window> StackHandle for GenericStackHandle<'_, R, W> {
     fn push(&mut self, value: u32) -> bool {
         match self.try_push_central(value, usize::MAX) {
             CentralPush::Pushed => true,
@@ -298,7 +311,7 @@ impl<R: Reclaimer> StackHandle for GenericStackHandle<'_, R> {
     }
 }
 
-impl<R: Reclaimer> Drop for GenericStackHandle<'_, R> {
+impl<R: Reclaimer, W: Window> Drop for GenericStackHandle<'_, R, W> {
     fn drop(&mut self) {
         let arena = &self.stack.arena;
         self.guard.quiesce();
@@ -469,27 +482,35 @@ impl<R: Reclaimer> Stack for ElimStack<R> {
     }
 
     fn handle(&self, tid: usize) -> Box<dyn StackHandle + '_> {
-        Box::new(ElimStackHandle {
-            stack: self,
-            central: GenericStackHandle::new(&self.inner, tid),
-            backoff: Backoff::new(tid as u64 ^ 0x5157_454c_494d), // decorrelate from the central handle's stream
-        })
+        Box::new(ElimStackHandle::<R, Production>::new(self, tid))
+    }
+
+    fn racing_handle(&self, tid: usize) -> Box<dyn StackHandle + '_> {
+        Box::new(ElimStackHandle::<R, Racing>::new(self, tid))
     }
 }
 
-struct ElimStackHandle<'a, R: Reclaimer> {
+struct ElimStackHandle<'a, R: Reclaimer, W: Window> {
     stack: &'a ElimStack<R>,
-    central: GenericStackHandle<'a, R>,
+    central: GenericStackHandle<'a, R, W>,
     backoff: Backoff,
 }
 
-impl<R: Reclaimer> std::fmt::Debug for ElimStackHandle<'_, R> {
+impl<R: Reclaimer, W: Window> std::fmt::Debug for ElimStackHandle<'_, R, W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ElimStackHandle").finish_non_exhaustive()
     }
 }
 
-impl<R: Reclaimer> ElimStackHandle<'_, R> {
+impl<'a, R: Reclaimer, W: Window> ElimStackHandle<'a, R, W> {
+    fn new(stack: &'a ElimStack<R>, tid: usize) -> Self {
+        ElimStackHandle {
+            stack,
+            central: GenericStackHandle::new(&stack.inner, tid),
+            backoff: Backoff::new(tid as u64 ^ 0x5157_454c_494d), // decorrelate from the central handle's stream
+        }
+    }
+
     /// Park `value` in a randomly chosen empty slot and wait (bounded) for
     /// a popper.  `true` iff a popper claimed the value — the push is then
     /// complete without the central stack ever being touched.
@@ -562,7 +583,7 @@ impl<R: Reclaimer> ElimStackHandle<'_, R> {
     }
 }
 
-impl<R: Reclaimer> StackHandle for ElimStackHandle<'_, R> {
+impl<R: Reclaimer, W: Window> StackHandle for ElimStackHandle<'_, R, W> {
     fn push(&mut self, value: u32) -> bool {
         // retry-bound: each round is bounded (central_attempts CAS rounds +
         // exchange_spins wait rounds); the loop itself has the same
@@ -762,13 +783,13 @@ mod tests {
         );
         let popped = std::thread::scope(|s| {
             let pusher = s.spawn(|| {
-                let mut h = stack.handle(0);
+                let mut h = stack.racing_handle(0);
                 for v in 0..OPS {
                     assert!(h.push(v));
                 }
             });
             let popper = s.spawn(|| {
-                let mut h = stack.handle(1);
+                let mut h = stack.racing_handle(1);
                 let mut got = Vec::new();
                 while got.len() < OPS as usize {
                     if let Some(v) = h.pop() {

@@ -17,6 +17,10 @@
 //! contain a cycle) and multiset accounting.  Every
 //! structure variant — including any scheme added to `aba-reclaim` later —
 //! gets its conservation check from the same scaffolding.
+//!
+//! The workers attack through `racing_handle`s: the preemption window is
+//! open, so every read-then-CAS window is a scheduling point under every
+//! scheme alike.  Callers that measure algorithm cost use `handle`.
 
 use std::collections::HashMap;
 use std::sync::Barrier;
@@ -24,7 +28,7 @@ use std::sync::Barrier;
 use crate::map::Map;
 use crate::queue::Queue;
 use crate::set::Set;
-use crate::stack::Stack;
+use crate::stack::{Stack, StackHandle};
 
 /// Arena size for a conservation stress run: a deliberately *tight* shared
 /// capacity (`contended` nodes — small enough that every node recycles
@@ -167,12 +171,24 @@ fn run_conservation(
 /// Run `threads` threads, each performing `ops_per_thread` push/pop rounds of
 /// unique values, then drain the stack and check conservation.
 pub fn stress_stack(stack: &dyn Stack, threads: usize, ops_per_thread: usize) -> StressReport {
+    stack_churn(stack, threads, ops_per_thread, |tid| {
+        stack.racing_handle(tid)
+    })
+}
+
+/// [`stress_stack`]'s script over handles opened by `handle(tid)`.
+fn stack_churn<'a>(
+    stack: &dyn Stack,
+    threads: usize,
+    ops_per_thread: usize,
+    handle: impl Fn(usize) -> Box<dyn StackHandle + 'a> + Sync,
+) -> StressReport {
     let mut report = run_conservation(
         stack.name(),
         threads,
         ops_per_thread,
         |tid| {
-            let mut handle = stack.handle(tid);
+            let mut handle = handle(tid);
             let mut pushed = Vec::new();
             let mut popped = Vec::new();
             for i in 0..ops_per_thread {
@@ -230,7 +246,7 @@ pub fn stress_queue(
         producers + consumers,
         ops_per_thread,
         |tid| {
-            let mut handle = queue.handle(tid);
+            let mut handle = queue.racing_handle(tid);
             if tid < producers {
                 let mut enqueued = Vec::new();
                 for i in 0..ops_per_thread {
@@ -360,7 +376,7 @@ pub fn stress_set(set: &dyn Set, threads: usize, ops_per_thread: usize) -> Stres
         set.capacity(),
         threads,
         ops_per_thread,
-        |tid| set.handle(tid),
+        |tid| set.racing_handle(tid),
         |handle, op| match op {
             KeyOp::Insert(key) => handle.insert(key),
             KeyOp::Remove(key) => handle.remove(key),
@@ -381,7 +397,7 @@ pub fn stress_map(map: &dyn Map, threads: usize, ops_per_thread: usize) -> Stres
         map.capacity(),
         threads,
         ops_per_thread,
-        |tid| map.handle(tid),
+        |tid| map.racing_handle(tid),
         |handle, op| match op {
             KeyOp::Insert(key) => handle.insert(key, key ^ 0x5A5A_5A5A),
             KeyOp::Remove(key) => handle.remove(key),
@@ -428,6 +444,26 @@ mod tests {
         let stack = LlScStack::new(conservation_capacity(CAPACITY, THREADS), THREADS);
         let report = stress_stack(&stack, THREADS, OPS);
         assert!(report.is_conserved(), "{report:?}");
+    }
+
+    #[test]
+    fn protected_stacks_conserve_values_through_production_handles() {
+        // The harness attacks through racing handles and the workload
+        // engine's contended cells use them too; this is the only place
+        // two production handles share a structure, i.e. the conservation
+        // check of the window-free interleavings.  Two threads, and many
+        // more rounds than above: without the yields a round is tens of
+        // nanoseconds, so only a long run makes the threads overlap at all.
+        // `skip(1)`: the unprotected variant heads the roster.
+        const THREADS: usize = 2;
+        for stack in crate::all_stacks(conservation_capacity(CAPACITY, THREADS), THREADS)
+            .into_iter()
+            .skip(1)
+        {
+            let report = stack_churn(&*stack, THREADS, 100_000, |tid| stack.handle(tid));
+            assert!(report.is_conserved(), "{report:?}");
+            assert_eq!(report.aba_events, 0, "{}", stack.name());
+        }
     }
 
     #[test]
@@ -480,13 +516,13 @@ mod tests {
         std::thread::scope(|s| {
             let stack = &stack;
             s.spawn(move || {
-                let mut h = stack.handle(0);
+                let mut h = stack.racing_handle(0);
                 for i in 0..32u32 {
                     assert!(h.push(i));
                 }
             });
             s.spawn(move || {
-                let mut h = stack.handle(1);
+                let mut h = stack.racing_handle(1);
                 let mut got = 0;
                 while got < 32 {
                     if h.pop().is_some() {

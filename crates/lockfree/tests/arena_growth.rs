@@ -43,7 +43,7 @@ fn every_scheme_grows_past_the_initial_arena_under_concurrent_churn() {
             for tid in 0..THREADS {
                 let map = Arc::clone(&map);
                 s.spawn(move || {
-                    let mut handle = map.handle(tid);
+                    let mut handle = map.racing_handle(tid);
                     let base = tid as u32 * KEYS_PER_THREAD;
                     for k in base..base + KEYS_PER_THREAD {
                         assert!(handle.insert(k, k ^ 0xC0FF_EE00), "{name}: insert({k})");

@@ -17,13 +17,16 @@
 //! so allocation can never fail and cloud the comparison.
 
 use std::collections::VecDeque;
+use std::fmt::Debug;
 
 use aba_lockfree::{
-    elim_stack_builders, map_builders, queue_builders, set_builders, stack_builders,
+    elim_stack_builders, map_builders, queue_builders, set_builders, stack_builders, Family,
+    MapHandle, QueueHandle, Scheme, SetHandle, StackHandle, Structure,
 };
 use aba_sim::minimize_violation_schedule as shrink_ops;
 use aba_spec::{SeqMap, SeqOrderedSet};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 /// Backend capacity: strictly more nodes than any generated script has
 /// operations, so arena exhaustion cannot produce a false divergence.
@@ -35,6 +38,28 @@ const MAX_OPS: usize = 64;
 /// Set keys are folded onto a small domain so duplicate inserts, absent
 /// removes and both `contains` answers all appear in most scripts.
 const KEY_DOMAIN: u32 = 12;
+
+/// What one operation returned, uniformly across families: an `Option<u32>`
+/// as is, a `bool` as `Some(0)` / `Some(1)`.
+type Outcome = Option<u32>;
+
+fn flag(ok: bool) -> Outcome {
+    Some(u32::from(ok))
+}
+
+/// First op where backend `name`'s outcomes part from the model's, if any.
+fn divergence<Op: Debug>(
+    name: &str,
+    ops: &[Op],
+    got: &[Outcome],
+    want: &[Outcome],
+) -> Option<String> {
+    let i = (0..ops.len()).find(|&i| got[i] != want[i])?;
+    Some(format!(
+        "{name}: op {i} {:?} -> {:?}, model {:?}",
+        ops[i], got[i], want[i]
+    ))
+}
 
 // ---------------------------------------------------------------------------
 // Stack family vs Vec
@@ -53,36 +78,40 @@ fn stack_op() -> impl Strategy<Value = StackOp> {
     ]
 }
 
-/// First `(backend, op index, detail)` where a stack backend disagrees with
+fn replay_stack(handle: &mut dyn StackHandle, ops: &[StackOp]) -> Vec<Outcome> {
+    ops.iter()
+        .map(|&op| match op {
+            StackOp::Push(v) => flag(handle.push(v)),
+            StackOp::Pop => handle.pop(),
+        })
+        .collect()
+}
+
+/// First `backend: op index, detail` where a stack backend disagrees with
 /// the `Vec` model, if any.
 fn stack_divergence(ops: &[StackOp]) -> Option<String> {
+    let mut model: Vec<u32> = Vec::new();
+    let want: Vec<Outcome> = ops
+        .iter()
+        .map(|&op| match op {
+            StackOp::Push(v) => {
+                model.push(v);
+                flag(true)
+            }
+            StackOp::Pop => model.pop(),
+        })
+        .collect();
     // The elimination variants join the plain roster: single-threaded there
     // is never a partner to exchange with, so every parked value must time
     // out back to the central stack and the replay must still agree exactly.
-    for (name, build) in stack_builders().into_iter().chain(elim_stack_builders()) {
-        let stack = build(CAPACITY, 1);
-        let mut handle = stack.handle(0);
-        let mut model: Vec<u32> = Vec::new();
-        for (i, &op) in ops.iter().enumerate() {
-            match op {
-                StackOp::Push(v) => {
-                    let got = handle.push(v);
-                    if !got {
-                        return Some(format!("{name}: op {i} Push({v}) -> false (arena?)"));
-                    }
-                    model.push(v);
-                }
-                StackOp::Pop => {
-                    let got = handle.pop();
-                    let want = model.pop();
-                    if got != want {
-                        return Some(format!("{name}: op {i} Pop -> {got:?}, model {want:?}"));
-                    }
-                }
-            }
-        }
-    }
-    None
+    stack_builders()
+        .into_iter()
+        .chain(elim_stack_builders())
+        .find_map(|(name, build)| {
+            let stack = build(CAPACITY, 1);
+            let got = replay_stack(&mut *stack.handle(0), ops);
+            divergence(name, ops, &got, &want)
+        })
 }
 
 // ---------------------------------------------------------------------------
@@ -102,31 +131,32 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
     ]
 }
 
+fn replay_queue(handle: &mut dyn QueueHandle, ops: &[QueueOp]) -> Vec<Outcome> {
+    ops.iter()
+        .map(|&op| match op {
+            QueueOp::Enqueue(v) => flag(handle.enqueue(v)),
+            QueueOp::Dequeue => handle.dequeue(),
+        })
+        .collect()
+}
+
 fn queue_divergence(ops: &[QueueOp]) -> Option<String> {
-    for (name, build) in queue_builders() {
-        let queue = build(CAPACITY, 1);
-        let mut handle = queue.handle(0);
-        let mut model: VecDeque<u32> = VecDeque::new();
-        for (i, &op) in ops.iter().enumerate() {
-            match op {
-                QueueOp::Enqueue(v) => {
-                    let got = handle.enqueue(v);
-                    if !got {
-                        return Some(format!("{name}: op {i} Enqueue({v}) -> false (arena?)"));
-                    }
-                    model.push_back(v);
-                }
-                QueueOp::Dequeue => {
-                    let got = handle.dequeue();
-                    let want = model.pop_front();
-                    if got != want {
-                        return Some(format!("{name}: op {i} Dequeue -> {got:?}, model {want:?}"));
-                    }
-                }
+    let mut model: VecDeque<u32> = VecDeque::new();
+    let want: Vec<Outcome> = ops
+        .iter()
+        .map(|&op| match op {
+            QueueOp::Enqueue(v) => {
+                model.push_back(v);
+                flag(true)
             }
-        }
-    }
-    None
+            QueueOp::Dequeue => model.pop_front(),
+        })
+        .collect();
+    queue_builders().into_iter().find_map(|(name, build)| {
+        let queue = build(CAPACITY, 1);
+        let got = replay_queue(&mut *queue.handle(0), ops);
+        divergence(name, ops, &got, &want)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -148,23 +178,31 @@ fn set_op() -> impl Strategy<Value = SetOp> {
     ]
 }
 
+fn replay_set(handle: &mut dyn SetHandle, ops: &[SetOp]) -> Vec<Outcome> {
+    ops.iter()
+        .map(|&op| match op {
+            SetOp::Insert(k) => flag(handle.insert(k)),
+            SetOp::Remove(k) => flag(handle.remove(k)),
+            SetOp::Contains(k) => flag(handle.contains(k)),
+        })
+        .collect()
+}
+
 fn set_divergence(ops: &[SetOp]) -> Option<String> {
-    for (name, build) in set_builders() {
+    let mut model = SeqOrderedSet::new();
+    let want: Vec<Outcome> = ops
+        .iter()
+        .map(|&op| match op {
+            SetOp::Insert(k) => flag(model.insert(k)),
+            SetOp::Remove(k) => flag(model.remove(k)),
+            SetOp::Contains(k) => flag(model.contains(k)),
+        })
+        .collect();
+    set_builders().into_iter().find_map(|(name, build)| {
         let set = build(CAPACITY, 1);
-        let mut handle = set.handle(0);
-        let mut model = SeqOrderedSet::new();
-        for (i, &op) in ops.iter().enumerate() {
-            let (got, want) = match op {
-                SetOp::Insert(k) => (handle.insert(k), model.insert(k)),
-                SetOp::Remove(k) => (handle.remove(k), model.remove(k)),
-                SetOp::Contains(k) => (handle.contains(k), model.contains(k)),
-            };
-            if got != want {
-                return Some(format!("{name}: op {i} {op:?} -> {got}, model {want}"));
-            }
-        }
-    }
-    None
+        let got = replay_set(&mut *set.handle(0), ops);
+        divergence(name, ops, &got, &want)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -186,32 +224,31 @@ fn map_op() -> impl Strategy<Value = MapOp> {
     ]
 }
 
+fn replay_map(handle: &mut dyn MapHandle, ops: &[MapOp]) -> Vec<Outcome> {
+    ops.iter()
+        .map(|&op| match op {
+            MapOp::Insert(k, v) => flag(handle.insert(k, v)),
+            MapOp::Remove(k) => flag(handle.remove(k)),
+            MapOp::Get(k) => handle.get(k),
+        })
+        .collect()
+}
+
 fn map_divergence(ops: &[MapOp]) -> Option<String> {
-    for (name, build) in map_builders() {
+    let mut model = SeqMap::new();
+    let want: Vec<Outcome> = ops
+        .iter()
+        .map(|&op| match op {
+            MapOp::Insert(k, v) => flag(model.insert(k, v)),
+            MapOp::Remove(k) => flag(model.remove(k)),
+            MapOp::Get(k) => model.get(k),
+        })
+        .collect();
+    map_builders().into_iter().find_map(|(name, build)| {
         let map = build(CAPACITY, 1);
-        let mut handle = map.handle(0);
-        let mut model = SeqMap::new();
-        for (i, &op) in ops.iter().enumerate() {
-            let diverged = match op {
-                MapOp::Insert(k, v) => {
-                    let (got, want) = (handle.insert(k, v), model.insert(k, v));
-                    (got != want).then(|| format!("{got}, model {want}"))
-                }
-                MapOp::Remove(k) => {
-                    let (got, want) = (handle.remove(k), model.remove(k));
-                    (got != want).then(|| format!("{got}, model {want}"))
-                }
-                MapOp::Get(k) => {
-                    let (got, want) = (handle.get(k), model.get(k));
-                    (got != want).then(|| format!("{got:?}, model {want:?}"))
-                }
-            };
-            if let Some(detail) = diverged {
-                return Some(format!("{name}: op {i} {op:?} -> {detail}"));
-            }
-        }
-    }
-    None
+        let got = replay_map(&mut *map.handle(0), ops);
+        divergence(name, ops, &got, &want)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -317,4 +354,66 @@ fn divergence_detector_is_not_vacuous() {
         MapOp::Get(3),
     ])
     .is_none());
+}
+
+// ---------------------------------------------------------------------------
+// handle() and racing_handle() are one structure
+// ---------------------------------------------------------------------------
+
+/// What a script leaves behind: every outcome, the ABA events detected and
+/// the limbo footprint, read while the replay handle is still open.
+type Observed = (Vec<Outcome>, u64, u64);
+
+/// Replay the family's script on a fresh `(family, scheme)` structure
+/// through the production handle or the racing one.
+fn observe(
+    family: Family,
+    scheme: Scheme,
+    racing: bool,
+    (stack_ops, queue_ops, set_ops, map_ops): &(Vec<StackOp>, Vec<QueueOp>, Vec<SetOp>, Vec<MapOp>),
+) -> Observed {
+    macro_rules! replay {
+        ($structure:ident, $replay:ident, $ops:ident) => {{
+            let mut handle = if racing {
+                $structure.racing_handle(0)
+            } else {
+                $structure.handle(0)
+            };
+            let outcomes = $replay(&mut *handle, $ops);
+            (outcomes, $structure.aba_events(), $structure.unreclaimed())
+        }};
+    }
+    match family.build(scheme, CAPACITY, 1) {
+        Structure::Stack(stack) => replay!(stack, replay_stack, stack_ops),
+        Structure::Queue(queue) => replay!(queue, replay_queue, queue_ops),
+        Structure::Set(set) => replay!(set, replay_set, set_ops),
+        Structure::Map(map) => replay!(map, replay_map, map_ops),
+    }
+}
+
+/// The preemption window is a scheduling point and nothing else: the scripts
+/// the properties above generate, replayed through `handle()` and through
+/// `racing_handle()` on every `Family × Scheme` pair, return the same
+/// outcomes, detect no ABA and park the same number of nodes in limbo.
+#[test]
+fn both_handle_kinds_are_the_same_structure() {
+    let mut rng = TestRng::deterministic();
+    let scripts = (
+        proptest::collection::vec(stack_op(), 1..MAX_OPS),
+        proptest::collection::vec(queue_op(), 1..MAX_OPS),
+        proptest::collection::vec(set_op(), 1..MAX_OPS),
+        proptest::collection::vec(map_op(), 1..MAX_OPS),
+    );
+    for _ in 0..32 {
+        let scripts = scripts.generate(&mut rng);
+        for family in Family::ALL {
+            for scheme in Scheme::ALL {
+                let production = observe(family, scheme, false, &scripts);
+                let racing = observe(family, scheme, true, &scripts);
+                let key = family.key(scheme);
+                assert_eq!(production, racing, "{key}: the handle kinds disagree");
+                assert_eq!(production.1, 0, "{key}: a sequential script saw an ABA");
+            }
+        }
+    }
 }

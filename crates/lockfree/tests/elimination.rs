@@ -41,7 +41,7 @@ fn forced_exchange_histories_are_linearizable() {
                 let recorder = Arc::clone(&recorder);
                 let stack = &stack;
                 s.spawn(move || {
-                    let mut h = stack.handle(0);
+                    let mut h = stack.racing_handle(0);
                     for i in 0..OPS {
                         let value = round as u32 * 100 + i;
                         let at = recorder.invoke();
@@ -54,7 +54,7 @@ fn forced_exchange_histories_are_linearizable() {
                 let recorder = Arc::clone(&recorder);
                 let stack = &stack;
                 s.spawn(move || {
-                    let mut h = stack.handle(1);
+                    let mut h = stack.racing_handle(1);
                     let mut got = 0;
                     while got < OPS {
                         let at = recorder.invoke();
@@ -104,7 +104,7 @@ fn mixed_central_and_exchange_histories_are_linearizable() {
                 let recorder = Arc::clone(&recorder);
                 let stack = &stack;
                 s.spawn(move || {
-                    let mut h = stack.handle(tid);
+                    let mut h = stack.racing_handle(tid);
                     for i in 0..5u32 {
                         let value = (round * 3 + tid) as u32 * 100 + i;
                         if (i as usize + tid).is_multiple_of(2) {

@@ -48,7 +48,7 @@ fn contains_survives_mid_traversal_retirement_and_recycling() {
     let done = AtomicBool::new(false);
     std::thread::scope(|s| {
         let churner = s.spawn(|| {
-            let mut h = set.handle(0);
+            let mut h = set.racing_handle(0);
             barrier.wait();
             for _ in 0..ROUNDS {
                 // Free the inner node …
@@ -68,7 +68,7 @@ fn contains_survives_mid_traversal_retirement_and_recycling() {
         });
 
         let traverser = s.spawn(|| {
-            let mut h = set.handle(1);
+            let mut h = set.racing_handle(1);
             barrier.wait();
             let mut probes = 0u64;
             while !done.load(Ordering::SeqCst) {

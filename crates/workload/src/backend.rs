@@ -16,6 +16,19 @@
 //! Harris–Michael-set and split-ordered-map variant in `aba-lockfree` — one
 //! per `aba-reclaim` scheme (unprotected, tagged, hazard-protected,
 //! epoch-reclaimed and LL/SC-worded), 30 backends total.
+//!
+//! The structure adapters pick the handle kind from the cell's thread count,
+//! once, when a worker is created: a 1-thread cell runs through `handle(tid)`
+//! (algorithm cost, no injected yield), a contended cell through
+//! `racing_handle(tid)` (a yield in every read-then-CAS window).  The second
+//! half is a measurement constraint, not a preference: window-free workers
+//! on two cores spend their operations waiting for the few hot cache lines
+//! every family funnels through, so the cell's rate is the host's inter-core
+//! latency — which the reference host's hypervisor moves between ~22 ns and
+//! ~130 ns per round trip for seconds at a time (the same binary measured
+//! 4 M or 20 M ops/s on the contended stack; EXPERIMENTS.md E16).  Until the
+//! engine can price that latency, contended cells keep the pacing that makes
+//! them repeatable (ROADMAP item 2).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -201,7 +214,11 @@ impl Workload for StackWorkload {
     fn worker(&self, tid: usize) -> Box<dyn WorkloadOps + '_> {
         assert!(tid < self.threads, "tid {tid} out of range");
         Box::new(StackOps {
-            handle: self.stack.handle(tid),
+            handle: if self.threads == 1 {
+                self.stack.handle(tid)
+            } else {
+                self.stack.racing_handle(tid)
+            },
             failed: &self.failed,
         })
     }
@@ -288,7 +305,11 @@ impl Workload for QueueWorkload {
     fn worker(&self, tid: usize) -> Box<dyn WorkloadOps + '_> {
         assert!(tid < self.threads, "tid {tid} out of range");
         Box::new(QueueOps {
-            handle: self.queue.handle(tid),
+            handle: if self.threads == 1 {
+                self.queue.handle(tid)
+            } else {
+                self.queue.racing_handle(tid)
+            },
             failed: &self.failed,
         })
     }
@@ -375,7 +396,11 @@ impl Workload for SetWorkload {
     fn worker(&self, tid: usize) -> Box<dyn WorkloadOps + '_> {
         assert!(tid < self.threads, "tid {tid} out of range");
         Box::new(SetOps {
-            handle: self.set.handle(tid),
+            handle: if self.threads == 1 {
+                self.set.handle(tid)
+            } else {
+                self.set.racing_handle(tid)
+            },
             probe: tid as u32,
         })
     }
@@ -452,7 +477,11 @@ impl Workload for MapWorkload {
     fn worker(&self, tid: usize) -> Box<dyn WorkloadOps + '_> {
         assert!(tid < self.threads, "tid {tid} out of range");
         Box::new(MapOps {
-            handle: self.map.handle(tid),
+            handle: if self.threads == 1 {
+                self.map.handle(tid)
+            } else {
+                self.map.racing_handle(tid)
+            },
             probe: tid as u32,
         })
     }

@@ -54,13 +54,16 @@ impl EngineConfig {
     }
 
     /// A CI-sized configuration (`table_throughput --quick`): threads 1/2/4,
-    /// ~10× fewer operations, 2 repetitions.  The sample period is prime —
-    /// see [`EngineConfig::latency_sample_period`].
+    /// 2 repetitions.  Operations per thread match [`EngineConfig::standard`]:
+    /// a structure operation costs tens of nanoseconds, and a round much
+    /// shorter than a millisecond measures thread start-up, not the backend
+    /// (the baseline gate flapped on 800-op rounds).  The sample period is
+    /// prime — see [`EngineConfig::latency_sample_period`].
     pub fn quick() -> Self {
         EngineConfig {
             thread_counts: vec![1, 2, 4],
-            ops_per_thread: 800,
-            warmup_ops_per_thread: 100,
+            ops_per_thread: 8_000,
+            warmup_ops_per_thread: 1_000,
             repetitions: 2,
             latency_sample_period: 7,
         }
