@@ -14,9 +14,10 @@
 //!   the same arena with the same five protection strategies (traversals
 //!   hold references deep inside the chain — the hardest ABA surface),
 //!   experiment E10;
-//! * [`map`] — **one** generic split-ordered (Shalev–Shavit) hash map built
-//!   on the Harris–Michael substrate, with a growable bucket table and the
-//!   same five protection strategies, experiment E13;
+//! * [`map`] — **one** generic split-ordered (Shalev–Shavit) hash map: the
+//!   set's list (the crate-private `list` module holds the one
+//!   Harris–Michael implementation both start from) under a growable bucket
+//!   table, with the same five protection strategies, experiment E13;
 //! * [`stress`] — the multi-threaded stress harnesses and value-conservation
 //!   checks that quantify ABA damage;
 //! * [`event`] — the busy-wait / reset event-signalling scenario from §1,
@@ -32,6 +33,7 @@ use aba_reclaim::{Reclaimer, SchemeFn};
 
 pub mod arena;
 pub mod event;
+mod list;
 pub mod map;
 pub mod queue;
 pub mod set;

@@ -4,11 +4,11 @@
 //! The map is the *production-shaped* ABA workload the ROADMAP's north star
 //! names: a resizable hash table whose every moving part is built from
 //! pieces this repository already measures.  All key/value pairs live in
-//! **one** Harris–Michael linked list (the [`GenericSet`](crate::set)
-//! substrate, re-specialised here to compare *split-order* keys), ordered by
-//! the bit-reversal of their keys; a growable array of *bucket* cells holds
-//! shortcuts — immortal dummy nodes — into that list.  Doubling the bucket
-//! count never moves a node: the recursive split-ordering guarantees the
+//! **one** Harris–Michael linked list (the crate's `list.rs`, which is also
+//! the whole of [`GenericSet`](crate::set); this file contains no list
+//! algorithm of its own), ordered by the bit-reversal of their keys; a
+//! growable array of *bucket* cells holds shortcuts — immortal dummy nodes —
+//! into that list.  Doubling the bucket count never moves a node: the recursive split-ordering guarantees the
 //! keys of bucket `b` under the new size form a contiguous run after the
 //! keys of its *parent* bucket `b & !msb(b)` under the old size, so growth
 //! just lazily inserts one new dummy per fresh bucket.
@@ -38,9 +38,10 @@
 //! Dummy nodes are inserted once and never removed, so a traversal may start
 //! from a bucket cell without protecting the anchor: the anchor cannot be
 //! retired, and its link word is therefore always safe to read.  Protection
-//! begins hand-over-hand at the anchor's *successor*, exactly as the set
-//! protects the head's successor.  This is also what makes the bucket cells
-//! plain `AtomicU64`s rather than reclaimer-owned slots.
+//! begins hand-over-hand at the anchor's *successor* (the list's
+//! `Prev::Node` start), exactly as the set protects the head's successor.
+//! This is also what makes the bucket cells plain `AtomicU64`s rather than
+//! reclaimer-owned slots.
 //!
 //! # Bucket publication
 //!
@@ -51,16 +52,13 @@
 //! for the doubled size *first*, then advances the size word with a single
 //! CAS — a lost race just means another thread already grew.
 
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use aba_core::Backoff;
-use aba_reclaim::{
-    EpochReclaim, Guard, HazardReclaim, LlScReclaim, NoReclaim, Reclaimer, SlotId, TagReclaim,
-};
+use aba_reclaim::{EpochReclaim, HazardReclaim, LlScReclaim, NoReclaim, Reclaimer, TagReclaim};
 
 use crate::arena::{CacheAligned, NodeArena, NIL};
+use crate::list::{List, ListHandle, Prev, Splice};
 use crate::{Family, Production, Racing, Window};
 
 /// A concurrent `u32 -> u32` hash map with per-thread handles.
@@ -128,10 +126,6 @@ const INITIAL_BUCKETS: usize = 2;
 
 /// Average entries per bucket beyond which an insert doubles the table.
 const LOAD_FACTOR: usize = 2;
-
-/// The three protection lanes of a traversal (predecessor, current,
-/// successor), rotated hand-over-hand exactly as in the set.
-const LANES: usize = 3;
 
 /// Split-order key of a *regular* node for `key` (LSB 1 after reversal).
 fn so_regular(key: u32) -> u32 {
@@ -227,25 +221,17 @@ impl BucketTable {
     }
 }
 
-/// Split-ordered hash map over a [`NodeArena`], generic in its
-/// ABA-protection / reclamation scheme `R`.  One Harris–Michael list ordered
-/// by split-order key holds every entry; bucket cells point at immortal
-/// dummy nodes inside it.
+/// Split-ordered hash map, generic in its ABA-protection / reclamation
+/// scheme `R`.  The crate's one Harris–Michael list (`list.rs`), ordered by
+/// split-order key, holds every entry; bucket cells point at immortal dummy
+/// nodes inside it, and every walk starts at one of them — the list's root
+/// slot stays NIL, protected only to pin the epoch scheme.
 #[derive(Debug)]
 pub struct GenericMap<R: Reclaimer> {
-    arena: NodeArena,
-    reclaim: R,
-    /// A permanently-NIL registered slot, `protect`ed at the top of every
-    /// traversal (re)start: that protection is what pins the epoch scheme —
-    /// the map has no head slot whose protection would do it, and a
-    /// helped-unlink retire unpins.  For the other schemes the publication
-    /// is a harmless no-op.
-    pin: SlotId,
+    list: List<R>,
     buckets: BucketTable,
     /// Live-entry gauge (approximate under unprotected ABA), drives growth.
     count: CacheAligned<AtomicU64>,
-    aba_events: AtomicU64,
-    alloc_failures: AtomicU64,
     key_capacity: usize,
 }
 
@@ -266,29 +252,17 @@ impl<R: Reclaimer> GenericMap<R> {
             .max(INITIAL_BUCKETS);
         let arena_max = capacity + max_buckets;
         let initial = (threads * 2 + INITIAL_BUCKETS).max(4).min(arena_max);
-        let mut reclaim = R::new(threads, LANES);
-        let pin = reclaim.add_slot(NIL);
         let map = GenericMap {
-            arena: NodeArena::growable(initial, arena_max),
-            reclaim,
-            pin,
+            list: List::new(NodeArena::growable(initial, arena_max), threads),
             buckets: BucketTable::new(INITIAL_BUCKETS, max_buckets),
             count: CacheAligned(AtomicU64::new(0)),
-            aba_events: AtomicU64::new(0),
-            alloc_failures: AtomicU64::new(0),
             key_capacity: capacity,
         };
         // Bucket 0's dummy is the global list head (split-order key 0, the
         // minimum): created here, single-threaded, so every later traversal
         // has an anchor.
-        let idx = map.arena.alloc().expect("initial arena segment is empty");
-        map.arena.set_value_data(idx, so_dummy(0), 0);
-        {
-            let mut g = map.reclaim.guard(0, map.arena.live_capacity());
-            g.store_link_mark(map.arena.next_word(idx), NIL, false);
-            g.quiesce();
-        }
-        map.buckets.cell(0).store(idx, Ordering::SeqCst);
+        let dummy = map.list.first_anchor(so_dummy(0));
+        map.buckets.cell(0).store(dummy, Ordering::SeqCst);
         map
     }
 }
@@ -303,15 +277,15 @@ impl<R: Reclaimer> Map for GenericMap<R> {
     }
 
     fn aba_events(&self) -> u64 {
-        self.aba_events.load(Ordering::SeqCst)
+        self.list.aba_events()
     }
 
     fn unreclaimed(&self) -> u64 {
-        self.reclaim.unreclaimed()
+        self.list.reclaim.unreclaimed()
     }
 
     fn alloc_failures(&self) -> u64 {
-        self.alloc_failures.load(Ordering::SeqCst)
+        self.list.alloc_failures()
     }
 
     fn len(&self) -> u64 {
@@ -323,11 +297,11 @@ impl<R: Reclaimer> Map for GenericMap<R> {
     }
 
     fn arena_live_capacity(&self) -> usize {
-        self.arena.live_capacity()
+        self.list.arena.live_capacity()
     }
 
     fn arena_initial_capacity(&self) -> usize {
-        self.arena.initial_capacity()
+        self.list.arena.initial_capacity()
     }
 
     fn handle(&self, tid: usize) -> Box<dyn MapHandle + '_> {
@@ -341,223 +315,61 @@ impl<R: Reclaimer> Map for GenericMap<R> {
 
 struct GenericMapHandle<'a, R: Reclaimer, W: Window> {
     map: &'a GenericMap<R>,
-    guard: R::Guard<'a>,
-    backoff: Backoff,
-    window: PhantomData<W>,
+    list: ListHandle<'a, R, W>,
 }
 
 impl<'a, R: Reclaimer, W: Window> GenericMapHandle<'a, R, W> {
     fn new(map: &'a GenericMap<R>, tid: usize) -> Self {
-        // Seed the guard's capacity-scaled heuristics from today's *live*
-        // capacity, not the arena's full plan: a plan-sized trigger is far
-        // too lax for the small published segments (the deferred schemes
-        // would park plan/4·threads nodes in limbo while only the initial
-        // segment exists).  Growth is handled per-operation: `admit_alloc`
-        // re-feeds the latest live capacity before every allocation, so the
-        // heuristics track the arena as segments publish.
         GenericMapHandle {
             map,
-            guard: map.reclaim.guard(tid, map.arena.live_capacity()),
-            backoff: Backoff::new(tid as u64),
-            window: PhantomData,
+            list: map.list.handle(tid),
         }
     }
-}
 
-impl<R: Reclaimer, W: Window> std::fmt::Debug for GenericMapHandle<'_, R, W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GenericMapHandle").finish_non_exhaustive()
-    }
-}
-
-/// Iteration budget for one operation (traversal steps and restarts): an
-/// unprotected ABA can link the chain into a cycle, and an unbounded walk
-/// wedges as hard as an unbounded retry loop.
-struct Budget(Option<usize>);
-
-impl Budget {
-    fn spend(&mut self) -> bool {
-        match &mut self.0 {
-            None => true,
-            Some(0) => false,
-            Some(n) => {
-                *n -= 1;
-                true
-            }
-        }
-    }
-}
-
-/// Result of one successful traversal from a bucket anchor.  Unlike the
-/// set's, the predecessor is always a node (at worst the immortal anchor
-/// itself), so only link words are CASed — the map has no head slot.
-#[derive(Debug, Clone, Copy)]
-struct Traversal {
-    prev: u64,
-    prev_raw: u64,
-    prev_gen: u64,
-    cur: u64,
-    cur_next_raw: u64,
-    cur_gen: u64,
-    found: bool,
-}
-
-impl<R: Reclaimer, W: Window> GenericMapHandle<'_, R, W> {
-    fn budget(&self) -> Budget {
-        Budget(self.map.reclaim.retry_bound(self.map.arena.live_capacity()))
+    /// Where operations on `key` start: its bucket's anchor.
+    fn anchor(&mut self, key: u32) -> Option<Prev> {
+        let bucket = key as usize % self.map.buckets.size();
+        self.bucket_anchor(bucket).map(Prev::Node)
     }
 
     /// The anchor (dummy index) of `bucket`, initialising the bucket — and,
     /// recursively, its parent — on first touch.  `None` means the retry
     /// budget ran out (unprotected corruption).
-    fn bucket_anchor(&mut self, bucket: usize, budget: &mut Budget) -> Option<u64> {
+    fn bucket_anchor(&mut self, bucket: usize) -> Option<u64> {
         let cell = self.map.buckets.cell(bucket);
-        let cur = cell.load(Ordering::SeqCst);
-        if cur != NIL {
-            return Some(cur);
+        let dummy = cell.load(Ordering::SeqCst);
+        if dummy != NIL {
+            return Some(dummy);
         }
         // Uninitialised: splice this bucket's dummy into the list, starting
         // from the parent's anchor (bucket 0 is created at construction, so
         // the recursion grounds out).
-        let parent = self.bucket_anchor(parent_bucket(bucket), budget)?;
-        let arena = &self.map.arena;
-        let idx = match arena.alloc() {
-            Some(idx) => idx,
+        let parent = self.bucket_anchor(parent_bucket(bucket))?;
+        let arena = &self.map.list.arena;
+        let Some(idx) = arena.alloc() else {
             // Exhausted: degrade to the parent's anchor (a longer walk, not
             // an error) and leave the cell for a later operation to fill.
-            None => return Some(parent),
+            return Some(parent);
         };
         let so = so_dummy(bucket);
         arena.set_value_data(idx, so, 0);
-        loop {
-            let t = match self.find_from(parent, so, budget) {
-                Some(t) => t,
-                None => {
-                    // Budget exhausted mid-initialisation: the dummy was
-                    // never published, hand it straight back.
-                    arena.free(idx);
-                    return None;
-                }
-            };
-            if t.found {
-                // Another thread's dummy won the race; adopt it.  Both
-                // racers CAS the same winner into the cell, so the lost CAS
-                // below is benign.
+        let dummy = match self.list.splice(Prev::Node(parent), so, idx) {
+            Splice::Linked => idx,
+            // Another thread's dummy won the race; adopt it.  Both racers
+            // CAS the same winner into the cell, so the lost CAS below is
+            // benign.
+            Splice::Present(winner) => {
                 arena.free(idx);
-                let _ = cell.compare_exchange(NIL, t.cur, Ordering::SeqCst, Ordering::SeqCst);
-                return Some(t.cur);
+                winner
             }
-            self.guard
-                .store_link_mark(arena.next_word(idx), t.cur, false);
-            W::preemption_window();
-            if self
-                .guard
-                .cas_link_mark(arena.next_word(t.prev), t.prev_raw, idx, false)
-            {
-                let _ = cell.compare_exchange(NIL, idx, Ordering::SeqCst, Ordering::SeqCst);
-                return Some(idx);
-            }
-        }
-    }
-
-    /// Harris–Michael `find` from a (dummy, hence immortal) anchor: walk to
-    /// the first node with split-order key `>= so`, unlinking and retiring
-    /// marked nodes on the way.  On return the traversal's protections are
-    /// still held.  `None` means the budget ran out.
-    fn find_from(&mut self, anchor: u64, so: u32, budget: &mut Budget) -> Option<Traversal> {
-        let arena = &self.map.arena;
-        'restart: loop {
-            if !budget.spend() {
+            // The dummy was never published, hand it straight back.
+            Splice::Exhausted => {
+                arena.free(idx);
                 return None;
             }
-            // (Re-)pin the traversal: protecting the permanently-NIL pin
-            // slot is what pins an epoch guard — and a helped-unlink retire
-            // unpins, so every restart must pin afresh (the set gets this
-            // from protecting its head slot here).  For the other schemes
-            // the publication is a harmless no-op, immediately overwritten.
-            let _ = self.guard.protect(0, self.map.pin);
-            let mut lane = 0usize;
-            let mut prev = anchor;
-            let mut prev_gen = arena.generation(anchor);
-            let mut prev_raw = self.guard.load_link(arena.next_word(anchor));
-            let mut cur = self.guard.marked_index_of(prev_raw);
-            // The anchor needs no protection lane (it is never retired), but
-            // its successor does, published-then-validated against the
-            // anchor's always-readable link word.
-            if cur != NIL
-                && !self
-                    .guard
-                    .protect_link_word(lane, cur, arena.next_word(anchor), prev_raw)
-            {
-                continue 'restart;
-            }
-            loop {
-                if !budget.spend() {
-                    return None;
-                }
-                if cur == NIL {
-                    return Some(Traversal {
-                        prev,
-                        prev_raw,
-                        prev_gen,
-                        cur: NIL,
-                        cur_next_raw: 0,
-                        cur_gen: 0,
-                        found: false,
-                    });
-                }
-                let cur_gen = arena.generation(cur);
-                let next_raw = self.guard.load_link(arena.next_word(cur));
-                // Re-validate prev -> cur before trusting the snapshot.
-                if !self.guard.validate_link(arena.next_word(prev), prev_raw) {
-                    continue 'restart;
-                }
-                let next = self.guard.marked_index_of(next_raw);
-                if self.guard.mark_of(next_raw) {
-                    // cur is logically deleted: help unlink, retire, restart.
-                    W::preemption_window();
-                    if self
-                        .guard
-                        .cas_link_mark(arena.next_word(prev), prev_raw, next, false)
-                    {
-                        if arena.generation(cur) != cur_gen {
-                            self.map.aba_events.fetch_add(1, Ordering::SeqCst);
-                        }
-                        self.guard.retire(cur, |i| arena.free(i));
-                    }
-                    continue 'restart;
-                }
-                // Decisive window: the validated snapshot's split-order key
-                // steers the answer — a lapsed protection reads a recycled
-                // node here (see the set's twin comment).
-                W::preemption_window();
-                let cur_so = arena.value(cur);
-                if cur_so >= so {
-                    return Some(Traversal {
-                        prev,
-                        prev_raw,
-                        prev_gen,
-                        cur,
-                        cur_next_raw: next_raw,
-                        cur_gen,
-                        found: cur_so == so,
-                    });
-                }
-                // Advance hand-over-hand.
-                lane = (lane + 1) % LANES;
-                if next != NIL
-                    && !self
-                        .guard
-                        .protect_link_word(lane, next, arena.next_word(cur), next_raw)
-                {
-                    continue 'restart;
-                }
-                prev = cur;
-                prev_raw = next_raw;
-                prev_gen = cur_gen;
-                cur = next;
-            }
-        }
+        };
+        let _ = cell.compare_exchange(NIL, dummy, Ordering::SeqCst, Ordering::SeqCst);
+        Some(dummy)
     }
 
     /// Double the table if the load factor warrants it: publish the cells
@@ -580,193 +392,38 @@ impl<R: Reclaimer, W: Window> GenericMapHandle<'_, R, W> {
             Ordering::SeqCst,
         );
     }
-
-    /// Budget exhausted: record the event and leave the structure alone.
-    fn bail(&mut self) {
-        self.map.aba_events.fetch_add(1, Ordering::SeqCst);
-        self.guard.quiesce();
-    }
 }
 
 impl<R: Reclaimer, W: Window> MapHandle for GenericMapHandle<'_, R, W> {
     fn insert(&mut self, key: u32, value: u32) -> bool {
         let key = key & KEY_MASK;
-        let arena = &self.map.arena;
-        // Admission before allocation: a deferred scheme retunes its
-        // capacity-derived trigger to the live (grown) arena and may deny
-        // the allocation while its limbo bound is violated by a stale pin.
-        if !self
-            .guard
-            .admit_alloc(arena.live_capacity(), |i| arena.free(i))
-        {
-            self.map.alloc_failures.fetch_add(1, Ordering::SeqCst);
+        let Some(anchor) = self.anchor(key) else {
             return false;
-        }
-        // Allocate before pinning: the allocation-pressure fallback must run
-        // unpinned (deferred schemes reclaim here), and the node is
-        // exclusively ours until the splice CAS publishes it.
-        let idx = match arena.alloc() {
-            Some(idx) => idx,
-            None => {
-                self.guard.reclaim_pressure(|i| arena.free(i));
-                match arena.alloc() {
-                    Some(idx) => idx,
-                    None => {
-                        self.map.alloc_failures.fetch_add(1, Ordering::SeqCst);
-                        return false;
-                    }
-                }
-            }
         };
-        let so = so_regular(key);
-        arena.set_value_data(idx, so, value);
-        let mut budget = self.budget();
-        let anchor = {
-            let bucket = key as usize % self.map.buckets.size();
-            match self.bucket_anchor(bucket, &mut budget) {
-                Some(anchor) => anchor,
-                None => {
-                    self.bail();
-                    arena.free(idx);
-                    return false;
-                }
-            }
-        };
-        loop {
-            let t = match self.find_from(anchor, so, &mut budget) {
-                Some(t) => t,
-                None => {
-                    self.bail();
-                    arena.free(idx);
-                    return false;
-                }
-            };
-            if t.found {
-                self.guard.quiesce();
-                arena.free(idx);
-                return false;
-            }
-            self.guard
-                .store_link_mark(arena.next_word(idx), t.cur, false);
-            W::preemption_window();
-            if self
-                .guard
-                .cas_link_mark(arena.next_word(t.prev), t.prev_raw, idx, false)
-            {
-                // Spliced — but onto the node we inspected, or onto a
-                // recycled incarnation?  Only the unprotected scheme trips
-                // this.
-                if arena.generation(t.prev) != t.prev_gen {
-                    self.map.aba_events.fetch_add(1, Ordering::SeqCst);
-                }
-                self.map.count.0.fetch_add(1, Ordering::SeqCst);
-                self.maybe_grow();
-                self.guard.quiesce();
-                self.backoff.reset();
-                return true;
-            }
-            // Lost the splice race: back off before re-finding.
-            self.backoff.pause();
+        let inserted = self.list.insert(anchor, so_regular(key), value);
+        if inserted {
+            self.map.count.0.fetch_add(1, Ordering::SeqCst);
+            self.maybe_grow();
         }
+        inserted
     }
 
     fn remove(&mut self, key: u32) -> bool {
         let key = key & KEY_MASK;
-        let arena = &self.map.arena;
-        let so = so_regular(key);
-        let mut budget = self.budget();
-        let anchor = {
-            let bucket = key as usize % self.map.buckets.size();
-            match self.bucket_anchor(bucket, &mut budget) {
-                Some(anchor) => anchor,
-                None => {
-                    self.bail();
-                    return false;
-                }
-            }
+        let Some(anchor) = self.anchor(key) else {
+            return false;
         };
-        loop {
-            let t = match self.find_from(anchor, so, &mut budget) {
-                Some(t) => t,
-                None => {
-                    self.bail();
-                    return false;
-                }
-            };
-            if !t.found {
-                self.guard.quiesce();
-                return false;
-            }
-            let next = self.guard.marked_index_of(t.cur_next_raw);
-            // Logical deletion: one CAS sets the mark in cur's own link,
-            // atomically verifying the successor did not change.
-            W::preemption_window();
-            if !self
-                .guard
-                .cas_link_mark(arena.next_word(t.cur), t.cur_next_raw, next, true)
-            {
-                // Raced with another mutation on cur: back off, then re-find.
-                self.backoff.pause();
-                continue;
-            }
+        let removed = self.list.remove(anchor, so_regular(key));
+        if removed {
             self.map.count.0.fetch_sub(1, Ordering::SeqCst);
-            // Physical unlink; on failure a helping traversal unlinks and
-            // retires (exactly one thread wins that CAS).
-            if self
-                .guard
-                .cas_link_mark(arena.next_word(t.prev), t.prev_raw, next, false)
-            {
-                if arena.generation(t.cur) != t.cur_gen {
-                    self.map.aba_events.fetch_add(1, Ordering::SeqCst);
-                }
-                self.guard.retire(t.cur, |i| arena.free(i));
-            } else {
-                self.guard.quiesce();
-            }
-            self.backoff.reset();
-            return true;
         }
+        removed
     }
 
     fn get(&mut self, key: u32) -> Option<u32> {
         let key = key & KEY_MASK;
-        let so = so_regular(key);
-        let mut budget = self.budget();
-        let anchor = {
-            let bucket = key as usize % self.map.buckets.size();
-            match self.bucket_anchor(bucket, &mut budget) {
-                Some(anchor) => anchor,
-                None => {
-                    self.bail();
-                    return None;
-                }
-            }
-        };
-        match self.find_from(anchor, so, &mut budget) {
-            Some(t) => {
-                // Read the mapped value while the traversal's protections
-                // are still held, then release them.
-                let value = if t.found {
-                    Some(self.map.arena.data(t.cur))
-                } else {
-                    None
-                };
-                self.guard.quiesce();
-                value
-            }
-            None => {
-                self.bail();
-                None
-            }
-        }
-    }
-}
-
-impl<R: Reclaimer, W: Window> Drop for GenericMapHandle<'_, R, W> {
-    fn drop(&mut self) {
-        let arena = &self.map.arena;
-        self.guard.quiesce();
-        self.guard.reclaim_pressure(|i| arena.free(i));
+        let anchor = self.anchor(key)?;
+        self.list.get(anchor, so_regular(key))
     }
 }
 
@@ -789,46 +446,6 @@ pub type EpochMap = GenericMap<EpochReclaim>;
 /// SO map whose registered pin slot is an LL/SC object and whose links are
 /// counted words.
 pub type LlScMap = GenericMap<LlScReclaim>;
-
-impl GenericMap<NoReclaim> {
-    /// A map provisioned for `capacity` entries (thread count is irrelevant
-    /// to the unprotected scheme).
-    pub fn new(capacity: usize) -> Self {
-        Self::with_threads(capacity, 1)
-    }
-}
-
-impl GenericMap<TagReclaim> {
-    /// A map provisioned for `capacity` entries (thread count is irrelevant
-    /// to the tagging scheme).
-    pub fn new(capacity: usize) -> Self {
-        Self::with_threads(capacity, 1)
-    }
-}
-
-impl GenericMap<HazardReclaim> {
-    /// A map provisioned for `capacity` entries, used by at most `threads`
-    /// threads.
-    pub fn new(capacity: usize, threads: usize) -> Self {
-        Self::with_threads(capacity, threads)
-    }
-}
-
-impl GenericMap<EpochReclaim> {
-    /// A map provisioned for `capacity` entries, used by at most `threads`
-    /// threads.
-    pub fn new(capacity: usize, threads: usize) -> Self {
-        Self::with_threads(capacity, threads)
-    }
-}
-
-impl GenericMap<LlScReclaim> {
-    /// A map provisioned for `capacity` entries, used by at most `threads`
-    /// threads.
-    pub fn new(capacity: usize, threads: usize) -> Self {
-        Self::with_threads(capacity, threads)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -884,11 +501,11 @@ mod tests {
 
     #[test]
     fn all_variants_behave_as_a_map_sequentially() {
-        map_smoke(&UnprotectedMap::new(8));
-        map_smoke(&TaggedMap::new(8));
-        map_smoke(&HazardMap::new(8, 2));
-        map_smoke(&EpochMap::new(8, 2));
-        map_smoke(&LlScMap::new(8, 2));
+        map_smoke(&UnprotectedMap::with_threads(8, 1));
+        map_smoke(&TaggedMap::with_threads(8, 1));
+        map_smoke(&HazardMap::with_threads(8, 2));
+        map_smoke(&EpochMap::with_threads(8, 2));
+        map_smoke(&LlScMap::with_threads(8, 2));
     }
 
     #[test]
@@ -897,10 +514,10 @@ mod tests {
         // reachable through the moving bucket boundaries (split-ordering's
         // whole point), with its original value.
         for map in [
-            Box::new(TaggedMap::new(256)) as Box<dyn Map>,
-            Box::new(HazardMap::new(256, 1)),
-            Box::new(EpochMap::new(256, 1)),
-            Box::new(LlScMap::new(256, 1)),
+            Box::new(TaggedMap::with_threads(256, 1)) as Box<dyn Map>,
+            Box::new(HazardMap::with_threads(256, 1)),
+            Box::new(EpochMap::with_threads(256, 1)),
+            Box::new(LlScMap::with_threads(256, 1)),
         ] {
             let mut h = map.handle(0);
             for key in 0..200u32 {
@@ -926,11 +543,11 @@ mod tests {
         // The growth pin at the map level: a small-initial arena serves more
         // live nodes than it started with.
         for map in [
-            Box::new(UnprotectedMap::new(64)) as Box<dyn Map>,
-            Box::new(TaggedMap::new(64)),
-            Box::new(HazardMap::new(64, 1)),
-            Box::new(EpochMap::new(64, 1)),
-            Box::new(LlScMap::new(64, 1)),
+            Box::new(UnprotectedMap::with_threads(64, 1)) as Box<dyn Map>,
+            Box::new(TaggedMap::with_threads(64, 1)),
+            Box::new(HazardMap::with_threads(64, 1)),
+            Box::new(EpochMap::with_threads(64, 1)),
+            Box::new(LlScMap::with_threads(64, 1)),
         ] {
             let initial = map.arena_initial_capacity();
             let mut h = map.handle(0);
@@ -957,7 +574,7 @@ mod tests {
         // retired nodes park in limbo — several times the live segment —
         // before even attempting an advance.  Post-fix the trigger follows
         // the live capacity, so single-threaded churn keeps limbo tiny.
-        let map = EpochMap::new(4096, 2);
+        let map = EpochMap::with_threads(4096, 2);
         let mut h = map.handle(0);
         let mut peak = 0u64;
         for round in 0..200u32 {
@@ -975,10 +592,10 @@ mod tests {
     #[test]
     fn removed_nodes_recycle_in_protected_variants() {
         for map in [
-            Box::new(TaggedMap::new(4)) as Box<dyn Map>,
-            Box::new(HazardMap::new(4, 1)),
-            Box::new(EpochMap::new(4, 1)),
-            Box::new(LlScMap::new(4, 1)),
+            Box::new(TaggedMap::with_threads(4, 1)) as Box<dyn Map>,
+            Box::new(HazardMap::with_threads(4, 1)),
+            Box::new(EpochMap::with_threads(4, 1)),
+            Box::new(LlScMap::with_threads(4, 1)),
         ] {
             let mut h = map.handle(0);
             for round in 0..200u32 {
@@ -999,7 +616,7 @@ mod tests {
 
     #[test]
     fn keys_are_masked_to_the_split_order_domain() {
-        let map = TaggedMap::new(8);
+        let map = TaggedMap::with_threads(8, 1);
         let mut h = map.handle(0);
         assert!(h.insert(KEY_MASK, 1));
         // The top bit is masked off, so key | 1<<31 aliases key.
@@ -1011,7 +628,7 @@ mod tests {
 
     #[test]
     fn deferred_schemes_report_their_limbo_footprint() {
-        let map = EpochMap::new(64, 1);
+        let map = EpochMap::with_threads(64, 1);
         let mut h = map.handle(0);
         assert!(h.insert(1, 10));
         assert!(h.remove(1));
@@ -1022,7 +639,7 @@ mod tests {
 
     #[test]
     fn hazard_map_returns_nodes_to_arena_on_handle_drop() {
-        let map = HazardMap::new(8, 2);
+        let map = HazardMap::with_threads(8, 2);
         {
             let mut h = map.handle(0);
             for key in 0..8 {
@@ -1046,10 +663,13 @@ mod tests {
         // design (limbo-bound admission while the other thread is pinned).
         use std::sync::Barrier;
         for (map, may_deny) in [
-            (Box::new(TaggedMap::new(64)) as Box<dyn Map>, false),
-            (Box::new(HazardMap::new(64, 2)), false),
-            (Box::new(EpochMap::new(64, 2)), true),
-            (Box::new(LlScMap::new(64, 2)), false),
+            (
+                Box::new(TaggedMap::with_threads(64, 1)) as Box<dyn Map>,
+                false,
+            ),
+            (Box::new(HazardMap::with_threads(64, 2)), false),
+            (Box::new(EpochMap::with_threads(64, 2)), true),
+            (Box::new(LlScMap::with_threads(64, 2)), false),
         ] {
             let barrier = Barrier::new(2);
             std::thread::scope(|s| {
@@ -1157,18 +777,14 @@ mod tests {
         0
     }
 
-    /// Reproduction of ROADMAP item 4's counted-links livelock: under the
-    /// preemption window, 4 threads of hot-key churn leave the workers of
-    /// `map/tagged` / `map/llsc` walking a cycle in `find_from` forever in
-    /// about one cell in forty on 2 vCPUs.  The hop meter turns that hang
-    /// into a panic.  Ignored because it fails by design until the defect
-    /// is fixed:
-    ///
-    /// ```text
-    /// cargo test --release -p aba-lockfree --lib -- --ignored counted_links
-    /// ```
+    /// Regression test for ROADMAP item 4's counted-links livelock: under
+    /// the preemption window, 4 threads of hot-key churn used to leave the
+    /// workers of `map/tagged` / `map/llsc` walking a cycle forever in about
+    /// one cell in forty on 2 vCPUs, because the list's `find` let the key
+    /// of a recycled node steer `bucket_anchor` (fixed by re-validating the
+    /// predecessor after the key read).  The hop meter turns that hang into
+    /// a panic.
     #[test]
-    #[ignore = "reproduces an open defect (ROADMAP item 4); fails by design"]
     fn counted_links_maps_finish_hot_key_churn_within_the_hop_budget() {
         for cell in 0..400 {
             let wedged = hot_key_cell::<TagReclaim>();

@@ -368,43 +368,6 @@ pub type EpochQueue = GenericQueue<EpochReclaim>;
 /// confused with its previous incarnation on either end.
 pub type LlScQueue = GenericQueue<LlScReclaim>;
 
-impl GenericQueue<NoReclaim> {
-    /// A queue that can hold `capacity` values (one extra arena node serves
-    /// as the dummy).
-    pub fn new(capacity: usize) -> Self {
-        Self::with_threads(capacity, 1)
-    }
-}
-
-impl GenericQueue<TagReclaim> {
-    /// A queue that can hold `capacity` values (one extra arena node serves
-    /// as the dummy).
-    pub fn new(capacity: usize) -> Self {
-        Self::with_threads(capacity, 1)
-    }
-}
-
-impl GenericQueue<HazardReclaim> {
-    /// A queue holding `capacity` values, used by at most `threads` threads.
-    pub fn new(capacity: usize, threads: usize) -> Self {
-        Self::with_threads(capacity, threads)
-    }
-}
-
-impl GenericQueue<EpochReclaim> {
-    /// A queue holding `capacity` values, used by at most `threads` threads.
-    pub fn new(capacity: usize, threads: usize) -> Self {
-        Self::with_threads(capacity, threads)
-    }
-}
-
-impl GenericQueue<LlScReclaim> {
-    /// A queue holding `capacity` values, used by at most `threads` threads.
-    pub fn new(capacity: usize, threads: usize) -> Self {
-        Self::with_threads(capacity, threads)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,16 +385,16 @@ mod tests {
 
     #[test]
     fn all_variants_are_fifo_sequentially() {
-        fifo_smoke(&UnprotectedQueue::new(8));
-        fifo_smoke(&TaggedQueue::new(8));
-        fifo_smoke(&HazardQueue::new(8, 2));
-        fifo_smoke(&EpochQueue::new(8, 2));
-        fifo_smoke(&LlScQueue::new(8, 2));
+        fifo_smoke(&UnprotectedQueue::with_threads(8, 1));
+        fifo_smoke(&TaggedQueue::with_threads(8, 1));
+        fifo_smoke(&HazardQueue::with_threads(8, 2));
+        fifo_smoke(&EpochQueue::with_threads(8, 2));
+        fifo_smoke(&LlScQueue::with_threads(8, 2));
     }
 
     #[test]
     fn capacity_is_respected() {
-        let queue = TaggedQueue::new(2);
+        let queue = TaggedQueue::with_threads(2, 1);
         assert_eq!(queue.capacity(), 2);
         let mut h = queue.handle(0);
         assert!(h.enqueue(1));
@@ -446,10 +409,10 @@ mod tests {
     #[test]
     fn recycled_nodes_keep_fifo_order_in_protected_variants() {
         for queue in [
-            Box::new(TaggedQueue::new(4)) as Box<dyn Queue>,
-            Box::new(HazardQueue::new(4, 1)),
-            Box::new(EpochQueue::new(4, 1)),
-            Box::new(LlScQueue::new(4, 1)),
+            Box::new(TaggedQueue::with_threads(4, 1)) as Box<dyn Queue>,
+            Box::new(HazardQueue::with_threads(4, 1)),
+            Box::new(EpochQueue::with_threads(4, 1)),
+            Box::new(LlScQueue::with_threads(4, 1)),
         ] {
             let mut h = queue.handle(0);
             for round in 0..200u32 {
@@ -464,7 +427,7 @@ mod tests {
 
     #[test]
     fn hazard_queue_returns_nodes_to_arena_on_handle_drop() {
-        let queue = HazardQueue::new(4, 2);
+        let queue = HazardQueue::with_threads(4, 2);
         {
             let mut h = queue.handle(0);
             for i in 0..4 {
@@ -484,7 +447,7 @@ mod tests {
 
     #[test]
     fn epoch_queue_returns_nodes_to_arena_on_handle_drop() {
-        let queue = EpochQueue::new(4, 2);
+        let queue = EpochQueue::with_threads(4, 2);
         {
             let mut h = queue.handle(0);
             for i in 0..4 {
@@ -506,7 +469,7 @@ mod tests {
         // (head re-validation failed) could leave that hazard published when
         // a later iteration returned `None`, pinning the node in the arena
         // for as long as the handle stayed idle.
-        let queue = HazardQueue::new(4, 2);
+        let queue = HazardQueue::with_threads(4, 2);
         let mut h = queue.handle(0);
         assert!(h.enqueue(7));
         assert_eq!(h.dequeue(), Some(7));
@@ -519,11 +482,11 @@ mod tests {
     #[test]
     fn interleaved_enqueue_dequeue_stays_fifo() {
         for queue in [
-            Box::new(UnprotectedQueue::new(8)) as Box<dyn Queue>,
-            Box::new(TaggedQueue::new(8)),
-            Box::new(HazardQueue::new(8, 1)),
-            Box::new(EpochQueue::new(8, 1)),
-            Box::new(LlScQueue::new(8, 1)),
+            Box::new(UnprotectedQueue::with_threads(8, 1)) as Box<dyn Queue>,
+            Box::new(TaggedQueue::with_threads(8, 1)),
+            Box::new(HazardQueue::with_threads(8, 1)),
+            Box::new(EpochQueue::with_threads(8, 1)),
+            Box::new(LlScQueue::with_threads(8, 1)),
         ] {
             let mut h = queue.handle(0);
             let mut expected = std::collections::VecDeque::new();

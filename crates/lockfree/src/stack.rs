@@ -665,43 +665,6 @@ pub type EpochStack = GenericStack<EpochReclaim>;
 /// its previous incarnation.
 pub type LlScStack = GenericStack<LlScReclaim>;
 
-impl GenericStack<NoReclaim> {
-    /// A stack backed by `capacity` nodes (thread count is irrelevant to the
-    /// unprotected scheme).
-    pub fn new(capacity: usize) -> Self {
-        Self::with_threads(capacity, 1)
-    }
-}
-
-impl GenericStack<TagReclaim> {
-    /// A stack backed by `capacity` nodes (thread count is irrelevant to the
-    /// tagging scheme).
-    pub fn new(capacity: usize) -> Self {
-        Self::with_threads(capacity, 1)
-    }
-}
-
-impl GenericStack<HazardReclaim> {
-    /// A stack backed by `capacity` nodes, used by at most `threads` threads.
-    pub fn new(capacity: usize, threads: usize) -> Self {
-        Self::with_threads(capacity, threads)
-    }
-}
-
-impl GenericStack<EpochReclaim> {
-    /// A stack backed by `capacity` nodes, used by at most `threads` threads.
-    pub fn new(capacity: usize, threads: usize) -> Self {
-        Self::with_threads(capacity, threads)
-    }
-}
-
-impl GenericStack<LlScReclaim> {
-    /// A stack backed by `capacity` nodes, used by at most `threads` threads.
-    pub fn new(capacity: usize, threads: usize) -> Self {
-        Self::with_threads(capacity, threads)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -719,11 +682,11 @@ mod tests {
 
     #[test]
     fn all_variants_are_lifo_sequentially() {
-        lifo_smoke(&UnprotectedStack::new(8));
-        lifo_smoke(&TaggedStack::new(8));
-        lifo_smoke(&HazardStack::new(8, 2));
-        lifo_smoke(&EpochStack::new(8, 2));
-        lifo_smoke(&LlScStack::new(8, 2));
+        lifo_smoke(&UnprotectedStack::with_threads(8, 1));
+        lifo_smoke(&TaggedStack::with_threads(8, 1));
+        lifo_smoke(&HazardStack::with_threads(8, 2));
+        lifo_smoke(&EpochStack::with_threads(8, 2));
+        lifo_smoke(&LlScStack::with_threads(8, 2));
     }
 
     #[test]
@@ -830,7 +793,7 @@ mod tests {
 
     #[test]
     fn capacity_is_respected() {
-        let stack = TaggedStack::new(2);
+        let stack = TaggedStack::with_threads(2, 1);
         let mut h = stack.handle(0);
         assert!(h.push(1));
         assert!(h.push(2));
@@ -842,10 +805,10 @@ mod tests {
     #[test]
     fn recycled_nodes_keep_values_straight_in_protected_variants() {
         for stack in [
-            Box::new(TaggedStack::new(4)) as Box<dyn Stack>,
-            Box::new(HazardStack::new(4, 1)),
-            Box::new(EpochStack::new(4, 1)),
-            Box::new(LlScStack::new(4, 1)),
+            Box::new(TaggedStack::with_threads(4, 1)) as Box<dyn Stack>,
+            Box::new(HazardStack::with_threads(4, 1)),
+            Box::new(EpochStack::with_threads(4, 1)),
+            Box::new(LlScStack::with_threads(4, 1)),
         ] {
             let mut h = stack.handle(0);
             for round in 0..100u32 {
@@ -860,7 +823,7 @@ mod tests {
 
     #[test]
     fn hazard_stack_returns_nodes_to_arena_on_handle_drop() {
-        let stack = HazardStack::new(4, 2);
+        let stack = HazardStack::with_threads(4, 2);
         {
             let mut h = stack.handle(0);
             for i in 0..4 {
@@ -880,7 +843,7 @@ mod tests {
 
     #[test]
     fn epoch_stack_returns_nodes_to_arena_on_handle_drop() {
-        let stack = EpochStack::new(4, 2);
+        let stack = EpochStack::with_threads(4, 2);
         {
             let mut h = stack.handle(0);
             for i in 0..4 {
@@ -899,9 +862,9 @@ mod tests {
     #[test]
     fn unreclaimed_is_zero_for_immediate_free_schemes() {
         for stack in [
-            Box::new(UnprotectedStack::new(4)) as Box<dyn Stack>,
-            Box::new(TaggedStack::new(4)),
-            Box::new(LlScStack::new(4, 1)),
+            Box::new(UnprotectedStack::with_threads(4, 1)) as Box<dyn Stack>,
+            Box::new(TaggedStack::with_threads(4, 1)),
+            Box::new(LlScStack::with_threads(4, 1)),
         ] {
             let mut h = stack.handle(0);
             assert!(h.push(1));
@@ -921,7 +884,7 @@ mod tests {
     fn parked_pin_keeps_epoch_limbo_bounded() {
         const THREADS: usize = 8;
         const CAPACITY: usize = 64 + 16 * THREADS; // the E9 arena: 192
-        let stack = EpochStack::new(CAPACITY, THREADS);
+        let stack = EpochStack::with_threads(CAPACITY, THREADS);
         // Deliberately parked pinned "thread": a raw guard that protects the
         // head and then never quiesces (a preempted reader, frozen forever).
         let mut parked = stack.reclaim.guard(THREADS - 1, CAPACITY);
@@ -953,7 +916,7 @@ mod tests {
     fn parked_protector_keeps_hazard_retired_list_bounded() {
         const THREADS: usize = 8;
         const CAPACITY: usize = 64 + 16 * THREADS;
-        let stack = HazardStack::new(CAPACITY, THREADS);
+        let stack = HazardStack::with_threads(CAPACITY, THREADS);
         let mut h = stack.handle(0);
         assert!(h.push(9999)); // give the parked protector a real node to pin
         let mut parked = stack.reclaim.guard(THREADS - 1, CAPACITY);
@@ -978,7 +941,7 @@ mod tests {
     fn deferred_schemes_report_their_limbo_footprint() {
         // A popped node under epoch reclamation sits in limbo until two
         // advances; the gauge must see it.
-        let stack = EpochStack::new(64, 1);
+        let stack = EpochStack::with_threads(64, 1);
         let mut h = stack.handle(0);
         assert!(h.push(1));
         assert_eq!(h.pop(), Some(1));

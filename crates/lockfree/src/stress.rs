@@ -418,7 +418,7 @@ mod tests {
 
     #[test]
     fn tagged_stack_conserves_values() {
-        let stack = TaggedStack::new(conservation_capacity(CAPACITY, THREADS));
+        let stack = TaggedStack::with_threads(conservation_capacity(CAPACITY, THREADS), 1);
         let report = stress_stack(&stack, THREADS, OPS);
         assert!(report.is_conserved(), "{report:?}");
         assert_eq!(report.aba_events, 0);
@@ -426,14 +426,14 @@ mod tests {
 
     #[test]
     fn hazard_stack_conserves_values() {
-        let stack = HazardStack::new(conservation_capacity(CAPACITY, THREADS), THREADS);
+        let stack = HazardStack::with_threads(conservation_capacity(CAPACITY, THREADS), THREADS);
         let report = stress_stack(&stack, THREADS, OPS);
         assert!(report.is_conserved(), "{report:?}");
     }
 
     #[test]
     fn epoch_stack_conserves_values() {
-        let stack = EpochStack::new(conservation_capacity(CAPACITY, THREADS), THREADS);
+        let stack = EpochStack::with_threads(conservation_capacity(CAPACITY, THREADS), THREADS);
         let report = stress_stack(&stack, THREADS, OPS);
         assert!(report.is_conserved(), "{report:?}");
         assert_eq!(report.aba_events, 0);
@@ -441,7 +441,7 @@ mod tests {
 
     #[test]
     fn llsc_stack_conserves_values() {
-        let stack = LlScStack::new(conservation_capacity(CAPACITY, THREADS), THREADS);
+        let stack = LlScStack::with_threads(conservation_capacity(CAPACITY, THREADS), THREADS);
         let report = stress_stack(&stack, THREADS, OPS);
         assert!(report.is_conserved(), "{report:?}");
     }
@@ -546,7 +546,7 @@ mod tests {
         let mut total_events = 0u64;
         let mut total_anomalies = 0u64;
         for _ in 0..8 {
-            let stack = UnprotectedStack::new(CAPACITY);
+            let stack = UnprotectedStack::with_threads(CAPACITY, 1);
             let report = stress_stack(&stack, THREADS, OPS);
             total_events += report.aba_events;
             total_anomalies += report.lost + report.duplicated;
@@ -562,7 +562,7 @@ mod tests {
 
     #[test]
     fn single_threaded_stress_is_always_clean_even_unprotected() {
-        let stack = UnprotectedStack::new(CAPACITY);
+        let stack = UnprotectedStack::with_threads(CAPACITY, 1);
         let report = stress_stack(&stack, 1, 2_000);
         assert!(report.is_conserved(), "{report:?}");
         assert_eq!(report.aba_events, 0);
@@ -580,7 +580,7 @@ mod tests {
 
     #[test]
     fn tagged_queue_conserves_values() {
-        let queue = TaggedQueue::new(conservation_capacity(CAPACITY, QUEUE_THREADS));
+        let queue = TaggedQueue::with_threads(conservation_capacity(CAPACITY, QUEUE_THREADS), 1);
         let report = stress_queue(&queue, PRODUCERS, CONSUMERS, OPS);
         assert!(report.is_conserved(), "{report:?}");
         assert_eq!(report.aba_events, 0);
@@ -588,7 +588,7 @@ mod tests {
 
     #[test]
     fn hazard_queue_conserves_values() {
-        let queue = HazardQueue::new(
+        let queue = HazardQueue::with_threads(
             conservation_capacity(CAPACITY, QUEUE_THREADS),
             QUEUE_THREADS,
         );
@@ -598,7 +598,7 @@ mod tests {
 
     #[test]
     fn epoch_queue_conserves_values() {
-        let queue = EpochQueue::new(
+        let queue = EpochQueue::with_threads(
             conservation_capacity(CAPACITY, QUEUE_THREADS),
             QUEUE_THREADS,
         );
@@ -609,7 +609,7 @@ mod tests {
 
     #[test]
     fn llsc_queue_conserves_values() {
-        let queue = LlScQueue::new(
+        let queue = LlScQueue::with_threads(
             conservation_capacity(CAPACITY, QUEUE_THREADS),
             QUEUE_THREADS,
         );
@@ -626,7 +626,7 @@ mod tests {
         let mut total_events = 0u64;
         let mut total_anomalies = 0u64;
         for _ in 0..8 {
-            let queue = UnprotectedQueue::new(CAPACITY);
+            let queue = UnprotectedQueue::with_threads(CAPACITY, 1);
             let report = stress_queue(&queue, PRODUCERS, CONSUMERS, OPS);
             total_events += report.aba_events;
             total_anomalies += report.lost + report.duplicated;
@@ -645,7 +645,7 @@ mod tests {
         // With one consumer there is no concurrent dequeuer to recycle the
         // dummy out from under a dequeue in progress, so even the
         // unprotected variant conserves values.
-        let queue = UnprotectedQueue::new(CAPACITY);
+        let queue = UnprotectedQueue::with_threads(CAPACITY, 1);
         let report = stress_queue(&queue, 1, 1, 2_000);
         assert!(report.is_conserved(), "{report:?}");
         assert_eq!(report.aba_events, 0);
@@ -659,7 +659,7 @@ mod tests {
 
     #[test]
     fn tagged_set_conserves_membership() {
-        let set = TaggedSet::new(conservation_capacity(CAPACITY, THREADS));
+        let set = TaggedSet::with_threads(conservation_capacity(CAPACITY, THREADS), 1);
         let report = stress_set(&set, THREADS, OPS);
         assert!(report.is_conserved(), "{report:?}");
         assert_eq!(report.aba_events, 0);
@@ -667,14 +667,14 @@ mod tests {
 
     #[test]
     fn hazard_set_conserves_membership() {
-        let set = HazardSet::new(conservation_capacity(CAPACITY, THREADS), THREADS);
+        let set = HazardSet::with_threads(conservation_capacity(CAPACITY, THREADS), THREADS);
         let report = stress_set(&set, THREADS, OPS);
         assert!(report.is_conserved(), "{report:?}");
     }
 
     #[test]
     fn epoch_set_conserves_membership() {
-        let set = EpochSet::new(conservation_capacity(CAPACITY, THREADS), THREADS);
+        let set = EpochSet::with_threads(conservation_capacity(CAPACITY, THREADS), THREADS);
         let report = stress_set(&set, THREADS, OPS);
         assert!(report.is_conserved(), "{report:?}");
         assert_eq!(report.aba_events, 0);
@@ -682,7 +682,7 @@ mod tests {
 
     #[test]
     fn llsc_set_conserves_membership() {
-        let set = LlScSet::new(conservation_capacity(CAPACITY, THREADS), THREADS);
+        let set = LlScSet::with_threads(conservation_capacity(CAPACITY, THREADS), THREADS);
         let report = stress_set(&set, THREADS, OPS);
         assert!(report.is_conserved(), "{report:?}");
     }
@@ -695,7 +695,7 @@ mod tests {
         let mut total_events = 0u64;
         let mut total_anomalies = 0u64;
         for _ in 0..8 {
-            let set = UnprotectedSet::new(CAPACITY);
+            let set = UnprotectedSet::with_threads(CAPACITY, 1);
             let report = stress_set(&set, THREADS, OPS);
             total_events += report.aba_events;
             total_anomalies += report.lost + report.duplicated;
@@ -711,7 +711,7 @@ mod tests {
 
     #[test]
     fn single_threaded_set_stress_is_always_clean_even_unprotected() {
-        let set = UnprotectedSet::new(CAPACITY);
+        let set = UnprotectedSet::with_threads(CAPACITY, 1);
         let report = stress_set(&set, 1, 2_000);
         assert!(report.is_conserved(), "{report:?}");
         assert_eq!(report.aba_events, 0);
@@ -719,7 +719,7 @@ mod tests {
 
     #[test]
     fn set_stress_leaves_no_limbo_after_the_drain_handle_drops() {
-        let set = HazardSet::new(conservation_capacity(CAPACITY, THREADS), THREADS);
+        let set = HazardSet::with_threads(conservation_capacity(CAPACITY, THREADS), THREADS);
         let report = stress_set(&set, THREADS, 500);
         assert!(report.is_conserved(), "{report:?}");
         assert_eq!(set.unreclaimed(), 0);
@@ -729,12 +729,12 @@ mod tests {
     fn deferred_schemes_leave_no_limbo_after_the_drain_handle_drops() {
         // The shared driver's drain handle applies allocation pressure on
         // drop; with all workers quiesced, every retired node must be home.
-        let stack = EpochStack::new(conservation_capacity(CAPACITY, THREADS), THREADS);
+        let stack = EpochStack::with_threads(conservation_capacity(CAPACITY, THREADS), THREADS);
         let report = stress_stack(&stack, THREADS, 500);
         assert!(report.is_conserved(), "{report:?}");
         assert_eq!(stack.unreclaimed(), 0);
 
-        let queue = HazardQueue::new(
+        let queue = HazardQueue::with_threads(
             conservation_capacity(CAPACITY, QUEUE_THREADS),
             QUEUE_THREADS,
         );
@@ -751,7 +751,7 @@ mod tests {
 
     #[test]
     fn tagged_map_conserves_keys() {
-        let map = TaggedMap::new(conservation_capacity(CAPACITY, THREADS));
+        let map = TaggedMap::with_threads(conservation_capacity(CAPACITY, THREADS), 1);
         let report = stress_map(&map, THREADS, OPS);
         assert!(report.is_conserved(), "{report:?}");
         assert_eq!(report.aba_events, 0);
@@ -759,14 +759,14 @@ mod tests {
 
     #[test]
     fn hazard_map_conserves_keys() {
-        let map = HazardMap::new(conservation_capacity(CAPACITY, THREADS), THREADS);
+        let map = HazardMap::with_threads(conservation_capacity(CAPACITY, THREADS), THREADS);
         let report = stress_map(&map, THREADS, OPS);
         assert!(report.is_conserved(), "{report:?}");
     }
 
     #[test]
     fn epoch_map_conserves_keys() {
-        let map = EpochMap::new(conservation_capacity(CAPACITY, THREADS), THREADS);
+        let map = EpochMap::with_threads(conservation_capacity(CAPACITY, THREADS), THREADS);
         let report = stress_map(&map, THREADS, OPS);
         assert!(report.is_conserved(), "{report:?}");
         assert_eq!(report.aba_events, 0);
@@ -774,7 +774,7 @@ mod tests {
 
     #[test]
     fn llsc_map_conserves_keys() {
-        let map = LlScMap::new(conservation_capacity(CAPACITY, THREADS), THREADS);
+        let map = LlScMap::with_threads(conservation_capacity(CAPACITY, THREADS), THREADS);
         let report = stress_map(&map, THREADS, OPS);
         assert!(report.is_conserved(), "{report:?}");
     }
@@ -783,7 +783,7 @@ mod tests {
     fn map_stress_grows_the_arena_under_churn() {
         // The growth pin under real concurrency: the map's arena starts
         // small, so a conserving stress run must have published segments.
-        let map = HazardMap::new(conservation_capacity(CAPACITY, THREADS), THREADS);
+        let map = HazardMap::with_threads(conservation_capacity(CAPACITY, THREADS), THREADS);
         let report = stress_map(&map, THREADS, 500);
         assert!(report.is_conserved(), "{report:?}");
         assert!(
@@ -796,7 +796,7 @@ mod tests {
 
     #[test]
     fn single_threaded_map_stress_is_always_clean_even_unprotected() {
-        let map = UnprotectedMap::new(CAPACITY);
+        let map = UnprotectedMap::with_threads(CAPACITY, 1);
         let report = stress_map(&map, 1, 2_000);
         assert!(report.is_conserved(), "{report:?}");
         assert_eq!(report.aba_events, 0);

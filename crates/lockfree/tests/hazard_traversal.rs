@@ -36,7 +36,7 @@ fn contains_survives_mid_traversal_retirement_and_recycling() {
     // Capacity 5: 4 live keys + one spare, so the free list is always
     // nearly empty and a retired node's index comes straight back through
     // the hazard scan to serve the next insert.
-    let set = HazardSet::new(5, 2);
+    let set = HazardSet::with_threads(5, 2);
     {
         let mut h = set.handle(0);
         for key in [10u32, 20, 30, 40] {

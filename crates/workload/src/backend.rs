@@ -1,10 +1,9 @@
 //! The backend side of the matrix: everything a scenario can drive.
 //!
 //! A [`Workload`] adapts one shared object — an [`LlScObject`] or one of
-//! `aba-lockfree`'s structure families ([`Stack`], [`Queue`], [`Set`],
-//! [`Map`]) — to the three abstract operations the scenarios are written in
-//! terms of ([`WorkloadOps`]): `read`, `write` and `rmw`
-//! (read-modify-write).  A
+//! `aba-lockfree`'s structure families (a [`Structure`]) — to the three
+//! abstract operations the scenarios are written in terms of
+//! ([`WorkloadOps`]): `read`, `write` and `rmw` (read-modify-write).  A
 //! [`BackendSpec`] is a named factory that builds a fresh, correctly-sized
 //! instance for every measurement cell, so that repetitions never observe
 //! each other's state.
@@ -33,10 +32,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use aba_core::{AnnounceLlSc, CasLlSc, MoirLlSc};
-use aba_lockfree::{
-    Family, Map, MapHandle, Queue, QueueHandle, Scheme, Set, SetHandle, Stack, StackHandle,
-    Structure,
-};
+use aba_lockfree::{Family, MapHandle, QueueHandle, Scheme, SetHandle, StackHandle, Structure};
 use aba_spec::{LlScHandle, LlScObject};
 
 /// A shared object adapted to the scenario vocabulary, sized for a fixed
@@ -171,64 +167,79 @@ impl WorkloadOps for LlScOps<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Stack adapter
+// Structure adapters
 // ---------------------------------------------------------------------------
 
-/// [`Workload`] over any Treiber-stack variant.
-pub struct StackWorkload {
-    stack: Box<dyn Stack>,
+/// [`Workload`] over any structure of `aba-lockfree`'s roster: one shell,
+/// and one [`WorkloadOps`] vocabulary per family below.
+struct StructureWorkload {
+    structure: Structure,
     threads: usize,
-    /// Operations (not attempts) that ended without their intended effect.
-    /// The adapter counts these itself rather than forwarding the stack's
-    /// `alloc_failures`: `write`'s recovery retry can fail the allocation
-    /// fast path twice inside one operation, and a failed-ops figure above
-    /// the op count would zero out the productive throughput.
+    /// Stack and queue operations (not attempts) that ended without their
+    /// intended effect.  Their ops count these here rather than forwarding
+    /// the structure's `alloc_failures`: `write`'s recovery retry can fail
+    /// the allocation fast path twice inside one operation, and a
+    /// failed-ops figure above the op count would zero out the productive
+    /// throughput.  Set and map operations fail at most once each, so those
+    /// families forward `alloc_failures`.
     failed: AtomicU64,
 }
 
-impl std::fmt::Debug for StackWorkload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StackWorkload")
-            .field("name", &self.stack.name())
-            .field("threads", &self.threads)
-            .finish()
-    }
-}
-
-impl StackWorkload {
-    /// Wrap `stack` for use by `threads` threads.
-    pub fn new(stack: Box<dyn Stack>, threads: usize) -> Self {
-        StackWorkload {
-            stack,
-            threads,
-            failed: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Workload for StackWorkload {
+impl Workload for StructureWorkload {
     fn threads(&self) -> usize {
         self.threads
     }
 
     fn worker(&self, tid: usize) -> Box<dyn WorkloadOps + '_> {
         assert!(tid < self.threads, "tid {tid} out of range");
-        Box::new(StackOps {
-            handle: if self.threads == 1 {
-                self.stack.handle(tid)
-            } else {
-                self.stack.racing_handle(tid)
-            },
-            failed: &self.failed,
-        })
+        let contended = self.threads > 1;
+        // The handle-kind rule of the module docs, for any family's trait.
+        macro_rules! handle {
+            ($structure:expr) => {
+                if contended {
+                    $structure.racing_handle(tid)
+                } else {
+                    $structure.handle(tid)
+                }
+            };
+        }
+        let failed = &self.failed;
+        let probe = tid as u32;
+        match &self.structure {
+            Structure::Stack(stack) => Box::new(StackOps {
+                handle: handle!(stack),
+                failed,
+            }),
+            Structure::Queue(queue) => Box::new(QueueOps {
+                handle: handle!(queue),
+                failed,
+            }),
+            Structure::Set(set) => Box::new(SetOps {
+                handle: handle!(set),
+                probe,
+            }),
+            Structure::Map(map) => Box::new(MapOps {
+                handle: handle!(map),
+                probe,
+            }),
+        }
     }
 
     fn unreclaimed(&self) -> u64 {
-        self.stack.unreclaimed()
+        match &self.structure {
+            Structure::Stack(stack) => stack.unreclaimed(),
+            Structure::Queue(queue) => queue.unreclaimed(),
+            Structure::Set(set) => set.unreclaimed(),
+            Structure::Map(map) => map.unreclaimed(),
+        }
     }
 
     fn failed_ops(&self) -> u64 {
-        self.failed.load(Ordering::SeqCst)
+        match &self.structure {
+            Structure::Stack(_) | Structure::Queue(_) => self.failed.load(Ordering::SeqCst),
+            Structure::Set(set) => set.alloc_failures(),
+            Structure::Map(map) => map.alloc_failures(),
+        }
     }
 }
 
@@ -263,70 +274,9 @@ impl WorkloadOps for StackOps<'_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Queue adapter
-// ---------------------------------------------------------------------------
-
-/// [`Workload`] over any MS-queue variant.
-pub struct QueueWorkload {
-    queue: Box<dyn Queue>,
-    threads: usize,
-    /// Operations (not attempts) that ended without their intended effect —
-    /// see [`StackWorkload`]'s field of the same name for why the adapter
-    /// counts these instead of forwarding the queue's `alloc_failures`.
-    failed: AtomicU64,
-}
-
-impl std::fmt::Debug for QueueWorkload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueueWorkload")
-            .field("name", &self.queue.name())
-            .field("threads", &self.threads)
-            .finish()
-    }
-}
-
-impl QueueWorkload {
-    /// Wrap `queue` for use by `threads` threads.
-    pub fn new(queue: Box<dyn Queue>, threads: usize) -> Self {
-        QueueWorkload {
-            queue,
-            threads,
-            failed: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Workload for QueueWorkload {
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn worker(&self, tid: usize) -> Box<dyn WorkloadOps + '_> {
-        assert!(tid < self.threads, "tid {tid} out of range");
-        Box::new(QueueOps {
-            handle: if self.threads == 1 {
-                self.queue.handle(tid)
-            } else {
-                self.queue.racing_handle(tid)
-            },
-            failed: &self.failed,
-        })
-    }
-
-    fn unreclaimed(&self) -> u64 {
-        self.queue.unreclaimed()
-    }
-
-    fn failed_ops(&self) -> u64 {
-        self.failed.load(Ordering::SeqCst)
-    }
-}
-
 struct QueueOps<'a> {
     handle: Box<dyn QueueHandle + 'a>,
-    /// One tick per operation (never per attempt) that ended without its
-    /// intended effect, so a cell's failed ops can never exceed its ops.
+    /// As [`StackOps`]'s field of the same name.
     failed: &'a AtomicU64,
 }
 
@@ -356,63 +306,12 @@ impl WorkloadOps for QueueOps<'_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Set adapter
-// ---------------------------------------------------------------------------
-
-/// How many distinct keys the set adapter folds scenario values onto.
+/// How many distinct keys the set and map ops fold scenario values onto.
 /// Matches the key-space scenarios' 64-key range plus the cold offset, so
-/// chains stay a few dozen nodes deep and every scenario value lands on a
-/// valid key.
-const SET_KEY_SPACE: u32 = 128;
-
-/// [`Workload`] over any Harris–Michael set variant.
-pub struct SetWorkload {
-    set: Box<dyn Set>,
-    threads: usize,
-}
-
-impl std::fmt::Debug for SetWorkload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SetWorkload")
-            .field("name", &self.set.name())
-            .field("threads", &self.threads)
-            .finish()
-    }
-}
-
-impl SetWorkload {
-    /// Wrap `set` for use by `threads` threads.
-    pub fn new(set: Box<dyn Set>, threads: usize) -> Self {
-        SetWorkload { set, threads }
-    }
-}
-
-impl Workload for SetWorkload {
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn worker(&self, tid: usize) -> Box<dyn WorkloadOps + '_> {
-        assert!(tid < self.threads, "tid {tid} out of range");
-        Box::new(SetOps {
-            handle: if self.threads == 1 {
-                self.set.handle(tid)
-            } else {
-                self.set.racing_handle(tid)
-            },
-            probe: tid as u32,
-        })
-    }
-
-    fn unreclaimed(&self) -> u64 {
-        self.set.unreclaimed()
-    }
-
-    fn failed_ops(&self) -> u64 {
-        self.set.alloc_failures()
-    }
-}
+/// chains stay a few dozen nodes deep, every scenario value lands on a valid
+/// key, both families see comparable contention, and the map's bucket
+/// doubling actually fires.
+const KEY_SPACE: u32 = 128;
 
 struct SetOps<'a> {
     handle: Box<dyn SetHandle + 'a>,
@@ -423,102 +322,44 @@ struct SetOps<'a> {
 
 impl WorkloadOps for SetOps<'_> {
     fn read(&mut self) {
-        self.probe = self.probe.wrapping_add(13) % SET_KEY_SPACE;
+        self.probe = self.probe.wrapping_add(13) % KEY_SPACE;
         std::hint::black_box(self.handle.contains(self.probe));
     }
 
     fn write(&mut self, value: u32) {
-        std::hint::black_box(self.handle.insert(value % SET_KEY_SPACE));
+        std::hint::black_box(self.handle.insert(value % KEY_SPACE));
     }
 
     fn rmw(&mut self, value: u32) {
         // The membership round trip: retract the key a `write` of the same
         // scenario value published (key-space scenarios pair them up).
-        std::hint::black_box(self.handle.remove(value % SET_KEY_SPACE));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Map adapter
-// ---------------------------------------------------------------------------
-
-/// How many distinct keys the map adapter folds scenario values onto — the
-/// same folding as the set adapter, so key-space scenarios drive comparable
-/// contention, and wide enough that bucket doubling actually fires.
-const MAP_KEY_SPACE: u32 = 128;
-
-/// [`Workload`] over any split-ordered hash-map variant.
-pub struct MapWorkload {
-    map: Box<dyn Map>,
-    threads: usize,
-}
-
-impl std::fmt::Debug for MapWorkload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MapWorkload")
-            .field("name", &self.map.name())
-            .field("threads", &self.threads)
-            .finish()
-    }
-}
-
-impl MapWorkload {
-    /// Wrap `map` for use by `threads` threads.
-    pub fn new(map: Box<dyn Map>, threads: usize) -> Self {
-        MapWorkload { map, threads }
-    }
-}
-
-impl Workload for MapWorkload {
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn worker(&self, tid: usize) -> Box<dyn WorkloadOps + '_> {
-        assert!(tid < self.threads, "tid {tid} out of range");
-        Box::new(MapOps {
-            handle: if self.threads == 1 {
-                self.map.handle(tid)
-            } else {
-                self.map.racing_handle(tid)
-            },
-            probe: tid as u32,
-        })
-    }
-
-    fn unreclaimed(&self) -> u64 {
-        self.map.unreclaimed()
-    }
-
-    fn failed_ops(&self) -> u64 {
-        self.map.alloc_failures()
+        std::hint::black_box(self.handle.remove(value % KEY_SPACE));
     }
 }
 
 struct MapOps<'a> {
     handle: Box<dyn MapHandle + 'a>,
-    /// Rolling probe key for value-less reads; the odd stride walks the
-    /// whole key space.
+    /// As [`SetOps`]'s field of the same name.
     probe: u32,
 }
 
 impl WorkloadOps for MapOps<'_> {
     fn read(&mut self) {
-        self.probe = self.probe.wrapping_add(13) % MAP_KEY_SPACE;
+        self.probe = self.probe.wrapping_add(13) % KEY_SPACE;
         std::hint::black_box(self.handle.get(self.probe));
     }
 
     fn write(&mut self, value: u32) {
         // Bind a value derived from the key so a stale read is detectable
         // (the checker layers compare observed bindings, not just presence).
-        let key = value % MAP_KEY_SPACE;
+        let key = value % KEY_SPACE;
         std::hint::black_box(self.handle.insert(key, key ^ 0xA5A5_A5A5));
     }
 
     fn rmw(&mut self, value: u32) {
         // The binding round trip: retract the key a `write` of the same
         // scenario value published (key-space scenarios pair them up).
-        std::hint::black_box(self.handle.remove(value % MAP_KEY_SPACE));
+        std::hint::black_box(self.handle.remove(value % KEY_SPACE));
     }
 }
 
@@ -607,15 +448,13 @@ pub fn standard_backends() -> Vec<BackendSpec> {
     ];
     for family in Family::ALL {
         for scheme in Scheme::ALL {
-            specs.push(BackendSpec::new(
-                family.key(scheme),
-                move |t| match family.build(scheme, roster_node_capacity(t), t) {
-                    Structure::Stack(stack) => Box::new(StackWorkload::new(stack, t)),
-                    Structure::Queue(queue) => Box::new(QueueWorkload::new(queue, t)),
-                    Structure::Set(set) => Box::new(SetWorkload::new(set, t)),
-                    Structure::Map(map) => Box::new(MapWorkload::new(map, t)),
-                },
-            ));
+            specs.push(BackendSpec::new(family.key(scheme), move |t| {
+                Box::new(StructureWorkload {
+                    structure: family.build(scheme, roster_node_capacity(t), t),
+                    threads: t,
+                    failed: AtomicU64::new(0),
+                })
+            }));
         }
     }
     specs

@@ -49,8 +49,7 @@ pub mod report;
 pub mod scenario;
 
 pub use backend::{
-    roster_node_capacity, standard_backends, BackendSpec, LlScWorkload, MapWorkload, QueueWorkload,
-    SetWorkload, StackWorkload, Workload, WorkloadOps,
+    roster_node_capacity, standard_backends, BackendSpec, LlScWorkload, Workload, WorkloadOps,
 };
 pub use engine::{run_cell, run_matrix, CellResult, EngineConfig, MatrixResult};
 pub use report::{render_tables, to_json, to_json_with_schema, JSON_SCHEMA};

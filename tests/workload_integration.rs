@@ -17,10 +17,10 @@ fn protected_stacks_conserve_values_under_concurrency() {
     let ops = 4_000;
     let capacity = 16;
     let protected: Vec<Box<dyn aba_repro::lockfree::Stack>> = vec![
-        Box::new(TaggedStack::new(capacity)),
-        Box::new(HazardStack::new(capacity, threads)),
-        Box::new(EpochStack::new(capacity, threads)),
-        Box::new(LlScStack::new(capacity, threads)),
+        Box::new(TaggedStack::with_threads(capacity, 1)),
+        Box::new(HazardStack::with_threads(capacity, threads)),
+        Box::new(EpochStack::with_threads(capacity, threads)),
+        Box::new(LlScStack::with_threads(capacity, threads)),
     ];
     for stack in protected {
         let report = stress_stack(stack.as_ref(), threads, ops);
@@ -48,10 +48,10 @@ fn protected_queues_conserve_values_under_concurrency() {
     let ops = 4_000;
     let capacity = 16;
     let protected: Vec<Box<dyn aba_repro::lockfree::Queue>> = vec![
-        Box::new(TaggedQueue::new(capacity)),
-        Box::new(HazardQueue::new(capacity, threads)),
-        Box::new(EpochQueue::new(capacity, threads)),
-        Box::new(LlScQueue::new(capacity, threads)),
+        Box::new(TaggedQueue::with_threads(capacity, 1)),
+        Box::new(HazardQueue::with_threads(capacity, threads)),
+        Box::new(EpochQueue::with_threads(capacity, threads)),
+        Box::new(LlScQueue::with_threads(capacity, threads)),
     ];
     for queue in protected {
         let report = stress_queue(queue.as_ref(), producers, consumers, ops);
