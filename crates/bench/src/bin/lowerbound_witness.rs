@@ -78,7 +78,7 @@ fn main() {
                     "violated after {trials_used} trials (seed {})",
                     witness.meta.seed
                 ),
-                format!("{}", witness.violation),
+                witness.to_string(),
             ),
         };
         witnesses.row(&[

@@ -3,19 +3,12 @@
 //!
 //! The random searches of E5/E6 sample the schedule space; this table
 //! *enumerates* it, up to Mazurkiewicz-trace equivalence, with the DPOR
-//! explorer (`aba_sim::explore_exhaustive`).  At the documented small bounds
-//! every unprotected variant must deterministically rediscover its ABA
-//! witness, and every protected variant must survive its **complete**
-//! reduced schedule space — a bounded verification result, not a sampling
-//! one.
-//!
-//! Bounds (chosen so the full run drains in well under a minute in release
-//! mode):
-//!
-//! * register: n = 3, 4 ABA-patterned writes, 2 reads per reader;
-//! * queue: n = 3 (2 producers x 2 enqueues, 1 consumer x 3 dequeues),
-//!   arena of 2;
-//! * set: n = 2, 1 insert/contains/remove round each, arena of 3.
+//! explorer (`aba_sim::explore_workload`), one row per model of
+//! `aba_sim::MODEL_ROSTER`.  At the roster's small bounds (chosen so the full
+//! run drains in well under a minute in release mode) every unprotected
+//! variant must deterministically rediscover its ABA witness, and every
+//! protected variant must survive its **complete** reduced schedule space — a
+//! bounded verification result, not a sampling one.
 //!
 //! Run with `cargo run -p aba-bench --bin table_dpor --release`.
 //! Flags: `--quick` (caps each exploration at 60k schedules — the hazard
@@ -26,78 +19,40 @@
 //! any unprotected mode fails to, or (full mode only) any protected mode
 //! fails to drain its space.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use aba_bench::Table;
-use aba_sim::algorithms::baselines::{NaiveSim, TaggedSim};
-use aba_sim::algorithms::epoch::EpochSim;
-use aba_sim::algorithms::queue::QueueSim;
-use aba_sim::algorithms::set::SetSim;
-use aba_sim::{
-    explore_queue_exhaustive, explore_register_exhaustive, explore_set_exhaustive, DporConfig,
-    ExplorationReport,
-};
+use aba_bench::{DporRow, Table};
+use aba_sim::{explore_workload, DporConfig, SimModel, MODEL_ROSTER};
 
-/// One explored (family, mode) cell.
-struct Row {
-    family: &'static str,
-    mode: &'static str,
-    protected: bool,
-    bound: &'static str,
-    report: ExplorationReport,
-    witness_len: Option<usize>,
-    elapsed_ms: u128,
-}
-
-fn run_row(
-    family: &'static str,
-    mode: &'static str,
-    protected: bool,
-    bound: &'static str,
-    quick: bool,
-    explore: impl FnOnce(&DporConfig) -> (ExplorationReport, Option<usize>),
-) -> Row {
+fn run_row(model: &SimModel, quick: bool) -> DporRow {
     let cfg = DporConfig {
         // Unprotected modes only need the witness; protected modes must
         // drain the space (or hit the quick-mode cap cleanly).
-        stop_on_first: !protected,
+        stop_on_first: !model.protected,
         max_schedules: if quick { 60_000 } else { 2_000_000 },
         ..DporConfig::default()
     };
     let start = Instant::now();
-    let (report, witness_len) = explore(&cfg);
-    let elapsed_ms = start.elapsed().as_millis();
-    eprintln!(
-        "  {family}/{mode}: {} schedules, {} pruned, witness={} ({elapsed_ms} ms)",
-        report.schedules_executed,
-        report.classes_pruned,
-        witness_len.is_some(),
-    );
-    Row {
-        family,
-        mode,
-        protected,
-        bound,
+    let report = explore_workload((model.build)().as_ref(), model.workload, &cfg);
+    let row = DporRow {
+        model: *model,
         report,
-        witness_len,
-        elapsed_ms,
-    }
+        elapsed_ms: start.elapsed().as_millis(),
+    };
+    eprintln!(
+        "  {}: {} schedules, {} pruned, witness={} ({} ms)",
+        row.model.key(),
+        row.report.schedules_executed,
+        row.report.classes_pruned,
+        row.witness_len().is_some(),
+        row.elapsed_ms,
+    );
+    row
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_dpor.json".to_string());
-
-    const REG_BOUND: &str = "n=3, writes=4, reads=2";
-    const QUEUE_BOUND: &str = "n=3, enq=2, deq=3, arena=2";
-    const SET_BOUND: &str = "n=2, rounds=1, arena=3";
+    let (quick, out_path) = aba_bench::quick_and_out(&args, "BENCH_dpor.json");
 
     eprintln!(
         "E11 exhaustive exploration{}:",
@@ -107,45 +62,7 @@ fn main() {
             ""
         }
     );
-    let len_of = |s: Option<Vec<aba_spec::ProcessId>>| s.map(|s| s.len());
-    let rows = vec![
-        run_row("register", "naive", false, REG_BOUND, quick, |cfg| {
-            let (r, w) = explore_register_exhaustive(&NaiveSim::new(3), 4, 2, cfg);
-            (r, len_of(w.map(|w| w.meta.schedule)))
-        }),
-        run_row("register", "tagged", true, REG_BOUND, quick, |cfg| {
-            let (r, w) = explore_register_exhaustive(&TaggedSim::new(3), 4, 2, cfg);
-            (r, len_of(w.map(|w| w.meta.schedule)))
-        }),
-        run_row("queue", "unprotected", false, QUEUE_BOUND, quick, |cfg| {
-            let (r, w) = explore_queue_exhaustive(&QueueSim::unprotected(3, 2), 2, 3, cfg);
-            (r, len_of(w.map(|w| w.meta.schedule)))
-        }),
-        run_row("queue", "tagged", true, QUEUE_BOUND, quick, |cfg| {
-            let (r, w) = explore_queue_exhaustive(&QueueSim::tagged(3, 2), 2, 3, cfg);
-            (r, len_of(w.map(|w| w.meta.schedule)))
-        }),
-        run_row("queue", "epoch", true, QUEUE_BOUND, quick, |cfg| {
-            let (r, w) = explore_queue_exhaustive(&EpochSim::new(3, 2), 2, 3, cfg);
-            (r, len_of(w.map(|w| w.meta.schedule)))
-        }),
-        run_row("set", "unprotected", false, SET_BOUND, quick, |cfg| {
-            let (r, w) = explore_set_exhaustive(&SetSim::unprotected(2, 3), 1, cfg);
-            (r, len_of(w.map(|w| w.meta.schedule)))
-        }),
-        run_row("set", "tagged", true, SET_BOUND, quick, |cfg| {
-            let (r, w) = explore_set_exhaustive(&SetSim::tagged(2, 3), 1, cfg);
-            (r, len_of(w.map(|w| w.meta.schedule)))
-        }),
-        run_row("set", "hazard", true, SET_BOUND, quick, |cfg| {
-            let (r, w) = explore_set_exhaustive(&SetSim::hazard(2, 3), 1, cfg);
-            (r, len_of(w.map(|w| w.meta.schedule)))
-        }),
-        run_row("set", "epoch", true, SET_BOUND, quick, |cfg| {
-            let (r, w) = explore_set_exhaustive(&SetSim::epoch(2, 3), 1, cfg);
-            (r, len_of(w.map(|w| w.meta.schedule)))
-        }),
-    ];
+    let rows: Vec<DporRow> = MODEL_ROSTER.iter().map(|m| run_row(m, quick)).collect();
 
     let mut table = Table::new(
         &format!(
@@ -163,14 +80,14 @@ fn main() {
         ],
     );
     for row in &rows {
-        let outcome = match (row.witness_len, row.report.complete) {
+        let outcome = match (row.witness_len(), row.report.complete) {
             (Some(len), _) => format!("WITNESS ({len} steps)"),
             (None, true) => "clean, space drained".to_string(),
             (None, false) => "clean, capped".to_string(),
         };
         table.row(&[
-            format!("{}/{}", row.family, row.mode),
-            row.bound.to_string(),
+            row.model.key(),
+            row.model.bound.to_string(),
             row.report.schedules_executed.to_string(),
             row.report.classes_pruned.to_string(),
             row.report.truncated_traces.to_string(),
@@ -191,14 +108,14 @@ fn main() {
     // --- Gate --------------------------------------------------------------
     let mut failures = Vec::new();
     for row in &rows {
-        let name = format!("{}/{}", row.family, row.mode);
-        if row.protected && row.witness_len.is_some() {
+        let (name, protected) = (row.model.key(), row.model.protected);
+        if protected && row.witness_len().is_some() {
             failures.push(format!("{name}: protected mode produced an ABA witness"));
         }
-        if !row.protected && row.witness_len.is_none() {
+        if !protected && row.witness_len().is_none() {
             failures.push(format!("{name}: unprotected mode produced no witness"));
         }
-        if row.protected && !quick && !row.report.complete {
+        if protected && !quick && !row.report.complete {
             failures.push(format!("{name}: space not drained in full mode"));
         }
         if row.report.schedules_executed == 0 {
@@ -207,35 +124,7 @@ fn main() {
     }
 
     // --- JSON (schema aba-repro/dpor/v1) -----------------------------------
-    let mut json = String::from("{\"schema\":\"aba-repro/dpor/v1\",\"quick\":");
-    let _ = write!(json, "{quick},\"rows\":[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "{{\"family\":\"{}\",\"mode\":\"{}\",\"protected\":{},\"bound\":\"{}\",\
-             \"schedules_executed\":{},\"classes_pruned\":{},\"steps_executed\":{},\
-             \"truncated_traces\":{},\"complete\":{},\"hit_schedule_cap\":{},\
-             \"witness\":{},\"witness_len\":{},\"elapsed_ms\":{}}}",
-            row.family,
-            row.mode,
-            row.protected,
-            row.bound,
-            row.report.schedules_executed,
-            row.report.classes_pruned,
-            row.report.steps_executed,
-            row.report.truncated_traces,
-            row.report.complete,
-            row.report.hit_schedule_cap,
-            row.witness_len.is_some(),
-            row.witness_len
-                .map_or("null".to_string(), |l| l.to_string()),
-            row.elapsed_ms,
-        );
-    }
-    json.push_str("]}");
+    let json = aba_bench::dpor_json(quick, &rows);
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!("wrote {out_path} ({} rows)", rows.len());
 

@@ -7,10 +7,10 @@
 //!   registered rule roster L1–L5 (orderings justified, `unsafe` forbidden,
 //!   determinism preserved, CAS retries bounded, the `Reclaimer`/`Guard`
 //!   surface documented).  See `DESIGN.md` §9 for the rationale.
-//! * **Dynamic** — `aba_sim::standard_family_audits` replays one protected
-//!   representative per algorithm family (register / queue / set / epoch)
-//!   under bursty schedules and a complete DPOR frontier with shadow-memory
-//!   recording on, diffing every executed step's *actual* (object, kind)
+//! * **Dynamic** — `aba_sim::standard_family_audits` replays every protected
+//!   model of `aba_sim::MODEL_ROSTER` (the spaces E11 certifies) under bursty
+//!   schedules and its DPOR frontier with shadow-memory recording on,
+//!   diffing every executed step's *actual* (object, kind)
 //!   access against the *declared* footprint.  An under-report (actual not
 //!   covered by declared) would unsound the DPOR dependency relation — the
 //!   pruned class may contain the only ABA witness — so it is a hard
@@ -34,13 +34,7 @@ use aba_sim::standard_family_audits;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_lint.json".to_string());
+    let (quick, out_path) = aba_bench::quick_and_out(&args, "BENCH_lint.json");
 
     // The binary runs from anywhere inside the workspace; resolve the root
     // from the crate manifest (crates/bench -> workspace root).
@@ -78,7 +72,7 @@ fn main() {
 
     // --- Pillar B: DPOR footprint-soundness audit --------------------------
     eprintln!(
-        "audit: shadow-memory footprint diff over four families{}",
+        "audit: shadow-memory footprint diff over the protected roster models{}",
         if quick { " (--quick bounds)" } else { "" }
     );
     let audit_start = Instant::now();

@@ -37,13 +37,7 @@ fn scheme_of(backend: &str) -> &'static str {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_set.json".to_string());
+    let (quick, out_path) = aba_bench::quick_and_out(&args, "BENCH_set.json");
 
     let config = if quick {
         EngineConfig::quick()

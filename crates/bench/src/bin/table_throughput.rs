@@ -33,30 +33,18 @@
 //!   `BENCH_baseline.json` and exit 1 when any shared cell loses more than
 //!   25% of its median-relative throughput (see `aba_bench::baseline`).
 
-use aba_bench::baseline;
+use aba_bench::{baseline, value_flag};
 use aba_workload::{
     render_tables, run_matrix, standard_backends, standard_scenarios, to_json, EngineConfig,
 };
 
 fn list_flag(args: &[String], flag: &str) -> Option<Vec<String>> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.split(',').map(|s| s.trim().to_string()).collect())
-}
-
-fn value_flag(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    value_flag(args, flag).map(|v| v.split(',').map(|s| s.trim().to_string()).collect())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path =
-        value_flag(&args, "--out").unwrap_or_else(|| "BENCH_throughput.json".to_string());
+    let (quick, out_path) = aba_bench::quick_and_out(&args, "BENCH_throughput.json");
 
     let mut config = if quick {
         EngineConfig::quick()

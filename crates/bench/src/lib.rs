@@ -1,7 +1,8 @@
 //! # aba-bench
 //!
-//! The experiment harness: table formatting, the `BENCH_lint.json` emitter
-//! and the paired-ratio regression gate ([`baseline`]) shared by the ten
+//! The experiment harness: table formatting, flag parsing, the
+//! `BENCH_lint.json` / `BENCH_dpor.json` emitters and the paired-ratio
+//! regression gate ([`baseline`]) shared by the ten
 //! table-generating binaries — `table_step_complexity`, `table_tradeoff`,
 //! `lowerbound_witness`, `table_aba_incidence`, `table_throughput`,
 //! `table_reclamation`, `table_set`, `table_map`, `table_dpor` and
@@ -86,6 +87,22 @@ impl Table {
     }
 }
 
+/// The value following `flag` on the command line, if the flag is present.
+pub fn value_flag(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}
+
+/// The two flags every JSON-writing table binary takes: whether `--quick`
+/// was given, and the `--out <path>` destination (`default_out` without it).
+pub fn quick_and_out(args: &[String], default_out: &str) -> (bool, String) {
+    let quick = args.iter().any(|a| a == "--quick");
+    let out = value_flag(args, "--out").unwrap_or_else(|| default_out.to_string());
+    (quick, out)
+}
+
 /// Render the `BENCH_lint.json` document (schema `aba-repro/lint/v1`) from
 /// a static lint report and the dynamic family-audit verdicts.
 ///
@@ -149,6 +166,64 @@ pub fn lint_json(
             v.under_reports,
             v.over_reports,
             v.sound
+        );
+    }
+    json.push_str("]}");
+    json
+}
+
+/// One explored roster row of `table_dpor` (experiment E11).
+#[derive(Debug)]
+pub struct DporRow {
+    /// The roster row explored.
+    pub model: aba_sim::SimModel,
+    /// What the exploration found.
+    pub report: aba_sim::ExplorationReport,
+    /// Wall-clock time of the exploration.
+    pub elapsed_ms: u128,
+}
+
+impl DporRow {
+    /// Length of the first witness schedule, if the exploration found one.
+    pub fn witness_len(&self) -> Option<usize> {
+        self.report.witness().map(|w| w.meta.schedule.len())
+    }
+}
+
+/// Render the `BENCH_dpor.json` document (schema `aba-repro/dpor/v1`), one
+/// row per explored model in the order given.
+///
+/// Factored out of the `table_dpor` binary so the golden test can pin the
+/// row keys and their order (CI greps them) without running an exploration.
+pub fn dpor_json(quick: bool, rows: &[DporRow]) -> String {
+    use std::fmt::Write as _;
+
+    let mut json = String::from("{\"schema\":\"aba-repro/dpor/v1\",\"quick\":");
+    let _ = write!(json, "{quick},\"rows\":[");
+    for (i, row) in rows.iter().enumerate() {
+        if i > 0 {
+            json.push(',');
+        }
+        let witness_len = row.witness_len();
+        let _ = write!(
+            json,
+            "{{\"family\":\"{}\",\"mode\":\"{}\",\"protected\":{},\"bound\":\"{}\",\
+             \"schedules_executed\":{},\"classes_pruned\":{},\"steps_executed\":{},\
+             \"truncated_traces\":{},\"complete\":{},\"hit_schedule_cap\":{},\
+             \"witness\":{},\"witness_len\":{},\"elapsed_ms\":{}}}",
+            row.model.family,
+            row.model.mode,
+            row.model.protected,
+            row.model.bound,
+            row.report.schedules_executed,
+            row.report.classes_pruned,
+            row.report.steps_executed,
+            row.report.truncated_traces,
+            row.report.complete,
+            row.report.hit_schedule_cap,
+            witness_len.is_some(),
+            witness_len.map_or("null".to_string(), |l| l.to_string()),
+            row.elapsed_ms,
         );
     }
     json.push_str("]}");

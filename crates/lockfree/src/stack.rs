@@ -422,8 +422,8 @@ impl Default for ElimPolicy {
 /// (the pusher is still parked when the popper claims the value), so the
 /// pair linearizes back-to-back — push immediately followed by the
 /// matching pop — leaving the abstract stack unchanged; `aba-spec`'s
-/// `check_stack_history` accepts such histories and the elimination tests
-/// exercise it.
+/// `check_history` under `Spec::Stack` accepts such histories and the
+/// elimination tests exercise it.
 #[derive(Debug)]
 pub struct ElimStack<R: Reclaimer> {
     inner: GenericStack<R>,

@@ -6,7 +6,7 @@
 //! These tests do not trust the argument: they record real multi-threaded
 //! histories through `aba-spec`'s [`Recorder`] — under a policy that forces
 //! most traffic through the exchange slots — and hand them to the
-//! exhaustive Wing–Gong checker (`check_stack_history`).
+//! exhaustive Wing–Gong checker (`check_history` under `Spec::Stack`).
 //!
 //! Histories are kept small (the checker's DFS is exponential in overlap
 //! width) and the runs repeat across rounds so scheduling variety, not
@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use aba_lockfree::{ElimPolicy, ElimStack, Stack};
 use aba_reclaim::{EpochReclaim, TagReclaim};
-use aba_spec::{check_stack_history, OpKind, Recorder};
+use aba_spec::{check_history, OpKind, Recorder, Spec};
 
 /// Pure-elimination rounds: with `central_attempts == 0` the central stack
 /// is unreachable, so every value MUST cross through an exchange slot; the
@@ -69,7 +69,7 @@ fn forced_exchange_histories_are_linearizable() {
         });
         exchanges_total += stack.exchanges();
         let history = recorder.into_history();
-        let outcome = check_stack_history(&history);
+        let outcome = check_history(&history, Spec::Stack);
         assert!(
             outcome.is_linearizable(),
             "round {round}: elimination history not linearizable:\n{history:?}"
@@ -122,7 +122,7 @@ fn mixed_central_and_exchange_histories_are_linearizable() {
         });
         exchanges_total += stack.exchanges();
         let history = recorder.into_history();
-        let outcome = check_stack_history(&history);
+        let outcome = check_history(&history, Spec::Stack);
         assert!(
             outcome.is_linearizable(),
             "round {round}: mixed history not linearizable:\n{history:?}"

@@ -15,12 +15,12 @@
 
 use aba_sim::algorithms::baselines::{NaiveSim, TaggedSim};
 use aba_sim::algorithms::fig4::Fig4Sim;
-use aba_sim::{search_weak_violation, SimAlgorithm, ViolationWitness};
+use aba_sim::{search_violation, SimAlgorithm, SimWorkload, Witness};
 
 /// An explicit, seeded trial budget for the witness search.
 ///
 /// The search tries `trials` random schedules; trial `k` uses seed
-/// `seed + k` (wrapping), matching `search_weak_violation`, so the number of
+/// `seed + k` (wrapping), matching `search_violation`, so the number of
 /// trials a violation needed is recoverable from the witness seed and every
 /// run is reproducible from the budget alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +63,7 @@ pub enum WitnessOutcome {
         /// Number of schedules tried up to and including the failing one.
         trials_used: u64,
         /// The witness (schedule, seed, history, violation).
-        witness: Box<ViolationWitness>,
+        witness: Box<Witness>,
     },
 }
 
@@ -108,7 +108,8 @@ impl WitnessReport {
 }
 
 fn search(algo: &dyn SimAlgorithm, expected_correct: bool, budget: SearchBudget) -> WitnessReport {
-    let outcome = match search_weak_violation(algo, budget.trials, budget.seed) {
+    let workload = SimWorkload::register_search(algo.n());
+    let outcome = match search_violation(algo, workload, budget.trials, budget.seed) {
         Some(witness) => WitnessOutcome::Violated {
             // Trial indices are 0-based, so the count is index + 1.
             trials_used: witness.meta.trial + 1,
@@ -182,7 +183,7 @@ mod tests {
                 assert_eq!(witness.meta.seed, budget.seed + (trials_used - 1));
                 // … and visible through the accessor.
                 assert_eq!(report.outcome.trials_used(), *trials_used);
-                let text = format!("{}", witness.violation);
+                let text = witness.to_string();
                 assert!(text.contains("missed write") || text.contains("phantom"));
             }
         }

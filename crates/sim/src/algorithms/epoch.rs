@@ -820,7 +820,7 @@ impl SimProcess for EpochProc {
 mod tests {
     use super::*;
     use crate::executor::Simulation;
-    use aba_spec::check_queue_history;
+    use aba_spec::{check_history, Spec};
 
     #[test]
     fn sequential_fifo_behaviour() {
@@ -852,7 +852,7 @@ mod tests {
                 "Dequeue() -> empty",
             ]
         );
-        assert!(check_queue_history(sim.history()).is_linearizable());
+        assert!(check_history(sim.history(), Spec::Queue).is_linearizable());
     }
 
     #[test]
@@ -877,7 +877,7 @@ mod tests {
             assert_eq!(kinds[2 * i as usize], format!("Enqueue({}) -> true", i + 1));
             assert_eq!(kinds[2 * i as usize + 1], format!("Dequeue() -> {}", i + 1));
         }
-        assert!(check_queue_history(sim.history()).is_linearizable());
+        assert!(check_history(sim.history(), Spec::Queue).is_linearizable());
     }
 
     #[test]
@@ -893,7 +893,7 @@ mod tests {
         sim.run_until_quiescent();
         assert!(sim.history().is_well_formed());
         assert_eq!(sim.history().len(), 12);
-        assert!(check_queue_history(sim.history()).is_linearizable());
+        assert!(check_history(sim.history(), Spec::Queue).is_linearizable());
     }
 
     /// Step `pid` under footprint auditing until its current call completes
@@ -973,7 +973,7 @@ mod tests {
             "eligible quarantined nodes must be adopted after the pin clears"
         );
         assert!(sim.history().is_well_formed());
-        assert!(check_queue_history(sim.history()).is_linearizable());
+        assert!(check_history(sim.history(), Spec::Queue).is_linearizable());
         assert!(
             auditor.sound(),
             "quarantine steps under-reported their footprint: {:?}",

@@ -4,7 +4,7 @@
 //! preemptive scheduler interleaves unluckily; here the *schedule is the
 //! input*, so a small random search can reproducibly produce a concrete
 //! non-linearizable execution of the unprotected variant — the queue
-//! counterpart of `search_weak_violation`'s register witnesses.
+//! counterpart of `search_violation`'s register witnesses.
 //!
 //! Two variants share one state machine:
 //!
@@ -482,7 +482,7 @@ impl SimProcess for QueueProc {
 mod tests {
     use super::*;
     use crate::executor::Simulation;
-    use aba_spec::check_queue_history;
+    use aba_spec::{check_history, Spec};
 
     fn run_sequential(algo: &QueueSim) {
         let mut sim = Simulation::new(algo);
@@ -512,7 +512,7 @@ mod tests {
                 "Dequeue() -> empty",
             ]
         );
-        assert!(check_queue_history(sim.history()).is_linearizable());
+        assert!(check_history(sim.history(), Spec::Queue).is_linearizable());
     }
 
     #[test]
@@ -537,7 +537,7 @@ mod tests {
             .map(|o| o.kind.to_string())
             .collect();
         assert_eq!(kinds, ["Enqueue(1) -> true", "Enqueue(2) -> false"]);
-        assert!(check_queue_history(sim.history()).is_linearizable());
+        assert!(check_history(sim.history(), Spec::Queue).is_linearizable());
     }
 
     #[test]
@@ -553,6 +553,6 @@ mod tests {
         sim.run_until_quiescent();
         assert!(sim.history().is_well_formed());
         assert_eq!(sim.history().len(), 12);
-        assert!(check_queue_history(sim.history()).is_linearizable());
+        assert!(check_history(sim.history(), Spec::Queue).is_linearizable());
     }
 }

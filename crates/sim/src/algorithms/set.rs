@@ -4,7 +4,7 @@
 //! preemptive scheduler interleaves unluckily; here the *schedule is the
 //! input*, so a seeded random search can reproducibly produce a concrete
 //! non-linearizable execution of the unprotected variant — the traversal
-//! counterpart of `search_queue_violation`'s witnesses, and the hardest
+//! counterpart of `search_violation`'s queue witnesses, and the hardest
 //! surface the paper's schemes must defend: an operation parks holding a
 //! predecessor's link word deep inside the chain while other processes
 //! unlink, free and recycle the nodes it reasons about.
@@ -870,7 +870,7 @@ impl SimProcess for SetProc {
 mod tests {
     use super::*;
     use crate::executor::Simulation;
-    use aba_spec::check_set_history;
+    use aba_spec::{check_history, Spec};
 
     fn run_sequential(algo: &SetSim) {
         let mut sim = Simulation::new(algo);
@@ -908,7 +908,7 @@ mod tests {
             "{}",
             algo.name()
         );
-        assert!(check_set_history(sim.history()).is_linearizable());
+        assert!(check_history(sim.history(), Spec::Set).is_linearizable());
     }
 
     #[test]
@@ -941,7 +941,7 @@ mod tests {
                 "Insert(3) -> false"
             ]
         );
-        assert!(check_set_history(sim.history()).is_linearizable());
+        assert!(check_history(sim.history(), Spec::Set).is_linearizable());
     }
 
     #[test]
@@ -979,7 +979,7 @@ mod tests {
                     algo.name()
                 );
             }
-            assert!(check_set_history(sim.history()).is_linearizable());
+            assert!(check_history(sim.history(), Spec::Set).is_linearizable());
         }
     }
 
@@ -1001,7 +1001,7 @@ mod tests {
             assert!(sim.history().is_well_formed());
             assert_eq!(sim.history().len(), 12, "{}", algo.name());
             assert!(
-                check_set_history(sim.history()).is_linearizable(),
+                check_history(sim.history(), Spec::Set).is_linearizable(),
                 "{}",
                 algo.name()
             );

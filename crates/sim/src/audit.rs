@@ -31,16 +31,17 @@
 //!    (the property `dpor.rs`'s dependency relation relies on).
 //!
 //! Run over bursty random schedules and over complete DPOR frontiers (see
-//! [`audit_family_bursty`] and `explore_exhaustive_audited`), a clean audit
+//! [`audit_bursty`] and [`explore_exhaustive_audited`]) for every protected
+//! row of the model roster ([`standard_family_audits`]), a clean audit
 //! certifies the footprint layer the E11 bounds stand on.
 
 use aba_spec::ProcessId;
 
 use crate::algorithm::SimAlgorithm;
-use crate::executor::Simulation;
 use crate::explore::dpor::{explore_exhaustive_audited, DporConfig};
-use crate::explore::{seed_queue_workload, seed_register_workload, seed_set_workload};
+use crate::explore::SimWorkload;
 use crate::object::{ActualAccess, StepAccess};
+use crate::roster::{SimModel, MODEL_ROSTER};
 use crate::schedule;
 
 /// Which of the auditor's diff checks are active.
@@ -212,12 +213,12 @@ impl FootprintAuditor {
     }
 }
 
-/// Summary of one audited (family, mode) run, as reported by `table_lint`.
+/// Summary of one audited roster row, as reported by `table_lint`.
 #[derive(Debug, Clone)]
 pub struct AuditVerdict {
-    /// Algorithm family (`register` / `queue` / `set` / `epoch`).
+    /// The row's [`SimModel::family`] (`register` / `queue` / `set`).
     pub family: String,
-    /// Protection mode audited.
+    /// The row's [`SimModel::mode`].
     pub mode: String,
     /// Schedules driven (bursty runs plus DPOR-explored classes).
     pub schedules: u64,
@@ -231,38 +232,15 @@ pub struct AuditVerdict {
     pub sound: bool,
 }
 
-/// Drive `schedule` through a fresh audited simulation, then drain the
-/// remaining work to quiescence (bounded by `drain_cap` extra steps so a
-/// wedged unprotected structure cannot hang the audit).  Returns the number
-/// of steps scheduled.
-fn run_audited_schedule(
-    algo: &dyn SimAlgorithm,
-    seed: &dyn Fn(&mut Simulation),
-    schedule: &[ProcessId],
-    drain_cap: usize,
-    auditor: &mut FootprintAuditor,
-) {
-    let mut sim = Simulation::new(algo);
-    seed(&mut sim);
-    for &pid in schedule {
-        let _ = sim.step_audited(algo, pid, auditor);
-    }
-    let n = sim.processes();
-    let mut extra = 0usize;
-    while !sim.is_quiescent() && extra < drain_cap {
-        for pid in 0..n {
-            let _ = sim.step_audited(algo, pid, auditor);
-            extra += 1;
-        }
-    }
-}
-
 /// Audit one algorithm under `runs` bursty schedules of `len` steps each
 /// (deterministic in `base_seed`), the preemption-style distribution that
-/// surfaces ABA windows.  Returns the auditor with accumulated counts.
+/// surfaces ABA windows.  Each schedule drives a fresh audited simulation of
+/// `workload`, which is then drained to quiescence (bounded by `4 * len`
+/// extra steps so a wedged unprotected structure cannot hang the audit).
+/// Returns the auditor with accumulated counts.
 pub fn audit_bursty(
     algo: &dyn SimAlgorithm,
-    seed: &dyn Fn(&mut Simulation),
+    workload: SimWorkload,
     runs: usize,
     len: usize,
     base_seed: u64,
@@ -270,51 +248,41 @@ pub fn audit_bursty(
     let n = algo.n();
     let mut auditor = FootprintAuditor::new();
     for i in 0..runs {
-        let sched = schedule::bursty(n, len, 8, base_seed.wrapping_add(i as u64));
-        run_audited_schedule(algo, seed, &sched, 4 * len, &mut auditor);
+        let mut sim = workload.simulation(algo);
+        for pid in schedule::bursty(n, len, 8, base_seed.wrapping_add(i as u64)) {
+            let _ = sim.step_audited(algo, pid, &mut auditor);
+        }
+        let mut extra = 0usize;
+        while !sim.is_quiescent() && extra < 4 * len {
+            for pid in 0..n {
+                let _ = sim.step_audited(algo, pid, &mut auditor);
+                extra += 1;
+            }
+        }
     }
     auditor
 }
 
-/// Bounds for the bursty half of a family audit: how many bursty schedules
-/// to drive, how long each is, and the base RNG seed they derive from.
-#[derive(Debug, Clone, Copy)]
-pub struct BurstyParams {
-    /// Number of bursty schedules.
-    pub runs: usize,
-    /// Scheduled steps per bursty schedule.
-    pub len: usize,
-    /// Base seed; run `i` uses `base_seed + i`.
-    pub base_seed: u64,
-}
-
-/// Audit one algorithm family end to end: `bursty.runs` bursty schedules
-/// *plus* a complete audited DPOR frontier at the given exploration config,
-/// with the workload seeded by `seed`.  Returns the combined verdict.
-pub fn audit_family(
-    family: &str,
-    mode: &str,
-    algo: &dyn SimAlgorithm,
-    seed: &dyn Fn(&mut Simulation),
-    bursty: BurstyParams,
-    cfg: &DporConfig,
-) -> AuditVerdict {
-    let BurstyParams {
-        runs,
-        len,
-        base_seed,
-    } = bursty;
-    let mut auditor = audit_bursty(algo, seed, runs, len, base_seed);
-    let mut make = || {
-        let mut sim = Simulation::new(algo);
-        seed(&mut sim);
-        sim
+/// Audit one roster row end to end: `runs` bursty schedules of `len` steps
+/// *plus* an audited DPOR frontier of the row's E11 workload at the given
+/// exploration config.  Returns the combined verdict.
+fn audit_model(model: &SimModel, runs: usize, len: usize, cfg: &DporConfig) -> AuditVerdict {
+    let algo = (model.build)();
+    let algo = algo.as_ref();
+    // One bursty stream per family (the seeds `BENCH_lint.json`'s tagged
+    // rows were recorded with).
+    let base_seed = match model.workload {
+        SimWorkload::Register { .. } => 11,
+        SimWorkload::Queue { .. } => 12,
+        SimWorkload::Set { .. } => 13,
     };
+    let mut auditor = audit_bursty(algo, model.workload, runs, len, base_seed);
+    let mut make = || model.workload.simulation(algo);
     let mut check = |_t: &[ProcessId], _h: &aba_spec::History, _q: bool| false;
     let report = explore_exhaustive_audited(algo, &mut make, &mut check, cfg, &mut auditor);
     AuditVerdict {
-        family: family.to_string(),
-        mode: mode.to_string(),
+        family: model.family.to_string(),
+        mode: model.mode.to_string(),
         schedules: runs as u64 + report.schedules_executed,
         steps_audited: auditor.steps_audited,
         under_reports: auditor.under_reports.len() as u64,
@@ -323,63 +291,20 @@ pub fn audit_family(
     }
 }
 
-/// The standard four-family audit roster at CI-sized bounds: for each
-/// algorithm family (register / queue / set / epoch) one protected
-/// representative is audited under bursty schedules and a complete DPOR
-/// frontier.  `quick` shrinks the bursty batch and the exploration cap.
+/// The standard audit at CI-sized bounds: every protected row of
+/// [`MODEL_ROSTER`] is audited under bursty schedules and the DPOR frontier
+/// of exactly the space E11 certifies it over (capped at 30k schedules in
+/// `quick` mode, 200k otherwise, which only the hazard set's space exceeds).
+/// `quick` also shrinks the bursty batch.
 pub fn standard_family_audits(quick: bool) -> Vec<AuditVerdict> {
-    use crate::algorithms::baselines::TaggedSim;
-    use crate::algorithms::epoch::EpochSim;
-    use crate::algorithms::queue::QueueSim;
-    use crate::algorithms::set::SetSim;
-
     let (runs, len) = if quick { (12, 240) } else { (48, 600) };
     let cfg = DporConfig {
         max_schedules: if quick { 30_000 } else { 200_000 },
         ..DporConfig::default()
     };
-
-    let bursty = |base_seed| BurstyParams {
-        runs,
-        len,
-        base_seed,
-    };
-    let register = TaggedSim::new(3);
-    let queue = QueueSim::tagged(3, 2);
-    let set = SetSim::tagged(2, 3);
-    let epoch = EpochSim::new(3, 2);
-    vec![
-        audit_family(
-            "register",
-            "tagged",
-            &register,
-            &|sim| seed_register_workload(sim, 3, 4, 2),
-            bursty(11),
-            &cfg,
-        ),
-        audit_family(
-            "queue",
-            "tagged",
-            &queue,
-            &|sim| seed_queue_workload(sim, 3, 2, 3),
-            bursty(12),
-            &cfg,
-        ),
-        audit_family(
-            "set",
-            "tagged",
-            &set,
-            &|sim| seed_set_workload(sim, 2, 1),
-            bursty(13),
-            &cfg,
-        ),
-        audit_family(
-            "epoch",
-            "epoch",
-            &epoch,
-            &|sim| seed_queue_workload(sim, 3, 2, 2),
-            bursty(14),
-            &cfg,
-        ),
-    ]
+    MODEL_ROSTER
+        .iter()
+        .filter(|model| model.protected)
+        .map(|model| audit_model(model, runs, len, &cfg))
+        .collect()
 }

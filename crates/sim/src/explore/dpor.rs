@@ -37,14 +37,11 @@
 
 use std::collections::BTreeSet;
 
-use aba_spec::{check_queue_history, check_set_history, History, LinCheckOutcome, ProcessId};
+use aba_spec::{History, ProcessId};
 
 use crate::algorithm::SimAlgorithm;
 use crate::executor::{Simulation, StepOutcome};
-use crate::explore::{
-    run_queue_workload, run_set_workload, seed_queue_workload, seed_register_workload,
-    seed_set_workload, QueueViolationWitness, SetViolationWitness, ViolationWitness, WitnessMeta,
-};
+use crate::explore::{run_workload, SimWorkload, Witness, WitnessMeta};
 use crate::object::StepAccess;
 use crate::schedule::Prefix;
 
@@ -79,21 +76,6 @@ impl Default for DporConfig {
     }
 }
 
-/// One violating execution found by the explorer.
-#[derive(Debug, Clone)]
-pub struct DporWitness {
-    /// Reproduction metadata: `schedule` is the complete explored trace
-    /// (replayable through the ordinary workload runners), `seed` is 0 (the
-    /// explorer is deterministic without one) and `trial` is the 0-based
-    /// index of this execution in exploration order.
-    pub meta: WitnessMeta,
-    /// History of the violating execution, as explored.
-    pub history: History,
-    /// `false` iff the trace was cut at the depth bound without quiescing
-    /// (the wedged case).
-    pub quiesced: bool,
-}
-
 /// Counters and outcome of one exhaustive exploration.
 #[derive(Debug, Clone, Default)]
 pub struct ExplorationReport {
@@ -118,13 +100,16 @@ pub struct ExplorationReport {
     /// Cleared by `stop_on_first` stopping early or by the schedule cap.
     pub complete: bool,
     /// Every violating execution found, in exploration order (just the first
-    /// when `stop_on_first` is set).
-    pub witnesses: Vec<DporWitness>,
+    /// when `stop_on_first` is set).  `meta.schedule` is the complete
+    /// explored trace (replayable through [`run_workload`]), `meta.seed` is 0
+    /// and `meta.trial` the 0-based index of the execution in exploration
+    /// order; a trace cut at the depth bound is reported `wedged`.
+    pub witnesses: Vec<Witness>,
 }
 
 impl ExplorationReport {
     /// The first violating execution, if any.
-    pub fn witness(&self) -> Option<&DporWitness> {
+    pub fn witness(&self) -> Option<&Witness> {
         self.witnesses.first()
     }
 }
@@ -371,14 +356,15 @@ fn explore_inner(
                 }
                 report.schedules_executed += 1;
                 if check(trace.as_slice(), sim.history(), quiesced) {
-                    report.witnesses.push(DporWitness {
+                    report.witnesses.push(Witness {
                         meta: WitnessMeta {
                             schedule: trace.to_vec(),
                             seed: 0,
                             trial: report.schedules_executed - 1,
                         },
                         history: sim.history().clone(),
-                        quiesced,
+                        wedged: !quiesced,
+                        violation: None,
                     });
                     if cfg.stop_on_first {
                         stopped = true;
@@ -497,122 +483,32 @@ fn finish_edge(stack: &mut [Frame], trace: &mut Prefix) {
     }
 }
 
-/// Exhaustively explore the register-family workload of
-/// [`seed_register_workload`] (process 0: `writes` DWrites; everyone else:
-/// `reads` DReads), checking the weak ABA-detection condition on every
-/// execution.  Returns the report and, if a violating execution exists in
-/// the explored space, a [`ViolationWitness`] identical in shape to the
+/// Exhaustively explore `workload` on `algo`, judging every execution by
+/// [`SimWorkload::violates`].  Traces cut at the depth bound are validated by
+/// replaying them through [`run_workload`], whose bounded drain distinguishes
+/// a genuinely wedged structure from a too-small depth bound; every reported
+/// witness is that replay's execution, so it is identical in shape to the
 /// random search's.
-pub fn explore_register_exhaustive(
+pub fn explore_workload(
     algo: &dyn SimAlgorithm,
-    writes: usize,
-    reads: usize,
+    workload: SimWorkload,
     cfg: &DporConfig,
-) -> (ExplorationReport, Option<ViolationWitness>) {
-    let n = algo.n();
-    let mut make = || {
-        let mut sim = Simulation::new(algo);
-        seed_register_workload(&mut sim, n, writes, reads);
-        sim
-    };
-    // Register methods take a bounded number of steps, so every trace of the
-    // bounded workload quiesces; a cut trace would be a config error, not a
-    // violation.
-    let mut check = |_t: &[ProcessId], h: &History, quiesced: bool| {
-        quiesced && !aba_spec::weak::check_weak_history(h).is_empty()
-    };
-    let report = explore_exhaustive(algo, &mut make, &mut check, cfg);
-    let witness = report.witness().map(|w| ViolationWitness {
-        meta: w.meta.clone(),
-        history: w.history.clone(),
-        violation: aba_spec::weak::check_weak_history(&w.history)
-            .into_iter()
-            .next()
-            .expect("witness history re-checks"),
-    });
-    (report, witness)
-}
-
-/// Exhaustively explore the queue-family workload of
-/// [`seed_queue_workload`], checking linearizability against the sequential
-/// FIFO spec on every execution.  Traces cut at the depth bound are
-/// validated by replaying them through [`run_queue_workload`] (whose bounded
-/// drain distinguishes a genuinely wedged structure from a too-small depth
-/// bound).  Covers both [`QueueSim`](crate::algorithms::queue::QueueSim)
-/// modes and the epoch queue.
-pub fn explore_queue_exhaustive(
-    algo: &dyn SimAlgorithm,
-    enqueues: usize,
-    dequeues: usize,
-    cfg: &DporConfig,
-) -> (ExplorationReport, Option<QueueViolationWitness>) {
-    let n = algo.n();
-    let mut make = || {
-        let mut sim = Simulation::new(algo);
-        seed_queue_workload(&mut sim, n, enqueues, dequeues);
-        sim
-    };
-    let mut check = |t: &[ProcessId], h: &History, quiesced: bool| {
+) -> ExplorationReport {
+    let mut make = || workload.simulation(algo);
+    let mut check = |trace: &[ProcessId], history: &History, quiesced: bool| {
         if quiesced {
-            matches!(check_queue_history(h), LinCheckOutcome::NotLinearizable)
+            workload.violates(history, false)
         } else {
-            let out = run_queue_workload(algo, enqueues, dequeues, t);
-            !out.quiesced
-                || matches!(
-                    check_queue_history(&out.history),
-                    LinCheckOutcome::NotLinearizable
-                )
+            let replay = run_workload(algo, workload, trace);
+            workload.violates(&replay.history, replay.wedged)
         }
     };
-    let report = explore_exhaustive(algo, &mut make, &mut check, cfg);
-    let witness = report.witness().map(|w| {
-        let out = run_queue_workload(algo, enqueues, dequeues, &w.meta.schedule);
-        QueueViolationWitness {
-            meta: w.meta.clone(),
-            history: out.history,
-            wedged: !out.quiesced,
-        }
-    });
-    (report, witness)
-}
-
-/// Exhaustively explore the set-family workload of [`seed_set_workload`],
-/// checking linearizability against the sequential ordered-set spec on every
-/// execution; cut traces are validated by replay as for the queue.  Covers
-/// all four [`SetSim`](crate::algorithms::set::SetSim) modes.
-pub fn explore_set_exhaustive(
-    algo: &dyn SimAlgorithm,
-    rounds: usize,
-    cfg: &DporConfig,
-) -> (ExplorationReport, Option<SetViolationWitness>) {
-    let n = algo.n();
-    let mut make = || {
-        let mut sim = Simulation::new(algo);
-        seed_set_workload(&mut sim, n, rounds);
-        sim
-    };
-    let mut check = |t: &[ProcessId], h: &History, quiesced: bool| {
-        if quiesced {
-            matches!(check_set_history(h), LinCheckOutcome::NotLinearizable)
-        } else {
-            let out = run_set_workload(algo, rounds, t);
-            !out.quiesced
-                || matches!(
-                    check_set_history(&out.history),
-                    LinCheckOutcome::NotLinearizable
-                )
-        }
-    };
-    let report = explore_exhaustive(algo, &mut make, &mut check, cfg);
-    let witness = report.witness().map(|w| {
-        let out = run_set_workload(algo, rounds, &w.meta.schedule);
-        SetViolationWitness {
-            meta: w.meta.clone(),
-            history: out.history,
-            wedged: !out.quiesced,
-        }
-    });
-    (report, witness)
+    let mut report = explore_exhaustive(algo, &mut make, &mut check, cfg);
+    for w in &mut report.witnesses {
+        let replay = run_workload(algo, workload, &w.meta.schedule);
+        *w = workload.witness(w.meta.clone(), replay);
+    }
+    report
 }
 
 /// Canonical representative of a schedule's Mazurkiewicz trace class: the
@@ -675,7 +571,6 @@ mod tests {
     use super::*;
     use crate::algorithms::baselines::NaiveSim;
     use crate::algorithms::queue::QueueSim;
-    use crate::explore::{seed_queue_workload, seed_register_workload};
     use crate::MethodCall;
     use std::collections::BTreeSet;
 
@@ -687,7 +582,7 @@ mod tests {
     /// trace and of every violating trace.
     fn both_modes(
         algo: &dyn SimAlgorithm,
-        seed: &dyn Fn(&mut Simulation),
+        make: &dyn Fn() -> Simulation,
         violates: &dyn Fn(&History) -> bool,
     ) -> [ModeSummary; 2] {
         [false, true].map(|reduce| {
@@ -695,11 +590,7 @@ mod tests {
                 reduce,
                 ..DporConfig::default()
             };
-            let mut make = || {
-                let mut sim = Simulation::new(algo);
-                seed(&mut sim);
-                sim
-            };
+            let mut make = make;
             let mut traces = Vec::new();
             let mut check = |t: &[ProcessId], h: &History, _q: bool| {
                 traces.push((t.to_vec(), violates(h)));
@@ -707,19 +598,14 @@ mod tests {
             };
             let report = explore_exhaustive(algo, &mut make, &mut check, &cfg);
             assert!(report.complete, "tiny workloads must drain");
-            let mut make2 = || {
-                let mut sim = Simulation::new(algo);
-                seed(&mut sim);
-                sim
-            };
             let all: BTreeSet<_> = traces
                 .iter()
-                .map(|(t, _)| canonical_trace(&mut make2, t))
+                .map(|(t, _)| canonical_trace(&mut make, t))
                 .collect();
             let bad: BTreeSet<_> = traces
                 .iter()
                 .filter(|(_, v)| *v)
-                .map(|(t, _)| canonical_trace(&mut make2, t))
+                .map(|(t, _)| canonical_trace(&mut make, t))
                 .collect();
             (report.schedules_executed, all, bad)
         })
@@ -736,14 +622,16 @@ mod tests {
         // read/read, so the trace classes are
         //   {WWRR-orders merged over the read swap}: exactly 4.
         let algo = NaiveSim::new(2);
-        let seed = |sim: &mut Simulation| {
+        let make = || {
+            let mut sim = Simulation::new(&algo);
             sim.enqueue(0, MethodCall::DWrite(1));
             sim.enqueue(0, MethodCall::DRead);
             sim.enqueue(1, MethodCall::DWrite(2));
             sim.enqueue(1, MethodCall::DRead);
+            sim
         };
         let [(brute_n, brute_all, brute_bad), (dpor_n, dpor_all, dpor_bad)] =
-            both_modes(&algo, &seed, &weak_violates);
+            both_modes(&algo, &make, &weak_violates);
         assert_eq!(brute_n, 6, "all interleavings");
         assert_eq!(brute_all.len(), 4, "canonical classes");
         assert_eq!(dpor_n, 4, "DPOR executes exactly one representative each");
@@ -759,9 +647,12 @@ mod tests {
         // distinct classes — and exactly one of them is a violation.  DPOR
         // must execute all 15 and flag the same single class.
         let algo = NaiveSim::new(2);
-        let seed = |sim: &mut Simulation| seed_register_workload(sim, 2, 4, 2);
+        let workload = SimWorkload::Register {
+            writes: 4,
+            reads: 2,
+        };
         let [(brute_n, brute_all, brute_bad), (dpor_n, dpor_all, dpor_bad)] =
-            both_modes(&algo, &seed, &weak_violates);
+            both_modes(&algo, &|| workload.simulation(&algo), &weak_violates);
         assert_eq!(brute_n, 15);
         assert_eq!(brute_all.len(), 15);
         assert_eq!(brute_bad.len(), 1, "exactly one violating class");
@@ -776,8 +667,12 @@ mod tests {
         // interleavings collapse to 4 trace classes; DPOR executes exactly
         // one representative of each.
         let algo = QueueSim::unprotected(2, 2);
-        let seed = |sim: &mut Simulation| seed_queue_workload(sim, 2, 1, 1);
-        let [(brute_n, brute_all, _), (dpor_n, dpor_all, _)] = both_modes(&algo, &seed, &|_| false);
+        let workload = SimWorkload::Queue {
+            enqueues: 1,
+            dequeues: 1,
+        };
+        let [(brute_n, brute_all, _), (dpor_n, dpor_all, _)] =
+            both_modes(&algo, &|| workload.simulation(&algo), &|_| false);
         assert_eq!(brute_n, 580);
         assert_eq!(brute_all.len(), 4);
         assert_eq!(dpor_n, 4);
@@ -813,14 +708,19 @@ mod tests {
             stop_on_first: true,
             ..DporConfig::default()
         };
-        let (report, witness) = explore_register_exhaustive(&algo, 4, 2, &cfg);
-        let w = witness.expect("naive register must break");
+        let workload = SimWorkload::Register {
+            writes: 4,
+            reads: 2,
+        };
+        let report = explore_workload(&algo, workload, &cfg);
+        let w = report.witness().expect("naive register must break");
+        assert!(w.violation.is_some() && !w.wedged);
         assert_eq!(w.meta.seed, 0, "exhaustive exploration has no seed");
         assert_eq!(w.meta.trial, report.schedules_executed - 1);
         assert!(!report.complete, "stop_on_first stops early");
         // The witness replays through the ordinary workload runner.
-        let h = crate::explore::run_register_workload(&algo, 4, 2, &w.meta.schedule);
-        assert_eq!(h, w.history);
+        let replay = run_workload(&algo, workload, &w.meta.schedule);
+        assert_eq!(replay.history, w.history);
     }
 
     #[test]

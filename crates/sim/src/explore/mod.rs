@@ -3,20 +3,20 @@
 //!
 //! These are the pieces the experiment binaries in `aba-bench` call into:
 //!
-//! * [`run_register_workload`] runs the paper's lower-bound workload (process
-//!   0 writes, everyone else reads) under a given schedule and returns the
-//!   history;
-//! * [`search_weak_violation`] hammers an algorithm with random schedules and
-//!   reports the first definite violation of the `WeakRead`/`WeakWrite`
-//!   condition, together with the schedule that produced it (the *witness*);
-//! * [`run_queue_workload`] / [`search_queue_violation`] do the same for the
-//!   simulated MS queues, checking full linearizability against the
-//!   sequential FIFO specification: random small schedules produce a
-//!   concrete ABA witness (a duplicated, lost or reordered value) for the
-//!   unprotected variant while the tagged variant survives;
-//! * [`run_set_workload`] / [`search_set_violation`] extend that to the
-//!   simulated Harris–Michael sets, where the witness is a *lost splice*
-//!   or a resurrected key (the traversal-based ABA);
+//! * [`SimWorkload`] describes a bounded workload — the paper's lower-bound
+//!   register workload (process 0 writes, everyone else reads), the
+//!   producer/consumer queue workload, the insert/contains/remove set
+//!   workload — and owns everything that depends on the family: seeding, the
+//!   adversarial schedule shape, the specification and the verdict;
+//! * [`run_workload`] runs one under a given schedule;
+//! * [`search_violation`] hammers an algorithm with random schedules and
+//!   reports the first violating [`Execution`] with the schedule that produced
+//!   it (the [`Witness`]): a missed or phantom ABA flag for under-provisioned
+//!   registers, a duplicated, lost or reordered value for the unprotected
+//!   queue, a *lost splice* or resurrected key (the traversal-based ABA) for
+//!   the unprotected set;
+//! * [`dpor::explore_workload`] enumerates the schedule space instead, at the
+//!   bounds of [`crate::roster::MODEL_ROSTER`] (E11);
 //! * [`minimize_violation_schedule`] greedily shrinks a witness schedule to
 //!   a (locally) minimal one that still reproduces its violation;
 //! * [`measure_llsc_worst_case`] measures worst-case `LL`/`SC` step counts of
@@ -24,7 +24,7 @@
 //!   E2's adversarial component).
 
 use aba_spec::weak::{check_weak_history, WeakViolation};
-use aba_spec::{check_queue_history, check_set_history, History, LinCheckOutcome, ProcessId};
+use aba_spec::{check_history, History, LinCheckOutcome, ProcessId, Spec};
 
 use crate::algorithm::{MethodCall, SimAlgorithm};
 use crate::executor::Simulation;
@@ -32,9 +32,9 @@ use crate::schedule;
 
 pub mod dpor;
 
-/// Reproduction metadata shared by every witness kind: the schedule that
-/// produced the violation, the seed it was derived from, and the index of
-/// the search trial that found it.
+/// Reproduction metadata of a witness: the schedule that produced the
+/// violation, the seed it was derived from, and the index of the search
+/// trial that found it.
 ///
 /// Random searches fill `seed`/`trial` with the violating schedule's seed
 /// and 0-based trial number; the exhaustive explorer
@@ -52,327 +52,275 @@ pub struct WitnessMeta {
     pub trial: u64,
 }
 
-/// A violation witness: the reproduction metadata, the resulting history and
-/// the definite violation found in it.
+/// A violation witness: the schedule whose execution either produced a
+/// history its specification rejects or wedged the structure entirely.
 #[derive(Debug, Clone)]
-pub struct ViolationWitness {
+pub struct Witness {
     /// How to reproduce the violating execution.
     pub meta: WitnessMeta,
-    /// The complete history of the execution.
+    /// The history of all completed method calls of the execution.
     pub history: History,
-    /// The first definite violation found.
-    pub violation: WeakViolation,
+    /// `true` iff the execution failed to quiesce (links cycled) rather than
+    /// completing with an inconsistent history.
+    pub wedged: bool,
+    /// Register workloads only: the first definite violation of the weak
+    /// ABA-detection condition found in `history`.
+    pub violation: Option<WeakViolation>,
 }
 
-/// Enqueue the lower-bound register workload: process 0 performs `writes`
-/// DWrites (of values `1, 2, 3, …`), every other process performs `reads`
-/// DReads.  Shared by [`run_register_workload`] and the exhaustive explorer
-/// so that an explored trace replays bit-for-bit through the same runner.
-pub fn seed_register_workload(sim: &mut Simulation, n: usize, writes: usize, reads: usize) {
-    for i in 0..writes {
-        // The written values deliberately repeat (A-B-A patterns): the whole
-        // point of an ABA-detecting register is to notice writes that restore
-        // an earlier value, so the workload must contain them.
-        sim.enqueue(0, MethodCall::DWrite((i % 3) as u32 + 1));
-    }
-    for pid in 1..n {
-        for _ in 0..reads {
-            sim.enqueue(pid, MethodCall::DRead);
+impl std::fmt::Display for Witness {
+    /// What went wrong, in one line.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match (&self.violation, self.wedged) {
+            (Some(violation), _) => violation.fmt(f),
+            (None, true) => f.write_str("structure wedged: the workload can no longer quiesce"),
+            (None, false) => f.write_str("completed history is not linearizable"),
         }
     }
 }
 
-/// Run the lower-bound workload under `schedule` (see
-/// [`seed_register_workload`] for the call pattern).  After the schedule is
-/// exhausted the simulation is run to quiescence so that the history is
-/// complete.
-pub fn run_register_workload(
-    algo: &dyn SimAlgorithm,
-    writes: usize,
-    reads: usize,
-    schedule: &[ProcessId],
-) -> History {
-    let mut sim = Simulation::new(algo);
-    seed_register_workload(&mut sim, algo.n(), writes, reads);
-    sim.run_schedule(schedule);
-    sim.run_until_quiescent();
-    sim.history().clone()
-}
-
-/// Search for a definite violation of the weak correctness condition using
-/// random schedules.  Returns the first witness found within `trials`
-/// attempts, or `None` if the implementation survived them all.
-///
-/// For the faithful Figure 4 and the tagged baseline this always returns
-/// `None`; for the naive and crippled variants it finds a witness within a
-/// handful of trials.
-pub fn search_weak_violation(
-    algo: &dyn SimAlgorithm,
-    trials: u64,
-    base_seed: u64,
-) -> Option<ViolationWitness> {
-    let n = algo.n();
-    let writes = 4 * n.max(2);
-    let reads = 4;
-    // Enough slots for every queued method call to finish mid-schedule.
-    let len = 8 * (writes + (n - 1) * reads);
-    for trial in 0..trials {
-        let seed = base_seed.wrapping_add(trial);
-        let sched = schedule::random(n, len, seed);
-        let history = run_register_workload(algo, writes, reads, &sched);
-        let violations = check_weak_history(&history);
-        if let Some(v) = violations.into_iter().next() {
-            return Some(ViolationWitness {
-                meta: WitnessMeta {
-                    schedule: sched,
-                    seed,
-                    trial,
-                },
-                history,
-                violation: v,
-            });
-        }
-    }
-    None
-}
-
-/// Outcome of one queue workload execution: the completed-operation history
-/// and whether the simulation reached quiescence within its step budget (a
-/// corrupted unprotected queue can cycle its links, after which the helping
-/// loops spin forever — itself ABA damage worth witnessing).
+/// Outcome of one workload execution: the completed-operation history and
+/// whether the structure wedged (a corrupted unprotected structure can cycle
+/// its links, after which the helping loops spin forever — itself ABA damage
+/// worth witnessing).
 #[derive(Debug, Clone)]
-pub struct QueueWorkloadOutcome {
+pub struct Execution {
     /// History of all *completed* method calls.
     pub history: History,
-    /// `false` iff the post-schedule drain hit its step budget with method
+    /// `true` iff the post-schedule drain hit its step budget with method
     /// calls still incomplete.
-    pub quiesced: bool,
+    pub wedged: bool,
 }
 
-/// Enqueue the producer/consumer queue workload: even processes each enqueue
-/// `enqueues` unique values, odd processes each perform `dequeues` dequeues.
-/// Shared by [`run_queue_workload`] and the exhaustive explorer.
-pub fn seed_queue_workload(sim: &mut Simulation, n: usize, enqueues: usize, dequeues: usize) {
-    for pid in 0..n {
-        if pid % 2 == 0 {
-            for i in 0..enqueues {
-                // Unique values so any duplication or loss is attributable.
-                sim.enqueue(pid, MethodCall::Enqueue((pid * 1_000 + i + 1) as u32));
+/// A bounded workload of one algorithm family.  The process count is the
+/// algorithm's; the variant fixes the per-process call pattern.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimWorkload {
+    /// The lower-bound register workload: process 0 performs `writes`
+    /// DWrites, every other process performs `reads` DReads.
+    Register {
+        /// DWrites of process 0.
+        writes: usize,
+        /// DReads of every other process.
+        reads: usize,
+    },
+    /// The producer/consumer queue workload: even processes each enqueue
+    /// `enqueues` unique values, odd processes each perform `dequeues`
+    /// dequeues.
+    Queue {
+        /// Enqueues per producer.
+        enqueues: usize,
+        /// Dequeues per consumer.
+        dequeues: usize,
+    },
+    /// The mixed set workload: every process performs `rounds` rounds of
+    /// `Insert(k)`, `Contains(k')`, `Remove(k)` over a tiny shared key space
+    /// (keys `1..=3`), so distinct processes continually splice, probe and
+    /// unlink *adjacent* nodes — the contention shape that recycles a
+    /// predecessor out from under a parked traversal.
+    Set {
+        /// Insert/contains/remove rounds per process.
+        rounds: usize,
+    },
+}
+
+impl SimWorkload {
+    /// The register workload [`search_violation`] samples for `n` processes.
+    pub fn register_search(n: usize) -> Self {
+        SimWorkload::Register {
+            writes: 4 * n.max(2),
+            reads: 4,
+        }
+    }
+
+    /// The queue workload [`search_violation`] samples for `n` processes:
+    /// consumers collectively chase every enqueued value, plus slack so empty
+    /// dequeues appear in the histories too.
+    pub fn queue_search(n: usize) -> Self {
+        let (producers, consumers) = (n.div_ceil(2), n / 2);
+        let enqueues = 4;
+        let dequeues = match consumers {
+            0 => 0,
+            _ => (producers * enqueues).div_ceil(consumers) + 1,
+        };
+        SimWorkload::Queue { enqueues, dequeues }
+    }
+
+    /// The set workload [`search_violation`] samples (and the golden
+    /// witnesses replay).
+    pub fn set_search() -> Self {
+        SimWorkload::Set { rounds: 2 }
+    }
+
+    /// A fresh simulation of `algo` with this workload's method calls queued.
+    /// Shared by [`run_workload`], the exhaustive explorer and the footprint
+    /// audit, so that an explored trace replays bit-for-bit through the
+    /// runner.
+    pub fn simulation(&self, algo: &dyn SimAlgorithm) -> Simulation {
+        let (n, mut sim) = (algo.n(), Simulation::new(algo));
+        match *self {
+            SimWorkload::Register { writes, reads } => {
+                for i in 0..writes {
+                    // The written values deliberately repeat (A-B-A
+                    // patterns): the whole point of an ABA-detecting register
+                    // is to notice writes that restore an earlier value, so
+                    // the workload must contain them.
+                    sim.enqueue(0, MethodCall::DWrite((i % 3) as u32 + 1));
+                }
+                for pid in 1..n {
+                    for _ in 0..reads {
+                        sim.enqueue(pid, MethodCall::DRead);
+                    }
+                }
             }
-        } else {
-            for _ in 0..dequeues {
-                sim.enqueue(pid, MethodCall::Dequeue);
+            SimWorkload::Queue { enqueues, dequeues } => {
+                for pid in 0..n {
+                    if pid % 2 == 0 {
+                        for i in 0..enqueues {
+                            // Unique values so any duplication or loss is
+                            // attributable.
+                            sim.enqueue(pid, MethodCall::Enqueue((pid * 1_000 + i + 1) as u32));
+                        }
+                    } else {
+                        for _ in 0..dequeues {
+                            sim.enqueue(pid, MethodCall::Dequeue);
+                        }
+                    }
+                }
             }
+            SimWorkload::Set { rounds } => {
+                for pid in 0..n {
+                    for r in 0..rounds {
+                        let key = ((pid + r) % 3 + 1) as u32;
+                        let probe = ((pid + r + 1) % 3 + 1) as u32;
+                        sim.enqueue(pid, MethodCall::Insert(key));
+                        sim.enqueue(pid, MethodCall::Contains(probe));
+                        sim.enqueue(pid, MethodCall::Remove(key));
+                    }
+                }
+            }
+        }
+        sim
+    }
+
+    /// Total method calls this workload queues on `n` processes.
+    fn calls(&self, n: usize) -> usize {
+        match *self {
+            SimWorkload::Register { writes, reads } => writes + (n - 1) * reads,
+            SimWorkload::Queue { enqueues, dequeues } => {
+                n.div_ceil(2) * enqueues + n / 2 * dequeues
+            }
+            SimWorkload::Set { rounds } => 3 * rounds * n,
+        }
+    }
+
+    /// The adversarial schedule [`search_violation`] draws for `seed`.
+    fn search_schedule(&self, n: usize, seed: u64) -> Vec<ProcessId> {
+        let calls = self.calls(n);
+        match self {
+            // Enough slots for every queued method call to finish
+            // mid-schedule.
+            SimWorkload::Register { .. } => schedule::random(n, 8 * calls, seed),
+            // Enough slots for heavy interleaving of every queued method
+            // call, dealt out in preemption-style bursts: a victim parked
+            // between its (traversal) reads and its CAS while others burn
+            // through whole operations is the window the dequeue and
+            // traversal ABAs need (uniformly random schedules almost never
+            // open it).
+            SimWorkload::Queue { .. } | SimWorkload::Set { .. } => {
+                schedule::bursty(n, 40 * calls, 36, seed)
+            }
+        }
+    }
+
+    /// The sequential specification completed histories are checked
+    /// against; `None` for registers, which are judged by the weak
+    /// ABA-detection condition the lower bounds are proved against.
+    fn spec(&self) -> Option<Spec> {
+        match self {
+            SimWorkload::Register { .. } => None,
+            SimWorkload::Queue { .. } => Some(Spec::Queue),
+            SimWorkload::Set { .. } => Some(Spec::Set),
+        }
+    }
+
+    /// The verdict on one execution: `true` iff it wedged the structure or
+    /// completed with a history the family's specification rejects.
+    pub fn violates(&self, history: &History, wedged: bool) -> bool {
+        wedged
+            || match self.spec() {
+                None => !check_weak_history(history).is_empty(),
+                Some(spec) => check_history(history, spec) == LinCheckOutcome::NotLinearizable,
+            }
+    }
+
+    /// Package a violating execution as a [`Witness`].
+    fn witness(&self, meta: WitnessMeta, execution: Execution) -> Witness {
+        let violation = match self.spec() {
+            None => check_weak_history(&execution.history).into_iter().next(),
+            Some(_) => None,
+        };
+        Witness {
+            meta,
+            history: execution.history,
+            wedged: execution.wedged,
+            violation,
         }
     }
 }
 
-/// Run a producer/consumer workload on a simulated queue under `schedule`
-/// (see [`seed_queue_workload`] for the call pattern).  After the schedule is
-/// exhausted the simulation is driven round-robin towards quiescence, bounded
-/// so that a corrupted (cycled) queue cannot wedge the search.
-pub fn run_queue_workload(
+/// Run `workload` on a fresh simulation of `algo` under `schedule`.  After
+/// the schedule is exhausted the simulation is driven round-robin towards
+/// quiescence so that the history is complete, bounded so that a corrupted
+/// (cycled) structure cannot wedge the search.
+pub fn run_workload(
     algo: &dyn SimAlgorithm,
-    enqueues: usize,
-    dequeues: usize,
+    workload: SimWorkload,
     schedule: &[ProcessId],
-) -> QueueWorkloadOutcome {
-    let n = algo.n();
-    let mut sim = Simulation::new(algo);
-    seed_queue_workload(&mut sim, n, enqueues, dequeues);
+) -> Execution {
+    let mut sim = workload.simulation(algo);
     sim.run_schedule(schedule);
     // Bounded drain: generous for any lock-free execution of this little
     // work, yet finite when the structure has been corrupted into a cycle.
     let mut budget = 50_000usize;
     while !sim.is_quiescent() && budget > 0 {
-        for pid in 0..n {
+        for pid in 0..algo.n() {
             let _ = sim.step(pid);
             budget = budget.saturating_sub(1);
         }
     }
-    QueueWorkloadOutcome {
+    Execution {
         history: sim.history().clone(),
-        quiesced: sim.is_quiescent(),
+        wedged: !sim.is_quiescent(),
     }
 }
 
-/// A queue violation witness: the schedule whose execution either produced a
-/// non-linearizable completed history or wedged the structure entirely.
-#[derive(Debug, Clone)]
-pub struct QueueViolationWitness {
-    /// How to reproduce the violating execution.
-    pub meta: WitnessMeta,
-    /// The complete history of the execution.
-    pub history: History,
-    /// `true` iff the execution failed to quiesce (links cycled) rather than
-    /// completing with an inconsistent history.
-    pub wedged: bool,
-}
-
-/// Search for a linearizability violation of a simulated queue using random
-/// schedules (the queue counterpart of [`search_weak_violation`]).  Returns
-/// the first witness found within `trials` attempts, or `None` if the
-/// implementation survived them all.
+/// Search for a violating execution of `workload` using random adversarial
+/// schedules; trial `k` draws its schedule from seed `base_seed + k`.
+/// Returns the first witness found within `trials` attempts, or `None` if
+/// the implementation survived them all.
 ///
-/// For [`QueueSim::tagged`](crate::algorithms::queue::QueueSim::tagged) this
-/// always returns `None`; for the unprotected variant a small arena and a
-/// handful of processes yield a witness within a few dozen trials.
-pub fn search_queue_violation(
+/// The faithful Figure 4, the tagged baseline and every protected queue and
+/// set variant always survive; the naive and crippled registers fail within
+/// a handful of trials, the unprotected queue and set (small arena, a
+/// handful of processes) within a few hundred.
+pub fn search_violation(
     algo: &dyn SimAlgorithm,
+    workload: SimWorkload,
     trials: u64,
     base_seed: u64,
-) -> Option<QueueViolationWitness> {
-    let n = algo.n();
-    let producers = n.div_ceil(2);
-    let consumers = n - producers;
-    let enqueues = 4;
-    // Consumers collectively chase every enqueued value, plus slack so empty
-    // dequeues appear in the histories too.
-    let dequeues = if consumers == 0 {
-        0
-    } else {
-        (producers * enqueues).div_ceil(consumers) + 1
-    };
-    let ops = producers * enqueues + consumers * dequeues;
-    // Enough slots for heavy interleaving of every queued method call, dealt
-    // out in preemption-style bursts: a victim parked between its reads and
-    // its CAS while others burn through whole operations is the window the
-    // dequeue ABA needs (uniformly random schedules almost never open it).
-    let len = 40 * ops;
-    let max_burst = 36;
+) -> Option<Witness> {
     for trial in 0..trials {
         let seed = base_seed.wrapping_add(trial);
-        let sched = schedule::bursty(n, len, max_burst, seed);
-        let outcome = run_queue_workload(algo, enqueues, dequeues, &sched);
-        let wedged = !outcome.quiesced;
-        let violated = wedged
-            || matches!(
-                check_queue_history(&outcome.history),
-                LinCheckOutcome::NotLinearizable
-            );
-        if violated {
-            return Some(QueueViolationWitness {
-                meta: WitnessMeta {
-                    schedule: sched,
-                    seed,
-                    trial,
-                },
-                history: outcome.history,
-                wedged,
-            });
-        }
-    }
-    None
-}
-
-/// Run a mixed insert/contains/remove workload on a simulated ordered set
-/// under `schedule`: every process performs `rounds` rounds of
-/// `Insert(k)`, `Contains(k')`, `Remove(k)` over a tiny shared key space
-/// (keys `1..=3`), so distinct processes continually splice, probe and
-/// unlink *adjacent* nodes — the contention shape that recycles a
-/// predecessor out from under a parked traversal.  After the schedule is
-/// exhausted the simulation is driven round-robin towards quiescence,
-/// bounded so that a corrupted (cycled) chain cannot wedge the search.
-pub fn run_set_workload(
-    algo: &dyn SimAlgorithm,
-    rounds: usize,
-    schedule: &[ProcessId],
-) -> QueueWorkloadOutcome {
-    let n = algo.n();
-    let mut sim = Simulation::new(algo);
-    seed_set_workload(&mut sim, n, rounds);
-    sim.run_schedule(schedule);
-    // Bounded drain: generous for any lock-free execution of this little
-    // work, yet finite when the structure has been corrupted into a cycle.
-    let mut budget = 50_000usize;
-    while !sim.is_quiescent() && budget > 0 {
-        for pid in 0..n {
-            let _ = sim.step(pid);
-            budget = budget.saturating_sub(1);
-        }
-    }
-    QueueWorkloadOutcome {
-        history: sim.history().clone(),
-        quiesced: sim.is_quiescent(),
-    }
-}
-
-/// A set violation witness: the schedule whose execution either produced a
-/// non-linearizable completed history or wedged the structure entirely —
-/// the [`QueueViolationWitness`] shape, for the traversal-based family.
-#[derive(Debug, Clone)]
-pub struct SetViolationWitness {
-    /// How to reproduce the violating execution.
-    pub meta: WitnessMeta,
-    /// The complete history of the execution.
-    pub history: History,
-    /// `true` iff the execution failed to quiesce (links cycled) rather than
-    /// completing with an inconsistent history.
-    pub wedged: bool,
-}
-
-/// Enqueue the mixed insert/contains/remove set workload: every process
-/// performs `rounds` rounds of `Insert(k)`, `Contains(k')`, `Remove(k)` over
-/// a tiny shared key space (keys `1..=3`).  Shared by [`run_set_workload`]
-/// and the exhaustive explorer.
-pub fn seed_set_workload(sim: &mut Simulation, n: usize, rounds: usize) {
-    for pid in 0..n {
-        for r in 0..rounds {
-            let key = ((pid + r) % 3 + 1) as u32;
-            let probe = ((pid + r + 1) % 3 + 1) as u32;
-            sim.enqueue(pid, MethodCall::Insert(key));
-            sim.enqueue(pid, MethodCall::Contains(probe));
-            sim.enqueue(pid, MethodCall::Remove(key));
-        }
-    }
-}
-
-/// Rounds per process of [`run_set_workload`] used by
-/// [`search_set_violation`] (and by witness replays).
-pub const SET_SEARCH_ROUNDS: usize = 2;
-
-/// Search for a linearizability violation of a simulated ordered set using
-/// random bursty schedules (the set counterpart of
-/// [`search_queue_violation`]).  Returns the first witness found within
-/// `trials` attempts, or `None` if the implementation survived them all.
-///
-/// For [`SetSim::tagged`](crate::algorithms::set::SetSim::tagged),
-/// [`SetSim::hazard`](crate::algorithms::set::SetSim::hazard) and
-/// [`SetSim::epoch`](crate::algorithms::set::SetSim::epoch) this always
-/// returns `None`; for the unprotected variant a small arena and a handful
-/// of processes yield a witness within a few hundred trials.
-pub fn search_set_violation(
-    algo: &dyn SimAlgorithm,
-    trials: u64,
-    base_seed: u64,
-) -> Option<SetViolationWitness> {
-    let n = algo.n();
-    let ops = 3 * SET_SEARCH_ROUNDS * n;
-    // Preemption-style bursts, as for the queue search: a victim parked
-    // between its traversal reads and its CAS while others burn through
-    // whole insert/remove cycles is the window the traversal ABA needs.
-    let len = 40 * ops;
-    let max_burst = 36;
-    for trial in 0..trials {
-        let seed = base_seed.wrapping_add(trial);
-        let sched = schedule::bursty(n, len, max_burst, seed);
-        let outcome = run_set_workload(algo, SET_SEARCH_ROUNDS, &sched);
-        let wedged = !outcome.quiesced;
-        let violated = wedged
-            || matches!(
-                check_set_history(&outcome.history),
-                LinCheckOutcome::NotLinearizable
-            );
-        if violated {
-            return Some(SetViolationWitness {
-                meta: WitnessMeta {
-                    schedule: sched,
-                    seed,
-                    trial,
-                },
-                history: outcome.history,
-                wedged,
-            });
+        let sched = workload.search_schedule(algo.n(), seed);
+        let execution = run_workload(algo, workload, &sched);
+        if workload.violates(&execution.history, execution.wedged) {
+            let meta = WitnessMeta {
+                schedule: sched,
+                seed,
+                trial,
+            };
+            return Some(workload.witness(meta, execution));
         }
     }
     None
@@ -542,22 +490,34 @@ mod tests {
     use crate::algorithms::fig3::Fig3Sim;
     use crate::algorithms::fig4::Fig4Sim;
 
+    fn search_weak(algo: &dyn SimAlgorithm, trials: u64, seed: u64) -> Option<Witness> {
+        search_violation(algo, SimWorkload::register_search(algo.n()), trials, seed)
+    }
+
+    fn search_queue(algo: &dyn SimAlgorithm, trials: u64, seed: u64) -> Option<Witness> {
+        search_violation(algo, SimWorkload::queue_search(algo.n()), trials, seed)
+    }
+
+    fn search_set(algo: &dyn SimAlgorithm, trials: u64, seed: u64) -> Option<Witness> {
+        search_violation(algo, SimWorkload::set_search(), trials, seed)
+    }
+
     #[test]
     fn figure4_survives_random_search() {
         let algo = Fig4Sim::new(3);
-        assert!(search_weak_violation(&algo, 40, 1).is_none());
+        assert!(search_weak(&algo, 40, 1).is_none());
     }
 
     #[test]
     fn tagged_baseline_survives_random_search() {
         let algo = TaggedSim::new(3);
-        assert!(search_weak_violation(&algo, 40, 1).is_none());
+        assert!(search_weak(&algo, 40, 1).is_none());
     }
 
     #[test]
     fn naive_register_is_broken_quickly() {
         let algo = NaiveSim::new(3);
-        let witness = search_weak_violation(&algo, 200, 1).expect("naive must break");
+        let witness = search_weak(&algo, 200, 1).expect("naive must break");
         assert!(!witness.history.is_empty());
         assert!(!witness.meta.schedule.is_empty());
     }
@@ -567,7 +527,7 @@ mod tests {
         // A sequence-number domain of a single value makes every write look
         // identical; the violation search finds the resulting missed ABA.
         let algo = Fig4Sim::with_seq_domain(3, 1);
-        assert!(search_weak_violation(&algo, 300, 7).is_some());
+        assert!(search_weak(&algo, 300, 7).is_some());
     }
 
     #[test]
@@ -587,7 +547,7 @@ mod tests {
     fn tagged_queue_survives_random_search() {
         use crate::algorithms::queue::QueueSim;
         let algo = QueueSim::tagged(4, 3);
-        assert!(search_queue_violation(&algo, 60, 1).is_none());
+        assert!(search_queue(&algo, 60, 1).is_none());
     }
 
     #[test]
@@ -597,19 +557,27 @@ mod tests {
         // within a couple of hundred bursty schedules (deterministically —
         // schedules are seed-derived and the simulator takes no real time).
         let algo = QueueSim::unprotected(6, 3);
-        let witness = search_queue_violation(&algo, 200, 1).expect("unprotected must break");
+        let witness = search_queue(&algo, 200, 1).expect("unprotected must break");
         assert!(!witness.meta.schedule.is_empty());
         if !witness.wedged {
             assert_eq!(
-                aba_spec::check_queue_history(&witness.history),
-                aba_spec::LinCheckOutcome::NotLinearizable
+                check_history(&witness.history, Spec::Queue),
+                LinCheckOutcome::NotLinearizable
             );
         }
         // The witness is reproducible from its schedule alone (3 producers x
         // 4 enqueues, 3 consumers x 5 dequeues — the search's workload).
-        let replay = run_queue_workload(&algo, 4, 5, &witness.meta.schedule);
+        let workload = SimWorkload::queue_search(6);
+        assert_eq!(
+            workload,
+            SimWorkload::Queue {
+                enqueues: 4,
+                dequeues: 5
+            }
+        );
+        let replay = run_workload(&algo, workload, &witness.meta.schedule);
         assert_eq!(replay.history, witness.history);
-        assert_eq!(replay.quiesced, !witness.wedged);
+        assert_eq!(replay.wedged, witness.wedged);
     }
 
     #[test]
@@ -620,9 +588,9 @@ mod tests {
         // cannot be fooled, because its pin blocks the second epoch advance
         // and the dummy it reasons about stays out of the free set.
         let algo = EpochSim::new(6, 3);
-        assert!(search_queue_violation(&algo, 200, 1).is_none());
+        assert!(search_queue(&algo, 200, 1).is_none());
         let algo = EpochSim::new(4, 3);
-        assert!(search_queue_violation(&algo, 200, 7).is_none());
+        assert!(search_queue(&algo, 200, 7).is_none());
     }
 
     #[test]
@@ -632,11 +600,11 @@ mod tests {
         // histories no FIFO order can explain (duplicated or lost values) —
         // the linearizability checker is what rejects them.
         let algo = QueueSim::unprotected(4, 3);
-        let witness = search_queue_violation(&algo, 400, 1).expect("unprotected must break");
+        let witness = search_queue(&algo, 400, 1).expect("unprotected must break");
         assert!(!witness.wedged);
         assert_eq!(
-            aba_spec::check_queue_history(&witness.history),
-            aba_spec::LinCheckOutcome::NotLinearizable
+            check_history(&witness.history, Spec::Queue),
+            LinCheckOutcome::NotLinearizable
         );
     }
 
@@ -647,38 +615,38 @@ mod tests {
         // splice or unlink against a recycled node) shows up within a few
         // hundred bursty schedules, deterministically.
         let algo = SetSim::unprotected(6, 4);
-        let witness = search_set_violation(&algo, 400, 1).expect("unprotected must break");
+        let witness = search_set(&algo, 400, 1).expect("unprotected must break");
         assert!(!witness.meta.schedule.is_empty());
         if !witness.wedged {
             assert_eq!(
-                aba_spec::check_set_history(&witness.history),
-                aba_spec::LinCheckOutcome::NotLinearizable
+                check_history(&witness.history, Spec::Set),
+                LinCheckOutcome::NotLinearizable
             );
         }
         // The witness is reproducible from its schedule alone.
-        let replay = run_set_workload(&algo, SET_SEARCH_ROUNDS, &witness.meta.schedule);
+        let replay = run_workload(&algo, SimWorkload::set_search(), &witness.meta.schedule);
         assert_eq!(replay.history, witness.history);
-        assert_eq!(replay.quiesced, !witness.wedged);
+        assert_eq!(replay.wedged, witness.wedged);
     }
 
     #[test]
     fn tagged_set_survives_bursty_search() {
         use crate::algorithms::set::SetSim;
         let algo = SetSim::tagged(6, 4);
-        assert!(search_set_violation(&algo, 150, 1).is_none());
+        assert!(search_set(&algo, 150, 1).is_none());
     }
 
     #[test]
     fn hazard_set_survives_bursty_search() {
         use crate::algorithms::set::SetSim;
         let algo = SetSim::hazard(6, 4);
-        assert!(search_set_violation(&algo, 150, 1).is_none());
+        assert!(search_set(&algo, 150, 1).is_none());
         // Including the exact seeds that break the unprotected variant.
         let unprotected = SetSim::unprotected(6, 4);
-        if let Some(w) = search_set_violation(&unprotected, 400, 1) {
-            let outcome = run_set_workload(&algo, SET_SEARCH_ROUNDS, &w.meta.schedule);
-            assert!(outcome.quiesced);
-            assert!(check_set_history(&outcome.history).is_linearizable());
+        if let Some(w) = search_set(&unprotected, 400, 1) {
+            let outcome = run_workload(&algo, SimWorkload::set_search(), &w.meta.schedule);
+            assert!(!outcome.wedged);
+            assert!(check_history(&outcome.history, Spec::Set).is_linearizable());
         }
     }
 
@@ -686,21 +654,18 @@ mod tests {
     fn epoch_set_survives_bursty_search() {
         use crate::algorithms::set::SetSim;
         let algo = SetSim::epoch(6, 4);
-        assert!(search_set_violation(&algo, 150, 1).is_none());
+        assert!(search_set(&algo, 150, 1).is_none());
     }
 
     #[test]
     fn set_witness_minimizes_and_still_reproduces() {
         use crate::algorithms::set::SetSim;
         let algo = SetSim::unprotected(6, 4);
-        let witness = search_set_violation(&algo, 400, 1).expect("unprotected must break");
+        let witness = search_set(&algo, 400, 1).expect("unprotected must break");
+        let workload = SimWorkload::set_search();
         let violates = |sched: &[ProcessId]| {
-            let outcome = run_set_workload(&algo, SET_SEARCH_ROUNDS, sched);
-            !outcome.quiesced
-                || matches!(
-                    check_set_history(&outcome.history),
-                    LinCheckOutcome::NotLinearizable
-                )
+            let outcome = run_workload(&algo, workload, sched);
+            workload.violates(&outcome.history, outcome.wedged)
         };
         let minimized = minimize_violation_schedule(&witness.meta.schedule, violates);
         assert!(
@@ -728,16 +693,11 @@ mod tests {
     fn queue_witness_minimizes_and_still_reproduces() {
         use crate::algorithms::queue::QueueSim;
         let algo = QueueSim::unprotected(6, 3);
-        let witness = search_queue_violation(&algo, 200, 1).expect("unprotected must break");
-        // 3 producers x 4 enqueues, 3 consumers x 5 dequeues — the search's
-        // workload shape.
+        let witness = search_queue(&algo, 200, 1).expect("unprotected must break");
+        let workload = SimWorkload::queue_search(6);
         let violates = |sched: &[ProcessId]| {
-            let outcome = run_queue_workload(&algo, 4, 5, sched);
-            !outcome.quiesced
-                || matches!(
-                    check_queue_history(&outcome.history),
-                    LinCheckOutcome::NotLinearizable
-                )
+            let outcome = run_workload(&algo, workload, sched);
+            workload.violates(&outcome.history, outcome.wedged)
         };
         let minimized = minimize_violation_schedule(&witness.meta.schedule, violates);
         assert!(minimized.len() <= witness.meta.schedule.len());
@@ -768,8 +728,12 @@ mod tests {
         use crate::algorithms::queue::QueueSim;
         let algo = QueueSim::tagged(3, 4);
         let sched = schedule::random(3, 600, 9);
-        let outcome = run_queue_workload(&algo, 4, 9, &sched);
-        assert!(outcome.quiesced);
+        let workload = SimWorkload::Queue {
+            enqueues: 4,
+            dequeues: 9,
+        };
+        let outcome = run_workload(&algo, workload, &sched);
+        assert!(!outcome.wedged);
         assert!(outcome.history.is_well_formed());
         // 2 producers x 4 enqueues + 1 consumer x 9 dequeues
         assert_eq!(outcome.history.len(), 2 * 4 + 9, "{:?}", outcome.history);
@@ -779,7 +743,11 @@ mod tests {
     fn workload_runner_produces_complete_histories() {
         let algo = Fig4Sim::new(4);
         let sched = schedule::random(4, 500, 3);
-        let h = run_register_workload(&algo, 8, 4, &sched);
+        let workload = SimWorkload::Register {
+            writes: 8,
+            reads: 4,
+        };
+        let h = run_workload(&algo, workload, &sched).history;
         assert_eq!(h.len(), 8 + 3 * 4);
         assert!(h.is_well_formed());
     }

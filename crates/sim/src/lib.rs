@@ -23,13 +23,14 @@
 //!
 //! ```
 //! use aba_sim::algorithms::fig4::Fig4Sim;
-//! use aba_sim::explore::search_weak_violation;
+//! use aba_sim::{search_violation, SimWorkload};
 //!
+//! let workload = SimWorkload::register_search(3);
 //! // The faithful Figure 4 survives a random adversarial search …
-//! assert!(search_weak_violation(&Fig4Sim::new(3), 20, 42).is_none());
+//! assert!(search_violation(&Fig4Sim::new(3), workload, 20, 42).is_none());
 //! // … while a crippled variant (sequence domain collapsed to one value)
 //! // yields a concrete missed-ABA witness.
-//! assert!(search_weak_violation(&Fig4Sim::with_seq_domain(3, 1), 200, 42).is_some());
+//! assert!(search_violation(&Fig4Sim::with_seq_domain(3, 1), workload, 200, 42).is_some());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,26 +43,23 @@ pub mod audit;
 pub mod executor;
 pub mod explore;
 pub mod object;
+pub mod roster;
 pub mod schedule;
 
 pub use algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
 pub use audit::{
-    audit_bursty, audit_family, standard_family_audits, AuditConfig, AuditVerdict, BurstyParams,
-    FootprintAuditor, UnderReport, UnderReportKind,
+    audit_bursty, standard_family_audits, AuditConfig, AuditVerdict, FootprintAuditor, UnderReport,
+    UnderReportKind,
 };
 pub use executor::{Simulation, StepOutcome};
 pub use explore::dpor::{
-    explore_exhaustive, explore_exhaustive_audited, explore_queue_exhaustive,
-    explore_register_exhaustive, explore_set_exhaustive, DporConfig, DporWitness,
-    ExplorationReport,
+    explore_exhaustive, explore_exhaustive_audited, explore_workload, DporConfig, ExplorationReport,
 };
 pub use explore::{
     measure_llsc_worst_case, measure_register_worst_case, minimize_violation_schedule,
-    run_queue_workload, run_register_workload, run_set_workload, search_queue_violation,
-    search_set_violation, search_weak_violation, seed_queue_workload, seed_register_workload,
-    seed_set_workload, QueueViolationWitness, QueueWorkloadOutcome, SetViolationWitness, StepStats,
-    ViolationWitness, WitnessMeta, SET_SEARCH_ROUNDS,
+    run_workload, search_violation, Execution, SimWorkload, StepStats, Witness, WitnessMeta,
 };
 pub use object::{
     ActualAccess, BaseObject, BaseOp, ObjId, ObjectKind, SharedMemory, StepAccess, StepResult,
 };
+pub use roster::{SimModel, MODEL_ROSTER};

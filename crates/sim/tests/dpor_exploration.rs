@@ -1,89 +1,139 @@
-//! Family-level exhaustive-exploration tests: at the documented E11 bounds,
-//! every unprotected mode deterministically rediscovers an ABA witness and
-//! every protected mode survives its complete reduced schedule space.
+//! Family-level exhaustive-exploration tests: at the documented E11 bounds
+//! (the model roster), every unprotected mode deterministically rediscovers
+//! an ABA witness and every protected mode survives its complete reduced
+//! schedule space.
 
-use aba_sim::algorithms::baselines::{NaiveSim, TaggedSim};
 use aba_sim::algorithms::epoch::EpochSim;
 use aba_sim::algorithms::queue::QueueSim;
 use aba_sim::algorithms::set::SetSim;
 use aba_sim::{
-    explore_queue_exhaustive, explore_register_exhaustive, explore_set_exhaustive,
-    run_set_workload, DporConfig,
+    explore_workload, run_workload, DporConfig, ExplorationReport, SimAlgorithm, SimWorkload,
+    MODEL_ROSTER,
 };
 
-fn stop_on_first() -> DporConfig {
-    DporConfig {
-        stop_on_first: true,
+/// Executions run: an exact class count for a drained (or capped) space, an
+/// upper bound for "the witness is found early".
+enum Schedules {
+    Exactly(u64),
+    AtMost(u64),
+    Unpinned,
+}
+use Schedules::*;
+
+/// Explore `workload` and check the outcome `protected` demands: a protected
+/// model stays clean and drains its space (or stops cleanly at `cap`
+/// schedules, where the full space is release-mode-only), an unprotected one
+/// yields a replayable witness.  `schedules` and `cut` (traces cut at the depth
+/// bound) are the pinned counters.
+fn explore_pinned(
+    name: &str,
+    algo: &dyn SimAlgorithm,
+    workload: SimWorkload,
+    protected: bool,
+    (cap, schedules, cut): (Option<u64>, Schedules, u64),
+) -> ExplorationReport {
+    let cfg = DporConfig {
+        stop_on_first: !protected,
+        max_schedules: cap.unwrap_or(DporConfig::default().max_schedules),
         ..DporConfig::default()
+    };
+    let report = explore_workload(algo, workload, &cfg);
+    if protected {
+        assert!(report.witness().is_none(), "{name}: protected but broken");
+        assert_eq!(report.hit_schedule_cap, cap.is_some(), "{name}");
+        assert_eq!(report.complete, cap.is_none(), "{name}: must drain");
+    } else {
+        let w = report
+            .witness()
+            .unwrap_or_else(|| panic!("{name} must break under exhaustive search"));
+        assert_eq!(w.meta.seed, 0, "{name}");
+        assert!(!w.meta.schedule.is_empty(), "{name}");
+        // The witness replays deterministically through the workload runner.
+        let replay = run_workload(algo, workload, &w.meta.schedule);
+        assert_eq!(replay.history, w.history, "{name}");
+        assert_eq!(replay.wedged, w.wedged, "{name}");
+    }
+    match schedules {
+        Exactly(classes) => assert_eq!(report.schedules_executed, classes, "{name}"),
+        AtMost(bound) => assert!(report.schedules_executed <= bound, "{name}: found late"),
+        Unpinned => {}
+    }
+    assert_eq!(report.truncated_traces, cut, "{name}");
+    report
+}
+
+#[test]
+fn roster_unprotected_rows_yield_a_witness_and_protected_rows_drain() {
+    // In roster order.  The tagged queue's and the hazard set's spaces (42k
+    // and ~350k classes) drain only in the release-mode table binary; here a
+    // capped slice must stay clean.
+    let pins = [
+        // n=3, 4 ABA-patterned writes, 2 reads per reader: the same workload
+        // shape the random search samples, now enumerated.
+        ("register/naive", (None, AtMost(64), 0)),
+        // Pinned: the reduced space of this bound is exactly 225 trace
+        // classes, none cut (register methods are bounded).
+        ("register/tagged", (None, Exactly(225), 0)),
+        ("queue/unprotected", (None, Unpinned, 14)),
+        ("queue/tagged", (Some(1_500), Exactly(1_500), 0)),
+        // Pinned: deferred reclamation keeps the arena full for most of the
+        // workload, collapsing the space to 76 classes.  (The E15 quarantine
+        // steps leave this count untouched: with a single spare node an
+        // advance can never be re-blocked while limbo is non-empty, so the
+        // transfer is unreachable here — the off-roster bound below sizes the
+        // arena so it *is*.)
+        ("queue/epoch", (None, Exactly(76), 0)),
+        // The traversal ABA appears within the first 45 classes.
+        ("set/unprotected", (None, AtMost(64), 0)),
+        ("set/tagged", (None, Unpinned, 0)),
+        ("set/hazard", (Some(1_500), Exactly(1_500), 0)),
+        // Epoch reclamation admits adversarial livelock: a process spinning
+        // on a full arena while its peer is parked inside an epoch never
+        // terminates, so a few traces are cut at the depth bound.  Each cut
+        // trace is validated (by replay with a bounded drain) as
+        // non-violating.
+        ("set/epoch", (None, Exactly(1_452), 11)),
+    ];
+    assert_eq!(pins.len(), MODEL_ROSTER.len());
+    for (model, (key, pin)) in MODEL_ROSTER.iter().zip(pins) {
+        assert_eq!(model.key(), key);
+        let algo = (model.build)();
+        explore_pinned(key, algo.as_ref(), model.workload, model.protected, pin);
     }
 }
 
 #[test]
-fn naive_register_witness_is_rediscovered_exhaustively() {
-    // n=3, 4 ABA-patterned writes, 2 reads per reader: the same workload
-    // shape the random search samples, now enumerated.
-    let algo = NaiveSim::new(3);
-    let (report, witness) = explore_register_exhaustive(&algo, 4, 2, &stop_on_first());
-    let w = witness.expect("naive register must break under exhaustive search");
-    assert!(report.schedules_executed <= 64, "witness is found early");
-    assert_eq!(w.meta.seed, 0);
-    assert!(!w.meta.schedule.is_empty());
-}
-
-#[test]
-fn tagged_register_survives_its_complete_schedule_space() {
-    let algo = TaggedSim::new(3);
-    let (report, witness) = explore_register_exhaustive(&algo, 4, 2, &DporConfig::default());
-    assert!(witness.is_none());
-    assert!(report.complete, "the whole reduced space was explored");
-    assert_eq!(report.truncated_traces, 0, "register methods are bounded");
-    // Pinned: the reduced space of this bound is exactly 225 trace classes.
-    assert_eq!(report.schedules_executed, 225);
-}
-
-#[test]
-fn unprotected_queue_witness_is_rediscovered_exhaustively() {
+fn off_roster_bounds_keep_their_pins() {
     // n=5 (3 producers x 1 enqueue, 2 consumers x 2 dequeues), arena of 2:
     // the dequeue ABA needs a consumer parked between its reads and its CAS
     // while the node it holds is recycled — the explorer proves such a
-    // schedule exists by constructing one.
-    let algo = QueueSim::unprotected(5, 2);
-    let (report, witness) = explore_queue_exhaustive(&algo, 1, 2, &stop_on_first());
-    let w = witness.expect("unprotected queue must break under exhaustive search");
-    assert!(report.schedules_executed <= 2_000);
-    // This witness wedges the structure (cycled links), validated by replay.
-    assert!(w.wedged);
-}
+    // schedule exists by constructing one.  This witness wedges the
+    // structure (cycled links), validated by replay.
+    let report = explore_pinned(
+        "queue/unprotected n=5",
+        &QueueSim::unprotected(5, 2),
+        SimWorkload::Queue {
+            enqueues: 1,
+            dequeues: 2,
+        },
+        false,
+        (None, AtMost(2_000), 3),
+    );
+    assert!(report.witness().is_some_and(|w| w.wedged));
 
-#[test]
-fn tagged_queue_survives_its_complete_schedule_space() {
-    // Small enough to drain in a debug test; the full E11 bound
-    // (n=3, e=2, d=3) runs in the release-mode table binary.
-    let algo = QueueSim::tagged(2, 2);
-    let (report, witness) = explore_queue_exhaustive(&algo, 1, 1, &DporConfig::default());
-    assert!(witness.is_none());
-    assert!(report.complete);
-    assert_eq!(report.truncated_traces, 0);
-}
+    // Small enough to drain in a debug test (the roster's tagged-queue bound
+    // is only sliced above).
+    explore_pinned(
+        "queue/tagged n=2",
+        &QueueSim::tagged(2, 2),
+        SimWorkload::Queue {
+            enqueues: 1,
+            dequeues: 1,
+        },
+        true,
+        (None, Unpinned, 0),
+    );
 
-#[test]
-fn epoch_queue_survives_its_complete_schedule_space() {
-    // The full E11 queue bound: n=3, 2 enqueues per producer, 3 dequeues.
-    let algo = EpochSim::new(3, 2);
-    let (report, witness) = explore_queue_exhaustive(&algo, 2, 3, &DporConfig::default());
-    assert!(witness.is_none());
-    assert!(report.complete);
-    assert_eq!(report.truncated_traces, 0);
-    // Pinned: deferred reclamation keeps the arena full for most of the
-    // workload, collapsing the space to 76 classes.  (The E15 quarantine
-    // steps leave this count untouched: with a single spare node an advance
-    // can never be re-blocked while limbo is non-empty, so the transfer is
-    // unreachable here — the test below sizes the arena so it *is*.)
-    assert_eq!(report.schedules_executed, 76);
-}
-
-#[test]
-fn epoch_queue_quarantine_transfer_survives_its_schedule_space() {
     // Sized so the E15 quarantine transfer is reachable: one producer with
     // four enqueues over a five-node arena can complete three and park
     // pinned inside the fourth (node allocated, tail not yet touched),
@@ -91,77 +141,35 @@ fn epoch_queue_quarantine_transfer_survives_its_schedule_space() {
     // then block twice on the now-stale pin — the transfer trigger.  DPOR
     // certifies that no schedule in this space, including every transfer
     // and adoption interleaving, produces a non-linearizable history.
-    let algo = EpochSim::new(2, 5);
-    let (report, witness) = explore_queue_exhaustive(&algo, 4, 3, &DporConfig::default());
-    assert!(witness.is_none());
-    assert!(report.complete);
-    assert_eq!(report.truncated_traces, 0);
     // Pinned: the roomier arena stops collapsing the space the way the
     // capacity-2 bound does, and the quarantine's mask/stamp conflicts add
     // their own classes.
-    assert_eq!(report.schedules_executed, 132_378);
-}
-
-#[test]
-fn unprotected_set_witness_is_rediscovered_exhaustively() {
-    // n=2, one insert/contains/remove round each, arena of 3 — the full E11
-    // set bound.  The traversal ABA appears within the first 45 classes.
-    let algo = SetSim::unprotected(2, 3);
-    let (report, witness) = explore_set_exhaustive(&algo, 1, &stop_on_first());
-    let w = witness.expect("unprotected set must break under exhaustive search");
-    assert!(report.schedules_executed <= 64);
-    // The witness replays deterministically through the workload runner.
-    let replay = run_set_workload(&algo, 1, &w.meta.schedule);
-    assert_eq!(replay.history, w.history);
-    assert_eq!(replay.quiesced, !w.wedged);
-}
-
-#[test]
-fn tagged_set_survives_its_complete_schedule_space() {
-    let algo = SetSim::tagged(2, 3);
-    let (report, witness) = explore_set_exhaustive(&algo, 1, &DporConfig::default());
-    assert!(witness.is_none());
-    assert!(report.complete);
-    assert_eq!(report.truncated_traces, 0);
-}
-
-#[test]
-fn epoch_set_survives_its_complete_schedule_space() {
-    let algo = SetSim::epoch(2, 3);
-    let (report, witness) = explore_set_exhaustive(&algo, 1, &DporConfig::default());
-    assert!(witness.is_none());
-    assert!(report.complete);
-    // Epoch reclamation admits adversarial livelock: a process spinning on a
-    // full arena while its peer is parked inside an epoch never terminates,
-    // so a few traces are cut at the depth bound.  Each cut trace is
-    // validated (by replay with a bounded drain) as non-violating.
-    assert_eq!(report.truncated_traces, 11);
-    assert_eq!(report.schedules_executed, 1_452);
-}
-
-#[test]
-fn hazard_set_survives_a_bounded_slice_of_its_space() {
-    // The hazard mode's full space (~350k classes) drains only in the
-    // release-mode table binary; here a capped slice must stay clean.
-    let algo = SetSim::hazard(2, 3);
-    let cfg = DporConfig {
-        max_schedules: 1_500,
-        ..DporConfig::default()
-    };
-    let (report, witness) = explore_set_exhaustive(&algo, 1, &cfg);
-    assert!(witness.is_none());
-    assert!(report.hit_schedule_cap, "the cap is what stopped it");
-    assert!(!report.complete);
-    assert_eq!(report.schedules_executed, 1_500);
+    explore_pinned(
+        "queue/epoch quarantine",
+        &EpochSim::new(2, 5),
+        SimWorkload::Queue {
+            enqueues: 4,
+            dequeues: 3,
+        },
+        true,
+        (None, Exactly(132_378), 0),
+    );
 }
 
 #[test]
 fn exploration_is_deterministic() {
     let algo = SetSim::unprotected(2, 3);
-    let (r1, w1) = explore_set_exhaustive(&algo, 1, &stop_on_first());
-    let (r2, w2) = explore_set_exhaustive(&algo, 1, &stop_on_first());
+    let cfg = DporConfig {
+        stop_on_first: true,
+        ..DporConfig::default()
+    };
+    let explore = || explore_workload(&algo, SimWorkload::Set { rounds: 1 }, &cfg);
+    let (r1, r2) = (explore(), explore());
     assert_eq!(r1.schedules_executed, r2.schedules_executed);
     assert_eq!(r1.classes_pruned, r2.classes_pruned);
     assert_eq!(r1.steps_executed, r2.steps_executed);
-    assert_eq!(w1.map(|w| w.meta.schedule), w2.map(|w| w.meta.schedule));
+    assert_eq!(
+        r1.witness().map(|w| &w.meta.schedule),
+        r2.witness().map(|w| &w.meta.schedule)
+    );
 }

@@ -1,8 +1,8 @@
 //! Golden-pinned minimized witness schedules.
 //!
 //! These fixtures are the ddmin-minimized ABA witnesses the random search
-//! finds for the unprotected queue and set (first found by PR 5's
-//! `search_*_violation` under the vendored RNG, then shrunk with
+//! finds for the unprotected queue and set (first found by PR 5's random
+//! search — today's `search_violation` — under the vendored RNG, then shrunk with
 //! `minimize_violation_schedule`).  Pinning them guards three things:
 //!
 //! 1. the witnesses still *reproduce* (the simulated algorithms and checkers
@@ -18,15 +18,15 @@
 use aba_sim::algorithms::queue::QueueSim;
 use aba_sim::algorithms::set::SetSim;
 use aba_sim::{
-    explore_queue_exhaustive, explore_set_exhaustive, minimize_violation_schedule,
-    run_queue_workload, run_set_workload, search_queue_violation, search_set_violation, DporConfig,
-    SET_SEARCH_ROUNDS,
+    explore_workload, minimize_violation_schedule, run_workload, search_violation, DporConfig,
+    SimAlgorithm, SimWorkload,
 };
-use aba_spec::{check_queue_history, check_set_history, LinCheckOutcome, ProcessId};
+use aba_spec::ProcessId;
 
 /// PR 5's minimized unprotected-queue witness: `QueueSim::unprotected(6, 3)`,
-/// workload 4 enqueues per producer / 5 dequeues per consumer, found by
-/// `search_queue_violation(_, 200, 1)` at seed 115 (trial 114) and shrunk
+/// workload 4 enqueues per producer / 5 dequeues per consumer
+/// (`SimWorkload::queue_search(6)`), found by `search_violation(_, _, 200, 1)`
+/// at seed 115 (trial 114) and shrunk
 /// from 1080 steps to 70.
 const GOLDEN_QUEUE_SEED: u64 = 115;
 const GOLDEN_QUEUE_TRIAL: u64 = 114;
@@ -37,8 +37,8 @@ const GOLDEN_QUEUE_MIN: [ProcessId; 70] = [
 ];
 
 /// PR 5's minimized unprotected-set witness: `SetSim::unprotected(6, 4)`,
-/// `SET_SEARCH_ROUNDS` rounds per process, found by
-/// `search_set_violation(_, 400, 1)` at seed 15 (trial 14) and shrunk from
+/// `SimWorkload::set_search()`, found by `search_violation(_, _, 400, 1)` at
+/// seed 15 (trial 14) and shrunk from
 /// 1440 steps to 71.
 const GOLDEN_SET_SEED: u64 = 15;
 const GOLDEN_SET_TRIAL: u64 = 14;
@@ -48,22 +48,9 @@ const GOLDEN_SET_MIN: [ProcessId; 71] = [
     4, 4, 4, 4, 4, 4, 4,
 ];
 
-fn queue_violates(algo: &QueueSim, sched: &[ProcessId]) -> bool {
-    let outcome = run_queue_workload(algo, 4, 5, sched);
-    !outcome.quiesced
-        || matches!(
-            check_queue_history(&outcome.history),
-            LinCheckOutcome::NotLinearizable
-        )
-}
-
-fn set_violates(algo: &SetSim, rounds: usize, sched: &[ProcessId]) -> bool {
-    let outcome = run_set_workload(algo, rounds, sched);
-    !outcome.quiesced
-        || matches!(
-            check_set_history(&outcome.history),
-            LinCheckOutcome::NotLinearizable
-        )
+fn violates(algo: &dyn SimAlgorithm, workload: SimWorkload, sched: &[ProcessId]) -> bool {
+    let outcome = run_workload(algo, workload, sched);
+    workload.violates(&outcome.history, outcome.wedged)
 }
 
 fn assert_one_minimal(minimized: &[ProcessId], mut violates: impl FnMut(&[ProcessId]) -> bool) {
@@ -81,47 +68,59 @@ fn assert_one_minimal(minimized: &[ProcessId], mut violates: impl FnMut(&[Proces
 
 #[test]
 fn golden_queue_witness_reproduces_and_is_one_minimal() {
-    let algo = QueueSim::unprotected(6, 3);
+    let (algo, workload) = (QueueSim::unprotected(6, 3), SimWorkload::queue_search(6));
     assert!(
-        queue_violates(&algo, &GOLDEN_QUEUE_MIN),
+        violates(&algo, workload, &GOLDEN_QUEUE_MIN),
         "the golden queue witness no longer reproduces"
     );
-    assert_one_minimal(&GOLDEN_QUEUE_MIN, |s| queue_violates(&algo, s));
+    assert_one_minimal(&GOLDEN_QUEUE_MIN, |s| violates(&algo, workload, s));
 }
 
 #[test]
 fn golden_set_witness_reproduces_and_is_one_minimal() {
-    let algo = SetSim::unprotected(6, 4);
+    let (algo, workload) = (SetSim::unprotected(6, 4), SimWorkload::set_search());
     assert!(
-        set_violates(&algo, SET_SEARCH_ROUNDS, &GOLDEN_SET_MIN),
+        violates(&algo, workload, &GOLDEN_SET_MIN),
         "the golden set witness no longer reproduces"
     );
-    assert_one_minimal(&GOLDEN_SET_MIN, |s| {
-        set_violates(&algo, SET_SEARCH_ROUNDS, s)
-    });
+    assert_one_minimal(&GOLDEN_SET_MIN, |s| violates(&algo, workload, s));
 }
 
 #[test]
 fn queue_search_and_minimizer_still_derive_the_golden_fixture() {
-    let algo = QueueSim::unprotected(6, 3);
-    let witness = search_queue_violation(&algo, 200, 1).expect("unprotected must break");
+    let (algo, workload) = (QueueSim::unprotected(6, 3), SimWorkload::queue_search(6));
+    let witness = search_violation(&algo, workload, 200, 1).expect("unprotected must break");
     assert_eq!(witness.meta.seed, GOLDEN_QUEUE_SEED);
     assert_eq!(witness.meta.trial, GOLDEN_QUEUE_TRIAL);
     let minimized =
-        minimize_violation_schedule(&witness.meta.schedule, |s| queue_violates(&algo, s));
+        minimize_violation_schedule(&witness.meta.schedule, |s| violates(&algo, workload, s));
     assert_eq!(minimized, GOLDEN_QUEUE_MIN.to_vec());
 }
 
 #[test]
 fn set_search_and_minimizer_still_derive_the_golden_fixture() {
-    let algo = SetSim::unprotected(6, 4);
-    let witness = search_set_violation(&algo, 400, 1).expect("unprotected must break");
+    let (algo, workload) = (SetSim::unprotected(6, 4), SimWorkload::set_search());
+    let witness = search_violation(&algo, workload, 400, 1).expect("unprotected must break");
     assert_eq!(witness.meta.seed, GOLDEN_SET_SEED);
     assert_eq!(witness.meta.trial, GOLDEN_SET_TRIAL);
-    let minimized = minimize_violation_schedule(&witness.meta.schedule, |s| {
-        set_violates(&algo, SET_SEARCH_ROUNDS, s)
-    });
+    let minimized =
+        minimize_violation_schedule(&witness.meta.schedule, |s| violates(&algo, workload, s));
     assert_eq!(minimized, GOLDEN_SET_MIN.to_vec());
+}
+
+/// The explorer's first witness for `workload`, minimized.
+fn minimized_dpor_witness(algo: &dyn SimAlgorithm, workload: SimWorkload) -> Vec<ProcessId> {
+    let cfg = DporConfig {
+        stop_on_first: true,
+        ..DporConfig::default()
+    };
+    let report = explore_workload(algo, workload, &cfg);
+    let w = report
+        .witness()
+        .expect("exhaustive exploration must find the ABA");
+    let minimized = minimize_violation_schedule(&w.meta.schedule, |s| violates(algo, workload, s));
+    assert!(violates(algo, workload, &minimized));
+    minimized
 }
 
 #[test]
@@ -130,47 +129,27 @@ fn dpor_queue_witness_minimizes_to_at_most_the_golden_length() {
     // 1 enqueue / 2 dequeues vs. the search's 6 processes, arena 3, 4/5) and
     // still proves a witness exists — whose minimized schedule is shorter
     // than the golden one.
-    let algo = QueueSim::unprotected(5, 2);
-    let cfg = DporConfig {
-        stop_on_first: true,
-        ..DporConfig::default()
+    let workload = SimWorkload::Queue {
+        enqueues: 1,
+        dequeues: 2,
     };
-    let (_, witness) = explore_queue_exhaustive(&algo, 1, 2, &cfg);
-    let w = witness.expect("exhaustive exploration must find the queue ABA");
-    let violates = |s: &[ProcessId]| {
-        let outcome = run_queue_workload(&algo, 1, 2, s);
-        !outcome.quiesced
-            || matches!(
-                check_queue_history(&outcome.history),
-                LinCheckOutcome::NotLinearizable
-            )
-    };
-    let minimized = minimize_violation_schedule(&w.meta.schedule, violates);
+    let minimized = minimized_dpor_witness(&QueueSim::unprotected(5, 2), workload);
     assert!(
         minimized.len() <= GOLDEN_QUEUE_MIN.len(),
         "DPOR witness minimized to {} steps, golden is {}",
         minimized.len(),
         GOLDEN_QUEUE_MIN.len()
     );
-    assert!(violates(&minimized));
 }
 
 #[test]
 fn dpor_set_witness_minimizes_to_at_most_the_golden_length() {
-    let algo = SetSim::unprotected(2, 3);
-    let cfg = DporConfig {
-        stop_on_first: true,
-        ..DporConfig::default()
-    };
-    let (_, witness) = explore_set_exhaustive(&algo, 1, &cfg);
-    let w = witness.expect("exhaustive exploration must find the set ABA");
-    let violates = |s: &[ProcessId]| set_violates(&algo, 1, s);
-    let minimized = minimize_violation_schedule(&w.meta.schedule, violates);
+    let workload = SimWorkload::Set { rounds: 1 };
+    let minimized = minimized_dpor_witness(&SetSim::unprotected(2, 3), workload);
     assert!(
         minimized.len() <= GOLDEN_SET_MIN.len(),
         "DPOR witness minimized to {} steps, golden is {}",
         minimized.len(),
         GOLDEN_SET_MIN.len()
     );
-    assert!(violates(&minimized));
 }

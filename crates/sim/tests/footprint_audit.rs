@@ -7,14 +7,11 @@
 use std::cell::Cell;
 
 use aba_sim::algorithms::baselines::TaggedSim;
-use aba_sim::algorithms::epoch::EpochSim;
 use aba_sim::algorithms::queue::QueueSim;
-use aba_sim::algorithms::set::SetSim;
-use aba_sim::explore::{seed_queue_workload, seed_register_workload, seed_set_workload};
 use aba_sim::{
-    audit_bursty, explore_exhaustive_audited, explore_register_exhaustive, ActualAccess,
-    AuditConfig, BaseObject, BaseOp, DporConfig, FootprintAuditor, MethodCall, MethodResponse,
-    SimAlgorithm, SimProcess, Simulation, StepAccess, StepResult, UnderReportKind,
+    audit_bursty, explore_exhaustive_audited, explore_workload, ActualAccess, AuditConfig,
+    BaseObject, BaseOp, DporConfig, FootprintAuditor, MethodCall, MethodResponse, SimAlgorithm,
+    SimProcess, SimWorkload, Simulation, StepAccess, StepResult, UnderReportKind, MODEL_ROSTER,
 };
 
 // ---------------------------------------------------------------------------
@@ -23,26 +20,13 @@ use aba_sim::{
 
 #[test]
 fn honest_families_audit_clean_under_bursty_schedules() {
-    let register = TaggedSim::new(3);
-    let queue = QueueSim::tagged(3, 2);
-    let set = SetSim::tagged(2, 3);
-    let epoch = EpochSim::new(3, 2);
-    let audits = [
-        audit_bursty(
-            &register,
-            &|s| seed_register_workload(s, 3, 4, 2),
-            6,
-            200,
-            1,
-        ),
-        audit_bursty(&queue, &|s| seed_queue_workload(s, 3, 2, 3), 6, 200, 2),
-        audit_bursty(&set, &|s| seed_set_workload(s, 2, 1), 6, 200, 3),
-        audit_bursty(&epoch, &|s| seed_queue_workload(s, 3, 2, 2), 6, 200, 4),
-    ];
-    for a in &audits {
+    for (seed, model) in MODEL_ROSTER.iter().filter(|m| m.protected).enumerate() {
+        let algo = (model.build)();
+        let a = audit_bursty(algo.as_ref(), model.workload, 6, 200, seed as u64 + 1);
         assert!(
             a.sound(),
-            "honest machine under-reported: {:?}",
+            "honest {} under-reported: {:?}",
+            model.key(),
             a.under_reports
         );
         assert!(a.steps_audited > 0, "audit must actually diff steps");
@@ -52,15 +36,15 @@ fn honest_families_audit_clean_under_bursty_schedules() {
 #[test]
 fn audited_dpor_exploration_is_clean_and_does_not_perturb_the_search() {
     let algo = TaggedSim::new(3);
+    let workload = SimWorkload::Register {
+        writes: 4,
+        reads: 2,
+    };
     let cfg = DporConfig::default();
-    let (plain, _) = explore_register_exhaustive(&algo, 4, 2, &cfg);
+    let plain = explore_workload(&algo, workload, &cfg);
 
     let mut auditor = FootprintAuditor::new();
-    let mut make = || {
-        let mut sim = Simulation::new(&algo);
-        seed_register_workload(&mut sim, 3, 4, 2);
-        sim
-    };
+    let mut make = || workload.simulation(&algo);
     let mut check = |_t: &[usize], _h: &aba_spec::History, _q: bool| false;
     let audited = explore_exhaustive_audited(&algo, &mut make, &mut check, &cfg, &mut auditor);
 

@@ -44,10 +44,7 @@ pub mod traits;
 pub mod weak;
 
 pub use history::{History, OpKind, OpRecord, Recorder};
-pub use linearizability::{
-    check_aba_history, check_llsc_history, check_map_history, check_queue_history,
-    check_set_history, check_stack_history, LinCheckOutcome,
-};
+pub use linearizability::{check_history, LinCheckOutcome, Spec};
 pub use sequential::{SeqAbaRegister, SeqFifoQueue, SeqLifoStack, SeqLlSc, SeqMap, SeqOrderedSet};
 pub use space::{BaseObjectKind, SpaceUsage};
 pub use traits::{AbaHandle, AbaRegisterObject, LlScHandle, LlScObject};

@@ -176,140 +176,101 @@ impl CheckerSpec for LlScSpecState {
     }
 }
 
-/// Check a history of `DWrite`/`DRead` operations against the ABA-detecting
-/// register specification.
-///
-/// `n` is the number of processes the register was created for and `initial`
-/// its initial value.
-///
-/// # Panics
-///
-/// Panics if the history contains LL/SC/VL operations.
-pub fn check_aba_history(history: &History, n: usize, initial: Word) -> LinCheckOutcome {
-    for op in history.ops() {
-        assert!(
-            matches!(op.kind, OpKind::DWrite { .. } | OpKind::DRead { .. }),
-            "check_aba_history given a non-register operation: {}",
-            op.kind
-        );
-    }
-    check_generic(history, AbaSpecState(SeqAbaRegister::new(n, initial)))
+/// The sequential specification a history is checked against — one variant
+/// per object type, each documenting what a non-linearizable outcome means
+/// for the structures that implement it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Spec {
+    /// `DWrite`/`DRead` on an ABA-detecting register created for `n`
+    /// processes with initial value `initial`.  A non-linearizable outcome is
+    /// a read whose flag misses a write (the missed ABA) or whose value no
+    /// write order explains.
+    AbaRegister {
+        /// Number of processes the register was created for.
+        n: usize,
+        /// Its initial value.
+        initial: Word,
+    },
+    /// `LL`/`SC`/`VL` on an LL/SC/VL object created for `n` processes with
+    /// initial value `initial`.  A non-linearizable outcome is an `SC` or
+    /// `VL` that succeeds across an intervening successful `SC`.
+    LlSc {
+        /// Number of processes the object was created for.
+        n: usize,
+        /// Its initial value.
+        initial: Word,
+    },
+    /// `Enqueue`/`Dequeue` on a FIFO queue (initially empty).  A
+    /// non-linearizable outcome is exactly what an ABA on the MS-queue's
+    /// dequeue CAS produces: a value dequeued twice, a value skipped, or a
+    /// spurious "empty" answer while a completed enqueue precedes the
+    /// dequeue.
+    Queue,
+    /// `Push`/`Pop` on a LIFO stack (initially empty).  A non-linearizable
+    /// outcome is exactly what an ABA on the Treiber stack's pop CAS
+    /// produces: a value popped twice, a value lost, or a spurious "empty"
+    /// answer while a completed push precedes the pop.  The
+    /// elimination-backoff front end must also pass this check: an eliminated
+    /// push/pop pair linearizes back-to-back (push immediately followed by
+    /// the matching pop) at the moment of the exchange, which is admissible
+    /// for a stack in any surrounding state.
+    Stack,
+    /// `Insert`/`Remove`/`Contains` on an ordered set (initially empty).  A
+    /// non-linearizable outcome is exactly what an ABA on a Harris–Michael
+    /// traversal produces: an inserted key that a later `Contains` cannot see
+    /// (the lost splice), a key removed twice, or a remove that succeeds on a
+    /// key no linearization order makes present.
+    Set,
+    /// `MapInsert`/`MapRemove`/`MapGet` on a no-overwrite map (initially
+    /// empty).  A non-linearizable outcome is exactly what an ABA on a
+    /// split-ordered hash map produces: a bound key a later `MapGet` cannot
+    /// see (a splice lost to a recycled node), a key unbound twice, or a
+    /// `MapGet` observing a value no linearization order ever bound to that
+    /// key.
+    Map,
 }
 
-/// Check a history of `LL`/`SC`/`VL` operations against the LL/SC/VL
-/// specification.
-///
-/// # Panics
-///
-/// Panics if the history contains register operations.
-pub fn check_llsc_history(history: &History, n: usize, initial: Word) -> LinCheckOutcome {
-    for op in history.ops() {
-        assert!(
-            matches!(
-                op.kind,
-                OpKind::Ll { .. } | OpKind::Sc { .. } | OpKind::Vl { .. }
-            ),
-            "check_llsc_history given a non-LL/SC operation: {}",
-            op.kind
-        );
+impl Spec {
+    /// `true` iff `kind` is an operation of this specification's object type.
+    pub fn admits(&self, kind: &OpKind) -> bool {
+        use OpKind::*;
+        match self {
+            Spec::AbaRegister { .. } => matches!(kind, DWrite { .. } | DRead { .. }),
+            Spec::LlSc { .. } => matches!(kind, Ll { .. } | Sc { .. } | Vl { .. }),
+            Spec::Queue => matches!(kind, Enqueue { .. } | Dequeue { .. }),
+            Spec::Stack => matches!(kind, Push { .. } | Pop { .. }),
+            Spec::Set => matches!(kind, Insert { .. } | Remove { .. } | Contains { .. }),
+            Spec::Map => matches!(kind, MapInsert { .. } | MapRemove { .. } | MapGet { .. }),
+        }
     }
-    check_generic(history, LlScSpecState(SeqLlSc::new(n, initial)))
 }
 
-/// Check a history of `Enqueue`/`Dequeue` operations against the FIFO queue
-/// specification (initially empty).
-///
-/// A non-linearizable outcome is exactly what an ABA on the MS-queue's
-/// dequeue CAS produces: a value dequeued twice, a value skipped, or a
-/// spurious "empty" answer while a completed enqueue precedes the dequeue.
+/// Check `history` against the sequential specification `spec`.
 ///
 /// # Panics
 ///
-/// Panics if the history contains non-queue operations.
-pub fn check_queue_history(history: &History) -> LinCheckOutcome {
+/// Panics if the history contains an operation `spec` does not
+/// [admit](Spec::admits) (e.g. LL/SC operations under [`Spec::AbaRegister`]).
+pub fn check_history(history: &History, spec: Spec) -> LinCheckOutcome {
     for op in history.ops() {
         assert!(
-            matches!(op.kind, OpKind::Enqueue { .. } | OpKind::Dequeue { .. }),
-            "check_queue_history given a non-queue operation: {}",
+            spec.admits(&op.kind),
+            "check_history({spec:?}) given a foreign operation: {}",
             op.kind
         );
     }
-    check_generic(history, QueueSpecState(SeqFifoQueue::new()))
-}
-
-/// Check a history of `Push`/`Pop` operations against the LIFO stack
-/// specification (initially empty).
-///
-/// A non-linearizable outcome is exactly what an ABA on the Treiber stack's
-/// pop CAS produces: a value popped twice, a value lost, or a spurious
-/// "empty" answer while a completed push precedes the pop.  The
-/// elimination-backoff front end must also pass this check: an eliminated
-/// push/pop pair linearizes back-to-back (push immediately followed by the
-/// matching pop) at the moment of the exchange, which is admissible for a
-/// stack in any surrounding state.
-///
-/// # Panics
-///
-/// Panics if the history contains non-stack operations.
-pub fn check_stack_history(history: &History) -> LinCheckOutcome {
-    for op in history.ops() {
-        assert!(
-            matches!(op.kind, OpKind::Push { .. } | OpKind::Pop { .. }),
-            "check_stack_history given a non-stack operation: {}",
-            op.kind
-        );
+    match spec {
+        Spec::AbaRegister { n, initial } => {
+            check_generic(history, AbaSpecState(SeqAbaRegister::new(n, initial)))
+        }
+        Spec::LlSc { n, initial } => {
+            check_generic(history, LlScSpecState(SeqLlSc::new(n, initial)))
+        }
+        Spec::Queue => check_generic(history, QueueSpecState(SeqFifoQueue::new())),
+        Spec::Stack => check_generic(history, StackSpecState(SeqLifoStack::new())),
+        Spec::Set => check_generic(history, SetSpecState(SeqOrderedSet::new())),
+        Spec::Map => check_generic(history, MapSpecState(SeqMap::new())),
     }
-    check_generic(history, StackSpecState(SeqLifoStack::new()))
-}
-
-/// Check a history of `Insert`/`Remove`/`Contains` operations against the
-/// ordered-set specification (initially empty).
-///
-/// A non-linearizable outcome is exactly what an ABA on a Harris–Michael
-/// traversal produces: an inserted key that a later `Contains` cannot see
-/// (the lost splice), a key removed twice, or a remove that succeeds on a
-/// key no linearization order makes present.
-///
-/// # Panics
-///
-/// Panics if the history contains non-set operations.
-pub fn check_set_history(history: &History) -> LinCheckOutcome {
-    for op in history.ops() {
-        assert!(
-            matches!(
-                op.kind,
-                OpKind::Insert { .. } | OpKind::Remove { .. } | OpKind::Contains { .. }
-            ),
-            "check_set_history given a non-set operation: {}",
-            op.kind
-        );
-    }
-    check_generic(history, SetSpecState(SeqOrderedSet::new()))
-}
-
-/// Check a history of `MapInsert`/`MapRemove`/`MapGet` operations against the
-/// no-overwrite map specification (initially empty).
-///
-/// A non-linearizable outcome is exactly what an ABA on a split-ordered hash
-/// map produces: a bound key a later `MapGet` cannot see (a splice lost to a
-/// recycled node), a key unbound twice, or a `MapGet` observing a value no
-/// linearization order ever bound to that key.
-///
-/// # Panics
-///
-/// Panics if the history contains non-map operations.
-pub fn check_map_history(history: &History) -> LinCheckOutcome {
-    for op in history.ops() {
-        assert!(
-            matches!(
-                op.kind,
-                OpKind::MapInsert { .. } | OpKind::MapRemove { .. } | OpKind::MapGet { .. }
-            ),
-            "check_map_history given a non-map operation: {}",
-            op.kind
-        );
-    }
-    check_generic(history, MapSpecState(SeqMap::new()))
 }
 
 fn check_generic<S: CheckerSpec>(history: &History, initial: S) -> LinCheckOutcome {
@@ -406,8 +367,8 @@ mod tests {
     #[test]
     fn empty_history_is_linearizable() {
         let h = History::new();
-        assert!(check_aba_history(&h, 2, 0).is_linearizable());
-        assert!(check_llsc_history(&h, 2, 0).is_linearizable());
+        assert!(check_history(&h, Spec::AbaRegister { n: 2, initial: 0 }).is_linearizable());
+        assert!(check_history(&h, Spec::LlSc { n: 2, initial: 0 }).is_linearizable());
     }
 
     #[test]
@@ -433,7 +394,7 @@ mod tests {
                 5,
             ),
         ]);
-        assert!(check_aba_history(&h, 2, 0).is_linearizable());
+        assert!(check_history(&h, Spec::AbaRegister { n: 2, initial: 0 }).is_linearizable());
     }
 
     #[test]
@@ -453,7 +414,7 @@ mod tests {
             ),
         ]);
         assert_eq!(
-            check_aba_history(&h, 2, 0),
+            check_history(&h, Spec::AbaRegister { n: 2, initial: 0 }),
             LinCheckOutcome::NotLinearizable
         );
     }
@@ -473,7 +434,7 @@ mod tests {
             ),
         ]);
         assert_eq!(
-            check_aba_history(&h, 2, 0),
+            check_history(&h, Spec::AbaRegister { n: 2, initial: 0 }),
             LinCheckOutcome::NotLinearizable
         );
     }
@@ -494,7 +455,7 @@ mod tests {
                 2,
             ),
         ]);
-        assert!(check_aba_history(&h, 2, 0).is_linearizable());
+        assert!(check_history(&h, Spec::AbaRegister { n: 2, initial: 0 }).is_linearizable());
         let h2 = History::from_ops(vec![
             rec(0, OpKind::DWrite { value: 5 }, 0, 10),
             rec(
@@ -507,7 +468,7 @@ mod tests {
                 2,
             ),
         ]);
-        assert!(check_aba_history(&h2, 2, 0).is_linearizable());
+        assert!(check_history(&h2, Spec::AbaRegister { n: 2, initial: 0 }).is_linearizable());
     }
 
     #[test]
@@ -536,7 +497,7 @@ mod tests {
             ),
             rec(1, OpKind::Ll { value: 7 }, 8, 9),
         ]);
-        assert!(check_llsc_history(&h, 2, 0).is_linearizable());
+        assert!(check_history(&h, Spec::LlSc { n: 2, initial: 0 }).is_linearizable());
 
         // The same history but with p0's SC claiming success is invalid.
         let bad = History::from_ops(vec![
@@ -562,7 +523,7 @@ mod tests {
             ),
         ]);
         assert_eq!(
-            check_llsc_history(&bad, 2, 0),
+            check_history(&bad, Spec::LlSc { n: 2, initial: 0 }),
             LinCheckOutcome::NotLinearizable
         );
     }
@@ -582,7 +543,7 @@ mod tests {
                 5,
             ),
         ]);
-        match check_aba_history(&h, 2, 0) {
+        match check_history(&h, Spec::AbaRegister { n: 2, initial: 0 }) {
             LinCheckOutcome::Linearizable { witness } => {
                 let pos = |i: usize| witness.iter().position(|&x| x == i).unwrap();
                 assert!(pos(0) < pos(1));
@@ -601,7 +562,7 @@ mod tests {
             rec(1, OpKind::Dequeue { value: Some(2) }, 6, 7),
             rec(1, OpKind::Dequeue { value: None }, 8, 9),
         ]);
-        assert!(check_queue_history(&h).is_linearizable());
+        assert!(check_history(&h, Spec::Queue).is_linearizable());
     }
 
     #[test]
@@ -613,7 +574,10 @@ mod tests {
             rec(1, OpKind::Dequeue { value: Some(5) }, 2, 3),
             rec(2, OpKind::Dequeue { value: Some(5) }, 4, 5),
         ]);
-        assert_eq!(check_queue_history(&h), LinCheckOutcome::NotLinearizable);
+        assert_eq!(
+            check_history(&h, Spec::Queue),
+            LinCheckOutcome::NotLinearizable
+        );
     }
 
     #[test]
@@ -624,7 +588,10 @@ mod tests {
             rec(0, OpKind::Enqueue { value: 5, ok: true }, 0, 1),
             rec(1, OpKind::Dequeue { value: None }, 2, 3),
         ]);
-        assert_eq!(check_queue_history(&h), LinCheckOutcome::NotLinearizable);
+        assert_eq!(
+            check_history(&h, Spec::Queue),
+            LinCheckOutcome::NotLinearizable
+        );
     }
 
     #[test]
@@ -635,7 +602,10 @@ mod tests {
             rec(1, OpKind::Dequeue { value: Some(2) }, 4, 5),
             rec(1, OpKind::Dequeue { value: Some(1) }, 6, 7),
         ]);
-        assert_eq!(check_queue_history(&h), LinCheckOutcome::NotLinearizable);
+        assert_eq!(
+            check_history(&h, Spec::Queue),
+            LinCheckOutcome::NotLinearizable
+        );
     }
 
     #[test]
@@ -647,7 +617,10 @@ mod tests {
                 rec(0, OpKind::Enqueue { value: 5, ok: true }, 0, 10),
                 rec(1, OpKind::Dequeue { value }, 1, 2),
             ]);
-            assert!(check_queue_history(&h).is_linearizable(), "{value:?}");
+            assert!(
+                check_history(&h, Spec::Queue).is_linearizable(),
+                "{value:?}"
+            );
         }
     }
 
@@ -665,7 +638,7 @@ mod tests {
             ),
             rec(1, OpKind::Dequeue { value: None }, 2, 3),
         ]);
-        assert!(check_queue_history(&h).is_linearizable());
+        assert!(check_history(&h, Spec::Queue).is_linearizable());
     }
 
     #[test]
@@ -677,7 +650,7 @@ mod tests {
             rec(1, OpKind::Pop { value: Some(1) }, 6, 7),
             rec(1, OpKind::Pop { value: None }, 8, 9),
         ]);
-        assert!(check_stack_history(&h).is_linearizable());
+        assert!(check_history(&h, Spec::Stack).is_linearizable());
     }
 
     #[test]
@@ -689,7 +662,10 @@ mod tests {
             rec(1, OpKind::Pop { value: Some(5) }, 2, 3),
             rec(2, OpKind::Pop { value: Some(5) }, 4, 5),
         ]);
-        assert_eq!(check_stack_history(&h), LinCheckOutcome::NotLinearizable);
+        assert_eq!(
+            check_history(&h, Spec::Stack),
+            LinCheckOutcome::NotLinearizable
+        );
     }
 
     #[test]
@@ -700,7 +676,10 @@ mod tests {
             rec(0, OpKind::Push { value: 5, ok: true }, 0, 1),
             rec(1, OpKind::Pop { value: None }, 2, 3),
         ]);
-        assert_eq!(check_stack_history(&h), LinCheckOutcome::NotLinearizable);
+        assert_eq!(
+            check_history(&h, Spec::Stack),
+            LinCheckOutcome::NotLinearizable
+        );
     }
 
     #[test]
@@ -713,7 +692,10 @@ mod tests {
             rec(1, OpKind::Pop { value: Some(1) }, 4, 5),
             rec(1, OpKind::Pop { value: Some(2) }, 6, 7),
         ]);
-        assert_eq!(check_stack_history(&h), LinCheckOutcome::NotLinearizable);
+        assert_eq!(
+            check_history(&h, Spec::Stack),
+            LinCheckOutcome::NotLinearizable
+        );
     }
 
     #[test]
@@ -726,7 +708,10 @@ mod tests {
                 rec(0, OpKind::Push { value: 5, ok: true }, 0, 10),
                 rec(1, OpKind::Pop { value }, 1, 2),
             ]);
-            assert!(check_stack_history(&h).is_linearizable(), "{value:?}");
+            assert!(
+                check_history(&h, Spec::Stack).is_linearizable(),
+                "{value:?}"
+            );
         }
     }
 
@@ -744,7 +729,7 @@ mod tests {
             ),
             rec(1, OpKind::Pop { value: None }, 2, 3),
         ]);
-        assert!(check_stack_history(&h).is_linearizable());
+        assert!(check_history(&h, Spec::Stack).is_linearizable());
     }
 
     #[test]
@@ -759,7 +744,7 @@ mod tests {
             rec(0, OpKind::Pop { value: Some(2) }, 10, 11),
             rec(0, OpKind::Pop { value: Some(1) }, 12, 13),
         ]);
-        assert!(check_stack_history(&h).is_linearizable());
+        assert!(check_history(&h, Spec::Stack).is_linearizable());
     }
 
     #[test]
@@ -788,7 +773,7 @@ mod tests {
                 11,
             ),
         ]);
-        assert!(check_set_history(&h).is_linearizable());
+        assert!(check_history(&h, Spec::Set).is_linearizable());
     }
 
     #[test]
@@ -807,7 +792,10 @@ mod tests {
                 3,
             ),
         ]);
-        assert_eq!(check_set_history(&h), LinCheckOutcome::NotLinearizable);
+        assert_eq!(
+            check_history(&h, Spec::Set),
+            LinCheckOutcome::NotLinearizable
+        );
     }
 
     #[test]
@@ -817,7 +805,10 @@ mod tests {
             rec(1, OpKind::Remove { key: 5, ok: true }, 2, 3),
             rec(2, OpKind::Remove { key: 5, ok: true }, 4, 5),
         ]);
-        assert_eq!(check_set_history(&h), LinCheckOutcome::NotLinearizable);
+        assert_eq!(
+            check_history(&h, Spec::Set),
+            LinCheckOutcome::NotLinearizable
+        );
     }
 
     #[test]
@@ -836,7 +827,10 @@ mod tests {
                 5,
             ),
         ]);
-        assert_eq!(check_set_history(&h), LinCheckOutcome::NotLinearizable);
+        assert_eq!(
+            check_history(&h, Spec::Set),
+            LinCheckOutcome::NotLinearizable
+        );
     }
 
     #[test]
@@ -846,7 +840,7 @@ mod tests {
                 rec(0, OpKind::Insert { key: 5, ok: true }, 0, 10),
                 rec(1, OpKind::Contains { key: 5, found }, 1, 2),
             ]);
-            assert!(check_set_history(&h).is_linearizable(), "{found}");
+            assert!(check_history(&h, Spec::Set).is_linearizable(), "{found}");
         }
     }
 
@@ -866,7 +860,7 @@ mod tests {
                 3,
             ),
         ]);
-        assert!(check_set_history(&h).is_linearizable());
+        assert!(check_history(&h, Spec::Set).is_linearizable());
     }
 
     #[test]
@@ -913,7 +907,7 @@ mod tests {
                 11,
             ),
         ]);
-        assert!(check_map_history(&h).is_linearizable());
+        assert!(check_history(&h, Spec::Map).is_linearizable());
     }
 
     #[test]
@@ -941,7 +935,10 @@ mod tests {
                 3,
             ),
         ]);
-        assert_eq!(check_map_history(&h), LinCheckOutcome::NotLinearizable);
+        assert_eq!(
+            check_history(&h, Spec::Map),
+            LinCheckOutcome::NotLinearizable
+        );
     }
 
     #[test]
@@ -969,7 +966,10 @@ mod tests {
                 3,
             ),
         ]);
-        assert_eq!(check_map_history(&h), LinCheckOutcome::NotLinearizable);
+        assert_eq!(
+            check_history(&h, Spec::Map),
+            LinCheckOutcome::NotLinearizable
+        );
     }
 
     #[test]
@@ -988,7 +988,10 @@ mod tests {
             rec(1, OpKind::MapRemove { key: 5, ok: true }, 2, 3),
             rec(2, OpKind::MapRemove { key: 5, ok: true }, 4, 5),
         ]);
-        assert_eq!(check_map_history(&h), LinCheckOutcome::NotLinearizable);
+        assert_eq!(
+            check_history(&h, Spec::Map),
+            LinCheckOutcome::NotLinearizable
+        );
     }
 
     #[test]
@@ -1007,7 +1010,7 @@ mod tests {
                 ),
                 rec(1, OpKind::MapGet { key: 5, value }, 1, 2),
             ]);
-            assert!(check_map_history(&h).is_linearizable(), "{value:?}");
+            assert!(check_history(&h, Spec::Map).is_linearizable(), "{value:?}");
         }
     }
 
@@ -1036,28 +1039,28 @@ mod tests {
                 3,
             ),
         ]);
-        assert!(check_map_history(&h).is_linearizable());
+        assert!(check_history(&h, Spec::Map).is_linearizable());
     }
 
     #[test]
-    #[should_panic(expected = "non-map operation")]
+    #[should_panic(expected = "check_history(Map) given a foreign operation")]
     fn map_checker_rejects_set_ops() {
         let h = History::from_ops(vec![rec(0, OpKind::Insert { key: 1, ok: true }, 0, 1)]);
-        let _ = check_map_history(&h);
+        let _ = check_history(&h, Spec::Map);
     }
 
     #[test]
-    #[should_panic(expected = "non-set operation")]
+    #[should_panic(expected = "check_history(Set) given a foreign operation")]
     fn set_checker_rejects_queue_ops() {
         let h = History::from_ops(vec![rec(0, OpKind::Dequeue { value: None }, 0, 1)]);
-        let _ = check_set_history(&h);
+        let _ = check_history(&h, Spec::Set);
     }
 
     #[test]
-    #[should_panic(expected = "non-queue operation")]
+    #[should_panic(expected = "check_history(Queue) given a foreign operation")]
     fn queue_checker_rejects_register_ops() {
         let h = History::from_ops(vec![rec(0, OpKind::DWrite { value: 0 }, 0, 1)]);
-        let _ = check_queue_history(&h);
+        let _ = check_history(&h, Spec::Queue);
     }
 
     #[test]
@@ -1068,7 +1071,7 @@ mod tests {
         }
         let h = History::from_ops(ops);
         assert_eq!(
-            check_aba_history(&h, 1, 0),
+            check_history(&h, Spec::AbaRegister { n: 1, initial: 0 }),
             LinCheckOutcome::TooLarge {
                 len: MAX_CHECKED_OPS + 1
             }
@@ -1076,10 +1079,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-register operation")]
+    #[should_panic(expected = "given a foreign operation")]
     fn aba_checker_rejects_llsc_ops() {
         let h = History::from_ops(vec![rec(0, OpKind::Ll { value: 0 }, 0, 1)]);
-        let _ = check_aba_history(&h, 1, 0);
+        let _ = check_history(&h, Spec::AbaRegister { n: 1, initial: 0 });
     }
 
     #[test]
@@ -1123,6 +1126,6 @@ mod tests {
                 11,
             ),
         ]);
-        assert!(check_aba_history(&h, 3, 0).is_linearizable());
+        assert!(check_history(&h, Spec::AbaRegister { n: 3, initial: 0 }).is_linearizable());
     }
 }

@@ -10,7 +10,7 @@
 //! Run with `cargo run --example lowerbound_witness --release`.
 
 use aba_repro::sim::algorithms::fig4::Fig4Sim;
-use aba_repro::sim::{search_weak_violation, SimAlgorithm};
+use aba_repro::sim::{search_violation, SimAlgorithm, SimWorkload};
 
 fn report(algo: &dyn SimAlgorithm, trials: u64) {
     print!(
@@ -18,11 +18,11 @@ fn report(algo: &dyn SimAlgorithm, trials: u64) {
         algo.name(),
         algo.initial_objects().len()
     );
-    match search_weak_violation(algo, trials, 0xABA) {
+    match search_violation(algo, SimWorkload::register_search(algo.n()), trials, 0xABA) {
         None => println!("no violation in {trials} random schedules"),
         Some(witness) => {
             println!("VIOLATED (schedule seed {})", witness.meta.seed);
-            println!("    {}", witness.violation);
+            println!("    {witness}");
             println!("    history had {} operations", witness.history.len());
         }
     }

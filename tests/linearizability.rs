@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use aba_repro::spec::{check_aba_history, check_llsc_history, OpKind, Recorder};
+use aba_repro::spec::{check_history, OpKind, Recorder, Spec};
 use aba_repro::{stacks, AbaRegisterObject, LlScObject};
 
 const THREADS: usize = 3;
@@ -88,7 +88,13 @@ fn assert_register_linearizable(make: impl Fn() -> Box<dyn AbaRegisterObject>) {
         let reg = make();
         let history = record_register_round(reg.as_ref(), round);
         assert!(history.is_well_formed());
-        let outcome = check_aba_history(&history, reg.processes(), 0);
+        let outcome = check_history(
+            &history,
+            Spec::AbaRegister {
+                n: reg.processes(),
+                initial: 0,
+            },
+        );
         assert!(
             outcome.is_linearizable(),
             "{} produced a non-linearizable history in round {round}: {:?}",
@@ -103,7 +109,13 @@ fn assert_llsc_linearizable(make: impl Fn() -> Box<dyn LlScObject>) {
         let obj = make();
         let history = record_llsc_round(obj.as_ref(), round);
         assert!(history.is_well_formed());
-        let outcome = check_llsc_history(&history, obj.processes(), 0);
+        let outcome = check_history(
+            &history,
+            Spec::LlSc {
+                n: obj.processes(),
+                initial: 0,
+            },
+        );
         assert!(
             outcome.is_linearizable(),
             "{} produced a non-linearizable history in round {round}: {:?}",

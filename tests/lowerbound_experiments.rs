@@ -7,7 +7,7 @@ use aba_repro::lowerbound::{
     SearchBudget,
 };
 use aba_repro::sim::algorithms::fig4::Fig4Sim;
-use aba_repro::sim::search_weak_violation;
+use aba_repro::sim::{search_violation, SimWorkload};
 
 #[test]
 fn covering_experiment_matches_lemma1_structure() {
@@ -40,9 +40,10 @@ fn witness_roster_separates_correct_from_underprovisioned() {
 #[test]
 fn crippled_variants_fail_while_faithful_figure4_survives() {
     let n = 4;
-    assert!(search_weak_violation(&Fig4Sim::new(n), 100, 9).is_none());
-    assert!(search_weak_violation(&Fig4Sim::with_seq_domain(n, 1), 300, 9).is_some());
-    assert!(search_weak_violation(&Fig4Sim::with_announce_slots(n, 1), 300, 9).is_some());
+    let workload = SimWorkload::register_search(n);
+    assert!(search_violation(&Fig4Sim::new(n), workload, 100, 9).is_none());
+    assert!(search_violation(&Fig4Sim::with_seq_domain(n, 1), workload, 300, 9).is_some());
+    assert!(search_violation(&Fig4Sim::with_announce_slots(n, 1), workload, 300, 9).is_some());
 }
 
 #[test]
