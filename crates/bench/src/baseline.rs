@@ -1,6 +1,6 @@
 //! Cross-commit throughput-regression gate for `BENCH_throughput.json`.
 //!
-//! `table_throughput --baseline <path>` compares the cells of a fresh run
+//! `table_matrix --baseline <path>` compares the cells of a fresh run
 //! against a committed baseline document and fails when a pinned backend
 //! regresses by more than [`DEFAULT_TOLERANCE`].  Raw ops/sec are useless
 //! for that comparison — CI machines differ by integer factors — so the
@@ -117,36 +117,56 @@ impl Comparison {
     }
 }
 
+/// A cell of a fresh run, for [`compare`] — taken from the typed result, so
+/// the only document this module ever parses is the committed baseline.
+impl From<&aba_workload::CellResult> for BaselineCell {
+    fn from(cell: &aba_workload::CellResult) -> Self {
+        BaselineCell {
+            scenario: cell.scenario.clone(),
+            backend: cell.backend.clone(),
+            threads: cell.threads,
+            ops_per_sec: cell.ops_per_sec,
+        }
+    }
+}
+
 /// Extract every measurement cell from a `bench-throughput/v1` (or
 /// layout-compatible) JSON document.  Purpose-built scan for the documents
 /// `aba_workload::to_json` emits — flat cell objects, no nesting, no
 /// escaped quotes in names — matching the workspace's no-serde constraint.
 ///
-/// Returns an empty vector (never panics) on documents without a
-/// `"cells":[` array; the caller treats that as "no overlap" and errors.
-pub fn parse_cells(json: &str) -> Vec<BaselineCell> {
+/// A document without a `"cells":[` array parses to an empty vector; the
+/// caller treats that as "no overlap" and [`compare`] errors.
+///
+/// # Errors
+///
+/// Names the 1-based ordinal of the first cell that is cut off or lacks one
+/// of `scenario` / `backend` / `threads` / `ops_per_sec`: a truncated or
+/// hand-edited baseline must not quietly shrink the comparison.
+pub fn parse_cells(json: &str) -> Result<Vec<BaselineCell>, String> {
     let Some(start) = json.find("\"cells\":[") else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
     let mut cells = Vec::new();
     let mut rest = &json[start + 9..];
     while let Some(open) = rest.find('{') {
+        let ordinal = cells.len() + 1;
         let Some(close) = rest[open..].find('}') else {
-            break;
+            return Err(format!(
+                "cell {ordinal} is cut off before its closing brace"
+            ));
         };
         let object = &rest[open..open + close + 1];
         rest = &rest[open + close + 1..];
-        let (Some(scenario), Some(backend)) = (
+        let (Some(scenario), Some(backend), Some(threads), Some(ops_per_sec)) = (
             string_field(object, "scenario"),
             string_field(object, "backend"),
-        ) else {
-            continue;
-        };
-        let (Some(threads), Some(ops_per_sec)) = (
             number_field(object, "threads"),
             number_field(object, "ops_per_sec"),
         ) else {
-            continue;
+            return Err(format!(
+                "cell {ordinal} lacks scenario, backend, threads or ops_per_sec: {object}"
+            ));
         };
         cells.push(BaselineCell {
             scenario,
@@ -155,7 +175,7 @@ pub fn parse_cells(json: &str) -> Vec<BaselineCell> {
             ops_per_sec,
         });
     }
-    cells
+    Ok(cells)
 }
 
 fn string_field(object: &str, name: &str) -> Option<String> {
@@ -247,6 +267,10 @@ pub fn compare(
 mod tests {
     use super::*;
 
+    fn parsed(cells: &[(&str, &str, usize, f64)]) -> Vec<BaselineCell> {
+        parse_cells(&doc(cells)).expect("well-formed fixture")
+    }
+
     fn doc(cells: &[(&str, &str, usize, f64)]) -> String {
         let mut json = String::from(
             "{\"schema\":\"aba-repro/bench-throughput/v1\",\"config\":{\"repetitions\":2},\"cells\":[",
@@ -268,10 +292,10 @@ mod tests {
 
     #[test]
     fn parses_the_v1_cell_layout() {
-        let cells = parse_cells(&doc(&[
+        let cells = parsed(&[
             ("churn", "stack/tagged", 2, 1000.0),
             ("same-slot", "stack-elim/epoch", 4, 500.0),
-        ]));
+        ]);
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].scenario, "churn");
         assert_eq!(cells[1].backend, "stack-elim/epoch");
@@ -282,19 +306,34 @@ mod tests {
 
     #[test]
     fn documents_without_cells_parse_to_empty_and_fail_comparison() {
-        assert!(parse_cells("{\"schema\":\"other\"}").is_empty());
-        let good = parse_cells(&doc(&[("churn", "stack/tagged", 1, 10.0)]));
+        assert_eq!(parse_cells("{\"schema\":\"other\"}"), Ok(Vec::new()));
+        let good = parsed(&[("churn", "stack/tagged", 1, 10.0)]);
         assert!(compare(&[], &good, DEFAULT_TOLERANCE).is_err());
         assert!(compare(&good, &[], DEFAULT_TOLERANCE).is_err());
     }
 
     #[test]
+    fn a_malformed_cell_is_an_error_naming_its_ordinal() {
+        let whole = doc(&[
+            ("churn", "stack/tagged", 2, 1000.0),
+            ("churn", "queue/tagged", 2, 800.0),
+        ]);
+        // Truncated download: the second cell is cut mid-object.
+        let cut = &whole[..whole.rfind("\"ops_per_sec\"").expect("second cell")];
+        let err = parse_cells(cut).unwrap_err();
+        assert!(err.contains("cell 2 is cut off"), "{err}");
+        // Hand edit: the first cell loses a key the comparison needs.
+        let err = parse_cells(&whole.replacen("\"threads\":2,", "", 1)).unwrap_err();
+        assert!(err.contains("cell 1 lacks"), "{err}");
+    }
+
+    #[test]
     fn identical_documents_pass() {
-        let cells = parse_cells(&doc(&[
+        let cells = parsed(&[
             ("churn", "stack/tagged", 2, 1000.0),
             ("churn", "queue/tagged", 2, 800.0),
             ("same-slot", "stack/epoch", 4, 400.0),
-        ]));
+        ]);
         let cmp = compare(&cells, &cells, DEFAULT_TOLERANCE).unwrap();
         assert_eq!(cmp.compared, 3);
         assert!(!cmp.failed());
@@ -303,11 +342,11 @@ mod tests {
     #[test]
     fn a_uniform_machine_speed_change_is_not_a_regression() {
         // Every cell 3x slower: median normalization cancels it out.
-        let base = parse_cells(&doc(&[
+        let base = parsed(&[
             ("churn", "stack/tagged", 2, 900.0),
             ("churn", "queue/tagged", 2, 600.0),
             ("same-slot", "stack/epoch", 4, 300.0),
-        ]));
+        ]);
         let slower: Vec<BaselineCell> = base
             .iter()
             .map(|c| BaselineCell {
@@ -324,11 +363,11 @@ mod tests {
     fn a_backend_collapse_fires_the_gate() {
         // The deliberately-broken fixture: one backend falls to a third of
         // its relative throughput while its peers hold shape.
-        let base = parse_cells(&doc(&[
+        let base = parsed(&[
             ("churn", "stack/tagged", 2, 900.0),
             ("churn", "queue/tagged", 2, 600.0),
             ("same-slot", "stack/epoch", 4, 300.0),
-        ]));
+        ]);
         let mut broken = base.clone();
         broken[0].ops_per_sec = 300.0; // 900 -> 300 with the median pinned
         let cmp = compare(&base, &broken, DEFAULT_TOLERANCE).unwrap();
@@ -344,7 +383,7 @@ mod tests {
         // Three scenarios feed the stack/tagged@2thr group; one cell dips by
         // 4x (quick-mode noise) while the group's median holds, so the gate
         // stays quiet — per-cell comparison would have tripped here.
-        let base = parse_cells(&doc(&[
+        let base = parsed(&[
             ("churn", "stack/tagged", 2, 900.0),
             ("same-slot", "stack/tagged", 2, 1000.0),
             ("pipeline", "stack/tagged", 2, 1100.0),
@@ -353,7 +392,7 @@ mod tests {
             ("pipeline", "queue/tagged", 2, 1000.0),
             ("churn", "set/tagged", 2, 1000.0),
             ("same-slot", "set/tagged", 2, 1000.0),
-        ]));
+        ]);
         let mut noisy = base.clone();
         noisy[0].ops_per_sec = 225.0;
         let cmp = compare(&base, &noisy, DEFAULT_TOLERANCE).unwrap();
@@ -371,11 +410,11 @@ mod tests {
 
     #[test]
     fn losses_within_tolerance_pass() {
-        let base = parse_cells(&doc(&[
+        let base = parsed(&[
             ("churn", "stack/tagged", 2, 1000.0),
             ("churn", "queue/tagged", 2, 1000.0),
             ("same-slot", "stack/epoch", 4, 1000.0),
-        ]));
+        ]);
         let mut wobbly = base.clone();
         wobbly[0].ops_per_sec = 800.0; // 20% down: inside the 25% band
         let cmp = compare(&base, &wobbly, DEFAULT_TOLERANCE).unwrap();
@@ -384,15 +423,15 @@ mod tests {
 
     #[test]
     fn new_backends_without_baseline_cells_are_skipped() {
-        let base = parse_cells(&doc(&[
+        let base = parsed(&[
             ("churn", "stack/tagged", 2, 1000.0),
             ("churn", "queue/tagged", 2, 900.0),
-        ]));
-        let current = parse_cells(&doc(&[
+        ]);
+        let current = parsed(&[
             ("churn", "stack/tagged", 2, 1000.0),
             ("churn", "queue/tagged", 2, 900.0),
             ("churn", "stack-elim/tagged", 2, 1.0), // brand new, no baseline
-        ]));
+        ]);
         let cmp = compare(&base, &current, DEFAULT_TOLERANCE).unwrap();
         assert_eq!(cmp.compared, 2, "the new backend is not compared");
         assert!(!cmp.failed());
@@ -400,12 +439,12 @@ mod tests {
 
     #[test]
     fn worst_regression_is_reported_first() {
-        let base = parse_cells(&doc(&[
+        let base = parsed(&[
             ("churn", "a", 1, 1000.0),
             ("churn", "b", 1, 1000.0),
             ("churn", "c", 1, 1000.0),
             ("churn", "d", 1, 1000.0),
-        ]));
+        ]);
         let mut broken = base.clone();
         broken[0].ops_per_sec = 500.0; // 50% loss
         broken[1].ops_per_sec = 100.0; // 90% loss

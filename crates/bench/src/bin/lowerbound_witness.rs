@@ -17,6 +17,8 @@ use aba_sim::algorithms::fig4::Fig4Sim;
 use aba_sim::SimAlgorithm;
 
 fn main() {
+    aba_bench::Args::from_env(""); // takes no flags: anything given is a mistake
+
     let n = 6;
 
     // --- Covering structure (Lemma 1) ------------------------------------

@@ -11,6 +11,8 @@ use aba_bench::Table;
 use aba_lockfree::{all_stacks, stress_stack};
 
 fn main() {
+    aba_bench::Args::from_env(""); // takes no flags: anything given is a mistake
+
     let threads = 4;
     let ops = 20_000;
     let capacity = 8 + 2 * threads;

@@ -15,13 +15,13 @@
 //! set's ~350k-class space is reported incomplete-but-clean), `--out <path>`
 //! (JSON destination, default `BENCH_dpor.json`, schema `aba-repro/dpor/v1`).
 //!
-//! Exit status is the gate: non-zero if any protected mode yields a witness,
-//! any unprotected mode fails to, or (full mode only) any protected mode
-//! fails to drain its space.
+//! Exit status is the gate (`aba_bench::gate::dpor`): non-zero if any
+//! protected mode yields a witness, any unprotected mode fails to, or (full
+//! mode only) any protected mode fails to drain its space.
 
 use std::time::Instant;
 
-use aba_bench::{DporRow, Table};
+use aba_bench::{exit_on_failures, gate, Args, DporRow, Table, QUICK_AND_OUT};
 use aba_sim::{explore_workload, DporConfig, SimModel, MODEL_ROSTER};
 
 fn run_row(model: &SimModel, quick: bool) -> DporRow {
@@ -51,8 +51,9 @@ fn run_row(model: &SimModel, quick: bool) -> DporRow {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (quick, out_path) = aba_bench::quick_and_out(&args, "BENCH_dpor.json");
+    let args = Args::from_env(QUICK_AND_OUT);
+    let quick = args.has("--quick");
+    let out_path = args.value("--out").unwrap_or("BENCH_dpor.json");
 
     eprintln!(
         "E11 exhaustive exploration{}:",
@@ -105,33 +106,10 @@ fn main() {
          non-violating by replay."
     );
 
-    // --- Gate --------------------------------------------------------------
-    let mut failures = Vec::new();
-    for row in &rows {
-        let (name, protected) = (row.model.key(), row.model.protected);
-        if protected && row.witness_len().is_some() {
-            failures.push(format!("{name}: protected mode produced an ABA witness"));
-        }
-        if !protected && row.witness_len().is_none() {
-            failures.push(format!("{name}: unprotected mode produced no witness"));
-        }
-        if protected && !quick && !row.report.complete {
-            failures.push(format!("{name}: space not drained in full mode"));
-        }
-        if row.report.schedules_executed == 0 {
-            failures.push(format!("{name}: explorer executed zero schedules"));
-        }
-    }
-
     // --- JSON (schema aba-repro/dpor/v1) -----------------------------------
     let json = aba_bench::dpor_json(quick, &rows);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    std::fs::write(out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!("wrote {out_path} ({} rows)", rows.len());
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("E11 gate: {f}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_failures("E11", &gate::dpor(&rows, quick));
 }

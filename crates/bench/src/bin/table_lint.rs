@@ -21,20 +21,22 @@
 //! Flags: `--quick` (CI-sized audit bounds), `--out <path>` (JSON
 //! destination, default `BENCH_lint.json`, schema `aba-repro/lint/v1`).
 //!
-//! Exit status is the gate: non-zero if any lint finding exists, any family
-//! audit records an under-report, or either pillar audited nothing (a
-//! vacuity guard: zero files scanned / zero steps audited also fails).
+//! Exit status is the gate (`aba_bench::gate::lint`): non-zero if any lint
+//! finding exists, any family audit records an under-report, or either
+//! pillar audited nothing (a vacuity guard: zero files scanned / zero steps
+//! audited also fails).
 
 use std::path::Path;
 use std::time::Instant;
 
 use aba_analyze::{lint_workspace, RULE_ROSTER};
-use aba_bench::Table;
+use aba_bench::{exit_on_failures, gate, Args, Table, QUICK_AND_OUT};
 use aba_sim::standard_family_audits;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (quick, out_path) = aba_bench::quick_and_out(&args, "BENCH_lint.json");
+    let args = Args::from_env(QUICK_AND_OUT);
+    let quick = args.has("--quick");
+    let out_path = args.value("--out").unwrap_or("BENCH_lint.json");
 
     // The binary runs from anywhere inside the workspace; resolve the root
     // from the crate manifest (crates/bench -> workspace root).
@@ -109,43 +111,14 @@ fn main() {
          write-intent downgrade and cost only reduction, never soundness."
     );
 
-    // --- Gate --------------------------------------------------------------
-    let mut failures = Vec::new();
-    if report.files_scanned == 0 {
-        failures.push("lint scanned zero files — walker is broken".to_string());
-    }
-    for f in &report.findings {
-        failures.push(format!(
-            "lint {} {}:{} {}",
-            f.rule, f.file, f.line, f.message
-        ));
-    }
-    for v in &verdicts {
-        let name = format!("{}/{}", v.family, v.mode);
-        if v.steps_audited == 0 {
-            failures.push(format!("audit {name}: zero steps audited"));
-        }
-        if !v.sound {
-            failures.push(format!(
-                "audit {name}: {} footprint under-report(s) — DPOR soundness broken",
-                v.under_reports
-            ));
-        }
-    }
-
     // --- JSON (schema aba-repro/lint/v1) -----------------------------------
     let json = aba_bench::lint_json(quick, &report, &verdicts);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    std::fs::write(out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!(
         "wrote {out_path} ({} rules, {} audits)",
         RULE_ROSTER.len(),
         verdicts.len()
     );
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("lint gate: {f}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_failures("lint", &gate::lint(&report, &verdicts));
 }

@@ -14,6 +14,8 @@ use aba_sim::algorithms::fig4::Fig4Sim;
 use aba_sim::{measure_llsc_worst_case, measure_register_worst_case};
 
 fn main() {
+    aba_bench::Args::from_env(""); // takes no flags: anything given is a mistake
+
     let ns = [2usize, 4, 8, 16, 32];
 
     // --- ABA-detecting registers (E1, E4) -------------------------------

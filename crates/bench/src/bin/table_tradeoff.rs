@@ -44,6 +44,8 @@ fn render(title: &str, rows: &[TradeoffRow]) {
 }
 
 fn main() {
+    aba_bench::Args::from_env(""); // takes no flags: anything given is a mistake
+
     let ops = 2_000;
     for n in [4usize, 8, 16, 32] {
         render(

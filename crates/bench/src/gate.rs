@@ -1,0 +1,347 @@
+//! The gates: every rule a table binary fails its run on, as a function over
+//! the binary's *typed* result, so each rule is written once and unit-tested
+//! instead of living in a `main` plus a regex over the serialised document.
+//!
+//! Each function returns one message per violation, naming the offending
+//! cell or row; an empty vector is a pass.  The binaries print the messages
+//! and exit 1 through [`exit_on_failures`](crate::exit_on_failures).
+//! DESIGN.md ("Gates") maps every rule CI used to grep for onto a function
+//! here or a golden test.
+
+use aba_analyze::LintReport;
+use aba_sim::AuditVerdict;
+use aba_workload::{roster_node_capacity, MatrixResult};
+
+use crate::DporRow;
+
+/// One map variant's segmented arena before and after the E13 conservation
+/// run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArenaGrowth {
+    /// Display label of the map variant.
+    pub structure: String,
+    /// Nodes in the arena's initial segment.
+    pub initial: usize,
+    /// Nodes in all segments published by the end of the run.
+    pub live: usize,
+    /// Bucket-array size at the end of the run.
+    pub buckets: usize,
+}
+
+/// The engine-matrix gate (`table_matrix`).
+///
+/// * **zero ops**, every cell: a backend that silently wedges, or a scheme
+///   whose reclamation starves the arena into a no-op loop, shows up as a
+///   cell with no completed or no productive operations.
+/// * **limbo bound**, `limbo_bound` rows only (E9/E15): an epoch or hazard
+///   cell whose peak unreclaimed footprint reaches its arena has parked the
+///   entire retirable set in limbo — the pre-E15 pathology.  The arena is
+///   the roster capacity at the cell's thread count; the queue provisions
+///   one node more for its rotating dummy, which is also the one node that
+///   can never sit in limbo, so `peak < arena` is exact for both families.
+/// * **arena growth**, every `growth` row (E13): a map whose arena never
+///   published a second segment measured a pre-sized fiction.
+pub fn matrix(result: &MatrixResult, limbo_bound: bool, growth: &[ArenaGrowth]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for cell in &result.cells {
+        let key = format!("{}/{}@{}thr", cell.scenario, cell.backend, cell.threads);
+        if cell.ops_per_rep == 0 || cell.ops_per_sec <= 0.0 {
+            failures.push(format!("{key}: completed zero ops"));
+        }
+        let deferred = cell.backend.ends_with("/epoch") || cell.backend.ends_with("/hazard");
+        let arena = roster_node_capacity(cell.threads) as u64
+            + u64::from(cell.backend.starts_with("queue/"));
+        if limbo_bound && deferred && cell.peak_unreclaimed >= arena {
+            failures.push(format!(
+                "{key}: peak unreclaimed {} reached arena capacity {arena}",
+                cell.peak_unreclaimed
+            ));
+        }
+    }
+    for g in growth.iter().filter(|g| g.live <= g.initial) {
+        failures.push(format!(
+            "{}: arena still at its initial {} nodes after the conservation run",
+            g.structure, g.initial
+        ));
+    }
+    failures
+}
+
+/// The E11 gate (`table_dpor`): a protected model must yield no witness and,
+/// outside `quick` mode, drain its space; an unprotected model must yield
+/// one; every exploration must execute at least one schedule.
+pub fn dpor(rows: &[DporRow], quick: bool) -> Vec<String> {
+    let mut failures = Vec::new();
+    for row in rows {
+        let (name, protected) = (row.model.key(), row.model.protected);
+        if protected && row.witness_len().is_some() {
+            failures.push(format!("{name}: protected mode produced an ABA witness"));
+        }
+        if !protected && row.witness_len().is_none() {
+            failures.push(format!("{name}: unprotected mode produced no witness"));
+        }
+        if protected && !quick && !row.report.complete {
+            failures.push(format!("{name}: space not drained in full mode"));
+        }
+        if row.report.schedules_executed == 0 {
+            failures.push(format!("{name}: explorer executed zero schedules"));
+        }
+    }
+    failures
+}
+
+/// The conformance gate (`table_lint`): no lint finding, no footprint
+/// under-report, and neither pillar vacuous (zero files scanned, zero steps
+/// audited).
+pub fn lint(report: &LintReport, verdicts: &[AuditVerdict]) -> Vec<String> {
+    let mut failures = Vec::new();
+    if report.files_scanned == 0 {
+        failures.push("lint scanned zero files — walker is broken".to_string());
+    }
+    for f in &report.findings {
+        failures.push(format!(
+            "lint {} {}:{} {}",
+            f.rule, f.file, f.line, f.message
+        ));
+    }
+    for v in verdicts {
+        let name = format!("{}/{}", v.family, v.mode);
+        if v.steps_audited == 0 {
+            failures.push(format!("audit {name}: zero steps audited"));
+        }
+        if !v.sound {
+            failures.push(format!(
+                "audit {name}: {} footprint under-report(s) — DPOR soundness broken",
+                v.under_reports
+            ));
+        }
+    }
+    failures
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aba_analyze::Finding;
+    use aba_sim::{ExplorationReport, Witness, WitnessMeta, MODEL_ROSTER};
+    use aba_workload::{CellResult, EngineConfig};
+
+    /// Assert that `failures` is exactly one message containing every `part`.
+    fn assert_one(failures: &[String], parts: &[&str]) {
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        for part in parts {
+            assert!(
+                failures[0].contains(part),
+                "{:?} lacks {part:?}",
+                failures[0]
+            );
+        }
+    }
+
+    // --- matrix --------------------------------------------------------------
+
+    fn cell(scenario: &str, backend: &str, threads: usize) -> CellResult {
+        CellResult {
+            scenario: scenario.to_string(),
+            backend: backend.to_string(),
+            threads,
+            ops_per_rep: 8 * threads as u64,
+            ops_per_sec: 1000.0,
+            failed_ops: 0,
+            p50_ns: 10,
+            p99_ns: 20,
+            peak_unreclaimed: 0,
+            repetitions: 1,
+        }
+    }
+
+    fn result(cells: Vec<CellResult>) -> MatrixResult {
+        MatrixResult {
+            config: EngineConfig::quick(),
+            cells,
+        }
+    }
+
+    fn grown(live: usize) -> ArenaGrowth {
+        ArenaGrowth {
+            structure: "SO map (epoch)".to_string(),
+            initial: 10,
+            live,
+            buckets: 256,
+        }
+    }
+
+    #[test]
+    fn a_clean_matrix_passes_every_rule() {
+        let arena = roster_node_capacity(4) as u64;
+        let mut stack = cell("churn", "stack/epoch", 4);
+        stack.peak_unreclaimed = arena - 1;
+        // The queue's arena is one node larger (its dummy).
+        let mut queue = cell("producer-consumer", "queue/hazard", 4);
+        queue.peak_unreclaimed = arena;
+        let clean = result(vec![stack, queue, cell("churn", "stack/tagged", 1)]);
+        assert_eq!(matrix(&clean, true, &[grown(768)]), Vec::<String>::new());
+    }
+
+    #[test]
+    fn zero_ops_names_the_dead_cell() {
+        let mut wedged = cell("churn", "stack/epoch", 2);
+        wedged.ops_per_rep = 0;
+        let failures = matrix(
+            &result(vec![cell("churn", "stack/tagged", 2), wedged]),
+            false,
+            &[],
+        );
+        assert_one(&failures, &["churn/stack/epoch@2thr", "zero ops"]);
+
+        // Every operation failed its allocation: ops ran, none productive.
+        for rate in [0.0, -1.0] {
+            let mut starved = cell("same-slot", "queue/epoch", 4);
+            starved.ops_per_sec = rate;
+            let failures = matrix(&result(vec![starved]), false, &[]);
+            assert_one(&failures, &["same-slot/queue/epoch@4thr", "zero ops"]);
+        }
+    }
+
+    #[test]
+    fn limbo_bound_names_the_cell_that_parked_its_arena() {
+        let arena = roster_node_capacity(4) as u64;
+        for backend in ["stack/epoch", "stack-elim/hazard"] {
+            let mut parked = cell("churn", backend, 4);
+            parked.peak_unreclaimed = arena;
+            let failures = matrix(&result(vec![parked.clone()]), true, &[]);
+            assert_one(&failures, &[backend, "@4thr", &format!("capacity {arena}")]);
+            // Only rows that ask for the rule apply it.
+            assert!(matrix(&result(vec![parked]), false, &[]).is_empty());
+        }
+        let mut queue = cell("producer-consumer", "queue/epoch", 4);
+        queue.peak_unreclaimed = arena + 1;
+        let failures = matrix(&result(vec![queue]), true, &[]);
+        assert_one(
+            &failures,
+            &["queue/epoch", &format!("capacity {}", arena + 1)],
+        );
+        // Immediate-free schemes never defer, whatever the gauge reads.
+        let mut tagged = cell("churn", "stack/tagged", 4);
+        tagged.peak_unreclaimed = arena;
+        assert!(matrix(&result(vec![tagged]), true, &[]).is_empty());
+    }
+
+    #[test]
+    fn arena_growth_names_the_map_that_never_grew() {
+        let failures = matrix(&result(vec![]), false, &[grown(768), grown(10)]);
+        assert_one(&failures, &["SO map (epoch)", "initial 10 nodes"]);
+    }
+
+    // --- dpor ----------------------------------------------------------------
+
+    fn dpor_row(protected: bool, witness: bool, complete: bool, schedules: u64) -> DporRow {
+        let model = *MODEL_ROSTER
+            .iter()
+            .find(|m| m.family == "queue" && m.protected == protected)
+            .expect("the roster has a protected and an unprotected queue");
+        let witnesses = Vec::from_iter(witness.then(|| Witness {
+            meta: WitnessMeta {
+                schedule: vec![0, 1, 0],
+                seed: 0,
+                trial: 0,
+            },
+            history: Default::default(),
+            wedged: true,
+            violation: None,
+        }));
+        DporRow {
+            model,
+            report: ExplorationReport {
+                schedules_executed: schedules,
+                complete,
+                witnesses,
+                ..ExplorationReport::default()
+            },
+            elapsed_ms: 0,
+        }
+    }
+
+    #[test]
+    fn a_clean_exploration_passes_every_rule() {
+        let rows = [
+            dpor_row(true, false, true, 40),
+            dpor_row(false, true, false, 3),
+        ];
+        assert_eq!(dpor(&rows, false), Vec::<String>::new());
+        // Quick mode tolerates a capped (incomplete) protected space.
+        assert_eq!(
+            dpor(&[dpor_row(true, false, false, 40)], true),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
+    fn each_dpor_rule_names_its_row() {
+        let failures = dpor(&[dpor_row(true, true, true, 40)], false);
+        assert_one(
+            &failures,
+            &["queue/tagged", "protected mode produced an ABA witness"],
+        );
+        let failures = dpor(&[dpor_row(false, false, true, 40)], false);
+        assert_one(&failures, &["queue/unprotected", "no witness"]);
+        let failures = dpor(&[dpor_row(true, false, false, 40)], false);
+        assert_one(&failures, &["queue/tagged", "not drained in full mode"]);
+        let failures = dpor(&[dpor_row(true, false, true, 0)], true);
+        assert_one(&failures, &["queue/tagged", "zero schedules"]);
+    }
+
+    // --- lint ----------------------------------------------------------------
+
+    fn clean_report() -> LintReport {
+        LintReport {
+            files_scanned: 90,
+            findings: Vec::new(),
+        }
+    }
+
+    fn verdict(steps_audited: u64, under_reports: u64) -> AuditVerdict {
+        AuditVerdict {
+            family: "set".to_string(),
+            mode: "hazard".to_string(),
+            schedules: 3,
+            steps_audited,
+            under_reports,
+            over_reports: 1,
+            sound: under_reports == 0,
+        }
+    }
+
+    #[test]
+    fn a_clean_tree_and_sound_audits_pass_every_rule() {
+        assert_eq!(
+            lint(&clean_report(), &[verdict(42, 0)]),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
+    fn each_lint_rule_names_its_finding_or_audit() {
+        let mut report = clean_report();
+        report.findings.push(Finding {
+            rule: "L4",
+            file: "crates/x/src/a.rs".to_string(),
+            line: 7,
+            message: "unbounded CAS retry".to_string(),
+        });
+        let failures = lint(&report, &[verdict(42, 0)]);
+        assert_one(
+            &failures,
+            &["L4", "crates/x/src/a.rs:7", "unbounded CAS retry"],
+        );
+
+        let failures = lint(&clean_report(), &[verdict(42, 2)]);
+        assert_one(&failures, &["set/hazard", "2 footprint under-report(s)"]);
+        let failures = lint(&clean_report(), &[verdict(0, 0)]);
+        assert_one(&failures, &["set/hazard", "zero steps audited"]);
+
+        let mut empty = clean_report();
+        empty.files_scanned = 0;
+        assert_one(&lint(&empty, &[verdict(42, 0)]), &["zero files"]);
+    }
+}

@@ -1,14 +1,14 @@
 //! # aba-bench
 //!
-//! The experiment harness: table formatting, flag parsing, the
-//! `BENCH_lint.json` / `BENCH_dpor.json` emitters and the paired-ratio
-//! regression gate ([`baseline`]) shared by the ten
-//! table-generating binaries — `table_step_complexity`, `table_tradeoff`,
-//! `lowerbound_witness`, `table_aba_incidence`, `table_throughput`,
-//! `table_reclamation`, `table_set`, `table_map`, `table_dpor` and
-//! `table_lint`.  Throughput measurement itself lives in the `aba-workload`
-//! engine, which the throughput-style tables drive; per-layer latency lives
-//! in the standalone `benchmark/` package.
+//! The experiment harness shared by the seven table-generating binaries —
+//! `table_step_complexity`, `table_tradeoff`, `lowerbound_witness`,
+//! `table_aba_incidence`, `table_matrix`, `table_dpor` and `table_lint`:
+//! strict flag parsing ([`Args`]), the engine-matrix driver and its
+//! four-row table ([`matrix`]), every rule a binary fails its run on
+//! ([`gate`]), the `BENCH_lint.json` / `BENCH_dpor.json` emitters and the
+//! paired-ratio regression gate ([`baseline`]).  Throughput measurement
+//! itself lives in the `aba-workload` engine, which `table_matrix` drives;
+//! per-layer latency lives in the standalone `benchmark/` package.
 //!
 //! Every binary prints a self-contained plain-text table whose rows map
 //! one-to-one onto the experiment index in `DESIGN.md` / `EXPERIMENTS.md`.
@@ -18,89 +18,95 @@
 #![warn(missing_debug_implementations)]
 
 pub mod baseline;
+pub mod gate;
+pub mod matrix;
 
-/// A plain-text table builder for experiment output.
-#[derive(Debug, Clone)]
-pub struct Table {
-    title: String,
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
+pub use aba_workload::report::Table;
+
+/// The usage string of a binary that takes only `--quick` and `--out`.
+pub const QUICK_AND_OUT: &str = "[--quick] [--out <path>]";
+
+/// A command line checked against its binary's usage string, in which every
+/// accepted `--flag` appears and one followed by a `<placeholder>` takes a
+/// value.  Nothing is ignored: a misspelt flag would otherwise run the
+/// default (full) sweep, and a value flag left last would silently take its
+/// default — for `--baseline`, skipping the regression gate with exit 0.
+#[derive(Debug)]
+pub struct Args {
+    usage: &'static str,
+    given: Vec<(String, Option<String>)>,
 }
 
-impl Table {
-    /// A new table with the given title and column headers.
-    pub fn new(title: &str, header: &[&str]) -> Self {
-        Table {
-            title: title.to_string(),
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Append a row (must match the header arity).
+impl Args {
+    /// Parse `args` (without the program name) against `usage`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the row length differs from the header length.
-    pub fn row(&mut self, cells: &[String]) {
-        assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
-        self.rows.push(cells.to_vec());
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Render the table as aligned plain text.
-    pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
+    /// Names the first argument `usage` does not list as a flag, or the first
+    /// value flag followed by nothing or by another `--flag`.
+    pub fn parse(args: &[String], usage: &'static str) -> Result<Args, String> {
+        let listed: Vec<&str> = usage
+            .split_whitespace()
+            .map(|token| token.trim_matches(['[', ']']))
+            .collect();
+        let mut given = Vec::new();
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            let at = listed.iter().position(|token| token == arg);
+            let Some(at) = at.filter(|_| arg.starts_with("--")) else {
+                return Err(format!("unknown argument `{arg}`"));
+            };
+            let takes_value = listed.get(at + 1).is_some_and(|next| next.starts_with('<'));
+            let value = match takes_value.then(|| rest.next()) {
+                None => None,
+                Some(Some(value)) if !value.starts_with("--") => Some(value.clone()),
+                Some(_) => return Err(format!("`{arg}` needs a value")),
+            };
+            given.push((arg.clone(), value));
         }
-        let mut out = String::new();
-        out.push_str(&format!("== {} ==\n", self.title));
-        let fmt_row = |cells: &[String]| -> String {
-            cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:width$}", c, width = widths[i]))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
-        out.push_str(&fmt_row(&self.header));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row));
-            out.push('\n');
-        }
-        out
+        Ok(Args { usage, given })
+    }
+
+    /// The process's own command line; a violation prints the message and
+    /// the usage line and exits 2.
+    pub fn from_env(usage: &'static str) -> Args {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Args::parse(&args, usage).unwrap_or_else(|message| usage_exit(usage, &message))
+    }
+
+    /// Whether `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|(name, _)| name == flag)
+    }
+
+    /// The value given for `flag`, if it was given.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        let (_, value) = self.given.iter().find(|(name, _)| name == flag)?;
+        value.as_deref()
+    }
+
+    /// Print `message` and the usage line to stderr, then exit 2 — for a
+    /// value that parsed but is not acceptable.
+    pub fn fail(&self, message: &str) -> ! {
+        usage_exit(self.usage, message)
     }
 }
 
-/// The value following `flag` on the command line, if the flag is present.
-pub fn value_flag(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+fn usage_exit(usage: &str, message: &str) -> ! {
+    let program = std::env::args().next().unwrap_or_default();
+    eprintln!("{message}\nusage: {program} {usage}");
+    std::process::exit(2);
 }
 
-/// The two flags every JSON-writing table binary takes: whether `--quick`
-/// was given, and the `--out <path>` destination (`default_out` without it).
-pub fn quick_and_out(args: &[String], default_out: &str) -> (bool, String) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = value_flag(args, "--out").unwrap_or_else(|| default_out.to_string());
-    (quick, out)
+/// Report `failures` (the output of a [`gate`] function) on stderr and exit 1
+/// if there are any.
+pub fn exit_on_failures(gate: &str, failures: &[String]) {
+    for failure in failures {
+        eprintln!("{gate} gate: {failure}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
 }
 
 /// Render the `BENCH_lint.json` document (schema `aba-repro/lint/v1`) from
@@ -194,7 +200,7 @@ impl DporRow {
 /// row per explored model in the order given.
 ///
 /// Factored out of the `table_dpor` binary so the golden test can pin the
-/// row keys and their order (CI greps them) without running an exploration.
+/// row keys and their order without running an exploration.
 pub fn dpor_json(quick: bool, rows: &[DporRow]) -> String {
     use std::fmt::Write as _;
 
@@ -234,22 +240,40 @@ pub fn dpor_json(quick: bool, rows: &[DporRow]) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn table_renders_aligned_output() {
-        let mut t = Table::new("demo", &["name", "value"]);
-        t.row(&["alpha".to_string(), "1".to_string()]);
-        t.row(&["b".to_string(), "22222".to_string()]);
-        let text = t.render();
-        assert!(text.contains("== demo =="));
-        assert!(text.contains("alpha"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+    const USAGE: &str = "[--quick] [--out <path>] [--baseline <path>]";
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Args::parse(&args, USAGE)
     }
 
     #[test]
-    #[should_panic(expected = "arity")]
-    fn table_rejects_wrong_arity() {
-        let mut t = Table::new("demo", &["a", "b"]);
-        t.row(&["only one".to_string()]);
+    fn known_flags_parse_with_their_values() {
+        let args = parse(&["--quick", "--out", "a.json,b.json"]).unwrap();
+        assert!(args.has("--quick"));
+        assert_eq!(args.value("--out"), Some("a.json,b.json"));
+        assert_eq!(args.value("--baseline"), None);
+        assert!(!args.has("--baseline"));
+    }
+
+    #[test]
+    fn a_value_flag_left_last_is_an_error_not_a_default() {
+        // `--baseline` with its path forgotten used to skip the gate, exit 0.
+        let err = parse(&["--quick", "--baseline"]).unwrap_err();
+        assert!(err.contains("`--baseline` needs a value"), "{err}");
+        let err = parse(&["--out"]).unwrap_err();
+        assert!(err.contains("`--out` needs a value"), "{err}");
+        // Another flag is not a value either.
+        let err = parse(&["--out", "--quick"]).unwrap_err();
+        assert!(err.contains("`--out` needs a value"), "{err}");
+    }
+
+    #[test]
+    fn a_misspelt_flag_is_an_error_not_a_full_sweep() {
+        let err = parse(&["--qiuck"]).unwrap_err();
+        assert!(err.contains("unknown argument `--qiuck`"), "{err}");
+        // Nor is a word of the usage string that is not a flag.
+        let err = parse(&["<path>"]).unwrap_err();
+        assert!(err.contains("unknown argument `<path>`"), "{err}");
     }
 }

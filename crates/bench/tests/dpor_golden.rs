@@ -3,10 +3,9 @@
 //! the tie between each structure model and the hardware backend it claims
 //! to model.
 //!
-//! The row order is load-bearing: ci.yml's
-//! `"protected":true[^}]*"witness":true` grep and cross-commit tracking read
-//! the document as emitted.  Growing the roster appends rows; it never
-//! renames or reorders the existing ones.
+//! The row and key order is a schema pin: cross-commit tracking reads the
+//! document as emitted.  Growing the roster appends rows; it never renames or
+//! reorders the existing ones.
 
 use aba_bench::{dpor_json, DporRow};
 use aba_lockfree::{Family, Scheme};

@@ -3,9 +3,9 @@
 //! report — in the same registry-stability tradition as
 //! `crates/workload/tests/roster_golden.rs`.
 //!
-//! The rule ids and JSON keys are load-bearing: CI greps them, and
-//! cross-commit tracking diffs the document.  Growing the roster appends
-//! rules; it never renames or reorders the existing ones.
+//! The rule ids and JSON keys are load-bearing: cross-commit tracking diffs
+//! the document.  Growing the roster appends rules; it never renames or
+//! reorders the existing ones.
 
 use std::path::Path;
 
@@ -26,8 +26,8 @@ fn rule_roster_matches_the_golden_list_exactly() {
     let roster: Vec<(&str, &str)> = RULE_ROSTER.iter().map(|r| (r.id, r.name)).collect();
     assert_eq!(
         roster, GOLDEN_RULES,
-        "lint rule ids/names/order changed — rule ids key BENCH_lint.json \
-         and CI greps; append new rules, never rename"
+        "lint rule ids/names/order changed — rule ids key BENCH_lint.json; \
+         append new rules, never rename"
     );
 }
 

@@ -732,7 +732,7 @@ mod tests {
         }
     }
 
-    /// One engine cell of `table_throughput --quick --threads 4` on
+    /// One engine cell of `table_matrix --family all --quick --threads 4` on
     /// `aba-workload`'s `hot-key-contention` mix (publish/retract cycles on
     /// 4 hot keys, a cold 64-key range, rolling-probe gets; a 100-op warm-up
     /// and two 800-op rounds on one 128-key map), through racing handles

@@ -53,7 +53,7 @@ impl EngineConfig {
         }
     }
 
-    /// A CI-sized configuration (`table_throughput --quick`): threads 1/2/4,
+    /// A CI-sized configuration (`table_matrix --quick`): threads 1/2/4,
     /// 2 repetitions.  Operations per thread match [`EngineConfig::standard`]:
     /// a structure operation costs tens of nanoseconds, and a round much
     /// shorter than a millisecond measures thread start-up, not the backend

@@ -52,5 +52,5 @@ pub use backend::{
     roster_node_capacity, standard_backends, BackendSpec, LlScWorkload, Workload, WorkloadOps,
 };
 pub use engine::{run_cell, run_matrix, CellResult, EngineConfig, MatrixResult};
-pub use report::{render_tables, to_json, to_json_with_schema, JSON_SCHEMA};
+pub use report::{render_tables, to_json, to_json_with_schema, Table, JSON_SCHEMA};
 pub use scenario::{standard_scenarios, Op, Scenario};

@@ -12,31 +12,84 @@ use crate::engine::{CellResult, EngineConfig, MatrixResult};
 // Plain text
 // ---------------------------------------------------------------------------
 
-fn render_aligned(header: &[String], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
+/// One column of [`Table::of`]: its header and the function rendering an
+/// item's cell in it.
+pub type Column<'a, T> = (&'a str, &'a dyn Fn(&T) -> String);
+
+/// A titled plain-text table with aligned columns — the one renderer behind
+/// the engine's per-scenario tables and every experiment binary's output
+/// (`aba_bench::Table` re-exports it).
+#[derive(Debug, Clone)]
+pub struct Table {
+    title: String,
+    header: Vec<String>,
+    rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// A new table with the given title and column headers.
+    pub fn new(title: &str, header: &[&str]) -> Self {
+        Table {
+            title: title.to_string(),
+            header: header.iter().map(|s| s.to_string()).collect(),
+            rows: Vec::new(),
         }
     }
-    let fmt_row = |cells: &[String]| -> String {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:width$}", c, width = widths[i]))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    let mut out = String::new();
-    out.push_str(&fmt_row(header));
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&fmt_row(row));
-        out.push('\n');
+
+    /// A table with one row per item; header and rows agree in arity by
+    /// construction.
+    pub fn of<T>(
+        title: &str,
+        items: impl IntoIterator<Item = T>,
+        columns: &[Column<'_, T>],
+    ) -> Self {
+        let header: Vec<&str> = columns.iter().map(|(name, _)| *name).collect();
+        let mut table = Table::new(title, &header);
+        for item in items {
+            let cells: Vec<String> = columns.iter().map(|(_, cell)| cell(&item)).collect();
+            table.row(&cells);
+        }
+        table
     }
-    out
+
+    /// Append a row (must match the header arity).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row length differs from the header length.
+    pub fn row(&mut self, cells: &[String]) {
+        assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
+        self.rows.push(cells.to_vec());
+    }
+
+    /// Render the table as aligned plain text: a `== title ==` line, the
+    /// header, a rule, then one line per row.
+    pub fn render(&self) -> String {
+        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
+        for row in &self.rows {
+            for (i, cell) in row.iter().enumerate() {
+                widths[i] = widths[i].max(cell.len());
+            }
+        }
+        let fmt_row = |cells: &[String]| -> String {
+            cells
+                .iter()
+                .enumerate()
+                .map(|(i, c)| format!("{:width$}", c, width = widths[i]))
+                .collect::<Vec<_>>()
+                .join("  ")
+        };
+        let mut out = format!("== {} ==\n", self.title);
+        out.push_str(&fmt_row(&self.header));
+        out.push('\n');
+        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+        out.push('\n');
+        for row in &self.rows {
+            out.push_str(&fmt_row(row));
+            out.push('\n');
+        }
+        out
+    }
 }
 
 fn human_rate(ops_per_sec: f64) -> String {
@@ -90,7 +143,8 @@ pub fn render_tables(result: &MatrixResult) -> String {
         header.push(format!("peak-unreclaimed@{max_threads}thr"));
         header.push(format!("failed@{max_threads}thr"));
 
-        let mut rows = Vec::new();
+        let header: Vec<&str> = header.iter().map(String::as_str).collect();
+        let mut table = Table::new(&format!("E7/E8 scenario: {scenario}"), &header);
         for backend in backends {
             let mut row = vec![backend.to_string()];
             for &t in &result.config.thread_counts {
@@ -108,11 +162,10 @@ pub fn render_tables(result: &MatrixResult) -> String {
             row.push(format!("{}ns", top.p99_ns));
             row.push(top.peak_unreclaimed.to_string());
             row.push(top.failed_ops.to_string());
-            rows.push(row);
+            table.row(&row);
         }
 
-        out.push_str(&format!("== E7/E8 scenario: {scenario} ==\n"));
-        out.push_str(&render_aligned(&header, &rows));
+        out.push_str(&table.render());
         out.push('\n');
     }
     out
@@ -236,11 +289,42 @@ mod tests {
 
     #[test]
     fn tables_have_one_section_per_scenario() {
-        let text = render_tables(&sample_result());
-        assert!(text.contains("== E7/E8 scenario: churn =="));
-        assert!(text.contains("== E7/E8 scenario: rmw-storm =="));
-        assert!(text.contains("llsc/announce"));
-        assert!(text.contains("p99@2thr"));
+        // Byte-exact: `render_tables` goes through the shared `Table`, whose
+        // layout every experiment binary's output depends on.
+        let section = |scenario: &str| {
+            format!(
+                "== E7/E8 scenario: {scenario} ==\n\
+                 backend        1 thr (ops/s)  2 thr (ops/s)  p50@2thr  p99@2thr  peak-unreclaimed@2thr  failed@2thr\n\
+                 ---------------------------------------------------------------------------------------------------\n\
+                 llsc/announce  1.2k           1.2k           40ns      90ns      3                      2          \n\
+                 stack/tagged   1.2k           1.2k           40ns      90ns      3                      2          \n\n"
+            )
+        };
+        assert_eq!(
+            render_tables(&sample_result()),
+            section("churn") + &section("rmw-storm")
+        );
+    }
+
+    #[test]
+    fn table_of_renders_one_row_per_item_under_the_column_headers() {
+        let table = Table::of(
+            "squares",
+            [2u32, 10],
+            &[("n", &|n| n.to_string()), ("n^2", &|n| (n * n).to_string())],
+        );
+        assert_eq!(
+            table.render(),
+            "== squares ==\nn   n^2\n-------\n2   4  \n10  100\n"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "arity")]
+    fn table_rejects_wrong_arity() {
+        let mut t = Table::new("demo", &["name", "value"]);
+        t.row(&["alpha".to_string(), "1".to_string()]);
+        t.row(&["only one".to_string()]);
     }
 
     #[test]

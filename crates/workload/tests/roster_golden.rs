@@ -221,9 +221,10 @@ fn bench_json_top_level_and_cell_key_sets_are_pinned() {
 
 #[test]
 fn bench_map_json_schema_and_key_set_are_pinned() {
-    // The E13 map sweep (`table_map` → BENCH_map.json) reuses the matrix
-    // cell layout verbatim under its own schema string: pin both, so the
-    // map document can never silently fork its format from the main one.
+    // The E13 map sweep (`table_matrix --family map` → BENCH_map.json) reuses
+    // the matrix cell layout verbatim under its own schema string: pin both,
+    // so the map document can never silently fork its format from the main
+    // one.
     let scenarios = standard_scenarios();
     let zipf: Vec<_> = scenarios
         .iter()

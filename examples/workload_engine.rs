@@ -2,7 +2,7 @@
 //! backends, two thread counts.
 //!
 //! The full sweep (6 scenarios × 9 backends × 4 thread counts, with JSON
-//! output) is `cargo run --release -p aba-bench --bin table_throughput`;
+//! output) is `cargo run --release -p aba-bench --bin table_matrix -- --family all`;
 //! this example shows the same engine driven programmatically, the way a
 //! downstream user would measure their own configuration.
 //!
