@@ -3,7 +3,7 @@
 //! instead of living in a `main` plus a regex over the serialised document.
 //!
 //! Each function returns one message per violation, naming the offending
-//! cell or row; an empty vector is a pass.  The binaries print the messages
+//! cell, row or object; an empty vector is a pass.  The binaries print the messages
 //! and exit 1 through [`exit_on_failures`](crate::exit_on_failures).
 //! DESIGN.md ("Gates") maps every rule CI used to grep for onto a function
 //! here or a golden test.
@@ -117,6 +117,31 @@ pub fn lint(report: &LintReport, verdicts: &[AuditVerdict]) -> Vec<String> {
         }
     }
     failures
+}
+
+/// How much slower than at the smallest `n` measured a constant-time object
+/// may run at the largest before [`scaling`] fails it.
+pub const SCALING_BOUND: f64 = 4.0;
+
+/// The E1/E2 wall-clock gate (`table_step_complexity`): an object whose step
+/// count the paper proves independent of `n` must not hide a cost that grows
+/// with `n` in its local work, where the step counter cannot see it.
+/// `ns_by_n` is `object`'s nanoseconds per operation at each `n`, ascending;
+/// the last entry may be at most [`SCALING_BOUND`] times the first.
+pub fn scaling(object: &str, ns_by_n: &[(usize, f64)]) -> Vec<String> {
+    let [(small, base), .., (large, ns)] = *ns_by_n else {
+        return vec![format!(
+            "{object}: measured at fewer than two process counts"
+        )];
+    };
+    if base <= 0.0 || ns > SCALING_BOUND * base {
+        return vec![format!(
+            "{object}: {ns:.1} ns/op at n={large} is {:.0}x the {base:.1} ns/op at n={small} \
+             (bound {SCALING_BOUND}x) — local work grows with n",
+            ns / base
+        )];
+    }
+    Vec::new()
 }
 
 #[cfg(test)]
@@ -289,6 +314,32 @@ mod tests {
         assert_one(&failures, &["queue/tagged", "not drained in full mode"]);
         let failures = dpor(&[dpor_row(true, false, true, 0)], true);
         assert_one(&failures, &["queue/tagged", "zero schedules"]);
+    }
+
+    // --- scaling -------------------------------------------------------------
+
+    #[test]
+    fn a_flat_object_passes_the_scaling_gate() {
+        let flat = [(2, 13.4), (8, 13.3), (128, 14.7), (512, 14.8)];
+        assert_eq!(scaling("Figure 4 DWrite", &flat), Vec::<String>::new());
+        // Noise up to the bound is tolerated.
+        assert!(scaling("Figure 4 DWrite", &[(2, 10.0), (512, 40.0)]).is_empty());
+    }
+
+    #[test]
+    fn the_scaling_gate_names_the_object_whose_local_work_grows() {
+        // `SeqRecycler::choose` as a quadratic scan, measured before E19.
+        let quadratic = [(2, 15.2), (8, 36.0), (128, 3578.4), (512, 36275.8)];
+        let failures = scaling("Announce LL+SC", &quadratic);
+        assert_one(&failures, &["Announce LL+SC", "n=512", "n=2", "2387x"]);
+
+        // Nothing to compare is a failure, not a pass.
+        for vacuous in [&[][..], &[(2, 13.0)]] {
+            let failures = scaling("Figure 4 DWrite", vacuous);
+            assert_one(&failures, &["Figure 4 DWrite", "fewer than two"]);
+        }
+        let unmeasured = scaling("Figure 4 DWrite", &[(2, 0.0), (512, 14.0)]);
+        assert_one(&unmeasured, &["0.0 ns/op at n=2"]);
     }
 
     // --- lint ----------------------------------------------------------------

@@ -55,6 +55,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use aba_spec::{LlScHandle, LlScObject, ProcessId, SpaceUsage, Word, INITIAL_WORD};
 
 use crate::pack::{Pair, Triple, MAX_PROCESSES};
+use crate::pad::CachePadded;
 use crate::seqpool::SeqRecycler;
 use crate::stepcount::LocalSteps;
 
@@ -65,8 +66,10 @@ pub struct AnnounceLlSc {
     n: usize,
     /// CAS object `X = (value, p, s)`.
     x: AtomicU64,
-    /// Announce array; entry `q` written only by process `q` during `LL`.
-    announce: Box<[AtomicU64]>,
+    /// Announce array; entry `q` written only by process `q` during `LL` —
+    /// each on its own cache line, so an `LL` does not invalidate the line
+    /// other processes announce on.
+    announce: Box<[CachePadded<AtomicU64>]>,
 }
 
 impl AnnounceLlSc {
@@ -88,9 +91,8 @@ impl AnnounceLlSc {
         assert!(n > 0, "need at least one process");
         assert!(n <= MAX_PROCESSES, "at most {MAX_PROCESSES} processes");
         let announce = (0..n)
-            .map(|_| AtomicU64::new(Pair::initial().pack()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+            .map(|_| CachePadded::new(AtomicU64::new(Pair::initial().pack())))
+            .collect();
         AnnounceLlSc {
             n,
             x: AtomicU64::new(Triple::initial(initial).pack()),
@@ -349,6 +351,34 @@ mod tests {
         assert_eq!(s.cas_objects, 1);
         assert_eq!(s.registers, 9);
         assert!(s.bounded);
+    }
+
+    #[test]
+    fn announce_entries_own_their_cache_lines() {
+        let x = AnnounceLlSc::new(3);
+        let at = |q: usize| &x.announce[q] as *const _ as usize;
+        assert!(at(0).is_multiple_of(64) && at(1) - at(0) >= 64);
+        // Padding is layout, not space in the paper's sense.
+        assert_eq!(LlScObject::space(&x).total_objects(), 4);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // 10⁵ publications
+    fn largest_system_publishes_inside_its_domain() {
+        let n = MAX_PROCESSES;
+        let x = AnnounceLlSc::new(n);
+        let mut writer = x.handle(n - 1);
+        let mut parked = x.handle(0);
+        let published = (0..3 * (n + 1)).map(|i| {
+            if i % 1_000 == 0 {
+                // Leaves an announcement of the writer's for GetSeq to find.
+                parked.ll();
+            }
+            writer.ll();
+            assert!(writer.sc(i as Word), "uncontended SC {i}");
+            x.read_x().seq
+        });
+        crate::seqpool::assert_recycling_window(n, published);
     }
 
     #[test]

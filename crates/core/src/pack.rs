@@ -12,17 +12,19 @@
 //! With the value domain fixed to 32 bits ([`Word`]), all of these fit into
 //! one `u64`, which is what real hardware gives us for atomic registers and
 //! CAS.  The paper's Theorem 3 uses registers of `b + 2·log n + O(1)` bits;
-//! with `b = 32` and `n ≤ 2^15` our 64-bit objects respect that budget.
+//! with `b = 32` and `n < 2^15` our 64-bit objects respect that budget.
 
 use aba_spec::{ProcessId, Word};
 
 /// Sentinel process ID representing the paper's `⊥` ("no process").
 pub const BOT_PID: u16 = u16::MAX;
 
-/// Maximum number of processes supported by the packed representations
-/// (bounded by the 16-bit process-ID field and the sequence-number domain
-/// `{0, …, 2n+1}` fitting in 16 bits).
-pub const MAX_PROCESSES: usize = 1 << 15;
+/// Maximum number of processes supported by the packed representations:
+/// the largest `n` whose sequence-number domain `{0, …, 2n+1}` fits the
+/// 16-bit field with `u16::MAX` to spare as a `⊥` (which also keeps every
+/// process ID below [`BOT_PID`]).
+pub const MAX_PROCESSES: usize = 32_766;
+const _: () = assert!(2 * MAX_PROCESSES + 2 == u16::MAX as usize - 1);
 
 /// A `(value, pid, seq)` triple as stored in Figure 4's register `X` and in
 /// the announce-based LL/SC's CAS object.

@@ -881,7 +881,7 @@ const LLSC_NIL: u32 = u32::MAX;
 #[derive(Debug)]
 pub struct LlScReclaim {
     threads: usize,
-    slots: Vec<AnnounceLlSc>,
+    slots: Vec<CachePadded<AnnounceLlSc>>,
 }
 
 impl Reclaimer for LlScReclaim {
@@ -898,8 +898,10 @@ impl Reclaimer for LlScReclaim {
 
     fn add_slot(&mut self, idx: u64) -> SlotId {
         let initial = if idx == NIL { LLSC_NIL } else { idx as u32 };
-        self.slots
-            .push(AnnounceLlSc::with_initial(self.threads, initial));
+        self.slots.push(CachePadded::new(AnnounceLlSc::with_initial(
+            self.threads,
+            initial,
+        )));
         self.slots.len() - 1
     }
 
@@ -990,6 +992,7 @@ mod tests {
         stride_check::<NoReclaim>(|r, s| &r.slots[s] as *const _ as usize);
         stride_check::<TagReclaim>(|r, s| &r.slots[s] as *const _ as usize);
         stride_check::<HazardReclaim>(|r, s| &r.slots[s] as *const _ as usize);
+        stride_check::<LlScReclaim>(|r, s| &r.slots[s] as *const _ as usize);
     }
 
     #[test]
