@@ -65,37 +65,29 @@ fn main() {
     );
     let rows: Vec<DporRow> = MODEL_ROSTER.iter().map(|m| run_row(m, quick)).collect();
 
-    let mut table = Table::new(
+    let outcome = |row: &DporRow| match (row.witness_len(), row.report.complete) {
+        (Some(len), _) => format!("WITNESS ({len} steps)"),
+        (None, true) => "clean, space drained".to_string(),
+        (None, false) => "clean, capped".to_string(),
+    };
+    let table = Table::of(
         &format!(
             "E11: exhaustive schedule exploration (DPOR){}",
             if quick { ", 60k-schedule cap" } else { "" }
         ),
+        &rows,
         &[
-            "family/mode",
-            "bound",
-            "classes explored",
-            "subtrees pruned",
-            "cut at depth",
-            "outcome",
-            "time (ms)",
+            ("family/mode", &|r| r.model.key()),
+            ("bound", &|r| r.model.bound.to_string()),
+            ("classes explored", &|r| {
+                r.report.schedules_executed.to_string()
+            }),
+            ("subtrees pruned", &|r| r.report.classes_pruned.to_string()),
+            ("cut at depth", &|r| r.report.truncated_traces.to_string()),
+            ("outcome", &|r| outcome(r)),
+            ("time (ms)", &|r| r.elapsed_ms.to_string()),
         ],
     );
-    for row in &rows {
-        let outcome = match (row.witness_len(), row.report.complete) {
-            (Some(len), _) => format!("WITNESS ({len} steps)"),
-            (None, true) => "clean, space drained".to_string(),
-            (None, false) => "clean, capped".to_string(),
-        };
-        table.row(&[
-            row.model.key(),
-            row.model.bound.to_string(),
-            row.report.schedules_executed.to_string(),
-            row.report.classes_pruned.to_string(),
-            row.report.truncated_traces.to_string(),
-            outcome,
-            row.elapsed_ms.to_string(),
-        ]);
-    }
     println!("{}", table.render());
     println!(
         "Expected shape: both unprotected modes and the naive register produce a witness within \

@@ -52,21 +52,19 @@ fn main() {
     let report = lint_workspace(&root);
     let lint_ms = lint_start.elapsed().as_millis();
 
-    let mut lint_table = Table::new(
+    let lint_table = Table::of(
         &format!(
             "Conformance lint ({} files, {lint_ms} ms)",
             report.files_scanned
         ),
-        &["rule", "name", "summary", "findings"],
+        RULE_ROSTER,
+        &[
+            ("rule", &|rule| rule.id.to_string()),
+            ("name", &|rule| rule.name.to_string()),
+            ("summary", &|rule| rule.summary.to_string()),
+            ("findings", &|rule| report.count_for(rule.id).to_string()),
+        ],
     );
-    for rule in RULE_ROSTER {
-        lint_table.row(&[
-            rule.id.to_string(),
-            rule.name.to_string(),
-            rule.summary.to_string(),
-            report.count_for(rule.id).to_string(),
-        ]);
-    }
     println!("{}", lint_table.render());
     for f in &report.findings {
         println!("  {} {}:{} {}", f.rule, f.file, f.line, f.message);
@@ -81,27 +79,20 @@ fn main() {
     let verdicts = standard_family_audits(quick);
     let audit_ms = audit_start.elapsed().as_millis();
 
-    let mut audit_table = Table::new(
+    let audit_table = Table::of(
         &format!("DPOR footprint-soundness audit ({audit_ms} ms)"),
+        &verdicts,
         &[
-            "family/mode",
-            "schedules",
-            "steps audited",
-            "under-reports",
-            "over-reports",
-            "verdict",
+            ("family/mode", &|v| format!("{}/{}", v.family, v.mode)),
+            ("schedules", &|v| v.schedules.to_string()),
+            ("steps audited", &|v| v.steps_audited.to_string()),
+            ("under-reports", &|v| v.under_reports.to_string()),
+            ("over-reports", &|v| v.over_reports.to_string()),
+            ("verdict", &|v| {
+                if v.sound { "sound" } else { "UNSOUND" }.to_string()
+            }),
         ],
     );
-    for v in &verdicts {
-        audit_table.row(&[
-            format!("{}/{}", v.family, v.mode),
-            v.schedules.to_string(),
-            v.steps_audited.to_string(),
-            v.under_reports.to_string(),
-            v.over_reports.to_string(),
-            if v.sound { "sound" } else { "UNSOUND" }.to_string(),
-        ]);
-    }
     println!("{}", audit_table.render());
     println!(
         "Expected shape: zero lint findings (every relaxation, wall-clock read and unbounded \

@@ -128,10 +128,7 @@ impl SimProcess for TaggedProcess {
                 Some(MethodResponse::WriteDone)
             }
             TaggedPhase::Read => {
-                let w = match result {
-                    StepResult::Value(v) => TagWord::unpack(v),
-                    other => panic!("unexpected step result {other:?}"),
-                };
+                let w = TagWord::unpack(result.value());
                 let changed = w.tag != self.last_tag;
                 self.last_tag = w.tag;
                 Some(MethodResponse::ReadResult(w.value, changed))
@@ -236,10 +233,7 @@ impl SimProcess for NaiveProcess {
             TaggedPhase::Idle => panic!("no method in progress"),
             TaggedPhase::Write(_) => Some(MethodResponse::WriteDone),
             TaggedPhase::Read => {
-                let v = match result {
-                    StepResult::Value(v) => v as Word,
-                    other => panic!("unexpected step result {other:?}"),
-                };
+                let v = result.value() as Word;
                 let changed = v != self.last_value;
                 self.last_value = v;
                 Some(MethodResponse::ReadResult(v, changed))

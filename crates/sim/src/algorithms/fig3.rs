@@ -95,22 +95,6 @@ struct Fig3Process {
     phase: Phase,
 }
 
-impl Fig3Process {
-    fn expect_value(result: StepResult) -> MaskWord {
-        match result {
-            StepResult::Value(v) => MaskWord::unpack(v),
-            other => panic!("unexpected step result {other:?}"),
-        }
-    }
-
-    fn expect_cas(result: StepResult) -> bool {
-        match result {
-            StepResult::CasOutcome { success, .. } => success,
-            other => panic!("unexpected step result {other:?}"),
-        }
-    }
-}
-
 impl SimProcess for Fig3Process {
     fn invoke(&mut self, call: MethodCall) -> Option<MethodResponse> {
         assert!(self.is_idle(), "method already in progress");
@@ -162,7 +146,7 @@ impl SimProcess for Fig3Process {
         match phase {
             Phase::Idle => panic!("no method in progress"),
             Phase::LlFirstRead => {
-                let first = Self::expect_value(result);
+                let first = MaskWord::unpack(result.value());
                 if !first.bit(self.pid) {
                     // Lines 15–17.
                     self.b = false;
@@ -173,7 +157,7 @@ impl SimProcess for Fig3Process {
                 }
             }
             Phase::LlLoopRead { first, attempt } => {
-                let cur = Self::expect_value(result);
+                let cur = MaskWord::unpack(result.value());
                 self.phase = Phase::LlLoopCas {
                     first,
                     attempt,
@@ -186,7 +170,7 @@ impl SimProcess for Fig3Process {
                 attempt,
                 cur,
             } => {
-                if Self::expect_cas(result) {
+                if result.cas_succeeded() {
                     // Lines 22–23.
                     self.b = false;
                     Some(MethodResponse::LlResult(cur.value))
@@ -203,7 +187,7 @@ impl SimProcess for Fig3Process {
                 }
             }
             Phase::ScRead { value, attempt } => {
-                let cur = Self::expect_value(result);
+                let cur = MaskWord::unpack(result.value());
                 if cur.bit(self.pid) {
                     // Lines 4–5.
                     Some(MethodResponse::ScResult(false))
@@ -217,7 +201,7 @@ impl SimProcess for Fig3Process {
                 }
             }
             Phase::ScCas { value, attempt, .. } => {
-                if Self::expect_cas(result) {
+                if result.cas_succeeded() {
                     // Line 7.
                     Some(MethodResponse::ScResult(true))
                 } else if attempt + 1 < self.n {
@@ -232,7 +216,7 @@ impl SimProcess for Fig3Process {
                 }
             }
             Phase::VlRead => {
-                let cur = Self::expect_value(result);
+                let cur = MaskWord::unpack(result.value());
                 Some(MethodResponse::VlResult(!cur.bit(self.pid) && !self.b))
             }
         }

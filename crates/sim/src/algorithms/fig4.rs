@@ -230,10 +230,7 @@ impl SimProcess for Fig4Process {
         match phase {
             Phase::Idle => panic!("no method in progress"),
             Phase::WriteScan { value, slot } => {
-                let raw = match result {
-                    StepResult::Value(v) => v,
-                    other => panic!("unexpected step result {other:?}"),
-                };
+                let raw = result.value();
                 let announced = Pair::unpack(raw);
                 // Lines 29–32: remember announcements of our own numbers.
                 if announced.pid == self.pid as u16 {
@@ -249,20 +246,14 @@ impl SimProcess for Fig4Process {
             }
             Phase::WritePublish { .. } => Some(MethodResponse::WriteDone),
             Phase::ReadX1 => {
-                let raw = match result {
-                    StepResult::Value(v) => v,
-                    other => panic!("unexpected step result {other:?}"),
-                };
+                let raw = result.value();
                 self.phase = Phase::ReadOldAnnounce {
                     first: Triple::unpack(raw),
                 };
                 None
             }
             Phase::ReadOldAnnounce { first } => {
-                let raw = match result {
-                    StepResult::Value(v) => v,
-                    other => panic!("unexpected step result {other:?}"),
-                };
+                let raw = result.value();
                 self.phase = Phase::Announce {
                     first,
                     old: Pair::unpack(raw),
@@ -274,10 +265,7 @@ impl SimProcess for Fig4Process {
                 None
             }
             Phase::ReadX2 { first, old } => {
-                let raw = match result {
-                    StepResult::Value(v) => v,
-                    other => panic!("unexpected step result {other:?}"),
-                };
+                let raw = result.value();
                 let second = Triple::unpack(raw);
                 // Lines 42–45.
                 let flag = if first.pair() == old { self.b } else { true };

@@ -9,7 +9,9 @@
 //! predecessor's link word deep inside the chain while other processes
 //! unlink, free and recycle the nodes it reasons about.
 //!
-//! One state machine serves four protection modes:
+//! One state machine holds the set's own steps (traverse, splice, mark,
+//! unlink); everything a protection scheme adds is a sub-sequence of the
+//! shared `protect` sub-machine, composed here in four modes:
 //!
 //! * [`SetSim::unprotected`] — bare `(mark, index)` words, immediate free;
 //!   a stale splice or unlink CAS succeeds against a recycled node (lost
@@ -20,36 +22,26 @@
 //!   hand-over-hand (successor first, then re-validate the still-protected
 //!   predecessor's link); an unlinked node waits in a private limbo until a
 //!   scan of the other processes' registers clears it.
-//! * [`SetSim::epoch`] — the `EpochSim` protocol transplanted: pin before
-//!   traversing, stamp retirees with a post-unlink epoch read, free after
-//!   two advances.
+//! * [`SetSim::epoch`] — pin before traversing, stamp retirees with a
+//!   post-unlink epoch read, free after two advances.  Unlike the queue the
+//!   set pins first (every operation starts by traversing) and never uses
+//!   the quarantine.
 //!
 //! Memory layout for a capacity-`C`, `n`-process set: object 0 is `head`,
-//! object 1 is the free *set* (a bitmask), node `k` owns objects `2 + 2k`
-//! (key) and `3 + 2k` (next link, `(tag, mark, index)` packed); then one
-//! global-epoch object, `n` local-epoch registers and `3n` hazard registers
-//! (allocated in every mode so object ids are uniform; unused modes never
-//! touch them).
+//! object 1 is the free set, node `k` owns objects `2 + 2k` (key) and
+//! `3 + 2k` (next link, `(tag, mark, index)` packed); then the protection
+//! registers — one global-epoch object, `n` local-epoch registers and `3n`
+//! hazard registers (allocated in every mode so object ids are uniform;
+//! unused modes never touch them).
 
 use aba_spec::{ProcessId, Word};
 
+use super::protect::{Layout, LinkCodec, Outcome, Protection, Scheme, Step, Sub, HAZ_LANES};
 use crate::algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
 use crate::object::{BaseObject, BaseOp, ObjId, StepResult};
 
 const OBJ_HEAD: ObjId = 0;
 const OBJ_FREE: ObjId = 1;
-
-/// Protection lanes per process (predecessor / current / successor).
-const HAZ_LANES: usize = 3;
-
-/// Which ABA-protection protocol the state machine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Unprotected,
-    Tagged,
-    Hazard,
-    Epoch,
-}
 
 /// A simulated Harris–Michael set: `n` processes over a capacity-`capacity`
 /// node arena.
@@ -57,14 +49,18 @@ enum Mode {
 pub struct SetSim {
     n: usize,
     capacity: usize,
-    mode: Mode,
+    scheme: Scheme,
 }
 
 impl SetSim {
-    fn new(n: usize, capacity: usize, mode: Mode) -> Self {
+    fn new(n: usize, capacity: usize, scheme: Scheme) -> Self {
         assert!(n > 0, "need at least one process");
         assert!((1..=63).contains(&capacity), "capacity must be in 1..=63");
-        SetSim { n, capacity, mode }
+        SetSim {
+            n,
+            capacity,
+            scheme,
+        }
     }
 
     /// The unprotected (ABA-prone) variant.
@@ -74,7 +70,7 @@ impl SetSim {
     /// Panics if `n == 0` or `capacity` is 0 or above 63 (the free set is a
     /// single 64-bit word).
     pub fn unprotected(n: usize, capacity: usize) -> Self {
-        Self::new(n, capacity, Mode::Unprotected)
+        Self::new(n, capacity, Scheme::Unprotected)
     }
 
     /// The tagged (counted-word) variant.
@@ -83,7 +79,7 @@ impl SetSim {
     ///
     /// Panics as for [`SetSim::unprotected`].
     pub fn tagged(n: usize, capacity: usize) -> Self {
-        Self::new(n, capacity, Mode::Tagged)
+        Self::new(n, capacity, Scheme::Tagged)
     }
 
     /// The hazard-pointer variant (three hand-over-hand lanes per process).
@@ -92,7 +88,7 @@ impl SetSim {
     ///
     /// Panics as for [`SetSim::unprotected`].
     pub fn hazard(n: usize, capacity: usize) -> Self {
-        Self::new(n, capacity, Mode::Hazard)
+        Self::new(n, capacity, Scheme::Hazard)
     }
 
     /// The epoch-reclaimed variant.
@@ -101,7 +97,7 @@ impl SetSim {
     ///
     /// Panics as for [`SetSim::unprotected`].
     pub fn epoch(n: usize, capacity: usize) -> Self {
-        Self::new(n, capacity, Mode::Epoch)
+        Self::new(n, capacity, Scheme::Epoch)
     }
 
     /// Arena capacity (number of nodes).
@@ -109,21 +105,31 @@ impl SetSim {
         self.capacity
     }
 
+    fn layout(&self) -> Layout {
+        Layout {
+            free: OBJ_FREE,
+            base: 2 + 2 * self.capacity,
+            n: self.n,
+            lanes: HAZ_LANES,
+            stamps: 0,
+        }
+    }
+
     /// Object id of the global epoch counter (epoch mode).
     pub fn global_epoch_obj(&self) -> ObjId {
-        2 + 2 * self.capacity
+        self.layout().global_epoch()
     }
 
     /// Object id of process `p`'s local-epoch register (epoch mode; `0` =
     /// quiescent, `e + 1` = pinned at epoch `e`).
     pub fn local_epoch_obj(&self, p: ProcessId) -> ObjId {
-        3 + 2 * self.capacity + p
+        self.layout().local_epoch(p)
     }
 
     /// Object id of process `p`'s hazard register for `lane` (hazard mode;
     /// `0` = clear, `idx + 1` = protecting node `idx`).
     pub fn hazard_obj(&self, p: ProcessId, lane: usize) -> ObjId {
-        3 + 2 * self.capacity + self.n + HAZ_LANES * p + lane
+        self.layout().hazard(p, lane)
     }
 }
 
@@ -133,11 +139,11 @@ impl SimAlgorithm for SetSim {
     }
 
     fn name(&self) -> &'static str {
-        match self.mode {
-            Mode::Unprotected => "HM set sim (unprotected)",
-            Mode::Tagged => "HM set sim (tagged)",
-            Mode::Hazard => "HM set sim (hazard)",
-            Mode::Epoch => "HM set sim (epoch)",
+        match self.scheme {
+            Scheme::Unprotected => "HM set sim (unprotected)",
+            Scheme::Tagged => "HM set sim (tagged)",
+            Scheme::Hazard => "HM set sim (hazard)",
+            Scheme::Epoch => "HM set sim (epoch)",
         }
     }
 
@@ -151,20 +157,16 @@ impl SimAlgorithm for SetSim {
             objects.push(BaseObject::register(0)); // key
             objects.push(BaseObject::writable_cas(nil)); // next
         }
-        objects.push(BaseObject::cas(0)); // global epoch
-        for _ in 0..self.n {
-            objects.push(BaseObject::register(0)); // local epochs (0 = idle)
-        }
-        for _ in 0..HAZ_LANES * self.n {
-            objects.push(BaseObject::register(0)); // hazard registers
-        }
+        objects.extend(self.layout().registers());
         objects
     }
 
     fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess> {
         Box::new(SetProc {
-            algo: *self,
             pid,
+            capacity: self.capacity as u64,
+            links: self.scheme.links(),
+            prot: Protection::new(self.scheme, self.layout(), pid),
             state: State::Idle,
             goal: Goal::Contains,
             key: 0,
@@ -173,10 +175,6 @@ impl SimAlgorithm for SetSim {
             prev_raw: 0,
             cur: self.capacity as u64,
             lane: 0,
-            pending: None,
-            limbo: Vec::new(),
-            last_g: 0,
-            scan_protected: Vec::new(),
         })
     }
 
@@ -186,7 +184,7 @@ impl SimAlgorithm for SetSim {
     fn first_step(&self, _pid: ProcessId, call: MethodCall) -> Option<BaseOp> {
         match call {
             MethodCall::Insert(_) | MethodCall::Remove(_) | MethodCall::Contains(_) => {
-                Some(if self.mode == Mode::Epoch {
+                Some(if self.scheme == Scheme::Epoch {
                     BaseOp::Read(self.global_epoch_obj())
                 } else {
                     BaseOp::Read(OBJ_HEAD)
@@ -205,15 +203,22 @@ enum Goal {
     Contains,
 }
 
-/// Where a reclamation tail-sequence returns to once it finishes.
+/// Where a finished protection sub-sequence returns to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum After {
-    /// Restart the traversal from the head.
+    /// (Re)start the traversal from the head: after the pin, and after the
+    /// `retire` of a marked node the traversal helped unlink.
     Find,
-    /// Complete the method call with the stored pending response.
-    Respond,
-    /// Retry the insert allocation once.
+    /// `protect` of the new `cur` → read its link.
+    Protected,
+    /// `admit_alloc` → initialise the insert's node.
+    Alloc,
+    /// Reclamation under allocation pressure → retry the allocation once.
     RetryAlloc,
+    /// Complete the method call with this response.
+    Respond(MethodResponse),
+    /// The completion's `quiesce` → respond.
+    Quiesced(MethodResponse),
 }
 
 /// Where a method call currently stands.  Traversal registers (`prev`,
@@ -222,23 +227,15 @@ enum After {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     Idle,
-    // --- epoch pin protocol ---
-    PinReadG,
-    PinWriteLocal { g: u64 },
-    PinCheckG { g: u64 },
+    // Inside a protection sub-sequence; `After` is where it returns to.
+    Protect(Sub, After),
     // --- find (the shared Harris–Michael traversal) ---
     FReadHead,
-    FProtCur,
-    FValHead,
     FReadNext,
     FCheckPrev { next_raw: u64 },
     FUnlink { next_raw: u64 },
     FReadValue { next_raw: u64 },
-    FProtNext { next_raw: u64 },
-    FValNext { next_raw: u64 },
     // --- insert ---
-    AllocReadFree { retried: bool },
-    AllocCasFree { retried: bool, mask: u64, idx: u64 },
     InsWriteValue,
     InsReadMyNext,
     InsWriteMyNext { old: u64 },
@@ -246,23 +243,14 @@ enum State {
     // --- remove ---
     RMark { next_raw: u64 },
     RUnlink { next_raw: u64 },
-    // --- reclamation tail-sequences ---
-    FreeReadMask { bits: u64, after: After },
-    FreeCasMask { bits: u64, mask: u64, after: After },
-    HazScan { j: usize, after: After },
-    RetireReadG { node: u64, after: After },
-    AdvReadG { after: After },
-    AdvScanLocal { g: u64, t: usize, after: After },
-    AdvCasG { g: u64, after: After },
-    // --- completion ---
-    ClearHaz { i: usize },
-    Unpin,
 }
 
 #[derive(Debug, Clone)]
 struct SetProc {
-    algo: SetSim,
     pid: ProcessId,
+    capacity: u64,
+    links: LinkCodec,
+    prot: Protection,
     state: State,
     goal: Goal,
     key: Word,
@@ -278,42 +266,21 @@ struct SetProc {
     /// Hazard lane protecting `cur`; successors rotate through the other
     /// two, so the overwritten lane is always two hops out of scope.
     lane: usize,
-    /// Response awaiting the mode's completion sequence.
-    pending: Option<MethodResponse>,
-    /// Private limbo: `(node, retire-epoch)` pairs (the epoch stamp is 0 and
-    /// unused in hazard mode).
-    limbo: Vec<(u64, u64)>,
-    /// Most recent global-epoch value observed.
-    last_g: u64,
-    /// Hazard values collected by the in-progress scan.
-    scan_protected: Vec<u64>,
 }
 
 impl SetProc {
-    // -- word encoding: (tag << 33) | (mark << 32) | index, nil = capacity --
-
     fn idx_of(&self, raw: u64) -> u64 {
-        raw & 0xFFFF_FFFF
+        self.links.index(raw)
     }
 
     fn is_nil(&self, raw: u64) -> bool {
-        self.idx_of(raw) == self.algo.capacity as u64
-    }
-
-    fn mark_of(&self, raw: u64) -> bool {
-        (raw >> 32) & 1 == 1
+        self.idx_of(raw) == self.capacity
     }
 
     /// The word that replaces `old_raw`: the new index and mark, with the
-    /// tag bumped in tagged mode (all other modes keep tag 0 — which is
-    /// precisely why their stale CASes can succeed).
+    /// tag bumped in tagged mode.
     fn encode(&self, old_raw: u64, idx: u64, marked: bool) -> u64 {
-        let tag = if self.algo.mode == Mode::Tagged {
-            (old_raw >> 33).wrapping_add(1)
-        } else {
-            0
-        };
-        (tag << 33) | ((marked as u64) << 32) | idx
+        self.links.encode(old_raw, idx, marked)
     }
 
     fn value_obj(&self, idx: u64) -> ObjId {
@@ -332,20 +299,6 @@ impl SetProc {
         }
     }
 
-    fn expect_value(result: StepResult) -> u64 {
-        match result {
-            StepResult::Value(v) => v,
-            other => panic!("expected a read result, got {other:?}"),
-        }
-    }
-
-    fn expect_cas(result: StepResult) -> bool {
-        match result {
-            StepResult::CasOutcome { success, .. } => success,
-            other => panic!("expected a CAS outcome, got {other:?}"),
-        }
-    }
-
     // -- flow helpers -------------------------------------------------------
 
     fn restart_find(&mut self) {
@@ -355,116 +308,54 @@ impl SetProc {
 
     /// Complete the method call: immediately, or after the mode's epilogue
     /// (hazard-lane clearing, epoch unpin + advance).
-    fn finish(&mut self, resp: MethodResponse) -> Option<MethodResponse> {
-        self.pending = Some(resp);
-        self.complete()
+    fn complete(&mut self, response: MethodResponse) -> Option<MethodResponse> {
+        self.run(self.prot.quiesce(), After::Quiesced(response))
     }
 
-    fn complete(&mut self) -> Option<MethodResponse> {
-        match self.algo.mode {
-            Mode::Unprotected | Mode::Tagged => {
+    /// Enter the sub-sequence `step` opens, or resume at `after` right away
+    /// if it is over without a shared-memory step.
+    fn run(&mut self, step: Step, after: After) -> Option<MethodResponse> {
+        match step {
+            Step::Goto(sub) => {
+                self.state = State::Protect(sub, after);
+                None
+            }
+            Step::Done(outcome) => self.resume(after, outcome),
+        }
+    }
+
+    /// The set's composition of the protection sub-sequences.
+    fn resume(&mut self, after: After, outcome: Outcome) -> Option<MethodResponse> {
+        match (after, outcome) {
+            // The snapshot went stale under the publication.
+            (_, Outcome::Validated(false)) => self.restart_find(),
+            (After::Protected, _) => self.state = State::FReadNext,
+            (After::Alloc, Outcome::Allocated(idx)) => {
+                self.my_node = Some(idx);
+                self.state = State::InsWriteValue;
+            }
+            (After::Alloc, Outcome::AllocPressure) => {
+                let step = self.prot.reclaim_pressure();
+                return self.run(step, After::RetryAlloc);
+            }
+            (After::Alloc, _) => return self.complete(MethodResponse::InsertResult(false)),
+            // A scan or an advance attempt is over, however it ended: free
+            // what it made reclaimable, then carry on.
+            (_, Outcome::Scanned | Outcome::Advanced | Outcome::Blocked | Outcome::Raced) => {
+                return self.run(self.prot.release(self.prot.reclaimable()), after);
+            }
+            (After::Find, _) => self.restart_find(),
+            (After::RetryAlloc, _) => return self.run(self.prot.admit_alloc(true), After::Alloc),
+            (After::Respond(response), _) => return self.complete(response),
+            (After::Quiesced(response), _) => {
+                if self.prot.scheme == Scheme::Epoch && self.prot.holds_limbo() {
+                    let step = self.prot.reclaim_pressure();
+                    return self.run(step, After::Respond(response));
+                }
                 self.state = State::Idle;
-                self.pending.take()
-            }
-            Mode::Hazard => {
-                self.state = State::ClearHaz { i: 0 };
-                None
-            }
-            Mode::Epoch => {
-                self.state = State::Unpin;
-                None
+                return Some(response);
             }
         }
-    }
-
-    fn dispatch(&mut self, after: After) -> Option<MethodResponse> {
-        match after {
-            After::Find => {
-                self.restart_find();
-                None
-            }
-            After::Respond => self.complete(),
-            After::RetryAlloc => {
-                self.state = State::AllocReadFree { retried: true };
-                None
-            }
-        }
-    }
-
-    /// Hand an unlinked node to the mode's reclamation: immediate free,
-    /// hazard limbo + scan, or epoch limbo with a fresh stamp.
-    fn retire_node(&mut self, node: u64, after: After) -> Option<MethodResponse> {
-        match self.algo.mode {
-            Mode::Unprotected | Mode::Tagged => {
-                self.state = State::FreeReadMask {
-                    bits: 1 << node,
-                    after,
-                };
-                None
-            }
-            Mode::Hazard => {
-                self.limbo.push((node, 0));
-                self.begin_haz_reclaim(after)
-            }
-            Mode::Epoch => {
-                self.state = State::RetireReadG { node, after };
-                None
-            }
-        }
-    }
-
-    /// First hazard register to scan at or after slot `j`, skipping our own.
-    fn next_scan_slot(&self, j: usize) -> usize {
-        let mut j = j;
-        while j / HAZ_LANES == self.pid {
-            j += HAZ_LANES - (j % HAZ_LANES);
-        }
-        j
-    }
-
-    /// Scan every other process's hazard registers, then free whatever limbo
-    /// node none of them protects.
-    fn begin_haz_reclaim(&mut self, after: After) -> Option<MethodResponse> {
-        if self.limbo.is_empty() {
-            return self.dispatch(after);
-        }
-        self.scan_protected.clear();
-        let first = self.next_scan_slot(0);
-        if first >= HAZ_LANES * self.algo.n {
-            // Single process: nothing can protect the limbo.
-            return self.finish_haz_reclaim(after);
-        }
-        self.state = State::HazScan { j: first, after };
-        None
-    }
-
-    fn finish_haz_reclaim(&mut self, after: After) -> Option<MethodResponse> {
-        let bits = self
-            .limbo
-            .iter()
-            .filter(|&&(node, _)| !self.scan_protected.contains(&node))
-            .fold(0u64, |bits, &(node, _)| bits | (1u64 << node));
-        if bits == 0 {
-            return self.dispatch(after);
-        }
-        self.state = State::FreeReadMask { bits, after };
-        None
-    }
-
-    /// Free-set bits of every epoch-limbo entry at least two advances old.
-    fn eligible_bits(&self) -> u64 {
-        self.limbo
-            .iter()
-            .filter(|&&(_, e)| e + 2 <= self.last_g)
-            .fold(0u64, |bits, &(idx, _)| bits | (1u64 << idx))
-    }
-
-    fn finish_advance(&mut self, after: After) -> Option<MethodResponse> {
-        let bits = self.eligible_bits();
-        if bits == 0 {
-            return self.dispatch(after);
-        }
-        self.state = State::FreeReadMask { bits, after };
         None
     }
 
@@ -472,24 +363,15 @@ impl SetProc {
     /// `next_raw` is `cur`'s observed link when `found`.
     fn dispatch_goal(&mut self, found: bool, next_raw: u64) -> Option<MethodResponse> {
         match self.goal {
-            Goal::Contains => self.finish(MethodResponse::ContainsResult(found)),
+            Goal::Contains => self.complete(MethodResponse::ContainsResult(found)),
             Goal::Insert => {
                 if found {
-                    match self.my_node.take() {
-                        Some(my) => {
-                            // Undo the allocation from an earlier attempt.
-                            self.pending = Some(MethodResponse::InsertResult(false));
-                            self.state = State::FreeReadMask {
-                                bits: 1 << my,
-                                after: After::Respond,
-                            };
-                            None
-                        }
-                        None => self.finish(MethodResponse::InsertResult(false)),
-                    }
+                    // Undo the allocation of an earlier attempt, if any.
+                    let bits = self.my_node.take().map_or(0, |my| 1 << my);
+                    let present = MethodResponse::InsertResult(false);
+                    self.run(self.prot.release(bits), After::Respond(present))
                 } else if self.my_node.is_none() {
-                    self.state = State::AllocReadFree { retried: false };
-                    None
+                    self.run(self.prot.admit_alloc(false), After::Alloc)
                 } else {
                     self.state = State::InsReadMyNext;
                     None
@@ -500,7 +382,7 @@ impl SetProc {
                     self.state = State::RMark { next_raw };
                     None
                 } else {
-                    self.finish(MethodResponse::RemoveResult(false))
+                    self.complete(MethodResponse::RemoveResult(false))
                 }
             }
         }
@@ -522,43 +404,23 @@ impl SimProcess for SetProc {
         };
         self.goal = goal;
         self.key = key;
-        self.lane = 0;
         debug_assert!(self.my_node.is_none(), "stranded insert node");
-        self.state = if self.algo.mode == Mode::Epoch {
-            State::PinReadG
-        } else {
-            State::FReadHead
-        };
-        None
+        self.run(self.prot.pin(), After::Find)
     }
 
     fn poised(&self) -> BaseOp {
         match self.state {
             State::Idle => panic!("no method call in progress"),
-            State::PinReadG | State::PinCheckG { .. } => BaseOp::Read(self.algo.global_epoch_obj()),
-            State::PinWriteLocal { g } => BaseOp::Write(self.algo.local_epoch_obj(self.pid), g + 1),
+            State::Protect(sub, _) => self.prot.poised(sub),
             State::FReadHead => BaseOp::Read(OBJ_HEAD),
-            State::FProtCur => {
-                BaseOp::Write(self.algo.hazard_obj(self.pid, self.lane), self.cur + 1)
-            }
-            State::FValHead => BaseOp::Read(OBJ_HEAD),
             State::FReadNext => BaseOp::Read(self.next_obj(self.cur)),
             State::FCheckPrev { .. } => BaseOp::Read(self.prev_obj()),
-            State::FUnlink { next_raw } => BaseOp::Cas(
+            State::FUnlink { next_raw } | State::RUnlink { next_raw } => BaseOp::Cas(
                 self.prev_obj(),
                 self.prev_raw,
                 self.encode(self.prev_raw, self.idx_of(next_raw), false),
             ),
             State::FReadValue { .. } => BaseOp::Read(self.value_obj(self.cur)),
-            State::FProtNext { next_raw } => BaseOp::Write(
-                self.algo.hazard_obj(self.pid, self.lane),
-                self.idx_of(next_raw) + 1,
-            ),
-            State::FValNext { .. } => BaseOp::Read(self.next_obj(self.cur)),
-            State::AllocReadFree { .. } => BaseOp::Read(OBJ_FREE),
-            State::AllocCasFree { mask, idx, .. } => {
-                BaseOp::Cas(OBJ_FREE, mask, mask & !(1u64 << idx))
-            }
             State::InsWriteValue => BaseOp::Write(
                 self.value_obj(self.my_node.expect("insert node")),
                 self.key as u64,
@@ -578,280 +440,113 @@ impl SimProcess for SetProc {
                 next_raw,
                 self.encode(next_raw, self.idx_of(next_raw), true),
             ),
-            State::RUnlink { next_raw } => BaseOp::Cas(
-                self.prev_obj(),
-                self.prev_raw,
-                self.encode(self.prev_raw, self.idx_of(next_raw), false),
-            ),
-            State::FreeReadMask { .. } => BaseOp::Read(OBJ_FREE),
-            State::FreeCasMask { bits, mask, .. } => BaseOp::Cas(OBJ_FREE, mask, mask | bits),
-            State::HazScan { j, .. } => {
-                BaseOp::Read(self.algo.hazard_obj(j / HAZ_LANES, j % HAZ_LANES))
-            }
-            State::RetireReadG { .. } | State::AdvReadG { .. } => {
-                BaseOp::Read(self.algo.global_epoch_obj())
-            }
-            State::AdvScanLocal { t, .. } => BaseOp::Read(self.algo.local_epoch_obj(t)),
-            State::AdvCasG { g, .. } => BaseOp::Cas(self.algo.global_epoch_obj(), g, g + 1),
-            State::ClearHaz { i } => BaseOp::Write(self.algo.hazard_obj(self.pid, i), 0),
-            State::Unpin => BaseOp::Write(self.algo.local_epoch_obj(self.pid), 0),
         }
     }
 
     fn apply(&mut self, result: StepResult) -> Option<MethodResponse> {
         match self.state {
             State::Idle => panic!("no method call in progress"),
-            // --- epoch pin ---
-            State::PinReadG => {
-                let g = Self::expect_value(result);
-                self.last_g = g;
-                self.state = State::PinWriteLocal { g };
-            }
-            State::PinWriteLocal { g } => {
-                self.state = State::PinCheckG { g };
-            }
-            State::PinCheckG { g } => {
-                let now = Self::expect_value(result);
-                if now == g {
-                    self.state = State::FReadHead;
-                } else {
-                    self.last_g = now;
-                    self.state = State::PinWriteLocal { g: now };
-                }
+            State::Protect(sub, after) => {
+                let step = self.prot.apply(sub, result);
+                return self.run(step, after);
             }
             // --- find ---
             State::FReadHead => {
-                let raw = Self::expect_value(result);
+                let raw = result.value();
                 self.prev = None;
                 self.prev_raw = raw;
                 self.cur = self.idx_of(raw);
                 if self.is_nil(raw) {
                     return self.dispatch_goal(false, 0);
                 }
-                self.state = if self.algo.mode == Mode::Hazard {
-                    State::FProtCur
-                } else {
-                    State::FReadNext
-                };
-            }
-            State::FProtCur => {
-                self.state = State::FValHead;
-            }
-            State::FValHead => {
-                // Publish-then-revalidate: the hazard protects `cur` only if
-                // the head still designates it after the publication.
-                if Self::expect_value(result) == self.prev_raw {
-                    self.state = State::FReadNext;
-                } else {
-                    self.restart_find();
-                }
+                return self.run(
+                    self.prot.protect(self.lane, OBJ_HEAD, raw),
+                    After::Protected,
+                );
             }
             State::FReadNext => {
-                let next_raw = Self::expect_value(result);
+                let next_raw = result.value();
                 self.state = State::FCheckPrev { next_raw };
             }
             State::FCheckPrev { next_raw } => {
                 // Michael's `*prev == cur` re-validation: without it a CAS
                 // landing between our two reads hands us the successor of an
                 // already-unlinked node.
-                if Self::expect_value(result) != self.prev_raw {
+                if result.value() != self.prev_raw {
                     self.restart_find();
                     return None;
                 }
-                self.state = if self.mark_of(next_raw) {
+                self.state = if self.links.marked(next_raw) {
                     State::FUnlink { next_raw }
                 } else {
                     State::FReadValue { next_raw }
                 };
             }
             State::FUnlink { .. } => {
-                if Self::expect_cas(result) {
-                    let node = self.cur;
-                    return self.retire_node(node, After::Find);
+                if result.cas_succeeded() {
+                    let step = self.prot.retire(self.cur);
+                    return self.run(step, After::Find);
                 }
                 self.restart_find();
             }
             State::FReadValue { next_raw } => {
-                let v = Self::expect_value(result) as Word;
+                let v = result.value() as Word;
                 if v >= self.key {
                     return self.dispatch_goal(v == self.key, next_raw);
                 }
-                let next = self.idx_of(next_raw);
-                if next == self.algo.capacity as u64 {
-                    // End of chain: the key belongs after `cur`.
-                    self.prev = Some(self.cur);
-                    self.prev_raw = next_raw;
-                    self.cur = next;
+                let link = self.next_obj(self.cur);
+                self.prev = Some(self.cur);
+                self.prev_raw = next_raw;
+                self.cur = self.idx_of(next_raw);
+                if self.cur == self.capacity {
+                    // End of chain: the key belongs after the last node.
                     return self.dispatch_goal(false, 0);
                 }
-                if self.algo.mode == Mode::Hazard {
-                    self.lane = (self.lane + 1) % HAZ_LANES;
-                    self.state = State::FProtNext { next_raw };
-                } else {
-                    self.prev = Some(self.cur);
-                    self.prev_raw = next_raw;
-                    self.cur = next;
-                    self.state = State::FReadNext;
-                }
-            }
-            State::FProtNext { next_raw } => {
-                self.state = State::FValNext { next_raw };
-            }
-            State::FValNext { next_raw } => {
-                // Hand-over-hand: the successor's hazard is published; if the
-                // still-protected `cur`'s link still designates it, the
-                // protection took hold before any retirement scan could miss
-                // it, and we may advance.
-                if Self::expect_value(result) == next_raw {
-                    self.prev = Some(self.cur);
-                    self.prev_raw = next_raw;
-                    self.cur = self.idx_of(next_raw);
-                    self.state = State::FReadNext;
-                } else {
-                    self.restart_find();
-                }
+                // Hand-over-hand: the successor takes the next lane while its
+                // predecessor stays protected in its own; the hop is trusted
+                // only if `link` still designates it after the publication
+                // (a stale one restarts from the head, discarding the hop).
+                self.lane = (self.lane + 1) % HAZ_LANES;
+                return self.run(
+                    self.prot.protect(self.lane, link, next_raw),
+                    After::Protected,
+                );
             }
             // --- insert ---
-            State::AllocReadFree { retried } => {
-                let mask = Self::expect_value(result);
-                if mask == 0 {
-                    if !retried && !self.limbo.is_empty() {
-                        // Arena exhausted while we hold limbo nodes: run the
-                        // mode's reclamation, then retry the allocation once
-                        // (the hardware impl's reclaim-pressure path).
-                        return match self.algo.mode {
-                            Mode::Hazard => self.begin_haz_reclaim(After::RetryAlloc),
-                            Mode::Epoch => {
-                                self.state = State::AdvReadG {
-                                    after: After::RetryAlloc,
-                                };
-                                None
-                            }
-                            _ => unreachable!("immediate-free modes keep no limbo"),
-                        };
-                    }
-                    return self.finish(MethodResponse::InsertResult(false));
-                }
-                let idx = mask.trailing_zeros() as u64;
-                self.state = State::AllocCasFree { retried, mask, idx };
-            }
-            State::AllocCasFree { retried, idx, .. } => {
-                if Self::expect_cas(result) {
-                    self.my_node = Some(idx);
-                    self.state = State::InsWriteValue;
-                } else {
-                    self.state = State::AllocReadFree { retried };
-                }
-            }
             State::InsWriteValue => {
                 self.state = State::InsReadMyNext;
             }
             State::InsReadMyNext => {
-                let old = Self::expect_value(result);
+                let old = result.value();
                 self.state = State::InsWriteMyNext { old };
             }
             State::InsWriteMyNext { .. } => {
                 self.state = State::InsCasPrev;
             }
             State::InsCasPrev => {
-                if Self::expect_cas(result) {
+                if result.cas_succeeded() {
                     self.my_node = None;
-                    return self.finish(MethodResponse::InsertResult(true));
+                    return self.complete(MethodResponse::InsertResult(true));
                 }
                 self.restart_find();
             }
             // --- remove ---
             State::RMark { next_raw } => {
-                self.state = if Self::expect_cas(result) {
+                if result.cas_succeeded() {
                     // The key is logically gone from this instant.
-                    State::RUnlink { next_raw }
+                    self.state = State::RUnlink { next_raw };
                 } else {
                     self.restart_find();
-                    return None;
-                };
+                }
             }
             State::RUnlink { .. } => {
-                self.pending = Some(MethodResponse::RemoveResult(true));
-                if Self::expect_cas(result) {
-                    let node = self.cur;
-                    return self.retire_node(node, After::Respond);
+                let removed = MethodResponse::RemoveResult(true);
+                if result.cas_succeeded() {
+                    let step = self.prot.retire(self.cur);
+                    return self.run(step, After::Respond(removed));
                 }
                 // Some helper's traversal unlinks (and retires) it instead.
-                return self.complete();
-            }
-            // --- reclamation tail-sequences ---
-            State::FreeReadMask { bits, after } => {
-                let mask = Self::expect_value(result);
-                self.state = State::FreeCasMask { bits, mask, after };
-            }
-            State::FreeCasMask { bits, after, .. } => {
-                if Self::expect_cas(result) {
-                    self.limbo.retain(|&(idx, _)| (bits >> idx) & 1 == 0);
-                    return self.dispatch(after);
-                }
-                self.state = State::FreeReadMask { bits, after };
-            }
-            State::HazScan { j, after } => {
-                let val = Self::expect_value(result);
-                if val > 0 {
-                    self.scan_protected.push(val - 1);
-                }
-                let next = self.next_scan_slot(j + 1);
-                if next >= HAZ_LANES * self.algo.n {
-                    return self.finish_haz_reclaim(after);
-                }
-                self.state = State::HazScan { j: next, after };
-            }
-            State::RetireReadG { node, after } => {
-                let g = Self::expect_value(result);
-                self.last_g = g;
-                // Stamp with the post-unlink epoch (a pin-time stamp would be
-                // one advance too old when the unlink raced an advance).
-                self.limbo.push((node, g));
-                return self.dispatch(after);
-            }
-            State::AdvReadG { after } => {
-                let g = Self::expect_value(result);
-                self.last_g = g;
-                self.state = State::AdvScanLocal { g, t: 0, after };
-            }
-            State::AdvScanLocal { g, t, after } => {
-                let local = Self::expect_value(result);
-                if local != 0 && local != g + 1 {
-                    // A pinned process has not observed epoch g yet: the
-                    // advance must wait, but already-eligible limbo can go.
-                    return self.finish_advance(after);
-                }
-                if t + 1 == self.algo.n {
-                    self.state = State::AdvCasG { g, after };
-                } else {
-                    self.state = State::AdvScanLocal { g, t: t + 1, after };
-                }
-            }
-            State::AdvCasG { g, after } => {
-                if Self::expect_cas(result) {
-                    self.last_g = g + 1;
-                }
-                // A failed CAS means someone advanced for us — equally good.
-                return self.finish_advance(after);
-            }
-            // --- completion ---
-            State::ClearHaz { i } => {
-                if i + 1 < HAZ_LANES {
-                    self.state = State::ClearHaz { i: i + 1 };
-                } else {
-                    self.state = State::Idle;
-                    return self.pending.take();
-                }
-            }
-            State::Unpin => {
-                if self.limbo.is_empty() {
-                    self.state = State::Idle;
-                    return self.pending.take();
-                }
-                self.state = State::AdvReadG {
-                    after: After::Respond,
-                };
+                return self.complete(removed);
             }
         }
         None

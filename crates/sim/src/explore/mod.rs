@@ -582,14 +582,14 @@ mod tests {
 
     #[test]
     fn epoch_queue_survives_bursty_search() {
-        use crate::algorithms::epoch::EpochSim;
+        use crate::algorithms::queue::QueueSim;
         // The same preemption-style bursty schedules that reliably break the
         // unprotected variant: a victim parked between its reads and its CAS
         // cannot be fooled, because its pin blocks the second epoch advance
         // and the dummy it reasons about stays out of the free set.
-        let algo = EpochSim::new(6, 3);
+        let algo = QueueSim::epoch(6, 3);
         assert!(search_queue(&algo, 200, 1).is_none());
-        let algo = EpochSim::new(4, 3);
+        let algo = QueueSim::epoch(4, 3);
         assert!(search_queue(&algo, 200, 7).is_none());
     }
 

@@ -176,6 +176,33 @@ pub enum StepResult {
     },
 }
 
+impl StepResult {
+    /// The value a `Read()` returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the step was not a read — a state machine consuming the
+    /// wrong result kind is a bug in the simulated algorithm.
+    pub fn value(self) -> u64 {
+        match self {
+            StepResult::Value(v) => v,
+            other => panic!("expected a read result, got {other:?}"),
+        }
+    }
+
+    /// Whether a `CAS(expected, new)` installed its new value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the step was not a CAS.
+    pub fn cas_succeeded(self) -> bool {
+        match self {
+            StepResult::CasOutcome { success, .. } => success,
+            other => panic!("expected a CAS outcome, got {other:?}"),
+        }
+    }
+}
+
 /// The *ground-truth* footprint of one executed step, recorded by the shared
 /// memory itself when it applies the operation.
 ///

@@ -4,13 +4,14 @@
 //! `table_dpor` explores each row, the footprint audit
 //! ([`crate::audit::standard_family_audits`]) audits the protected ones, and
 //! the family-level exploration tests iterate it — so a new sim model is its
-//! own file plus one row here.  `queue/*` and `set/*` keys are keys of
+//! own file plus one row here, and a new scheme for a structure already
+//! modelled is one constructor composing `algorithms/protect.rs`'s
+//! sub-sequences plus one row.  `queue/*` and `set/*` keys are keys of
 //! `aba_lockfree::Family`'s table: the row claims to model that hardware
-//! backend.
+//! backend, and `tests/model_binding.rs` holds it to the claim.
 
 use crate::algorithm::SimAlgorithm;
 use crate::algorithms::baselines::{NaiveSim, TaggedSim};
-use crate::algorithms::epoch::EpochSim;
 use crate::algorithms::queue::QueueSim;
 use crate::algorithms::set::SetSim;
 use crate::explore::SimWorkload;
@@ -77,7 +78,7 @@ pub static MODEL_ROSTER: [SimModel; 9] = roster! {
     "register", "tagged", true, REGISTER => TaggedSim::new(3);
     "queue", "unprotected", false, QUEUE => QueueSim::unprotected(3, 2);
     "queue", "tagged", true, QUEUE => QueueSim::tagged(3, 2);
-    "queue", "epoch", true, QUEUE => EpochSim::new(3, 2);
+    "queue", "epoch", true, QUEUE => QueueSim::epoch(3, 2);
     "set", "unprotected", false, SET => SetSim::unprotected(2, 3);
     "set", "tagged", true, SET => SetSim::tagged(2, 3);
     "set", "hazard", true, SET => SetSim::hazard(2, 3);

@@ -3,7 +3,6 @@
 //! an ABA witness and every protected mode survives its complete reduced
 //! schedule space.
 
-use aba_sim::algorithms::epoch::EpochSim;
 use aba_sim::algorithms::queue::QueueSim;
 use aba_sim::algorithms::set::SetSim;
 use aba_sim::{
@@ -146,7 +145,7 @@ fn off_roster_bounds_keep_their_pins() {
     // their own classes.
     explore_pinned(
         "queue/epoch quarantine",
-        &EpochSim::new(2, 5),
+        &QueueSim::epoch(2, 5),
         SimWorkload::Queue {
             enqueues: 4,
             dequeues: 3,
