@@ -16,8 +16,10 @@
 //! (JSON destination, default `BENCH_dpor.json`, schema `aba-repro/dpor/v1`).
 //!
 //! Exit status is the gate (`aba_bench::gate::dpor`): non-zero if any
-//! protected mode yields a witness, any unprotected mode fails to, or (full
-//! mode only) any protected mode fails to drain its space.
+//! protected mode yields a witness or cuts a trace at the depth bound (a
+//! lock-free model has no infinite execution), any unprotected mode fails to
+//! yield a witness, or (full mode only) any protected mode fails to drain
+//! its space.
 
 use std::time::Instant;
 
@@ -94,8 +96,8 @@ fn main() {
          the enumeration (for the unprotected rows exploration stops at the first one); every \
          protected mode survives its complete reduced space — tagging, hazard pointers and \
          epochs are verified ABA-free at these bounds, not merely unfalsified by sampling.  \
-         Depth-cut traces (epoch livelocks under adversarial starvation) are each validated \
-         non-violating by replay."
+         Traces are cut at the depth bound only on unprotected rows (a wedged structure spins \
+         until the cut); a protected row that cuts one is not lock-free and fails the gate."
     );
 
     // --- JSON (schema aba-repro/dpor/v1) -----------------------------------

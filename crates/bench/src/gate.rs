@@ -67,9 +67,16 @@ pub fn matrix(result: &MatrixResult, limbo_bound: bool, growth: &[ArenaGrowth]) 
     failures
 }
 
-/// The E11 gate (`table_dpor`): a protected model must yield no witness and,
-/// outside `quick` mode, drain its space; an unprotected model must yield
-/// one; every exploration must execute at least one schedule.
+/// The E11 gate (`table_dpor`): a protected model must yield no witness, cut
+/// no trace at the depth bound and, outside `quick` mode, drain its space;
+/// an unprotected model must yield a witness; every exploration must execute
+/// at least one schedule.
+///
+/// The depth-cut rule is lock-freedom: a lock-free model on a finite
+/// workload has no infinite execution, so a protected row with a cut trace
+/// has either too small a depth bound or a model in which one process waits
+/// on another.  Unprotected rows are exempt — a wedged structure (cycled
+/// links) *is* their witness, and it spins until the cut.
 pub fn dpor(rows: &[DporRow], quick: bool) -> Vec<String> {
     let mut failures = Vec::new();
     for row in rows {
@@ -79,6 +86,12 @@ pub fn dpor(rows: &[DporRow], quick: bool) -> Vec<String> {
         }
         if !protected && row.witness_len().is_none() {
             failures.push(format!("{name}: unprotected mode produced no witness"));
+        }
+        if protected && row.report.truncated_traces > 0 {
+            failures.push(format!(
+                "{name}: {} trace(s) cut at the depth bound — a protected model must be lock-free",
+                row.report.truncated_traces
+            ));
         }
         if protected && !quick && !row.report.complete {
             failures.push(format!("{name}: space not drained in full mode"));
@@ -289,9 +302,14 @@ mod tests {
 
     #[test]
     fn a_clean_exploration_passes_every_rule() {
+        // An unprotected model's wedged executions spin until the depth cut
+        // (`queue/unprotected` cuts 14 traces on the way to its witness).
+        let mut wedging = dpor_row(false, true, false, 13_575);
+        wedging.report.truncated_traces = 14;
         let rows = [
             dpor_row(true, false, true, 40),
             dpor_row(false, true, false, 3),
+            wedging,
         ];
         assert_eq!(dpor(&rows, false), Vec::<String>::new());
         // Quick mode tolerates a capped (incomplete) protected space.
@@ -314,6 +332,17 @@ mod tests {
         assert_one(&failures, &["queue/tagged", "not drained in full mode"]);
         let failures = dpor(&[dpor_row(true, false, true, 0)], true);
         assert_one(&failures, &["queue/tagged", "zero schedules"]);
+        // `set/epoch` as committed before its epilogue became one-shot:
+        // drained, clean, and 11 traces cut inside a blocking model.
+        let mut blocking = dpor_row(true, false, true, 1_452);
+        blocking.report.truncated_traces = 11;
+        for quick in [false, true] {
+            let failures = dpor(std::slice::from_ref(&blocking), quick);
+            assert_one(
+                &failures,
+                &["queue/tagged", "11 trace(s) cut", "must be lock-free"],
+            );
+        }
     }
 
     // --- scaling -------------------------------------------------------------

@@ -217,8 +217,10 @@ enum After {
     RetryAlloc,
     /// Complete the method call with this response.
     Respond(MethodResponse),
-    /// The completion's `quiesce` → respond.
+    /// The completion's `quiesce` → one reclamation attempt if limbo is held.
     Quiesced(MethodResponse),
+    /// The completion's reclamation attempt → respond.
+    Reclaimed(MethodResponse),
 }
 
 /// Where a method call currently stands.  Traversal registers (`prev`,
@@ -307,7 +309,7 @@ impl SetProc {
     }
 
     /// Complete the method call: immediately, or after the mode's epilogue
-    /// (hazard-lane clearing, epoch unpin + advance).
+    /// (hazard-lane clearing; epoch unpin + at most one advance attempt).
     fn complete(&mut self, response: MethodResponse) -> Option<MethodResponse> {
         self.run(self.prot.quiesce(), After::Quiesced(response))
     }
@@ -347,11 +349,17 @@ impl SetProc {
             (After::Find, _) => self.restart_find(),
             (After::RetryAlloc, _) => return self.run(self.prot.admit_alloc(true), After::Alloc),
             (After::Respond(response), _) => return self.complete(response),
-            (After::Quiesced(response), _) => {
-                if self.prot.scheme == Scheme::Epoch && self.prot.holds_limbo() {
-                    let step = self.prot.reclaim_pressure();
-                    return self.run(step, After::Respond(response));
-                }
+            // Epoch reclamation is driven from the quiescent side of the
+            // unpin (hazard limbo was scanned at the retire).  One attempt,
+            // then respond whatever it freed: waiting here for the limbo to
+            // drain would wait on a parked peer's pin.
+            (After::Quiesced(response), _)
+                if self.prot.scheme == Scheme::Epoch && self.prot.holds_limbo() =>
+            {
+                let step = self.prot.reclaim_pressure();
+                return self.run(step, After::Reclaimed(response));
+            }
+            (After::Quiesced(response) | After::Reclaimed(response), _) => {
                 self.state = State::Idle;
                 return Some(response);
             }
@@ -701,6 +709,59 @@ mod tests {
                 algo.name()
             );
         }
+    }
+
+    /// Steps process 0 takes to complete its next call, alone (`None` if it
+    /// has not responded within 10 000).
+    fn solo_steps(sim: &mut Simulation) -> Option<u64> {
+        use crate::executor::StepOutcome;
+        (0..10_000)
+            .any(|_| {
+                matches!(
+                    sim.step(0),
+                    StepOutcome::Stepped {
+                        completed: true,
+                        ..
+                    }
+                )
+            })
+            .then(|| sim.last_op_steps(0))
+    }
+
+    /// Own steps of an epoch `Remove` that finds its key first in the chain:
+    /// pin (3), traverse to the key (4), mark and unlink (2), stamp the
+    /// retiree (1), unpin (1), then exactly one reclamation attempt — read
+    /// g, scan both locals, CAS g (4).  The retiree is at most one advance
+    /// old, so nothing is freed and the call responds, as the queue model's
+    /// dequeue and the hardware's `quiesce` do, with the node left in limbo
+    /// for a later operation's attempt.
+    const EPOCH_REMOVE_STEPS: u64 = 15;
+
+    #[test]
+    fn a_solo_epoch_remove_makes_one_reclamation_attempt() {
+        let mut sim = Simulation::new(&SetSim::epoch(2, 4));
+        sim.enqueue(0, MethodCall::Insert(5));
+        sim.enqueue(0, MethodCall::Remove(5));
+        assert!(solo_steps(&mut sim).is_some());
+        assert_eq!(solo_steps(&mut sim), Some(EPOCH_REMOVE_STEPS));
+    }
+
+    #[test]
+    fn an_epoch_remove_responds_while_its_peer_is_parked_pinned() {
+        // Lock-freedom: a peer parked right after its pin (read g, publish,
+        // re-check) blocks every later advance; it must not block the
+        // remover's response.
+        let algo = SetSim::epoch(2, 4);
+        let mut sim = Simulation::new(&algo);
+        sim.enqueue(0, MethodCall::Insert(5));
+        assert!(solo_steps(&mut sim).is_some());
+        sim.enqueue(1, MethodCall::Contains(5));
+        for _ in 0..3 {
+            let _ = sim.step(1);
+        }
+        assert_eq!(sim.registers()[algo.local_epoch_obj(1)], 1, "peer pinned");
+        sim.enqueue(0, MethodCall::Remove(5));
+        assert_eq!(solo_steps(&mut sim), Some(EPOCH_REMOVE_STEPS));
     }
 
     #[test]
