@@ -263,8 +263,10 @@ fn answer(kind: &OpKind) -> Option<(&'static str, bool)> {
 
 /// Run `script` on the model, one operation at a time to completion, and on
 /// `hardware`; every response, and every step count `steps` binds, must
-/// agree.  A script that never reaches the interesting answers binds
-/// nothing, so each operation with a yes/no answer must have given both.
+/// agree (`hardware` answers with its response and the steps it counted for
+/// it — 0, and ignored, in a `Steps::Uncounted` row).  A script that never
+/// reaches the interesting answers binds nothing, so each operation with a
+/// yes/no answer must have given both.
 fn bind(
     row: &Row,
     script: &Script,
