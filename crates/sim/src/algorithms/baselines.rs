@@ -16,8 +16,9 @@
 use aba_core::pack::TagWord;
 use aba_spec::{ProcessId, Word, INITIAL_WORD};
 
+use super::replay::{Mem, Model, Replay, Run};
 use crate::algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
-use crate::object::{BaseObject, BaseOp, StepResult};
+use crate::object::{BaseObject, BaseOp};
 
 const X: usize = 0;
 
@@ -54,13 +55,12 @@ impl SimAlgorithm for TaggedSim {
 
     fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess> {
         assert!(pid < self.n, "pid {pid} out of range");
-        Box::new(TaggedProcess {
+        Box::new(Replay::new(TaggedProcess {
             n: self.n,
             pid,
             writes: 0,
             last_tag: 0,
-            phase: TaggedPhase::Idle,
-        })
+        }))
     }
 
     /// Declared footprint of a fresh call: both methods are a single step on
@@ -75,13 +75,6 @@ impl SimAlgorithm for TaggedSim {
 }
 
 #[derive(Debug, Clone)]
-enum TaggedPhase {
-    Idle,
-    Write(Word),
-    Read,
-}
-
-#[derive(Debug, Clone)]
 struct TaggedProcess {
     n: usize,
     pid: ProcessId,
@@ -89,59 +82,25 @@ struct TaggedProcess {
     /// unique across all processes and never repeats (unbounded).
     writes: u64,
     last_tag: u32,
-    phase: TaggedPhase,
 }
 
-impl SimProcess for TaggedProcess {
-    fn invoke(&mut self, call: MethodCall) -> Option<MethodResponse> {
-        assert!(self.is_idle(), "method already in progress");
+impl Model for TaggedProcess {
+    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
         match call {
-            MethodCall::DWrite(v) => {
-                self.phase = TaggedPhase::Write(v);
-                None
+            MethodCall::DWrite(value) => {
+                let tag = (self.writes * self.n as u64 + self.pid as u64 + 1) as u32;
+                m.write(X, TagWord { value, tag }.pack())?;
+                self.writes += 1;
+                Ok(MethodResponse::WriteDone)
             }
             MethodCall::DRead => {
-                self.phase = TaggedPhase::Read;
-                None
+                let w = TagWord::unpack(m.read(X)?);
+                let changed = w.tag != self.last_tag;
+                self.last_tag = w.tag;
+                Ok(MethodResponse::ReadResult(w.value, changed))
             }
             other => panic!("tagged register does not support {other:?}"),
         }
-    }
-
-    fn poised(&self) -> BaseOp {
-        match &self.phase {
-            TaggedPhase::Idle => panic!("no method in progress"),
-            TaggedPhase::Write(v) => {
-                let tag = (self.writes * self.n as u64 + self.pid as u64 + 1) as u32;
-                BaseOp::Write(X, TagWord { value: *v, tag }.pack())
-            }
-            TaggedPhase::Read => BaseOp::Read(X),
-        }
-    }
-
-    fn apply(&mut self, result: StepResult) -> Option<MethodResponse> {
-        let phase = std::mem::replace(&mut self.phase, TaggedPhase::Idle);
-        match phase {
-            TaggedPhase::Idle => panic!("no method in progress"),
-            TaggedPhase::Write(_) => {
-                self.writes += 1;
-                Some(MethodResponse::WriteDone)
-            }
-            TaggedPhase::Read => {
-                let w = TagWord::unpack(result.value());
-                let changed = w.tag != self.last_tag;
-                self.last_tag = w.tag;
-                Some(MethodResponse::ReadResult(w.value, changed))
-            }
-        }
-    }
-
-    fn is_idle(&self) -> bool {
-        matches!(self.phase, TaggedPhase::Idle)
-    }
-
-    fn clone_box(&self) -> Box<dyn SimProcess> {
-        Box::new(self.clone())
     }
 }
 
@@ -179,11 +138,9 @@ impl SimAlgorithm for NaiveSim {
 
     fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess> {
         assert!(pid < self.n, "pid {pid} out of range");
-        Box::new(NaiveProcess {
-            pid,
+        Box::new(Replay::new(NaiveProcess {
             last_value: INITIAL_WORD,
-            phase: TaggedPhase::Idle,
-        })
+        }))
     }
 
     /// Declared footprint of a fresh call (value field representative only).
@@ -198,64 +155,24 @@ impl SimAlgorithm for NaiveSim {
 
 #[derive(Debug, Clone)]
 struct NaiveProcess {
-    pid: ProcessId,
     last_value: Word,
-    phase: TaggedPhase,
 }
 
-impl SimProcess for NaiveProcess {
-    fn invoke(&mut self, call: MethodCall) -> Option<MethodResponse> {
-        assert!(self.is_idle(), "method already in progress");
+impl Model for NaiveProcess {
+    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
         match call {
-            MethodCall::DWrite(v) => {
-                self.phase = TaggedPhase::Write(v);
-                None
+            MethodCall::DWrite(value) => {
+                m.write(X, value as u64)?;
+                Ok(MethodResponse::WriteDone)
             }
             MethodCall::DRead => {
-                self.phase = TaggedPhase::Read;
-                None
+                let v = m.read(X)? as Word;
+                let changed = v != self.last_value;
+                self.last_value = v;
+                Ok(MethodResponse::ReadResult(v, changed))
             }
             other => panic!("naive register does not support {other:?}"),
         }
-    }
-
-    fn poised(&self) -> BaseOp {
-        match &self.phase {
-            TaggedPhase::Idle => panic!("no method in progress"),
-            TaggedPhase::Write(v) => BaseOp::Write(X, *v as u64),
-            TaggedPhase::Read => BaseOp::Read(X),
-        }
-    }
-
-    fn apply(&mut self, result: StepResult) -> Option<MethodResponse> {
-        let phase = std::mem::replace(&mut self.phase, TaggedPhase::Idle);
-        match phase {
-            TaggedPhase::Idle => panic!("no method in progress"),
-            TaggedPhase::Write(_) => Some(MethodResponse::WriteDone),
-            TaggedPhase::Read => {
-                let v = result.value() as Word;
-                let changed = v != self.last_value;
-                self.last_value = v;
-                Some(MethodResponse::ReadResult(v, changed))
-            }
-        }
-    }
-
-    fn is_idle(&self) -> bool {
-        matches!(self.phase, TaggedPhase::Idle)
-    }
-
-    fn clone_box(&self) -> Box<dyn SimProcess> {
-        Box::new(self.clone())
-    }
-}
-
-// NaiveProcess never reads its own pid after construction; keep the field for
-// debugging output.
-impl NaiveProcess {
-    #[allow(dead_code)]
-    fn pid(&self) -> ProcessId {
-        self.pid
     }
 }
 

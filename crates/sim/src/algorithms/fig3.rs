@@ -1,4 +1,4 @@
-//! Figure 3 as a simulator state machine.
+//! Figure 3 for the simulator, line for line.
 //!
 //! Used by experiment E2 to measure the *worst-case* step complexity of `LL`
 //! and `SC` under adversarial interleavings (which is hard to provoke
@@ -8,8 +8,9 @@
 use aba_core::pack::MaskWord;
 use aba_spec::{ProcessId, Word, INITIAL_WORD};
 
+use super::replay::{Mem, Model, Replay, Run};
 use crate::algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
-use crate::object::{BaseObject, BaseOp, StepResult};
+use crate::object::BaseObject;
 
 const X: usize = 0;
 
@@ -46,188 +47,92 @@ impl SimAlgorithm for Fig3Sim {
 
     fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess> {
         assert!(pid < self.n, "pid {pid} out of range");
-        Box::new(Fig3Process {
+        Box::new(Replay::new(Fig3Process {
             n: self.n,
             pid,
             b: false,
-            phase: Phase::Idle,
-        })
+        }))
     }
-}
-
-#[derive(Debug, Clone)]
-enum Phase {
-    Idle,
-    /// `LL`: first read of `X` (line 14).
-    LlFirstRead,
-    /// `LL`: read before a CAS attempt (line 20); `first` is the line 14
-    /// value, `attempt` counts CAS attempts so far.
-    LlLoopRead {
-        first: MaskWord,
-        attempt: usize,
-    },
-    /// `LL`: CAS attempt (line 21).
-    LlLoopCas {
-        first: MaskWord,
-        attempt: usize,
-        cur: MaskWord,
-    },
-    /// `SC`: read of `X` (line 3); `attempt` counts CAS attempts so far.
-    ScRead {
-        value: Word,
-        attempt: usize,
-    },
-    /// `SC`: CAS attempt (line 6).
-    ScCas {
-        value: Word,
-        attempt: usize,
-        cur: MaskWord,
-    },
-    /// `VL`: read of `X` (line 9).
-    VlRead,
 }
 
 #[derive(Debug, Clone)]
 struct Fig3Process {
     n: usize,
     pid: ProcessId,
+    /// Local flag `b`: an `SC` linearized during this process's last `LL`
+    /// after that `LL`'s linearization point.
     b: bool,
-    phase: Phase,
 }
 
-impl SimProcess for Fig3Process {
-    fn invoke(&mut self, call: MethodCall) -> Option<MethodResponse> {
-        assert!(self.is_idle(), "method already in progress");
+impl Model for Fig3Process {
+    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
         match call {
-            MethodCall::Ll => {
-                self.phase = Phase::LlFirstRead;
-                None
-            }
-            MethodCall::Sc(value) => {
-                // Line 1: if b then return False (no shared step).
-                if self.b {
-                    return Some(MethodResponse::ScResult(false));
-                }
-                self.phase = Phase::ScRead { value, attempt: 0 };
-                None
-            }
-            MethodCall::Vl => {
-                self.phase = Phase::VlRead;
-                None
-            }
+            MethodCall::Ll => self.ll(m).map(MethodResponse::LlResult),
+            MethodCall::Sc(x) => self.sc(x, m).map(MethodResponse::ScResult),
+            MethodCall::Vl => self.vl(m).map(MethodResponse::VlResult),
             other => panic!("Figure 3 LL/SC object does not support {other:?}"),
         }
     }
+}
 
-    fn poised(&self) -> BaseOp {
-        match &self.phase {
-            Phase::Idle => panic!("no method in progress"),
-            Phase::LlFirstRead
-            | Phase::LlLoopRead { .. }
-            | Phase::ScRead { .. }
-            | Phase::VlRead => BaseOp::Read(X),
-            Phase::LlLoopCas { cur, .. } => {
-                BaseOp::Cas(X, cur.pack(), cur.with_bit_cleared(self.pid).pack())
-            }
-            Phase::ScCas { value, cur, .. } => BaseOp::Cas(
-                X,
-                cur.pack(),
-                MaskWord {
-                    value: *value,
-                    mask: MaskWord::full_mask(self.n),
-                }
-                .pack(),
-            ),
+impl Fig3Process {
+    /// `SC(x)` — lines 1–8.
+    fn sc(&mut self, x: Word, m: &mut Mem<'_>) -> Run<bool> {
+        // Line 1 (no shared step).
+        if self.b {
+            return Ok(false);
         }
-    }
-
-    fn apply(&mut self, result: StepResult) -> Option<MethodResponse> {
-        let phase = std::mem::replace(&mut self.phase, Phase::Idle);
-        match phase {
-            Phase::Idle => panic!("no method in progress"),
-            Phase::LlFirstRead => {
-                let first = MaskWord::unpack(result.value());
-                if !first.bit(self.pid) {
-                    // Lines 15–17.
-                    self.b = false;
-                    Some(MethodResponse::LlResult(first.value))
-                } else {
-                    self.phase = Phase::LlLoopRead { first, attempt: 0 };
-                    None
-                }
+        // Line 2.
+        for _ in 0..self.n {
+            // Line 3.
+            let cur = MaskWord::unpack(m.read(X)?);
+            // Lines 4–5.
+            if cur.bit(self.pid) {
+                return Ok(false);
             }
-            Phase::LlLoopRead { first, attempt } => {
-                let cur = MaskWord::unpack(result.value());
-                self.phase = Phase::LlLoopCas {
-                    first,
-                    attempt,
-                    cur,
-                };
-                None
-            }
-            Phase::LlLoopCas {
-                first,
-                attempt,
-                cur,
-            } => {
-                if result.cas_succeeded() {
-                    // Lines 22–23.
-                    self.b = false;
-                    Some(MethodResponse::LlResult(cur.value))
-                } else if attempt + 1 < self.n {
-                    self.phase = Phase::LlLoopRead {
-                        first,
-                        attempt: attempt + 1,
-                    };
-                    None
-                } else {
-                    // Lines 24–25.
-                    self.b = true;
-                    Some(MethodResponse::LlResult(first.value))
-                }
-            }
-            Phase::ScRead { value, attempt } => {
-                let cur = MaskWord::unpack(result.value());
-                if cur.bit(self.pid) {
-                    // Lines 4–5.
-                    Some(MethodResponse::ScResult(false))
-                } else {
-                    self.phase = Phase::ScCas {
-                        value,
-                        attempt,
-                        cur,
-                    };
-                    None
-                }
-            }
-            Phase::ScCas { value, attempt, .. } => {
-                if result.cas_succeeded() {
-                    // Line 7.
-                    Some(MethodResponse::ScResult(true))
-                } else if attempt + 1 < self.n {
-                    self.phase = Phase::ScRead {
-                        value,
-                        attempt: attempt + 1,
-                    };
-                    None
-                } else {
-                    // Line 8.
-                    Some(MethodResponse::ScResult(false))
-                }
-            }
-            Phase::VlRead => {
-                let cur = MaskWord::unpack(result.value());
-                Some(MethodResponse::VlResult(!cur.bit(self.pid) && !self.b))
+            // Line 6.
+            let all_set = MaskWord {
+                value: x,
+                mask: MaskWord::full_mask(self.n),
+            };
+            if m.cas(X, cur.pack(), all_set.pack())? {
+                // Line 7.
+                return Ok(true);
             }
         }
+        // Line 8.
+        Ok(false)
     }
 
-    fn is_idle(&self) -> bool {
-        matches!(self.phase, Phase::Idle)
+    /// `VL()` — lines 9–13.
+    fn vl(&self, m: &mut Mem<'_>) -> Run<bool> {
+        let cur = MaskWord::unpack(m.read(X)?);
+        Ok(!cur.bit(self.pid) && !self.b)
     }
 
-    fn clone_box(&self) -> Box<dyn SimProcess> {
-        Box::new(self.clone())
+    /// `LL()` — lines 14–25.
+    fn ll(&mut self, m: &mut Mem<'_>) -> Run<Word> {
+        // Line 14.
+        let first = MaskWord::unpack(m.read(X)?);
+        // Lines 15–17.
+        if !first.bit(self.pid) {
+            self.b = false;
+            return Ok(first.value);
+        }
+        // Line 19.
+        for _ in 0..self.n {
+            // Line 20.
+            let cur = MaskWord::unpack(m.read(X)?);
+            // Line 21.
+            if m.cas(X, cur.pack(), cur.with_bit_cleared(self.pid).pack())? {
+                // Lines 22–23.
+                self.b = false;
+                return Ok(cur.value);
+            }
+        }
+        // Lines 24–25.
+        self.b = true;
+        Ok(first.value)
     }
 }
 
@@ -260,13 +165,19 @@ mod tests {
 
     #[test]
     fn sc_with_local_flag_takes_zero_steps() {
-        let algo = Fig3Sim::new(2);
-        let mut p = algo.spawn(0);
-        // Force b by hand: run an LL whose n CAS attempts all fail is hard to
-        // arrange without a scheduler here, so reach in via a crafted cast.
-        // Instead verify the immediate-response path through invoke on a
-        // process whose b we set via a simulated failed LL in the executor
-        // tests; here we only check the supported-call contract.
+        // Line 1: a process whose last LL exhausted its n CAS attempts
+        // answers the SC from its flag, without a shared step.
+        let mut p = Replay::new(Fig3Process {
+            n: 2,
+            pid: 0,
+            b: true,
+        });
+        assert_eq!(
+            p.invoke(MethodCall::Sc(5)),
+            Some(MethodResponse::ScResult(false))
+        );
+        assert!(p.is_idle());
+        // VL does read X.
         assert!(p.invoke(MethodCall::Vl).is_none());
     }
 

@@ -1,4 +1,4 @@
-//! Figure 4 as a simulator state machine, with optional "crippling" knobs.
+//! Figure 4 for the simulator, line for line, with optional "crippling" knobs.
 //!
 //! The faithful instantiation ([`Fig4Sim::new`]) uses `n` announce slots and
 //! the full sequence-number domain `{0, …, 2n+1}`; it is the algorithm proven
@@ -19,11 +19,12 @@
 
 use std::collections::VecDeque;
 
-use aba_core::pack::{Pair, Triple, BOT_PID};
+use aba_core::pack::{Pair, Triple};
 use aba_spec::{ProcessId, Word, INITIAL_WORD};
 
+use super::replay::{Mem, Model, Replay, Run};
 use crate::algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
-use crate::object::{BaseObject, BaseOp, StepResult};
+use crate::object::BaseObject;
 
 /// Object 0 is `X`; objects `1 ..= announce_slots` are the announce array.
 const X: usize = 0;
@@ -96,6 +97,18 @@ impl Fig4Sim {
     fn announce_obj(&self, pid: ProcessId) -> usize {
         1 + (pid % self.announce_slots)
     }
+
+    fn process(&self, pid: ProcessId) -> Fig4Process {
+        assert!(pid < self.n, "pid {pid} out of range");
+        Fig4Process {
+            cfg: self.clone(),
+            pid,
+            b: false,
+            used: VecDeque::from(vec![None; self.n + 1]),
+            na: vec![None; self.announce_slots],
+            cursor: 0,
+        }
+    }
 }
 
 impl SimAlgorithm for Fig4Sim {
@@ -116,16 +129,7 @@ impl SimAlgorithm for Fig4Sim {
     }
 
     fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess> {
-        assert!(pid < self.n, "pid {pid} out of range");
-        Box::new(Fig4Process {
-            cfg: self.clone(),
-            pid,
-            b: false,
-            used: VecDeque::from(vec![None; self.n + 1]),
-            na: vec![None; self.announce_slots],
-            cursor: 0,
-            phase: Phase::Idle,
-        })
+        Box::new(Replay::new(self.process(pid)))
     }
 }
 
@@ -144,150 +148,80 @@ fn choose_seq(domain: u16, used: &VecDeque<Option<u16>>, na: &[Option<u16>]) -> 
 }
 
 #[derive(Debug, Clone)]
-enum Phase {
-    Idle,
-    /// `DWrite`: about to read the announce slot for `GetSeq` (line 28).
-    WriteScan {
-        value: Word,
-        slot: usize,
-    },
-    /// `DWrite`: about to write `(x, p, s)` to `X` (line 27).
-    WritePublish {
-        value: Word,
-        seq: u16,
-    },
-    /// `DRead`: about to read `X` the first time (line 38).
-    ReadX1,
-    /// `DRead`: about to read the old announcement (line 39).
-    ReadOldAnnounce {
-        first: Triple,
-    },
-    /// `DRead`: about to announce (line 40).
-    Announce {
-        first: Triple,
-        old: Pair,
-    },
-    /// `DRead`: about to read `X` the second time (line 41).
-    ReadX2 {
-        first: Triple,
-        old: Pair,
-    },
-}
-
-#[derive(Debug, Clone)]
 struct Fig4Process {
     cfg: Fig4Sim,
     pid: ProcessId,
+    /// Local flag `b`: a write linearized during this process's previous
+    /// `DRead` after that operation's linearization point.
     b: bool,
+    /// `usedQ`: the last `n + 1` sequence numbers this process chose.
     used: VecDeque<Option<u16>>,
+    /// `na`: which of its own numbers it saw announced, per slot.
     na: Vec<Option<u16>>,
+    /// `c`: the announce slot the next `GetSeq` scans.
     cursor: usize,
-    phase: Phase,
 }
 
-impl SimProcess for Fig4Process {
-    fn invoke(&mut self, call: MethodCall) -> Option<MethodResponse> {
-        assert!(self.is_idle(), "method already in progress");
+impl Model for Fig4Process {
+    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
         match call {
-            MethodCall::DWrite(value) => {
-                let slot = self.cursor;
-                self.cursor = (self.cursor + 1) % self.cfg.announce_slots;
-                self.phase = Phase::WriteScan { value, slot };
-                None
-            }
-            MethodCall::DRead => {
-                self.phase = Phase::ReadX1;
-                None
-            }
+            MethodCall::DWrite(x) => self.dwrite(x, m).map(|()| MethodResponse::WriteDone),
+            MethodCall::DRead => self
+                .dread(m)
+                .map(|(value, flag)| MethodResponse::ReadResult(value, flag)),
             other => panic!("Figure 4 register does not support {other:?}"),
         }
     }
-
-    fn poised(&self) -> BaseOp {
-        match &self.phase {
-            Phase::Idle => panic!("no method in progress"),
-            Phase::WriteScan { slot, .. } => BaseOp::Read(1 + slot),
-            Phase::WritePublish { value, seq } => BaseOp::Write(
-                X,
-                Triple {
-                    value: *value,
-                    pid: self.pid as u16,
-                    seq: *seq,
-                }
-                .pack(),
-            ),
-            Phase::ReadX1 => BaseOp::Read(X),
-            Phase::ReadOldAnnounce { .. } => BaseOp::Read(self.cfg.announce_obj(self.pid)),
-            Phase::Announce { first, .. } => {
-                BaseOp::Write(self.cfg.announce_obj(self.pid), first.pair().pack())
-            }
-            Phase::ReadX2 { .. } => BaseOp::Read(X),
-        }
-    }
-
-    fn apply(&mut self, result: StepResult) -> Option<MethodResponse> {
-        let phase = std::mem::replace(&mut self.phase, Phase::Idle);
-        match phase {
-            Phase::Idle => panic!("no method in progress"),
-            Phase::WriteScan { value, slot } => {
-                let raw = result.value();
-                let announced = Pair::unpack(raw);
-                // Lines 29–32: remember announcements of our own numbers.
-                if announced.pid == self.pid as u16 {
-                    self.na[slot] = Some(announced.seq);
-                } else {
-                    self.na[slot] = None;
-                }
-                let seq = choose_seq(self.cfg.seq_domain, &self.used, &self.na);
-                self.used.push_back(Some(seq));
-                self.used.pop_front();
-                self.phase = Phase::WritePublish { value, seq };
-                None
-            }
-            Phase::WritePublish { .. } => Some(MethodResponse::WriteDone),
-            Phase::ReadX1 => {
-                let raw = result.value();
-                self.phase = Phase::ReadOldAnnounce {
-                    first: Triple::unpack(raw),
-                };
-                None
-            }
-            Phase::ReadOldAnnounce { first } => {
-                let raw = result.value();
-                self.phase = Phase::Announce {
-                    first,
-                    old: Pair::unpack(raw),
-                };
-                None
-            }
-            Phase::Announce { first, old } => {
-                self.phase = Phase::ReadX2 { first, old };
-                None
-            }
-            Phase::ReadX2 { first, old } => {
-                let raw = result.value();
-                let second = Triple::unpack(raw);
-                // Lines 42–45.
-                let flag = if first.pair() == old { self.b } else { true };
-                // Lines 46–49.
-                self.b = first != second;
-                Some(MethodResponse::ReadResult(first.value, flag))
-            }
-        }
-    }
-
-    fn is_idle(&self) -> bool {
-        matches!(self.phase, Phase::Idle)
-    }
-
-    fn clone_box(&self) -> Box<dyn SimProcess> {
-        Box::new(self.clone())
-    }
 }
 
-// BOT_PID is part of the initial announce contents via Pair::initial(); keep
-// the import used even when the compiler inlines the constant.
-const _: u16 = BOT_PID;
+impl Fig4Process {
+    /// `DWrite(x)` — lines 26–27.
+    fn dwrite(&mut self, x: Word, m: &mut Mem<'_>) -> Run<()> {
+        // Line 26.
+        let seq = self.get_seq(m)?;
+        // Line 27.
+        let triple = Triple {
+            value: x,
+            pid: self.pid as u16,
+            seq,
+        };
+        m.write(X, triple.pack())
+    }
+
+    /// `GetSeq()` — lines 28–37: one shared read per call.
+    fn get_seq(&mut self, m: &mut Mem<'_>) -> Run<u16> {
+        // Lines 28–33: scan the next announce slot round-robin and remember
+        // an announcement of one of our own numbers.
+        let slot = self.cursor;
+        self.cursor = (slot + 1) % self.cfg.announce_slots;
+        let announced = Pair::unpack(m.read(1 + slot)?);
+        self.na[slot] = (announced.pid == self.pid as u16).then_some(announced.seq);
+        // Line 34.
+        let seq = choose_seq(self.cfg.seq_domain, &self.used, &self.na);
+        // Lines 35–36: the window stays at `n + 1` numbers.
+        self.used.push_back(Some(seq));
+        self.used.pop_front();
+        Ok(seq)
+    }
+
+    /// `DRead()` — lines 38–50.
+    fn dread(&mut self, m: &mut Mem<'_>) -> Run<(Word, bool)> {
+        let announce = self.cfg.announce_obj(self.pid);
+        // Line 38.
+        let first = Triple::unpack(m.read(X)?);
+        // Line 39.
+        let old = Pair::unpack(m.read(announce)?);
+        // Line 40.
+        m.write(announce, first.pair().pack())?;
+        // Line 41.
+        let second = Triple::unpack(m.read(X)?);
+        // Lines 42–45.
+        let flag = if first.pair() == old { self.b } else { true };
+        // Lines 46–49.
+        self.b = first != second;
+        Ok((first.value, flag))
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -349,6 +283,26 @@ mod tests {
         sim.enqueue(2, MethodCall::DRead);
         sim.run_process_to_completion(2);
         assert_eq!(sim.last_op_steps(2), 4);
+    }
+
+    #[test]
+    fn a_suspended_dwrite_has_consumed_no_sequence_number() {
+        use crate::object::{BaseOp, SharedMemory};
+        let algo = Fig4Sim::new(3);
+        let mut mem = SharedMemory::new(algo.initial_objects());
+        let mut p = Replay::new(algo.process(0));
+        for (seq, slot) in [(0, 1), (1, 2)] {
+            assert_eq!(p.invoke(MethodCall::DWrite(7)), None);
+            assert_eq!(p.poised(), BaseOp::Read(slot), "GetSeq scans round-robin");
+            assert_eq!(p.step(&mut mem), None);
+            // GetSeq has run to its end twice by now, on scratch state only.
+            assert_eq!(p.idle().cursor, slot - 1);
+            assert!(!p.idle().used.contains(&Some(seq)));
+            assert_eq!(p.step(&mut mem), Some(MethodResponse::WriteDone));
+            assert_eq!(Triple::unpack(mem.peek(X)).seq, seq);
+            assert_eq!(p.idle().cursor, slot);
+            assert_eq!(p.idle().used.back(), Some(&Some(seq)));
+        }
     }
 
     #[test]

@@ -24,4 +24,5 @@ pub mod fig3;
 pub mod fig4;
 mod protect;
 pub mod queue;
+mod replay;
 pub mod set;

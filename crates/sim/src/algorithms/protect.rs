@@ -1,31 +1,27 @@
-//! The protection sub-machine shared by the simulated structures — the
+//! The protection sequences shared by the simulated structures — the
 //! simulator's counterpart of `aba_reclaim`'s `Guard`.
 //!
 //! A structure model ([`queue`](super::queue), [`set`](super::set)) writes
 //! down only its own traversal and linking steps.  Everything a protection
 //! scheme adds — allocating from and releasing to the free set, the epoch
 //! pin / retire stamp / advance / quarantine protocol, hazard publication,
-//! scanning and lane clearing — exists once, here, as a [`Sub`]-state with
-//! one [`Protection::poised`] arm and one [`Protection::apply`] arm per
-//! shared-memory step.  A structure embeds the sub-machine as a single
-//! `State::Protect(Sub, After)` variant: it opens a sub-sequence through the
-//! entry point named after the `Guard` method it models (DESIGN.md §3.1 maps
-//! each to its hardware file), forwards `poised`/`apply` while the answer is
-//! [`Step::Goto`], and on [`Step::Done`] resumes at its own continuation
-//! `After` with the [`Outcome`].  *Which* sub-sequences run in *what* order
-//! is therefore the structure's composition (the queue pins after preparing
-//! its node and chains quarantine transfer/adoption after an advance; the
-//! set pins first and does neither) — nothing here asks which structure it
-//! serves.
+//! scanning and lane clearing — exists once, here, as a function of
+//! [`Protection`] named after the `Guard` method it models (DESIGN.md §3.1
+//! maps each to its hardware file), every shared-memory access of which is
+//! one schedulable step.  *Which* sequences run in *what* order is the
+//! structure's composition (the queue pins after preparing its node and
+//! chains quarantine transfer/adoption after an advance; the set pins first
+//! and does neither) — nothing here asks which structure it serves.
 //!
 //! Limbo bags are process-*private* (each process's own retired nodes, never
 //! read by others), so they live in [`Protection`] rather than in shared
 //! objects, as do the last observed global epoch, the blocked-advance
-//! counter and the hazards collected by a scan in progress.
+//! counter and the hazards collected by the last scan.
 
 use aba_spec::ProcessId;
 
-use crate::object::{BaseObject, BaseOp, ObjId, StepResult};
+use super::replay::{Mem, Run};
+use crate::object::{BaseObject, ObjId};
 
 /// Hazard lanes per process of a traversing structure (predecessor /
 /// current / successor).
@@ -149,98 +145,16 @@ impl Layout {
     }
 }
 
-/// One shared-memory step of a protection sub-sequence.  Every variant
-/// carries the words read so far, so the enum stays `Copy + Eq` like the
-/// structure states that embed it.
+/// How one attempt to advance the global epoch ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Sub {
-    // --- admit_alloc: take one node out of the free set ---
-    AllocRead { retried: bool },
-    AllocCas { retried: bool, mask: u64, idx: u64 },
-    // --- release, transfer: hand the nodes `bits` over to the shared bit
-    // mask `to` (the free set: reusable; the quarantine mask: adoptable) ---
-    HandOverRead { to: ObjId, bits: u64 },
-    HandOverCas { to: ObjId, bits: u64, mask: u64 },
-    // --- pin: read g, publish g + 1, re-check until g was stable ---
-    PinReadG,
-    PinWriteLocal { g: u64 },
-    PinCheckG { g: u64 },
-    // --- protect: publish a hazard, then re-validate its source word ---
-    HazPublish { lane: usize, src: ObjId, raw: u64 },
-    HazValidate { src: ObjId, raw: u64 },
-    // --- retire (epoch): stamp with a global-epoch read taken *after* the
-    // unlink (a pin-time stamp would be one advance too old when the unlink
-    // raced an advance — the classic EBR subtlety) ---
-    RetireReadG { node: u64 },
-    // --- quiesce ---
-    Unpin,
-    ClearLane { i: usize },
-    // --- reclaim_pressure (epoch): try to advance the global epoch ---
-    AdvReadG,
-    AdvScanLocal { g: u64, t: usize },
-    AdvCasG { g: u64 },
-    // --- reclaim_pressure (hazard): collect the other processes' hazards ---
-    HazScan { j: usize },
-    // --- transfer: stamp limbo entry `i` into its quarantine register (one
-    // write per node), then hand every bit over with one mask CAS ---
-    XferWriteStamp { i: usize },
-    // --- adopt: read the stamp of the lowest set bit in `rest`; `take`
-    // accumulates the bits found eligible, claimed with one mask CAS ---
-    AdoptReadQmask,
-    AdoptReadStamp { mask: u64, rest: u64, take: u64 },
-    AdoptCasQmask { mask: u64, take: u64 },
-}
-
-/// How a finished sub-sequence ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Outcome {
-    /// `admit_alloc` took this node out of the free set.
-    Allocated(u64),
-    /// `admit_alloc` found the free set empty while this process holds limbo
-    /// nodes: reclaim, then ask again with `retried` set (the hardware
-    /// arena's reclaim-pressure path).
-    AllocPressure,
-    /// `admit_alloc` found the free set empty with nothing left to try.
-    AllocFailed,
-    /// The nodes left this process's ownership: `release` returned them to
-    /// the free set (or had none to return), `transfer` moved the whole
-    /// private limbo into the quarantine.
-    HandedOver,
-    /// `pin` published a validated epoch (or the scheme does not pin).
-    Pinned,
-    /// `protect`: whether the source word still held the expected value
-    /// after the publication (always `true` for a scheme that publishes
-    /// nothing — its words or its pin carry the protection).
-    Validated(bool),
-    /// `retire` stamped the node into the epoch limbo.
-    Retired,
-    /// `quiesce` released every protection.
-    Quiesced,
-    /// The advance installed `g + 1`.
+pub(crate) enum Advance {
+    /// The attempt installed `g + 1`.
     Advanced,
-    /// The advance met a pinned process that has not observed `g` yet.
+    /// It met a pinned process that has not observed `g` yet.
     Blocked,
-    /// The advance lost its CAS — someone advanced for us, equally good.
+    /// It lost its CAS — someone advanced for us, equally good.
     Raced,
-    /// The hazard scan read every other process's lanes.
-    Scanned,
-    /// `adopt` claimed these quarantine bits (0: nothing eligible, or the
-    /// claim CAS lost — whoever changed the mask either adopted the nodes or
-    /// transferred new ones, so a single attempt keeps adoption bounded).
-    /// The adopter owns the bits and must `release` them.
-    Adopted(u64),
 }
-
-/// What one applied step of a sub-sequence leads to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Step {
-    /// The sub-sequence continues: the process is poised on this sub-state.
-    Goto(Sub),
-    /// The sub-sequence is over without a further shared-memory step.
-    Done(Outcome),
-}
-
-use Step::{Done, Goto};
 
 /// One process's protection state.
 #[derive(Debug, Clone)]
@@ -255,7 +169,7 @@ pub(crate) struct Protection {
     last_g: u64,
     /// Consecutive advance attempts blocked by a stale pinned peer.
     blocked_advances: u32,
-    /// Hazard values collected by the scan in progress (or last finished).
+    /// Hazard values collected by the last scan.
     scanned: Vec<u64>,
 }
 
@@ -296,304 +210,213 @@ impl Protection {
             .fold(0, |bits, &(node, _)| bits | (1 << node))
     }
 
-    // -- entry points, one per `Guard` method -------------------------------
-
-    /// Take a node out of the free set.
-    pub(crate) fn admit_alloc(&self, retried: bool) -> Step {
-        Goto(Sub::AllocRead { retried })
-    }
-
-    /// Return `bits` to the free set (no step when there are none).
-    pub(crate) fn release(&self, bits: u64) -> Step {
-        match bits {
-            0 => Done(Outcome::HandedOver),
-            bits => Goto(Sub::HandOverRead {
-                to: self.layout.free,
-                bits,
-            }),
+    /// `admit_alloc`: take a node out of the free set, `None` if it is
+    /// empty.  An empty set met while this process holds limbo runs the
+    /// structure's `reclaim` attempt and asks exactly once more (the
+    /// hardware arena's reclaim-pressure path).
+    pub(crate) fn alloc(
+        &mut self,
+        reclaim: fn(&mut Self, &mut Mem<'_>) -> Run<()>,
+        m: &mut Mem<'_>,
+    ) -> Run<Option<u64>> {
+        match self.take(m)? {
+            None if self.holds_limbo() => {
+                reclaim(self, m)?;
+                self.take(m)
+            }
+            taken => Ok(taken),
         }
     }
 
-    /// Enter the protected region: an epoch pin, nothing otherwise.
-    pub(crate) fn pin(&self) -> Step {
-        match self.scheme {
-            Scheme::Epoch => Goto(Sub::PinReadG),
-            _ => Done(Outcome::Pinned),
+    fn take(&self, m: &mut Mem<'_>) -> Run<Option<u64>> {
+        let free = self.layout.free;
+        // retry-bound: the CAS fails only when another process moved the
+        // free set (an alloc or a free) — system-wide progress, so the retry
+        // is lock-free.
+        m.retry(|m| {
+            let mask = m.read(free)?;
+            if mask == 0 {
+                return Ok(Some(None));
+            }
+            let idx = u64::from(mask.trailing_zeros());
+            Ok(m.cas(free, mask, mask & !(1 << idx))?.then_some(Some(idx)))
+        })
+    }
+
+    /// Return `bits` to the free set (no step when there are none).
+    pub(crate) fn release(&mut self, bits: u64, m: &mut Mem<'_>) -> Run<()> {
+        match bits {
+            0 => Ok(()),
+            bits => self.hand_over(self.layout.free, bits, m),
+        }
+    }
+
+    /// Hand the nodes `bits` over to the shared bit mask `to` (the free set:
+    /// reusable; the quarantine mask: adoptable); they leave the limbo.
+    fn hand_over(&mut self, to: ObjId, bits: u64, m: &mut Mem<'_>) -> Run<()> {
+        // retry-bound: we own the bits, so this CAS must land; it fails only
+        // when another process moved the mask (an alloc or a free; an
+        // adoption or a transfer) — that is system-wide progress, so the
+        // retry is lock-free.
+        m.retry(|m| {
+            let mask = m.read(to)?;
+            Ok(m.cas(to, mask, mask | bits)?.then_some(()))
+        })?;
+        self.limbo.retain(|&(node, _)| (bits >> node) & 1 == 0);
+        Ok(())
+    }
+
+    /// Enter the protected region: an epoch pin (read g, publish g + 1,
+    /// re-check until g was stable), nothing otherwise.
+    pub(crate) fn pin(&mut self, m: &mut Mem<'_>) -> Run<()> {
+        if self.scheme != Scheme::Epoch {
+            return Ok(());
+        }
+        let l = self.layout;
+        self.last_g = m.read(l.global_epoch())?;
+        loop {
+            m.write(l.local_epoch(self.pid), self.last_g + 1)?;
+            // The re-read closes the race where an advance-and-free slips
+            // between the read and the publication.
+            let now = m.read(l.global_epoch())?;
+            if now == self.last_g {
+                return Ok(());
+            }
+            self.last_g = now;
         }
     }
 
     /// Extend protection in `lane` to the node designated by the word `raw`
     /// read from `src`: publish-then-revalidate under hazard pointers,
-    /// nothing otherwise.
-    pub(crate) fn protect(&self, lane: usize, src: ObjId, raw: u64) -> Step {
-        match self.scheme {
-            Scheme::Hazard => Goto(Sub::HazPublish { lane, src, raw }),
-            _ => Done(Outcome::Validated(true)),
+    /// nothing otherwise.  Whether the source word still held `raw` after
+    /// the publication (always `true` for a scheme that publishes nothing —
+    /// its words or its pin carry the protection).
+    pub(crate) fn protect(&self, lane: usize, src: ObjId, raw: u64, m: &mut Mem<'_>) -> Run<bool> {
+        if self.scheme != Scheme::Hazard {
+            return Ok(true);
         }
+        let node = self.scheme.links().index(raw);
+        m.write(self.layout.hazard(self.pid, lane), node + 1)?;
+        // The hazard protects the node only if its source still designates
+        // it after the publication: then the protection took hold before any
+        // retirement scan could miss it.
+        Ok(m.read(src)? == raw)
     }
 
-    /// Hand over a node unlinked by a successful CAS: immediate release,
-    /// hazard limbo + scan, or epoch limbo with a fresh stamp.
-    pub(crate) fn retire(&mut self, node: u64) -> Step {
+    /// Hand over a node unlinked by a successful CAS: immediate release;
+    /// hazard limbo, scan and release of what the scan cleared; or epoch
+    /// limbo under a stamp read *after* the unlink (a pin-time stamp would
+    /// be one advance too old when the unlink raced an advance — the classic
+    /// EBR subtlety).
+    pub(crate) fn retire(&mut self, node: u64, m: &mut Mem<'_>) -> Run<()> {
         match self.scheme {
-            Scheme::Unprotected | Scheme::Tagged => self.release(1 << node),
+            Scheme::Unprotected | Scheme::Tagged => self.release(1 << node, m),
             Scheme::Hazard => {
                 self.limbo.push((node, 0));
-                self.reclaim_pressure()
+                self.scan(m)?;
+                self.release(self.reclaimable(), m)
             }
-            Scheme::Epoch => Goto(Sub::RetireReadG { node }),
+            Scheme::Epoch => {
+                self.last_g = m.read(self.layout.global_epoch())?;
+                self.limbo.push((node, self.last_g));
+                Ok(())
+            }
         }
     }
 
     /// Release every protection: clear the hazard lanes, or unpin.
-    pub(crate) fn quiesce(&self) -> Step {
+    pub(crate) fn quiesce(&self, m: &mut Mem<'_>) -> Run<()> {
         match self.scheme {
-            Scheme::Unprotected | Scheme::Tagged => Done(Outcome::Quiesced),
-            Scheme::Hazard => Goto(Sub::ClearLane { i: 0 }),
-            Scheme::Epoch => Goto(Sub::Unpin),
+            Scheme::Unprotected | Scheme::Tagged => Ok(()),
+            Scheme::Hazard => (0..self.layout.lanes)
+                .try_for_each(|lane| m.write(self.layout.hazard(self.pid, lane), 0)),
+            Scheme::Epoch => m.write(self.layout.local_epoch(self.pid), 0),
         }
     }
 
-    /// Make as much limbo [`reclaimable`](Self::reclaimable) as possible
-    /// right now: scan the other processes' hazards, or attempt one epoch
-    /// advance.  Only deferred-free schemes hold limbo to reclaim.
-    pub(crate) fn reclaim_pressure(&mut self) -> Step {
-        match self.scheme {
-            Scheme::Hazard => {
-                self.scanned.clear();
-                self.scan_from(0)
-            }
-            Scheme::Epoch => Goto(Sub::AdvReadG),
-            Scheme::Unprotected | Scheme::Tagged => {
-                unreachable!("immediate-free schemes keep no limbo")
+    /// `reclaim_pressure` (hazard): collect the other processes' hazards.
+    pub(crate) fn scan(&mut self, m: &mut Mem<'_>) -> Run<()> {
+        self.scanned.clear();
+        for p in (0..self.layout.n).filter(|&p| p != self.pid) {
+            for lane in 0..self.layout.lanes {
+                let hazard = m.read(self.layout.hazard(p, lane))?;
+                if hazard > 0 {
+                    self.scanned.push(hazard - 1);
+                }
             }
         }
+        Ok(())
+    }
+
+    /// `reclaim_pressure` (epoch): one attempt to advance the global epoch —
+    /// read g, check that every pinned process has observed it, CAS g + 1.
+    pub(crate) fn advance(&mut self, m: &mut Mem<'_>) -> Run<Advance> {
+        let l = self.layout;
+        let g = m.read(l.global_epoch())?;
+        self.last_g = g;
+        for p in 0..l.n {
+            let local = m.read(l.local_epoch(p))?;
+            if local != 0 && local != g + 1 {
+                // The advance must wait for the stale pin, but limbo that is
+                // already eligible can still go.
+                self.blocked_advances += 1;
+                return Ok(Advance::Blocked);
+            }
+        }
+        if !m.cas(l.global_epoch(), g, g + 1)? {
+            return Ok(Advance::Raced);
+        }
+        self.last_g = g + 1;
+        self.blocked_advances = 0;
+        Ok(Advance::Advanced)
     }
 
     /// Move the whole private limbo into the shared quarantine, so any
     /// process that later advances can free it — the E15 cure for bags
     /// stranded with a parked owner.  Requires held limbo.
-    pub(crate) fn transfer(&mut self) -> Step {
+    pub(crate) fn transfer(&mut self, m: &mut Mem<'_>) -> Run<()> {
         self.blocked_advances = 0;
-        Goto(Sub::XferWriteStamp { i: 0 })
-    }
-
-    /// Claim every quarantined node at least two advances old.
-    pub(crate) fn adopt(&self) -> Step {
-        Goto(Sub::AdoptReadQmask)
-    }
-
-    /// Continue the hazard scan at the first register at or after slot `j`
-    /// that is not one of our own.
-    fn scan_from(&self, mut j: usize) -> Step {
-        let lanes = self.layout.lanes;
-        while j / lanes == self.pid {
-            j += lanes - (j % lanes);
+        let mut bits = 0;
+        for &(node, stamp) in &self.limbo {
+            m.write(self.layout.quarantine_stamp(node as usize), stamp)?;
+            bits |= 1 << node;
         }
-        if j >= lanes * self.layout.n {
-            Done(Outcome::Scanned)
+        // Publish-after-stamp: an adopter never reads an unwritten stamp.
+        // The hand-over takes every limbo entry, so the private limbo is
+        // empty until the next retire.
+        self.hand_over(self.layout.quarantine_mask(), bits, m)
+    }
+
+    /// Claim every quarantined node at least two advances old; the bits
+    /// claimed, which the adopter owns and must `release`.  0: nothing
+    /// eligible, or the claim CAS lost — whoever changed the mask either
+    /// adopted the nodes or transferred new ones, so a single attempt keeps
+    /// adoption bounded.
+    pub(crate) fn adopt(&self, m: &mut Mem<'_>) -> Run<u64> {
+        let qmask = self.layout.quarantine_mask();
+        let mask = m.read(qmask)?;
+        let mut take = 0;
+        let mut rest = mask;
+        while rest != 0 {
+            let idx = rest.trailing_zeros();
+            if m.read(self.layout.quarantine_stamp(idx as usize))? + 2 <= self.last_g {
+                take |= 1 << idx;
+            }
+            rest &= rest - 1;
+        }
+        if take != 0 && m.cas(qmask, mask, mask & !take)? {
+            Ok(take)
         } else {
-            Goto(Sub::HazScan { j })
-        }
-    }
-
-    // -- the step vocabulary --------------------------------------------------
-
-    /// The shared-memory step a process in sub-state `sub` is poised on.
-    pub(crate) fn poised(&self, sub: Sub) -> BaseOp {
-        let l = &self.layout;
-        match sub {
-            Sub::AllocRead { .. } => BaseOp::Read(l.free),
-            Sub::HandOverRead { to, .. } => BaseOp::Read(to),
-            Sub::AllocCas { mask, idx, .. } => BaseOp::Cas(l.free, mask, mask & !(1 << idx)),
-            Sub::HandOverCas { to, bits, mask } => BaseOp::Cas(to, mask, mask | bits),
-            Sub::PinReadG | Sub::PinCheckG { .. } | Sub::RetireReadG { .. } | Sub::AdvReadG => {
-                BaseOp::Read(l.global_epoch())
-            }
-            Sub::PinWriteLocal { g } => BaseOp::Write(l.local_epoch(self.pid), g + 1),
-            Sub::HazPublish { lane, raw, .. } => {
-                BaseOp::Write(l.hazard(self.pid, lane), self.scheme.links().index(raw) + 1)
-            }
-            Sub::HazValidate { src, .. } => BaseOp::Read(src),
-            Sub::Unpin => BaseOp::Write(l.local_epoch(self.pid), 0),
-            Sub::ClearLane { i } => BaseOp::Write(l.hazard(self.pid, i), 0),
-            Sub::AdvScanLocal { t, .. } => BaseOp::Read(l.local_epoch(t)),
-            Sub::AdvCasG { g } => BaseOp::Cas(l.global_epoch(), g, g + 1),
-            Sub::HazScan { j } => BaseOp::Read(l.hazard(j / l.lanes, j % l.lanes)),
-            Sub::XferWriteStamp { i } => {
-                let (node, stamp) = self.limbo[i];
-                BaseOp::Write(l.quarantine_stamp(node as usize), stamp)
-            }
-            Sub::AdoptReadQmask => BaseOp::Read(l.quarantine_mask()),
-            Sub::AdoptReadStamp { rest, .. } => {
-                BaseOp::Read(l.quarantine_stamp(rest.trailing_zeros() as usize))
-            }
-            Sub::AdoptCasQmask { mask, take } => {
-                BaseOp::Cas(l.quarantine_mask(), mask, mask & !take)
-            }
-        }
-    }
-
-    /// Feed the result of executing `sub`'s poised step.
-    pub(crate) fn apply(&mut self, sub: Sub, result: StepResult) -> Step {
-        match sub {
-            Sub::AllocRead { retried } => match result.value() {
-                0 if !retried && self.holds_limbo() => Done(Outcome::AllocPressure),
-                0 => Done(Outcome::AllocFailed),
-                mask => Goto(Sub::AllocCas {
-                    retried,
-                    mask,
-                    idx: u64::from(mask.trailing_zeros()),
-                }),
-            },
-            Sub::AllocCas { retried, idx, .. } => {
-                if result.cas_succeeded() {
-                    Done(Outcome::Allocated(idx))
-                } else {
-                    Goto(Sub::AllocRead { retried })
-                }
-            }
-            Sub::HandOverRead { to, bits } => Goto(Sub::HandOverCas {
-                to,
-                bits,
-                mask: result.value(),
-            }),
-            Sub::HandOverCas { to, bits, .. } => {
-                if result.cas_succeeded() {
-                    self.limbo.retain(|&(node, _)| (bits >> node) & 1 == 0);
-                    Done(Outcome::HandedOver)
-                } else {
-                    // retry-bound: we own the bits, so this CAS must land; it
-                    // fails only when another process moved the mask (an
-                    // alloc or a free; an adoption or a transfer) — that is
-                    // system-wide progress, so the retry is lock-free.
-                    Goto(Sub::HandOverRead { to, bits })
-                }
-            }
-            Sub::PinReadG => {
-                self.last_g = result.value();
-                Goto(Sub::PinWriteLocal { g: self.last_g })
-            }
-            Sub::PinWriteLocal { g } => Goto(Sub::PinCheckG { g }),
-            Sub::PinCheckG { g } => {
-                // The re-read closes the race where an advance-and-free slips
-                // between the read and the publication.
-                let now = result.value();
-                if now == g {
-                    Done(Outcome::Pinned)
-                } else {
-                    self.last_g = now;
-                    Goto(Sub::PinWriteLocal { g: now })
-                }
-            }
-            Sub::HazPublish { src, raw, .. } => Goto(Sub::HazValidate { src, raw }),
-            // The hazard protects the node only if its source still
-            // designates it after the publication: then the protection took
-            // hold before any retirement scan could miss it.
-            Sub::HazValidate { raw, .. } => Done(Outcome::Validated(result.value() == raw)),
-            Sub::RetireReadG { node } => {
-                self.last_g = result.value();
-                self.limbo.push((node, self.last_g));
-                Done(Outcome::Retired)
-            }
-            Sub::Unpin => Done(Outcome::Quiesced),
-            Sub::ClearLane { i } => {
-                if i + 1 < self.layout.lanes {
-                    Goto(Sub::ClearLane { i: i + 1 })
-                } else {
-                    Done(Outcome::Quiesced)
-                }
-            }
-            Sub::AdvReadG => {
-                self.last_g = result.value();
-                Goto(Sub::AdvScanLocal {
-                    g: self.last_g,
-                    t: 0,
-                })
-            }
-            Sub::AdvScanLocal { g, t } => {
-                let local = result.value();
-                if local != 0 && local != g + 1 {
-                    // The advance must wait for the stale pin, but limbo that
-                    // is already eligible can still go.
-                    self.blocked_advances += 1;
-                    Done(Outcome::Blocked)
-                } else if t + 1 == self.layout.n {
-                    Goto(Sub::AdvCasG { g })
-                } else {
-                    Goto(Sub::AdvScanLocal { g, t: t + 1 })
-                }
-            }
-            Sub::AdvCasG { g } => {
-                if result.cas_succeeded() {
-                    self.last_g = g + 1;
-                    self.blocked_advances = 0;
-                    Done(Outcome::Advanced)
-                } else {
-                    Done(Outcome::Raced)
-                }
-            }
-            Sub::HazScan { j } => {
-                let hazard = result.value();
-                if hazard > 0 {
-                    self.scanned.push(hazard - 1);
-                }
-                self.scan_from(j + 1)
-            }
-            Sub::XferWriteStamp { i } => {
-                if i + 1 < self.limbo.len() {
-                    Goto(Sub::XferWriteStamp { i: i + 1 })
-                } else {
-                    // Publish-after-stamp: an adopter never reads an
-                    // unwritten stamp.  The hand-over takes every limbo
-                    // entry, so the private limbo is empty until the next
-                    // retire.
-                    Goto(Sub::HandOverRead {
-                        to: self.layout.quarantine_mask(),
-                        bits: self
-                            .limbo
-                            .iter()
-                            .fold(0, |all, &(node, _)| all | (1 << node)),
-                    })
-                }
-            }
-            Sub::AdoptReadQmask => match result.value() {
-                0 => Done(Outcome::Adopted(0)),
-                mask => Goto(Sub::AdoptReadStamp {
-                    mask,
-                    rest: mask,
-                    take: 0,
-                }),
-            },
-            Sub::AdoptReadStamp {
-                mask,
-                rest,
-                mut take,
-            } => {
-                if result.value() + 2 <= self.last_g {
-                    take |= 1 << rest.trailing_zeros();
-                }
-                let rest = rest & (rest - 1);
-                if rest != 0 {
-                    Goto(Sub::AdoptReadStamp { mask, rest, take })
-                } else if take == 0 {
-                    Done(Outcome::Adopted(0))
-                } else {
-                    Goto(Sub::AdoptCasQmask { mask, take })
-                }
-            }
-            Sub::AdoptCasQmask { take, .. } => {
-                let claimed = if result.cas_succeeded() { take } else { 0 };
-                Done(Outcome::Adopted(claimed))
-            }
+            Ok(0)
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::replay::drive;
     use super::*;
-    use crate::object::SharedMemory;
+    use crate::object::{BaseOp, SharedMemory};
 
     /// A structure with no objects of its own but the free set.
     const EPOCH: Layout = Layout {
@@ -617,37 +440,13 @@ mod tests {
         SharedMemory::new(objects)
     }
 
-    /// Execute `sub`'s poised step and feed its result back.
-    fn step(p: &mut Protection, mem: &mut SharedMemory, sub: Sub) -> Step {
-        let result = mem.apply(p.poised(sub));
-        p.apply(sub, result)
-    }
-
-    fn goto(step: Step) -> Sub {
-        match step {
-            Goto(sub) => sub,
-            Done(outcome) => panic!("sub-sequence over early: {outcome:?}"),
-        }
-    }
-
-    /// Run the sub-sequence `open` starts to its end, alone; returns its
-    /// outcome and the steps it executed.
-    fn drive(
+    /// Run `f` to its end, alone; returns its value and the steps it took.
+    fn alone<T>(
         p: &mut Protection,
         mem: &mut SharedMemory,
-        open: impl FnOnce(&mut Protection) -> Step,
-    ) -> (Outcome, Vec<BaseOp>) {
-        let mut at = open(p);
-        let mut ops = Vec::new();
-        loop {
-            match at {
-                Done(outcome) => return (outcome, ops),
-                Goto(sub) => {
-                    ops.push(p.poised(sub));
-                    at = step(p, mem, sub);
-                }
-            }
-        }
+        f: impl Fn(&mut Protection, &mut Mem<'_>) -> Run<T>,
+    ) -> (T, Vec<BaseOp>) {
+        drive(p, mem, f, |_, _| {})
     }
 
     /// Move the global epoch from `g` to `g + 1` behind everybody's back.
@@ -656,72 +455,95 @@ mod tests {
         assert!(bumped.cas_succeeded());
     }
 
+    /// The hazard-mode reclamation attempt a structure would pass to `alloc`.
+    fn scan_and_release(p: &mut Protection, m: &mut Mem<'_>) -> Run<()> {
+        p.scan(m)?;
+        p.release(p.reclaimable(), m)
+    }
+
     #[test]
     fn pin_republishes_when_the_epoch_moves_between_read_and_recheck() {
         let mut mem = memory(&EPOCH, 0);
         let mut p = Protection::new(Scheme::Epoch, EPOCH, 0);
-        let write = goto(step(&mut p, &mut mem, Sub::PinReadG));
-        assert_eq!(write, Sub::PinWriteLocal { g: 0 });
-        let check = goto(step(&mut p, &mut mem, write));
-        assert_eq!(mem.peek(EPOCH.local_epoch(0)), 1);
         // An advance slips in between the publication and the re-check.
-        bump_global(&mut mem, &EPOCH, 0);
-        let rewrite = goto(step(&mut p, &mut mem, check));
-        assert_eq!(rewrite, Sub::PinWriteLocal { g: 1 });
-        let (outcome, ops) = drive(&mut p, &mut mem, |_| Goto(rewrite));
-        assert_eq!(outcome, Outcome::Pinned);
-        assert_eq!(ops.len(), 2, "re-publish, then a stable re-check");
-        assert_eq!(mem.peek(EPOCH.local_epoch(0)), 2);
+        let mut reads = 0;
+        let (g, local) = (EPOCH.global_epoch(), EPOCH.local_epoch(0));
+        let ((), ops) = drive(
+            &mut p,
+            &mut mem,
+            |p, m| p.pin(m),
+            |op, mem| {
+                reads += u32::from(op == BaseOp::Read(g));
+                if reads == 2 && mem.peek(g) == 0 {
+                    assert_eq!(mem.peek(local), 1);
+                    bump_global(mem, &EPOCH, 0);
+                }
+            },
+        );
+        let republished = [
+            BaseOp::Read(g),
+            BaseOp::Write(local, 1),
+            BaseOp::Read(g),
+            BaseOp::Write(local, 2),
+            BaseOp::Read(g),
+        ];
+        assert_eq!(ops, republished, "re-publish, then a stable re-check");
+        assert_eq!(p.last_g, 1);
         // Schemes that do not pin take no step.
-        let tagged = Protection::new(Scheme::Tagged, EPOCH, 0);
-        assert_eq!(tagged.pin(), Done(Outcome::Pinned));
+        let mut tagged = Protection::new(Scheme::Tagged, EPOCH, 0);
+        assert!(alone(&mut tagged, &mut mem, |p, m| p.pin(m)).1.is_empty());
     }
 
     #[test]
     fn blocked_advances_count_toward_the_transfer_and_a_successful_one_resets_them() {
         let mut mem = memory(&EPOCH, 0);
         let mut p = Protection::new(Scheme::Epoch, EPOCH, 0);
-        assert_eq!(
-            drive(&mut p, &mut mem, |p| p.retire(3)).0,
-            Outcome::Retired,
-            "hold limbo"
-        );
+        alone(&mut p, &mut mem, |p, m| p.retire(3, m));
+        assert!(p.holds_limbo());
         // Process 1 pinned at epoch 0 and parked; the epoch has moved on.
         mem.apply(BaseOp::Write(EPOCH.local_epoch(1), 1));
         bump_global(&mut mem, &EPOCH, 0);
         for blocked in 1..=TRANSFER_AFTER_BLOCKED {
             assert!(!p.transfer_due());
             assert_eq!(
-                drive(&mut p, &mut mem, |p| p.reclaim_pressure()).0,
-                Outcome::Blocked
+                alone(&mut p, &mut mem, |p, m| p.advance(m)).0,
+                Advance::Blocked
             );
             assert_eq!(p.blocked_advances, blocked);
         }
         assert!(p.transfer_due());
         // The peer unpins: the next attempt advances and the count restarts.
         mem.apply(BaseOp::Write(EPOCH.local_epoch(1), 0));
-        let (outcome, ops) = drive(&mut p, &mut mem, |p| p.reclaim_pressure());
-        assert_eq!(outcome, Outcome::Advanced);
+        let (outcome, ops) = alone(&mut p, &mut mem, |p, m| p.advance(m));
+        assert_eq!(outcome, Advance::Advanced);
         assert_eq!(ops.len(), 2 + EPOCH.n, "read g, scan every local, CAS g");
         assert_eq!(mem.peek(EPOCH.global_epoch()), 2);
         assert_eq!(p.blocked_advances, 0);
         assert!(!p.transfer_due());
         // A lost CAS is neither: someone else advanced.
-        let cas = Sub::AdvCasG { g: 1 };
-        assert_eq!(step(&mut p, &mut mem, cas), Done(Outcome::Raced));
+        let (outcome, _) = drive(
+            &mut p,
+            &mut mem,
+            |p, m| p.advance(m),
+            |op, mem| {
+                if op.is_cas() {
+                    bump_global(mem, &EPOCH, 2);
+                }
+            },
+        );
+        assert_eq!(outcome, Advance::Raced);
     }
 
     #[test]
     fn transfer_writes_every_stamp_before_the_mask_cas() {
         let mut mem = memory(&EPOCH, 0);
         let mut p = Protection::new(Scheme::Epoch, EPOCH, 0);
-        drive(&mut p, &mut mem, |p| p.retire(1));
+        alone(&mut p, &mut mem, |p, m| p.retire(1, m));
         bump_global(&mut mem, &EPOCH, 0);
-        drive(&mut p, &mut mem, |p| p.retire(3));
+        alone(&mut p, &mut mem, |p, m| p.retire(3, m));
         // A peer's bag is already quarantined.
         mem.apply(BaseOp::Cas(EPOCH.quarantine_mask(), 0, 0b1));
-        let (outcome, ops) = drive(&mut p, &mut mem, |p| p.transfer());
-        assert_eq!(outcome, Outcome::HandedOver);
+        let ((), ops) = alone(&mut p, &mut mem, |p, m| p.transfer(m));
         assert_eq!(
             ops,
             [
@@ -741,35 +563,33 @@ mod tests {
         let mut p = Protection::new(Scheme::Epoch, EPOCH, 0);
         // Nodes 1 and 2 sit in quarantine; 1 was retired at epoch 0, 2 at
         // epoch 1, and this process has observed epoch 2.
+        let qmask = EPOCH.quarantine_mask();
         mem.apply(BaseOp::Write(EPOCH.quarantine_stamp(2), 1));
-        mem.apply(BaseOp::Cas(EPOCH.quarantine_mask(), 0, 0b110));
+        mem.apply(BaseOp::Cas(qmask, 0, 0b110));
         bump_global(&mut mem, &EPOCH, 0);
         bump_global(&mut mem, &EPOCH, 1);
-        drive(&mut p, &mut mem, |p| p.pin());
-        let mut at = goto(p.adopt());
-        while !matches!(at, Sub::AdoptCasQmask { .. }) {
-            at = goto(step(&mut p, &mut mem, at));
-        }
-        // Only node 1 is two advances old.
-        assert_eq!(
-            at,
-            Sub::AdoptCasQmask {
-                mask: 0b110,
-                take: 0b010
-            }
+        alone(&mut p, &mut mem, |p, m| p.pin(m));
+        // A rival adopter claims node 1 just before our claim CAS.
+        let (claimed, ops) = drive(
+            &mut p,
+            &mut mem,
+            |p, m| p.adopt(m),
+            |op, mem| {
+                if op.is_cas() {
+                    mem.apply(BaseOp::Cas(qmask, 0b110, 0b100));
+                }
+            },
         );
-        // A rival adopter claims it first.
-        mem.apply(BaseOp::Cas(EPOCH.quarantine_mask(), 0b110, 0b100));
-        assert_eq!(step(&mut p, &mut mem, at), Done(Outcome::Adopted(0)));
-        assert_eq!(p.release(0), Done(Outcome::HandedOver), "nothing to free");
+        // Only node 1 is two advances old.
+        assert_eq!(ops.last(), Some(&BaseOp::Cas(qmask, 0b110, 0b100)));
+        assert_eq!(claimed, 0);
+        let ((), ops) = alone(&mut p, &mut mem, |p, m| p.release(claimed, m));
+        assert!(ops.is_empty(), "nothing to free");
         assert_eq!(mem.peek(EPOCH.free), 0b1);
         // Unraced, the same claim lands and hands over exactly that bit.
-        mem.apply(BaseOp::Cas(EPOCH.quarantine_mask(), 0b100, 0b110));
-        assert_eq!(
-            drive(&mut p, &mut mem, |p| p.adopt()).0,
-            Outcome::Adopted(0b010)
-        );
-        assert_eq!(mem.peek(EPOCH.quarantine_mask()), 0b100);
+        mem.apply(BaseOp::Cas(qmask, 0b100, 0b110));
+        assert_eq!(alone(&mut p, &mut mem, |p, m| p.adopt(m)).0, 0b010);
+        assert_eq!(mem.peek(qmask), 0b100);
     }
 
     #[test]
@@ -779,28 +599,24 @@ mod tests {
         // Process 0 protects node 2; our own lane 0 still names node 4.
         mem.apply(BaseOp::Write(HAZARD.hazard(0, 1), 2 + 1));
         mem.apply(BaseOp::Write(HAZARD.hazard(1, 0), 4 + 1));
-        assert_eq!(drive(&mut p, &mut mem, |p| p.retire(2)).0, Outcome::Scanned);
-        assert_eq!(p.reclaimable(), 0, "node 2 is protected");
-        let (outcome, ops) = drive(&mut p, &mut mem, |p| p.retire(4));
-        assert_eq!(outcome, Outcome::Scanned);
         let others: Vec<BaseOp> = [0, 2]
             .iter()
             .flat_map(|&q| (0..HAZ_LANES).map(move |lane| BaseOp::Read(HAZARD.hazard(q, lane))))
             .collect();
-        assert_eq!(ops, others);
-        assert_eq!(p.reclaimable(), 1 << 4);
-        assert_eq!(
-            drive(&mut p, &mut mem, |p| p.release(p.reclaimable())).0,
-            Outcome::HandedOver
-        );
+        let ((), ops) = alone(&mut p, &mut mem, |p, m| p.retire(2, m));
+        assert_eq!(ops, others, "node 2 is protected: scanned, not released");
+        assert_eq!(p.reclaimable(), 0);
+        let ((), ops) = alone(&mut p, &mut mem, |p, m| p.retire(4, m));
+        let free = [
+            BaseOp::Read(HAZARD.free),
+            BaseOp::Cas(HAZARD.free, 0, 1 << 4),
+        ];
+        assert_eq!(ops, [&others[..], &free[..]].concat());
         assert_eq!(mem.peek(HAZARD.free), 1 << 4);
         assert!(p.holds_limbo(), "node 2 stays in limbo");
         assert_eq!(p.reclaimable(), 0);
         // quiesce clears every lane of ours and nobody else's.
-        assert_eq!(
-            drive(&mut p, &mut mem, |p| p.quiesce()).0,
-            Outcome::Quiesced
-        );
+        alone(&mut p, &mut mem, |p, m| p.quiesce(m));
         assert_eq!(mem.peek(HAZARD.hazard(1, 0)), 0);
         assert_eq!(mem.peek(HAZARD.hazard(0, 1)), 3);
     }
@@ -809,37 +625,30 @@ mod tests {
     fn alloc_on_an_empty_free_set_retries_once_after_reclaim_and_then_fails() {
         let mut mem = memory(&HAZARD, 0);
         let mut p = Protection::new(Scheme::Hazard, HAZARD, 0);
+        let alloc = |p: &mut Protection, m: &mut Mem<'_>| p.alloc(scan_and_release, m);
         // Nothing in limbo: nothing a reclaim could produce.
-        assert_eq!(
-            drive(&mut p, &mut mem, |p| p.admit_alloc(false)).0,
-            Outcome::AllocFailed
-        );
+        let (node, ops) = alone(&mut p, &mut mem, alloc);
+        assert_eq!(node, None);
+        assert_eq!(ops, [BaseOp::Read(HAZARD.free)]);
         // Node 1 in limbo, protected by process 2.
         mem.apply(BaseOp::Write(HAZARD.hazard(2, 2), 1 + 1));
-        drive(&mut p, &mut mem, |p| p.retire(1));
-        assert_eq!(
-            drive(&mut p, &mut mem, |p| p.admit_alloc(false)).0,
-            Outcome::AllocPressure
-        );
-        assert_eq!(
-            drive(&mut p, &mut mem, |p| p.reclaim_pressure()).0,
-            Outcome::Scanned
-        );
-        assert_eq!(p.release(p.reclaimable()), Done(Outcome::HandedOver));
-        let (outcome, ops) = drive(&mut p, &mut mem, |p| p.admit_alloc(true));
-        assert_eq!(outcome, Outcome::AllocFailed, "no second reclaim");
-        assert_eq!(ops, [BaseOp::Read(HAZARD.free)]);
+        alone(&mut p, &mut mem, |p, m| p.retire(1, m));
+        let (node, ops) = alone(&mut p, &mut mem, alloc);
+        assert_eq!(node, None, "no second reclaim");
+        let scan = 2 * HAZ_LANES;
+        assert_eq!(ops.len(), 1 + scan + 1, "read, one scan, one more read");
+        assert_eq!(ops[1 + scan], BaseOp::Read(HAZARD.free));
         // Once the protection drops, the same path allocates the node.
         mem.apply(BaseOp::Write(HAZARD.hazard(2, 2), 0));
-        drive(&mut p, &mut mem, |p| p.reclaim_pressure());
-        assert_eq!(
-            drive(&mut p, &mut mem, |p| p.release(p.reclaimable())).0,
-            Outcome::HandedOver
-        );
-        assert_eq!(
-            drive(&mut p, &mut mem, |p| p.admit_alloc(true)).0,
-            Outcome::Allocated(1)
-        );
-        assert_eq!(mem.peek(HAZARD.free), 0);
+        let (node, ops) = alone(&mut p, &mut mem, alloc);
+        assert_eq!(node, Some(1));
+        let freed_then_taken = [
+            BaseOp::Read(HAZARD.free),
+            BaseOp::Cas(HAZARD.free, 0, 0b10),
+            BaseOp::Read(HAZARD.free),
+            BaseOp::Cas(HAZARD.free, 0b10, 0),
+        ];
+        assert_eq!(ops[1 + scan..], freed_then_taken);
+        assert!(!p.holds_limbo());
     }
 }

@@ -1,4 +1,4 @@
-//! Step-level Michael–Scott queue state machines for the simulator.
+//! Step-level Michael–Scott queue models for the simulator.
 //!
 //! The hardware MS queues in `aba-lockfree` exhibit their ABA only when a
 //! preemptive scheduler interleaves unluckily; here the *schedule is the
@@ -6,9 +6,9 @@
 //! non-linearizable execution of the unprotected variant — the queue
 //! counterpart of `search_violation`'s register witnesses.
 //!
-//! One state machine holds the queue's own steps (snapshot, link, swing,
-//! unlink); what a protection scheme adds is a sub-sequence of the shared
-//! `protect` sub-machine, composed here in three modes:
+//! One model holds the queue's own steps (snapshot, link, swing, unlink);
+//! what a protection scheme adds is a function of the shared `protect`
+//! module, composed here in three modes:
 //!
 //! * [`QueueSim::unprotected`] — head/tail/next hold bare node indices and a
 //!   dequeued dummy returns to the free set immediately; the dequeue CAS is
@@ -46,9 +46,10 @@
 
 use aba_spec::{ProcessId, Word};
 
-use super::protect::{Layout, LinkCodec, Outcome, Protection, Scheme, Step, Sub};
+use super::protect::{Advance, Layout, LinkCodec, Protection, Scheme};
+use super::replay::{Mem, Model, Replay, Run};
 use crate::algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
-use crate::object::{BaseObject, BaseOp, ObjId, StepResult};
+use crate::object::{BaseObject, BaseOp, ObjId};
 
 pub use super::protect::TRANSFER_AFTER_BLOCKED;
 
@@ -118,6 +119,14 @@ impl QueueSim {
         }
     }
 
+    fn process(&self, pid: ProcessId) -> QueueProc {
+        QueueProc {
+            capacity: self.capacity as u64,
+            links: self.scheme.links(),
+            prot: Protection::new(self.scheme, self.layout(), pid),
+        }
+    }
+
     /// Object id of the global epoch counter (epoch mode).
     pub fn global_epoch_obj(&self) -> ObjId {
         self.layout().global_epoch()
@@ -176,15 +185,7 @@ impl SimAlgorithm for QueueSim {
     }
 
     fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess> {
-        Box::new(QueueProc {
-            pid,
-            capacity: self.capacity as u64,
-            links: self.scheme.links(),
-            prot: Protection::new(self.scheme, self.layout(), pid),
-            state: State::Idle,
-            value: 0,
-            node: 0,
-        })
+        Box::new(Replay::new(self.process(pid)))
     }
 
     /// Declared footprint of a fresh call: an enqueue opens on the free-set
@@ -203,93 +204,38 @@ impl SimAlgorithm for QueueSim {
     }
 }
 
-/// Where a finished protection sub-sequence returns to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum After {
-    /// `admit_alloc` → initialise the node.
-    Alloc,
-    /// The enqueue's pin, taken once its node is prepared → link it.
-    /// (Allocating and preparing needed no pin; dereferencing the tail
-    /// node's next link is what the protection must cover.)
-    Link,
-    /// The dequeue's pin → snapshot head and tail.
-    Unlink,
-    /// The unlinked dummy's `retire` → quiesce, reclaim, respond.
-    Retired(MethodResponse),
-    /// The retiring dequeue's reclamation attempt → respond.
-    Reclaim(MethodResponse),
-    /// The reclamation attempt of an enqueue that found the arena empty →
-    /// retry the allocation once.
-    RetryAlloc,
-    /// The enqueue's or the empty dequeue's `quiesce` → respond.
-    Respond(MethodResponse),
-}
-
-/// Where a method call currently stands.  Every variant carries the raw
-/// words read so far (the enqueue's own node lives in the process struct);
-/// `raw` words are compared and CASed in full, so the tagged variant gets
-/// its protection from the same transitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Idle,
-    // Inside a protection sub-sequence; `After` is where it returns to.
-    Protect(Sub, After),
-    // --- enqueue ---
-    EnqWriteValue,
-    EnqReadMyNext,
-    EnqWriteMyNext {
-        next_raw: u64,
-    },
-    EnqReadTail,
-    EnqReadTailNext {
-        tail_raw: u64,
-    },
-    EnqCasTailNext {
-        tail_raw: u64,
-        next_raw: u64,
-    },
-    EnqHelpSwing {
-        tail_raw: u64,
-        next_raw: u64,
-    },
-    EnqSwing {
-        tail_raw: u64,
-    },
-    // --- dequeue ---
-    DeqReadHead,
-    DeqReadTail {
-        head_raw: u64,
-    },
-    DeqReadNext {
-        head_raw: u64,
-        tail_raw: u64,
-    },
-    DeqHelpSwing {
-        tail_raw: u64,
-        next_raw: u64,
-    },
-    DeqReadValue {
-        head_raw: u64,
-        next_raw: u64,
-    },
-    DeqCasHead {
-        head_raw: u64,
-        next_raw: u64,
-        value: u64,
-    },
-}
-
 #[derive(Debug, Clone)]
 struct QueueProc {
-    pid: ProcessId,
     capacity: u64,
     links: LinkCodec,
     prot: Protection,
-    state: State,
-    /// The value being enqueued by the current call.
-    value: Word,
-    /// The enqueue's allocated node.
-    node: u64,
+}
+
+impl Model for QueueProc {
+    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
+        match call {
+            MethodCall::Enqueue(value) => self.enqueue(value, m).map(MethodResponse::EnqueueResult),
+            MethodCall::Dequeue => self.dequeue(m).map(MethodResponse::DequeueResult),
+            other => panic!("queue simulation given {other:?}"),
+        }
+    }
+}
+
+/// One reclamation attempt: advance the global epoch, then free every limbo
+/// entry two or more advances old.  A successful advance is exactly when
+/// quarantined bags can have become eligible, so it adopts and frees them
+/// first; one blocked too often behind a stale pin hands the private limbo
+/// to the quarantine.
+fn reclaim(prot: &mut Protection, m: &mut Mem<'_>) -> Run<()> {
+    match prot.advance(m)? {
+        Advance::Advanced => {
+            let adopted = prot.adopt(m)?;
+            prot.release(adopted, m)?;
+        }
+        Advance::Blocked if prot.transfer_due() => prot.transfer(m)?,
+        Advance::Blocked | Advance::Raced => {}
+    }
+    prot.release(prot.reclaimable(), m)
 }
 
 impl QueueProc {
@@ -302,7 +248,9 @@ impl QueueProc {
     }
 
     /// The word that replaces `old_raw` when repointing to `idx`: the bare
-    /// index, or (tagged) the index with `old_raw`'s tag bumped.
+    /// index, or (tagged) the index with `old_raw`'s tag bumped.  Words are
+    /// compared and CASed in full, so the tagged variant gets its protection
+    /// from the same code.
     fn repoint(&self, old_raw: u64, idx: u64) -> u64 {
         self.links.encode(old_raw, idx, false)
     }
@@ -320,250 +268,92 @@ impl QueueProc {
     /// reads the old word (to continue its tag); the default is a bare
     /// store, which is what the epoch variant models.  The unprotected
     /// variant reads too — one step more than its hardware twin takes —
-    /// because it shares the tagged variant's transitions and every E11 pin
-    /// of `queue/unprotected` is a schedule over that step.
+    /// because it shares the tagged variant's code and every E11 pin of
+    /// `queue/unprotected` is a schedule over that step.
     fn reads_own_link(&self) -> bool {
         self.prot.scheme != Scheme::Epoch
     }
 
-    fn respond(&mut self, response: MethodResponse) -> Option<MethodResponse> {
-        self.state = State::Idle;
-        Some(response)
-    }
-
-    /// Enter the sub-sequence `step` opens, or resume at `after` right away
-    /// if it is over without a shared-memory step.
-    fn run(&mut self, step: Step, after: After) -> Option<MethodResponse> {
-        match step {
-            Step::Goto(sub) => {
-                self.state = State::Protect(sub, after);
-                None
+    fn enqueue(&mut self, value: Word, m: &mut Mem<'_>) -> Run<bool> {
+        // An empty arena fails the enqueue without touching the queue words.
+        // A process with an empty limbo fails fast, without a reclamation
+        // attempt — every quarantined node is adoptable through a dequeuer's
+        // advance, and keeping the exhausted enqueue short keeps the DPOR
+        // space tractable.
+        let Some(node) = self.prot.alloc(reclaim, m)? else {
+            return Ok(false);
+        };
+        m.write(self.value_obj(node), value as u64)?;
+        let old = if self.reads_own_link() {
+            m.read(self.next_obj(node))?
+        } else {
+            0
+        };
+        m.write(self.next_obj(node), self.repoint(old, self.capacity))?;
+        // Allocating and preparing needed no pin; dereferencing the tail
+        // node's next link is what the protection must cover.
+        self.prot.pin(m)?;
+        // retry-bound: an attempt fails only when another enqueue linked its
+        // node or a helper swung the tail — system-wide progress.  (On a
+        // chain the unprotected variant has cycled it can spin for good:
+        // that is the wedge the explorers cut and report.)
+        let tail_raw = m.retry(|m| {
+            let tail_raw = m.read(OBJ_TAIL)?;
+            let tail_next = self.next_obj(self.idx_of(tail_raw));
+            let next_raw = m.read(tail_next)?;
+            if self.is_nil(next_raw) {
+                let linked = m.cas(tail_next, next_raw, self.repoint(next_raw, node))?;
+                return Ok(linked.then_some(tail_raw));
             }
-            Step::Done(outcome) => self.resume(after, outcome),
-        }
+            // Help a lagging tail forward.
+            let ahead = self.repoint(tail_raw, self.idx_of(next_raw));
+            m.cas(OBJ_TAIL, tail_raw, ahead)?;
+            Ok(None)
+        })?;
+        // Whether our swing or a helper's lands, the node is linked.
+        m.cas(OBJ_TAIL, tail_raw, self.repoint(tail_raw, node))?;
+        self.prot.quiesce(m)?;
+        Ok(true)
     }
 
-    /// The queue's composition of the protection sub-sequences.
-    fn resume(&mut self, after: After, outcome: Outcome) -> Option<MethodResponse> {
-        match after {
-            After::Alloc => match outcome {
-                Outcome::Allocated(idx) => {
-                    self.node = idx;
-                    self.state = State::EnqWriteValue;
+    fn dequeue(&mut self, m: &mut Mem<'_>) -> Run<Option<Word>> {
+        self.prot.pin(m)?;
+        // retry-bound: an attempt fails only on a snapshot another operation
+        // moved under it or on a lost head CAS — system-wide progress, with
+        // the same wedge caveat as the enqueue's loop.
+        let unlinked = m.retry(|m| {
+            let head_raw = m.read(OBJ_HEAD)?;
+            let tail_raw = m.read(OBJ_TAIL)?;
+            let next_raw = m.read(self.next_obj(self.idx_of(head_raw)))?;
+            let next = self.idx_of(next_raw);
+            if self.idx_of(head_raw) == self.idx_of(tail_raw) {
+                if self.is_nil(next_raw) {
+                    return Ok(Some(None));
                 }
-                // A process with an empty limbo fails fast instead — every
-                // quarantined node is adoptable through a dequeuer's advance,
-                // and keeping the exhausted enqueue short keeps the DPOR
-                // space tractable.
-                Outcome::AllocPressure => {
-                    let step = self.prot.reclaim_pressure();
-                    return self.run(step, After::RetryAlloc);
-                }
-                // Arena exhausted: the enqueue fails without touching the
-                // queue words.
-                _ => return self.respond(MethodResponse::EnqueueResult(false)),
-            },
-            After::Link => self.state = State::EnqReadTail,
-            After::Unlink => self.state = State::DeqReadHead,
-            After::Retired(response) => {
-                return self.run(self.prot.quiesce(), After::Reclaim(response));
+                // Help a lagging tail forward.
+                m.cas(OBJ_TAIL, tail_raw, self.repoint(tail_raw, next))?;
+                return Ok(None);
             }
-            After::Reclaim(_) | After::RetryAlloc => {
-                let step = match outcome {
-                    // Quiesced with the dummy in limbo: one advance attempt.
-                    Outcome::Quiesced if self.prot.holds_limbo() => self.prot.reclaim_pressure(),
-                    // A successful advance is exactly when quarantined bags
-                    // can have become eligible: adopt them before freeing
-                    // our own.
-                    Outcome::Advanced => self.prot.adopt(),
-                    // Blocked too often behind a stale pin: hand the private
-                    // limbo to the quarantine.
-                    Outcome::Blocked if self.prot.transfer_due() => self.prot.transfer(),
-                    Outcome::Adopted(bits) if bits != 0 => self.prot.release(bits),
-                    // Every other way a sub-sequence of the attempt ends
-                    // (raced or blocked advance, transfer, nothing adopted,
-                    // a landed release) leaves our own eligible limbo to
-                    // free; a release removes what it freed, so the second
-                    // time round nothing is left and the attempt is over.
-                    _ => match (self.prot.reclaimable(), after) {
-                        (0, After::Reclaim(response)) => return self.respond(response),
-                        (0, _) => return self.run(self.prot.admit_alloc(true), After::Alloc),
-                        (bits, _) => self.prot.release(bits),
-                    },
-                };
-                return self.run(step, after);
+            if self.is_nil(next_raw) {
+                // Inconsistent snapshot (head moved under us).
+                return Ok(None);
             }
-            After::Respond(response) => return self.respond(response),
+            let value = m.read(self.value_obj(next))?;
+            let won = m.cas(OBJ_HEAD, head_raw, self.repoint(head_raw, next))?;
+            Ok(won.then_some(Some((self.idx_of(head_raw), value))))
+        })?;
+        let Some((dummy, value)) = unlinked else {
+            self.prot.quiesce(m)?;
+            return Ok(None);
+        };
+        // The old dummy is ours to retire; then quiesce and, with it (or
+        // older retirees) in limbo, make one reclamation attempt.
+        self.prot.retire(dummy, m)?;
+        self.prot.quiesce(m)?;
+        if self.prot.holds_limbo() {
+            reclaim(&mut self.prot, m)?;
         }
-        None
-    }
-}
-
-impl SimProcess for QueueProc {
-    fn invoke(&mut self, call: MethodCall) -> Option<MethodResponse> {
-        assert!(
-            self.state == State::Idle,
-            "process {} invoked while busy",
-            self.pid
-        );
-        match call {
-            MethodCall::Enqueue(value) => {
-                self.value = value;
-                self.run(self.prot.admit_alloc(false), After::Alloc)
-            }
-            MethodCall::Dequeue => self.run(self.prot.pin(), After::Unlink),
-            other => panic!("queue simulation given {other:?}"),
-        }
-    }
-
-    fn poised(&self) -> BaseOp {
-        match self.state {
-            State::Idle => panic!("no method call in progress"),
-            State::Protect(sub, _) => self.prot.poised(sub),
-            State::EnqWriteValue => BaseOp::Write(self.value_obj(self.node), self.value as u64),
-            State::EnqReadMyNext => BaseOp::Read(self.next_obj(self.node)),
-            State::EnqWriteMyNext { next_raw } => BaseOp::Write(
-                self.next_obj(self.node),
-                self.repoint(next_raw, self.capacity),
-            ),
-            State::EnqReadTail | State::DeqReadTail { .. } => BaseOp::Read(OBJ_TAIL),
-            State::EnqReadTailNext { tail_raw } => {
-                BaseOp::Read(self.next_obj(self.idx_of(tail_raw)))
-            }
-            State::EnqCasTailNext { tail_raw, next_raw } => BaseOp::Cas(
-                self.next_obj(self.idx_of(tail_raw)),
-                next_raw,
-                self.repoint(next_raw, self.node),
-            ),
-            // Help a lagging tail forward, from either operation.
-            State::EnqHelpSwing { tail_raw, next_raw }
-            | State::DeqHelpSwing { tail_raw, next_raw } => BaseOp::Cas(
-                OBJ_TAIL,
-                tail_raw,
-                self.repoint(tail_raw, self.idx_of(next_raw)),
-            ),
-            State::EnqSwing { tail_raw } => {
-                BaseOp::Cas(OBJ_TAIL, tail_raw, self.repoint(tail_raw, self.node))
-            }
-            State::DeqReadHead => BaseOp::Read(OBJ_HEAD),
-            State::DeqReadNext { head_raw, .. } => {
-                BaseOp::Read(self.next_obj(self.idx_of(head_raw)))
-            }
-            State::DeqReadValue { next_raw, .. } => {
-                BaseOp::Read(self.value_obj(self.idx_of(next_raw)))
-            }
-            State::DeqCasHead {
-                head_raw, next_raw, ..
-            } => BaseOp::Cas(
-                OBJ_HEAD,
-                head_raw,
-                self.repoint(head_raw, self.idx_of(next_raw)),
-            ),
-        }
-    }
-
-    fn apply(&mut self, result: StepResult) -> Option<MethodResponse> {
-        match self.state {
-            State::Idle => panic!("no method call in progress"),
-            State::Protect(sub, after) => {
-                let step = self.prot.apply(sub, result);
-                return self.run(step, after);
-            }
-            State::EnqWriteValue => {
-                self.state = if self.reads_own_link() {
-                    State::EnqReadMyNext
-                } else {
-                    State::EnqWriteMyNext { next_raw: 0 }
-                };
-            }
-            State::EnqReadMyNext => {
-                let next_raw = result.value();
-                self.state = State::EnqWriteMyNext { next_raw };
-            }
-            State::EnqWriteMyNext { .. } => return self.run(self.prot.pin(), After::Link),
-            State::EnqReadTail => {
-                let tail_raw = result.value();
-                self.state = State::EnqReadTailNext { tail_raw };
-            }
-            State::EnqReadTailNext { tail_raw } => {
-                let next_raw = result.value();
-                self.state = if self.is_nil(next_raw) {
-                    State::EnqCasTailNext { tail_raw, next_raw }
-                } else {
-                    State::EnqHelpSwing { tail_raw, next_raw }
-                };
-            }
-            State::EnqCasTailNext { tail_raw, .. } => {
-                self.state = if result.cas_succeeded() {
-                    State::EnqSwing { tail_raw }
-                } else {
-                    State::EnqReadTail
-                };
-            }
-            State::EnqHelpSwing { .. } => {
-                self.state = State::EnqReadTail;
-            }
-            State::EnqSwing { .. } => {
-                // Whether our swing or a helper's landed, the node is linked;
-                // quiesce before responding.
-                let linked = MethodResponse::EnqueueResult(true);
-                return self.run(self.prot.quiesce(), After::Respond(linked));
-            }
-            State::DeqReadHead => {
-                let head_raw = result.value();
-                self.state = State::DeqReadTail { head_raw };
-            }
-            State::DeqReadTail { head_raw } => {
-                let tail_raw = result.value();
-                self.state = State::DeqReadNext { head_raw, tail_raw };
-            }
-            State::DeqReadNext { head_raw, tail_raw } => {
-                let next_raw = result.value();
-                if self.idx_of(head_raw) == self.idx_of(tail_raw) {
-                    if self.is_nil(next_raw) {
-                        let empty = MethodResponse::DequeueResult(None);
-                        return self.run(self.prot.quiesce(), After::Respond(empty));
-                    }
-                    self.state = State::DeqHelpSwing { tail_raw, next_raw };
-                } else if self.is_nil(next_raw) {
-                    // Inconsistent snapshot (head moved under us): retry.
-                    self.state = State::DeqReadHead;
-                } else {
-                    self.state = State::DeqReadValue { head_raw, next_raw };
-                }
-            }
-            State::DeqHelpSwing { .. } => {
-                self.state = State::DeqReadHead;
-            }
-            State::DeqReadValue { head_raw, next_raw } => {
-                let value = result.value();
-                self.state = State::DeqCasHead {
-                    head_raw,
-                    next_raw,
-                    value,
-                };
-            }
-            State::DeqCasHead {
-                head_raw, value, ..
-            } => {
-                if result.cas_succeeded() {
-                    // The old dummy is ours to retire.
-                    let step = self.prot.retire(self.idx_of(head_raw));
-                    let dequeued = MethodResponse::DequeueResult(Some(value as Word));
-                    return self.run(step, After::Retired(dequeued));
-                }
-                self.state = State::DeqReadHead;
-            }
-        }
-        None
-    }
-
-    fn is_idle(&self) -> bool {
-        self.state == State::Idle
-    }
-
-    fn clone_box(&self) -> Box<dyn SimProcess> {
-        Box::new(self.clone())
+        Ok(Some(value as Word))
     }
 }
 
@@ -757,6 +547,29 @@ mod tests {
             "quarantine steps under-reported their footprint: {:?}",
             auditor.under_reports
         );
+    }
+
+    #[test]
+    fn a_suspended_dequeue_has_not_touched_the_committed_limbo() {
+        let algo = QueueSim::epoch(1, 4);
+        let mut mem = crate::object::SharedMemory::new(algo.initial_objects());
+        let mut p = Replay::new(algo.process(0));
+        assert_eq!(p.invoke(MethodCall::Enqueue(5)), None);
+        while p.step(&mut mem).is_none() {}
+        assert_eq!(p.invoke(MethodCall::Dequeue), None);
+        let mut steps = 0;
+        let response = loop {
+            // The retire stamps the dummy into the limbo at step 9; the
+            // unpin, the advance and the adoption re-run it five more times.
+            assert!(!p.idle().prot.holds_limbo(), "step {steps}");
+            steps += 1;
+            if let Some(response) = p.step(&mut mem) {
+                break response;
+            }
+        };
+        assert_eq!(response, MethodResponse::DequeueResult(Some(5)));
+        assert_eq!(steps, 14);
+        assert!(p.idle().prot.holds_limbo(), "committed with the response");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Step-level Harris–Michael ordered-set state machines for the simulator.
+//! Step-level Harris–Michael ordered-set models for the simulator.
 //!
 //! The hardware sets in `aba-lockfree` exhibit their ABA only when a
 //! preemptive scheduler interleaves unluckily; here the *schedule is the
@@ -9,9 +9,9 @@
 //! predecessor's link word deep inside the chain while other processes
 //! unlink, free and recycle the nodes it reasons about.
 //!
-//! One state machine holds the set's own steps (traverse, splice, mark,
-//! unlink); everything a protection scheme adds is a sub-sequence of the
-//! shared `protect` sub-machine, composed here in four modes:
+//! One model holds the set's own steps (traverse, splice, mark, unlink);
+//! everything a protection scheme adds is a function of the shared `protect`
+//! module, composed here in four modes:
 //!
 //! * [`SetSim::unprotected`] — bare `(mark, index)` words, immediate free;
 //!   a stale splice or unlink CAS succeeds against a recycled node (lost
@@ -36,9 +36,10 @@
 
 use aba_spec::{ProcessId, Word};
 
-use super::protect::{Layout, LinkCodec, Outcome, Protection, Scheme, Step, Sub, HAZ_LANES};
+use super::protect::{Layout, LinkCodec, Protection, Scheme, HAZ_LANES};
+use super::replay::{Mem, Model, Replay, Run};
 use crate::algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
-use crate::object::{BaseObject, BaseOp, ObjId, StepResult};
+use crate::object::{BaseObject, BaseOp, ObjId};
 
 const OBJ_HEAD: ObjId = 0;
 const OBJ_FREE: ObjId = 1;
@@ -162,20 +163,11 @@ impl SimAlgorithm for SetSim {
     }
 
     fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess> {
-        Box::new(SetProc {
-            pid,
+        Box::new(Replay::new(SetProc {
             capacity: self.capacity as u64,
             links: self.scheme.links(),
             prot: Protection::new(self.scheme, self.layout(), pid),
-            state: State::Idle,
-            goal: Goal::Contains,
-            key: 0,
-            my_node: None,
-            prev: None,
-            prev_raw: 0,
-            cur: self.capacity as u64,
-            lane: 0,
-        })
+        }))
     }
 
     /// Declared footprint of a fresh call: every set operation starts the
@@ -195,88 +187,78 @@ impl SimAlgorithm for SetSim {
     }
 }
 
-/// What the in-flight method call is trying to accomplish.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Goal {
-    Insert,
-    Remove,
-    Contains,
-}
-
-/// Where a finished protection sub-sequence returns to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum After {
-    /// (Re)start the traversal from the head: after the pin, and after the
-    /// `retire` of a marked node the traversal helped unlink.
-    Find,
-    /// `protect` of the new `cur` → read its link.
-    Protected,
-    /// `admit_alloc` → initialise the insert's node.
-    Alloc,
-    /// Reclamation under allocation pressure → retry the allocation once.
-    RetryAlloc,
-    /// Complete the method call with this response.
-    Respond(MethodResponse),
-    /// The completion's `quiesce` → one reclamation attempt if limbo is held.
-    Quiesced(MethodResponse),
-    /// The completion's reclamation attempt → respond.
-    Reclaimed(MethodResponse),
-}
-
-/// Where a method call currently stands.  Traversal registers (`prev`,
-/// `prev_raw`, `cur`, the hazard lane) live in the process struct; states
-/// carry only what changes per step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Idle,
-    // Inside a protection sub-sequence; `After` is where it returns to.
-    Protect(Sub, After),
-    // --- find (the shared Harris–Michael traversal) ---
-    FReadHead,
-    FReadNext,
-    FCheckPrev { next_raw: u64 },
-    FUnlink { next_raw: u64 },
-    FReadValue { next_raw: u64 },
-    // --- insert ---
-    InsWriteValue,
-    InsReadMyNext,
-    InsWriteMyNext { old: u64 },
-    InsCasPrev,
-    // --- remove ---
-    RMark { next_raw: u64 },
-    RUnlink { next_raw: u64 },
-}
-
-#[derive(Debug, Clone)]
-struct SetProc {
-    pid: ProcessId,
-    capacity: u64,
-    links: LinkCodec,
-    prot: Protection,
-    state: State,
-    goal: Goal,
-    key: Word,
-    /// The insert's allocated-but-unpublished node.
-    my_node: Option<u64>,
-    /// Traversal predecessor: `None` = the head word, `Some(p)` = node `p`'s
-    /// next link.
-    prev: Option<u64>,
+/// Where a traversal stopped: at the first node whose key is not below the
+/// one sought, or at the end of the chain.
+#[derive(Debug, Clone, Copy)]
+struct Position {
+    /// The object holding the predecessor word (the head, or a next link).
+    prev: ObjId,
     /// The word observed in the predecessor, designating `cur` unmarked.
     prev_raw: u64,
     /// Current node (`capacity` = nil).
     cur: u64,
-    /// Hazard lane protecting `cur`; successors rotate through the other
-    /// two, so the overwritten lane is always two hops out of scope.
-    lane: usize,
+    /// `cur`'s observed link (meaningful when `found`).
+    next_raw: u64,
+    /// Whether `cur` holds exactly the key sought.
+    found: bool,
+}
+
+/// How one traversal from the head ended.
+#[derive(Debug, Clone, Copy)]
+enum Traversal {
+    At(Position),
+    /// It unlinked this marked node on the way, which the caller must retire
+    /// before traversing again.
+    Unlinked(u64),
+}
+
+#[derive(Debug, Clone)]
+struct SetProc {
+    capacity: u64,
+    links: LinkCodec,
+    prot: Protection,
+}
+
+impl Model for SetProc {
+    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
+        // Every operation starts by traversing, so it pins first.
+        self.prot.pin(m)?;
+        let response = match call {
+            MethodCall::Insert(key) => MethodResponse::InsertResult(self.insert(key, m)?),
+            MethodCall::Remove(key) => MethodResponse::RemoveResult(self.remove(key, m)?),
+            MethodCall::Contains(key) => MethodResponse::ContainsResult(self.find(key, m)?.found),
+            other => panic!("set simulation given {other:?}"),
+        };
+        // The mode's epilogue: clear the hazard lanes, or unpin and make at
+        // most one advance attempt.  Epoch reclamation is driven from the
+        // quiescent side of the unpin (hazard limbo was scanned at the
+        // retire); it responds whatever the attempt freed, because waiting
+        // here for the limbo to drain would wait on a parked peer's pin.
+        self.prot.quiesce(m)?;
+        if self.prot.scheme == Scheme::Epoch && self.prot.holds_limbo() {
+            reclaim(&mut self.prot, m)?;
+        }
+        Ok(response)
+    }
+}
+
+/// One reclamation attempt: a hazard scan or an epoch advance, however it
+/// ends, then the release of what it made reclaimable.  Only deferred-free
+/// schemes hold limbo to reclaim.
+fn reclaim(prot: &mut Protection, m: &mut Mem<'_>) -> Run<()> {
+    match prot.scheme {
+        Scheme::Hazard => prot.scan(m)?,
+        Scheme::Epoch => drop(prot.advance(m)?),
+        Scheme::Unprotected | Scheme::Tagged => {
+            unreachable!("immediate-free schemes keep no limbo")
+        }
+    }
+    prot.release(prot.reclaimable(), m)
 }
 
 impl SetProc {
     fn idx_of(&self, raw: u64) -> u64 {
         self.links.index(raw)
-    }
-
-    fn is_nil(&self, raw: u64) -> bool {
-        self.idx_of(raw) == self.capacity
     }
 
     /// The word that replaces `old_raw`: the new index and mark, with the
@@ -293,279 +275,126 @@ impl SetProc {
         3 + 2 * idx as usize
     }
 
-    /// The object holding the traversal's predecessor word.
-    fn prev_obj(&self) -> ObjId {
-        match self.prev {
-            None => OBJ_HEAD,
-            Some(p) => self.next_obj(p),
+    /// One pass of the shared Harris–Michael traversal, from the head to
+    /// `key`'s position; `None` when a snapshot went stale under it.
+    fn traverse(&self, key: Word, m: &mut Mem<'_>) -> Run<Option<Traversal>> {
+        let mut prev = OBJ_HEAD;
+        let mut prev_raw = m.read(OBJ_HEAD)?;
+        // Hazard lane protecting `cur`; successors rotate through the other
+        // two, so the overwritten lane is always two hops out of scope.
+        let mut lane = 0;
+        // retry-bound: not a retry — every iteration hops one node further
+        // and the CAS ends the traversal either way.  Only a chain the
+        // unprotected variant has cycled never ends: the wedge the explorers
+        // cut and report.
+        loop {
+            let cur = self.idx_of(prev_raw);
+            let mut at = Position {
+                prev,
+                prev_raw,
+                cur,
+                next_raw: 0,
+                found: false,
+            };
+            if cur == self.capacity {
+                // End of chain: the key belongs after the last node.
+                return Ok(Some(Traversal::At(at)));
+            }
+            // Hand-over-hand: `cur` takes its lane while its predecessor
+            // stays protected in its own; the hop is trusted only if `prev`
+            // still designates it after the publication.
+            if !self.prot.protect(lane, prev, prev_raw, m)? {
+                return Ok(None);
+            }
+            at.next_raw = m.read(self.next_obj(cur))?;
+            // Michael's `*prev == cur` re-validation: without it a CAS
+            // landing between our two reads hands us the successor of an
+            // already-unlinked node.
+            if m.read(prev)? != prev_raw {
+                return Ok(None);
+            }
+            if self.links.marked(at.next_raw) {
+                let past = self.encode(prev_raw, self.idx_of(at.next_raw), false);
+                let unlinked = m.cas(prev, prev_raw, past)?;
+                return Ok(unlinked.then_some(Traversal::Unlinked(cur)));
+            }
+            let v = m.read(self.value_obj(cur))? as Word;
+            if v >= key {
+                at.found = v == key;
+                return Ok(Some(Traversal::At(at)));
+            }
+            prev = self.next_obj(cur);
+            prev_raw = at.next_raw;
+            lane = (lane + 1) % HAZ_LANES;
         }
     }
 
-    // -- flow helpers -------------------------------------------------------
-
-    fn restart_find(&mut self) {
-        self.lane = 0;
-        self.state = State::FReadHead;
-    }
-
-    /// Complete the method call: immediately, or after the mode's epilogue
-    /// (hazard-lane clearing; epoch unpin + at most one advance attempt).
-    fn complete(&mut self, response: MethodResponse) -> Option<MethodResponse> {
-        self.run(self.prot.quiesce(), After::Quiesced(response))
-    }
-
-    /// Enter the sub-sequence `step` opens, or resume at `after` right away
-    /// if it is over without a shared-memory step.
-    fn run(&mut self, step: Step, after: After) -> Option<MethodResponse> {
-        match step {
-            Step::Goto(sub) => {
-                self.state = State::Protect(sub, after);
-                None
-            }
-            Step::Done(outcome) => self.resume(after, outcome),
-        }
-    }
-
-    /// The set's composition of the protection sub-sequences.
-    fn resume(&mut self, after: After, outcome: Outcome) -> Option<MethodResponse> {
-        match (after, outcome) {
-            // The snapshot went stale under the publication.
-            (_, Outcome::Validated(false)) => self.restart_find(),
-            (After::Protected, _) => self.state = State::FReadNext,
-            (After::Alloc, Outcome::Allocated(idx)) => {
-                self.my_node = Some(idx);
-                self.state = State::InsWriteValue;
-            }
-            (After::Alloc, Outcome::AllocPressure) => {
-                let step = self.prot.reclaim_pressure();
-                return self.run(step, After::RetryAlloc);
-            }
-            (After::Alloc, _) => return self.complete(MethodResponse::InsertResult(false)),
-            // A scan or an advance attempt is over, however it ended: free
-            // what it made reclaimable, then carry on.
-            (_, Outcome::Scanned | Outcome::Advanced | Outcome::Blocked | Outcome::Raced) => {
-                return self.run(self.prot.release(self.prot.reclaimable()), after);
-            }
-            (After::Find, _) => self.restart_find(),
-            (After::RetryAlloc, _) => return self.run(self.prot.admit_alloc(true), After::Alloc),
-            (After::Respond(response), _) => return self.complete(response),
-            // Epoch reclamation is driven from the quiescent side of the
-            // unpin (hazard limbo was scanned at the retire).  One attempt,
-            // then respond whatever it freed: waiting here for the limbo to
-            // drain would wait on a parked peer's pin.
-            (After::Quiesced(response), _)
-                if self.prot.scheme == Scheme::Epoch && self.prot.holds_limbo() =>
-            {
-                let step = self.prot.reclaim_pressure();
-                return self.run(step, After::Reclaimed(response));
-            }
-            (After::Quiesced(response) | After::Reclaimed(response), _) => {
-                self.state = State::Idle;
-                return Some(response);
-            }
-        }
-        None
-    }
-
-    /// The traversal reached its key position (or the end of the chain).
-    /// `next_raw` is `cur`'s observed link when `found`.
-    fn dispatch_goal(&mut self, found: bool, next_raw: u64) -> Option<MethodResponse> {
-        match self.goal {
-            Goal::Contains => self.complete(MethodResponse::ContainsResult(found)),
-            Goal::Insert => {
-                if found {
-                    // Undo the allocation of an earlier attempt, if any.
-                    let bits = self.my_node.take().map_or(0, |my| 1 << my);
-                    let present = MethodResponse::InsertResult(false);
-                    self.run(self.prot.release(bits), After::Respond(present))
-                } else if self.my_node.is_none() {
-                    self.run(self.prot.admit_alloc(false), After::Alloc)
-                } else {
-                    self.state = State::InsReadMyNext;
-                    None
-                }
-            }
-            Goal::Remove => {
-                if found {
-                    self.state = State::RMark { next_raw };
-                    None
-                } else {
-                    self.complete(MethodResponse::RemoveResult(false))
-                }
+    /// Traverse until a pass reaches `key`'s position, retiring the marked
+    /// nodes the passes unlink on the way.
+    fn find(&mut self, key: Word, m: &mut Mem<'_>) -> Run<Position> {
+        loop {
+            // retry-bound: a pass fails only when a CAS landed on the words
+            // it read (or its own unlink CAS lost to one) — system-wide
+            // progress.
+            match m.retry(|m| self.traverse(key, m))? {
+                Traversal::At(position) => return Ok(position),
+                Traversal::Unlinked(node) => self.prot.retire(node, m)?,
             }
         }
     }
-}
 
-impl SimProcess for SetProc {
-    fn invoke(&mut self, call: MethodCall) -> Option<MethodResponse> {
-        assert!(
-            self.state == State::Idle,
-            "process {} invoked while busy",
-            self.pid
-        );
-        let (goal, key) = match call {
-            MethodCall::Insert(key) => (Goal::Insert, key),
-            MethodCall::Remove(key) => (Goal::Remove, key),
-            MethodCall::Contains(key) => (Goal::Contains, key),
-            other => panic!("set simulation given {other:?}"),
-        };
-        self.goal = goal;
-        self.key = key;
-        debug_assert!(self.my_node.is_none(), "stranded insert node");
-        self.run(self.prot.pin(), After::Find)
-    }
-
-    fn poised(&self) -> BaseOp {
-        match self.state {
-            State::Idle => panic!("no method call in progress"),
-            State::Protect(sub, _) => self.prot.poised(sub),
-            State::FReadHead => BaseOp::Read(OBJ_HEAD),
-            State::FReadNext => BaseOp::Read(self.next_obj(self.cur)),
-            State::FCheckPrev { .. } => BaseOp::Read(self.prev_obj()),
-            State::FUnlink { next_raw } | State::RUnlink { next_raw } => BaseOp::Cas(
-                self.prev_obj(),
-                self.prev_raw,
-                self.encode(self.prev_raw, self.idx_of(next_raw), false),
-            ),
-            State::FReadValue { .. } => BaseOp::Read(self.value_obj(self.cur)),
-            State::InsWriteValue => BaseOp::Write(
-                self.value_obj(self.my_node.expect("insert node")),
-                self.key as u64,
-            ),
-            State::InsReadMyNext => BaseOp::Read(self.next_obj(self.my_node.expect("insert node"))),
-            State::InsWriteMyNext { old } => BaseOp::Write(
-                self.next_obj(self.my_node.expect("insert node")),
-                self.encode(old, self.cur, false),
-            ),
-            State::InsCasPrev => BaseOp::Cas(
-                self.prev_obj(),
-                self.prev_raw,
-                self.encode(self.prev_raw, self.my_node.expect("insert node"), false),
-            ),
-            State::RMark { next_raw } => BaseOp::Cas(
-                self.next_obj(self.cur),
-                next_raw,
-                self.encode(next_raw, self.idx_of(next_raw), true),
-            ),
+    fn insert(&mut self, key: Word, m: &mut Mem<'_>) -> Run<bool> {
+        // The allocated-but-unpublished node, kept across failed splices.
+        let mut mine = None;
+        // retry-bound: the splice CAS fails only when another CAS landed on
+        // the predecessor word — system-wide progress.
+        loop {
+            let at = self.find(key, m)?;
+            if at.found {
+                // Undo the allocation of an earlier attempt, if any.
+                self.prot
+                    .release(mine.map_or(0, |node: u64| 1 << node), m)?;
+                return Ok(false);
+            }
+            let node = match mine {
+                Some(node) => node,
+                None => {
+                    let Some(node) = self.prot.alloc(reclaim, m)? else {
+                        return Ok(false);
+                    };
+                    m.write(self.value_obj(node), key as u64)?;
+                    *mine.insert(node)
+                }
+            };
+            let old = m.read(self.next_obj(node))?;
+            m.write(self.next_obj(node), self.encode(old, at.cur, false))?;
+            if m.cas(at.prev, at.prev_raw, self.encode(at.prev_raw, node, false))? {
+                return Ok(true);
+            }
         }
     }
 
-    fn apply(&mut self, result: StepResult) -> Option<MethodResponse> {
-        match self.state {
-            State::Idle => panic!("no method call in progress"),
-            State::Protect(sub, after) => {
-                let step = self.prot.apply(sub, result);
-                return self.run(step, after);
+    fn remove(&mut self, key: Word, m: &mut Mem<'_>) -> Run<bool> {
+        // retry-bound: the mark CAS fails only when another CAS landed on
+        // the node's link — system-wide progress.
+        loop {
+            let at = self.find(key, m)?;
+            if !at.found {
+                return Ok(false);
             }
-            // --- find ---
-            State::FReadHead => {
-                let raw = result.value();
-                self.prev = None;
-                self.prev_raw = raw;
-                self.cur = self.idx_of(raw);
-                if self.is_nil(raw) {
-                    return self.dispatch_goal(false, 0);
-                }
-                return self.run(
-                    self.prot.protect(self.lane, OBJ_HEAD, raw),
-                    After::Protected,
-                );
+            let next = self.idx_of(at.next_raw);
+            let marked = self.encode(at.next_raw, next, true);
+            if !m.cas(self.next_obj(at.cur), at.next_raw, marked)? {
+                continue;
             }
-            State::FReadNext => {
-                let next_raw = result.value();
-                self.state = State::FCheckPrev { next_raw };
+            // The key is logically gone from this instant.  If the unlink
+            // loses, some helper's traversal unlinks (and retires) the node
+            // instead.
+            if m.cas(at.prev, at.prev_raw, self.encode(at.prev_raw, next, false))? {
+                self.prot.retire(at.cur, m)?;
             }
-            State::FCheckPrev { next_raw } => {
-                // Michael's `*prev == cur` re-validation: without it a CAS
-                // landing between our two reads hands us the successor of an
-                // already-unlinked node.
-                if result.value() != self.prev_raw {
-                    self.restart_find();
-                    return None;
-                }
-                self.state = if self.links.marked(next_raw) {
-                    State::FUnlink { next_raw }
-                } else {
-                    State::FReadValue { next_raw }
-                };
-            }
-            State::FUnlink { .. } => {
-                if result.cas_succeeded() {
-                    let step = self.prot.retire(self.cur);
-                    return self.run(step, After::Find);
-                }
-                self.restart_find();
-            }
-            State::FReadValue { next_raw } => {
-                let v = result.value() as Word;
-                if v >= self.key {
-                    return self.dispatch_goal(v == self.key, next_raw);
-                }
-                let link = self.next_obj(self.cur);
-                self.prev = Some(self.cur);
-                self.prev_raw = next_raw;
-                self.cur = self.idx_of(next_raw);
-                if self.cur == self.capacity {
-                    // End of chain: the key belongs after the last node.
-                    return self.dispatch_goal(false, 0);
-                }
-                // Hand-over-hand: the successor takes the next lane while its
-                // predecessor stays protected in its own; the hop is trusted
-                // only if `link` still designates it after the publication
-                // (a stale one restarts from the head, discarding the hop).
-                self.lane = (self.lane + 1) % HAZ_LANES;
-                return self.run(
-                    self.prot.protect(self.lane, link, next_raw),
-                    After::Protected,
-                );
-            }
-            // --- insert ---
-            State::InsWriteValue => {
-                self.state = State::InsReadMyNext;
-            }
-            State::InsReadMyNext => {
-                let old = result.value();
-                self.state = State::InsWriteMyNext { old };
-            }
-            State::InsWriteMyNext { .. } => {
-                self.state = State::InsCasPrev;
-            }
-            State::InsCasPrev => {
-                if result.cas_succeeded() {
-                    self.my_node = None;
-                    return self.complete(MethodResponse::InsertResult(true));
-                }
-                self.restart_find();
-            }
-            // --- remove ---
-            State::RMark { next_raw } => {
-                if result.cas_succeeded() {
-                    // The key is logically gone from this instant.
-                    self.state = State::RUnlink { next_raw };
-                } else {
-                    self.restart_find();
-                }
-            }
-            State::RUnlink { .. } => {
-                let removed = MethodResponse::RemoveResult(true);
-                if result.cas_succeeded() {
-                    let step = self.prot.retire(self.cur);
-                    return self.run(step, After::Respond(removed));
-                }
-                // Some helper's traversal unlinks (and retires) it instead.
-                return self.complete(removed);
-            }
+            return Ok(true);
         }
-        None
-    }
-
-    fn is_idle(&self) -> bool {
-        self.state == State::Idle
-    }
-
-    fn clone_box(&self) -> Box<dyn SimProcess> {
-        Box::new(self.clone())
     }
 }
 
