@@ -81,31 +81,6 @@ pub trait SimAlgorithm {
 
     /// Create the state machine for process `pid`.
     fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess>;
-
-    /// The first shared-memory step process `pid` would execute for `call`
-    /// from an idle state, or `None` if the call completes without touching
-    /// shared memory.
-    ///
-    /// The exhaustive explorer uses this to predict the memory footprint of
-    /// a not-yet-invoked method call (its sleep-set filtering must know what
-    /// an idle-but-scheduled process is about to touch).  The default
-    /// answers by invoking the call on a scratch state machine; algorithms
-    /// whose first step is cheap to name declare it directly.
-    ///
-    /// The footprint may depend on `pid` (e.g. an announce-array slot), and
-    /// the returned operation's *value* fields are representative only — the
-    /// explorer consumes just the object id and read/write kind.  The
-    /// prediction is allowed to over-approximate (a call that would complete
-    /// without a shared step on the live process may still declare a first
-    /// step, as Figure 3's flagged `SC` does) but must never name a
-    /// different object than the live process would touch first.
-    fn first_step(&self, pid: ProcessId, call: MethodCall) -> Option<BaseOp> {
-        let mut scratch = self.spawn(pid);
-        match scratch.invoke(call) {
-            Some(_) => None,
-            None => Some(scratch.poised()),
-        }
-    }
 }
 
 /// The per-process state machine of a simulated algorithm.
@@ -136,6 +111,26 @@ pub trait SimProcess: std::fmt::Debug {
 
     /// Clone the process state (used by exhaustive exploration to branch).
     fn clone_box(&self) -> Box<dyn SimProcess>;
+
+    /// The first shared-memory step this idle process would execute for
+    /// `call`, or `None` if the call would complete without touching shared
+    /// memory.
+    ///
+    /// The exhaustive explorer uses this to predict the memory footprint of
+    /// a queued, not-yet-invoked method call (its sleep-set filtering must
+    /// know what an idle-but-scheduled process is about to touch).  The
+    /// answer comes from the *live* process — a clone of it invokes the call
+    /// — because the first step may depend on local state earlier calls left
+    /// behind (Figure 4's `GetSeq` cursor picks the announce slot a `DWrite`
+    /// reads first).  A prediction is allowed to over-approximate but must
+    /// never name a different object than the process then touches.
+    fn first_step(&self, call: MethodCall) -> Option<BaseOp> {
+        let mut scratch = self.clone_box();
+        match scratch.invoke(call) {
+            Some(_) => None,
+            None => Some(scratch.poised()),
+        }
+    }
 }
 
 impl Clone for Box<dyn SimProcess> {

@@ -18,7 +18,7 @@ use aba_spec::{ProcessId, Word, INITIAL_WORD};
 
 use super::replay::{Mem, Model, Replay, Run};
 use crate::algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
-use crate::object::{BaseObject, BaseOp};
+use crate::object::BaseObject;
 
 const X: usize = 0;
 
@@ -61,16 +61,6 @@ impl SimAlgorithm for TaggedSim {
             writes: 0,
             last_tag: 0,
         }))
-    }
-
-    /// Declared footprint of a fresh call: both methods are a single step on
-    /// the one register (the written tag word varies, the footprint never).
-    fn first_step(&self, _pid: ProcessId, call: MethodCall) -> Option<BaseOp> {
-        match call {
-            MethodCall::DWrite(_) => Some(BaseOp::Write(X, 0)),
-            MethodCall::DRead => Some(BaseOp::Read(X)),
-            other => panic!("tagged register does not support {other:?}"),
-        }
     }
 }
 
@@ -141,15 +131,6 @@ impl SimAlgorithm for NaiveSim {
         Box::new(Replay::new(NaiveProcess {
             last_value: INITIAL_WORD,
         }))
-    }
-
-    /// Declared footprint of a fresh call (value field representative only).
-    fn first_step(&self, _pid: ProcessId, call: MethodCall) -> Option<BaseOp> {
-        match call {
-            MethodCall::DWrite(_) => Some(BaseOp::Write(X, 0)),
-            MethodCall::DRead => Some(BaseOp::Read(X)),
-            other => panic!("naive register does not support {other:?}"),
-        }
     }
 }
 

@@ -49,7 +49,7 @@ use aba_spec::{ProcessId, Word};
 use super::protect::{Advance, Layout, LinkCodec, Protection, Scheme};
 use super::replay::{Mem, Model, Replay, Run};
 use crate::algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
-use crate::object::{BaseObject, BaseOp, ObjId};
+use crate::object::{BaseObject, ObjId};
 
 pub use super::protect::TRANSFER_AFTER_BLOCKED;
 
@@ -186,21 +186,6 @@ impl SimAlgorithm for QueueSim {
 
     fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess> {
         Box::new(Replay::new(self.process(pid)))
-    }
-
-    /// Declared footprint of a fresh call: an enqueue opens on the free-set
-    /// read, a dequeue on the head read — or, when the scheme pins, on the
-    /// pin's global-epoch read (tagging changes word contents, never which
-    /// object a state touches first).
-    fn first_step(&self, _pid: ProcessId, call: MethodCall) -> Option<BaseOp> {
-        match call {
-            MethodCall::Enqueue(_) => Some(BaseOp::Read(OBJ_FREE)),
-            MethodCall::Dequeue if self.scheme == Scheme::Epoch => {
-                Some(BaseOp::Read(self.global_epoch_obj()))
-            }
-            MethodCall::Dequeue => Some(BaseOp::Read(OBJ_HEAD)),
-            other => panic!("queue simulation given {other:?}"),
-        }
     }
 }
 
@@ -468,13 +453,12 @@ mod tests {
     /// (the audited twin of `run_process_to_completion`).
     fn complete_audited(
         sim: &mut Simulation,
-        algo: &QueueSim,
         pid: ProcessId,
         auditor: &mut crate::audit::FootprintAuditor,
     ) -> bool {
         use crate::executor::StepOutcome;
         loop {
-            match sim.step_audited(algo, pid, auditor) {
+            match sim.step_audited(pid, auditor) {
                 StepOutcome::Idle => return false,
                 StepOutcome::CompletedImmediately => return true,
                 StepOutcome::Stepped {
@@ -498,12 +482,12 @@ mod tests {
         let mut auditor = crate::audit::FootprintAuditor::new();
         // Seed one element so the parked dequeuer has something to chase.
         sim.enqueue(0, MethodCall::Enqueue(1));
-        assert!(complete_audited(&mut sim, &algo, 0, &mut auditor));
+        assert!(complete_audited(&mut sim, 0, &mut auditor));
         // Process 1 starts a dequeue and parks right after its pin: three
         // steps cover read-g, publish-local, validate.
         sim.enqueue(1, MethodCall::Dequeue);
         for _ in 0..3 {
-            let _ = sim.step_audited(&algo, 1, &mut auditor);
+            let _ = sim.step_audited(1, &mut auditor);
         }
         assert_eq!(
             sim.registers()[algo.local_epoch_obj(1)],
@@ -516,9 +500,9 @@ mod tests {
         // transfers process 0's limbo into the shared quarantine.
         for i in 0..3u32 {
             sim.enqueue(0, MethodCall::Enqueue(i + 2));
-            assert!(complete_audited(&mut sim, &algo, 0, &mut auditor));
+            assert!(complete_audited(&mut sim, 0, &mut auditor));
             sim.enqueue(0, MethodCall::Dequeue);
-            assert!(complete_audited(&mut sim, &algo, 0, &mut auditor));
+            assert!(complete_audited(&mut sim, 0, &mut auditor));
         }
         assert_ne!(
             sim.registers()[algo.quarantine_mask_obj()],
@@ -528,12 +512,12 @@ mod tests {
         // The parked dequeuer wakes up and finishes, unblocking advances;
         // process 0's subsequent successful advances adopt the quarantined
         // nodes back into the free set.
-        assert!(complete_audited(&mut sim, &algo, 1, &mut auditor));
+        assert!(complete_audited(&mut sim, 1, &mut auditor));
         for i in 0..4u32 {
             sim.enqueue(0, MethodCall::Enqueue(10 + i));
-            assert!(complete_audited(&mut sim, &algo, 0, &mut auditor));
+            assert!(complete_audited(&mut sim, 0, &mut auditor));
             sim.enqueue(0, MethodCall::Dequeue);
-            assert!(complete_audited(&mut sim, &algo, 0, &mut auditor));
+            assert!(complete_audited(&mut sim, 0, &mut auditor));
         }
         assert_eq!(
             sim.registers()[algo.quarantine_mask_obj()],

@@ -39,7 +39,7 @@ use aba_spec::{ProcessId, Word};
 use super::protect::{Layout, LinkCodec, Protection, Scheme, HAZ_LANES};
 use super::replay::{Mem, Model, Replay, Run};
 use crate::algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
-use crate::object::{BaseObject, BaseOp, ObjId};
+use crate::object::{BaseObject, ObjId};
 
 const OBJ_HEAD: ObjId = 0;
 const OBJ_FREE: ObjId = 1;
@@ -168,22 +168,6 @@ impl SimAlgorithm for SetSim {
             links: self.scheme.links(),
             prot: Protection::new(self.scheme, self.layout(), pid),
         }))
-    }
-
-    /// Declared footprint of a fresh call: every set operation starts the
-    /// shared Harris–Michael traversal at the head read — except in epoch
-    /// mode, where the pin's global-epoch read comes first.
-    fn first_step(&self, _pid: ProcessId, call: MethodCall) -> Option<BaseOp> {
-        match call {
-            MethodCall::Insert(_) | MethodCall::Remove(_) | MethodCall::Contains(_) => {
-                Some(if self.scheme == Scheme::Epoch {
-                    BaseOp::Read(self.global_epoch_obj())
-                } else {
-                    BaseOp::Read(OBJ_HEAD)
-                })
-            }
-            other => panic!("set simulation given {other:?}"),
-        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! backtrack insertion and sleep-set filtering all consume the footprints a
 //! step machine *declares* — predictively through
 //! [`Simulation::next_access`] (poised steps and
-//! [`SimAlgorithm::first_step`] declarations) and post hoc through
+//! [`SimProcess::first_step`] declarations) and post hoc through
 //! [`StepOutcome::Stepped`] (where the executor downgrades a failed CAS to a
 //! read).  A machine that **under-reports** — touches an object it did not
 //! declare, or mutates where it declared a read — silently removes
@@ -114,7 +114,7 @@ pub struct FootprintAuditor {
     pub over_reports: u64,
     /// Calls that completed without a shared-memory step while a first step
     /// was predicted — the documented, allowed over-approximation of
-    /// [`SimAlgorithm::first_step`].
+    /// [`SimProcess::first_step`].
     pub immediate_over_predictions: u64,
     /// Every under-report found.  Any entry is a soundness failure.
     pub under_reports: Vec<UnderReport>,
@@ -250,12 +250,12 @@ pub fn audit_bursty(
     for i in 0..runs {
         let mut sim = workload.simulation(algo);
         for pid in schedule::bursty(n, len, 8, base_seed.wrapping_add(i as u64)) {
-            let _ = sim.step_audited(algo, pid, &mut auditor);
+            let _ = sim.step_audited(pid, &mut auditor);
         }
         let mut extra = 0usize;
         while !sim.is_quiescent() && extra < 4 * len {
             for pid in 0..n {
-                let _ = sim.step_audited(algo, pid, &mut auditor);
+                let _ = sim.step_audited(pid, &mut auditor);
                 extra += 1;
             }
         }

@@ -125,20 +125,20 @@ impl Simulation {
     }
 
     /// The *predicted* memory footprint of the next `step(pid)`: the poised
-    /// step's footprint for a process mid-method, the declared first step of
-    /// the queued call for an idle process ([`SimAlgorithm::first_step`]),
-    /// and `None` when the process has nothing to do or its next call
-    /// completes without touching shared memory.
+    /// step's footprint for a process mid-method, the first step of the
+    /// queued call for an idle process ([`SimProcess::first_step`]), and
+    /// `None` when the process has nothing to do or its next call completes
+    /// without touching shared memory.
     ///
     /// The prediction is conservative where it must be (a poised CAS counts
     /// as writing even if it will fail), which is the safe direction for the
     /// explorer's sleep-set filtering.
-    pub fn next_access(&self, algo: &dyn SimAlgorithm, pid: ProcessId) -> Option<StepAccess> {
+    pub fn next_access(&self, pid: ProcessId) -> Option<StepAccess> {
         if let Some(op) = self.poised(pid) {
             return Some(op.access());
         }
         let call = self.peek_queued(pid)?;
-        algo.first_step(pid, call).map(|op| op.access())
+        self.procs[pid].first_step(call).map(|op| op.access())
     }
 
     /// The register configuration `reg(C)` (all base-object values).
@@ -257,11 +257,10 @@ impl Simulation {
     /// audit only observes.
     pub fn step_audited(
         &mut self,
-        algo: &dyn SimAlgorithm,
         pid: ProcessId,
         auditor: &mut crate::audit::FootprintAuditor,
     ) -> StepOutcome {
-        let predicted = self.next_access(algo, pid);
+        let predicted = self.next_access(pid);
         let before = self.memory.applied_ops();
         let outcome = self.step(pid);
         let actual = (self.memory.applied_ops() > before)
@@ -472,7 +471,7 @@ mod tests {
         sim.enqueue(1, MethodCall::Enqueue(2));
         // Before anything runs, an idle process's next access is its call's
         // declared first step: the free-set read (object 2).
-        let predicted = sim.next_access(&algo, 0).unwrap();
+        let predicted = sim.next_access(0).unwrap();
         assert_eq!(
             predicted,
             StepAccess {
@@ -484,8 +483,8 @@ mod tests {
         assert!(!sim.step(0).access().unwrap().writes);
         assert!(!sim.step(1).access().unwrap().writes);
         // Poised-CAS predictions are conservatively writing for both…
-        assert!(sim.next_access(&algo, 0).unwrap().writes);
-        assert!(sim.next_access(&algo, 1).unwrap().writes);
+        assert!(sim.next_access(0).unwrap().writes);
+        assert!(sim.next_access(1).unwrap().writes);
         // …but post-hoc the winner wrote and the loser only observed.
         let won = sim.step(0).access().unwrap();
         assert_eq!(
@@ -505,7 +504,25 @@ mod tests {
         );
         // A process with nothing at all to do has no next access.
         let idle = Simulation::new(&algo);
-        assert_eq!(idle.next_access(&algo, 0), None);
+        assert_eq!(idle.next_access(0), None);
+    }
+
+    #[test]
+    fn an_idle_process_predicts_its_first_step_from_its_live_state() {
+        // Figure 4's `GetSeq` scans the announce array round-robin, so the
+        // slot a `DWrite` reads first depends on how many the writer has
+        // completed: a prediction taken from a fresh process names slot 1
+        // forever.
+        let algo = Fig4Sim::new(3);
+        let mut sim = Simulation::new(&algo);
+        sim.enqueue(0, MethodCall::DWrite(1));
+        sim.enqueue(0, MethodCall::DWrite(2));
+        assert_eq!(sim.next_access(0).map(|a| a.obj), Some(1));
+        assert!(sim.run_process_to_completion(0));
+        let predicted = sim.next_access(0).unwrap();
+        let touched = sim.step(0).access().unwrap();
+        assert_eq!(predicted, touched);
+        assert_eq!(touched.obj, 2);
     }
 
     #[test]

@@ -267,14 +267,13 @@ fn independent(a: Option<StepAccess>, b: Option<StepAccess>) -> bool {
 /// `p`, the state *before* that step must also try `p` (or, if `p` was not
 /// enabled there, every process that was).
 fn insert_backtracks(
-    algo: &dyn SimAlgorithm,
     stack: &mut [Frame],
     sim: &Simulation,
     clocks: &Clocks,
     enabled: &[ProcessId],
 ) {
     for &p in enabled {
-        let Some(a) = sim.next_access(algo, p) else {
+        let Some(a) = sim.next_access(p) else {
             continue;
         };
         if let Some(race) = clocks.latest_race(p, a) {
@@ -384,7 +383,7 @@ fn explore_inner(
             // Internal node: set up its race analysis and first candidate.
             let mut backtrack = BTreeSet::new();
             if cfg.reduce {
-                insert_backtracks(algo, &mut stack, &sim, &clocks, &enabled);
+                insert_backtracks(&mut stack, &sim, &clocks, &enabled);
                 match enabled.iter().find(|p| !sleep.contains(p)) {
                     Some(&p) => {
                         backtrack.insert(p);
@@ -437,7 +436,7 @@ fn explore_inner(
                 top.choice = Some(p);
                 let mut sim = top.sim.clone();
                 let outcome = match audit.as_deref_mut() {
-                    Some(auditor) => sim.step_audited(algo, p, auditor),
+                    Some(auditor) => sim.step_audited(p, auditor),
                     None => sim.step(p),
                 };
                 debug_assert!(
@@ -454,7 +453,7 @@ fn explore_inner(
                     top.sleep
                         .iter()
                         .copied()
-                        .filter(|&q| independent(top.sim.next_access(algo, q), access))
+                        .filter(|&q| independent(top.sim.next_access(q), access))
                         .collect()
                 } else {
                     BTreeSet::new()

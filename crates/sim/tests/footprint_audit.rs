@@ -101,6 +101,11 @@ impl SimProcess for WrongFirstStepProc {
     fn clone_box(&self) -> Box<dyn SimProcess> {
         Box::new(self.clone())
     }
+
+    fn first_step(&self, _call: MethodCall) -> Option<BaseOp> {
+        // The lie: declares a read of object 0.
+        Some(BaseOp::Read(0))
+    }
 }
 
 impl SimAlgorithm for WrongFirstStepAlgo {
@@ -119,11 +124,6 @@ impl SimAlgorithm for WrongFirstStepAlgo {
     fn spawn(&self, _pid: usize) -> Box<dyn SimProcess> {
         Box::new(WrongFirstStepProc { pending: None })
     }
-
-    fn first_step(&self, _pid: usize, _call: MethodCall) -> Option<BaseOp> {
-        // The lie: declares a read of object 0.
-        Some(BaseOp::Read(0))
-    }
 }
 
 #[test]
@@ -132,7 +132,7 @@ fn wrong_first_step_declaration_is_caught() {
     let mut sim = Simulation::new(&algo);
     sim.enqueue(0, MethodCall::DWrite(7));
     let mut auditor = FootprintAuditor::new();
-    let _ = sim.step_audited(&algo, 0, &mut auditor);
+    let _ = sim.step_audited(0, &mut auditor);
     assert!(!auditor.sound());
     assert_eq!(
         auditor.under_reports[0].kind,
@@ -151,7 +151,7 @@ fn wrong_first_step_sails_through_with_the_prediction_check_disabled() {
         check_predictions: false,
         check_posthoc: true,
     });
-    let _ = sim.step_audited(&algo, 0, &mut auditor);
+    let _ = sim.step_audited(0, &mut auditor);
     assert!(auditor.sound(), "check disabled: the lie must go unnoticed");
     assert_eq!(auditor.steps_audited, 1);
 }
@@ -273,10 +273,6 @@ impl SimAlgorithm for DisguisedWriteAlgo {
             polls: Cell::new(0),
         })
     }
-
-    fn first_step(&self, _pid: usize, _call: MethodCall) -> Option<BaseOp> {
-        Some(BaseOp::Read(0))
-    }
 }
 
 #[test]
@@ -285,9 +281,9 @@ fn mutation_disguised_as_a_read_is_caught() {
     let mut sim = Simulation::new(&algo);
     sim.enqueue(0, MethodCall::DWrite(9));
     let mut auditor = FootprintAuditor::new();
-    let _ = sim.step_audited(&algo, 0, &mut auditor); // honest read
+    let _ = sim.step_audited(0, &mut auditor); // honest read
     assert!(auditor.sound());
-    let _ = sim.step_audited(&algo, 0, &mut auditor); // the disguised write
+    let _ = sim.step_audited(0, &mut auditor); // the disguised write
     assert!(!auditor.sound());
     assert_eq!(
         auditor.under_reports[0].kind,
@@ -306,8 +302,8 @@ fn disguised_mutation_sails_through_with_the_prediction_check_disabled() {
         check_predictions: false,
         check_posthoc: true,
     });
-    let _ = sim.step_audited(&algo, 0, &mut auditor);
-    let _ = sim.step_audited(&algo, 0, &mut auditor);
+    let _ = sim.step_audited(0, &mut auditor);
+    let _ = sim.step_audited(0, &mut auditor);
     assert!(auditor.sound(), "check disabled: the lie must go unnoticed");
 }
 
@@ -327,10 +323,10 @@ fn failed_cas_downgrade_agrees_with_the_shadow_memory() {
     sim.enqueue(0, MethodCall::Enqueue(1));
     sim.enqueue(1, MethodCall::Enqueue(2));
     let mut auditor = FootprintAuditor::new();
-    let _ = sim.step_audited(&algo, 0, &mut auditor); // read free mask
-    let _ = sim.step_audited(&algo, 1, &mut auditor); // read free mask
-    let _ = sim.step_audited(&algo, 0, &mut auditor); // CAS wins (mutates)
-    let _ = sim.step_audited(&algo, 1, &mut auditor); // CAS loses (read-only)
+    let _ = sim.step_audited(0, &mut auditor); // read free mask
+    let _ = sim.step_audited(1, &mut auditor); // read free mask
+    let _ = sim.step_audited(0, &mut auditor); // CAS wins (mutates)
+    let _ = sim.step_audited(1, &mut auditor); // CAS loses (read-only)
     assert!(auditor.sound(), "{:?}", auditor.under_reports);
     assert_eq!(auditor.steps_audited, 4);
     // Exactly one conservative over-report: the losing CAS was predicted
