@@ -291,22 +291,24 @@ fn raw_string_len(chars: &[char]) -> Option<usize> {
     }
 }
 
-/// Given the index of an opening-brace token, return the index one past its
-/// matching closing brace (brace-nesting count over the token stream), or
-/// `tokens.len()` if unbalanced.
-pub fn matching_brace(tokens: &[Token], open: usize) -> usize {
-    debug_assert!(tokens[open].is_punct('{'));
+/// Given the index of an opening `{` or `(` token, return the index one past
+/// its matching closer (nesting count of that bracket kind over the token
+/// stream), or `tokens.len()` if unbalanced.
+pub fn matching_close(tokens: &[Token], open: usize) -> usize {
+    let (opener, closer) = match tokens[open].kind {
+        TokKind::Punct('(') => ('(', ')'),
+        _ => ('{', '}'),
+    };
+    debug_assert!(tokens[open].is_punct(opener));
     let mut depth = 0usize;
     for (j, t) in tokens.iter().enumerate().skip(open) {
-        match t.kind {
-            TokKind::Punct('{') => depth += 1,
-            TokKind::Punct('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
-                }
+        if t.is_punct(opener) {
+            depth += 1;
+        } else if t.is_punct(closer) {
+            depth -= 1;
+            if depth == 0 {
+                return j + 1;
             }
-            _ => {}
         }
     }
     tokens.len()
@@ -389,7 +391,7 @@ mod tests {
     fn brace_matching() {
         let out = lex("loop { a { b } c } d");
         let open = out.tokens.iter().position(|t| t.is_punct('{')).unwrap();
-        let end = matching_brace(&out.tokens, open);
+        let end = matching_close(&out.tokens, open);
         assert_eq!(out.tokens[end].ident(), Some("d"));
     }
 }

@@ -12,15 +12,17 @@
 //!   bench, example and workload-timing code (a `// determinism:`
 //!   justification comment is accepted for test-only deadlines);
 //! * **L4** `cas-retry-bounded` — every `loop` lexically containing a
-//!   CAS-like call (`compare_exchange*`, `cas`/`cas_*`, `sc`) must carry
-//!   in-body evidence of a bound (budget/retry/attempt identifiers, a
-//!   yield/backoff, a `MAX_`/`BOUND`/`LIMIT` constant) or an adjacent
-//!   `// retry-bound:` justification;
+//!   CAS-like call (`compare_exchange*`, `cas`/`cas_*`, `sc`), and every
+//!   `.retry(…)` of the simulator's replay adapter (an unbounded retry loop
+//!   whose body is the closure), must carry in-body evidence of a bound
+//!   (budget/retry/attempt identifiers, a yield/backoff, a
+//!   `MAX_`/`BOUND`/`LIMIT` constant) or an adjacent `// retry-bound:`
+//!   justification;
 //! * **L5** `reclaimer-docs` — the `Reclaimer`/`Guard`/`LinkCodec` trait
 //!   surface in `crates/reclaim` is fully rustdoc'd (every `fn`/`type` item
 //!   and the trait declarations themselves).
 
-use crate::lexer::{lex, matching_brace, Comment, Lexed, TokKind, Token};
+use crate::lexer::{lex, matching_close, Comment, Lexed, TokKind, Token};
 
 /// One registered rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,29 +247,38 @@ fn is_bound_evidence(id: &str) -> bool {
         && (id.contains("MAX") || id.contains("BOUND") || id.contains("LIMIT"))
 }
 
+/// `true` iff token `i` is the method name of a `.retry(` call — the replay
+/// adapter's spelling of an unbounded retry loop (and, being the loop's own
+/// name, no evidence that anything bounds it).
+fn is_adapter_retry(t: &[Token], i: usize) -> bool {
+    t[i].ident() == Some("retry")
+        && i > 0
+        && t[i - 1].is_punct('.')
+        && t.get(i + 1).is_some_and(|next| next.is_punct('('))
+}
+
 fn rule_l4_cas_retry(path: &str, lexed: &Lexed, findings: &mut Vec<Finding>) {
     let t = &lexed.tokens;
     for i in 0..t.len() {
-        if t[i].ident() != Some("loop") {
+        // A retry loop is a `loop` immediately followed by its block, or a
+        // `.retry(` whose argument list holds the closure that is its body.
+        let adapter = is_adapter_retry(t, i);
+        let open = i + 1;
+        let is_loop = t[i].ident() == Some("loop") && t.get(open).is_some_and(|b| b.is_punct('{'));
+        if !adapter && !is_loop {
             continue;
         }
-        let Some(open) = (i + 1..t.len()).find(|&j| {
-            // `loop` is immediately followed by its block (token-wise).
-            j == i + 1 && t[j].is_punct('{')
-        }) else {
-            continue;
-        };
-        let end = matching_brace(t, open);
+        let end = matching_close(t, open);
         let body = &t[open..end];
-        let Some(cas) = body
+        // A `loop` is a retry loop only around a CAS; `.retry(` always is.
+        let cas = body
             .iter()
-            .find(|tok| tok.ident().is_some_and(is_cas_ident))
-        else {
+            .find(|tok| tok.ident().is_some_and(is_cas_ident));
+        let Some(site) = cas.or(adapter.then_some(&t[i])) else {
             continue;
         };
-        let bounded = body
-            .iter()
-            .any(|tok| tok.ident().is_some_and(is_bound_evidence));
+        let bounded = (open..end)
+            .any(|j| t[j].ident().is_some_and(is_bound_evidence) && !is_adapter_retry(t, j));
         let end_line = body.last().map_or(t[i].line, |tok| tok.line);
         let justified_loop = lexed.comments.iter().any(|c| {
             c.end_line + 3 >= t[i].line
@@ -278,7 +289,7 @@ fn rule_l4_cas_retry(path: &str, lexed: &Lexed, findings: &mut Vec<Finding>) {
             findings.push(Finding {
                 rule: "L4",
                 file: path.to_string(),
-                line: cas.line,
+                line: site.line,
                 message: "CAS retry loop with no retry budget, yield/backoff or \
                           `// retry-bound:` justification — a corrupted chain can wedge here"
                     .to_string(),
@@ -320,7 +331,7 @@ fn rule_l5_reclaimer_docs(
         let Some(open) = (i + 3..t.len()).find(|&j| t[j].is_punct('{')) else {
             continue;
         };
-        let end = matching_brace(t, open);
+        let end = matching_close(t, open);
         let mut j = open + 1;
         while j < end.saturating_sub(1) {
             let is_item =

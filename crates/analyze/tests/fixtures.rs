@@ -133,6 +133,21 @@ fn l4_accepts_budget_yield_backoff_constant_or_justification() {
 }
 
 #[test]
+fn l4_covers_the_replay_adapters_retry_spelling() {
+    // `.retry(` is an unbounded retry loop whose body is the closure.
+    let bare = "fn f(m: &mut Mem) -> Run<()> {\n    m.retry(|m| {\n        let v = m.read(X)?;\n        Ok(m.cas(X, v, v + 1)?.then_some(()))\n    })\n}\n";
+    let hits = findings_for("crates/x/src/a.rs", bare);
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert_eq!((hits[0].rule, hits[0].line), ("L4", 4));
+    // The method's own name is no evidence that a `loop` around it is bounded.
+    let nested = "fn f(m: &mut Mem) -> Run<()> {\n    loop {\n        let at = m.retry(|m| find(m))?;\n        if m.cas(at, 0, 1)? { return Ok(()); }\n    }\n}\n";
+    assert_eq!(findings_for("crates/x/src/a.rs", nested).len(), 2);
+
+    let justified = "fn f(m: &mut Mem) -> Run<()> {\n    // retry-bound: fails only when another process moved X.\n    m.retry(|m| {\n        let v = m.read(X)?;\n        Ok(m.cas(X, v, v + 1)?.then_some(()))\n    })\n}\n";
+    assert!(findings_for("crates/x/src/a.rs", justified).is_empty());
+}
+
+#[test]
 fn l4_ignores_loops_without_cas() {
     let src = "fn f() { loop { if done() { return; } } }\n";
     assert!(findings_for("crates/x/src/a.rs", src).is_empty());

@@ -18,8 +18,10 @@
 //!   reduction and are merely counted.
 //!
 //! Run with `cargo run -p aba-bench --bin table_lint --release`.
-//! Flags: `--quick` (CI-sized audit bounds), `--out <path>` (JSON
-//! destination, default `BENCH_lint.json`, schema `aba-repro/lint/v1`).
+//! Flags: `--quick` (CI-sized audit bounds), `--out <path>` (write the JSON
+//! document, schema `aba-repro/lint/v1`, there).  Without `--out` nothing is
+//! written: `BENCH_lint.json` is tracked, and is re-recorded on purpose from
+//! a full run (`--out BENCH_lint.json`), not by whoever runs the gate.
 //!
 //! Exit status is the gate (`aba_bench::gate::lint`): non-zero if any lint
 //! finding exists, any family audit records an under-report, or either
@@ -36,7 +38,6 @@ use aba_sim::standard_family_audits;
 fn main() {
     let args = Args::from_env(QUICK_AND_OUT);
     let quick = args.has("--quick");
-    let out_path = args.value("--out").unwrap_or("BENCH_lint.json");
 
     // The binary runs from anywhere inside the workspace; resolve the root
     // from the crate manifest (crates/bench -> workspace root).
@@ -103,13 +104,15 @@ fn main() {
     );
 
     // --- JSON (schema aba-repro/lint/v1) -----------------------------------
-    let json = aba_bench::lint_json(quick, &report, &verdicts);
-    std::fs::write(out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!(
-        "wrote {out_path} ({} rules, {} audits)",
-        RULE_ROSTER.len(),
-        verdicts.len()
-    );
+    if let Some(out_path) = args.value("--out") {
+        let json = aba_bench::lint_json(quick, &report, &verdicts);
+        std::fs::write(out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+        println!(
+            "wrote {out_path} ({} rules, {} audits)",
+            RULE_ROSTER.len(),
+            verdicts.len()
+        );
+    }
 
     exit_on_failures("lint", &gate::lint(&report, &verdicts));
 }

@@ -1,12 +1,17 @@
-//! Algorithms as explicit state machines over base-object steps.
+//! Algorithms as processes an adversary schedules one base-object step at a
+//! time.
 //!
 //! The paper's model lets an adversarial scheduler decide, step by step,
 //! which process executes its next *shared-memory* operation.  To reproduce
 //! that precisely (including the covering arguments of Lemma 1 and the
-//! adversarial step-complexity measurements), the simulated algorithms expose
-//! the step they are *poised* to execute ([`SimProcess::poised`]) and consume
+//! adversarial step-complexity measurements), a simulated process exposes
+//! the step it is *poised* to execute ([`SimProcess::poised`]) and consumes
 //! its result ([`SimProcess::apply`]) — exactly the vocabulary used in the
-//! paper's proofs.
+//! paper's proofs.  The crate's own models do not implement this trait by
+//! hand: each is a sequential function over memory accesses, and one
+//! adapter (`algorithms/replay.rs`) derives `poised`/`apply` from it.  The
+//! trait stays public for machines written directly against it — the
+//! footprint auditor's deliberately lying ones are.
 
 use aba_spec::{ProcessId, Word};
 

@@ -1,4 +1,5 @@
-//! Algorithm state machines for the simulator.
+//! The simulated algorithms, each written as straight-line code whose every
+//! shared-memory access is one schedulable step.
 //!
 //! * [`fig3`] — Figure 3 (LL/SC/VL from a single bounded CAS);
 //! * [`fig4`] — Figure 4 (ABA-detecting register from n+1 registers), with
@@ -11,13 +12,18 @@
 //! * [`set`] — step-level Harris–Michael ordered sets in four protection
 //!   modes (unprotected, tagged, hazard, epoch), the traversal-based ABA
 //!   surface;
-//! * `protect` (crate-private) — the one protection sub-machine under both
-//!   structures: free-set alloc/release, epoch pin / retire stamp / advance
-//!   / quarantine and hazard publish / scan / clear as explicit
-//!   shared-memory steps, the simulator counterpart of `aba_reclaim`'s
-//!   `Guard`.  A structure file holds its own steps and the *composition*
-//!   of these sub-sequences; a new structure × scheme row is a structure
-//!   file (or one constructor) plus one `MODEL_ROSTER` line.
+//! * `protect` (crate-private) — the protection sequences under both
+//!   structures, once: free-set alloc/release, epoch pin / retire stamp /
+//!   advance / quarantine and hazard publish / scan / clear, one function
+//!   per `aba_reclaim::Guard` method.  A structure file holds its own steps
+//!   and the *composition* of these functions; a new structure × scheme row
+//!   is a structure file (or one constructor) plus one `MODEL_ROSTER` line.
+//! * `replay` (crate-private) — the adapter that makes such code
+//!   schedulable: a model implements `Model::call` over `Mem::read` /
+//!   `write` / `cas` (and `Mem::retry` for unbounded CAS-retry loops), and
+//!   `Replay` — the crate's only [`SimProcess`](crate::SimProcess) — logs
+//!   the call's step results, re-runs the call from its start to find the
+//!   step it is poised on, and commits local state when it returns.
 
 pub mod baselines;
 pub mod fig3;

@@ -16,10 +16,13 @@
 //!    adversary that interferes with a victim between every one of its steps,
 //!    which a preemptive OS scheduler only produces by accident.
 //!
-//! Algorithms are expressed as explicit state machines over base-object steps
-//! ([`algorithm::SimProcess`]); the crate ships state machines for Figure 3,
+//! A simulated process is scheduled one base-object step at a time
+//! ([`algorithm::SimProcess`]).  The models the crate ships — Figure 3,
 //! Figure 4 (faithful and deliberately crippled variants), the unbounded
-//! tagged baseline and a broken naive register.
+//! tagged baseline, a broken naive register, Michael–Scott queues and
+//! Harris–Michael sets under four protection schemes — are written as
+//! straight-line code that reads like the paper's listings, every memory
+//! access of which is one such step.
 //!
 //! ```
 //! use aba_sim::algorithms::fig4::Fig4Sim;

@@ -6,7 +6,7 @@
 //! the family-level exploration tests iterate it — so a new sim model is its
 //! own file plus one row here, and a new scheme for a structure already
 //! modelled is one constructor composing `algorithms/protect.rs`'s
-//! sub-sequences plus one row.  `queue/*` and `set/*` keys are keys of
+//! functions plus one row.  `queue/*` and `set/*` keys are keys of
 //! `aba_lockfree::Family`'s table: the row claims to model that hardware
 //! backend, and `tests/model_binding.rs` holds it to the claim.
 
