@@ -9,6 +9,7 @@
 //! here or a golden test.
 
 use aba_analyze::LintReport;
+use aba_lockfree::{Scheme, StressReport};
 use aba_sim::AuditVerdict;
 use aba_workload::{roster_node_capacity, MatrixResult};
 
@@ -63,6 +64,61 @@ pub fn matrix(result: &MatrixResult, limbo_bound: bool, growth: &[ArenaGrowth]) 
             "{}: arena still at its initial {} nodes after the conservation run",
             g.structure, g.initial
         ));
+    }
+    failures
+}
+
+/// The E6 gate (`table_aba_incidence`): the unprotected stack must show the
+/// §1 ABA — events detected *and* values lost or duplicated — and every
+/// protected stack must detect none and conserve every value.  The first
+/// half is what a harness change can silently optimise away (E22: in a
+/// scratch prototype one free node cached per thread made every ABA on the
+/// 16-node arena benign, and the row read "conserved").
+///
+/// `rows` may hold several runs of the unprotected stack: every one must
+/// record events, one must show damage.  Whether an ABA damages anything is
+/// the scheduler's call — with all four workers time-sliced on one core the
+/// run recycles in lockstep, 29 987 events and not one of them harmful
+/// (E22) — so the binary grants the victim a few paced runs and lists each.
+/// The reference host also spends minutes on end giving its two vCPUs one
+/// core's worth of time; the binary measures that, and with `parallel_host`
+/// false the damage rule, which no code could meet there, is not applied.
+pub fn incidence(rows: &[(Scheme, StressReport)], parallel_host: bool) -> Vec<String> {
+    let mut failures = Vec::new();
+    let describe = |r: &StressReport| {
+        format!(
+            "{}: {} ABA events, lost {}, duplicated {}",
+            r.structure, r.aba_events, r.lost, r.duplicated
+        )
+    };
+    let victims: Vec<&StressReport> = rows
+        .iter()
+        .filter(|(scheme, _)| *scheme == Scheme::Unprotected)
+        .map(|(_, r)| r)
+        .collect();
+    if parallel_host && victims.iter().all(|r| r.is_conserved()) {
+        let runs: Vec<String> = victims.iter().map(|r| describe(r)).collect();
+        failures.push(format!(
+            "no unprotected run lost or duplicated a value ({} run(s): {}) — nothing \
+             demonstrates the ABA's damage",
+            runs.len(),
+            runs.join("; ")
+        ));
+    }
+    for (scheme, r) in rows {
+        if *scheme == Scheme::Unprotected {
+            if r.aba_events == 0 {
+                failures.push(format!(
+                    "{} — the unprotected stack must record ABA events",
+                    describe(r)
+                ));
+            }
+        } else if r.aba_events > 0 || !r.is_conserved() {
+            failures.push(format!(
+                "{} — a protected stack must record none and conserve every value",
+                describe(r)
+            ));
+        }
     }
     failures
 }
@@ -269,6 +325,96 @@ mod tests {
     fn arena_growth_names_the_map_that_never_grew() {
         let failures = matrix(&result(vec![]), false, &[grown(768), grown(10)]);
         assert_one(&failures, &["SO map (epoch)", "initial 10 nodes"]);
+    }
+
+    // --- incidence -----------------------------------------------------------
+
+    fn stress(
+        scheme: Scheme,
+        aba_events: u64,
+        lost: u64,
+        duplicated: u64,
+    ) -> (Scheme, StressReport) {
+        let report = StressReport {
+            structure: aba_lockfree::Family::Stack.label(scheme).to_string(),
+            threads: 4,
+            ops_per_thread: 20_000,
+            inserted: 80_000,
+            pushed: 80_000,
+            removed: 80_000 - lost,
+            remaining: 0,
+            aba_events,
+            lost,
+            duplicated,
+        };
+        (scheme, report)
+    }
+
+    /// E6 as committed: the victim damaged, the four protections clean.
+    fn e6() -> Vec<(Scheme, StressReport)> {
+        Scheme::ALL
+            .into_iter()
+            .map(|scheme| match scheme {
+                Scheme::Unprotected => stress(scheme, 2_105, 1_928, 1_993),
+                _ => stress(scheme, 0, 0, 0),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_committed_incidence_shape_passes() {
+        assert_eq!(incidence(&e6(), true), Vec::<String>::new());
+        // A lockstep run of the victim ahead of a damaged one is the host's
+        // scheduler, not a finding.
+        let mut retried = vec![stress(Scheme::Unprotected, 29_987, 0, 0)];
+        retried.extend(e6());
+        assert_eq!(incidence(&retried, true), Vec::<String>::new());
+    }
+
+    #[test]
+    fn the_incidence_gate_names_the_row_off_its_shape() {
+        // The unprotected row as the prototype's one-node magazine left it
+        // (E22): ABAs by the ten thousand, every one benign, in every run.
+        let mut benign = vec![stress(Scheme::Unprotected, 39_036, 0, 0); 3];
+        benign.extend_from_slice(&e6()[1..]);
+        assert_one(
+            &incidence(&benign, true),
+            &["no unprotected run", "3 run(s)", "39036 ABA events, lost 0"],
+        );
+        // ...which is all a host without parallelism can produce: there the
+        // damage rule is off and every other rule is on.
+        assert_eq!(incidence(&benign, false), Vec::<String>::new());
+        benign[5] = stress(Scheme::LlSc, 0, 0, 1);
+        assert_one(&incidence(&benign, false), &["Treiber (LL/SC head)"]);
+        // Damage nothing detected is half a demonstration.
+        let mut undetected = e6();
+        undetected[0] = stress(Scheme::Unprotected, 0, 3, 0);
+        assert_one(
+            &incidence(&undetected, true),
+            &[
+                "Treiber (unprotected)",
+                "0 ABA events, lost 3",
+                "must record",
+            ],
+        );
+        // A protected row that lost a value, and one that saw an event.
+        let mut broken = e6();
+        broken[2] = stress(Scheme::Hazard, 0, 1, 0);
+        assert_one(
+            &incidence(&broken, true),
+            &["Treiber (hazard pointers)", "lost 1", "protected stack"],
+        );
+        let mut eventful = e6();
+        eventful[4] = stress(Scheme::Epoch, 2, 0, 0);
+        assert_one(
+            &incidence(&eventful, true),
+            &["Treiber (epoch)", "2 ABA events"],
+        );
+        // No victim, no demonstration.
+        assert_one(
+            &incidence(&e6()[1..], true),
+            &["no unprotected run", "0 run(s)"],
+        );
     }
 
     // --- dpor ----------------------------------------------------------------

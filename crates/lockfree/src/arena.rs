@@ -35,10 +35,31 @@
 //! a one-shot cell and exactly one of the racing publishers wins it (the
 //! losers' freshly built segments are dropped, a bounded waste); nobody ever
 //! *unpublishes*, so a reader that obtained an index can always reach its
-//! node.  The free list itself remains a mutex-protected vector: it is
-//! harness infrastructure, not the structure under test, and keeping it
-//! trivially correct means every anomaly observed in the experiments is
-//! attributable to the structure's own link-word CASes.
+//! node.
+//!
+//! # The free list: a shared vector behind per-handle magazines
+//!
+//! The arena's own free list is a mutex-protected LIFO vector: it is harness
+//! infrastructure, not the structure under test, and keeping it trivially
+//! correct means every anomaly observed in the experiments is attributable to
+//! the structure's own link-word CASes.  [`NodeArena::alloc`] and
+//! [`NodeArena::free`] go straight to it.
+//!
+//! A structure handle does not.  It owns a [`Magazine`] (Bonwick & Adams,
+//! "Magazines and Vmem", USENIX ATC 2001): a plain `Vec` of free indices
+//! that serves the handle's allocations and takes its frees with no lock and
+//! no atomic, refills from the shared list and spills to it half a magazine
+//! at a time, and drains back into it when the handle drops.  Its capacity
+//! is `min(32, live_capacity / (8 · handles))`, re-derived whenever it
+//! touches the shared list, so all magazines together never hold more than
+//! an eighth of the published nodes — and an arena too small to spare that
+//! (capacity 0) runs the shared path, index for index.  That floor is
+//! deliberate: thread-local LIFO recycling hands a popper its own node
+//! straight back, and an ABA that puts the same node back in the same place
+//! harms nothing (E22: forced to hold one node on E6's 16-node arena, a
+//! magazine roughly halved the unprotected stack's lost values; the scratch
+//! prototype that sized this design lost none at all).  The §1
+//! demonstration runs on exactly such arenas, and runs them unchanged.
 //!
 //! # Cache-line padding
 //!
@@ -51,7 +72,7 @@
 //! `node_layout_is_cache_line_padded` test pins the layout).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Index value meaning "null".  (Identical to `aba_reclaim::NIL`: the
 /// reclamation schemes and the arena agree on the decoded-index domain.)
@@ -104,6 +125,20 @@ impl Node {
             generation: AtomicU64::new(0),
         }
     }
+
+    /// Count one more allocation of this node.  A load and a store rather
+    /// than a locked `fetch_add`: only the allocator that just popped the
+    /// node off a free list writes here.  (An unprotected structure's double
+    /// free can hand one node to two allocators, who may then count one bump
+    /// between them; the post-CAS ABA detectors compare for inequality, and
+    /// one bump is as unequal as two.)
+    fn bump_generation(&self) {
+        // ordering: the node is private to its allocator until the
+        // publishing CAS, which stays `SeqCst` and orders this before it.
+        let generation = self.generation.load(Ordering::Relaxed);
+        // ordering: private until the publishing CAS, which stays `SeqCst`.
+        self.generation.store(generation + 1, Ordering::Relaxed);
+    }
 }
 
 /// Outcome of one attempt to publish the next planned segment.
@@ -143,6 +178,13 @@ pub struct NodeArena {
     /// which maximises recycling pressure (and therefore ABA likelihood).
     free: CacheAligned<Mutex<Vec<u64>>>,
 }
+
+/// Most free indices one [`Magazine`] holds, however large the arena.
+const MAGAZINE_MAX: usize = 32;
+
+/// The share of the published nodes all magazines together may hold is one
+/// in this many.
+const MAGAZINE_SHARE: usize = 8;
 
 /// Split `total` nodes into maximal full segments plus a remainder.
 fn bounded_plan(total: usize) -> Vec<usize> {
@@ -249,9 +291,30 @@ impl NodeArena {
         self.initial
     }
 
-    /// Number of currently free nodes among the published segments.
+    /// Number of nodes currently in the shared free list: the free nodes
+    /// among the published segments, less whatever live handles hold in
+    /// their [`Magazine`]s.
     pub fn free_len(&self) -> usize {
-        self.free.0.lock().expect("arena lock poisoned").len()
+        self.shared_free().len()
+    }
+
+    /// The shared free list, locked.  A thread that panicked while holding
+    /// the lock cannot have left the list invalid — every update is a push,
+    /// a pop or a move of whole indices on a `Vec<u64>` — so a poisoned lock
+    /// is recovered, not propagated.
+    fn shared_free(&self) -> MutexGuard<'_, Vec<u64>> {
+        self.free.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A private cache of free indices for one structure handle, one of at
+    /// most `handles` that share this arena (see the module docs).
+    pub fn magazine(&self, handles: usize) -> Magazine<'_> {
+        Magazine {
+            arena: self,
+            handles: handles.max(1),
+            capacity: 0,
+            free: Vec::new(),
+        }
     }
 
     fn node(&self, idx: u64) -> &Node {
@@ -290,7 +353,7 @@ impl NodeArena {
             Ok(()) => {
                 let base = (s as u64) << SEG_SHIFT;
                 {
-                    let mut free = self.free.0.lock().expect("arena lock poisoned");
+                    let mut free = self.shared_free();
                     // Reversed push keeps the historical pop order (offset 0
                     // first) within the fresh segment.
                     for off in (0..len as u64).rev() {
@@ -310,6 +373,15 @@ impl NodeArena {
     /// reports exhaustion (`None`) once every planned segment is published
     /// and empty-handed.
     pub fn alloc(&self) -> Option<u64> {
+        let idx = self.take_shared(0, &mut Vec::new())?;
+        self.node(idx).bump_generation();
+        Some(idx)
+    }
+
+    /// Pop the shared list's top index, moving up to `extra` more — in the
+    /// order the list would have handed them out — onto `into`; grows the
+    /// arena when the list is empty.
+    fn take_shared(&self, extra: usize, into: &mut Vec<u64>) -> Option<u64> {
         // retry-bound: every round either returns an index, publishes one of
         // the finitely many planned segments, or backs off behind the thread
         // whose in-flight publication is about to refill the free list.  The
@@ -318,9 +390,13 @@ impl NodeArena {
         // seeded from the contended segment number for deterministic jitter.
         let mut backoff: Option<aba_core::Backoff> = None;
         loop {
-            if let Some(idx) = self.free.0.lock().expect("arena lock poisoned").pop() {
-                self.node(idx).generation.fetch_add(1, Ordering::SeqCst);
-                return Some(idx);
+            {
+                let mut free = self.shared_free();
+                if let Some(idx) = free.pop() {
+                    let rest = free.len().saturating_sub(extra);
+                    into.extend(free.drain(rest..));
+                    return Some(idx);
+                }
             }
             match self.publish_next() {
                 Publish::Won => {}
@@ -346,7 +422,7 @@ impl NodeArena {
     /// Panics if `idx` is `NIL` or outside the published segments.
     pub fn free(&self, idx: u64) {
         assert!(self.contains(idx), "bad index");
-        self.free.0.lock().expect("arena lock poisoned").push(idx);
+        self.shared_free().push(idx);
     }
 
     /// Read the value stored in a node (the low half of the value word).
@@ -362,18 +438,22 @@ impl NodeArena {
         self.node(idx).value.store(value as u64, Ordering::SeqCst);
     }
 
+    /// Write the value and auxiliary data of a node its caller has allocated
+    /// and not yet linked into a structure — the store every push, enqueue
+    /// and insert begins with — as one word, so a reader never observes a
+    /// torn (value, data) pair.
+    pub fn init(&self, idx: u64, value: u32, data: u32) {
+        let word = ((data as u64) << 32) | value as u64;
+        // ordering: private until the publishing CAS, which stays `SeqCst`
+        // (a reader reaches the node only through the word that CAS wrote).
+        self.node(idx).value.store(word, Ordering::Relaxed);
+    }
+
     /// Read the auxiliary data stored next to a node's value (the high half
     /// of the value word) — the mapped value of a hash-map node, whose low
     /// half holds the split-order key.
     pub fn data(&self, idx: u64) -> u32 {
         (self.node(idx).value.load(Ordering::SeqCst) >> 32) as u32
-    }
-
-    /// Store a node's value and auxiliary data in one atomic write, so a
-    /// concurrent reader never observes a torn (value, data) pair.
-    pub fn set_value_data(&self, idx: u64, value: u32, data: u32) {
-        let word = ((data as u64) << 32) | value as u64;
-        self.node(idx).value.store(word, Ordering::SeqCst);
     }
 
     /// Read a node's next link.
@@ -397,6 +477,90 @@ impl NodeArena {
     /// Read a node's generation counter.
     pub fn generation(&self, idx: u64) -> u64 {
         self.node(idx).generation.load(Ordering::SeqCst)
+    }
+}
+
+/// A structure handle's private cache of free indices (see the module
+/// docs): a plain vector in front of the arena's shared, locked free list.
+/// Allocation and free are the arena's, minus the lock whenever the cache
+/// can serve them.
+#[derive(Debug)]
+pub struct Magazine<'a> {
+    arena: &'a NodeArena,
+    /// Handles sharing the arena, this one included.
+    handles: usize,
+    /// Most indices `free` may hold; derived each time the shared list is
+    /// touched, 0 until the first.
+    capacity: usize,
+    /// LIFO, like the shared list.
+    free: Vec<u64>,
+}
+
+impl Magazine<'_> {
+    /// Allocate a node, bumping its generation; `None` once the magazine,
+    /// the shared list and the arena's growth plan are all exhausted.
+    pub fn alloc(&mut self) -> Option<u64> {
+        let idx = match self.free.pop() {
+            Some(idx) => idx,
+            None => self.refill()?,
+        };
+        self.arena.node(idx).bump_generation();
+        Some(idx)
+    }
+
+    /// Return a node to the free nodes.  Double frees are tolerated exactly
+    /// as [`NodeArena::free`] tolerates them: the duplicate is kept, and
+    /// comes back out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is `NIL` or outside the published segments.
+    pub fn free(&mut self, idx: u64) {
+        assert!(self.arena.contains(idx), "bad index");
+        if self.free.len() < self.capacity {
+            self.free.push(idx);
+        } else {
+            self.spill(idx);
+        }
+    }
+
+    /// Re-derive the capacity from what the arena has published by now.
+    fn resize(&mut self) {
+        let share = self.arena.live_capacity() / (MAGAZINE_SHARE * self.handles);
+        self.capacity = share.min(MAGAZINE_MAX);
+    }
+
+    /// The magazine is empty: take half a magazine (at least the one index
+    /// asked for) off the shared list.
+    #[cold]
+    fn refill(&mut self) -> Option<u64> {
+        self.resize();
+        let extra = (self.capacity / 2).saturating_sub(1);
+        self.arena.take_shared(extra, &mut self.free)
+    }
+
+    /// The magazine is full: give the older half to the shared list, then
+    /// keep `idx`.  At capacity 0 there is nothing to keep it in.
+    #[cold]
+    fn spill(&mut self, idx: u64) {
+        self.resize();
+        if self.capacity == 0 {
+            return self.arena.free(idx);
+        }
+        // The live capacity only grows, so `free.len() <= capacity` here.
+        if self.free.len() == self.capacity {
+            let older = self.capacity.div_ceil(2);
+            self.arena.shared_free().extend(self.free.drain(..older));
+        }
+        self.free.push(idx);
+    }
+}
+
+impl Drop for Magazine<'_> {
+    fn drop(&mut self) {
+        if !self.free.is_empty() {
+            self.arena.shared_free().append(&mut self.free);
+        }
     }
 }
 
@@ -442,7 +606,7 @@ mod tests {
     fn value_and_data_pack_into_one_word() {
         let arena = NodeArena::new(1);
         let idx = arena.alloc().unwrap();
-        arena.set_value_data(idx, 0xAAAA_0001, 0x5555_0002);
+        arena.init(idx, 0xAAAA_0001, 0x5555_0002);
         assert_eq!(arena.value(idx), 0xAAAA_0001);
         assert_eq!(arena.data(idx), 0x5555_0002);
         // A plain set_value clears the data half (single-word semantics).
@@ -576,6 +740,206 @@ mod tests {
         assert_eq!(std::mem::align_of::<Node>(), 64);
         assert_eq!(std::mem::size_of::<CacheAligned<AtomicUsize>>(), 64);
         assert_eq!(std::mem::align_of::<CacheAligned<AtomicUsize>>(), 64);
+    }
+
+    #[test]
+    fn a_poisoned_free_list_lock_is_recovered() {
+        let arena = NodeArena::new(4);
+        let a = arena.alloc().unwrap();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = arena.free.0.lock().unwrap();
+                panic!("poison the free-list lock");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        assert!(arena.free.0.is_poisoned());
+        // The list is a plain vector of indices: nothing a panic can break.
+        assert_eq!(arena.free_len(), 3);
+        arena.free(a);
+        assert_eq!(arena.alloc(), Some(a));
+        let mut magazine = arena.magazine(1);
+        let b = magazine.alloc().unwrap();
+        magazine.free(b);
+        drop(magazine);
+        assert_eq!(arena.free_len(), 3);
+    }
+
+    #[test]
+    fn one_magazine_exhausts_the_arena_exactly() {
+        use std::collections::HashSet;
+
+        const CAPACITY: usize = 100;
+        let arena = NodeArena::new(CAPACITY);
+        let mut magazine = arena.magazine(1);
+        let held: Vec<u64> = (0..CAPACITY)
+            .map(|i| {
+                magazine
+                    .alloc()
+                    .unwrap_or_else(|| panic!("alloc {i} failed"))
+            })
+            .collect();
+        assert_eq!(held.iter().collect::<HashSet<_>>().len(), CAPACITY);
+        assert!(magazine.alloc().is_none(), "node {CAPACITY} of {CAPACITY}");
+        for &idx in &held {
+            magazine.free(idx);
+        }
+        // What the magazine caches is missing from the shared list, not
+        // from the arena: the same handle gets all of it back.
+        assert!(arena.free_len() < CAPACITY);
+        for i in 0..CAPACITY {
+            assert!(magazine.alloc().is_some(), "realloc {i} failed");
+        }
+        assert!(magazine.alloc().is_none());
+        for idx in held {
+            magazine.free(idx);
+        }
+        drop(magazine);
+        assert_eq!(arena.free_len(), CAPACITY);
+    }
+
+    #[test]
+    fn magazines_conserve_nodes_handed_from_thread_to_thread() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc;
+
+        // A producer allocates, a consumer frees: every node crosses from
+        // one magazine to the other through the shared list.
+        const CAPACITY: usize = 256;
+        const HANDOFFS: usize = 20_000;
+        let arena = NodeArena::new(CAPACITY);
+        let live: Vec<AtomicBool> = (0..CAPACITY).map(|_| AtomicBool::new(false)).collect();
+        let (tx, rx) = mpsc::channel::<u64>();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut magazine = arena.magazine(2);
+                let mut sent = 0;
+                while sent < HANDOFFS {
+                    let Some(idx) = magazine.alloc() else {
+                        // Everything is in flight or in the consumer's hands.
+                        std::thread::yield_now();
+                        continue;
+                    };
+                    assert!(
+                        !live[idx as usize].swap(true, Ordering::SeqCst),
+                        "index {idx} handed out while live"
+                    );
+                    tx.send(idx).expect("the consumer outlives the producer");
+                    sent += 1;
+                }
+                drop(tx);
+            });
+            s.spawn(|| {
+                let mut magazine = arena.magazine(2);
+                for idx in rx {
+                    assert!(live[idx as usize].swap(false, Ordering::SeqCst));
+                    magazine.free(idx);
+                }
+            });
+        });
+        assert_eq!(arena.free_len(), CAPACITY, "a dropped magazine kept nodes");
+    }
+
+    #[test]
+    fn a_double_free_through_a_magazine_stays_observable() {
+        let arena = NodeArena::new(64);
+        let mut magazine = arena.magazine(1);
+        let a = magazine.alloc().unwrap();
+        magazine.free(a);
+        magazine.free(a);
+        // Neither a panic nor a dedupe: the duplicate comes back out, which
+        // is how an unprotected structure's damage reaches the value checks.
+        assert_eq!(magazine.alloc(), Some(a));
+        assert_eq!(magazine.alloc(), Some(a));
+        drop(magazine);
+        assert_eq!(arena.free_len(), 63);
+    }
+
+    #[test]
+    fn a_capacity_zero_magazine_is_the_shared_path_index_for_index() {
+        // E6's arena: 16 nodes among 4 handles spare no magazine.
+        let direct = NodeArena::new(16);
+        let cached = NodeArena::new(16);
+        let mut magazine = cached.magazine(4);
+        let mut held = Vec::new();
+        let mut x = 0x2545_F491u32;
+        for step in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            if !x.is_multiple_of(3) || held.is_empty() {
+                let idx = direct.alloc();
+                assert_eq!(magazine.alloc(), idx, "step {step}: alloc");
+                held.extend(idx);
+            } else {
+                let idx = held.swap_remove(x as usize % held.len());
+                direct.free(idx);
+                magazine.free(idx);
+            }
+            assert_eq!(cached.free_len(), direct.free_len(), "step {step}");
+        }
+        assert_eq!(magazine.capacity, 0);
+    }
+
+    #[test]
+    fn an_allocation_fails_only_within_the_stranding_bound() {
+        const CAPACITY: usize = 512;
+        const HANDLES: usize = 4;
+        let arena = NodeArena::new(CAPACITY);
+        let mut magazines: Vec<_> = (0..HANDLES).map(|_| arena.magazine(HANDLES)).collect();
+        let mut held = Vec::new();
+        let mut failures = 0;
+        let mut x = 0x9E37_79B9u32;
+        for _ in 0..40_000 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            let magazine = &mut magazines[(x >> 4) as usize % HANDLES];
+            // Allocation-heavy, so the arena runs dry again and again.
+            if x % 16 < 9 {
+                match magazine.alloc() {
+                    Some(idx) => held.push(idx),
+                    None => {
+                        failures += 1;
+                        // The failing handle's magazine is empty and so is
+                        // the shared list: whatever is free sits in the other
+                        // handles' magazines.
+                        let free = CAPACITY - held.len();
+                        assert!(
+                            free <= (HANDLES - 1) * magazine.capacity,
+                            "alloc failed with {free} nodes free"
+                        );
+                    }
+                }
+            } else if !held.is_empty() {
+                magazine.free(held.swap_remove((x >> 8) as usize % held.len()));
+            }
+        }
+        assert!(failures > 0, "the script never exhausted the arena");
+        // The capacity rule: all magazines together hold at most an eighth.
+        let capacity = magazines[0].capacity;
+        assert_eq!(capacity, CAPACITY / (MAGAZINE_SHARE * HANDLES));
+        assert!(magazines.iter().all(|m| m.free.len() <= capacity));
+        drop(magazines);
+        assert_eq!(arena.free_len() + held.len(), CAPACITY);
+    }
+
+    #[test]
+    fn a_magazine_grows_the_arena_and_its_own_capacity() {
+        let arena = NodeArena::growable(4, 512);
+        let mut magazine = arena.magazine(1);
+        let held: Vec<u64> = (0..512).map(|_| magazine.alloc().unwrap()).collect();
+        assert_eq!(arena.live_capacity(), 512, "growth served all 512 nodes");
+        assert!(magazine.alloc().is_none(), "the plan is exhausted");
+        for idx in held {
+            magazine.free(idx);
+        }
+        // 4 published nodes spared no magazine; 512 spare a full one.
+        assert_eq!(magazine.capacity, MAGAZINE_MAX);
+        assert!(arena.free_len() >= 512 - MAGAZINE_MAX);
+        drop(magazine);
+        assert_eq!(arena.free_len(), 512);
     }
 
     #[test]

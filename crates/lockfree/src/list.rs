@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use aba_core::Backoff;
 use aba_reclaim::{Guard, Reclaimer, SlotId};
 
-use crate::arena::{NodeArena, NIL};
+use crate::arena::{Magazine, NodeArena, NIL};
 use crate::Window;
 
 /// The three protection lanes of a traversal, rotated hand-over-hand: the
@@ -48,6 +48,8 @@ pub(crate) const LANES: usize = 3;
 pub(crate) struct List<R: Reclaimer> {
     pub(crate) arena: NodeArena,
     pub(crate) reclaim: R,
+    /// Handles the arena is shared among (sizes their magazines).
+    threads: usize,
     /// The registered root slot: the first node for [`Prev::Root`] walks,
     /// permanently [`NIL`] (a pure pin) when every walk starts at an anchor.
     root: SlotId,
@@ -63,6 +65,7 @@ impl<R: Reclaimer> List<R> {
         List {
             arena,
             reclaim,
+            threads,
             root,
             aba_events: AtomicU64::new(0),
             alloc_failures: AtomicU64::new(0),
@@ -75,7 +78,7 @@ impl<R: Reclaimer> List<R> {
     /// in behind it).  Call before any handle exists.
     pub(crate) fn first_anchor(&self, key: u32) -> u64 {
         let idx = self.arena.alloc().expect("initial arena segment is empty");
-        self.arena.set_value_data(idx, key, 0);
+        self.arena.init(idx, key, 0);
         let mut guard = self.reclaim.guard(0, self.arena.live_capacity());
         guard.store_link_mark(self.arena.next_word(idx), NIL, false);
         guard.quiesce();
@@ -102,6 +105,7 @@ impl<R: Reclaimer> List<R> {
         ListHandle {
             list: self,
             guard: self.reclaim.guard(tid, self.arena.live_capacity()),
+            magazine: self.arena.magazine(self.threads),
             backoff: Backoff::new(tid as u64),
             window: PhantomData,
         }
@@ -113,6 +117,9 @@ impl<R: Reclaimer> List<R> {
 pub(crate) struct ListHandle<'a, R: Reclaimer, W: Window> {
     list: &'a List<R>,
     guard: R::Guard<'a>,
+    /// This handle's free nodes; every allocation and free goes through it
+    /// (the map's bucket dummies included).
+    pub(crate) magazine: Magazine<'a>,
     backoff: Backoff,
     window: PhantomData<W>,
 }
@@ -284,7 +291,7 @@ impl<R: Reclaimer, W: Window> ListHandle<'_, R, W> {
                         if arena.generation(cur) != cur_gen {
                             self.list.aba_events.fetch_add(1, Ordering::SeqCst);
                         }
-                        self.guard.retire(cur, |i| arena.free(i));
+                        self.guard.retire(cur, |i| self.magazine.free(i));
                     }
                     continue 'restart;
                 }
@@ -402,21 +409,21 @@ impl<R: Reclaimer, W: Window> ListHandle<'_, R, W> {
         let mut node = None;
         if self
             .guard
-            .admit_alloc(arena.live_capacity(), |i| arena.free(i))
+            .admit_alloc(arena.live_capacity(), |i| self.magazine.free(i))
         {
-            node = arena.alloc().or_else(|| {
-                self.guard.reclaim_pressure(|i| arena.free(i));
-                arena.alloc()
+            node = self.magazine.alloc().or_else(|| {
+                self.guard.reclaim_pressure(|i| self.magazine.free(i));
+                self.magazine.alloc()
             });
         }
         let Some(idx) = node else {
             list.alloc_failures.fetch_add(1, Ordering::SeqCst);
             return false;
         };
-        arena.set_value_data(idx, key, data);
+        arena.init(idx, key, data);
         let linked = matches!(self.splice(from, key, idx), Splice::Linked);
         if !linked {
-            arena.free(idx);
+            self.magazine.free(idx);
         }
         linked
     }
@@ -457,7 +464,7 @@ impl<R: Reclaimer, W: Window> ListHandle<'_, R, W> {
                 if arena.generation(t.cur) != t.cur_gen {
                     self.list.aba_events.fetch_add(1, Ordering::SeqCst);
                 }
-                self.guard.retire(t.cur, |i| arena.free(i));
+                self.guard.retire(t.cur, |i| self.magazine.free(i));
             } else {
                 self.guard.quiesce();
             }
@@ -484,11 +491,11 @@ impl<R: Reclaimer, W: Window> ListHandle<'_, R, W> {
 
 impl<R: Reclaimer, W: Window> Drop for ListHandle<'_, R, W> {
     fn drop(&mut self) {
-        let arena = &self.list.arena;
         self.guard.quiesce();
-        self.guard.reclaim_pressure(|i| arena.free(i));
+        self.guard.reclaim_pressure(|i| self.magazine.free(i));
         // Whatever a deferred scheme still cannot free is orphaned onto its
-        // domain by the guard's own drop and adopted by a later reclaim.
+        // domain by the guard's own drop and adopted by a later reclaim; the
+        // magazine's own drop drains it into the arena's shared list.
     }
 }
 
@@ -582,6 +589,41 @@ mod tests {
         both_starts_agree::<HazardReclaim>();
         both_starts_agree::<LlScReclaim>();
         both_starts_agree::<EpochReclaim>();
+    }
+
+    /// Nothing is stranded in a dead magazine: once every handle has
+    /// dropped, each node is in the arena's shared free list, in the chain,
+    /// or in the scheme's orphaned limbo.
+    fn dropped_handles_leave_every_node_accounted_for<R: Reclaimer>() {
+        const CAPACITY: usize = 256;
+        let (list, from) = list_of::<R>(CAPACITY, false, &[]);
+        {
+            let mut a = list.handle::<Production>(0);
+            let mut b = list.handle::<Production>(1);
+            for key in 0..600u32 {
+                assert!(a.insert(from, key, 0));
+                if !key.is_multiple_of(5) {
+                    assert!(b.remove(from, key));
+                }
+            }
+        }
+        let reachable = chain(&list, from).len();
+        assert_eq!(reachable, 120);
+        assert_eq!(
+            list.arena.free_len() + reachable + list.reclaim.unreclaimed() as usize,
+            CAPACITY,
+            "{:?}",
+            R::SCHEME
+        );
+    }
+
+    #[test]
+    fn dropped_list_handles_leave_every_node_accounted_for() {
+        dropped_handles_leave_every_node_accounted_for::<NoReclaim>();
+        dropped_handles_leave_every_node_accounted_for::<TagReclaim>();
+        dropped_handles_leave_every_node_accounted_for::<HazardReclaim>();
+        dropped_handles_leave_every_node_accounted_for::<LlScReclaim>();
+        dropped_handles_leave_every_node_accounted_for::<EpochReclaim>();
     }
 
     /// The hand-over-hand publication order is load-bearing, shown with

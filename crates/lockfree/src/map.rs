@@ -31,7 +31,7 @@
 //! before that bucket's regular keys, for **every** power-of-two size at
 //! once (DESIGN.md §10).  A node's single value word packs
 //! `mapped_value << 32 | split_order_key`, stored and read atomically via
-//! [`NodeArena::set_value_data`]/[`NodeArena::data`].
+//! [`NodeArena::init`]/[`NodeArena::data`].
 //!
 //! # Why dummies are immortal
 //!
@@ -345,26 +345,25 @@ impl<'a, R: Reclaimer, W: Window> GenericMapHandle<'a, R, W> {
         // from the parent's anchor (bucket 0 is created at construction, so
         // the recursion grounds out).
         let parent = self.bucket_anchor(parent_bucket(bucket))?;
-        let arena = &self.map.list.arena;
-        let Some(idx) = arena.alloc() else {
+        let Some(idx) = self.list.magazine.alloc() else {
             // Exhausted: degrade to the parent's anchor (a longer walk, not
             // an error) and leave the cell for a later operation to fill.
             return Some(parent);
         };
         let so = so_dummy(bucket);
-        arena.set_value_data(idx, so, 0);
+        self.map.list.arena.init(idx, so, 0);
         let dummy = match self.list.splice(Prev::Node(parent), so, idx) {
             Splice::Linked => idx,
             // Another thread's dummy won the race; adopt it.  Both racers
             // CAS the same winner into the cell, so the lost CAS below is
             // benign.
             Splice::Present(winner) => {
-                arena.free(idx);
+                self.list.magazine.free(idx);
                 winner
             }
             // The dummy was never published, hand it straight back.
             Splice::Exhausted => {
-                arena.free(idx);
+                self.list.magazine.free(idx);
                 return None;
             }
         };

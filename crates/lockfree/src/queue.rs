@@ -25,7 +25,7 @@ use aba_reclaim::{
     EpochReclaim, Guard, HazardReclaim, LlScReclaim, NoReclaim, Reclaimer, SlotId, TagReclaim,
 };
 
-use crate::arena::{NodeArena, NIL};
+use crate::arena::{Magazine, NodeArena, NIL};
 use crate::{Family, Production, Racing, Window};
 
 /// A bounded, concurrent FIFO with per-thread handles.
@@ -80,6 +80,8 @@ const LANE_SUCCESSOR: usize = 1;
 #[derive(Debug)]
 pub struct GenericQueue<R: Reclaimer> {
     arena: NodeArena,
+    /// Handles the arena is shared among (sizes their magazines).
+    threads: usize,
     reclaim: R,
     head: SlotId,
     tail: SlotId,
@@ -106,6 +108,7 @@ impl<R: Reclaimer> GenericQueue<R> {
         let tail = reclaim.add_slot(dummy);
         GenericQueue {
             arena,
+            threads,
             reclaim,
             head,
             tail,
@@ -148,6 +151,8 @@ impl<R: Reclaimer> Queue for GenericQueue<R> {
 struct GenericQueueHandle<'a, R: Reclaimer, W: Window> {
     queue: &'a GenericQueue<R>,
     guard: R::Guard<'a>,
+    /// This handle's free nodes; every allocation and free goes through it.
+    magazine: Magazine<'a>,
     backoff: Backoff,
     window: PhantomData<W>,
 }
@@ -157,6 +162,7 @@ impl<'a, R: Reclaimer, W: Window> GenericQueueHandle<'a, R, W> {
         GenericQueueHandle {
             queue,
             guard: queue.reclaim.guard(tid, queue.arena.live_capacity()),
+            magazine: queue.arena.magazine(queue.threads),
             backoff: Backoff::new(tid as u64),
             window: PhantomData,
         }
@@ -207,19 +213,19 @@ impl<R: Reclaimer, W: Window> QueueHandle for GenericQueueHandle<'_, R, W> {
         // allocation while its limbo bound is violated by a stale pin.
         if !self
             .guard
-            .admit_alloc(arena.live_capacity(), |i| arena.free(i))
+            .admit_alloc(arena.live_capacity(), |i| self.magazine.free(i))
         {
             q.alloc_failures.fetch_add(1, Ordering::SeqCst);
             return false;
         }
-        let idx = match arena.alloc() {
+        let idx = match self.magazine.alloc() {
             Some(idx) => idx,
             None => {
                 // The arena may be exhausted only because the scheme still
                 // holds retired-but-reclaimable nodes; reclaim and retry
                 // once (a no-op for the immediate-free schemes).
-                self.guard.reclaim_pressure(|i| arena.free(i));
-                match arena.alloc() {
+                self.guard.reclaim_pressure(|i| self.magazine.free(i));
+                match self.magazine.alloc() {
                     Some(idx) => idx,
                     None => {
                         q.alloc_failures.fetch_add(1, Ordering::SeqCst);
@@ -228,7 +234,7 @@ impl<R: Reclaimer, W: Window> QueueHandle for GenericQueueHandle<'_, R, W> {
                 }
             }
         };
-        arena.set_value(idx, value);
+        arena.init(idx, value, 0);
         // Re-nil our node's next link through the guard: the tagging scheme
         // preserves (and bumps) the link's tag across recycling here, which
         // is what defeats a stale CAS aimed at this node's previous
@@ -262,7 +268,7 @@ impl<R: Reclaimer, W: Window> QueueHandle for GenericQueueHandle<'_, R, W> {
         // on a cycle).  Give the node back and report the event.
         q.aba_events.fetch_add(1, Ordering::SeqCst);
         self.guard.quiesce();
-        arena.free(idx);
+        self.magazine.free(idx);
         false
     }
 
@@ -315,7 +321,7 @@ impl<R: Reclaimer, W: Window> QueueHandle for GenericQueueHandle<'_, R, W> {
                 if arena.generation(head) != generation {
                     q.aba_events.fetch_add(1, Ordering::SeqCst);
                 }
-                self.guard.retire(head, |i| arena.free(i));
+                self.guard.retire(head, |i| self.magazine.free(i));
                 // The operation is over: drop the pin.  A consumer that
                 // never observes the queue empty would otherwise stay pinned
                 // at its first dequeue's epoch and block every later advance
@@ -336,11 +342,11 @@ impl<R: Reclaimer, W: Window> QueueHandle for GenericQueueHandle<'_, R, W> {
 
 impl<R: Reclaimer, W: Window> Drop for GenericQueueHandle<'_, R, W> {
     fn drop(&mut self) {
-        let arena = &self.queue.arena;
         self.guard.quiesce();
-        self.guard.reclaim_pressure(|i| arena.free(i));
+        self.guard.reclaim_pressure(|i| self.magazine.free(i));
         // Whatever a deferred scheme still cannot free is orphaned onto its
-        // domain by the guard's own drop and adopted by a later reclaim.
+        // domain by the guard's own drop and adopted by a later reclaim; the
+        // magazine's own drop drains it into the arena's shared list.
     }
 }
 
@@ -390,6 +396,41 @@ mod tests {
         fifo_smoke(&HazardQueue::with_threads(8, 2));
         fifo_smoke(&EpochQueue::with_threads(8, 2));
         fifo_smoke(&LlScQueue::with_threads(8, 2));
+    }
+
+    /// Nothing is stranded in a dead magazine: once every handle has
+    /// dropped, each node is in the arena's shared free list, in the queue
+    /// (its dummy included), or in the scheme's orphaned limbo.
+    #[test]
+    fn dropped_handles_leave_every_node_accounted_for() {
+        fn check<R: Reclaimer>() {
+            const CAPACITY: usize = 255;
+            let queue = GenericQueue::<R>::with_threads(CAPACITY, 2);
+            let mut queued = 0;
+            {
+                let mut a = queue.handle(0);
+                let mut b = queue.handle(1);
+                for round in 0..500u32 {
+                    assert!(a.enqueue(round));
+                    queued += 1;
+                    if !round.is_multiple_of(5) {
+                        assert!(b.dequeue().is_some());
+                        queued -= 1;
+                    }
+                }
+            }
+            assert_eq!(
+                queue.arena.free_len() + queued + 1 + queue.unreclaimed() as usize,
+                CAPACITY + 1,
+                "{:?}",
+                R::SCHEME
+            );
+        }
+        check::<NoReclaim>();
+        check::<TagReclaim>();
+        check::<HazardReclaim>();
+        check::<LlScReclaim>();
+        check::<EpochReclaim>();
     }
 
     #[test]

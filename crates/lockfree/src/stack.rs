@@ -29,7 +29,7 @@ use aba_reclaim::{
     EpochReclaim, Guard, HazardReclaim, LlScReclaim, NoReclaim, Reclaimer, SlotId, TagReclaim,
 };
 
-use crate::arena::{NodeArena, NIL};
+use crate::arena::{Magazine, NodeArena, NIL};
 use crate::{Family, Production, Racing, Window};
 
 /// A bounded, concurrent LIFO with per-thread handles.
@@ -75,6 +75,8 @@ pub trait StackHandle: Send {
 #[derive(Debug)]
 pub struct GenericStack<R: Reclaimer> {
     arena: NodeArena,
+    /// Handles the arena is shared among (sizes their magazines).
+    threads: usize,
     reclaim: R,
     head: SlotId,
     aba_events: AtomicU64,
@@ -94,6 +96,7 @@ impl<R: Reclaimer> GenericStack<R> {
         let head = reclaim.add_slot(NIL);
         GenericStack {
             arena: NodeArena::new(capacity),
+            threads,
             reclaim,
             head,
             aba_events: AtomicU64::new(0),
@@ -155,6 +158,8 @@ enum CentralPop {
 struct GenericStackHandle<'a, R: Reclaimer, W: Window> {
     stack: &'a GenericStack<R>,
     guard: R::Guard<'a>,
+    /// This handle's free nodes; every allocation and free goes through it.
+    magazine: Magazine<'a>,
     backoff: Backoff,
     window: PhantomData<W>,
 }
@@ -170,6 +175,7 @@ impl<'a, R: Reclaimer, W: Window> GenericStackHandle<'a, R, W> {
         GenericStackHandle {
             stack,
             guard: stack.reclaim.guard(tid, stack.arena.live_capacity()),
+            magazine: stack.arena.magazine(stack.threads),
             backoff: Backoff::new(tid as u64),
             window: PhantomData,
         }
@@ -191,19 +197,19 @@ impl<'a, R: Reclaimer, W: Window> GenericStackHandle<'a, R, W> {
         // pin elsewhere — the op fails fast instead of draining the arena.
         if !self
             .guard
-            .admit_alloc(arena.live_capacity(), |i| arena.free(i))
+            .admit_alloc(arena.live_capacity(), |i| self.magazine.free(i))
         {
             stack.alloc_failures.fetch_add(1, Ordering::SeqCst);
             return CentralPush::Full;
         }
-        let idx = match arena.alloc() {
+        let idx = match self.magazine.alloc() {
             Some(idx) => idx,
             None => {
                 // The arena may be exhausted only because the scheme still
                 // holds retired-but-reclaimable nodes; reclaim and retry
                 // once (a no-op for the immediate-free schemes).
-                self.guard.reclaim_pressure(|i| arena.free(i));
-                match arena.alloc() {
+                self.guard.reclaim_pressure(|i| self.magazine.free(i));
+                match self.magazine.alloc() {
                     Some(idx) => idx,
                     None => {
                         stack.alloc_failures.fetch_add(1, Ordering::SeqCst);
@@ -212,7 +218,7 @@ impl<'a, R: Reclaimer, W: Window> GenericStackHandle<'a, R, W> {
                 }
             }
         };
-        arena.set_value(idx, value);
+        arena.init(idx, value, 0);
         // retry-bound: at most `max_attempts` CAS rounds per call.
         let mut attempts = 0;
         loop {
@@ -230,7 +236,7 @@ impl<'a, R: Reclaimer, W: Window> GenericStackHandle<'a, R, W> {
             if attempts >= max_attempts {
                 // The node was never published, so it can go straight back
                 // to the arena.
-                arena.free(idx);
+                self.magazine.free(idx);
                 self.guard.quiesce();
                 return CentralPush::Contended;
             }
@@ -273,7 +279,7 @@ impl<'a, R: Reclaimer, W: Window> GenericStackHandle<'a, R, W> {
                 // Read the value *before* retiring: an immediate-free scheme
                 // may recycle the node the instant it is handed back.
                 let value = arena.value(head);
-                self.guard.retire(head, |i| arena.free(i));
+                self.guard.retire(head, |i| self.magazine.free(i));
                 // The operation is over: drop the pin.  A popper that never
                 // quiesces stays pinned at its first operation's epoch and
                 // blocks every later advance — the E9 parking pathology
@@ -313,11 +319,11 @@ impl<R: Reclaimer, W: Window> StackHandle for GenericStackHandle<'_, R, W> {
 
 impl<R: Reclaimer, W: Window> Drop for GenericStackHandle<'_, R, W> {
     fn drop(&mut self) {
-        let arena = &self.stack.arena;
         self.guard.quiesce();
-        self.guard.reclaim_pressure(|i| arena.free(i));
+        self.guard.reclaim_pressure(|i| self.magazine.free(i));
         // Whatever a deferred scheme still cannot free is orphaned onto its
-        // domain by the guard's own drop and adopted by a later reclaim.
+        // domain by the guard's own drop and adopted by a later reclaim; the
+        // magazine's own drop drains it into the arena's shared list.
     }
 }
 
@@ -935,6 +941,42 @@ mod tests {
              must bound the retired list"
         );
         drop(parked);
+    }
+
+    /// Nothing is stranded in a dead magazine: once every handle has
+    /// dropped, each node is in the arena's shared free list, in the stack,
+    /// or in the scheme's orphaned limbo.
+    #[test]
+    fn dropped_handles_leave_every_node_accounted_for() {
+        fn check<R: Reclaimer>() {
+            const CAPACITY: usize = 256;
+            let stack = GenericStack::<R>::with_threads(CAPACITY, 2);
+            let mut stacked = 0;
+            {
+                let mut a = stack.handle(0);
+                let mut b = stack.handle(1);
+                for round in 0..500u32 {
+                    assert!(a.push(round) && b.push(round));
+                    stacked += 2;
+                    if !round.is_multiple_of(5) {
+                        // Each pops what the other pushed: nodes cross over.
+                        assert!(a.pop().is_some() && b.pop().is_some());
+                        stacked -= 2;
+                    }
+                }
+            }
+            assert_eq!(
+                stack.arena.free_len() + stacked + stack.unreclaimed() as usize,
+                CAPACITY,
+                "{:?}",
+                R::SCHEME
+            );
+        }
+        check::<NoReclaim>();
+        check::<TagReclaim>();
+        check::<HazardReclaim>();
+        check::<LlScReclaim>();
+        check::<EpochReclaim>();
     }
 
     #[test]

@@ -363,12 +363,14 @@ pub trait Guard: Send {
 
     /// Store a plain link word designating `idx` ([`NIL`] allowed), in the
     /// slot-word encoding [`Guard::index_of`] decodes.  Only legal on a node
-    /// the calling thread owns (freshly allocated, not yet linked).  The
-    /// default is the bare store; the tagging scheme overrides it to
+    /// the calling thread owns (freshly allocated, not yet linked), which is
+    /// why the store is `Relaxed`: the CAS that links the node publishes it.
+    /// The default is the bare store; the tagging scheme overrides it to
     /// preserve — and bump — the link's tag across recycling.
     #[inline]
     fn store_link(&self, link: &AtomicU64, idx: u64) {
-        link.store(idx, Ordering::SeqCst);
+        // ordering: private until the publishing CAS, which stays `SeqCst`.
+        link.store(idx, Ordering::Relaxed);
     }
 
     /// CAS a plain link word from the observed `raw` to a word designating
@@ -389,11 +391,13 @@ pub trait Guard: Send {
     /// deleted mark.  Only legal on a node the calling thread owns, which
     /// makes the read-then-store race-free; the counted codec continues the
     /// word's previous counter, which is what defeats a stale CAS aimed at
-    /// the node's earlier incarnation.
+    /// the node's earlier incarnation.  The store is `Relaxed` on the same
+    /// ground as [`Guard::store_link`]'s.
     #[inline]
     fn store_link_mark(&self, link: &AtomicU64, idx: u64, marked: bool) {
         let old = link.load(Ordering::SeqCst);
-        link.store(Self::Links::encode(old, idx, marked), Ordering::SeqCst);
+        // ordering: private until the publishing CAS, which stays `SeqCst`.
+        link.store(Self::Links::encode(old, idx, marked), Ordering::Relaxed);
     }
 
     /// CAS a mark-capable link word from the observed `raw` to a word
@@ -598,7 +602,8 @@ impl Guard for TagGuard<'_> {
         // previous tag across recycling is what defeats a stale CAS aimed at
         // the node's earlier incarnation.
         let old = link.load(Ordering::SeqCst);
-        link.store(Self::bump(old, idx), Ordering::SeqCst);
+        // ordering: private until the publishing CAS, which stays `SeqCst`.
+        link.store(Self::bump(old, idx), Ordering::Relaxed);
     }
 
     fn cas_link(&self, link: &AtomicU64, raw: u64, idx: u64) -> bool {
