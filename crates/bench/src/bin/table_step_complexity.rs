@@ -18,6 +18,7 @@ use aba_bench::{exit_on_failures, gate, Table};
 use aba_core::{
     stacks, AbaHandle, AbaRegisterObject, AnnounceLlSc, BoundedAbaRegister, LlScHandle, LlScObject,
 };
+use aba_sim::algorithms::announce::AnnounceSim;
 use aba_sim::algorithms::fig3::Fig3Sim;
 use aba_sim::algorithms::fig4::Fig4Sim;
 use aba_sim::{measure_llsc_worst_case, measure_register_worst_case};
@@ -46,12 +47,83 @@ fn min_ns_per_op(mut op: impl FnMut(u32)) -> f64 {
     (0..7).map(|_| batch()).fold(f64::INFINITY, f64::min)
 }
 
-/// `cell(n)` up to [`SIM_MAX_N`], a dash beyond.
-fn up_to_sim_max(n: usize, cell: impl FnOnce() -> u64) -> String {
-    if n <= SIM_MAX_N {
-        cell().to_string()
-    } else {
-        "-".to_string()
+/// `cell(n)` up to [`SIM_MAX_N`], nothing beyond.
+fn up_to_sim_max(n: usize, cell: impl FnOnce() -> u64) -> Option<u64> {
+    (n <= SIM_MAX_N).then(cell)
+}
+
+/// A simulator cell: the count, or a dash beyond [`SIM_MAX_N`].
+fn or_dash(cell: Option<u64>) -> String {
+    cell.map_or("-".to_string(), |steps| steps.to_string())
+}
+
+/// One row of the E1/E4 table.
+struct RegisterRow {
+    n: usize,
+    dwrite_steps: u64,
+    dwrite_ns: f64,
+    dread_adversary: Option<u64>,
+    over_cas_dread: Option<u64>,
+    over_announce_dread: u64,
+}
+
+/// One row of the E2 table.
+struct LlScRow {
+    n: usize,
+    fig3_adversary: Option<u64>,
+    announce_adversary: Option<u64>,
+    announce_steps: u64,
+    announce_ns: f64,
+    moir_steps: u64,
+}
+
+/// A fresh reader's first `DRead` on `reg`: its `VL` holds, so this is the
+/// quiet path's step count.
+fn first_dread_steps(reg: &dyn AbaRegisterObject) -> u64 {
+    let mut h = reg.handle(1);
+    let _ = h.dread();
+    h.last_op_steps()
+}
+
+fn register_row(n: usize) -> RegisterRow {
+    let fig4 = BoundedAbaRegister::new(n);
+    let mut w = fig4.handle(0);
+    w.dwrite(1);
+    RegisterRow {
+        n,
+        dwrite_steps: w.last_op_steps(),
+        dwrite_ns: min_ns_per_op(|v| w.dwrite(v)),
+        dread_adversary: up_to_sim_max(n, || {
+            measure_register_worst_case(&Fig4Sim::new(n), 1, 8).worst_case
+        }),
+        over_cas_dread: up_to_sim_max(n, || first_dread_steps(&stacks::over_cas(n))),
+        over_announce_dread: first_dread_steps(&stacks::over_announce(n)),
+    }
+}
+
+fn llsc_row(n: usize) -> LlScRow {
+    let announce = AnnounceLlSc::new(n);
+    let mut h = announce.handle(0);
+    h.ll();
+    let announce_steps = h.last_op_steps();
+    let announce_ns = min_ns_per_op(|v| {
+        black_box(h.ll());
+        black_box(h.sc(v));
+    });
+    let moir = aba_core::MoirLlSc::new(n);
+    let mut h = LlScObject::handle(&moir, 0);
+    h.ll();
+    LlScRow {
+        n,
+        fig3_adversary: up_to_sim_max(n, || {
+            measure_llsc_worst_case(&Fig3Sim::new(n), 0, 8).worst_case
+        }),
+        announce_adversary: up_to_sim_max(n, || {
+            measure_llsc_worst_case(&AnnounceSim::new(n), 0, 8).worst_case
+        }),
+        announce_steps,
+        announce_ns,
+        moir_steps: h.last_op_steps(),
     }
 }
 
@@ -59,84 +131,42 @@ fn main() {
     aba_bench::Args::from_env(""); // takes no flags: anything given is a mistake
 
     // --- ABA-detecting registers (E1, E4) -------------------------------
-    let mut reg_table = Table::new(
+    let reg_rows: Vec<RegisterRow> = NS.iter().map(|&n| register_row(n)).collect();
+    let reg_table = Table::of(
         "E1/E4: ABA-detecting register step complexity vs n (worst case observed under the simulator adversary / sequential hardware count) and Figure 4 DWrite wall clock",
-        &["n", "Figure 4 DWrite", "Figure 4 DWrite ns (hw)", "Figure 4 DRead", "Fig.5/Fig.3 DRead (hw)", "Fig.5/Announce DRead (hw)"],
+        &reg_rows,
+        &[
+            ("n", &|r| r.n.to_string()),
+            ("Figure 4 DWrite", &|r| r.dwrite_steps.to_string()),
+            ("Figure 4 DWrite ns (hw)", &|r| format!("{:.1}", r.dwrite_ns)),
+            ("Figure 4 DRead", &|r| or_dash(r.dread_adversary)),
+            ("Fig.5/Fig.3 DRead (hw)", &|r| or_dash(r.over_cas_dread)),
+            ("Fig.5/Announce DRead (hw)", &|r| r.over_announce_dread.to_string()),
+        ],
     );
-    let mut dwrite_ns = Vec::new();
-    for &n in &NS {
-        let fig4 = BoundedAbaRegister::new(n);
-        let mut w = fig4.handle(0);
-        w.dwrite(1);
-        let dwrite_steps = w.last_op_steps();
-        let ns = min_ns_per_op(|v| w.dwrite(v));
-        dwrite_ns.push((n, ns));
-
-        let over_announce = stacks::over_announce(n);
-        let mut h = AbaRegisterObject::handle(&over_announce, 1);
-        let _ = h.dread();
-        let over_announce_steps = h.last_op_steps();
-
-        reg_table.row(&[
-            n.to_string(),
-            dwrite_steps.to_string(),
-            format!("{ns:.1}"),
-            up_to_sim_max(n, || {
-                measure_register_worst_case(&Fig4Sim::new(n), 1, 8).worst_case
-            }),
-            up_to_sim_max(n, || {
-                let over_cas = stacks::over_cas(n);
-                let mut h = AbaRegisterObject::handle(&over_cas, 1);
-                let _ = h.dread();
-                h.last_op_steps()
-            }),
-            over_announce_steps.to_string(),
-        ]);
-    }
     println!("{}", reg_table.render());
     println!("Expected shape: the Figure 4 columns are constant in n (Theorem 3), the nanoseconds as much as the steps; the Figure 5 stacks add at most a constant number of LL/SC/VL operations (Theorem 4).\n");
 
     // --- LL/SC/VL (E2) ---------------------------------------------------
-    let mut llsc_table = Table::new(
+    let llsc_rows: Vec<LlScRow> = NS.iter().map(|&n| llsc_row(n)).collect();
+    let llsc_table = Table::of(
         "E2: LL/SC/VL worst-case LL step count vs n (simulator adversary) and announce LL+SC wall clock",
+        &llsc_rows,
         &[
-            "n",
-            "Figure 3 (1 CAS)",
-            "design bound 2n+1",
-            "Announce (1 CAS + n regs)",
-            "Announce LL+SC ns (hw)",
-            "Moir (unbounded)",
+            ("n", &|r| r.n.to_string()),
+            ("Figure 3 (1 CAS)", &|r| or_dash(r.fig3_adversary)),
+            ("design bound 2n+1", &|r| (2 * r.n + 1).to_string()),
+            ("Announce LL (sim adversary)", &|r| or_dash(r.announce_adversary)),
+            ("Announce (1 CAS + n regs)", &|r| r.announce_steps.to_string()),
+            ("Announce LL+SC ns (hw)", &|r| format!("{:.1}", r.announce_ns)),
+            ("Moir (unbounded)", &|r| r.moir_steps.to_string()),
         ],
     );
-    let mut llsc_ns = Vec::new();
-    for &n in &NS {
-        let announce = AnnounceLlSc::new(n);
-        let mut h = announce.handle(0);
-        h.ll();
-        let announce_steps = h.last_op_steps();
-        let ns = min_ns_per_op(|v| {
-            black_box(h.ll());
-            black_box(h.sc(v));
-        });
-        llsc_ns.push((n, ns));
-        let moir = aba_core::MoirLlSc::new(n);
-        let mut h = LlScObject::handle(&moir, 0);
-        h.ll();
-        let moir_steps = h.last_op_steps();
-        llsc_table.row(&[
-            n.to_string(),
-            up_to_sim_max(n, || {
-                measure_llsc_worst_case(&Fig3Sim::new(n), 0, 8).worst_case
-            }),
-            (2 * n + 1).to_string(),
-            announce_steps.to_string(),
-            format!("{ns:.1}"),
-            moir_steps.to_string(),
-        ]);
-    }
     println!("{}", llsc_table.render());
-    println!("Expected shape: the Figure 3 column grows linearly with n and stays within its 2n+1 design bound (Theorem 2); the other columns are constant.");
+    println!("Expected shape: the Figure 3 column grows linearly with n and stays within its 2n+1 design bound (Theorem 2); the other columns are constant — the announce LL under the same adversary included.");
 
+    let dwrite_ns: Vec<(usize, f64)> = reg_rows.iter().map(|r| (r.n, r.dwrite_ns)).collect();
+    let llsc_ns: Vec<(usize, f64)> = llsc_rows.iter().map(|r| (r.n, r.announce_ns)).collect();
     println!();
     let mut failures = Vec::new();
     for (object, ns_by_n) in [

@@ -49,15 +49,21 @@
 //! This gives the `(m, t) = (n + 1, O(1))` point of the paper's time–space
 //! tradeoff table, matching the `m·t = Ω(n)` lower bound of Corollary 1 up to
 //! a constant.
+//!
+//! [`Announce`] is the only copy of the three methods in the workspace:
+//! written over [`crate::mem::Mem`], it is [`AnnounceLlSc`]'s handle when
+//! run on the object's atomic words and `aba_sim`'s `AnnounceSim` process —
+//! the argument above, met by an adversarial scheduler — when run on the
+//! simulator's memory.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 
 use aba_spec::{LlScHandle, LlScObject, ProcessId, SpaceUsage, Word, INITIAL_WORD};
 
+use crate::mem::{Handle, LlScCode, Mem, Obj};
 use crate::pack::{Pair, Triple, MAX_PROCESSES};
 use crate::pad::CachePadded;
-use crate::seqpool::SeqRecycler;
-use crate::stepcount::LocalSteps;
+use crate::seqpool::{GetSeq, SeqRecycler};
 
 /// LL/SC/VL from one bounded CAS object plus `n` bounded registers with O(1)
 /// step complexity (Anderson–Moir / Jayanti–Petrovic style).
@@ -71,6 +77,10 @@ pub struct AnnounceLlSc {
     /// other processes announce on.
     announce: Box<[CachePadded<AtomicU64>]>,
 }
+
+/// Per-process handle of [`AnnounceLlSc`]: [`Announce`] on the object's
+/// atomics.
+pub type AnnounceLlScHandle<'a> = Handle<'a, Announce>;
 
 impl AnnounceLlSc {
     /// An object for `n` processes with initial value [`INITIAL_WORD`].
@@ -106,38 +116,7 @@ impl AnnounceLlSc {
     ///
     /// Panics if `pid >= self.processes()`.
     pub fn handle(&self, pid: ProcessId) -> AnnounceLlScHandle<'_> {
-        assert!(pid < self.n, "pid {pid} out of range for n={}", self.n);
-        AnnounceLlScHandle {
-            obj: self,
-            pid,
-            link: Triple::initial(INITIAL_WORD),
-            valid: false,
-            seqs: SeqRecycler::new(self.n, pid),
-            steps: LocalSteps::new(),
-        }
-    }
-
-    fn read_x(&self) -> Triple {
-        Triple::unpack(self.x.load(Ordering::SeqCst))
-    }
-
-    fn cas_x(&self, expected: Triple, new: Triple) -> bool {
-        self.x
-            .compare_exchange(
-                expected.pack(),
-                new.pack(),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_ok()
-    }
-
-    fn read_announce(&self, slot: usize) -> Pair {
-        Pair::unpack(self.announce[slot].load(Ordering::SeqCst))
-    }
-
-    fn write_announce(&self, slot: usize, pair: Pair) {
-        self.announce[slot].store(pair.pack(), Ordering::SeqCst);
+        Handle::new(pid, Announce::new(self.n, pid), &self.x, &self.announce)
     }
 }
 
@@ -159,10 +138,11 @@ impl LlScObject for AnnounceLlSc {
     }
 }
 
-/// Per-process handle of [`AnnounceLlSc`].
-#[derive(Debug)]
-pub struct AnnounceLlScHandle<'a> {
-    obj: &'a AnnounceLlSc,
+/// The construction's per-process code and local variables, on any [`Mem`]
+/// whose `X` is the CAS object `(value, p, s)` and whose `A` is the announce
+/// array.
+#[derive(Debug, Clone)]
+pub struct Announce {
     pid: ProcessId,
     /// The triple read (and announced) by the last `LL`.
     link: Triple,
@@ -170,100 +150,80 @@ pub struct AnnounceLlScHandle<'a> {
     valid: bool,
     /// `GetSeq` state; sequence numbers are committed only on successful CAS.
     seqs: SeqRecycler,
-    steps: LocalSteps,
 }
 
-impl AnnounceLlScHandle<'_> {
+impl Announce {
+    /// The code of process `pid` of `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`, `n > MAX_PROCESSES` or `pid >= n`.
+    pub fn new(n: usize, pid: ProcessId) -> Self {
+        Announce {
+            pid,
+            link: Triple::initial(INITIAL_WORD),
+            valid: false,
+            seqs: SeqRecycler::new(n, pid),
+        }
+    }
+}
+
+impl LlScCode for Announce {
     /// `LL()`: 3 shared-memory steps.
-    pub fn ll(&mut self) -> Word {
-        self.steps.begin();
-        let first = self.obj.read_x();
-        self.steps.step();
-        self.obj.write_announce(self.pid, first.pair());
-        self.steps.step();
-        let second = self.obj.read_x();
-        self.steps.step();
+    #[inline]
+    fn ll<M: Mem>(&mut self, m: &mut M) -> Result<Word, M::Stop> {
+        let first = Triple::unpack(m.read(Obj::X)?);
+        m.write(Obj::A(self.pid), first.pair().pack())?;
+        let second = Triple::unpack(m.read(Obj::X)?);
         self.link = first;
         self.valid = first == second;
-        self.steps.end();
-        first.value
+        Ok(first.value)
     }
 
     /// `SC(x)`: at most 2 shared-memory steps.
-    pub fn sc(&mut self, value: Word) -> bool {
-        self.steps.begin();
+    #[inline]
+    fn sc<M: Mem>(&mut self, value: Word, m: &mut M) -> Result<bool, M::Stop> {
         if !self.valid {
-            self.steps.end();
-            return false;
+            return Ok(false);
         }
         // GetSeq: scan one announce slot, choose a number outside
         // usedQ ∪ na.
         let slot = self.seqs.slot_to_scan();
-        let announced = self.obj.read_announce(slot);
-        self.steps.step();
+        let announced = Pair::unpack(m.read(Obj::A(slot))?);
         self.seqs.observe(slot, announced);
-        let s = self.seqs.choose();
-        let new = Triple {
-            value,
-            pid: self.pid as u16,
-            seq: s,
-        };
-        let ok = self.obj.cas_x(self.link, new);
-        self.steps.step();
+        let seq = self.seqs.choose();
+        let pid = self.pid as u16;
+        let new = Triple { value, pid, seq };
+        let ok = m.cas(Obj::X, self.link.pack(), new.pack())?;
         if ok {
             // Commit the number only when it was actually published.
-            self.seqs.commit(s);
+            self.seqs.commit(seq);
         }
         // Either way the link is consumed: if the CAS succeeded our own SC
         // invalidates the link; if it failed, some other SC succeeded.
         self.valid = false;
-        self.steps.end();
-        ok
+        Ok(ok)
     }
 
     /// `VL()`: 1 shared-memory step.
-    pub fn vl(&mut self) -> bool {
-        self.steps.begin();
+    #[inline]
+    fn vl<M: Mem>(&self, m: &mut M) -> Result<bool, M::Stop> {
         if !self.valid {
-            self.steps.end();
-            return false;
+            return Ok(false);
         }
-        let cur = self.obj.read_x();
-        self.steps.step();
-        self.steps.end();
-        cur == self.link
-    }
-}
-
-impl LlScHandle for AnnounceLlScHandle<'_> {
-    fn pid(&self) -> ProcessId {
-        self.pid
-    }
-
-    fn ll(&mut self) -> Word {
-        AnnounceLlScHandle::ll(self)
-    }
-
-    fn sc(&mut self, value: Word) -> bool {
-        AnnounceLlScHandle::sc(self, value)
-    }
-
-    fn vl(&mut self) -> bool {
-        AnnounceLlScHandle::vl(self)
-    }
-
-    fn step_count(&self) -> u64 {
-        self.steps.total()
-    }
-
-    fn last_op_steps(&self) -> u64 {
-        self.steps.last_op()
+        let cur = Triple::unpack(m.read(Obj::X)?);
+        Ok(cur == self.link)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
+
+    fn x_of(obj: &AnnounceLlSc) -> Triple {
+        Triple::unpack(obj.x.load(Ordering::SeqCst))
+    }
 
     #[test]
     fn basic_cycle() {
@@ -376,7 +336,7 @@ mod tests {
             }
             writer.ll();
             assert!(writer.sc(i as Word), "uncontended SC {i}");
-            x.read_x().seq
+            x_of(&x).seq
         });
         crate::seqpool::assert_recycling_window(n, published);
     }
@@ -397,7 +357,7 @@ mod tests {
         for i in 0..200 {
             h.ll();
             assert!(h.sc(i));
-            let t = x.read_x();
+            let t = x_of(&x);
             assert!(t.seq < (2 * n + 2) as u16, "seq {} out of domain", t.seq);
         }
     }
@@ -418,7 +378,7 @@ mod tests {
         // a can still publish with an in-domain sequence number afterwards.
         a.ll();
         assert!(a.sc(7));
-        assert!(x.read_x().seq < (2 * n + 2) as u16);
+        assert!(x_of(&x).seq < (2 * n + 2) as u16);
     }
 
     #[test]

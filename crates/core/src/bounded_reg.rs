@@ -18,17 +18,22 @@
 //! late in my previous `DRead`" into the next `DRead` (lines 38–50 of the
 //! paper).
 //!
-//! The implementation below follows the pseudo-code line by line; the line
-//! numbers in comments refer to Figure 4.
+//! [`Fig4`] follows the pseudo-code line by line (the line numbers in
+//! comments refer to Figure 4) and is the only copy of it in the workspace:
+//! written over [`crate::mem::Mem`], it is [`BoundedAbaRegister`]'s handle
+//! when run on the object's atomic words and `aba_sim`'s `Fig4Sim` process
+//! when run on the simulator's memory.  The local half of `GetSeq` is its
+//! parameter ([`GetSeq`]): [`SeqRecycler`] here, a scan the lower-bound
+//! experiments can under-provision there.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 
 use aba_spec::{AbaHandle, AbaRegisterObject, ProcessId, SpaceUsage, Word, INITIAL_WORD};
 
+use crate::mem::{Handle, Mem, Obj, RegisterCode};
 use crate::pack::{Pair, Triple, MAX_PROCESSES};
 use crate::pad::CachePadded;
-use crate::seqpool::SeqRecycler;
-use crate::stepcount::LocalSteps;
+use crate::seqpool::{GetSeq, SeqRecycler};
 
 /// The Figure 4 ABA-detecting register (`n + 1` bounded registers, O(1)
 /// steps).
@@ -43,6 +48,10 @@ pub struct BoundedAbaRegister {
     announce: Box<[CachePadded<AtomicU64>]>,
     initial: Word,
 }
+
+/// Per-process handle of [`BoundedAbaRegister`]: [`Fig4`] on the object's
+/// atomics.
+pub type BoundedAbaHandle<'a> = Handle<'a, Fig4<SeqRecycler>>;
 
 impl BoundedAbaRegister {
     /// A register for `n` processes with initial value [`INITIAL_WORD`].
@@ -84,30 +93,8 @@ impl BoundedAbaRegister {
     ///
     /// Panics if `pid >= self.processes()`.
     pub fn handle(&self, pid: ProcessId) -> BoundedAbaHandle<'_> {
-        assert!(pid < self.n, "pid {pid} out of range for n={}", self.n);
-        BoundedAbaHandle {
-            reg: self,
-            pid,
-            b: false,
-            seqs: SeqRecycler::new(self.n, pid),
-            steps: LocalSteps::new(),
-        }
-    }
-
-    fn read_x(&self) -> Triple {
-        Triple::unpack(self.x.load(Ordering::SeqCst))
-    }
-
-    fn write_x(&self, t: Triple) {
-        self.x.store(t.pack(), Ordering::SeqCst);
-    }
-
-    fn read_announce(&self, slot: usize) -> Pair {
-        Pair::unpack(self.announce[slot].load(Ordering::SeqCst))
-    }
-
-    fn write_announce(&self, slot: usize, pair: Pair) {
-        self.announce[slot].store(pair.pack(), Ordering::SeqCst);
+        let code = Fig4::new(pid, pid, SeqRecycler::new(self.n, pid));
+        Handle::new(pid, code, &self.x, &self.announce)
     }
 }
 
@@ -131,92 +118,78 @@ impl AbaRegisterObject for BoundedAbaRegister {
     }
 }
 
-/// Per-process handle of [`BoundedAbaRegister`], carrying the paper's local
-/// variables `b`, `usedQ`, `na` and `c`.
-#[derive(Debug)]
-pub struct BoundedAbaHandle<'a> {
-    reg: &'a BoundedAbaRegister,
+/// Figure 4's per-process code and its local variables — the flag `b` and,
+/// in `seqs`, `GetSeq`'s `usedQ`, `na` and `c` — on any [`Mem`] whose `X` is
+/// the register `(x, p, s)` and whose `A` is the announce array.
+#[derive(Debug, Clone)]
+pub struct Fig4<S> {
     pid: ProcessId,
+    /// The entry of `A` this process announces on: `pid`, unless a simulated
+    /// instance is deliberately given fewer registers than processes.
+    slot: usize,
     /// Local flag `b`: a write linearized during my previous `DRead` after
     /// that operation's linearization point.
     b: bool,
-    /// `GetSeq` state (`usedQ`, `na`, `c`).
-    seqs: SeqRecycler,
-    steps: LocalSteps,
+    seqs: S,
 }
 
-impl BoundedAbaHandle<'_> {
+impl<S: GetSeq> Fig4<S> {
+    /// The code of process `pid`, announcing on `A[slot]` and drawing its
+    /// sequence numbers from `seqs`.
+    pub fn new(pid: ProcessId, slot: usize, seqs: S) -> Self {
+        Fig4 {
+            pid,
+            slot,
+            b: false,
+            seqs,
+        }
+    }
+}
+
+impl<S: GetSeq> RegisterCode for Fig4<S> {
     /// `DWrite(x)` — Figure 4 lines 26–27.
-    pub fn dwrite(&mut self, value: Word) {
-        self.steps.begin();
+    #[inline]
+    fn dwrite<M: Mem>(&mut self, value: Word, m: &mut M) -> Result<(), M::Stop> {
         // line 26: s <- GetSeq()   (one shared read of A[c], lines 28–33)
         let slot = self.seqs.slot_to_scan();
-        let announced = self.reg.read_announce(slot);
-        self.steps.step();
-        let s = self.seqs.get_seq(slot, announced);
+        let announced = Pair::unpack(m.read(Obj::A(slot))?);
+        let seq = self.seqs.get_seq(slot, announced);
         // line 27: X.Write(x, p, s)
-        self.reg.write_x(Triple {
-            value,
-            pid: self.pid as u16,
-            seq: s,
-        });
-        self.steps.step();
-        self.steps.end();
+        let pid = self.pid as u16;
+        m.write(Obj::X, Triple { value, pid, seq }.pack())
     }
 
     /// `DRead()` — Figure 4 lines 38–50.
-    pub fn dread(&mut self) -> (Word, bool) {
-        self.steps.begin();
+    #[inline]
+    fn dread<M: Mem>(&mut self, m: &mut M) -> Result<(Word, bool), M::Stop> {
         // line 38: (x, p, s) <- X.Read()
-        let first = self.reg.read_x();
-        self.steps.step();
+        let first = Triple::unpack(m.read(Obj::X)?);
         // line 39: (r, sr) <- A[q].Read()
-        let old_announce = self.reg.read_announce(self.pid);
-        self.steps.step();
+        let old_announce = Pair::unpack(m.read(Obj::A(self.slot))?);
         // line 40: A[q].Write(p, s)
-        self.reg.write_announce(self.pid, first.pair());
-        self.steps.step();
+        m.write(Obj::A(self.slot), first.pair().pack())?;
         // line 41: (x', p', s') <- X.Read()
-        let second = self.reg.read_x();
-        self.steps.step();
+        let second = Triple::unpack(m.read(Obj::X)?);
         // lines 42–45: decide the return value.
-        let ret = if first.pair() == old_announce {
-            (first.value, self.b)
+        let flag = if first.pair() == old_announce {
+            self.b
         } else {
-            (first.value, true)
+            true
         };
         // lines 46–49: prepare b for the next DRead.
         self.b = first != second;
-        self.steps.end();
-        ret
-    }
-}
-
-impl AbaHandle for BoundedAbaHandle<'_> {
-    fn pid(&self) -> ProcessId {
-        self.pid
-    }
-
-    fn dwrite(&mut self, value: Word) {
-        BoundedAbaHandle::dwrite(self, value);
-    }
-
-    fn dread(&mut self) -> (Word, bool) {
-        BoundedAbaHandle::dread(self)
-    }
-
-    fn step_count(&self) -> u64 {
-        self.steps.total()
-    }
-
-    fn last_op_steps(&self) -> u64 {
-        self.steps.last_op()
+        Ok((first.value, flag))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
+
+    fn x_of(reg: &BoundedAbaRegister) -> Triple {
+        Triple::unpack(reg.x.load(Ordering::SeqCst))
+    }
 
     #[test]
     fn first_read_is_clean() {
@@ -353,7 +326,7 @@ mod tests {
                 // Leaves an announcement of the writer's for GetSeq to find.
                 r.dread();
             }
-            reg.read_x().seq
+            x_of(&reg).seq
         });
         crate::seqpool::assert_recycling_window(n, published);
     }
@@ -364,7 +337,7 @@ mod tests {
         let mut w = reg.handle(0);
         for i in 0..200 {
             w.dwrite(i);
-            let t = reg.read_x();
+            let t = x_of(&reg);
             assert!(t.seq < 2 * 3 + 2, "seq {} out of domain", t.seq);
             assert_eq!(t.pid, 0);
         }

@@ -12,16 +12,19 @@
 //! Together with Corollary 1 (`m·t ≥ n-1` for bounded CAS), the O(n) step
 //! complexity of this single-object implementation is optimal.
 //!
-//! The implementation follows Figure 3 line by line (line numbers in
-//! comments).  It supports up to 32 processes (one bit per process inside a
-//! 64-bit CAS word; see [`MaskWord`]).
+//! [`Fig3`] follows Figure 3 line by line (line numbers in comments) and is
+//! the only copy of it in the workspace: written over [`crate::mem::Mem`],
+//! it is [`CasLlSc`]'s handle when run on the object's atomic word and
+//! `aba_sim`'s `Fig3Sim` process when run on the simulator's memory.  It
+//! supports up to 32 processes (one bit per process inside a 64-bit CAS
+//! word; see [`MaskWord`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 
 use aba_spec::{LlScHandle, LlScObject, ProcessId, SpaceUsage, Word, INITIAL_WORD};
 
+use crate::mem::{Handle, LlScCode, Mem, Obj};
 use crate::pack::MaskWord;
-use crate::stepcount::LocalSteps;
 
 /// The Figure 3 LL/SC/VL object (one bounded CAS object, O(n) steps).
 #[derive(Debug)]
@@ -30,6 +33,9 @@ pub struct CasLlSc {
     /// CAS object `X = (x, a)`.
     x: AtomicU64,
 }
+
+/// Per-process handle of [`CasLlSc`]: [`Fig3`] on the object's atomics.
+pub type CasLlScHandle<'a> = Handle<'a, Fig3>;
 
 impl CasLlSc {
     /// An LL/SC/VL object for `n` processes with initial value
@@ -64,28 +70,7 @@ impl CasLlSc {
     ///
     /// Panics if `pid >= self.processes()`.
     pub fn handle(&self, pid: ProcessId) -> CasLlScHandle<'_> {
-        assert!(pid < self.n, "pid {pid} out of range for n={}", self.n);
-        CasLlScHandle {
-            obj: self,
-            pid,
-            b: false,
-            steps: LocalSteps::new(),
-        }
-    }
-
-    fn read(&self) -> MaskWord {
-        MaskWord::unpack(self.x.load(Ordering::SeqCst))
-    }
-
-    fn cas(&self, expected: MaskWord, new: MaskWord) -> bool {
-        self.x
-            .compare_exchange(
-                expected.pack(),
-                new.pack(),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_ok()
+        Handle::new(pid, Fig3::new(self.n, pid), &self.x, &[])
     }
 }
 
@@ -107,124 +92,94 @@ impl LlScObject for CasLlSc {
     }
 }
 
-/// Per-process handle of [`CasLlSc`], carrying the paper's local flag `b`.
-#[derive(Debug)]
-pub struct CasLlScHandle<'a> {
-    obj: &'a CasLlSc,
+/// Figure 3's per-process code and its local flag `b`, on any [`Mem`] whose
+/// `X` is the CAS object `(x, a)`.
+#[derive(Debug, Clone)]
+pub struct Fig3 {
+    n: usize,
     pid: ProcessId,
     /// Local flag `b`: set when an `SC` linearized during this process's last
     /// `LL` after that `LL`'s linearization point.
     b: bool,
-    steps: LocalSteps,
 }
 
-impl CasLlScHandle<'_> {
+impl Fig3 {
+    /// The code of process `pid` of `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid >= n`.
+    pub fn new(n: usize, pid: ProcessId) -> Self {
+        assert!(pid < n, "pid {pid} out of range for n={n}");
+        Fig3 { n, pid, b: false }
+    }
+}
+
+impl LlScCode for Fig3 {
     /// `LL()` — Figure 3 lines 14–25.
-    pub fn ll(&mut self) -> Word {
-        self.steps.begin();
+    #[inline]
+    fn ll<M: Mem>(&mut self, m: &mut M) -> Result<Word, M::Stop> {
         // line 14: (x, a) <- X.Read()
-        let first = self.obj.read();
-        self.steps.step();
+        let first = MaskWord::unpack(m.read(Obj::X)?);
         // line 15: if p's bit is 0
         if !first.bit(self.pid) {
             // lines 16–17
             self.b = false;
-            self.steps.end();
-            return first.value;
+            return Ok(first.value);
         }
         // lines 19–23: try to reset p's bit, up to n times.
-        for _ in 0..self.obj.n {
+        for _ in 0..self.n {
             // line 20: (x', a') <- X.Read()
-            let cur = self.obj.read();
-            self.steps.step();
+            let cur = MaskWord::unpack(m.read(Obj::X)?);
             // line 21: X.CAS((x', a'), (x', a' - 2^p))
             let cleared = cur.with_bit_cleared(self.pid);
-            let attempt = self.obj.cas(cur, cleared);
-            self.steps.step();
-            if attempt {
+            if m.cas(Obj::X, cur.pack(), cleared.pack())? {
                 // lines 22–23
                 self.b = false;
-                self.steps.end();
-                return cur.value;
+                return Ok(cur.value);
             }
         }
         // lines 24–25: n CAS failures imply some SC succeeded meanwhile.
         self.b = true;
-        self.steps.end();
-        first.value
+        Ok(first.value)
     }
 
     /// `SC(x)` — Figure 3 lines 1–8.
-    pub fn sc(&mut self, value: Word) -> bool {
-        self.steps.begin();
-        // line 1: if b then return False
+    #[inline]
+    fn sc<M: Mem>(&mut self, value: Word, m: &mut M) -> Result<bool, M::Stop> {
+        // line 1: if b then return False (no shared step)
         if self.b {
-            self.steps.end();
-            return false;
+            return Ok(false);
         }
         // lines 2–7
-        for _ in 0..self.obj.n {
+        for _ in 0..self.n {
             // line 3: (y, a) <- X.Read()
-            let cur = self.obj.read();
-            self.steps.step();
+            let cur = MaskWord::unpack(m.read(Obj::X)?);
             // lines 4–5: if p's bit is 1, another SC succeeded since our LL.
             if cur.bit(self.pid) {
-                self.steps.end();
-                return false;
+                return Ok(false);
             }
             // line 6: X.CAS((y, a), (x, 2^n - 1))
             let new = MaskWord {
                 value,
-                mask: MaskWord::full_mask(self.obj.n),
+                mask: MaskWord::full_mask(self.n),
             };
-            let ok = self.obj.cas(cur, new);
-            self.steps.step();
-            if ok {
+            if m.cas(Obj::X, cur.pack(), new.pack())? {
                 // line 7
-                self.steps.end();
-                return true;
+                return Ok(true);
             }
         }
         // line 8
-        self.steps.end();
-        false
+        Ok(false)
     }
 
     /// `VL()` — Figure 3 lines 9–13.
-    pub fn vl(&mut self) -> bool {
-        self.steps.begin();
+    #[inline]
+    fn vl<M: Mem>(&self, m: &mut M) -> Result<bool, M::Stop> {
         // line 9: (x, a) <- X.Read()
-        let cur = self.obj.read();
-        self.steps.step();
-        self.steps.end();
+        let cur = MaskWord::unpack(m.read(Obj::X)?);
         // lines 10–13
-        !cur.bit(self.pid) && !self.b
-    }
-}
-
-impl LlScHandle for CasLlScHandle<'_> {
-    fn pid(&self) -> ProcessId {
-        self.pid
-    }
-
-    fn ll(&mut self) -> Word {
-        CasLlScHandle::ll(self)
-    }
-
-    fn sc(&mut self, value: Word) -> bool {
-        CasLlScHandle::sc(self, value)
-    }
-
-    fn vl(&mut self) -> bool {
-        CasLlScHandle::vl(self)
-    }
-
-    fn step_count(&self) -> u64 {
-        self.steps.total()
-    }
-
-    fn last_op_steps(&self) -> u64 {
-        self.steps.last_op()
+        Ok(!cur.bit(self.pid) && !self.b)
     }
 }
 

@@ -1,9 +1,11 @@
 //! # aba-core
 //!
-//! Hardware (atomics-based) implementations of every algorithm in
-//! *"On the Time and Space Complexity of ABA Prevention and Detection"*
-//! (Aghazadeh & Woelfel, PODC 2015), plus the baselines the paper compares
-//! against.
+//! Every algorithm in *"On the Time and Space Complexity of ABA Prevention
+//! and Detection"* (Aghazadeh & Woelfel, PODC 2015), plus the baselines the
+//! paper compares against, on real atomics.  The per-process code of
+//! Figures 3 and 4, the announce LL/SC and Moir's LL/SC is written once over
+//! the three-method memory of [`mem`]; this crate runs it on `AtomicU64`s,
+//! `aba-sim` runs the same code one adversarially scheduled step at a time.
 //!
 //! | Type | Paper source | Base objects | Steps per op |
 //! |------|--------------|--------------|--------------|
@@ -44,6 +46,7 @@ pub mod backoff;
 pub mod bounded_reg;
 pub mod cas_llsc;
 pub mod llsc_aba;
+pub mod mem;
 pub mod moir_llsc;
 pub mod pack;
 pub mod pad;

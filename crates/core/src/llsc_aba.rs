@@ -61,7 +61,12 @@ impl<L: LlScObject> LlScAbaRegister<L> {
         // Prime the link so that the first DRead's VL refers to the initial
         // value (paper, Figure 5 caption and proof of Theorem 4).
         let old = llsc.ll();
-        LlScAbaHandle { llsc, old, pid }
+        LlScAbaHandle {
+            llsc,
+            old,
+            pid,
+            last_op: 0,
+        }
     }
 }
 
@@ -91,6 +96,9 @@ pub struct LlScAbaHandle<'a> {
     llsc: Box<dyn LlScHandle + 'a>,
     old: Word,
     pid: ProcessId,
+    /// Steps of the last `DWrite`/`DRead` — all of its LL/SC/VL calls, where
+    /// the inner handle's own `last_op_steps` is only the last of them.
+    last_op: u64,
 }
 
 impl std::fmt::Debug for LlScAbaHandle<'_> {
@@ -105,21 +113,24 @@ impl std::fmt::Debug for LlScAbaHandle<'_> {
 impl LlScAbaHandle<'_> {
     /// `DWrite(x)` — Figure 5 lines 51–52: `LL()` then `SC(x)`.
     pub fn dwrite(&mut self, value: Word) {
+        let before = self.llsc.step_count();
         self.llsc.ll();
         // The SC may fail; in that case the write linearizes immediately
         // before the interfering successful SC (Theorem 4's proof), so no
         // retry is needed.
         let _ = self.llsc.sc(value);
+        self.last_op = self.llsc.step_count() - before;
     }
 
     /// `DRead()` — Figure 5 lines 53–54.
     pub fn dread(&mut self) -> (Word, bool) {
-        if self.llsc.vl() {
-            (self.old, false)
-        } else {
+        let before = self.llsc.step_count();
+        let valid = self.llsc.vl();
+        if !valid {
             self.old = self.llsc.ll();
-            (self.old, true)
         }
+        self.last_op = self.llsc.step_count() - before;
+        (self.old, !valid)
     }
 }
 
@@ -141,7 +152,7 @@ impl AbaHandle for LlScAbaHandle<'_> {
     }
 
     fn last_op_steps(&self) -> u64 {
-        self.llsc.last_op_steps()
+        self.last_op
     }
 }
 
@@ -232,6 +243,27 @@ mod tests {
         let before = r.llsc.step_count();
         let _ = r.dread();
         assert!(r.llsc.step_count() - before <= 2);
+    }
+
+    #[test]
+    fn last_op_steps_covers_every_llsc_call_of_the_operation() {
+        // (LL, SC, VL) steps of each inner object, uncontended.
+        let moir = (stacks::over_moir(2), (1, 1, 1));
+        let announce = (stacks::over_announce(2), (3, 2, 1));
+        let regs: [(&dyn AbaRegisterObject, _); 2] = [(&moir.0, moir.1), (&announce.0, announce.1)];
+        for (reg, (ll, sc, vl)) in regs {
+            let mut w = reg.handle(0);
+            let mut r = reg.handle(1);
+            let before = w.step_count();
+            w.dwrite(1);
+            assert_eq!(w.last_op_steps(), ll + sc, "{}: DWrite", reg.name());
+            assert_eq!(w.step_count() - before, ll + sc, "{}", reg.name());
+            // The write broke r's link: VL fails, LL refreshes.
+            assert_eq!(r.dread(), (1, true));
+            assert_eq!(r.last_op_steps(), vl + ll, "{}: changed DRead", reg.name());
+            assert_eq!(r.dread(), (1, false));
+            assert_eq!(r.last_op_steps(), vl, "{}: quiet DRead", reg.name());
+        }
     }
 
     #[test]

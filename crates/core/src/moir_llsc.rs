@@ -13,13 +13,17 @@
 //! as unbounded (see DESIGN.md §2).  A bounded-tag variant
 //! ([`MoirLlSc::with_tag_bits`]) is provided to demonstrate the wrap-around
 //! failure mode.
+//!
+//! [`Moir`], the per-process code, is written over [`crate::mem::Mem`] like
+//! the paper's own constructions and run on the object's atomic word by the
+//! shared [`Handle`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 
 use aba_spec::{LlScHandle, LlScObject, ProcessId, SpaceUsage, Word, INITIAL_WORD};
 
+use crate::mem::{Handle, LlScCode, Mem, Obj};
 use crate::pack::TagWord;
-use crate::stepcount::LocalSteps;
 
 /// LL/SC/VL from one unbounded (tagged) CAS object, O(1) steps.
 #[derive(Debug)]
@@ -28,6 +32,9 @@ pub struct MoirLlSc {
     x: AtomicU64,
     tag_bits: u32,
 }
+
+/// Per-process handle of [`MoirLlSc`]: [`Moir`] on the object's atomics.
+pub type MoirHandle<'a> = Handle<'a, Moir>;
 
 impl MoirLlSc {
     /// An object for `n` processes with a practically unbounded (32-bit) tag.
@@ -63,36 +70,12 @@ impl MoirLlSc {
     /// Panics if `pid >= self.processes()`.
     pub fn handle(&self, pid: ProcessId) -> MoirHandle<'_> {
         assert!(pid < self.n, "pid {pid} out of range for n={}", self.n);
-        MoirHandle {
-            obj: self,
-            pid,
+        let code = Moir {
+            tag_mask: u32::MAX >> (32 - self.tag_bits),
             link: TagWord::initial(INITIAL_WORD),
             linked: false,
-            steps: LocalSteps::new(),
-        }
-    }
-
-    fn read(&self) -> TagWord {
-        TagWord::unpack(self.x.load(Ordering::SeqCst))
-    }
-
-    fn cas(&self, expected: TagWord, new: TagWord) -> bool {
-        self.x
-            .compare_exchange(
-                expected.pack(),
-                new.pack(),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_ok()
-    }
-
-    fn truncate(&self, tag: u32) -> u32 {
-        if self.tag_bits == 32 {
-            tag
-        } else {
-            tag & ((1u32 << self.tag_bits) - 1)
-        }
+        };
+        Handle::new(pid, code, &self.x, &[])
     }
 }
 
@@ -122,83 +105,46 @@ impl LlScObject for MoirLlSc {
     }
 }
 
-/// Per-process handle of [`MoirLlSc`].
-#[derive(Debug)]
-pub struct MoirHandle<'a> {
-    obj: &'a MoirLlSc,
-    pid: ProcessId,
+/// Moir's per-process code and its link, on any [`Mem`] whose `X` is the
+/// CAS object `(value, tag)`.
+#[derive(Debug, Clone)]
+pub struct Moir {
+    /// The bits of the counter kept as the tag.
+    tag_mask: u32,
     link: TagWord,
     linked: bool,
-    steps: LocalSteps,
 }
 
-impl MoirHandle<'_> {
+impl LlScCode for Moir {
     /// `LL()`: read `(value, tag)` and remember it as the link.
-    pub fn ll(&mut self) -> Word {
-        self.steps.begin();
-        self.link = self.obj.read();
-        self.steps.step();
+    #[inline]
+    fn ll<M: Mem>(&mut self, m: &mut M) -> Result<Word, M::Stop> {
+        self.link = TagWord::unpack(m.read(Obj::X)?);
         self.linked = true;
-        self.steps.end();
-        self.link.value
+        Ok(self.link.value)
     }
 
     /// `SC(x)`: CAS from the linked `(value, tag)` to `(x, tag+1)`.
-    pub fn sc(&mut self, value: Word) -> bool {
-        self.steps.begin();
+    #[inline]
+    fn sc<M: Mem>(&mut self, value: Word, m: &mut M) -> Result<bool, M::Stop> {
         if !self.linked {
-            self.steps.end();
-            return false;
+            return Ok(false);
         }
-        let new = TagWord {
-            value,
-            tag: self.obj.truncate(self.link.tag.wrapping_add(1)),
-        };
-        let ok = self.obj.cas(self.link, new);
-        self.steps.step();
+        let tag = self.link.tag.wrapping_add(1) & self.tag_mask;
+        let ok = m.cas(Obj::X, self.link.pack(), TagWord { value, tag }.pack())?;
         // Either way the link is consumed: a second SC without LL must fail.
         self.linked = false;
-        self.steps.end();
-        ok
+        Ok(ok)
     }
 
     /// `VL()`: the link is valid iff `X` still holds the linked pair.
-    pub fn vl(&mut self) -> bool {
-        self.steps.begin();
+    #[inline]
+    fn vl<M: Mem>(&self, m: &mut M) -> Result<bool, M::Stop> {
         if !self.linked {
-            self.steps.end();
-            return false;
+            return Ok(false);
         }
-        let cur = self.obj.read();
-        self.steps.step();
-        self.steps.end();
-        cur == self.link
-    }
-}
-
-impl LlScHandle for MoirHandle<'_> {
-    fn pid(&self) -> ProcessId {
-        self.pid
-    }
-
-    fn ll(&mut self) -> Word {
-        MoirHandle::ll(self)
-    }
-
-    fn sc(&mut self, value: Word) -> bool {
-        MoirHandle::sc(self, value)
-    }
-
-    fn vl(&mut self) -> bool {
-        MoirHandle::vl(self)
-    }
-
-    fn step_count(&self) -> u64 {
-        self.steps.total()
-    }
-
-    fn last_op_steps(&self) -> u64 {
-        self.steps.last_op()
+        let cur = TagWord::unpack(m.read(Obj::X)?);
+        Ok(cur == self.link)
     }
 }
 

@@ -139,6 +139,21 @@ impl FreeSet {
     }
 }
 
+/// The local half of `GetSeq` (Figure 4, lines 28–37): everything but its
+/// one shared-memory step, the read of `A[c]`, which the caller performs
+/// between the two methods.  Figure 4's code is generic in it: the hardware
+/// register runs it over [`SeqRecycler`], the simulator's Figure 4 over a
+/// naive scan it can under-provision (DESIGN.md §2).
+pub trait GetSeq {
+    /// The announce-array slot this call scans (the paper's `c`); advances
+    /// the cursor.
+    fn slot_to_scan(&mut self) -> usize;
+
+    /// Given what slot `slot` announced, choose this call's sequence number
+    /// and record it as published (Figure 4's `GetSeq` always publishes).
+    fn get_seq(&mut self, slot: usize, announced: Pair) -> u16;
+}
+
 /// Per-process state of the `GetSeq` protocol (Figure 4, lines 28–37).
 #[derive(Debug, Clone)]
 pub struct SeqRecycler {
@@ -185,17 +200,6 @@ impl SeqRecycler {
     /// Size of the sequence-number domain, `2n + 2`.
     pub fn domain(&self) -> u16 {
         self.count.len() as u16
-    }
-
-    /// The announce-array slot this call will scan (the paper's `c`), and
-    /// advance the cursor.  The caller is responsible for actually reading
-    /// the announce register for this slot (that read is the one shared
-    /// memory step of `GetSeq`).
-    #[inline]
-    pub fn slot_to_scan(&mut self) -> usize {
-        let c = self.cursor;
-        self.cursor = if c + 1 == self.na.len() { 0 } else { c + 1 };
-        c
     }
 
     /// Record what announce slot `slot` contained (Figure 4, lines 28–32):
@@ -270,20 +274,6 @@ impl SeqRecycler {
         }
     }
 
-    /// Convenience for Figure 4's `GetSeq`, which always commits: scan the
-    /// given announced pair for the slot returned by [`slot_to_scan`], choose
-    /// and commit.
-    ///
-    /// The caller supplies the announce content it read for the slot.
-    ///
-    /// [`slot_to_scan`]: SeqRecycler::slot_to_scan
-    pub fn get_seq(&mut self, slot: usize, announced: Pair) -> u16 {
-        self.observe(slot, announced);
-        let s = self.choose();
-        self.commit(s);
-        s
-    }
-
     /// The sequence numbers currently excluded (for tests and the simulator's
     /// invariant checks).
     pub fn excluded(&self) -> Vec<u16> {
@@ -307,6 +297,23 @@ impl SeqRecycler {
     /// The number of processes.
     pub fn processes(&self) -> usize {
         self.na.len()
+    }
+}
+
+impl GetSeq for SeqRecycler {
+    #[inline]
+    fn slot_to_scan(&mut self) -> usize {
+        let c = self.cursor;
+        self.cursor = if c + 1 == self.na.len() { 0 } else { c + 1 };
+        c
+    }
+
+    #[inline]
+    fn get_seq(&mut self, slot: usize, announced: Pair) -> u16 {
+        self.observe(slot, announced);
+        let s = self.choose();
+        self.commit(s);
+        s
     }
 }
 

@@ -4,7 +4,9 @@
 //! stores, CAS attempts) it performs, so that the step-complexity experiments
 //! (E1, E2, E4) can measure the paper's claims directly on the hardware
 //! implementations.  The counter is purely local and therefore does not
-//! itself count as a shared-memory step.
+//! itself count as a shared-memory step.  For the objects written over
+//! [`crate::mem::Mem`] the counting is in one place: `Atomics` counts a step
+//! per access and `Handle` brackets each call.
 
 use aba_spec::traits::StepCounter;
 

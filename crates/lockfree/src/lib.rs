@@ -94,6 +94,26 @@ impl Window for Racing {
     }
 }
 
+/// Iteration budget for one structure operation, spent on every retry and
+/// every traversal step: unbounded under the protected schemes, finite under
+/// the unprotected one, whose ABA can link a chain into a cycle — and an
+/// unbounded walk wedges just as hard as an unbounded retry loop.
+pub(crate) struct Budget(pub(crate) Option<usize>);
+
+impl Budget {
+    /// Consume one iteration; `false` means the budget is exhausted.
+    pub(crate) fn spend(&mut self) -> bool {
+        match &mut self.0 {
+            None => true,
+            Some(0) => false,
+            Some(n) => {
+                *n -= 1;
+                true
+            }
+        }
+    }
+}
+
 pub use event::{EventSignal, NaiveEventSignal, Signaler, Waiter};
 pub use map::{
     EpochMap, GenericMap, HazardMap, LlScMap, Map, MapHandle, TaggedMap, UnprotectedMap,

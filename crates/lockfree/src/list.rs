@@ -33,7 +33,7 @@ use aba_core::Backoff;
 use aba_reclaim::{Guard, Reclaimer, SlotId};
 
 use crate::arena::{Magazine, NodeArena, NIL};
-use crate::Window;
+use crate::{Budget, Window};
 
 /// The three protection lanes of a traversal, rotated hand-over-hand: the
 /// predecessor node (whose link word the operation will CAS), the current
@@ -122,25 +122,6 @@ pub(crate) struct ListHandle<'a, R: Reclaimer, W: Window> {
     pub(crate) magazine: Magazine<'a>,
     backoff: Backoff,
     window: PhantomData<W>,
-}
-
-/// Iteration budget for one operation, spent on every traversal step as well
-/// as every restart: an ABA under the unprotected scheme can link the chain
-/// into a cycle, and an unbounded *walk* wedges just as hard as an unbounded
-/// retry loop.
-struct Budget(Option<usize>);
-
-impl Budget {
-    fn spend(&mut self) -> bool {
-        match &mut self.0 {
-            None => true,
-            Some(0) => false,
-            Some(n) => {
-                *n -= 1;
-                true
-            }
-        }
-    }
 }
 
 /// Where a predecessor word lives — and hence where a walk may start: the

@@ -26,7 +26,7 @@ use aba_reclaim::{
 };
 
 use crate::arena::{Magazine, NodeArena, NIL};
-use crate::{Family, Production, Racing, Window};
+use crate::{Budget, Family, Production, Racing, Window};
 
 /// A bounded, concurrent FIFO with per-thread handles.
 pub trait Queue: Send + Sync {
@@ -172,25 +172,6 @@ impl<'a, R: Reclaimer, W: Window> GenericQueueHandle<'a, R, W> {
 impl<R: Reclaimer, W: Window> std::fmt::Debug for GenericQueueHandle<'_, R, W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GenericQueueHandle").finish_non_exhaustive()
-    }
-}
-
-/// Iteration budget for one operation: unbounded for the protected schemes,
-/// finite for the unprotected one (whose ABA can cycle the links and wedge
-/// an unbounded loop).
-struct Budget(Option<usize>);
-
-impl Budget {
-    /// Consume one iteration; `false` means the budget is exhausted.
-    fn spend(&mut self) -> bool {
-        match &mut self.0 {
-            None => true,
-            Some(0) => false,
-            Some(n) => {
-                *n -= 1;
-                true
-            }
-        }
     }
 }
 

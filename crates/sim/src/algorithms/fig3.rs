@@ -1,18 +1,20 @@
-//! Figure 3 for the simulator, line for line.
+//! Figure 3 under the simulator: the base object of [`Fig3Sim`] and, as its
+//! processes, the very code the hardware object runs —
+//! [`aba_core::cas_llsc::Fig3`], written once over `aba_core::mem::Mem` and
+//! made schedulable by the replay adapter.
 //!
 //! Used by experiment E2 to measure the *worst-case* step complexity of `LL`
 //! and `SC` under adversarial interleavings (which is hard to provoke
 //! reliably on hardware but easy with a controlled scheduler) and by the
 //! linearizability smoke tests of the simulator itself.
 
+use aba_core::cas_llsc::Fig3;
 use aba_core::pack::MaskWord;
-use aba_spec::{ProcessId, Word, INITIAL_WORD};
+use aba_spec::{ProcessId, INITIAL_WORD};
 
-use super::replay::{Mem, Model, Replay, Run};
-use crate::algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
+use super::replay::{LlSc, Replay};
+use crate::algorithm::{SimAlgorithm, SimProcess};
 use crate::object::BaseObject;
-
-const X: usize = 0;
 
 /// Figure 3 (LL/SC/VL from a single bounded CAS) for the simulator.
 #[derive(Debug, Clone)]
@@ -46,99 +48,14 @@ impl SimAlgorithm for Fig3Sim {
     }
 
     fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess> {
-        assert!(pid < self.n, "pid {pid} out of range");
-        Box::new(Replay::new(Fig3Process {
-            n: self.n,
-            pid,
-            b: false,
-        }))
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Fig3Process {
-    n: usize,
-    pid: ProcessId,
-    /// Local flag `b`: an `SC` linearized during this process's last `LL`
-    /// after that `LL`'s linearization point.
-    b: bool,
-}
-
-impl Model for Fig3Process {
-    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
-        match call {
-            MethodCall::Ll => self.ll(m).map(MethodResponse::LlResult),
-            MethodCall::Sc(x) => self.sc(x, m).map(MethodResponse::ScResult),
-            MethodCall::Vl => self.vl(m).map(MethodResponse::VlResult),
-            other => panic!("Figure 3 LL/SC object does not support {other:?}"),
-        }
-    }
-}
-
-impl Fig3Process {
-    /// `SC(x)` — lines 1–8.
-    fn sc(&mut self, x: Word, m: &mut Mem<'_>) -> Run<bool> {
-        // Line 1 (no shared step).
-        if self.b {
-            return Ok(false);
-        }
-        // Line 2.
-        for _ in 0..self.n {
-            // Line 3.
-            let cur = MaskWord::unpack(m.read(X)?);
-            // Lines 4–5.
-            if cur.bit(self.pid) {
-                return Ok(false);
-            }
-            // Line 6.
-            let all_set = MaskWord {
-                value: x,
-                mask: MaskWord::full_mask(self.n),
-            };
-            if m.cas(X, cur.pack(), all_set.pack())? {
-                // Line 7.
-                return Ok(true);
-            }
-        }
-        // Line 8.
-        Ok(false)
-    }
-
-    /// `VL()` — lines 9–13.
-    fn vl(&self, m: &mut Mem<'_>) -> Run<bool> {
-        let cur = MaskWord::unpack(m.read(X)?);
-        Ok(!cur.bit(self.pid) && !self.b)
-    }
-
-    /// `LL()` — lines 14–25.
-    fn ll(&mut self, m: &mut Mem<'_>) -> Run<Word> {
-        // Line 14.
-        let first = MaskWord::unpack(m.read(X)?);
-        // Lines 15–17.
-        if !first.bit(self.pid) {
-            self.b = false;
-            return Ok(first.value);
-        }
-        // Line 19.
-        for _ in 0..self.n {
-            // Line 20.
-            let cur = MaskWord::unpack(m.read(X)?);
-            // Line 21.
-            if m.cas(X, cur.pack(), cur.with_bit_cleared(self.pid).pack())? {
-                // Lines 22–23.
-                self.b = false;
-                return Ok(cur.value);
-            }
-        }
-        // Lines 24–25.
-        self.b = true;
-        Ok(first.value)
+        Box::new(Replay::new(LlSc(Fig3::new(self.n, pid))))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::MethodCall;
     use crate::executor::Simulation;
 
     #[test]
@@ -165,20 +82,37 @@ mod tests {
 
     #[test]
     fn sc_with_local_flag_takes_zero_steps() {
-        // Line 1: a process whose last LL exhausted its n CAS attempts
-        // answers the SC from its flag, without a shared step.
-        let mut p = Replay::new(Fig3Process {
-            n: 2,
-            pid: 0,
-            b: true,
-        });
+        use crate::algorithm::MethodCall::{Ll, Sc, Vl};
+        use crate::executor::StepOutcome;
+        let mut sim = Simulation::new(&Fig3Sim::new(2));
+        let run = |sim: &mut Simulation, pid, call| {
+            sim.enqueue(pid, call);
+            assert!(sim.run_process_to_completion(pid));
+        };
+        // p1's SC sets every bit, so p0's LL takes the CAS loop …
+        run(&mut sim, 1, Ll);
+        run(&mut sim, 1, Sc(5));
+        sim.enqueue(0, Ll);
+        sim.run_schedule(&[0, 0]); // lines 14 and 20
+        run(&mut sim, 1, Ll); // … whose first CAS p1's LL defeats,
+        sim.run_schedule(&[0, 0]); // lines 21 and 20
+        run(&mut sim, 1, Sc(6)); // and whose second, p1's SC:
+        assert!(sim.run_process_to_completion(0)); // line 21, then 24: b is set.
+        assert_eq!(sim.last_op_steps(0), 2 * 2 + 1);
+        // Line 1: the flag answers the SC without a shared step.
+        sim.enqueue(0, Sc(7));
+        assert_eq!(sim.step(0), StepOutcome::CompletedImmediately);
+        let last = sim.history().ops().last().expect("the SC").kind;
         assert_eq!(
-            p.invoke(MethodCall::Sc(5)),
-            Some(MethodResponse::ScResult(false))
+            last,
+            aba_spec::OpKind::Sc {
+                value: 7,
+                success: false
+            }
         );
-        assert!(p.is_idle());
         // VL does read X.
-        assert!(p.invoke(MethodCall::Vl).is_none());
+        sim.enqueue(0, Vl);
+        assert!(sim.poised(0).is_none() && sim.next_access(0).is_some());
     }
 
     #[test]

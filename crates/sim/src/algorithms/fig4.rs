@@ -1,4 +1,10 @@
-//! Figure 4 for the simulator, line for line, with optional "crippling" knobs.
+//! Figure 4 under the simulator, with optional "crippling" knobs: the base
+//! objects of [`Fig4Sim`] and, as its processes, the very code the hardware
+//! register runs — [`aba_core::bounded_reg::Fig4`], written once over
+//! `aba_core::mem::Mem` and made schedulable by the replay adapter.  What
+//! stays here is the local half of `GetSeq`: a naive scan of `usedQ` and
+//! `na` whose domain and slot count can be under-provisioned, where the
+//! hardware's `SeqRecycler` is sized for the faithful parameters only.
 //!
 //! The faithful instantiation ([`Fig4Sim::new`]) uses `n` announce slots and
 //! the full sequence-number domain `{0, …, 2n+1}`; it is the algorithm proven
@@ -19,15 +25,14 @@
 
 use std::collections::VecDeque;
 
+use aba_core::bounded_reg::Fig4;
 use aba_core::pack::{Pair, Triple};
-use aba_spec::{ProcessId, Word, INITIAL_WORD};
+use aba_core::seqpool::GetSeq;
+use aba_spec::{ProcessId, INITIAL_WORD};
 
-use super::replay::{Mem, Model, Replay, Run};
-use crate::algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
+use super::replay::{Register, Replay};
+use crate::algorithm::{SimAlgorithm, SimProcess};
 use crate::object::BaseObject;
-
-/// Object 0 is `X`; objects `1 ..= announce_slots` are the announce array.
-const X: usize = 0;
 
 /// Figure 4 (optionally crippled) for the simulator.
 #[derive(Debug, Clone)]
@@ -94,20 +99,18 @@ impl Fig4Sim {
         1 + self.announce_slots
     }
 
-    fn announce_obj(&self, pid: ProcessId) -> usize {
-        1 + (pid % self.announce_slots)
-    }
-
-    fn process(&self, pid: ProcessId) -> Fig4Process {
+    /// Process `pid`'s code: it announces on `A[pid mod slots]` and draws
+    /// its sequence numbers from the cripplable scan.
+    fn process(&self, pid: ProcessId) -> Fig4<NaiveSeqs> {
         assert!(pid < self.n, "pid {pid} out of range");
-        Fig4Process {
-            cfg: self.clone(),
-            pid,
-            b: false,
+        let seqs = NaiveSeqs {
+            pid: pid as u16,
+            domain: self.seq_domain,
             used: VecDeque::from(vec![None; self.n + 1]),
             na: vec![None; self.announce_slots],
             cursor: 0,
-        }
+        };
+        Fig4::new(pid, pid % self.announce_slots, seqs)
     }
 }
 
@@ -129,7 +132,7 @@ impl SimAlgorithm for Fig4Sim {
     }
 
     fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess> {
-        Box::new(Replay::new(self.process(pid)))
+        Box::new(Replay::new(Register(self.process(pid))))
     }
 }
 
@@ -147,13 +150,12 @@ fn choose_seq(domain: u16, used: &VecDeque<Option<u16>>, na: &[Option<u16>]) -> 
     0
 }
 
+/// The local half of `GetSeq` (lines 28–37) as a scan, under a possibly
+/// crippled domain and slot count.
 #[derive(Debug, Clone)]
-struct Fig4Process {
-    cfg: Fig4Sim,
-    pid: ProcessId,
-    /// Local flag `b`: a write linearized during this process's previous
-    /// `DRead` after that operation's linearization point.
-    b: bool,
+struct NaiveSeqs {
+    pid: u16,
+    domain: u16,
     /// `usedQ`: the last `n + 1` sequence numbers this process chose.
     used: VecDeque<Option<u16>>,
     /// `na`: which of its own numbers it saw announced, per slot.
@@ -162,70 +164,31 @@ struct Fig4Process {
     cursor: usize,
 }
 
-impl Model for Fig4Process {
-    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
-        match call {
-            MethodCall::DWrite(x) => self.dwrite(x, m).map(|()| MethodResponse::WriteDone),
-            MethodCall::DRead => self
-                .dread(m)
-                .map(|(value, flag)| MethodResponse::ReadResult(value, flag)),
-            other => panic!("Figure 4 register does not support {other:?}"),
-        }
-    }
-}
-
-impl Fig4Process {
-    /// `DWrite(x)` — lines 26–27.
-    fn dwrite(&mut self, x: Word, m: &mut Mem<'_>) -> Run<()> {
-        // Line 26.
-        let seq = self.get_seq(m)?;
-        // Line 27.
-        let triple = Triple {
-            value: x,
-            pid: self.pid as u16,
-            seq,
-        };
-        m.write(X, triple.pack())
-    }
-
-    /// `GetSeq()` — lines 28–37: one shared read per call.
-    fn get_seq(&mut self, m: &mut Mem<'_>) -> Run<u16> {
-        // Lines 28–33: scan the next announce slot round-robin and remember
-        // an announcement of one of our own numbers.
+impl GetSeq for NaiveSeqs {
+    /// Lines 28–33, up to the read: the next announce slot, round-robin.
+    fn slot_to_scan(&mut self) -> usize {
         let slot = self.cursor;
-        self.cursor = (slot + 1) % self.cfg.announce_slots;
-        let announced = Pair::unpack(m.read(1 + slot)?);
-        self.na[slot] = (announced.pid == self.pid as u16).then_some(announced.seq);
+        self.cursor = (slot + 1) % self.na.len();
+        slot
+    }
+
+    fn get_seq(&mut self, slot: usize, announced: Pair) -> u16 {
+        // Lines 28–33, from the read on: remember an announcement of one of
+        // our own numbers.
+        self.na[slot] = (announced.pid == self.pid).then_some(announced.seq);
         // Line 34.
-        let seq = choose_seq(self.cfg.seq_domain, &self.used, &self.na);
+        let seq = choose_seq(self.domain, &self.used, &self.na);
         // Lines 35–36: the window stays at `n + 1` numbers.
         self.used.push_back(Some(seq));
         self.used.pop_front();
-        Ok(seq)
-    }
-
-    /// `DRead()` — lines 38–50.
-    fn dread(&mut self, m: &mut Mem<'_>) -> Run<(Word, bool)> {
-        let announce = self.cfg.announce_obj(self.pid);
-        // Line 38.
-        let first = Triple::unpack(m.read(X)?);
-        // Line 39.
-        let old = Pair::unpack(m.read(announce)?);
-        // Line 40.
-        m.write(announce, first.pair().pack())?;
-        // Line 41.
-        let second = Triple::unpack(m.read(X)?);
-        // Lines 42–45.
-        let flag = if first.pair() == old { self.b } else { true };
-        // Lines 46–49.
-        self.b = first != second;
-        Ok((first.value, flag))
+        seq
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::{MethodCall, MethodResponse};
     use crate::executor::Simulation;
 
     #[test]
@@ -290,18 +253,20 @@ mod tests {
         use crate::object::{BaseOp, SharedMemory};
         let algo = Fig4Sim::new(3);
         let mut mem = SharedMemory::new(algo.initial_objects());
-        let mut p = Replay::new(algo.process(0));
+        let mut p = Replay::new(Register(algo.process(0)));
+        let locals = |p: &Replay<_>| format!("{:?}", p.idle());
         for (seq, slot) in [(0, 1), (1, 2)] {
+            let before = locals(&p);
             assert_eq!(p.invoke(MethodCall::DWrite(7)), None);
             assert_eq!(p.poised(), BaseOp::Read(slot), "GetSeq scans round-robin");
             assert_eq!(p.step(&mut mem), None);
             // GetSeq has run to its end twice by now, on scratch state only.
-            assert_eq!(p.idle().cursor, slot - 1);
-            assert!(!p.idle().used.contains(&Some(seq)));
+            assert_eq!(locals(&p), before);
             assert_eq!(p.step(&mut mem), Some(MethodResponse::WriteDone));
-            assert_eq!(Triple::unpack(mem.peek(X)).seq, seq);
-            assert_eq!(p.idle().cursor, slot);
-            assert_eq!(p.idle().used.back(), Some(&Some(seq)));
+            assert_eq!(Triple::unpack(mem.peek(0)).seq, seq);
+            let after = locals(&p);
+            assert!(after.contains(&format!("cursor: {slot}")), "{after}");
+            assert!(after.contains(&format!("Some({seq})]")), "{after}");
         }
     }
 

@@ -4,6 +4,9 @@
 //! * [`fig3`] — Figure 3 (LL/SC/VL from a single bounded CAS);
 //! * [`fig4`] — Figure 4 (ABA-detecting register from n+1 registers), with
 //!   deliberately crippled variants for the lower-bound experiments;
+//! * [`announce`] — the announce LL/SC (one bounded CAS plus n registers);
+//!   these three spawn the code `aba-core` runs on atomics, written once
+//!   over `aba_core::mem::Mem`, rather than a model of it;
 //! * [`baselines`] — the unbounded tagged baseline and a broken naive
 //!   register;
 //! * [`queue`] — step-level Michael–Scott queues in three protection modes
@@ -25,6 +28,7 @@
 //!   the call's step results, re-runs the call from its start to find the
 //!   step it is poised on, and commits local state when it returns.
 
+pub mod announce;
 pub mod baselines;
 pub mod fig3;
 pub mod fig4;

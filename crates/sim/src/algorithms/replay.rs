@@ -23,6 +23,8 @@
 
 use std::fmt::Debug;
 
+use aba_core::mem::{self, LlScCode, Obj, RegisterCode};
+
 use crate::algorithm::{MethodCall, MethodResponse, SimProcess};
 use crate::object::{BaseOp, ObjId, StepResult};
 
@@ -101,6 +103,65 @@ impl<'a> Mem<'a> {
             }
             self.log.drain(start..self.at);
             self.at = start;
+        }
+    }
+}
+
+/// The simulator's half of `aba_core::mem`: the paper's own constructions
+/// are written once, in `aba-core`, against that trait, and run here with
+/// `X` as object 0 and `A[q]` as object `1 + q` — the layout their
+/// `SimAlgorithm::initial_objects` build.
+impl mem::Mem for Mem<'_> {
+    type Stop = Poised;
+
+    fn read(&mut self, obj: Obj) -> Run<u64> {
+        Mem::read(self, obj_id(obj))
+    }
+
+    fn write(&mut self, obj: Obj, value: u64) -> Run<()> {
+        Mem::write(self, obj_id(obj), value)
+    }
+
+    fn cas(&mut self, obj: Obj, expected: u64, new: u64) -> Run<bool> {
+        Mem::cas(self, obj_id(obj), expected, new)
+    }
+}
+
+fn obj_id(obj: Obj) -> ObjId {
+    match obj {
+        Obj::X => 0,
+        Obj::A(q) => 1 + q,
+    }
+}
+
+/// The [`Model`] of an LL/SC/VL construction's shared code.
+#[derive(Debug, Clone)]
+pub(crate) struct LlSc<C>(pub(crate) C);
+
+impl<C: LlScCode + Clone + Debug + 'static> Model for LlSc<C> {
+    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
+        match call {
+            MethodCall::Ll => self.0.ll(m).map(MethodResponse::LlResult),
+            MethodCall::Sc(x) => self.0.sc(x, m).map(MethodResponse::ScResult),
+            MethodCall::Vl => self.0.vl(m).map(MethodResponse::VlResult),
+            other => panic!("an LL/SC/VL object does not support {other:?}"),
+        }
+    }
+}
+
+/// The [`Model`] of an ABA-detecting register construction's shared code.
+#[derive(Debug, Clone)]
+pub(crate) struct Register<C>(pub(crate) C);
+
+impl<C: RegisterCode + Clone + Debug + 'static> Model for Register<C> {
+    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
+        match call {
+            MethodCall::DWrite(x) => self.0.dwrite(x, m).map(|()| MethodResponse::WriteDone),
+            MethodCall::DRead => self
+                .0
+                .dread(m)
+                .map(|(value, flag)| MethodResponse::ReadResult(value, flag)),
+            other => panic!("an ABA-detecting register does not support {other:?}"),
         }
     }
 }

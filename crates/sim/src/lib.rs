@@ -17,12 +17,13 @@
 //!    which a preemptive OS scheduler only produces by accident.
 //!
 //! A simulated process is scheduled one base-object step at a time
-//! ([`algorithm::SimProcess`]).  The models the crate ships — Figure 3,
-//! Figure 4 (faithful and deliberately crippled variants), the unbounded
-//! tagged baseline, a broken naive register, Michael–Scott queues and
-//! Harris–Michael sets under four protection schemes — are written as
-//! straight-line code that reads like the paper's listings, every memory
-//! access of which is one such step.
+//! ([`algorithm::SimProcess`]).  What the crate schedules — Figure 3,
+//! Figure 4 (faithful and deliberately crippled variants) and the announce
+//! LL/SC, which are `aba-core`'s own code run on the simulator's memory, and
+//! the models of the unbounded tagged baseline, a broken naive register,
+//! Michael–Scott queues and Harris–Michael sets under four protection
+//! schemes — is straight-line code that reads like the paper's listings,
+//! every memory access of which is one such step.
 //!
 //! ```
 //! use aba_sim::algorithms::fig4::Fig4Sim;

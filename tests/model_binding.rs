@@ -9,11 +9,16 @@
 //! This is the behavioural tie between the two sides (the key tie —
 //! every `queue/*` and `set/*` roster key is an `aba_lockfree::Family` key —
 //! is `crates/bench/tests/dpor_golden.rs`).  One row per model: the nine
-//! `MODEL_ROSTER` keys plus the two paper constructions the roster does not
-//! explore (`Fig3Sim`, `Fig4Sim`).  Structure rows compare responses only:
-//! `Guard` has no step counter yet (ROADMAP item 3).
+//! `MODEL_ROSTER` keys plus the three constructions the roster does not
+//! explore (`Fig3Sim`, `Fig4Sim`, `AnnounceSim`).  Those three are not
+//! hand-written models: each spawns the code its hardware twin runs, written
+//! once over `aba_core::mem::Mem`, so their rows bind the two *memories* —
+//! the atomics and the simulator's replay log — not two texts.  Structure
+//! rows compare responses only: `Guard` has no step counter yet (ROADMAP
+//! item 3).
 
 use aba_repro::lockfree::{Family, NaiveEventSignal, Scheme, Structure};
+use aba_repro::sim::algorithms::announce::AnnounceSim;
 use aba_repro::sim::algorithms::baselines::{NaiveSim, TaggedSim};
 use aba_repro::sim::algorithms::fig3::Fig3Sim;
 use aba_repro::sim::algorithms::fig4::Fig4Sim;
@@ -21,7 +26,7 @@ use aba_repro::sim::algorithms::queue::QueueSim;
 use aba_repro::sim::algorithms::set::SetSim;
 use aba_repro::sim::{MethodCall, SimAlgorithm, Simulation, MODEL_ROSTER};
 use aba_repro::spec::{AbaRegisterObject, LlScObject, OpKind, ProcessId};
-use aba_repro::{BoundedAbaRegister, CasLlSc, TaggedAbaRegister};
+use aba_repro::{AnnounceLlSc, BoundedAbaRegister, CasLlSc, TaggedAbaRegister};
 
 /// Processes on both sides.
 const N: usize = 4;
@@ -82,7 +87,7 @@ fn structure(key: &str) -> Twin {
     Twin::Structure(family.build(scheme, ARENA, N))
 }
 
-const TABLE: [Row; 11] = [
+const TABLE: [Row; 12] = [
     Row {
         key: "Fig4Sim",
         model: || Box::new(Fig4Sim::new(N)),
@@ -93,6 +98,12 @@ const TABLE: [Row; 11] = [
         key: "Fig3Sim",
         model: || Box::new(Fig3Sim::new(N)),
         twin: || Twin::LlSc(Box::new(CasLlSc::new(N))),
+        steps: Steps::Equal,
+    },
+    Row {
+        key: "AnnounceSim",
+        model: || Box::new(AnnounceSim::new(N)),
+        twin: || Twin::LlSc(Box::new(AnnounceLlSc::new(N))),
         steps: Steps::Equal,
     },
     Row {
