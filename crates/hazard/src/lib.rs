@@ -12,6 +12,12 @@
 //! whole repository free of `unsafe`), but the protocol — publish hazard,
 //! validate, retire, scan — is the standard one.
 //!
+//! [`HazardHandle::clear`] stores unconditionally; a caller that knows its
+//! slot is already empty (`aba-reclaim`'s guard keeps a mask of the lanes it
+//! has published) skips the call rather than the domain second-guessing it.
+//! The orphan list's lock is recovered if poisoned: it guards a plain
+//! `Vec<u64>` and no caller's code runs while it is held.
+//!
 //! ```
 //! use aba_hazard::HazardDomain;
 //!
@@ -34,7 +40,7 @@
 #![warn(missing_debug_implementations)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Sentinel meaning "no handle protected".
 const EMPTY: u64 = u64::MAX;
@@ -132,7 +138,14 @@ impl HazardDomain {
     /// Number of retired values orphaned by dropped handles and not yet
     /// adopted by a scan.
     pub fn orphan_len(&self) -> usize {
-        self.orphans.lock().expect("orphan lock poisoned").len()
+        self.lock_orphans().len()
+    }
+
+    /// Lock the orphan list.  A poisoned lock is recovered: the list is a
+    /// plain `Vec<u64>` that only `append` touches under the lock, valid at
+    /// every step, and no caller's code runs while it is held.
+    fn lock_orphans(&self) -> MutexGuard<'_, Vec<u64>> {
+        self.orphans.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -254,10 +267,7 @@ impl HazardHandle<'_> {
     fn scan(&mut self, mut free: impl FnMut(u64)) {
         // Adopt values orphaned by dropped handles: reclamation responsibility
         // transfers to whichever handle scans next (see the drop contract).
-        {
-            let mut orphans = self.domain.orphans.lock().expect("orphan lock poisoned");
-            self.retired.append(&mut orphans);
-        }
+        self.retired.append(&mut self.domain.lock_orphans());
         // Snapshot and sort the protectors once, so the membership test for
         // each of the R retired values is O(log P) instead of O(P).  The
         // snapshot lives in a per-handle scratch buffer whose capacity is
@@ -291,8 +301,7 @@ impl Drop for HazardHandle<'_> {
     fn drop(&mut self) {
         self.clear();
         if !self.retired.is_empty() {
-            let mut orphans = self.domain.orphans.lock().expect("orphan lock poisoned");
-            orphans.append(&mut self.retired);
+            self.domain.lock_orphans().append(&mut self.retired);
         }
     }
 }
@@ -491,6 +500,37 @@ mod tests {
         let mut freed = Vec::new();
         adopter.flush(|v| freed.push(v));
         assert_eq!(freed, vec![9]);
+    }
+
+    #[test]
+    fn a_poisoned_orphan_lock_is_recovered() {
+        let d = HazardDomain::new(2);
+        {
+            let mut h = d.handle(0);
+            h.retire(5, |_| {});
+        } // 5 is orphaned
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = d.orphans.lock().unwrap();
+                panic!("poison the orphan lock");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        assert!(d.orphans.is_poisoned());
+        // The list is a plain vector of values: nothing a panic can break.
+        // A handle still orphans onto it, drops over it and adopts from it.
+        assert_eq!(d.orphan_len(), 1);
+        {
+            let mut h = d.handle(0);
+            h.retire(6, |_| {});
+        }
+        assert_eq!(d.orphan_len(), 2);
+        let mut adopter = d.handle(1);
+        let mut freed = Vec::new();
+        adopter.flush(|v| freed.push(v));
+        assert_eq!(freed, vec![5, 6]);
+        assert_eq!(d.orphan_len(), 0);
     }
 
     #[test]

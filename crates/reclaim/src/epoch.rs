@@ -13,11 +13,17 @@
 //! point.
 //!
 //! Per-guard state is three *limbo bags* (one per epoch residue class
-//! mod 3): `retire` appends to the current epoch's bag in O(1), `pin`/
-//! `unpin` are one or two shared stores, and the O(threads) epoch-advance
+//! mod 3): `retire` appends to the current epoch's bag in O(1), `pin` and
+//! `unpin` are one shared store each, and the O(threads) epoch-advance
 //! scan runs only every [`ADVANCE_THRESHOLD`] retirements (or under
 //! allocation pressure) — the amortized-O(1) cost profile that makes epochs
 //! the cheap-reads point in the scheme-comparison tables.
+//!
+//! An operation pays the protocol's locked instructions and no others: a
+//! stack push+pop pair is the two head CASes, the pin and the unpin.  The
+//! advance-debt diagnostic is reset only when it reads non-zero, and the
+//! unreclaimed count is a per-thread cell written with a load and a store
+//! (`gauge.rs`), not a `fetch_add` / `fetch_sub` pair on one shared line.
 //!
 //! # Debt-bounded advancement (DESIGN.md §12)
 //!
@@ -31,12 +37,17 @@
 //! * **Advance debt** — every advance attempt blocked by a stale pin bumps
 //!   that slot's `advance_debt` counter, so a chronically-stale thread is
 //!   *detectable* and reportable ([`EpochReclaim::advance_debt`]); its pin
-//!   is never force-expired.
+//!   is never force-expired.  The unpin settles the debt — with a store only
+//!   if there is one.
 //! * **Quarantine transfer** — after [`TRANSFER_AFTER_BLOCKED`] consecutive
 //!   blocked advances a guard transfers its bags (keyed by retire epoch)
 //!   to the shared quarantine and keeps operating with empty bags; any
 //!   guard's flush adopts quarantined nodes the moment they become
-//!   eligible, so transferred limbo is centralized, not stranded.
+//!   eligible, so transferred limbo is centralized, not stranded.  Adopted
+//!   nodes are taken out under the quarantine lock and freed after it is
+//!   released, so a `free` callback that panics poisons nothing and loses
+//!   only the node it was called on; a lock poisoned some other way is
+//!   recovered (the list is a plain `Vec`).
 //! * **Allocation admission** — [`Guard::admit_alloc`] recomputes the
 //!   advance trigger from the arena's *live* capacity, and once the global
 //!   unreclaimed count exceeds the limbo budget (`threads · trigger +
@@ -45,10 +56,11 @@
 //!   allocation failures instead of eating the arena.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use aba_core::CachePadded;
 
+use crate::gauge::{Gauge, GaugeCell};
 use crate::{BareLinks, Guard, Reclaimer, Scheme, SlotId};
 
 /// Maximum retirements between a guard's epoch-advance attempts (amortizes
@@ -91,7 +103,7 @@ pub struct EpochReclaim {
     slots: Vec<CachePadded<AtomicU64>>,
     /// Retired-but-not-freed node count across all guards (the scheme's
     /// space overhead).
-    unreclaimed: AtomicU64,
+    unreclaimed: Gauge,
     /// `(node, retire-epoch)` pairs owned by no guard: stranded by dropped
     /// guards, or transferred by debt-blocked ones.  Adopted by whichever
     /// guard reclaims next.
@@ -108,9 +120,10 @@ impl Reclaimer for EpochReclaim {
     const SCHEME: Scheme = Scheme::Epoch;
 
     fn new(threads: usize, _lanes: usize) -> Self {
+        let threads = threads.max(1);
         EpochReclaim {
             global: AtomicU64::new(0),
-            locals: (0..threads.max(1))
+            locals: (0..threads)
                 .map(|_| {
                     CachePadded::new(LocalEpoch {
                         epoch: AtomicU64::new(0),
@@ -119,7 +132,7 @@ impl Reclaimer for EpochReclaim {
                 })
                 .collect(),
             slots: Vec::new(),
-            unreclaimed: AtomicU64::new(0),
+            unreclaimed: Gauge::new(threads),
             quarantine: Mutex::new(Vec::new()),
             quarantine_count: AtomicU64::new(0),
         }
@@ -131,22 +144,23 @@ impl Reclaimer for EpochReclaim {
     }
 
     fn guard(&self, tid: usize, capacity: usize) -> EpochGuard<'_> {
-        assert!(tid < self.locals.len(), "tid {tid} out of range");
         EpochGuard {
             shared: self,
             tid,
+            unreclaimed: self.unreclaimed.cell(tid),
             capacity,
             pinned: false,
             bags: [Vec::new(), Vec::new(), Vec::new()],
             bag_epoch: [0; 3],
             limbo: 0,
+            adopted: Vec::new(),
             since_advance: 0,
             blocked_advances: 0,
         }
     }
 
     fn unreclaimed(&self) -> u64 {
-        self.unreclaimed.load(Ordering::SeqCst)
+        self.unreclaimed.sum()
     }
 }
 
@@ -160,7 +174,9 @@ impl EpochReclaim {
     /// (0 when quiescent): the chronically-stale-thread report.  A large
     /// value identifies a parked reader whose pin is capping reclamation;
     /// the scheme never force-expires it — detection is the remedy the
-    /// safety argument allows.
+    /// safety argument allows.  The unpin resets it when it reads non-zero;
+    /// an advancer that raced the unpin can leave a stale 1 behind until the
+    /// thread's next unpin.
     pub fn advance_debt(&self, tid: usize) -> u64 {
         self.locals[tid].advance_debt.load(Ordering::SeqCst)
     }
@@ -171,6 +187,22 @@ impl EpochReclaim {
     pub fn quarantined(&self) -> u64 {
         self.quarantine_count.load(Ordering::SeqCst)
     }
+
+    /// Lock the quarantine.  A poisoned lock is recovered: the list is a
+    /// plain `Vec` of pairs that only `extend` and `retain` touch under the
+    /// lock, valid at every step, and no caller's code runs while it is held.
+    fn lock_quarantine(&self) -> MutexGuard<'_, Vec<(u64, u64)>> {
+        self.quarantine
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Mirror the quarantine's length outside the mutex — called with the
+    /// lock held, so the mirror cannot drift from the list.
+    fn mirror_quarantine_len(&self, quarantine: &MutexGuard<'_, Vec<(u64, u64)>>) {
+        self.quarantine_count
+            .store(quarantine.len() as u64, Ordering::SeqCst);
+    }
 }
 
 /// Guard of [`EpochReclaim`]: pin state plus three limbo bags.
@@ -178,6 +210,8 @@ impl EpochReclaim {
 pub struct EpochGuard<'a> {
     shared: &'a EpochReclaim,
     tid: usize,
+    /// This thread's cell of the shared unreclaimed gauge.
+    unreclaimed: GaugeCell<'a>,
     /// Most recently observed arena capacity; the advance trigger and limbo
     /// budget derive from it on demand, so [`Guard::admit_alloc`] tracking a
     /// growable arena's *live* capacity retunes both (pre-fix the trigger
@@ -190,6 +224,10 @@ pub struct EpochGuard<'a> {
     bag_epoch: [u64; 3],
     /// Total nodes across the three bags.
     limbo: usize,
+    /// Eligible `(node, retire-epoch)` pairs taken out of the quarantine and
+    /// not yet freed, last to be freed first.  Empty between calls unless a
+    /// `free` callback panicked; the drop hands what is left back.
+    adopted: Vec<(u64, u64)>,
     since_advance: usize,
     /// Consecutive advance attempts blocked by a stale pin; reaching
     /// [`TRANSFER_AFTER_BLOCKED`] transfers the bags to quarantine.
@@ -238,8 +276,14 @@ impl EpochGuard<'_> {
             let local = &self.shared.locals[self.tid];
             local.epoch.store(0, Ordering::SeqCst);
             // The pin that accrued the debt is over; the diagnostic tracks
-            // the *current* pin only.
-            local.advance_debt.store(0, Ordering::SeqCst);
+            // the *current* pin only.  Almost every pin accrues none, and a
+            // store of 0 over 0 is a locked instruction for nothing.  (An
+            // advancer that read the pin before it was withdrawn may charge
+            // it after this check — a stale 1, as an unconditional store
+            // would leave too.)
+            if local.advance_debt.load(Ordering::SeqCst) != 0 {
+                local.advance_debt.store(0, Ordering::SeqCst);
+            }
             self.pinned = false;
         }
     }
@@ -251,58 +295,53 @@ impl EpochGuard<'_> {
         for s in 0..3 {
             if !self.bags[s].is_empty() && self.bag_epoch[s] + 2 <= g {
                 self.limbo -= self.bags[s].len();
-                for idx in self.bags[s].drain(..) {
-                    self.shared.unreclaimed.fetch_sub(1, Ordering::SeqCst);
-                    free(idx);
-                }
+                self.unreclaimed.sub(self.bags[s].len() as u64);
+                self.bags[s].drain(..).for_each(&mut *free);
             }
         }
         if self.shared.quarantine_count.load(Ordering::SeqCst) == 0 {
             return;
         }
-        let mut quarantine = self
-            .shared
-            .quarantine
-            .lock()
-            .expect("quarantine lock poisoned");
-        let mut adopted = 0u64;
-        quarantine.retain(|&(idx, e)| {
-            if e + 2 <= g {
-                adopted += 1;
-                self.shared.unreclaimed.fetch_sub(1, Ordering::SeqCst);
-                free(idx);
-                false
-            } else {
-                true
-            }
-        });
-        self.shared
-            .quarantine_count
-            .fetch_sub(adopted, Ordering::SeqCst);
+        // Take the eligible entries under the lock and free them after it
+        // is released: `free` is the caller's code — it may panic, and it
+        // takes the arena's free-list lock.
+        {
+            let mut quarantine = self.shared.lock_quarantine();
+            quarantine.retain(|&entry| {
+                let eligible = entry.1 + 2 <= g;
+                if eligible {
+                    self.adopted.push(entry);
+                }
+                !eligible
+            });
+            self.shared.mirror_quarantine_len(&quarantine);
+        }
+        self.adopted.reverse();
+        while let Some((idx, _)) = self.adopted.pop() {
+            self.unreclaimed.sub(1);
+            free(idx);
+        }
     }
 
-    /// Hand every bag to the shared quarantine, keyed by its retire epoch.
+    /// Hand every bag to the shared quarantine, keyed by its retire epoch
+    /// (and with them whatever a panicking `free` left in `adopted`).
     /// Nothing is freed — transferred nodes still await their two advances —
     /// but this guard's private limbo drops to zero, so a guard stuck behind
     /// a stale pin stops accumulating and the footprint is centralized
     /// where any later guard can reclaim it.
     fn transfer_to_quarantine(&mut self) {
         self.blocked_advances = 0;
-        if self.limbo == 0 {
+        if self.limbo == 0 && self.adopted.is_empty() {
             return;
         }
-        let mut quarantine = self
-            .shared
-            .quarantine
-            .lock()
-            .expect("quarantine lock poisoned");
+        let shared = self.shared;
+        let mut quarantine = shared.lock_quarantine();
         for s in 0..3 {
             let e = self.bag_epoch[s];
             quarantine.extend(self.bags[s].drain(..).map(|idx| (idx, e)));
         }
-        self.shared
-            .quarantine_count
-            .fetch_add(self.limbo as u64, Ordering::SeqCst);
+        quarantine.append(&mut self.adopted);
+        shared.mirror_quarantine_len(&quarantine);
         self.limbo = 0;
     }
 
@@ -381,15 +420,13 @@ impl Guard for EpochGuard<'_> {
             // The bag's residents were retired a full cycle (3 epochs) ago —
             // safely past the 2-advance bar — so the slot can be recycled.
             self.limbo -= self.bags[s].len();
-            for old in self.bags[s].drain(..) {
-                self.shared.unreclaimed.fetch_sub(1, Ordering::SeqCst);
-                free(old);
-            }
+            self.unreclaimed.sub(self.bags[s].len() as u64);
+            self.bags[s].drain(..).for_each(&mut free);
         }
         self.bag_epoch[s] = e;
         self.bags[s].push(idx);
         self.limbo += 1;
-        self.shared.unreclaimed.fetch_add(1, Ordering::SeqCst);
+        self.unreclaimed.add(1);
         self.since_advance += 1;
         // The operation is complete: quiesce before (possibly) scanning for
         // an advance, so our own pin never blocks it.
@@ -445,23 +482,10 @@ impl Guard for EpochGuard<'_> {
 impl Drop for EpochGuard<'_> {
     fn drop(&mut self) {
         self.unpin();
-        if self.limbo > 0 {
-            // Strand the un-freed retirees on the domain rather than leaking
-            // them: the next guard to reclaim adopts them (the hazard
-            // domain's orphan contract, transplanted).
-            let mut quarantine = self
-                .shared
-                .quarantine
-                .lock()
-                .expect("quarantine lock poisoned");
-            for s in 0..3 {
-                let e = self.bag_epoch[s];
-                quarantine.extend(self.bags[s].drain(..).map(|idx| (idx, e)));
-            }
-            self.shared
-                .quarantine_count
-                .fetch_add(self.limbo as u64, Ordering::SeqCst);
-        }
+        // Strand the un-freed retirees on the domain rather than leaking
+        // them: the next guard to reclaim adopts them (the hazard domain's
+        // orphan contract, transplanted).
+        self.transfer_to_quarantine();
     }
 }
 
@@ -554,6 +578,12 @@ mod tests {
         assert_eq!(r.advance_debt(1), 0, "the quiescent helper owes nothing");
         parked.quiesce();
         assert_eq!(r.advance_debt(0), 0, "unpinning settles the debt");
+        // A pin nobody was blocked by owes nothing, before and after its
+        // unpin (which then leaves the debt word alone).
+        let _ = parked.protect(0, head);
+        assert_eq!(r.advance_debt(0), 0);
+        parked.quiesce();
+        assert_eq!(r.advance_debt(0), 0);
     }
 
     #[test]
@@ -704,6 +734,126 @@ mod tests {
         assert_eq!(freed, vec![9]);
         assert_eq!(r.unreclaimed(), 0);
         assert_eq!(r.quarantined(), 0);
+    }
+
+    fn retire_one(g: &mut EpochGuard<'_>, head: SlotId, idx: u64) {
+        let raw = g.protect(0, head);
+        let _ = g.cas(head, raw, NIL);
+        g.retire(idx, |_| {});
+    }
+
+    /// What a quarantine must still do after a worker died over it: take a
+    /// debt-blocked guard's transfer, give everything up for adoption once
+    /// the stale pin is gone, and be dropped over.  Returns what was freed.
+    fn transfer_adopt_and_drop(r: &EpochReclaim, head: SlotId, idx: u64) -> Vec<u64> {
+        let mut parked = r.guard(0, 1024);
+        let _ = parked.protect(0, head);
+        let mut g = r.guard(1, 1024);
+        let mut freed = Vec::new();
+        let _ = g.try_advance(&mut |v| freed.push(v)); // the one unblocked advance
+        let before = r.quarantined();
+        retire_one(&mut g, head, idx);
+        for _ in 0..TRANSFER_AFTER_BLOCKED {
+            let _ = g.try_advance(&mut |v| freed.push(v));
+        }
+        assert_eq!(r.quarantined(), before + 1, "the transfer went through");
+        parked.quiesce();
+        g.reclaim_pressure(|v| freed.push(v));
+        retire_one(&mut g, head, idx + 1);
+        drop(g); // with limbo: the drop takes the quarantine lock too
+        r.guard(1, 1024).reclaim_pressure(|v| freed.push(v));
+        freed.sort_unstable();
+        freed
+    }
+
+    /// Satellite regression: `free` is the caller's code and may panic.  It
+    /// used to run inside `quarantine.retain` with the lock held, so the
+    /// unwinding thread's own guard drop — which takes that lock whenever
+    /// the guard still holds limbo — hit a poisoned lock: a panic while
+    /// panicking, and the process aborted.
+    #[test]
+    fn a_free_that_panics_during_adoption_loses_only_its_own_node() {
+        let mut r = EpochReclaim::new(2, 1);
+        let head = r.add_slot(NIL);
+        {
+            let mut g = r.guard(0, 1024);
+            for idx in [7, 8, 9] {
+                retire_one(&mut g, head, idx);
+            }
+        } // dropped: 7, 8, 9 quarantined at epoch 0
+        assert_eq!(r.quarantined(), 3);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut g = r.guard(1, 1024);
+                let _ = g.try_advance(&mut |_| {});
+                retire_one(&mut g, head, 20); // limbo of its own, one epoch younger
+                g.reclaim_pressure(|v| assert_ne!(v, 8, "bad index"));
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        assert!(
+            !r.quarantine.is_poisoned(),
+            "no callback runs under the lock"
+        );
+        // 7 was freed and 8 died with its callback; 9 (adopted, not yet
+        // freed) and 20 (still in limbo) went back with the guard's drop.
+        assert_eq!(r.quarantined(), 2);
+        assert_eq!(r.unreclaimed(), 2);
+        assert_eq!(transfer_adopt_and_drop(&r, head, 30), vec![9, 20, 30, 31]);
+        assert_eq!(r.quarantined(), 0);
+        assert_eq!(r.unreclaimed(), 0);
+    }
+
+    #[test]
+    fn a_poisoned_quarantine_lock_is_recovered() {
+        let mut r = EpochReclaim::new(2, 1);
+        let head = r.add_slot(NIL);
+        {
+            let mut g = r.guard(0, 1024);
+            retire_one(&mut g, head, 7);
+        }
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = r.quarantine.lock().unwrap();
+                panic!("poison the quarantine lock");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        assert!(r.quarantine.is_poisoned());
+        // The list is a plain vector of pairs: nothing a panic can break.
+        assert_eq!(transfer_adopt_and_drop(&r, head, 30), vec![7, 30, 31]);
+        assert_eq!(r.quarantined(), 0);
+        assert_eq!(r.unreclaimed(), 0);
+    }
+
+    #[test]
+    fn adoption_on_another_thread_drives_that_cell_negative_and_the_sum_to_zero() {
+        let mut r = EpochReclaim::new(2, 1);
+        let head = r.add_slot(NIL);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut g = r.guard(0, 1024);
+                retire_one(&mut g, head, 5);
+                retire_one(&mut g, head, 6);
+            })
+            .join()
+            .unwrap();
+            assert_eq!(r.unreclaimed(), 2);
+            s.spawn(|| r.guard(1, 1024).reclaim_pressure(|_| {}))
+                .join()
+                .unwrap();
+        });
+        assert_eq!(r.unreclaimed(), 0);
+        assert_eq!(r.unreclaimed.cell_value(0), 2);
+        assert_eq!(r.unreclaimed.cell_value(1), -2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn bad_tid_is_rejected() {
+        let _ = EpochReclaim::new(2, 1).guard(2, 8);
     }
 
     #[test]

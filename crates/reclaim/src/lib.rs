@@ -24,6 +24,13 @@
 //! scheme-specific protocols — publish-then-revalidate for hazard pointers,
 //! pin/unpin with three limbo bags for epochs, LL/VL/SC for the LL/SC words,
 //! tag bumps for tagging — live entirely behind that interface.
+//!
+//! The two deferred schemes execute the locked instructions their protocols
+//! state and no others — per stack push+pop pair: the two head CASes plus
+//! one hazard publish and one clear, or one pin and one unpin.  A hazard
+//! guard clears only the lanes it has published, and the *unreclaimed*
+//! count both schemes report is a per-thread cell (`gauge.rs`), not a
+//! shared counter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,8 +44,10 @@ use aba_core::{AnnounceLlSc, AnnounceLlScHandle};
 use aba_hazard::HazardDomain;
 
 pub mod epoch;
+mod gauge;
 
 pub use epoch::{EpochGuard, EpochReclaim};
+use gauge::{Gauge, GaugeCell};
 
 /// Index value meaning "null" in the decoded (index) domain.
 pub const NIL: u64 = u64::MAX;
@@ -641,7 +650,7 @@ pub struct HazardReclaim {
     domain: HazardDomain,
     slots: Vec<CachePadded<AtomicU64>>,
     lanes: usize,
-    unreclaimed: AtomicU64,
+    unreclaimed: Gauge,
 }
 
 impl Reclaimer for HazardReclaim {
@@ -650,12 +659,16 @@ impl Reclaimer for HazardReclaim {
     const SCHEME: Scheme = Scheme::Hazard;
 
     fn new(threads: usize, lanes: usize) -> Self {
-        let lanes = lanes.max(1);
+        let (threads, lanes) = (threads.max(1), lanes.max(1));
+        assert!(
+            lanes <= u64::BITS as usize,
+            "a guard's published-lane mask is one word"
+        );
         HazardReclaim {
-            domain: HazardDomain::new(threads.max(1) * lanes),
+            domain: HazardDomain::new(threads * lanes),
             slots: Vec::new(),
             lanes,
-            unreclaimed: AtomicU64::new(0),
+            unreclaimed: Gauge::new(threads),
         }
     }
 
@@ -665,6 +678,7 @@ impl Reclaimer for HazardReclaim {
     }
 
     fn guard(&self, tid: usize, capacity: usize) -> HazardGuard<'_> {
+        let unreclaimed = self.unreclaimed.cell(tid);
         HazardGuard {
             lanes: (0..self.lanes)
                 .map(|lane| self.domain.handle(tid * self.lanes + lane))
@@ -672,8 +686,9 @@ impl Reclaimer for HazardReclaim {
             cache: (0..self.lanes)
                 .map(|_| CachePadded::new((usize::MAX, NIL)))
                 .collect(),
+            published: 0,
             slots: &self.slots,
-            unreclaimed: &self.unreclaimed,
+            unreclaimed,
             capacity,
             batch: Vec::new(),
             batch_trigger: (self.domain.scan_threshold() / 4).max(1),
@@ -681,7 +696,7 @@ impl Reclaimer for HazardReclaim {
     }
 
     fn unreclaimed(&self) -> u64 {
-        self.unreclaimed.load(Ordering::SeqCst)
+        self.unreclaimed.sum()
     }
 }
 
@@ -696,6 +711,12 @@ impl HazardReclaim {
 /// retire batch spliced into lane 0's domain list on a size trigger, and a
 /// per-lane snapshot cache that keeps the `protect` hot path on one shared
 /// cache line.
+///
+/// A hazard slot is written by this guard alone, so the guard knows which
+/// of its slots hold a value without reading them: [`Guard::quiesce`] and
+/// [`Guard::retire`] clear exactly the *published* lanes and never store
+/// empty over empty — a push, which protects nothing, issues no hazard
+/// store at all.
 pub struct HazardGuard<'a> {
     lanes: Vec<aba_hazard::HazardHandle<'a>>,
     /// Per-lane `(slot, raw)` snapshot of the last successful protect, each
@@ -703,8 +724,11 @@ pub struct HazardGuard<'a> {
     /// pays a *single* shared validating load, instead of the
     /// load → publish → re-load double touch of the shared slot array.
     cache: Vec<CachePadded<(SlotId, u64)>>,
+    /// Bit `lane` is set whenever this guard's hazard slot `lane` holds a
+    /// value.
+    published: u64,
     slots: &'a [CachePadded<AtomicU64>],
-    unreclaimed: &'a AtomicU64,
+    unreclaimed: GaugeCell<'a>,
     capacity: usize,
     /// Thread-local retire batch: retirees stage here and are spliced into
     /// the domain's retired list in one append when `batch_trigger` (or the
@@ -723,13 +747,32 @@ impl std::fmt::Debug for HazardGuard<'_> {
 }
 
 impl HazardGuard<'_> {
+    /// Publish `value` in `lane`'s hazard slot.
+    #[inline]
+    fn publish(&mut self, lane: usize, value: u64) {
+        // Mask first: it may name a lane whose slot is empty (a clear over
+        // empty is only wasted), never miss one that holds a value.
+        self.published |= 1 << lane;
+        self.lanes[lane].protect(value);
+    }
+
+    /// Clear every published lane.
+    #[inline]
+    fn clear_published(&mut self) {
+        let mut published = std::mem::take(&mut self.published);
+        while published != 0 {
+            self.lanes[published.trailing_zeros() as usize].clear();
+            published &= published - 1;
+        }
+    }
+
     /// Splice the thread-local batch into lane 0's domain list (one append)
     /// and let the domain's scan policy — plus the small-arena eager-flush
     /// rule — reclaim.
     fn flush_batch(&mut self, free: &mut impl FnMut(u64)) {
         let unreclaimed = self.unreclaimed;
         let mut counted = |v: u64| {
-            unreclaimed.fetch_sub(1, Ordering::SeqCst);
+            unreclaimed.sub(1);
             free(v);
         };
         self.lanes[0].retire_batch(&mut self.batch, &mut counted);
@@ -751,7 +794,7 @@ impl Guard for HazardGuard<'_> {
         // `hazard_traversal` test pins that it is load-bearing).
         let (cached_slot, cached_raw) = *self.cache[lane];
         if cached_slot == slot && cached_raw != NIL {
-            self.lanes[lane].protect(cached_raw);
+            self.publish(lane, cached_raw);
             if self.slots[slot].load(Ordering::SeqCst) == cached_raw {
                 return cached_raw;
             }
@@ -762,10 +805,13 @@ impl Guard for HazardGuard<'_> {
         loop {
             let raw = self.slots[slot].load(Ordering::SeqCst);
             if raw == NIL {
-                self.lanes[lane].clear();
+                if self.published & (1 << lane) != 0 {
+                    self.lanes[lane].clear();
+                    self.published &= !(1 << lane);
+                }
                 return raw;
             }
-            self.lanes[lane].protect(raw);
+            self.publish(lane, raw);
             if self.slots[slot].load(Ordering::SeqCst) == raw {
                 *self.cache[lane] = (slot, raw);
                 return raw;
@@ -792,7 +838,7 @@ impl Guard for HazardGuard<'_> {
         // the anchoring slot has not moved: only then was the node really
         // reachable — and therefore not yet retired — while both hazards
         // were visible.
-        self.lanes[lane].protect(idx);
+        self.publish(lane, idx);
         self.slots[slot].load(Ordering::SeqCst) == raw
     }
 
@@ -805,7 +851,7 @@ impl Guard for HazardGuard<'_> {
         // validate-then-publish traversal can protect a node that was
         // retired and scanned between the two, and then dereference it after
         // recycling (the `hazard_traversal` integration test pins this).
-        self.lanes[lane].protect(idx);
+        self.publish(lane, idx);
         link.load(Ordering::SeqCst) == raw
     }
 
@@ -816,11 +862,9 @@ impl Guard for HazardGuard<'_> {
     fn retire(&mut self, idx: u64, mut free: impl FnMut(u64)) {
         // The operation is complete: its protections are released before the
         // node is retired, so our own hazards never pin our own retirees.
-        for lane in &self.lanes {
-            lane.clear();
-        }
+        self.clear_published();
         assert_ne!(idx, NIL, "the sentinel cannot be retired");
-        self.unreclaimed.fetch_add(1, Ordering::SeqCst);
+        self.unreclaimed.add(1);
         // Stage in the thread-local batch; the domain's scan-visible list is
         // touched only on the size trigger (one splice per batch) or under
         // the small-arena pressure rule.
@@ -833,15 +877,13 @@ impl Guard for HazardGuard<'_> {
     }
 
     fn quiesce(&mut self) {
-        for lane in &self.lanes {
-            lane.clear();
-        }
+        self.clear_published();
     }
 
     fn reclaim_pressure(&mut self, mut free: impl FnMut(u64)) {
         let unreclaimed = self.unreclaimed;
         let mut counted = |v: u64| {
-            unreclaimed.fetch_sub(1, Ordering::SeqCst);
+            unreclaimed.sub(1);
             free(v);
         };
         // The batch must reach the domain before the scan, or staged
@@ -1081,6 +1123,86 @@ mod tests {
         g.retire(1, |v| freed.push(v));
         g.retire(2, |v| freed.push(v));
         assert_eq!(freed, vec![1, 2]);
+    }
+
+    /// The guard tracks which of its hazard slots hold a value in a private
+    /// mask and clears only those; the domain's slots are the truth it must
+    /// agree with after any sequence of calls.
+    #[test]
+    fn hazard_published_mask_agrees_with_the_domain_under_a_random_script() {
+        const LANES: usize = 3;
+        let mut r = HazardReclaim::new(2, LANES);
+        let live = r.add_slot(40);
+        let nil = r.add_slot(NIL);
+        let link = AtomicU64::new(0);
+        let mut g = r.guard(1, 1 << 20);
+        let lane_slot = |lane: usize| r.domain().protected_by(LANES + lane);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64; // xorshift64, fixed seed
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for step in 0..10_000 {
+            let (call, lane, idx) = (next() % 6, (next() % 3) as usize, next() % 32);
+            match call {
+                0 => {
+                    assert_eq!(g.protect(lane, live), 40);
+                    assert_eq!(lane_slot(lane), Some(40), "step {step}");
+                }
+                1 => {
+                    assert_eq!(g.protect(lane, nil), NIL);
+                    assert_eq!(lane_slot(lane), None, "step {step}");
+                }
+                2 => {
+                    assert!(g.protect_link(lane, idx, live, 40));
+                    assert_eq!(lane_slot(lane), Some(idx), "step {step}");
+                }
+                3 => {
+                    g.store_link_mark(&link, idx, false);
+                    assert!(g.protect_link_word(lane, idx, &link, g.load_link(&link)));
+                    assert_eq!(lane_slot(lane), Some(idx), "step {step}");
+                }
+                call => {
+                    if call == 4 {
+                        g.quiesce();
+                    } else {
+                        g.retire(100 + idx, |_| {});
+                    }
+                    for lane in 0..LANES {
+                        assert_eq!(lane_slot(lane), None, "step {step}, lane {lane}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hazard_adoption_on_another_thread_drives_that_cell_negative_and_the_sum_to_zero() {
+        let r = HazardReclaim::new(2, 1);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut g = r.guard(0, 1 << 20);
+                g.retire(5, |_| {});
+                g.retire(6, |_| {});
+            }) // dropped with both staged: orphaned onto the domain
+            .join()
+            .unwrap();
+            assert_eq!(r.unreclaimed(), 2);
+            s.spawn(|| r.guard(1, 1 << 20).reclaim_pressure(|_| {}))
+                .join()
+                .unwrap();
+        });
+        assert_eq!(r.unreclaimed(), 0);
+        assert_eq!(r.unreclaimed.cell_value(0), 2);
+        assert_eq!(r.unreclaimed.cell_value(1), -2);
+    }
+
+    #[test]
+    #[should_panic(expected = "tid 2 out of range")]
+    fn hazard_bad_tid_is_rejected() {
+        let _ = HazardReclaim::new(2, 3).guard(2, 8);
     }
 
     #[test]

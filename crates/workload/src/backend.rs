@@ -27,7 +27,7 @@
 //! ~130 ns per round trip for seconds at a time (the same binary measured
 //! 4 M or 20 M ops/s on the contended stack; EXPERIMENTS.md E16).  Until the
 //! engine can price that latency, contended cells keep the pacing that makes
-//! them repeatable (ROADMAP item 2).
+//! them repeatable (ROADMAP items 1(a) and 3(iii)).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
