@@ -11,35 +11,22 @@ use aba_bench::Table;
 use aba_lowerbound::{llsc_tradeoff_rows, register_tradeoff_rows, TradeoffRow};
 
 fn render(title: &str, rows: &[TradeoffRow]) {
-    let mut table = Table::new(
+    let table = Table::of(
         title,
+        rows,
         &[
-            "implementation",
-            "n",
-            "base objects (m)",
-            "bounded",
-            "design t",
-            "observed t",
-            "product m·t",
-            "bound n-1",
-            "satisfies",
-            "measured by",
+            ("implementation", &|r| r.name.clone()),
+            ("n", &|r| r.n.to_string()),
+            ("base objects (m)", &|r| r.space.total_objects().to_string()),
+            ("bounded", &|r| r.space.bounded.to_string()),
+            ("design t", &|r| r.design_worst_steps.to_string()),
+            ("observed t", &|r| r.observed_worst_steps.to_string()),
+            ("product m·t", &|r| r.product().to_string()),
+            ("bound n-1", &|r| r.bound().to_string()),
+            ("satisfies", &|r| r.satisfies_bound().to_string()),
+            ("measured by", &|r| r.source.to_string()),
         ],
     );
-    for row in rows {
-        table.row(&[
-            row.name.clone(),
-            row.n.to_string(),
-            row.space.total_objects().to_string(),
-            row.space.bounded.to_string(),
-            row.design_worst_steps.to_string(),
-            row.observed_worst_steps.to_string(),
-            row.product().to_string(),
-            row.bound().to_string(),
-            row.satisfies_bound().to_string(),
-            row.source.to_string(),
-        ]);
-    }
     println!("{}", table.render());
 }
 

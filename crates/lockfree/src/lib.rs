@@ -17,7 +17,9 @@
 //! * [`map`] — **one** generic split-ordered (Shalev–Shavit) hash map: the
 //!   set's list (the crate-private `list` module holds the one
 //!   Harris–Michael implementation both start from) under a growable bucket
-//!   table, with the same five protection strategies, experiment E13;
+//!   table, with the same five protection strategies, experiment E13 (the
+//!   four share one node lifecycle, the crate-private `nodes` module:
+//!   allocation, retirement, the retry budget and the ABA tally);
 //! * [`stress`] — the multi-threaded stress harnesses and value-conservation
 //!   checks that quantify ABA damage;
 //! * [`event`] — the busy-wait / reset event-signalling scenario from §1,
@@ -35,6 +37,7 @@ pub mod arena;
 pub mod event;
 mod list;
 pub mod map;
+mod nodes;
 pub mod queue;
 pub mod set;
 pub mod stack;
@@ -91,26 +94,6 @@ impl Window for Racing {
     #[inline]
     fn preemption_window() {
         std::thread::yield_now();
-    }
-}
-
-/// Iteration budget for one structure operation, spent on every retry and
-/// every traversal step: unbounded under the protected schemes, finite under
-/// the unprotected one, whose ABA can link a chain into a cycle — and an
-/// unbounded walk wedges just as hard as an unbounded retry loop.
-pub(crate) struct Budget(pub(crate) Option<usize>);
-
-impl Budget {
-    /// Consume one iteration; `false` means the budget is exhausted.
-    pub(crate) fn spend(&mut self) -> bool {
-        match &mut self.0 {
-            None => true,
-            Some(0) => false,
-            Some(n) => {
-                *n -= 1;
-                true
-            }
-        }
     }
 }
 
@@ -467,6 +450,60 @@ mod tests {
                         assert!(h.remove(9));
                         assert_eq!(h.get(9), None);
                     }
+                }
+            }
+        }
+    }
+
+    /// Every fixed-arena family holds exactly its capacity under every
+    /// scheme (the map's arena grows, so it has no such edge): the operation
+    /// past it fails and counts one allocation failure, and one removal makes
+    /// room again — under the deferred schemes too, because the failed
+    /// allocation's reclaim pressure frees the retired node before the one
+    /// retry.
+    #[test]
+    fn a_full_structure_fails_one_allocation_and_one_removal_makes_room() {
+        for family in [Family::Stack, Family::ElimStack, Family::Queue, Family::Set] {
+            for scheme in Scheme::ALL {
+                let cell = family.key(scheme);
+                match family.build(scheme, 2, 1) {
+                    Structure::Stack(stack) => {
+                        assert_eq!(stack.capacity(), 2, "{cell}");
+                        let mut h = stack.handle(0);
+                        assert!(h.push(1) && h.push(2), "{cell}");
+                        assert_eq!(stack.alloc_failures(), 0, "{cell}");
+                        assert!(!h.push(3), "{cell}");
+                        assert_eq!(stack.alloc_failures(), 1, "{cell}");
+                        assert_eq!(h.pop(), Some(2), "{cell}");
+                        assert!(h.push(3), "{cell}");
+                        assert_eq!(stack.alloc_failures(), 1, "{cell}");
+                    }
+                    Structure::Queue(queue) => {
+                        assert_eq!(queue.capacity(), 2, "{cell}");
+                        let mut h = queue.handle(0);
+                        assert!(h.enqueue(1) && h.enqueue(2), "{cell}");
+                        assert_eq!(queue.alloc_failures(), 0, "{cell}");
+                        assert!(!h.enqueue(3), "{cell}");
+                        assert_eq!(queue.alloc_failures(), 1, "{cell}");
+                        assert_eq!(h.dequeue(), Some(1), "{cell}");
+                        assert!(h.enqueue(3), "{cell}");
+                        assert_eq!(queue.alloc_failures(), 1, "{cell}");
+                        assert_eq!(h.dequeue(), Some(2), "{cell}");
+                        assert_eq!(h.dequeue(), Some(3), "{cell}");
+                    }
+                    Structure::Set(set) => {
+                        assert_eq!(set.capacity(), 2, "{cell}");
+                        let mut h = set.handle(0);
+                        assert!(h.insert(1) && h.insert(2), "{cell}");
+                        assert_eq!(set.alloc_failures(), 0, "{cell}");
+                        assert!(!h.insert(3), "{cell}: arena exhausted");
+                        assert_eq!(set.alloc_failures(), 1, "{cell}");
+                        assert!(h.remove(1), "{cell}");
+                        assert!(h.insert(3), "{cell}");
+                        assert_eq!(set.alloc_failures(), 1, "{cell}");
+                        assert!(h.contains(2) && h.contains(3), "{cell}");
+                    }
+                    Structure::Map(_) => unreachable!("the map is not in this table"),
                 }
             }
         }

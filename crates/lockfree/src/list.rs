@@ -25,15 +25,16 @@
 //! unlinking is Michael's helped variant: any traversal that meets a marked
 //! node CASes it out of the chain and [`retires`](Guard::retire) it, then
 //! restarts.
+//!
+//! This file holds the root slot and the Harris–Michael algorithm;
+//! allocation, retirement, the retry budget, the ABA tally and the handle's
+//! drop are the crate's shared node lifecycle (`nodes.rs`).
 
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use aba_core::Backoff;
 use aba_reclaim::{Guard, Reclaimer, SlotId};
 
-use crate::arena::{Magazine, NodeArena, NIL};
-use crate::{Budget, Window};
+use crate::arena::{NodeArena, NIL};
+use crate::nodes::{Budget, Nodes, Worker};
+use crate::Window;
 
 /// The three protection lanes of a traversal, rotated hand-over-hand: the
 /// predecessor node (whose link word the operation will CAS), the current
@@ -46,30 +47,18 @@ pub(crate) const LANES: usize = 3;
 /// next link is a *mark-capable* link word owned by the guard's encoding.
 #[derive(Debug)]
 pub(crate) struct List<R: Reclaimer> {
-    pub(crate) arena: NodeArena,
-    pub(crate) reclaim: R,
-    /// Handles the arena is shared among (sizes their magazines).
-    threads: usize,
+    pub(crate) nodes: Nodes<R>,
     /// The registered root slot: the first node for [`Prev::Root`] walks,
     /// permanently [`NIL`] (a pure pin) when every walk starts at an anchor.
     root: SlotId,
-    aba_events: AtomicU64,
-    alloc_failures: AtomicU64,
 }
 
 impl<R: Reclaimer> List<R> {
     /// An empty list over `arena`, used by at most `threads` threads.
     pub(crate) fn new(arena: NodeArena, threads: usize) -> Self {
-        let mut reclaim = R::new(threads, LANES);
-        let root = reclaim.add_slot(NIL);
-        List {
-            arena,
-            reclaim,
-            threads,
-            root,
-            aba_events: AtomicU64::new(0),
-            alloc_failures: AtomicU64::new(0),
-        }
+        let mut nodes = Nodes::<R>::new(arena, threads, LANES);
+        let root = nodes.reclaim.add_slot(NIL);
+        List { nodes, root }
     }
 
     /// Allocate the first anchor: a node carrying `key` with a NIL link,
@@ -77,51 +66,29 @@ impl<R: Reclaimer> List<R> {
     /// [`Prev::Node`] walks begin (further anchors are [`ListHandle::splice`]d
     /// in behind it).  Call before any handle exists.
     pub(crate) fn first_anchor(&self, key: u32) -> u64 {
-        let idx = self.arena.alloc().expect("initial arena segment is empty");
-        self.arena.init(idx, key, 0);
-        let mut guard = self.reclaim.guard(0, self.arena.live_capacity());
-        guard.store_link_mark(self.arena.next_word(idx), NIL, false);
+        let Nodes { arena, reclaim, .. } = &self.nodes;
+        let idx = arena.alloc().expect("initial arena segment is empty");
+        arena.init(idx, key, 0);
+        let mut guard = reclaim.guard(0, arena.live_capacity());
+        guard.store_link_mark(arena.next_word(idx), NIL, false);
         guard.quiesce();
         idx
     }
 
-    pub(crate) fn aba_events(&self) -> u64 {
-        self.aba_events.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn alloc_failures(&self) -> u64 {
-        self.alloc_failures.load(Ordering::SeqCst)
-    }
-
     /// The per-thread handle for `tid`, with window `W`.
     pub(crate) fn handle<W: Window>(&self, tid: usize) -> ListHandle<'_, R, W> {
-        // Seed the guard's capacity-scaled heuristics from today's *live*
-        // capacity, not the arena's full plan: a plan-sized trigger is far
-        // too lax for the small published segments of a growable arena (the
-        // deferred schemes would park plan/4·threads nodes in limbo while
-        // only the initial segment exists).  Growth is handled
-        // per-operation: `admit_alloc` re-feeds the latest live capacity
-        // before every allocation.
         ListHandle {
-            list: self,
-            guard: self.reclaim.guard(tid, self.arena.live_capacity()),
-            magazine: self.arena.magazine(self.threads),
-            backoff: Backoff::new(tid as u64),
-            window: PhantomData,
+            root: self.root,
+            worker: self.nodes.worker(tid),
         }
     }
 }
 
-/// Per-thread handle of a [`List`]: the guard, the backoff state and every
+/// Per-thread handle of a [`List`]: the root slot, the [`Worker`] and every
 /// Harris–Michael operation.
 pub(crate) struct ListHandle<'a, R: Reclaimer, W: Window> {
-    list: &'a List<R>,
-    guard: R::Guard<'a>,
-    /// This handle's free nodes; every allocation and free goes through it
-    /// (the map's bucket dummies included).
-    pub(crate) magazine: Magazine<'a>,
-    backoff: Backoff,
-    window: PhantomData<W>,
+    root: SlotId,
+    pub(crate) worker: Worker<'a, R, W>,
 }
 
 /// Where a predecessor word lives — and hence where a walk may start: the
@@ -161,29 +128,25 @@ pub(crate) enum Splice {
 }
 
 impl<R: Reclaimer, W: Window> ListHandle<'_, R, W> {
-    fn budget(&self) -> Budget {
-        let list = self.list;
-        Budget(list.reclaim.retry_bound(list.arena.live_capacity()))
-    }
-
     /// Whether the predecessor word still holds `raw` (Michael's
     /// `*prev == cur` re-validation).
     fn validate_prev(&mut self, prev: Prev, raw: u64) -> bool {
+        let w = &mut self.worker;
         match prev {
-            Prev::Root => self.guard.validate(self.list.root, raw),
-            Prev::Node(p) => self.guard.validate_link(self.list.arena.next_word(p), raw),
+            Prev::Root => w.guard.validate(self.root, raw),
+            Prev::Node(p) => w.guard.validate_link(w.nodes.arena.next_word(p), raw),
         }
     }
 
     /// CAS the predecessor word from `raw` to an unmarked word designating
     /// `idx` — the physical unlink and the insert splice share this shape.
     fn cas_prev(&mut self, prev: Prev, raw: u64, idx: u64) -> bool {
+        let w = &mut self.worker;
         match prev {
-            Prev::Root => self.guard.cas(self.list.root, raw, idx),
-            Prev::Node(p) => {
-                self.guard
-                    .cas_link_mark(self.list.arena.next_word(p), raw, idx, false)
-            }
+            Prev::Root => w.guard.cas(self.root, raw, idx),
+            Prev::Node(p) => w
+                .guard
+                .cas_link_mark(w.nodes.arena.next_word(p), raw, idx, false),
         }
     }
 
@@ -203,7 +166,7 @@ impl<R: Reclaimer, W: Window> ListHandle<'_, R, W> {
     /// same reason.
     #[inline(always)]
     fn find(&mut self, from: Prev, key: u32, budget: &mut Budget) -> Option<Traversal> {
-        let arena = &self.list.arena;
+        let arena = &self.worker.nodes.arena;
         // retry-bound: every restart and every hop spends `budget`, which is
         // finite exactly for the scheme whose chain can become cyclic
         // (unprotected); under a protected scheme a restart means another
@@ -220,20 +183,23 @@ impl<R: Reclaimer, W: Window> ListHandle<'_, R, W> {
             // The protected load of the first node for a root walk; the
             // (re-)pin of an epoch guard for an anchored one, whose root
             // slot is NIL (module docs).
-            let root_raw = self.guard.protect(lane, self.list.root);
+            let root_raw = self.worker.guard.protect(lane, self.root);
             let (mut prev_raw, mut prev_gen, mut cur) = match from {
-                Prev::Root => (root_raw, 0u64, self.guard.index_of(root_raw)),
+                Prev::Root => (root_raw, 0u64, self.worker.guard.index_of(root_raw)),
                 Prev::Node(anchor) => {
                     // The anchor needs no protection lane (it is never
                     // retired), but its successor does, published-then-
                     // validated against the anchor's always-readable link.
                     let anchor_gen = arena.generation(anchor);
-                    let raw = self.guard.load_link(arena.next_word(anchor));
-                    let first = self.guard.marked_index_of(raw);
+                    let raw = self.worker.guard.load_link(arena.next_word(anchor));
+                    let first = self.worker.guard.marked_index_of(raw);
                     if first != NIL
-                        && !self
-                            .guard
-                            .protect_link_word(lane, first, arena.next_word(anchor), raw)
+                        && !self.worker.guard.protect_link_word(
+                            lane,
+                            first,
+                            arena.next_word(anchor),
+                            raw,
+                        )
                     {
                         continue 'restart;
                     }
@@ -256,23 +222,21 @@ impl<R: Reclaimer, W: Window> ListHandle<'_, R, W> {
                     });
                 }
                 let cur_gen = arena.generation(cur);
-                let next_raw = self.guard.load_link(arena.next_word(cur));
+                let next_raw = self.worker.guard.load_link(arena.next_word(cur));
                 // Re-validate prev -> cur before trusting the snapshot: a
                 // CAS that lands between our two reads would otherwise hand
                 // us a successor of an already-unlinked node.
                 if !self.validate_prev(prev, prev_raw) {
                     continue 'restart;
                 }
-                let next = self.guard.marked_index_of(next_raw);
-                if self.guard.mark_of(next_raw) {
+                let next = self.worker.guard.marked_index_of(next_raw);
+                if self.worker.guard.mark_of(next_raw) {
                     // cur is logically deleted: help unlink it, retire it,
                     // and restart (the CAS invalidated our snapshot anyway).
                     W::preemption_window();
                     if self.cas_prev(prev, prev_raw, next) {
-                        if arena.generation(cur) != cur_gen {
-                            self.list.aba_events.fetch_add(1, Ordering::SeqCst);
-                        }
-                        self.guard.retire(cur, |i| self.magazine.free(i));
+                        self.worker.tally(cur, cur_gen);
+                        self.worker.retire(cur);
                     }
                     continue 'restart;
                 }
@@ -314,9 +278,12 @@ impl<R: Reclaimer, W: Window> ListHandle<'_, R, W> {
                 // current node is still protected, then shift roles.
                 lane = (lane + 1) % LANES;
                 if next != NIL
-                    && !self
-                        .guard
-                        .protect_link_word(lane, next, arena.next_word(cur), next_raw)
+                    && !self.worker.guard.protect_link_word(
+                        lane,
+                        next,
+                        arena.next_word(cur),
+                        next_raw,
+                    )
                 {
                     continue 'restart;
                 }
@@ -332,79 +299,54 @@ impl<R: Reclaimer, W: Window> ListHandle<'_, R, W> {
     /// its sorted position, walking from `from`.  Returns quiesced.
     #[inline]
     pub(crate) fn splice(&mut self, from: Prev, key: u32, idx: u64) -> Splice {
-        let arena = &self.list.arena;
-        let mut budget = self.budget();
+        let arena = &self.worker.nodes.arena;
+        let mut budget = self.worker.budget();
         // retry-bound: each iteration runs one budgeted `find`; a lost CAS
         // means another thread's splice or unlink succeeded.
         loop {
             let Some(t) = self.find(from, key, &mut budget) else {
-                self.bail();
+                self.worker.bail();
                 return Splice::Exhausted;
             };
             if t.found {
-                self.guard.quiesce();
+                self.worker.guard.quiesce();
                 return Splice::Present(t.cur);
             }
             // Point our node at the successor, then splice it in.  The
             // store goes through the guard so tagging schemes bump the
             // link's tag across recycling.
-            self.guard
+            self.worker
+                .guard
                 .store_link_mark(arena.next_word(idx), t.cur, false);
             W::preemption_window();
             if self.cas_prev(t.prev, t.prev_raw, idx) {
                 if let Prev::Node(p) = t.prev {
                     // The splice succeeded — but did it splice onto the node
-                    // we inspected, or onto a recycled incarnation?  Only
-                    // the unprotected scheme can trip this.
-                    if arena.generation(p) != t.prev_gen {
-                        self.list.aba_events.fetch_add(1, Ordering::SeqCst);
-                    }
+                    // we inspected, or onto a recycled incarnation?
+                    self.worker.tally(p, t.prev_gen);
                 }
-                self.guard.quiesce();
-                self.backoff.reset();
+                self.worker.guard.quiesce();
+                self.worker.backoff.reset();
                 return Splice::Linked;
             }
             // Lost the splice race: back off before re-finding.
-            self.backoff.pause();
+            self.worker.backoff.pause();
         }
-    }
-
-    /// Budget exhausted: record the event and leave the structure alone.
-    fn bail(&mut self) {
-        self.list.aba_events.fetch_add(1, Ordering::SeqCst);
-        self.guard.quiesce();
     }
 
     /// Insert `key` carrying `data`; `false` if the key was already present,
     /// no node could be allocated, or the budget ran out.
     #[inline]
     pub(crate) fn insert(&mut self, from: Prev, key: u32, data: u32) -> bool {
-        let list = self.list;
-        let arena = &list.arena;
-        // Admission before allocation: a deferred scheme retunes its
-        // capacity-derived trigger to the live (grown) arena and may deny
-        // the allocation while its limbo bound is violated by a stale pin.
         // Allocation before the traversal: the allocation-pressure fallback
         // must run quiesced (deferred schemes reclaim here), and the node is
         // exclusively ours until the splice CAS publishes it.
-        let mut node = None;
-        if self
-            .guard
-            .admit_alloc(arena.live_capacity(), |i| self.magazine.free(i))
-        {
-            node = self.magazine.alloc().or_else(|| {
-                self.guard.reclaim_pressure(|i| self.magazine.free(i));
-                self.magazine.alloc()
-            });
-        }
-        let Some(idx) = node else {
-            list.alloc_failures.fetch_add(1, Ordering::SeqCst);
+        let Some(idx) = self.worker.alloc(key, data) else {
             return false;
         };
-        arena.init(idx, key, data);
         let linked = matches!(self.splice(from, key, idx), Splice::Linked);
         if !linked {
-            self.magazine.free(idx);
+            self.worker.free(idx);
         }
         linked
     }
@@ -412,44 +354,43 @@ impl<R: Reclaimer, W: Window> ListHandle<'_, R, W> {
     /// Remove `key`; `false` if it was absent (or the budget ran out).
     #[inline]
     pub(crate) fn remove(&mut self, from: Prev, key: u32) -> bool {
-        let arena = &self.list.arena;
-        let mut budget = self.budget();
+        let arena = &self.worker.nodes.arena;
+        let mut budget = self.worker.budget();
         // retry-bound: each iteration runs one budgeted `find`; a lost mark
         // CAS means another thread's mutation of `cur` succeeded.
         loop {
             let Some(t) = self.find(from, key, &mut budget) else {
-                self.bail();
+                self.worker.bail();
                 return false;
             };
             if !t.found {
-                self.guard.quiesce();
+                self.worker.guard.quiesce();
                 return false;
             }
-            let next = self.guard.marked_index_of(t.cur_next_raw);
+            let next = self.worker.guard.marked_index_of(t.cur_next_raw);
             // Logical deletion: one CAS sets the mark in cur's own link,
             // atomically verifying the successor did not change.  From this
             // instant the key is gone; everything after is physical cleanup.
             W::preemption_window();
             if !self
+                .worker
                 .guard
                 .cas_link_mark(arena.next_word(t.cur), t.cur_next_raw, next, true)
             {
                 // Raced with another mutation on cur: back off, then re-find.
-                self.backoff.pause();
+                self.worker.backoff.pause();
                 continue;
             }
             // Physical unlink.  On failure some helper's traversal will (or
             // already did) unlink and retire the node — exactly one thread
             // wins that CAS, so exactly one retires.
             if self.cas_prev(t.prev, t.prev_raw, next) {
-                if arena.generation(t.cur) != t.cur_gen {
-                    self.list.aba_events.fetch_add(1, Ordering::SeqCst);
-                }
-                self.guard.retire(t.cur, |i| self.magazine.free(i));
+                self.worker.tally(t.cur, t.cur_gen);
+                self.worker.retire(t.cur);
             } else {
-                self.guard.quiesce();
+                self.worker.guard.quiesce();
             }
-            self.backoff.reset();
+            self.worker.backoff.reset();
             return true;
         }
     }
@@ -457,26 +398,16 @@ impl<R: Reclaimer, W: Window> ListHandle<'_, R, W> {
     /// The data `key` carries, if it is a member.
     #[inline]
     pub(crate) fn get(&mut self, from: Prev, key: u32) -> Option<u32> {
-        let mut budget = self.budget();
+        let mut budget = self.worker.budget();
         let Some(t) = self.find(from, key, &mut budget) else {
-            self.bail();
+            self.worker.bail();
             return None;
         };
         // Read the data while the traversal's protections are still held,
         // then release them.
-        let data = t.found.then(|| self.list.arena.data(t.cur));
-        self.guard.quiesce();
+        let data = t.found.then(|| self.worker.nodes.arena.data(t.cur));
+        self.worker.guard.quiesce();
         data
-    }
-}
-
-impl<R: Reclaimer, W: Window> Drop for ListHandle<'_, R, W> {
-    fn drop(&mut self) {
-        self.guard.quiesce();
-        self.guard.reclaim_pressure(|i| self.magazine.free(i));
-        // Whatever a deferred scheme still cannot free is orphaned onto its
-        // domain by the guard's own drop and adopted by a later reclaim; the
-        // magazine's own drop drains it into the arena's shared list.
     }
 }
 
@@ -506,18 +437,23 @@ mod tests {
 
     /// The keys reachable from `from`, in chain order (quiescent lists only).
     fn chain<R: Reclaimer>(list: &List<R>, from: Prev) -> Vec<u32> {
-        let mut g = list.reclaim.guard(0, list.arena.live_capacity());
+        let mut g = list
+            .nodes
+            .reclaim
+            .guard(0, list.nodes.arena.live_capacity());
         let mut cur = match from {
             Prev::Root => {
                 let raw = g.load(list.root);
                 g.index_of(raw)
             }
-            Prev::Node(anchor) => g.marked_index_of(g.load_link(list.arena.next_word(anchor))),
+            Prev::Node(anchor) => {
+                g.marked_index_of(g.load_link(list.nodes.arena.next_word(anchor)))
+            }
         };
         let mut keys = Vec::new();
         while cur != NIL {
-            keys.push(list.arena.value(cur));
-            cur = g.marked_index_of(g.load_link(list.arena.next_word(cur)));
+            keys.push(list.nodes.arena.value(cur));
+            cur = g.marked_index_of(g.load_link(list.nodes.arena.next_word(cur)));
         }
         keys
     }
@@ -559,8 +495,11 @@ mod tests {
         assert_eq!(keys, chain(&anchored, anchor));
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "unsorted: {keys:?}");
         assert!(!keys.is_empty());
-        assert_eq!(rooted.aba_events(), anchored.aba_events());
-        assert_eq!(rooted.alloc_failures(), anchored.alloc_failures());
+        assert_eq!(rooted.nodes.aba_events(), anchored.nodes.aba_events());
+        assert_eq!(
+            rooted.nodes.alloc_failures(),
+            anchored.nodes.alloc_failures()
+        );
     }
 
     #[test]
@@ -591,7 +530,7 @@ mod tests {
         let reachable = chain(&list, from).len();
         assert_eq!(reachable, 120);
         assert_eq!(
-            list.arena.free_len() + reachable + list.reclaim.unreclaimed() as usize,
+            list.nodes.arena.free_len() + reachable + list.nodes.reclaim.unreclaimed() as usize,
             CAPACITY,
             "{:?}",
             R::SCHEME
@@ -624,7 +563,7 @@ mod tests {
     /// key-50 tail — and the late publication "succeeds" against a stale
     /// validation, handing the traversal a recycled node (observed key 50).
     fn hand_over_hand_publication_order_is_load_bearing(anchored: bool) {
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Barrier;
 
         // Capacity 4 = exactly the live keys, no spare: the retire of the
@@ -633,7 +572,7 @@ mod tests {
         // the scan — so a scan that misses an unpublished hazard hands the
         // traverser's node straight to the key-50 insert.
         let (list, from) = list_of::<HazardReclaim>(4, anchored, &[10, 20, 30, 40]);
-        let arena = &list.arena;
+        let arena = &list.nodes.arena;
         let barrier = Barrier::new(2);
         let done = AtomicBool::new(false);
         std::thread::scope(|s| {
@@ -664,7 +603,7 @@ mod tests {
                 // Raw-guard traversal of the first hop, exactly as `find`
                 // performs it — but with no yields, so preemption lands at
                 // every possible instruction boundary.
-                let mut g = list.reclaim.guard(1, arena.live_capacity());
+                let mut g = list.nodes.reclaim.guard(1, arena.live_capacity());
                 barrier.wait();
                 let mut adoptions = 0u64;
                 while !done.load(Ordering::SeqCst) {

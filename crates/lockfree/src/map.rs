@@ -77,9 +77,7 @@ pub trait Map: Send + Sync {
     /// Number of operations that failed on the allocation fast path (arena
     /// exhausted, or allocation denied by the scheme's limbo-bound
     /// admission): the ops a throughput report must not count as completed.
-    fn alloc_failures(&self) -> u64 {
-        0
-    }
+    fn alloc_failures(&self) -> u64;
     /// Approximate number of live entries (drives the load factor; an
     /// unprotected ABA can skew it).
     fn len(&self) -> u64;
@@ -277,15 +275,15 @@ impl<R: Reclaimer> Map for GenericMap<R> {
     }
 
     fn aba_events(&self) -> u64 {
-        self.list.aba_events()
+        self.list.nodes.aba_events()
     }
 
     fn unreclaimed(&self) -> u64 {
-        self.list.reclaim.unreclaimed()
+        self.list.nodes.unreclaimed()
     }
 
     fn alloc_failures(&self) -> u64 {
-        self.list.alloc_failures()
+        self.list.nodes.alloc_failures()
     }
 
     fn len(&self) -> u64 {
@@ -297,11 +295,11 @@ impl<R: Reclaimer> Map for GenericMap<R> {
     }
 
     fn arena_live_capacity(&self) -> usize {
-        self.list.arena.live_capacity()
+        self.list.nodes.arena.live_capacity()
     }
 
     fn arena_initial_capacity(&self) -> usize {
-        self.list.arena.initial_capacity()
+        self.list.nodes.arena.initial_capacity()
     }
 
     fn handle(&self, tid: usize) -> Box<dyn MapHandle + '_> {
@@ -345,25 +343,25 @@ impl<'a, R: Reclaimer, W: Window> GenericMapHandle<'a, R, W> {
         // from the parent's anchor (bucket 0 is created at construction, so
         // the recursion grounds out).
         let parent = self.bucket_anchor(parent_bucket(bucket))?;
-        let Some(idx) = self.list.magazine.alloc() else {
+        let Some(idx) = self.list.worker.magazine.alloc() else {
             // Exhausted: degrade to the parent's anchor (a longer walk, not
             // an error) and leave the cell for a later operation to fill.
             return Some(parent);
         };
         let so = so_dummy(bucket);
-        self.map.list.arena.init(idx, so, 0);
+        self.map.list.nodes.arena.init(idx, so, 0);
         let dummy = match self.list.splice(Prev::Node(parent), so, idx) {
             Splice::Linked => idx,
             // Another thread's dummy won the race; adopt it.  Both racers
             // CAS the same winner into the cell, so the lost CAS below is
             // benign.
             Splice::Present(winner) => {
-                self.list.magazine.free(idx);
+                self.list.worker.free(idx);
                 winner
             }
             // The dummy was never published, hand it straight back.
             Splice::Exhausted => {
-                self.list.magazine.free(idx);
+                self.list.worker.free(idx);
                 return None;
             }
         };

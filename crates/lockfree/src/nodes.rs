@@ -1,0 +1,188 @@
+//! The node lifecycle every structure shares, stated once.
+//!
+//! [`GenericStack`](crate::GenericStack), [`GenericQueue`](crate::GenericQueue)
+//! and the Harris–Michael list under the set and the map each own a
+//! [`Nodes`] — the arena, the scheme's reclaimer and the two counters every
+//! family reports — and each of their handles owns a [`Worker`]: the guard,
+//! the magazine, the backoff and the window.  A structure adds its slots and
+//! its algorithm; how an operation obtains a node, hands it back and accounts
+//! for it is decided here, as the simulator's `algorithms/protect.rs` decides
+//! it for the models (DESIGN.md §3.1).
+
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use aba_core::Backoff;
+use aba_reclaim::{Guard, Reclaimer};
+
+use crate::arena::{Magazine, NodeArena};
+use crate::Window;
+
+/// The shared half of a structure: its arena, its reclaimer and its
+/// counters.  The owner registers its slots on `reclaim` before the first
+/// [`Worker`] exists.
+#[derive(Debug)]
+pub(crate) struct Nodes<R: Reclaimer> {
+    pub(crate) arena: NodeArena,
+    pub(crate) reclaim: R,
+    /// Handles the arena is shared among (sizes their magazines).
+    threads: usize,
+    aba_events: AtomicU64,
+    alloc_failures: AtomicU64,
+}
+
+impl<R: Reclaimer> Nodes<R> {
+    /// `arena` under a fresh reclaimer for `threads` threads with `lanes`
+    /// protection lanes each, and no slots yet.
+    pub(crate) fn new(arena: NodeArena, threads: usize, lanes: usize) -> Self {
+        Nodes {
+            arena,
+            reclaim: R::new(threads, lanes),
+            threads,
+            aba_events: AtomicU64::new(0),
+            alloc_failures: AtomicU64::new(0),
+        }
+    }
+
+    pub(crate) fn aba_events(&self) -> u64 {
+        self.aba_events.load(Ordering::SeqCst)
+    }
+
+    pub(crate) fn alloc_failures(&self) -> u64 {
+        self.alloc_failures.load(Ordering::SeqCst)
+    }
+
+    pub(crate) fn unreclaimed(&self) -> u64 {
+        self.reclaim.unreclaimed()
+    }
+
+    /// The per-thread half for `tid`, with window `W`.
+    pub(crate) fn worker<W: Window>(&self, tid: usize) -> Worker<'_, R, W> {
+        // Seed the guard's capacity-scaled heuristics from today's *live*
+        // capacity, not the arena's full plan: a plan-sized trigger is far
+        // too lax for the small published segments of a growable arena (the
+        // deferred schemes would park plan/4·threads nodes in limbo while
+        // only the initial segment exists).  Growth is handled
+        // per-allocation: `admit_alloc` re-feeds the latest live capacity.
+        Worker {
+            nodes: self,
+            guard: self.reclaim.guard(tid, self.arena.live_capacity()),
+            magazine: self.arena.magazine(self.threads),
+            backoff: Backoff::new(tid as u64),
+            window: PhantomData,
+        }
+    }
+}
+
+/// The per-thread half of a structure handle.  Every node the handle
+/// allocates, retires or frees goes through here.
+pub(crate) struct Worker<'a, R: Reclaimer, W: Window> {
+    pub(crate) nodes: &'a Nodes<R>,
+    pub(crate) guard: R::Guard<'a>,
+    /// This handle's free nodes; every allocation and free goes through it
+    /// (the map's bucket dummies included).
+    pub(crate) magazine: Magazine<'a>,
+    pub(crate) backoff: Backoff,
+    window: PhantomData<W>,
+}
+
+impl<R: Reclaimer, W: Window> Worker<'_, R, W> {
+    /// A node carrying `value` and `data`, private to the caller until its
+    /// publishing CAS; `None` — counted in `alloc_failures` — if the scheme
+    /// denies admission or the arena is exhausted.
+    #[inline]
+    pub(crate) fn alloc(&mut self, value: u32, data: u32) -> Option<u64> {
+        let nodes = self.nodes;
+        // Admission before allocation: a deferred scheme retunes its
+        // capacity-derived trigger to the live (grown) arena and may deny
+        // the allocation outright while its limbo bound is violated by a
+        // stale pin elsewhere — the op fails fast instead of draining the
+        // arena.
+        let mut node = None;
+        if self
+            .guard
+            .admit_alloc(nodes.arena.live_capacity(), |i| self.magazine.free(i))
+        {
+            // The arena may be exhausted only because the scheme still holds
+            // retired-but-reclaimable nodes; reclaim and retry once (a no-op
+            // for the immediate-free schemes).
+            node = self.magazine.alloc().or_else(|| {
+                self.guard.reclaim_pressure(|i| self.magazine.free(i));
+                self.magazine.alloc()
+            });
+        }
+        let Some(idx) = node else {
+            nodes.alloc_failures.fetch_add(1, Ordering::SeqCst);
+            return None;
+        };
+        nodes.arena.init(idx, value, data);
+        Some(idx)
+    }
+
+    /// Hand over a node unlinked by a successful CAS: the guard frees it
+    /// into the magazine now or once the scheme's safety condition holds.
+    #[inline]
+    pub(crate) fn retire(&mut self, idx: u64) {
+        self.guard.retire(idx, |i| self.magazine.free(i));
+    }
+
+    /// Give back a node that was never published.
+    #[inline]
+    pub(crate) fn free(&mut self, idx: u64) {
+        self.magazine.free(idx);
+    }
+
+    /// The iteration budget of one operation (see [`Budget`]).
+    #[inline]
+    pub(crate) fn budget(&self) -> Budget {
+        let nodes = self.nodes;
+        Budget(nodes.reclaim.retry_bound(nodes.arena.live_capacity()))
+    }
+
+    /// After a successful CAS that acted on node `idx`, read at generation
+    /// `seen`: count an ABA event if the node was recycled in between — the
+    /// post-hoc detector only the unprotected scheme can trip.
+    #[inline]
+    pub(crate) fn tally(&self, idx: u64, seen: u64) {
+        if self.nodes.arena.generation(idx) != seen {
+            self.nodes.aba_events.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Budget exhausted (unprotected corruption): record the event, release
+    /// the protections and leave the structure alone.
+    pub(crate) fn bail(&mut self) {
+        self.nodes.aba_events.fetch_add(1, Ordering::SeqCst);
+        self.guard.quiesce();
+    }
+}
+
+impl<R: Reclaimer, W: Window> Drop for Worker<'_, R, W> {
+    fn drop(&mut self) {
+        self.guard.quiesce();
+        self.guard.reclaim_pressure(|i| self.magazine.free(i));
+        // Whatever a deferred scheme still cannot free is orphaned onto its
+        // domain by the guard's own drop and adopted by a later reclaim; the
+        // magazine's own drop drains it into the arena's shared list.
+    }
+}
+
+/// Iteration budget for one structure operation, spent on every retry and
+/// every traversal step: unbounded under the protected schemes, finite under
+/// the unprotected one, whose ABA can link a chain into a cycle — and an
+/// unbounded walk wedges just as hard as an unbounded retry loop.
+pub(crate) struct Budget(Option<usize>);
+
+impl Budget {
+    /// Consume one iteration; `false` means the budget is exhausted.
+    pub(crate) fn spend(&mut self) -> bool {
+        match &mut self.0 {
+            None => true,
+            Some(0) => false,
+            Some(n) => {
+                *n -= 1;
+                true
+            }
+        }
+    }
+}

@@ -16,17 +16,18 @@
 //! | [`HazardQueue`] | [`HazardReclaim`] | two hazards per thread [20, 21] | correct |
 //! | [`EpochQueue`] | [`EpochReclaim`] | epoch / quiescence reclamation | correct |
 //! | [`LlScQueue`] | [`LlScReclaim`] | LL/SC head and tail words | correct |
+//!
+//! This file holds the head and tail slots and the two Michael–Scott loops;
+//! allocation, retirement, the retry budget, the ABA tally and the handle's
+//! drop are the crate's shared node lifecycle (`nodes.rs`).
 
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use aba_core::Backoff;
 use aba_reclaim::{
     EpochReclaim, Guard, HazardReclaim, LlScReclaim, NoReclaim, Reclaimer, SlotId, TagReclaim,
 };
 
-use crate::arena::{Magazine, NodeArena, NIL};
-use crate::{Budget, Family, Production, Racing, Window};
+use crate::arena::{NodeArena, NIL};
+use crate::nodes::{Nodes, Worker};
+use crate::{Family, Production, Racing, Window};
 
 /// A bounded, concurrent FIFO with per-thread handles.
 pub trait Queue: Send + Sync {
@@ -43,9 +44,7 @@ pub trait Queue: Send + Sync {
     /// Number of operations that failed on the allocation fast path (arena
     /// exhausted, or allocation denied by the scheme's limbo-bound
     /// admission): the ops a throughput report must not count as completed.
-    fn alloc_failures(&self) -> u64 {
-        0
-    }
+    fn alloc_failures(&self) -> u64;
     /// Obtain the per-thread handle for `tid`: operations run at algorithm
     /// cost.
     fn handle(&self, tid: usize) -> Box<dyn QueueHandle + '_>;
@@ -79,14 +78,9 @@ const LANE_SUCCESSOR: usize = 1;
 /// [`Guard`].
 #[derive(Debug)]
 pub struct GenericQueue<R: Reclaimer> {
-    arena: NodeArena,
-    /// Handles the arena is shared among (sizes their magazines).
-    threads: usize,
-    reclaim: R,
+    nodes: Nodes<R>,
     head: SlotId,
     tail: SlotId,
-    aba_events: AtomicU64,
-    alloc_failures: AtomicU64,
 }
 
 impl<R: Reclaimer> GenericQueue<R> {
@@ -99,28 +93,19 @@ impl<R: Reclaimer> GenericQueue<R> {
     /// field.
     pub fn with_threads(capacity: usize, threads: usize) -> Self {
         assert!(capacity + 1 < u32::MAX as usize, "capacity too large");
-        let arena = NodeArena::new(capacity + 1);
-        let dummy = arena.alloc().expect("fresh arena");
+        let mut nodes = Nodes::<R>::new(NodeArena::new(capacity + 1), threads, 2);
+        let dummy = nodes.arena.alloc().expect("fresh arena");
         // A fresh node's next word is already the nil raw under every
         // scheme's encoding, so no link initialisation is needed here.
-        let mut reclaim = R::new(threads, 2);
-        let head = reclaim.add_slot(dummy);
-        let tail = reclaim.add_slot(dummy);
-        GenericQueue {
-            arena,
-            threads,
-            reclaim,
-            head,
-            tail,
-            aba_events: AtomicU64::new(0),
-            alloc_failures: AtomicU64::new(0),
-        }
+        let head = nodes.reclaim.add_slot(dummy);
+        let tail = nodes.reclaim.add_slot(dummy);
+        GenericQueue { nodes, head, tail }
     }
 }
 
 impl<R: Reclaimer> Queue for GenericQueue<R> {
     fn capacity(&self) -> usize {
-        self.arena.capacity() - 1
+        self.nodes.arena.capacity() - 1
     }
 
     fn name(&self) -> &'static str {
@@ -128,15 +113,15 @@ impl<R: Reclaimer> Queue for GenericQueue<R> {
     }
 
     fn aba_events(&self) -> u64 {
-        self.aba_events.load(Ordering::SeqCst)
+        self.nodes.aba_events()
     }
 
     fn unreclaimed(&self) -> u64 {
-        self.reclaim.unreclaimed()
+        self.nodes.unreclaimed()
     }
 
     fn alloc_failures(&self) -> u64 {
-        self.alloc_failures.load(Ordering::SeqCst)
+        self.nodes.alloc_failures()
     }
 
     fn handle(&self, tid: usize) -> Box<dyn QueueHandle + '_> {
@@ -149,132 +134,85 @@ impl<R: Reclaimer> Queue for GenericQueue<R> {
 }
 
 struct GenericQueueHandle<'a, R: Reclaimer, W: Window> {
-    queue: &'a GenericQueue<R>,
-    guard: R::Guard<'a>,
-    /// This handle's free nodes; every allocation and free goes through it.
-    magazine: Magazine<'a>,
-    backoff: Backoff,
-    window: PhantomData<W>,
+    head: SlotId,
+    tail: SlotId,
+    worker: Worker<'a, R, W>,
 }
 
 impl<'a, R: Reclaimer, W: Window> GenericQueueHandle<'a, R, W> {
     fn new(queue: &'a GenericQueue<R>, tid: usize) -> Self {
         GenericQueueHandle {
-            queue,
-            guard: queue.reclaim.guard(tid, queue.arena.live_capacity()),
-            magazine: queue.arena.magazine(queue.threads),
-            backoff: Backoff::new(tid as u64),
-            window: PhantomData,
+            head: queue.head,
+            tail: queue.tail,
+            worker: queue.nodes.worker(tid),
         }
-    }
-}
-
-impl<R: Reclaimer, W: Window> std::fmt::Debug for GenericQueueHandle<'_, R, W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GenericQueueHandle").finish_non_exhaustive()
-    }
-}
-
-impl<R: Reclaimer, W: Window> GenericQueueHandle<'_, R, W> {
-    fn budget(&self) -> Budget {
-        Budget(
-            self.queue
-                .reclaim
-                .retry_bound(self.queue.arena.live_capacity()),
-        )
     }
 }
 
 impl<R: Reclaimer, W: Window> QueueHandle for GenericQueueHandle<'_, R, W> {
     fn enqueue(&mut self, value: u32) -> bool {
-        let q = self.queue;
-        let arena = &q.arena;
-        // Admission before allocation: a deferred scheme retunes its
-        // capacity-derived trigger to the live arena and may deny the
-        // allocation while its limbo bound is violated by a stale pin.
-        if !self
-            .guard
-            .admit_alloc(arena.live_capacity(), |i| self.magazine.free(i))
-        {
-            q.alloc_failures.fetch_add(1, Ordering::SeqCst);
+        let w = &mut self.worker;
+        let Some(idx) = w.alloc(value, 0) else {
             return false;
-        }
-        let idx = match self.magazine.alloc() {
-            Some(idx) => idx,
-            None => {
-                // The arena may be exhausted only because the scheme still
-                // holds retired-but-reclaimable nodes; reclaim and retry
-                // once (a no-op for the immediate-free schemes).
-                self.guard.reclaim_pressure(|i| self.magazine.free(i));
-                match self.magazine.alloc() {
-                    Some(idx) => idx,
-                    None => {
-                        q.alloc_failures.fetch_add(1, Ordering::SeqCst);
-                        return false;
-                    }
-                }
-            }
         };
-        arena.init(idx, value, 0);
+        let arena = &w.nodes.arena;
         // Re-nil our node's next link through the guard: the tagging scheme
         // preserves (and bumps) the link's tag across recycling here, which
         // is what defeats a stale CAS aimed at this node's previous
         // incarnation.
-        self.guard.store_link(arena.next_word(idx), NIL);
-        let mut budget = self.budget();
+        w.guard.store_link(arena.next_word(idx), NIL);
+        let mut budget = w.budget();
         while budget.spend() {
-            let tail_raw = self.guard.protect(LANE_ANCHOR, q.tail);
-            let tail = self.guard.index_of(tail_raw);
-            let next_raw = self.guard.load_link(arena.next_word(tail));
-            if !self.guard.validate(q.tail, tail_raw) {
+            let tail_raw = w.guard.protect(LANE_ANCHOR, self.tail);
+            let tail = w.guard.index_of(tail_raw);
+            let next_raw = w.guard.load_link(arena.next_word(tail));
+            if !w.guard.validate(self.tail, tail_raw) {
                 continue;
             }
-            let next = self.guard.index_of(next_raw);
+            let next = w.guard.index_of(next_raw);
             if next != NIL {
                 // Tail is lagging: help it forward.
-                let _ = self.guard.cas(q.tail, tail_raw, next);
+                let _ = w.guard.cas(self.tail, tail_raw, next);
                 continue;
             }
             W::preemption_window();
-            if self.guard.cas_link(arena.next_word(tail), next_raw, idx) {
-                let _ = self.guard.cas(q.tail, tail_raw, idx);
-                self.guard.quiesce();
-                self.backoff.reset();
+            if w.guard.cas_link(arena.next_word(tail), next_raw, idx) {
+                let _ = w.guard.cas(self.tail, tail_raw, idx);
+                w.guard.quiesce();
+                w.backoff.reset();
                 return true;
             }
             // Lost the link race: back off before re-reading the tail.
-            self.backoff.pause();
+            w.backoff.pause();
         }
         // Retry budget exhausted: an ABA corrupted the chain (e.g. tail sits
-        // on a cycle).  Give the node back and report the event.
-        q.aba_events.fetch_add(1, Ordering::SeqCst);
-        self.guard.quiesce();
-        self.magazine.free(idx);
+        // on a cycle).  Report the event and give the node back.
+        w.bail();
+        w.free(idx);
         false
     }
 
     fn dequeue(&mut self) -> Option<u32> {
-        let q = self.queue;
-        let arena = &q.arena;
-        let mut budget = self.budget();
+        let w = &mut self.worker;
+        let arena = &w.nodes.arena;
+        let mut budget = w.budget();
         while budget.spend() {
-            let head_raw = self.guard.protect(LANE_ANCHOR, q.head);
-            let head = self.guard.index_of(head_raw);
-            let tail_raw = self.guard.load(q.tail);
-            let tail = self.guard.index_of(tail_raw);
-            // Remember the dummy's identity (generation) at read time; the
-            // post-CAS comparison detects, post hoc, a CAS that succeeded on
-            // a recycled dummy — the textbook dequeue ABA.  Protected
-            // schemes never trip it.
+            let head_raw = w.guard.protect(LANE_ANCHOR, self.head);
+            let head = w.guard.index_of(head_raw);
+            let tail_raw = w.guard.load(self.tail);
+            let tail = w.guard.index_of(tail_raw);
+            // Remember the dummy's identity (generation) at read time for
+            // the post-CAS ABA tally: the textbook dequeue ABA is a CAS that
+            // succeeds on a recycled dummy.
             let generation = arena.generation(head);
-            let next_raw = self.guard.load_link(arena.next_word(head));
-            if !self.guard.validate(q.head, head_raw) {
+            let next_raw = w.guard.load_link(arena.next_word(head));
+            if !w.guard.validate(self.head, head_raw) {
                 continue;
             }
-            let next = self.guard.index_of(next_raw);
+            let next = w.guard.index_of(next_raw);
             if next == NIL {
                 if head == tail {
-                    self.guard.quiesce();
+                    w.guard.quiesce();
                     return None;
                 }
                 // head lagging behind a moved tail: inconsistent snapshot.
@@ -283,14 +221,14 @@ impl<R: Reclaimer, W: Window> QueueHandle for GenericQueueHandle<'_, R, W> {
             // Extend protection to the successor, re-anchored on the head:
             // only if the head has not moved was `next` really `head.next`
             // while both protections were visible.
-            if !self
+            if !w
                 .guard
-                .protect_link(LANE_SUCCESSOR, next, q.head, head_raw)
+                .protect_link(LANE_SUCCESSOR, next, self.head, head_raw)
             {
                 continue;
             }
             if head == tail {
-                let _ = self.guard.cas(q.tail, tail_raw, next);
+                let _ = w.guard.cas(self.tail, tail_raw, next);
                 continue;
             }
             // Read the value *before* the CAS: once the head is swung the
@@ -298,36 +236,23 @@ impl<R: Reclaimer, W: Window> QueueHandle for GenericQueueHandle<'_, R, W> {
             // recycled) by anyone.
             let value = arena.value(next);
             W::preemption_window();
-            if self.guard.cas(q.head, head_raw, next) {
-                if arena.generation(head) != generation {
-                    q.aba_events.fetch_add(1, Ordering::SeqCst);
-                }
-                self.guard.retire(head, |i| self.magazine.free(i));
+            if w.guard.cas(self.head, head_raw, next) {
+                w.tally(head, generation);
+                w.retire(head);
                 // The operation is over: drop the pin.  A consumer that
                 // never observes the queue empty would otherwise stay pinned
                 // at its first dequeue's epoch and block every later advance
                 // — the E9 parking pathology reproduced from inside the
                 // structure.
-                self.guard.quiesce();
-                self.backoff.reset();
+                w.guard.quiesce();
+                w.backoff.reset();
                 return Some(value);
             }
             // Lost the head race: back off before re-protecting.
-            self.backoff.pause();
+            w.backoff.pause();
         }
-        q.aba_events.fetch_add(1, Ordering::SeqCst);
-        self.guard.quiesce();
+        w.bail();
         None
-    }
-}
-
-impl<R: Reclaimer, W: Window> Drop for GenericQueueHandle<'_, R, W> {
-    fn drop(&mut self) {
-        self.guard.quiesce();
-        self.guard.reclaim_pressure(|i| self.magazine.free(i));
-        // Whatever a deferred scheme still cannot free is orphaned onto its
-        // domain by the guard's own drop and adopted by a later reclaim; the
-        // magazine's own drop drains it into the arena's shared list.
     }
 }
 
@@ -401,7 +326,7 @@ mod tests {
                 }
             }
             assert_eq!(
-                queue.arena.free_len() + queued + 1 + queue.unreclaimed() as usize,
+                queue.nodes.arena.free_len() + queued + 1 + queue.unreclaimed() as usize,
                 CAPACITY + 1,
                 "{:?}",
                 R::SCHEME
@@ -412,20 +337,6 @@ mod tests {
         check::<HazardReclaim>();
         check::<LlScReclaim>();
         check::<EpochReclaim>();
-    }
-
-    #[test]
-    fn capacity_is_respected() {
-        let queue = TaggedQueue::with_threads(2, 1);
-        assert_eq!(queue.capacity(), 2);
-        let mut h = queue.handle(0);
-        assert!(h.enqueue(1));
-        assert!(h.enqueue(2));
-        assert!(!h.enqueue(3));
-        assert_eq!(h.dequeue(), Some(1));
-        assert!(h.enqueue(3));
-        assert_eq!(h.dequeue(), Some(2));
-        assert_eq!(h.dequeue(), Some(3));
     }
 
     #[test]
@@ -496,7 +407,7 @@ mod tests {
         assert!(h.enqueue(7));
         assert_eq!(h.dequeue(), Some(7));
         assert_eq!(h.dequeue(), None);
-        let domain = queue.reclaim.domain();
+        let domain = queue.nodes.reclaim.domain();
         assert_eq!(domain.protected_by(0), None);
         assert_eq!(domain.protected_by(1), None);
     }

@@ -45,9 +45,7 @@ pub trait Set: Send + Sync {
     /// Number of operations that failed on the allocation fast path (arena
     /// exhausted, or allocation denied by the scheme's limbo-bound
     /// admission): the ops a throughput report must not count as completed.
-    fn alloc_failures(&self) -> u64 {
-        0
-    }
+    fn alloc_failures(&self) -> u64;
     /// Obtain the per-thread handle for `tid`: operations run at algorithm
     /// cost.
     fn handle(&self, tid: usize) -> Box<dyn SetHandle + '_>;
@@ -95,7 +93,7 @@ impl<R: Reclaimer> GenericSet<R> {
 
 impl<R: Reclaimer> Set for GenericSet<R> {
     fn capacity(&self) -> usize {
-        self.list.arena.capacity()
+        self.list.nodes.arena.capacity()
     }
 
     fn name(&self) -> &'static str {
@@ -103,15 +101,15 @@ impl<R: Reclaimer> Set for GenericSet<R> {
     }
 
     fn aba_events(&self) -> u64 {
-        self.list.aba_events()
+        self.list.nodes.aba_events()
     }
 
     fn unreclaimed(&self) -> u64 {
-        self.list.reclaim.unreclaimed()
+        self.list.nodes.unreclaimed()
     }
 
     fn alloc_failures(&self) -> u64 {
-        self.list.alloc_failures()
+        self.list.nodes.alloc_failures()
     }
 
     fn handle(&self, tid: usize) -> Box<dyn SetHandle + '_> {
@@ -328,7 +326,7 @@ mod tests {
         }
         assert!(h.contains(3));
         assert!(!h.contains(9));
-        let domain = set.list.reclaim.domain();
+        let domain = set.list.nodes.reclaim.domain();
         for lane in 0..crate::list::LANES {
             assert_eq!(domain.protected_by(lane), None, "lane {lane} leaked");
         }

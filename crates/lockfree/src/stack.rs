@@ -20,8 +20,11 @@
 //! cache-line-padded exchange slot and a colliding pop takes it directly,
 //! off-stack.  Exchanged values never touch the [`NodeArena`], so the
 //! protocol is orthogonal to the reclamation scheme — see DESIGN.md §11.
+//!
+//! This file holds the head slot and the two Treiber loops; allocation,
+//! retirement, the ABA tally and the handle's drop are the crate's shared
+//! node lifecycle (`nodes.rs`).
 
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use aba_core::Backoff;
@@ -29,7 +32,8 @@ use aba_reclaim::{
     EpochReclaim, Guard, HazardReclaim, LlScReclaim, NoReclaim, Reclaimer, SlotId, TagReclaim,
 };
 
-use crate::arena::{Magazine, NodeArena, NIL};
+use crate::arena::{NodeArena, NIL};
+use crate::nodes::{Nodes, Worker};
 use crate::{Family, Production, Racing, Window};
 
 /// A bounded, concurrent LIFO with per-thread handles.
@@ -47,9 +51,7 @@ pub trait Stack: Send + Sync {
     /// Number of operations that failed on the allocation fast path (arena
     /// exhausted, or allocation denied by the scheme's limbo-bound
     /// admission): the ops a throughput report must not count as completed.
-    fn alloc_failures(&self) -> u64 {
-        0
-    }
+    fn alloc_failures(&self) -> u64;
     /// Obtain the per-thread handle for `tid`: operations run at algorithm
     /// cost.
     fn handle(&self, tid: usize) -> Box<dyn StackHandle + '_>;
@@ -74,13 +76,8 @@ pub trait StackHandle: Send {
 /// shared access routed through the per-thread [`Guard`].
 #[derive(Debug)]
 pub struct GenericStack<R: Reclaimer> {
-    arena: NodeArena,
-    /// Handles the arena is shared among (sizes their magazines).
-    threads: usize,
-    reclaim: R,
+    nodes: Nodes<R>,
     head: SlotId,
-    aba_events: AtomicU64,
-    alloc_failures: AtomicU64,
 }
 
 impl<R: Reclaimer> GenericStack<R> {
@@ -92,22 +89,15 @@ impl<R: Reclaimer> GenericStack<R> {
     /// Panics if `capacity` is 0 or too large for the scheme's index field.
     pub fn with_threads(capacity: usize, threads: usize) -> Self {
         assert!(capacity < u32::MAX as usize, "capacity too large");
-        let mut reclaim = R::new(threads, 1);
-        let head = reclaim.add_slot(NIL);
-        GenericStack {
-            arena: NodeArena::new(capacity),
-            threads,
-            reclaim,
-            head,
-            aba_events: AtomicU64::new(0),
-            alloc_failures: AtomicU64::new(0),
-        }
+        let mut nodes = Nodes::<R>::new(NodeArena::new(capacity), threads, 1);
+        let head = nodes.reclaim.add_slot(NIL);
+        GenericStack { nodes, head }
     }
 }
 
 impl<R: Reclaimer> Stack for GenericStack<R> {
     fn capacity(&self) -> usize {
-        self.arena.capacity()
+        self.nodes.arena.capacity()
     }
 
     fn name(&self) -> &'static str {
@@ -115,15 +105,15 @@ impl<R: Reclaimer> Stack for GenericStack<R> {
     }
 
     fn aba_events(&self) -> u64 {
-        self.aba_events.load(Ordering::SeqCst)
+        self.nodes.aba_events()
     }
 
     fn unreclaimed(&self) -> u64 {
-        self.reclaim.unreclaimed()
+        self.nodes.unreclaimed()
     }
 
     fn alloc_failures(&self) -> u64 {
-        self.alloc_failures.load(Ordering::SeqCst)
+        self.nodes.alloc_failures()
     }
 
     fn handle(&self, tid: usize) -> Box<dyn StackHandle + '_> {
@@ -156,28 +146,15 @@ enum CentralPop {
 }
 
 struct GenericStackHandle<'a, R: Reclaimer, W: Window> {
-    stack: &'a GenericStack<R>,
-    guard: R::Guard<'a>,
-    /// This handle's free nodes; every allocation and free goes through it.
-    magazine: Magazine<'a>,
-    backoff: Backoff,
-    window: PhantomData<W>,
-}
-
-impl<R: Reclaimer, W: Window> std::fmt::Debug for GenericStackHandle<'_, R, W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GenericStackHandle").finish_non_exhaustive()
-    }
+    head: SlotId,
+    worker: Worker<'a, R, W>,
 }
 
 impl<'a, R: Reclaimer, W: Window> GenericStackHandle<'a, R, W> {
     fn new(stack: &'a GenericStack<R>, tid: usize) -> Self {
         GenericStackHandle {
-            stack,
-            guard: stack.reclaim.guard(tid, stack.arena.live_capacity()),
-            magazine: stack.arena.magazine(stack.threads),
-            backoff: Backoff::new(tid as u64),
-            window: PhantomData,
+            head: stack.head,
+            worker: stack.nodes.worker(tid),
         }
     }
 
@@ -189,60 +166,35 @@ impl<'a, R: Reclaimer, W: Window> GenericStackHandle<'a, R, W> {
         if max_attempts == 0 {
             return CentralPush::Contended;
         }
-        let stack = self.stack;
-        let arena = &stack.arena;
-        // Admission before allocation: a deferred scheme retunes its
-        // capacity-derived trigger to the live arena and may deny the
-        // allocation outright while its limbo bound is violated by a stale
-        // pin elsewhere — the op fails fast instead of draining the arena.
-        if !self
-            .guard
-            .admit_alloc(arena.live_capacity(), |i| self.magazine.free(i))
-        {
-            stack.alloc_failures.fetch_add(1, Ordering::SeqCst);
+        let w = &mut self.worker;
+        let Some(idx) = w.alloc(value, 0) else {
             return CentralPush::Full;
-        }
-        let idx = match self.magazine.alloc() {
-            Some(idx) => idx,
-            None => {
-                // The arena may be exhausted only because the scheme still
-                // holds retired-but-reclaimable nodes; reclaim and retry
-                // once (a no-op for the immediate-free schemes).
-                self.guard.reclaim_pressure(|i| self.magazine.free(i));
-                match self.magazine.alloc() {
-                    Some(idx) => idx,
-                    None => {
-                        stack.alloc_failures.fetch_add(1, Ordering::SeqCst);
-                        return CentralPush::Full;
-                    }
-                }
-            }
         };
-        arena.init(idx, value, 0);
+        let arena = &w.nodes.arena;
         // retry-bound: at most `max_attempts` CAS rounds per call.
         let mut attempts = 0;
         loop {
             // A plain load suffices: push never dereferences the head node,
             // it only links to it.
-            let head_raw = self.guard.load(stack.head);
-            self.guard
-                .store_link(arena.next_word(idx), self.guard.index_of(head_raw));
-            if self.guard.cas(stack.head, head_raw, idx) {
-                self.guard.quiesce();
-                self.backoff.reset();
+            let head_raw = w.guard.load(self.head);
+            w.guard
+                .store_link(arena.next_word(idx), w.guard.index_of(head_raw));
+            if w.guard.cas(self.head, head_raw, idx) {
+                w.guard.quiesce();
+                w.backoff.reset();
                 return CentralPush::Pushed;
             }
             attempts += 1;
             if attempts >= max_attempts {
                 // The node was never published, so it can go straight back
                 // to the arena.
-                self.magazine.free(idx);
-                self.guard.quiesce();
+                w.free(idx);
+                w.guard.quiesce();
                 return CentralPush::Contended;
             }
             // Lost the race: back off before retrying so the winning thread
             // can finish publishing and the loop cannot monopolise a core.
-            self.backoff.pause();
+            w.backoff.pause();
         }
     }
 
@@ -252,49 +204,45 @@ impl<'a, R: Reclaimer, W: Window> GenericStackHandle<'a, R, W> {
         if max_attempts == 0 {
             return CentralPop::Contended;
         }
-        let stack = self.stack;
-        let arena = &stack.arena;
+        let w = &mut self.worker;
+        let arena = &w.nodes.arena;
         // retry-bound: at most `max_attempts` CAS rounds per call.
         let mut attempts = 0;
         loop {
-            let head_raw = self.guard.protect(0, stack.head);
-            let head = self.guard.index_of(head_raw);
+            let head_raw = w.guard.protect(0, self.head);
+            let head = w.guard.index_of(head_raw);
             if head == NIL {
-                self.guard.quiesce();
-                self.backoff.reset();
+                w.guard.quiesce();
+                w.backoff.reset();
                 return CentralPop::Empty;
             }
-            // Remember the node's identity (generation) at read time; for
-            // the unprotected scheme the post-CAS comparison detects, post
-            // hoc, a CAS that succeeded on a recycled node — a classic ABA.
-            // Protected schemes never trip it.
+            // Remember the node's identity (generation) at read time for the
+            // post-CAS ABA tally.
             let generation = arena.generation(head);
-            let next_raw = self.guard.load_link(arena.next_word(head));
-            let next = self.guard.index_of(next_raw);
+            let next_raw = w.guard.load_link(arena.next_word(head));
+            let next = w.guard.index_of(next_raw);
             W::preemption_window();
-            if self.guard.cas(stack.head, head_raw, next) {
-                if arena.generation(head) != generation {
-                    stack.aba_events.fetch_add(1, Ordering::SeqCst);
-                }
+            if w.guard.cas(self.head, head_raw, next) {
+                w.tally(head, generation);
                 // Read the value *before* retiring: an immediate-free scheme
                 // may recycle the node the instant it is handed back.
                 let value = arena.value(head);
-                self.guard.retire(head, |i| self.magazine.free(i));
+                w.retire(head);
                 // The operation is over: drop the pin.  A popper that never
                 // quiesces stays pinned at its first operation's epoch and
                 // blocks every later advance — the E9 parking pathology
                 // reproduced from inside the structure.
-                self.guard.quiesce();
-                self.backoff.reset();
+                w.guard.quiesce();
+                w.backoff.reset();
                 return CentralPop::Popped(value);
             }
             attempts += 1;
             if attempts >= max_attempts {
-                self.guard.quiesce();
+                w.guard.quiesce();
                 return CentralPop::Contended;
             }
             // Lost the race: back off before re-protecting the new head.
-            self.backoff.pause();
+            w.backoff.pause();
         }
     }
 }
@@ -314,16 +262,6 @@ impl<R: Reclaimer, W: Window> StackHandle for GenericStackHandle<'_, R, W> {
             CentralPop::Empty => None,
             CentralPop::Contended => unreachable!("usize::MAX attempts cannot exhaust"),
         }
-    }
-}
-
-impl<R: Reclaimer, W: Window> Drop for GenericStackHandle<'_, R, W> {
-    fn drop(&mut self) {
-        self.guard.quiesce();
-        self.guard.reclaim_pressure(|i| self.magazine.free(i));
-        // Whatever a deferred scheme still cannot free is orphaned onto its
-        // domain by the guard's own drop and adopted by a later reclaim; the
-        // magazine's own drop drains it into the arena's shared list.
     }
 }
 
@@ -705,17 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn elim_capacity_is_respected() {
-        let stack = TaggedElimStack::with_threads(2, 2);
-        let mut h = stack.handle(0);
-        assert!(h.push(1));
-        assert!(h.push(2));
-        assert!(!h.push(3));
-        assert_eq!(h.pop(), Some(2));
-        assert!(h.push(3));
-    }
-
-    #[test]
     fn exchange_slot_word_encoding_round_trips() {
         let w = elim_word(12345, ELIM_ITEM, 0xdead_beef);
         assert_eq!(elim_seq(w), 12345);
@@ -795,17 +722,6 @@ mod tests {
         assert!(h.push(7));
         assert_eq!(h.pop(), Some(7));
         assert_eq!(h.pop(), None);
-    }
-
-    #[test]
-    fn capacity_is_respected() {
-        let stack = TaggedStack::with_threads(2, 1);
-        let mut h = stack.handle(0);
-        assert!(h.push(1));
-        assert!(h.push(2));
-        assert!(!h.push(3));
-        assert_eq!(h.pop(), Some(2));
-        assert!(h.push(3));
     }
 
     #[test]
@@ -893,7 +809,7 @@ mod tests {
         let stack = EpochStack::with_threads(CAPACITY, THREADS);
         // Deliberately parked pinned "thread": a raw guard that protects the
         // head and then never quiesces (a preempted reader, frozen forever).
-        let mut parked = stack.reclaim.guard(THREADS - 1, CAPACITY);
+        let mut parked = stack.nodes.reclaim.guard(THREADS - 1, CAPACITY);
         let _ = parked.protect(0, stack.head);
         let mut h = stack.handle(0);
         let mut peak = 0u64;
@@ -925,7 +841,7 @@ mod tests {
         let stack = HazardStack::with_threads(CAPACITY, THREADS);
         let mut h = stack.handle(0);
         assert!(h.push(9999)); // give the parked protector a real node to pin
-        let mut parked = stack.reclaim.guard(THREADS - 1, CAPACITY);
+        let mut parked = stack.nodes.reclaim.guard(THREADS - 1, CAPACITY);
         let pinned_node = parked.protect(0, stack.head);
         assert_ne!(pinned_node, NIL);
         let mut peak = 0u64;
@@ -966,7 +882,7 @@ mod tests {
                 }
             }
             assert_eq!(
-                stack.arena.free_len() + stacked + stack.unreclaimed() as usize,
+                stack.nodes.arena.free_len() + stacked + stack.unreclaimed() as usize,
                 CAPACITY,
                 "{:?}",
                 R::SCHEME
