@@ -1,8 +1,8 @@
 //! An O(1)-step LL/SC/VL object from **one bounded CAS object plus `n`
-//! bounded registers**, in the style of Anderson–Moir [2] and
-//! Jayanti–Petrovic [15].
+//! bounded registers**, in the style of Anderson–Moir \[2\] and
+//! Jayanti–Petrovic \[15\].
 //!
-//! The paper cites [2,15] as the most space-efficient constant-time LL/SC
+//! The paper cites \[2,15\] as the most space-efficient constant-time LL/SC
 //! constructions from bounded CAS and registers (one CAS object, Θ(n)
 //! registers) and proves them optimal.  It does not reproduce their
 //! pseudo-code; this module provides a construction with the same asymptotic

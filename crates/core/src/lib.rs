@@ -12,8 +12,8 @@
 //! | [`BoundedAbaRegister`] | Figure 4, Theorem 3 | `n + 1` bounded registers | O(1) |
 //! | [`CasLlSc`] | Figure 3, Theorem 2 | 1 bounded CAS | O(n) |
 //! | [`LlScAbaRegister`] | Figure 5, Theorem 4 | whatever the inner LL/SC uses | 2 LL/SC ops |
-//! | [`AnnounceLlSc`] | in the style of [2,15] (see DESIGN.md §2) | 1 bounded CAS + `n` registers | O(1) |
-//! | [`MoirLlSc`] | Moir [26], unbounded baseline | 1 unbounded CAS | O(1) |
+//! | [`AnnounceLlSc`] | in the style of \[2,15\] (see DESIGN.md §2) | 1 bounded CAS + `n` registers | O(1) |
+//! | [`MoirLlSc`] | Moir \[26\], unbounded baseline | 1 unbounded CAS | O(1) |
 //! | [`TaggedAbaRegister`] | §1 tagging baseline | 1 unbounded register (+ counter) | O(1) |
 //!
 //! Every object hands out per-process handles (`handle(pid)`), mirroring the

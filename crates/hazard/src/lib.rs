@@ -215,34 +215,6 @@ impl HazardHandle<'_> {
         }
     }
 
-    /// Splice an externally staged batch of retirees into the retired list
-    /// in **one** append (the batched counterpart of per-value
-    /// [`HazardHandle::retire`] calls), then scan if the list crossed
-    /// [`HazardDomain::scan_threshold`].  `batch` is left empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch contains `u64::MAX` (the internal sentinel) —
-    /// the same guard as [`HazardHandle::retire`].
-    pub fn retire_batch(&mut self, batch: &mut Vec<u64>, free: impl FnMut(u64)) {
-        assert!(
-            batch.iter().all(|&v| v != EMPTY),
-            "the sentinel cannot be retired"
-        );
-        self.retired.append(batch);
-        if self.retired.len() >= self.domain.scan_threshold() {
-            self.scan(free);
-        }
-    }
-
-    /// Move a staged batch into the retired list *without* scanning, for
-    /// contexts with no `free` callback at hand (a dropping guard).  The
-    /// values then follow this handle's normal lifecycle: reclaimed by a
-    /// later scan, or orphaned onto the domain by the drop contract.
-    pub fn stash_batch(&mut self, batch: &mut Vec<u64>) {
-        self.retired.append(batch);
-    }
-
     /// Free every retired value that is no longer protected, keeping the
     /// still-protected ones for later.
     pub fn flush(&mut self, free: impl FnMut(u64)) {
@@ -592,47 +564,6 @@ mod tests {
         assert_eq!(freed, 1_999, "every unprotected retiree was freed");
         assert_eq!(h.retired_len(), 0);
         drop(protectors);
-    }
-
-    #[test]
-    fn retire_batch_splices_in_one_append_and_scans_at_threshold() {
-        let d = HazardDomain::new(1);
-        let mut h = d.handle(0);
-        let mut freed = 0usize;
-        let mut batch: Vec<u64> = (0..32u64).collect();
-        h.retire_batch(&mut batch, |_| freed += 1);
-        assert!(batch.is_empty(), "the batch is consumed");
-        assert_eq!(freed, 0, "below threshold: spliced, not scanned");
-        assert_eq!(h.retired_len(), 32);
-        let mut rest: Vec<u64> = (32..SCAN_THRESHOLD as u64).collect();
-        h.retire_batch(&mut rest, |_| freed += 1);
-        assert_eq!(freed, SCAN_THRESHOLD, "crossing the threshold scans");
-        assert_eq!(h.retired_len(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "sentinel")]
-    fn retire_batch_rejects_the_sentinel() {
-        let d = HazardDomain::new(1);
-        let mut batch = vec![1, u64::MAX];
-        d.handle(0).retire_batch(&mut batch, |_| {});
-    }
-
-    #[test]
-    fn stashed_batches_follow_the_drop_contract() {
-        let d = HazardDomain::new(2);
-        {
-            let mut h = d.handle(0);
-            let mut batch = vec![5, 6];
-            h.stash_batch(&mut batch);
-            assert_eq!(h.retired_len(), 2);
-        } // dropped without a flush: the stash is orphaned, not leaked
-        assert_eq!(d.orphan_len(), 2);
-        let mut adopter = d.handle(1);
-        let mut freed = Vec::new();
-        adopter.flush(|v| freed.push(v));
-        freed.sort_unstable();
-        assert_eq!(freed, vec![5, 6]);
     }
 
     #[test]

@@ -25,11 +25,14 @@
 //! so the arena can *grow* — publish further segments on demand — without
 //! moving a single existing node and without changing the meaning of any
 //! index already stored in a link word.  The index domain is deliberately
-//! kept strictly inside the 32-bit index field every `aba-reclaim` link-word
-//! encoding uses (bare words keep the index in the low 32 bits with
-//! `0xFFFF_FFFF` as nil and the mark in bit 32; `TagWord` and the LL/SC
-//! words carry a `u32` value field with `u32::MAX` as nil) — see the
+//! kept strictly inside the 32-bit index field of both `aba-reclaim` word
+//! codecs, which encode every slot and link word (the bare codec keeps the
+//! index in the low 32 bits with `0xFFFF_FFFF` as nil and the mark in bit
+//! 32; the counted codec's `TagWord` value field — also the value an LL/SC
+//! slot holds — is a `u32` with `u32::MAX` as nil) — see the
 //! `index_budget_fits_every_link_word_encoding` test and DESIGN.md §10.
+//! The arena never reads or writes a link itself: it hands out the raw word
+//! ([`NodeArena::next_word`]) for the guard to encode and decode.
 //!
 //! Publication is lock-free in the only sense that matters here: the slot is
 //! a one-shot cell and exactly one of the racing publishers wins it (the
@@ -456,20 +459,12 @@ impl NodeArena {
         (self.node(idx).value.load(Ordering::SeqCst) >> 32) as u32
     }
 
-    /// Read a node's next link.
-    pub fn next(&self, idx: u64) -> u64 {
-        self.node(idx).next.load(Ordering::SeqCst)
-    }
-
-    /// Store a node's next link.
-    pub fn set_next(&self, idx: u64, next: u64) {
-        self.node(idx).next.store(next, Ordering::SeqCst);
-    }
-
-    /// The next-link word of a node, as the raw atomic.  The generic
-    /// structures hand this to their reclaimer's guard, which owns the word
-    /// *encoding* (bare index, or `(index, tag)` for the tagging scheme) —
-    /// the arena itself stays encoding-agnostic.
+    /// The next-link word of a node, as the raw atomic — the only access
+    /// the arena gives to it.  The structures hand this to their
+    /// reclaimer's guard, which owns the word *encoding* (the scheme's
+    /// codec: a bare index, or an `(index, counter)` word) — the arena
+    /// itself stays encoding-agnostic, and a fresh node's link holds the
+    /// legacy nil `u64::MAX`, which every codec decodes as an unmarked nil.
     pub fn next_word(&self, idx: u64) -> &AtomicU64 {
         &self.node(idx).next
     }
@@ -595,11 +590,9 @@ mod tests {
         let arena = NodeArena::new(3);
         let idx = arena.alloc().unwrap();
         arena.set_value(idx, 77);
-        arena.set_next(idx, NIL);
         assert_eq!(arena.value(idx), 77);
-        assert_eq!(arena.next(idx), NIL);
-        arena.set_next(idx, 2);
-        assert_eq!(arena.next(idx), 2);
+        arena.set_value(idx, 2);
+        assert_eq!(arena.value(idx), 2);
     }
 
     #[test]
@@ -652,10 +645,13 @@ mod tests {
     fn next_word_exposes_the_same_atomic_as_the_accessors() {
         let arena = NodeArena::new(2);
         let idx = arena.alloc().unwrap();
-        arena.set_next(idx, 7);
+        // A fresh link holds the legacy nil; what one call stores, the next
+        // reads, and no other node's link moves.
+        assert_eq!(arena.next_word(idx).load(Ordering::SeqCst), NIL);
+        arena.next_word(idx).store(7, Ordering::SeqCst);
         assert_eq!(arena.next_word(idx).load(Ordering::SeqCst), 7);
-        arena.next_word(idx).store(NIL, Ordering::SeqCst);
-        assert_eq!(arena.next(idx), NIL);
+        let other = arena.alloc().unwrap();
+        assert_eq!(arena.next_word(other).load(Ordering::SeqCst), NIL);
     }
 
     #[test]

@@ -121,10 +121,10 @@ pub use stress::{
 // The Family × Scheme roster
 // ---------------------------------------------------------------------------
 
-/// The structure families, in roster order.  Together with
-/// [`Scheme`](aba_reclaim::Scheme) this is the one description of the
-/// structure roster: registry keys, display labels, builders, the workload
-/// backends and the roster tests are all derived from `Family × Scheme`.
+/// The structure families, in roster order.  Together with [`Scheme`] this
+/// is the one description of the structure roster: registry keys, display
+/// labels, builders, the workload backends and the roster tests are all
+/// derived from `Family × Scheme`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
     /// [`GenericStack`]: Treiber stack (E6).

@@ -48,7 +48,7 @@
 //! The bucket array reuses the arena's segment trick: a fixed root table of
 //! one-shot cells, each publishing a block of bucket cells, with block sizes
 //! doubling so the table reaches its maximum in logarithmically many
-//! publications.  Growth (load factor > [`LOAD_FACTOR`]) publishes the cells
+//! publications.  Growth (load factor > `LOAD_FACTOR`) publishes the cells
 //! for the doubled size *first*, then advances the size word with a single
 //! CAS — a lost race just means another thread already grew.
 

@@ -15,7 +15,7 @@
 //! | [`TaggedQueue`] | [`TagReclaim`] | counted head/tail *and* next words | correct |
 //! | [`HazardQueue`] | [`HazardReclaim`] | two hazards per thread [20, 21] | correct |
 //! | [`EpochQueue`] | [`EpochReclaim`] | epoch / quiescence reclamation | correct |
-//! | [`LlScQueue`] | [`LlScReclaim`] | LL/SC head and tail words | correct |
+//! | [`LlScQueue`] | [`LlScReclaim`] | LL/SC head and tail words, counted next words | correct |
 //!
 //! This file holds the head and tail slots and the two Michael–Scott loops;
 //! allocation, retirement, the retry budget, the ABA tally and the handle's
@@ -71,11 +71,10 @@ const LANE_ANCHOR: usize = 0;
 const LANE_SUCCESSOR: usize = 1;
 
 /// Michael–Scott queue over a [`NodeArena`], generic in its ABA-protection /
-/// reclamation scheme `R`.  Head and tail words live inside the reclaimer
-/// (which owns their encoding — for the tagging scheme the per-node next
-/// links are counted words too); enqueue and dequeue are the textbook
-/// helping loops with every shared access routed through the per-thread
-/// [`Guard`].
+/// reclamation scheme `R`.  Head and tail words live inside the reclaimer,
+/// and the per-node next links are encoded by the same codec (counted words
+/// under tagging and LL/SC); enqueue and dequeue are the textbook helping
+/// loops with every shared access routed through the per-thread [`Guard`].
 #[derive(Debug)]
 pub struct GenericQueue<R: Reclaimer> {
     nodes: Nodes<R>,
@@ -156,11 +155,11 @@ impl<R: Reclaimer, W: Window> QueueHandle for GenericQueueHandle<'_, R, W> {
             return false;
         };
         let arena = &w.nodes.arena;
-        // Re-nil our node's next link through the guard: the tagging scheme
-        // preserves (and bumps) the link's tag across recycling here, which
-        // is what defeats a stale CAS aimed at this node's previous
+        // Re-nil our node's next link through the guard: a counted codec
+        // continues (and bumps) the link's counter across recycling here,
+        // which is what defeats a stale CAS aimed at this node's previous
         // incarnation.
-        w.guard.store_link(arena.next_word(idx), NIL);
+        w.guard.store_link_mark(arena.next_word(idx), NIL, false);
         let mut budget = w.budget();
         while budget.spend() {
             let tail_raw = w.guard.protect(LANE_ANCHOR, self.tail);
@@ -176,7 +175,9 @@ impl<R: Reclaimer, W: Window> QueueHandle for GenericQueueHandle<'_, R, W> {
                 continue;
             }
             W::preemption_window();
-            if w.guard.cas_link(arena.next_word(tail), next_raw, idx) {
+            if w.guard
+                .cas_link_mark(arena.next_word(tail), next_raw, idx, false)
+            {
                 let _ = w.guard.cas(self.tail, tail_raw, idx);
                 w.guard.quiesce();
                 w.backoff.reset();
@@ -277,7 +278,8 @@ pub type EpochQueue = GenericQueue<EpochReclaim>;
 
 /// MS queue whose head and tail are LL/SC/VL objects: any SC fails whenever
 /// a successful SC intervened since the LL, so a recycled index can never be
-/// confused with its previous incarnation on either end.
+/// confused with its previous incarnation on either end; the next links are
+/// counted words.
 pub type LlScQueue = GenericQueue<LlScReclaim>;
 
 #[cfg(test)]

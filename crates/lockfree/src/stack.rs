@@ -177,8 +177,8 @@ impl<'a, R: Reclaimer, W: Window> GenericStackHandle<'a, R, W> {
             // A plain load suffices: push never dereferences the head node,
             // it only links to it.
             let head_raw = w.guard.load(self.head);
-            w.guard
-                .store_link(arena.next_word(idx), w.guard.index_of(head_raw));
+            let head = w.guard.index_of(head_raw);
+            w.guard.store_link_mark(arena.next_word(idx), head, false);
             if w.guard.cas(self.head, head_raw, idx) {
                 w.guard.quiesce();
                 w.backoff.reset();
@@ -842,8 +842,8 @@ mod tests {
         let mut h = stack.handle(0);
         assert!(h.push(9999)); // give the parked protector a real node to pin
         let mut parked = stack.nodes.reclaim.guard(THREADS - 1, CAPACITY);
-        let pinned_node = parked.protect(0, stack.head);
-        assert_ne!(pinned_node, NIL);
+        let pinned_raw = parked.protect(0, stack.head);
+        assert_ne!(parked.index_of(pinned_raw), NIL);
         let mut peak = 0u64;
         for v in 0..(4 * CAPACITY as u32) {
             if h.push(v) {

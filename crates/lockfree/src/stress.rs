@@ -11,7 +11,7 @@
 //! head/tail words.
 //!
 //! All four harnesses are thin role definitions over one shared
-//! [conservation driver](run_conservation) and return the same
+//! conservation driver (`run_conservation`) and return the same
 //! [`StressReport`]: barrier-started workers, private per-thread value logs
 //! merged after join, a bounded post-run drain (a corrupted structure can
 //! contain a cycle) and multiset accounting.  Every
@@ -367,7 +367,7 @@ fn stress_keyed<H>(
     )
 }
 
-/// Run the keyed churn ([`stress_keyed`]) on a set and check membership
+/// Run the keyed churn (`stress_keyed`) on a set and check membership
 /// conservation: every key that went in must come out (by its inserter or
 /// the drain) exactly once.
 pub fn stress_set(set: &dyn Set, threads: usize, ops_per_thread: usize) -> StressReport {
@@ -386,7 +386,7 @@ pub fn stress_set(set: &dyn Set, threads: usize, ops_per_thread: usize) -> Stres
     report
 }
 
-/// Run the keyed churn ([`stress_keyed`]) on a map — each key bound to a
+/// Run the keyed churn (`stress_keyed`) on a map — each key bound to a
 /// value derived from it, so a value swap would surface as a lookup mismatch
 /// in the map's own tests — and check key conservation.  The churn doubles
 /// as the growth workload: the map's arena starts small and must publish

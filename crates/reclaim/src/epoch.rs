@@ -61,7 +61,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use aba_core::CachePadded;
 
 use crate::gauge::{Gauge, GaugeCell};
-use crate::{BareLinks, Guard, Reclaimer, Scheme, SlotId};
+use crate::{BareLinks, Guard, Reclaimer, Scheme, SlotId, SlotView, Slots};
 
 /// Maximum retirements between a guard's epoch-advance attempts (amortizes
 /// the O(threads) local-epoch scan; allocation pressure forces attempts
@@ -100,7 +100,7 @@ pub struct EpochReclaim {
     /// Per-thread epoch state — padded so two threads' pin traffic never
     /// shares a cache line.
     locals: Box<[CachePadded<LocalEpoch>]>,
-    slots: Vec<CachePadded<AtomicU64>>,
+    slots: Slots<BareLinks>,
     /// Retired-but-not-freed node count across all guards (the scheme's
     /// space overhead).
     unreclaimed: Gauge,
@@ -131,7 +131,7 @@ impl Reclaimer for EpochReclaim {
                     })
                 })
                 .collect(),
-            slots: Vec::new(),
+            slots: Slots::default(),
             unreclaimed: Gauge::new(threads),
             quarantine: Mutex::new(Vec::new()),
             quarantine_count: AtomicU64::new(0),
@@ -139,13 +139,13 @@ impl Reclaimer for EpochReclaim {
     }
 
     fn add_slot(&mut self, idx: u64) -> SlotId {
-        self.slots.push(CachePadded::new(AtomicU64::new(idx)));
-        self.slots.len() - 1
+        self.slots.add(idx)
     }
 
     fn guard(&self, tid: usize, capacity: usize) -> EpochGuard<'_> {
         EpochGuard {
             shared: self,
+            slots: self.slots.view(),
             tid,
             unreclaimed: self.unreclaimed.cell(tid),
             capacity,
@@ -209,6 +209,7 @@ impl EpochReclaim {
 #[derive(Debug)]
 pub struct EpochGuard<'a> {
     shared: &'a EpochReclaim,
+    slots: SlotView<'a, BareLinks>,
     tid: usize,
     /// This thread's cell of the shared unreclaimed gauge.
     unreclaimed: GaugeCell<'a>,
@@ -391,25 +392,19 @@ impl Guard for EpochGuard<'_> {
         // nothing retired from now on can complete two advances, so every
         // node reachable after the pin stays allocated until we quiesce.
         self.pin();
-        self.shared.slots[slot].load(Ordering::SeqCst)
+        self.slots.load(slot)
     }
 
     fn load(&mut self, slot: SlotId) -> u64 {
-        self.shared.slots[slot].load(Ordering::SeqCst)
+        self.slots.load(slot)
     }
 
     fn validate(&mut self, slot: SlotId, raw: u64) -> bool {
-        self.shared.slots[slot].load(Ordering::SeqCst) == raw
+        self.slots.validate(slot, raw)
     }
 
     fn cas(&mut self, slot: SlotId, raw: u64, idx: u64) -> bool {
-        self.shared.slots[slot]
-            .compare_exchange(raw, idx, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    }
-
-    fn index_of(&self, raw: u64) -> u64 {
-        raw
+        self.slots.cas(slot, raw, idx)
     }
 
     fn retire(&mut self, idx: u64, mut free: impl FnMut(u64)) {
@@ -508,8 +503,8 @@ mod tests {
             assert_eq!(a % 64, 0, "local epoch misaligned");
             assert!(b - a >= 64, "adjacent local epochs share a cache line");
         }
-        let a = &r.slots[0] as *const _ as usize;
-        let b = &r.slots[1] as *const _ as usize;
+        let a = &r.slots.words[0] as *const _ as usize;
+        let b = &r.slots.words[1] as *const _ as usize;
         assert!(
             a.is_multiple_of(64) && b - a >= 64,
             "epoch slots share a cache line"

@@ -7,23 +7,25 @@
 //! the lock-free structures in `aba-lockfree`, so a Treiber stack or
 //! Michael–Scott queue is written *once* and instantiated per scheme:
 //!
-//! | [`Scheme`] | Impl | Paper §1 taxonomy | Slot word | [`LinkCodec`] | Free deferred? |
-//! |------------|------|-------------------|-----------|---------------|----------------|
-//! | `Unprotected` | [`NoReclaim`] | none — the ABA victim | bare index | [`BareLinks`] | no (immediate) |
-//! | `Tagged` | [`TagReclaim`] | tagging, unbounded tag | `(index, tag)` via [`TagWord`] | [`CountedLinks`] | no |
-//! | `Hazard` | [`HazardReclaim`] | hazard pointers [20, 21] | bare index | [`BareLinks`] | until unprotected |
-//! | `LlSc` | [`LlScReclaim`] | LL/SC words (Theorem 2 context) | [`AnnounceLlSc`] triple | [`CountedLinks`] | no |
-//! | `Epoch` | [`EpochReclaim`] | epoch / quiescence-based | bare index | [`BareLinks`] | until 2 epoch advances |
+//! | [`Scheme`] | Impl | Paper §1 taxonomy | [`LinkCodec`] (slots and links) | Free deferred? |
+//! |------------|------|-------------------|---------------------------------|----------------|
+//! | `Unprotected` | [`NoReclaim`] | none — the ABA victim | [`BareLinks`] | no (immediate) |
+//! | `Tagged` | [`TagReclaim`] | tagging, unbounded tag | [`CountedLinks`] | no |
+//! | `Hazard` | [`HazardReclaim`] | hazard pointers [20, 21] | [`BareLinks`] | until unprotected |
+//! | `LlSc` | [`LlScReclaim`] | LL/SC words (Theorem 2 context) | [`CountedLinks`] (slots: the value field of an [`AnnounceLlSc`]) | no |
+//! | `Epoch` | [`EpochReclaim`] | epoch / quiescence-based | [`BareLinks`] | until 2 epoch advances |
 //!
 //! A structure registers its shared words as *slots* ([`Reclaimer::add_slot`])
 //! at construction time and performs every access through a per-thread
 //! [`Guard`].  A scheme implements only the guard's *protection core* —
-//! `protect`, `load`, `validate`, `cas`, `index_of`, `retire`, `quiesce`,
-//! `reclaim_pressure` — and names its [`LinkCodec`]; every link-word method
-//! is written once, as a provided method over that codec.  The
-//! scheme-specific protocols — publish-then-revalidate for hazard pointers,
-//! pin/unpin with three limbo bags for epochs, LL/VL/SC for the LL/SC words,
-//! tag bumps for tagging — live entirely behind that interface.
+//! `protect`, `load`, `validate`, `cas`, `retire`, `quiesce`,
+//! `reclaim_pressure` — and names its [`LinkCodec`], the one encoding of
+//! every structure word it touches: slot words and node links decode through
+//! the same [`Guard::index_of`], and every link-word method is written once,
+//! as a provided method over that codec.  The scheme-specific protocols —
+//! publish-then-revalidate for hazard pointers, pin/unpin with three limbo
+//! bags for epochs, LL/VL/SC for the LL/SC words, counter bumps for tagging
+//! — live entirely behind that interface.
 //!
 //! The two deferred schemes execute the locked instructions their protocols
 //! state and no others — per stack push+pop pair: the two head CASes plus
@@ -36,6 +38,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use aba_core::pack::TagWord;
@@ -109,16 +112,17 @@ impl Scheme {
 }
 
 // ---------------------------------------------------------------------------
-// Mark-capable link-word encodings
+// Structure-word encodings
 // ---------------------------------------------------------------------------
 
-/// How a *mark-capable* link word (a Harris–Michael next link, which folds a
-/// "logically deleted" mark into the word so one CAS verifies the successor
-/// *and* the deletion status) is represented.  Stateless: a link word is
-/// mark-capable only if every write to it went through
-/// [`Guard::store_link_mark`] / [`Guard::cas_link_mark`], which encode
-/// through the guard's codec.  Two encodings cover the five schemes
-/// (DESIGN.md §7): [`BareLinks`] and [`CountedLinks`].
+/// How a scheme represents a structure word — a registered slot or a node's
+/// next link — as a raw `u64`: the designated index plus a "logically
+/// deleted" mark (a Harris–Michael link folds the mark into the word, so one
+/// CAS verifies the successor *and* the deletion status; slots are never
+/// marked).  Stateless: every write to a structure word goes through the
+/// guard, which encodes through its codec, and every read decodes through
+/// it.  Two encodings cover the five schemes (DESIGN.md §7): [`BareLinks`]
+/// and [`CountedLinks`].
 pub trait LinkCodec {
     /// The word that replaces `prev_raw` to designate `idx` ([`NIL`]
     /// allowed) with the given deleted mark.
@@ -129,8 +133,17 @@ pub trait LinkCodec {
 
     /// The logical-deletion mark of a link word.  A fresh arena link holds
     /// the legacy bare nil `u64::MAX`; both codecs decode it as an unmarked
-    /// nil, so mark-capable and bare consumers can share an arena.
+    /// nil, so every scheme can share one arena.
     fn mark(raw: u64) -> bool;
+}
+
+/// Whether codec `C` continues the word it replaces (the counted codec's
+/// write counter), so that a store must read the old word first.  The bare
+/// codec ignores the old word, and a store under it reads nothing.  Both
+/// calls take constant arguments, so the test folds to a constant.
+#[inline]
+fn continues<C: LinkCodec>() -> bool {
+    C::encode(0, NIL, false) != C::encode(NIL, NIL, false)
 }
 
 /// **Bare + flag** (unprotected, hazard, epoch): the index in the low 32
@@ -149,8 +162,8 @@ impl BareLinks {
 impl LinkCodec for BareLinks {
     #[inline]
     fn encode(_prev_raw: u64, idx: u64, marked: bool) -> u64 {
-        let base = if idx == NIL { Self::IDX_MASK } else { idx };
-        base | if marked { Self::MARK_BIT } else { 0 }
+        // `NIL` masks to the in-band nil; an arena index fits the field.
+        (idx & Self::IDX_MASK) | if marked { Self::MARK_BIT } else { 0 }
     }
 
     #[inline]
@@ -169,17 +182,26 @@ impl LinkCodec for BareLinks {
     }
 }
 
-/// **Counted + flag** (tagged, LL/SC deep links): a [`TagWord`] whose value
-/// field holds the index (`u32::MAX` = nil) and whose tag field keeps a
-/// 31-bit write counter with the deleted mark in the tag's top bit — marking
-/// a node is itself a counter bump, so a stale CAS can neither miss the mark
-/// nor resurrect a recycled link.
+/// **Counted + flag** (tagged; LL/SC links, and LL/SC slots in the value
+/// field): a [`TagWord`] whose value field holds the index (`u32::MAX` =
+/// nil) and whose tag field keeps a 31-bit write counter with the deleted
+/// mark in the tag's top bit — every write bumps the counter and marking a
+/// node is itself a bump, so a stale CAS can neither miss the mark nor
+/// resurrect a recycled word.
 #[derive(Debug, Clone, Copy)]
 pub struct CountedLinks;
 
 impl CountedLinks {
     /// Deleted-mark flag inside the tag field.
     const MARK_BIT: u32 = 1 << 31;
+
+    /// The value field designating `idx` ([`NIL`] allowed) — also the value
+    /// an LL/SC slot holds.  [`NIL`] truncates to the in-band nil
+    /// `u32::MAX`; an arena index fits the field.
+    #[inline]
+    fn field(idx: u64) -> u32 {
+        idx as u32
+    }
 }
 
 impl LinkCodec for CountedLinks {
@@ -187,7 +209,7 @@ impl LinkCodec for CountedLinks {
     fn encode(prev_raw: u64, idx: u64, marked: bool) -> u64 {
         let count = TagWord::unpack(prev_raw).tag.wrapping_add(1) & !Self::MARK_BIT;
         TagWord {
-            value: tag_encode(idx),
+            value: Self::field(idx),
             tag: count | if marked { Self::MARK_BIT } else { 0 },
         }
         .pack()
@@ -195,7 +217,10 @@ impl LinkCodec for CountedLinks {
 
     #[inline]
     fn index(raw: u64) -> u64 {
-        tag_decode(TagWord::unpack(raw).value)
+        match TagWord::unpack(raw).value {
+            u32::MAX => NIL,
+            value => value as u64,
+        }
     }
 
     #[inline]
@@ -263,15 +288,16 @@ pub trait Reclaimer: Send + Sync + 'static {
 
 /// Per-thread access handle of a [`Reclaimer`].
 ///
-/// A scheme implements the eight-method *protection core* (`protect`,
-/// `load`, `validate`, `cas`, `index_of`, `retire`, `quiesce`,
-/// `reclaim_pressure`) and names its [`LinkCodec`]; everything else is
-/// provided.  `raw` words returned by [`Guard::protect`] / [`Guard::load`] /
-/// [`Guard::load_link`] are opaque to the structure: it extracts the
-/// designated node with [`Guard::index_of`] and passes the raw word back to
-/// [`Guard::validate`] / [`Guard::cas`] unchanged.
+/// A scheme implements the seven-method *protection core* (`protect`,
+/// `load`, `validate`, `cas`, `retire`, `quiesce`, `reclaim_pressure`) and
+/// names its [`LinkCodec`]; everything else is provided.  `raw` words
+/// returned by [`Guard::protect`] / [`Guard::load`] / [`Guard::load_link`]
+/// are opaque to the structure: it extracts the designated node with
+/// [`Guard::index_of`] and passes the raw word back to [`Guard::validate`] /
+/// [`Guard::cas`] (or [`Guard::cas_link_mark`]) unchanged.
 pub trait Guard: Send {
-    /// The encoding of this scheme's mark-capable link words.
+    /// The one encoding of every structure word this scheme touches: the
+    /// registered slots and the node links.
     type Links: LinkCodec;
 
     // -- the protection core ------------------------------------------------
@@ -293,10 +319,6 @@ pub trait Guard: Send {
     /// designating `idx` ([`NIL`] allowed); an intervening change makes it
     /// fail.
     fn cas(&mut self, slot: SlotId, raw: u64, idx: u64) -> bool;
-
-    /// The node a raw slot word — or a plain ([`Guard::store_link`]) link
-    /// word — designates ([`NIL`] if none).
-    fn index_of(&self, raw: u64) -> u64;
 
     /// Hand over a node unlinked by a successful [`Guard::cas`].  Releases
     /// this operation's protections, then frees the node through `free` —
@@ -354,6 +376,28 @@ pub trait Guard: Send {
         self.validate_link(link, raw)
     }
 
+    // -- decoding (any structure word) --------------------------------------
+
+    /// The node a raw structure word — a slot or a link — designates
+    /// ([`NIL`] if none): the one decoder, over `Self::Links`.
+    #[inline]
+    fn index_of(&self, raw: u64) -> u64 {
+        Self::Links::index(raw)
+    }
+
+    /// [`Guard::index_of`] under the name a Harris–Michael traversal reads
+    /// a link's successor with.
+    #[inline]
+    fn marked_index_of(&self, raw: u64) -> u64 {
+        self.index_of(raw)
+    }
+
+    /// The logical-deletion mark of a link word.
+    #[inline]
+    fn mark_of(&self, raw: u64) -> bool {
+        Self::Links::mark(raw)
+    }
+
     // -- link words (a node's next field) -----------------------------------
 
     /// Load a link word.
@@ -370,64 +414,102 @@ pub trait Guard: Send {
         self.load_link(link) == raw
     }
 
-    /// Store a plain link word designating `idx` ([`NIL`] allowed), in the
-    /// slot-word encoding [`Guard::index_of`] decodes.  Only legal on a node
-    /// the calling thread owns (freshly allocated, not yet linked), which is
-    /// why the store is `Relaxed`: the CAS that links the node publishes it.
-    /// The default is the bare store; the tagging scheme overrides it to
-    /// preserve — and bump — the link's tag across recycling.
-    #[inline]
-    fn store_link(&self, link: &AtomicU64, idx: u64) {
-        // ordering: private until the publishing CAS, which stays `SeqCst`.
-        link.store(idx, Ordering::Relaxed);
-    }
-
-    /// CAS a plain link word from the observed `raw` to a word designating
-    /// `idx` (the bare CAS by default; tag-bumping under tagging).
-    #[inline]
-    fn cas_link(&self, link: &AtomicU64, raw: u64, idx: u64) -> bool {
-        link.compare_exchange(raw, idx, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    }
-
-    // -- mark-capable link words (Harris–Michael logical deletion) ----------
-    //
-    // Written once over `Self::Links`.  A mark-capable word's index field
-    // must be decoded with `marked_index_of`, never `index_of` (a plain word
-    // may place [`NIL`] where the codec expects a flag).
-
-    /// Store a mark-capable link word designating `idx` with the given
-    /// deleted mark.  Only legal on a node the calling thread owns, which
-    /// makes the read-then-store race-free; the counted codec continues the
-    /// word's previous counter, which is what defeats a stale CAS aimed at
-    /// the node's earlier incarnation.  The store is `Relaxed` on the same
-    /// ground as [`Guard::store_link`]'s.
+    /// Store a link word designating `idx` ([`NIL`] allowed) with the given
+    /// deleted mark.  Only legal on a node the calling thread owns (freshly
+    /// allocated, not yet linked), which is why the store is `Relaxed` — the
+    /// CAS that links the node publishes it — and why a codec that continues
+    /// the word's previous counter may read it first without a race: that
+    /// counter is what defeats a stale CAS aimed at the node's earlier
+    /// incarnation.  Under a codec that does not continue the old word the
+    /// store reads nothing.
     #[inline]
     fn store_link_mark(&self, link: &AtomicU64, idx: u64, marked: bool) {
-        let old = link.load(Ordering::SeqCst);
+        let old = if continues::<Self::Links>() {
+            link.load(Ordering::SeqCst)
+        } else {
+            NIL
+        };
         // ordering: private until the publishing CAS, which stays `SeqCst`.
         link.store(Self::Links::encode(old, idx, marked), Ordering::Relaxed);
     }
 
-    /// CAS a mark-capable link word from the observed `raw` to a word
-    /// designating `idx` carrying `marked`.
+    /// CAS a link word from the observed `raw` to a word designating `idx`
+    /// carrying `marked`.
     #[inline]
     fn cas_link_mark(&self, link: &AtomicU64, raw: u64, idx: u64, marked: bool) -> bool {
         let new = Self::Links::encode(raw, idx, marked);
         link.compare_exchange(raw, new, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
     }
+}
 
-    /// The index field of a mark-capable link word ([`NIL`] if none).
-    #[inline]
-    fn marked_index_of(&self, raw: u64) -> u64 {
-        Self::Links::index(raw)
+// ---------------------------------------------------------------------------
+// Registered slot words
+// ---------------------------------------------------------------------------
+
+/// The registered slots of a scheme whose slots are plain atomic words —
+/// every scheme but LL/SC — each encoded by the scheme's codec `C` and alone
+/// on its cache line, so a queue's head and tail never false-share.
+#[derive(Debug)]
+struct Slots<C> {
+    words: Vec<CachePadded<AtomicU64>>,
+    codec: PhantomData<C>,
+}
+
+impl<C> Default for Slots<C> {
+    fn default() -> Self {
+        Slots {
+            words: Vec::new(),
+            codec: PhantomData,
+        }
+    }
+}
+
+impl<C: LinkCodec> Slots<C> {
+    /// [`Reclaimer::add_slot`].
+    fn add(&mut self, idx: u64) -> SlotId {
+        let word = C::encode(NIL, idx, false);
+        self.words.push(CachePadded::new(AtomicU64::new(word)));
+        self.words.len() - 1
     }
 
-    /// The logical-deletion mark of a mark-capable link word.
+    /// The accessor a guard holds.  It carries the slice itself: reached
+    /// through `&Slots` instead — one more dependent load per access — the
+    /// unprotected stack's push+pop pair read ≈ 5 ns slower on a 2-vCPU
+    /// x86-64 host (EXPERIMENTS.md E27).
+    fn view(&self) -> SlotView<'_, C> {
+        SlotView {
+            words: &self.words,
+            codec: PhantomData,
+        }
+    }
+}
+
+/// A guard's access to [`Slots`]: load, validate and CAS, every written
+/// word encoded by `C`.
+#[derive(Debug, Clone, Copy)]
+struct SlotView<'a, C> {
+    words: &'a [CachePadded<AtomicU64>],
+    codec: PhantomData<C>,
+}
+
+impl<C: LinkCodec> SlotView<'_, C> {
     #[inline]
-    fn mark_of(&self, raw: u64) -> bool {
-        Self::Links::mark(raw)
+    fn load(&self, slot: SlotId) -> u64 {
+        self.words[slot].load(Ordering::SeqCst)
+    }
+
+    #[inline]
+    fn validate(&self, slot: SlotId, raw: u64) -> bool {
+        self.load(slot) == raw
+    }
+
+    #[inline]
+    fn cas(&self, slot: SlotId, raw: u64, idx: u64) -> bool {
+        let new = C::encode(raw, idx, false);
+        self.words[slot]
+            .compare_exchange(raw, new, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
     }
 }
 
@@ -439,7 +521,7 @@ pub trait Guard: Send {
 /// textbook ABA victim, kept as the experiments' baseline.
 #[derive(Debug, Default)]
 pub struct NoReclaim {
-    slots: Vec<CachePadded<AtomicU64>>,
+    slots: Slots<BareLinks>,
 }
 
 impl Reclaimer for NoReclaim {
@@ -448,16 +530,17 @@ impl Reclaimer for NoReclaim {
     const SCHEME: Scheme = Scheme::Unprotected;
 
     fn new(_threads: usize, _lanes: usize) -> Self {
-        NoReclaim { slots: Vec::new() }
+        NoReclaim::default()
     }
 
     fn add_slot(&mut self, idx: u64) -> SlotId {
-        self.slots.push(CachePadded::new(AtomicU64::new(idx)));
-        self.slots.len() - 1
+        self.slots.add(idx)
     }
 
     fn guard(&self, _tid: usize, _capacity: usize) -> NoGuard<'_> {
-        NoGuard { slots: &self.slots }
+        NoGuard {
+            slots: self.slots.view(),
+        }
     }
 
     fn retry_bound(&self, capacity: usize) -> Option<usize> {
@@ -471,32 +554,26 @@ impl Reclaimer for NoReclaim {
 /// Guard of [`NoReclaim`]: plain loads and CASes.
 #[derive(Debug)]
 pub struct NoGuard<'a> {
-    slots: &'a [CachePadded<AtomicU64>],
+    slots: SlotView<'a, BareLinks>,
 }
 
 impl Guard for NoGuard<'_> {
     type Links = BareLinks;
 
     fn protect(&mut self, _lane: usize, slot: SlotId) -> u64 {
-        self.slots[slot].load(Ordering::SeqCst)
+        self.slots.load(slot)
     }
 
     fn load(&mut self, slot: SlotId) -> u64 {
-        self.slots[slot].load(Ordering::SeqCst)
+        self.slots.load(slot)
     }
 
     fn validate(&mut self, slot: SlotId, raw: u64) -> bool {
-        self.slots[slot].load(Ordering::SeqCst) == raw
+        self.slots.validate(slot, raw)
     }
 
     fn cas(&mut self, slot: SlotId, raw: u64, idx: u64) -> bool {
-        self.slots[slot]
-            .compare_exchange(raw, idx, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    }
-
-    fn index_of(&self, raw: u64) -> u64 {
-        raw
+        self.slots.cas(slot, raw, idx)
     }
 
     fn retire(&mut self, idx: u64, mut free: impl FnMut(u64)) {
@@ -512,34 +589,14 @@ impl Guard for NoGuard<'_> {
 // TagReclaim: §1 tagging — (index, tag) words, every CAS bumps the tag.
 // ---------------------------------------------------------------------------
 
-/// In the tag domain the index field uses `u32::MAX` for nil (the index
-/// occupies [`TagWord`]'s 32-bit value field).
-const TAG_IDX_NIL: u32 = u32::MAX;
-
-fn tag_encode(idx: u64) -> u32 {
-    if idx == NIL {
-        TAG_IDX_NIL
-    } else {
-        idx as u32
-    }
-}
-
-fn tag_decode(value: u32) -> u64 {
-    if value == TAG_IDX_NIL {
-        NIL
-    } else {
-        value as u64
-    }
-}
-
-/// The §1 tagging technique: every structure and link word packs
-/// `(index, tag)` into one CAS word (via `aba-core`'s [`TagWord`], the same
-/// helper behind the tagged register baseline), and every successful CAS
-/// bumps the tag, so a recycled index can never be confused with its
-/// previous incarnation.  Nodes are freed immediately.
+/// The §1 tagging technique: every slot and link word packs `(index, tag)`
+/// into one CAS word ([`CountedLinks`], over `aba-core`'s [`TagWord`], the
+/// same helper behind the tagged register baseline), and every write bumps
+/// the tag, so a recycled index can never be confused with its previous
+/// incarnation.  Nodes are freed immediately.
 #[derive(Debug, Default)]
 pub struct TagReclaim {
-    slots: Vec<CachePadded<AtomicU64>>,
+    slots: Slots<CountedLinks>,
 }
 
 impl Reclaimer for TagReclaim {
@@ -548,85 +605,43 @@ impl Reclaimer for TagReclaim {
     const SCHEME: Scheme = Scheme::Tagged;
 
     fn new(_threads: usize, _lanes: usize) -> Self {
-        TagReclaim { slots: Vec::new() }
+        TagReclaim::default()
     }
 
     fn add_slot(&mut self, idx: u64) -> SlotId {
-        self.slots.push(CachePadded::new(AtomicU64::new(
-            TagWord {
-                value: tag_encode(idx),
-                tag: 0,
-            }
-            .pack(),
-        )));
-        self.slots.len() - 1
+        self.slots.add(idx)
     }
 
     fn guard(&self, _tid: usize, _capacity: usize) -> TagGuard<'_> {
-        TagGuard { slots: &self.slots }
+        TagGuard {
+            slots: self.slots.view(),
+        }
     }
 }
 
 /// Guard of [`TagReclaim`]: packed-word loads, tag-bumping CASes.
 #[derive(Debug)]
 pub struct TagGuard<'a> {
-    slots: &'a [CachePadded<AtomicU64>],
-}
-
-impl TagGuard<'_> {
-    fn bump(raw: u64, idx: u64) -> u64 {
-        TagWord::unpack(raw).bump(tag_encode(idx)).pack()
-    }
+    slots: SlotView<'a, CountedLinks>,
 }
 
 impl Guard for TagGuard<'_> {
     type Links = CountedLinks;
 
     fn protect(&mut self, _lane: usize, slot: SlotId) -> u64 {
-        self.slots[slot].load(Ordering::SeqCst)
+        self.slots.load(slot)
     }
 
     fn load(&mut self, slot: SlotId) -> u64 {
-        self.slots[slot].load(Ordering::SeqCst)
+        self.slots.load(slot)
     }
 
     fn validate(&mut self, slot: SlotId, raw: u64) -> bool {
-        self.slots[slot].load(Ordering::SeqCst) == raw
+        self.slots.validate(slot, raw)
     }
 
     fn cas(&mut self, slot: SlotId, raw: u64, idx: u64) -> bool {
-        self.slots[slot]
-            .compare_exchange(
-                raw,
-                Self::bump(raw, idx),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_ok()
-    }
-
-    fn store_link(&self, link: &AtomicU64, idx: u64) {
-        // The node is exclusively owned by the caller here, so a plain
-        // read-then-store is race-free; preserving (and bumping) the link's
-        // previous tag across recycling is what defeats a stale CAS aimed at
-        // the node's earlier incarnation.
-        let old = link.load(Ordering::SeqCst);
-        // ordering: private until the publishing CAS, which stays `SeqCst`.
-        link.store(Self::bump(old, idx), Ordering::Relaxed);
-    }
-
-    fn cas_link(&self, link: &AtomicU64, raw: u64, idx: u64) -> bool {
-        link.compare_exchange(
-            raw,
-            Self::bump(raw, idx),
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        )
-        .is_ok()
-    }
-
-    fn index_of(&self, raw: u64) -> u64 {
-        tag_decode(TagWord::unpack(raw).value)
+        self.slots.cas(slot, raw, idx)
     }
 
     fn retire(&mut self, idx: u64, mut free: impl FnMut(u64)) {
@@ -648,7 +663,7 @@ impl Guard for TagGuard<'_> {
 #[derive(Debug)]
 pub struct HazardReclaim {
     domain: HazardDomain,
-    slots: Vec<CachePadded<AtomicU64>>,
+    slots: Slots<BareLinks>,
     lanes: usize,
     unreclaimed: Gauge,
 }
@@ -666,15 +681,14 @@ impl Reclaimer for HazardReclaim {
         );
         HazardReclaim {
             domain: HazardDomain::new(threads * lanes),
-            slots: Vec::new(),
+            slots: Slots::default(),
             lanes,
             unreclaimed: Gauge::new(threads),
         }
     }
 
     fn add_slot(&mut self, idx: u64) -> SlotId {
-        self.slots.push(CachePadded::new(AtomicU64::new(idx)));
-        self.slots.len() - 1
+        self.slots.add(idx)
     }
 
     fn guard(&self, tid: usize, capacity: usize) -> HazardGuard<'_> {
@@ -684,14 +698,12 @@ impl Reclaimer for HazardReclaim {
                 .map(|lane| self.domain.handle(tid * self.lanes + lane))
                 .collect(),
             cache: (0..self.lanes)
-                .map(|_| CachePadded::new((usize::MAX, NIL)))
+                .map(|_| CachePadded::new((usize::MAX, NIL, NIL)))
                 .collect(),
             published: 0,
-            slots: &self.slots,
+            slots: self.slots.view(),
             unreclaimed,
             capacity,
-            batch: Vec::new(),
-            batch_trigger: (self.domain.scan_threshold() / 4).max(1),
         }
     }
 
@@ -707,10 +719,9 @@ impl HazardReclaim {
     }
 }
 
-/// Guard of [`HazardReclaim`]: one hazard slot per lane, a thread-local
-/// retire batch spliced into lane 0's domain list on a size trigger, and a
-/// per-lane snapshot cache that keeps the `protect` hot path on one shared
-/// cache line.
+/// Guard of [`HazardReclaim`]: one hazard slot per lane, retirees in lane
+/// 0's retired list, and a per-lane snapshot cache that keeps the `protect`
+/// hot path on one shared cache line.
 ///
 /// A hazard slot is written by this guard alone, so the guard knows which
 /// of its slots hold a value without reading them: [`Guard::quiesce`] and
@@ -719,23 +730,17 @@ impl HazardReclaim {
 /// store at all.
 pub struct HazardGuard<'a> {
     lanes: Vec<aba_hazard::HazardHandle<'a>>,
-    /// Per-lane `(slot, raw)` snapshot of the last successful protect, each
-    /// alone on its cache line: the hot path publishes the cached word and
-    /// pays a *single* shared validating load, instead of the
-    /// load → publish → re-load double touch of the shared slot array.
-    cache: Vec<CachePadded<(SlotId, u64)>>,
+    /// Per-lane `(slot, raw, node)` snapshot of the last successful protect
+    /// of a node, each alone on its cache line: the hot path publishes the
+    /// cached node and pays a *single* shared validating load, instead of
+    /// the load → publish → re-load double touch of the shared slot array.
+    cache: Vec<CachePadded<(SlotId, u64, u64)>>,
     /// Bit `lane` is set whenever this guard's hazard slot `lane` holds a
     /// value.
     published: u64,
-    slots: &'a [CachePadded<AtomicU64>],
+    slots: SlotView<'a, BareLinks>,
     unreclaimed: GaugeCell<'a>,
     capacity: usize,
-    /// Thread-local retire batch: retirees stage here and are spliced into
-    /// the domain's retired list in one append when `batch_trigger` (or the
-    /// small-arena pressure rule) is reached — one amortized list splice
-    /// instead of a per-node push into the scan-visible list.
-    batch: Vec<u64>,
-    batch_trigger: usize,
 }
 
 impl std::fmt::Debug for HazardGuard<'_> {
@@ -765,72 +770,55 @@ impl HazardGuard<'_> {
             published &= published - 1;
         }
     }
-
-    /// Splice the thread-local batch into lane 0's domain list (one append)
-    /// and let the domain's scan policy — plus the small-arena eager-flush
-    /// rule — reclaim.
-    fn flush_batch(&mut self, free: &mut impl FnMut(u64)) {
-        let unreclaimed = self.unreclaimed;
-        let mut counted = |v: u64| {
-            unreclaimed.sub(1);
-            free(v);
-        };
-        self.lanes[0].retire_batch(&mut self.batch, &mut counted);
-        // Small arenas need eager reclamation: flush whenever the retired
-        // list holds a meaningful share of the arena.
-        if self.lanes[0].retired_len() * 4 >= self.capacity {
-            self.lanes[0].flush(&mut counted);
-        }
-    }
 }
 
 impl Guard for HazardGuard<'_> {
     type Links = BareLinks;
 
     fn protect(&mut self, lane: usize, slot: SlotId) -> u64 {
-        // Hot path: if the lane's cached snapshot still matches this slot,
-        // publish the cached word first and pay a single shared validating
-        // load (publish-before-validate order preserved — the white-box
+        // Hot path: if the lane's cached snapshot is of this slot, publish
+        // the cached node first and pay a single shared validating load
+        // (publish-before-validate order preserved — the white-box
         // `hazard_traversal` test pins that it is load-bearing).
-        let (cached_slot, cached_raw) = *self.cache[lane];
-        if cached_slot == slot && cached_raw != NIL {
-            self.publish(lane, cached_raw);
-            if self.slots[slot].load(Ordering::SeqCst) == cached_raw {
+        let (cached_slot, cached_raw, cached_idx) = *self.cache[lane];
+        if cached_slot == slot {
+            self.publish(lane, cached_idx);
+            if self.slots.validate(slot, cached_raw) {
                 return cached_raw;
             }
         }
         // Slow path: publish, then re-validate that the word did not move
         // before the hazard became visible (the standard protocol), looping
-        // until the snapshot is stable; a stable snapshot refills the cache.
+        // until the snapshot is stable; a stable snapshot of a node refills
+        // the cache.
         loop {
-            let raw = self.slots[slot].load(Ordering::SeqCst);
-            if raw == NIL {
+            let raw = self.slots.load(slot);
+            let idx = self.index_of(raw);
+            if idx == NIL {
                 if self.published & (1 << lane) != 0 {
                     self.lanes[lane].clear();
                     self.published &= !(1 << lane);
                 }
                 return raw;
             }
-            self.publish(lane, raw);
-            if self.slots[slot].load(Ordering::SeqCst) == raw {
-                *self.cache[lane] = (slot, raw);
+            self.publish(lane, idx);
+            if self.slots.validate(slot, raw) {
+                *self.cache[lane] = (slot, raw, idx);
                 return raw;
             }
         }
     }
 
     fn load(&mut self, slot: SlotId) -> u64 {
-        self.slots[slot].load(Ordering::SeqCst)
+        self.slots.load(slot)
     }
 
     fn validate(&mut self, slot: SlotId, raw: u64) -> bool {
-        self.slots[slot].load(Ordering::SeqCst) == raw
+        self.slots.validate(slot, raw)
     }
 
     fn cas(&mut self, slot: SlotId, raw: u64, idx: u64) -> bool {
-        self.slots[slot]
-            .compare_exchange(raw, idx, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
+        self.slots.cas(slot, raw, idx)
     }
 
     fn protect_link(&mut self, lane: usize, idx: u64, slot: SlotId, raw: u64) -> bool {
@@ -839,7 +827,7 @@ impl Guard for HazardGuard<'_> {
         // reachable — and therefore not yet retired — while both hazards
         // were visible.
         self.publish(lane, idx);
-        self.slots[slot].load(Ordering::SeqCst) == raw
+        self.slots.validate(slot, raw)
     }
 
     fn protect_link_word(&mut self, lane: usize, idx: u64, link: &AtomicU64, raw: u64) -> bool {
@@ -855,24 +843,22 @@ impl Guard for HazardGuard<'_> {
         link.load(Ordering::SeqCst) == raw
     }
 
-    fn index_of(&self, raw: u64) -> u64 {
-        raw
-    }
-
     fn retire(&mut self, idx: u64, mut free: impl FnMut(u64)) {
         // The operation is complete: its protections are released before the
         // node is retired, so our own hazards never pin our own retirees.
         self.clear_published();
-        assert_ne!(idx, NIL, "the sentinel cannot be retired");
         self.unreclaimed.add(1);
-        // Stage in the thread-local batch; the domain's scan-visible list is
-        // touched only on the size trigger (one splice per batch) or under
-        // the small-arena pressure rule.
-        self.batch.push(idx);
-        if self.batch.len() >= self.batch_trigger
-            || (self.batch.len() + self.lanes[0].retired_len()) * 4 >= self.capacity
-        {
-            self.flush_batch(&mut free);
+        let unreclaimed = self.unreclaimed;
+        let mut counted = |v: u64| {
+            unreclaimed.sub(1);
+            free(v);
+        };
+        // The domain scans on its own threshold; small arenas need eager
+        // reclamation on top: flush whenever the retired list holds a
+        // meaningful share of the arena.
+        self.lanes[0].retire(idx, &mut counted);
+        if self.lanes[0].retired_len() * 4 >= self.capacity {
+            self.lanes[0].flush(&mut counted);
         }
     }
 
@@ -882,14 +868,10 @@ impl Guard for HazardGuard<'_> {
 
     fn reclaim_pressure(&mut self, mut free: impl FnMut(u64)) {
         let unreclaimed = self.unreclaimed;
-        let mut counted = |v: u64| {
+        self.lanes[0].flush(|v| {
             unreclaimed.sub(1);
             free(v);
-        };
-        // The batch must reach the domain before the scan, or staged
-        // retirees would survive an arena-exhausted flush.
-        self.lanes[0].retire_batch(&mut self.batch, &mut counted);
-        self.lanes[0].flush(&mut counted);
+        });
     }
 
     fn admit_alloc(&mut self, live_capacity: usize, free: impl FnMut(u64)) -> bool {
@@ -903,23 +885,9 @@ impl Guard for HazardGuard<'_> {
     }
 }
 
-impl Drop for HazardGuard<'_> {
-    fn drop(&mut self) {
-        // Staged retirees move into lane 0's retired list (no scan: a free
-        // callback is not available here), whose own drop orphans them onto
-        // the domain for adoption — nothing staged is ever silently lost.
-        if !self.batch.is_empty() {
-            self.lanes[0].stash_batch(&mut self.batch);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // LlScReclaim: every structure word is an LL/SC/VL object.
 // ---------------------------------------------------------------------------
-
-/// `u32::MAX` marks nil inside an LL/SC word (its value domain is `u32`).
-const LLSC_NIL: u32 = u32::MAX;
 
 /// The paper's primitive as the fix: every structure word is an LL/SC/VL
 /// object ([`AnnounceLlSc`]), so a store-conditional fails whenever any
@@ -944,10 +912,9 @@ impl Reclaimer for LlScReclaim {
     }
 
     fn add_slot(&mut self, idx: u64) -> SlotId {
-        let initial = if idx == NIL { LLSC_NIL } else { idx as u32 };
         self.slots.push(CachePadded::new(AnnounceLlSc::with_initial(
             self.threads,
-            initial,
+            CountedLinks::field(idx),
         )));
         self.slots.len() - 1
     }
@@ -960,26 +927,28 @@ impl Reclaimer for LlScReclaim {
 }
 
 /// Guard of [`LlScReclaim`]: one persistent [`AnnounceLlScHandle`] per slot
-/// (the LL link and sequence-recycling state live in the handle).
+/// (the LL link and sequence-recycling state live in the handle).  A slot's
+/// raw word is its `LL` value in the counted codec's value field, so
+/// [`Guard::index_of`] reads slots and links alike.
 #[derive(Debug)]
 pub struct LlScGuard<'a> {
     handles: Vec<AnnounceLlScHandle<'a>>,
 }
 
 impl Guard for LlScGuard<'_> {
-    // Only registered *slots* are LL/SC objects; a set's or map's deep links
+    // Only registered *slots* are LL/SC objects; the structures' next links
     // are arena words, so their protection is the counted encoding (a stale
     // CAS fails on the bumped counter) and advancing along them only needs
     // the snapshot re-validated — the provided `protect_link_word`.
     type Links = CountedLinks;
 
     fn protect(&mut self, _lane: usize, slot: SlotId) -> u64 {
-        self.handles[slot].ll() as u64
+        self.load(slot)
     }
 
     fn load(&mut self, slot: SlotId) -> u64 {
         // A load that may later be CASed must leave a link: LL.
-        self.handles[slot].ll() as u64
+        TagWord::initial(self.handles[slot].ll()).pack()
     }
 
     fn validate(&mut self, slot: SlotId, _raw: u64) -> bool {
@@ -990,16 +959,7 @@ impl Guard for LlScGuard<'_> {
     }
 
     fn cas(&mut self, slot: SlotId, _raw: u64, idx: u64) -> bool {
-        let word = if idx == NIL { LLSC_NIL } else { idx as u32 };
-        self.handles[slot].sc(word)
-    }
-
-    fn index_of(&self, raw: u64) -> u64 {
-        if raw == NIL || raw == LLSC_NIL as u64 {
-            NIL
-        } else {
-            raw
-        }
+        self.handles[slot].sc(CountedLinks::field(idx))
     }
 
     fn retire(&mut self, idx: u64, mut free: impl FnMut(u64)) {
@@ -1036,9 +996,9 @@ mod tests {
                 R::SCHEME
             );
         }
-        stride_check::<NoReclaim>(|r, s| &r.slots[s] as *const _ as usize);
-        stride_check::<TagReclaim>(|r, s| &r.slots[s] as *const _ as usize);
-        stride_check::<HazardReclaim>(|r, s| &r.slots[s] as *const _ as usize);
+        stride_check::<NoReclaim>(|r, s| &r.slots.words[s] as *const _ as usize);
+        stride_check::<TagReclaim>(|r, s| &r.slots.words[s] as *const _ as usize);
+        stride_check::<HazardReclaim>(|r, s| &r.slots.words[s] as *const _ as usize);
         stride_check::<LlScReclaim>(|r, s| &r.slots[s] as *const _ as usize);
     }
 
@@ -1100,7 +1060,7 @@ mod tests {
         let mut protector = r.guard(0, 64);
         let mut retirer = r.guard(1, 64);
         let raw = protector.protect(0, head);
-        assert_eq!(raw, 4);
+        assert_eq!(protector.index_of(raw), 4);
         let mut freed = Vec::new();
         retirer.retire(4, |v| freed.push(v));
         retirer.reclaim_pressure(|v| freed.push(v));
@@ -1148,11 +1108,13 @@ mod tests {
             let (call, lane, idx) = (next() % 6, (next() % 3) as usize, next() % 32);
             match call {
                 0 => {
-                    assert_eq!(g.protect(lane, live), 40);
+                    let raw = g.protect(lane, live);
+                    assert_eq!(g.index_of(raw), 40);
                     assert_eq!(lane_slot(lane), Some(40), "step {step}");
                 }
                 1 => {
-                    assert_eq!(g.protect(lane, nil), NIL);
+                    let raw = g.protect(lane, nil);
+                    assert_eq!(g.index_of(raw), NIL);
                     assert_eq!(lane_slot(lane), None, "step {step}");
                 }
                 2 => {
@@ -1186,7 +1148,7 @@ mod tests {
                 let mut g = r.guard(0, 1 << 20);
                 g.retire(5, |_| {});
                 g.retire(6, |_| {});
-            }) // dropped with both staged: orphaned onto the domain
+            }) // dropped with both retired: orphaned onto the domain
             .join()
             .unwrap();
             assert_eq!(r.unreclaimed(), 2);

@@ -18,6 +18,7 @@
 //! objects, as do the last observed global epoch, the blocked-advance
 //! counter and the hazards collected by the last scan.
 
+use aba_reclaim::{Guard, LinkCodec, Reclaimer, Scheme, SchemeFn, NIL};
 use aba_spec::ProcessId;
 
 use super::replay::{Mem, Run};
@@ -32,60 +33,55 @@ pub(crate) const HAZ_LANES: usize = 3;
 /// `aba_reclaim::EpochReclaim`'s `TRANSFER_AFTER_BLOCKED`.
 pub const TRANSFER_AFTER_BLOCKED: u32 = 2;
 
-/// Which ABA-protection protocol a structure model runs (the simulated
-/// subset of `aba_reclaim::Scheme`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Scheme {
-    /// Bare words, immediate free: the ABA victim.
-    Unprotected,
-    /// Counted words bumped by every CAS (§1 tagging), immediate free.
-    Tagged,
-    /// Per-process hazard registers; a retired node waits in limbo until a
-    /// scan finds it unprotected.
-    Hazard,
-    /// Epoch-based reclamation: pin while operating, free after two advances.
-    Epoch,
+/// A scheme's word codec — its `aba_reclaim::Guard::Links`, `BareLinks` or
+/// `CountedLinks` — held as values, so a model selects the hardware's own
+/// encoding from its [`Scheme`] at run time.  Nil is the codec's nil
+/// ([`NIL`] decoded); the bare codec's stale CASes can succeed, the counted
+/// codec continues the replaced word's counter, so a recycled index never
+/// compares equal to its previous incarnation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Links {
+    encode: fn(u64, u64, bool) -> u64,
+    index: fn(u64) -> u64,
+    mark: fn(u64) -> bool,
 }
 
-impl Scheme {
-    /// The encoding of this scheme's head and link words.
-    pub(crate) fn links(self) -> LinkCodec {
-        match self {
-            Scheme::Tagged => LinkCodec::Counted,
-            _ => LinkCodec::Bare,
+impl Links {
+    pub(crate) fn of(scheme: Scheme) -> Self {
+        struct Of;
+        impl SchemeFn for Of {
+            type Out = Links;
+            fn call<R: Reclaimer>(self) -> Links {
+                type Codec<R> = <<R as Reclaimer>::Guard<'static> as Guard>::Links;
+                Links {
+                    encode: <Codec<R> as LinkCodec>::encode,
+                    index: <Codec<R> as LinkCodec>::index,
+                    mark: <Codec<R> as LinkCodec>::mark,
+                }
+            }
         }
+        scheme.dispatch(Of)
     }
-}
 
-/// The link-word codec, the simulator's `aba_reclaim::LinkCodec`: every word
-/// is `(tag << 33) | (mark << 32) | index`.  The bare codec keeps tag 0 —
-/// which is precisely why its stale CASes can succeed; the counted codec
-/// continues the replaced word's tag, so a recycled index never compares
-/// equal to its previous incarnation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LinkCodec {
-    Bare,
-    Counted,
-}
-
-impl LinkCodec {
-    /// The node a word designates (the arena capacity means nil).
+    /// The node a word designates ([`NIL`] if none).
     pub(crate) fn index(self, raw: u64) -> u64 {
-        raw & 0xFFFF_FFFF
+        (self.index)(raw)
     }
 
     /// The logical-deletion mark of a word.
     pub(crate) fn marked(self, raw: u64) -> bool {
-        (raw >> 32) & 1 == 1
+        (self.mark)(raw)
     }
 
     /// The word that replaces `old_raw` when repointing to `idx`.
     pub(crate) fn encode(self, old_raw: u64, idx: u64, marked: bool) -> u64 {
-        let tag = match self {
-            LinkCodec::Counted => (old_raw >> 33).wrapping_add(1),
-            LinkCodec::Bare => 0,
-        };
-        (tag << 33) | (u64::from(marked) << 32) | idx
+        (self.encode)(old_raw, idx, marked)
+    }
+
+    /// The initial word designating `idx` ([`NIL`] allowed), as the
+    /// hardware's `add_slot` writes it.
+    pub(crate) fn fresh(self, idx: u64) -> u64 {
+        self.encode(NIL, idx, false)
     }
 }
 
@@ -160,6 +156,7 @@ pub(crate) enum Advance {
 #[derive(Debug, Clone)]
 pub(crate) struct Protection {
     pub(crate) scheme: Scheme,
+    pub(crate) links: Links,
     pub(crate) layout: Layout,
     pid: ProcessId,
     /// Private limbo: `(node, retire-epoch)` pairs (the stamp is 0 and
@@ -177,6 +174,7 @@ impl Protection {
     pub(crate) fn new(scheme: Scheme, layout: Layout, pid: ProcessId) -> Self {
         Protection {
             scheme,
+            links: Links::of(scheme),
             layout,
             pid,
             limbo: Vec::new(),
@@ -295,7 +293,7 @@ impl Protection {
         if self.scheme != Scheme::Hazard {
             return Ok(true);
         }
-        let node = self.scheme.links().index(raw);
+        let node = self.links.index(raw);
         m.write(self.layout.hazard(self.pid, lane), node + 1)?;
         // The hazard protects the node only if its source still designates
         // it after the publication: then the protection took hold before any
@@ -310,7 +308,7 @@ impl Protection {
     /// EBR subtlety).
     pub(crate) fn retire(&mut self, node: u64, m: &mut Mem<'_>) -> Run<()> {
         match self.scheme {
-            Scheme::Unprotected | Scheme::Tagged => self.release(1 << node, m),
+            Scheme::Unprotected | Scheme::Tagged | Scheme::LlSc => self.release(1 << node, m),
             Scheme::Hazard => {
                 self.limbo.push((node, 0));
                 self.scan(m)?;
@@ -327,7 +325,7 @@ impl Protection {
     /// Release every protection: clear the hazard lanes, or unpin.
     pub(crate) fn quiesce(&self, m: &mut Mem<'_>) -> Run<()> {
         match self.scheme {
-            Scheme::Unprotected | Scheme::Tagged => Ok(()),
+            Scheme::Unprotected | Scheme::Tagged | Scheme::LlSc => Ok(()),
             Scheme::Hazard => (0..self.layout.lanes)
                 .try_for_each(|lane| m.write(self.layout.hazard(self.pid, lane), 0)),
             Scheme::Epoch => m.write(self.layout.local_epoch(self.pid), 0),

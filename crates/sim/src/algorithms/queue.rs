@@ -10,11 +10,11 @@
 //! what a protection scheme adds is a function of the shared `protect`
 //! module, composed here in three modes:
 //!
-//! * [`QueueSim::unprotected`] — head/tail/next hold bare node indices and a
-//!   dequeued dummy returns to the free set immediately; the dequeue CAS is
-//!   the textbook ABA victim.
-//! * [`QueueSim::tagged`] — every pointer word carries a counted tag and
-//!   every CAS bumps it (§1 tagging), so a recycled index can never be
+//! * [`QueueSim::unprotected`] — head/tail/next are `aba_reclaim`'s bare
+//!   words and a dequeued dummy returns to the free set immediately; the
+//!   dequeue CAS is the textbook ABA victim.
+//! * [`QueueSim::tagged`] — every pointer word is a counted word and every
+//!   CAS bumps its counter (§1 tagging), so a recycled index can never be
 //!   confused with its previous incarnation.
 //! * [`QueueSim::epoch`] — the counterpart of `aba_reclaim::EpochReclaim`.
 //!   An enqueue pins once its node is prepared and unpins before responding;
@@ -41,12 +41,15 @@
 //! Memory layout for a capacity-`C` queue (node indices `0..C`, node 0 is
 //! the initial dummy): object 0 is `head`, object 1 is `tail`, object 2 is
 //! the free set, and node `k` owns objects `3 + 2k` (value) and `4 + 2k`
-//! (next link).  The epoch variant appends its protection registers: the
-//! global epoch, `n` local epochs, the quarantine mask and `C` stamps.
+//! (next link).  Head, tail and links are encoded by the scheme's own
+//! hardware codec (`aba_reclaim::Guard::Links`).  The epoch variant appends
+//! its protection registers: the global epoch, `n` local epochs, the
+//! quarantine mask and `C` stamps.
 
+use aba_reclaim::{Scheme, NIL};
 use aba_spec::{ProcessId, Word};
 
-use super::protect::{Advance, Layout, LinkCodec, Protection, Scheme};
+use super::protect::{Advance, Layout, Links, Protection};
 use super::replay::{Mem, Model, Replay, Run};
 use crate::algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
 use crate::object::{BaseObject, ObjId};
@@ -121,8 +124,6 @@ impl QueueSim {
 
     fn process(&self, pid: ProcessId) -> QueueProc {
         QueueProc {
-            capacity: self.capacity as u64,
-            links: self.scheme.links(),
             prot: Protection::new(self.scheme, self.layout(), pid),
         }
     }
@@ -160,21 +161,21 @@ impl SimAlgorithm for QueueSim {
         match self.scheme {
             Scheme::Unprotected => "MS queue sim (unprotected)",
             Scheme::Tagged => "MS queue sim (tagged)",
-            Scheme::Hazard => unreachable!("no hazard queue model"),
             Scheme::Epoch => "MS queue sim (epoch)",
+            Scheme::Hazard | Scheme::LlSc => unreachable!("no {:?} queue model", self.scheme),
         }
     }
 
     fn initial_objects(&self) -> Vec<BaseObject> {
-        let nil = self.capacity as u64; // idx field `capacity` means nil, tag 0
+        let links = Links::of(self.scheme);
         let mut objects = vec![
-            BaseObject::cas(0),                                  // head -> dummy 0
-            BaseObject::cas(0),                                  // tail -> dummy 0
+            BaseObject::cas(links.fresh(0)), // head -> dummy 0
+            BaseObject::cas(links.fresh(0)), // tail -> dummy 0
             BaseObject::cas(((1u64 << self.capacity) - 1) & !1), // free set minus dummy
         ];
         for _ in 0..self.capacity {
             objects.push(BaseObject::register(0)); // value
-            objects.push(BaseObject::writable_cas(nil)); // next
+            objects.push(BaseObject::writable_cas(links.fresh(NIL))); // next
         }
         // The immediate-free variants touch no protection register, so they
         // carry none (every object is cloned at every explored step).
@@ -191,8 +192,6 @@ impl SimAlgorithm for QueueSim {
 
 #[derive(Debug, Clone)]
 struct QueueProc {
-    capacity: u64,
-    links: LinkCodec,
     prot: Protection,
 }
 
@@ -225,19 +224,19 @@ fn reclaim(prot: &mut Protection, m: &mut Mem<'_>) -> Run<()> {
 
 impl QueueProc {
     fn idx_of(&self, raw: u64) -> u64 {
-        self.links.index(raw)
+        self.prot.links.index(raw)
     }
 
     fn is_nil(&self, raw: u64) -> bool {
-        self.idx_of(raw) == self.capacity
+        self.idx_of(raw) == NIL
     }
 
     /// The word that replaces `old_raw` when repointing to `idx`: the bare
-    /// index, or (tagged) the index with `old_raw`'s tag bumped.  Words are
-    /// compared and CASed in full, so the tagged variant gets its protection
-    /// from the same code.
+    /// index, or (tagged) the index with `old_raw`'s counter bumped.  Words
+    /// are compared and CASed in full, so the tagged variant gets its
+    /// protection from the same code.
     fn repoint(&self, old_raw: u64, idx: u64) -> u64 {
-        self.links.encode(old_raw, idx, false)
+        self.prot.links.encode(old_raw, idx, false)
     }
 
     fn value_obj(&self, idx: u64) -> ObjId {
@@ -249,12 +248,12 @@ impl QueueProc {
     }
 
     /// Whether the enqueue reads its fresh node's link before initialising
-    /// it.  On hardware only `TagGuard`'s override of `Guard::store_link`
-    /// reads the old word (to continue its tag); the default is a bare
-    /// store, which is what the epoch variant models.  The unprotected
-    /// variant reads too — one step more than its hardware twin takes —
-    /// because it shares the tagged variant's code and every E11 pin of
-    /// `queue/unprotected` is a schedule over that step.
+    /// it.  On hardware `Guard::store_link_mark` reads the old word only
+    /// under a counted codec (to continue its counter); under the bare codec
+    /// it stores without reading, which is what the epoch variant models.
+    /// The unprotected variant reads too — one step more than its hardware
+    /// twin takes — because it shares the tagged variant's code and every
+    /// E11 pin of `queue/unprotected` is a schedule over that step.
     fn reads_own_link(&self) -> bool {
         self.prot.scheme != Scheme::Epoch
     }
@@ -274,7 +273,7 @@ impl QueueProc {
         } else {
             0
         };
-        m.write(self.next_obj(node), self.repoint(old, self.capacity))?;
+        m.write(self.next_obj(node), self.repoint(old, NIL))?;
         // Allocating and preparing needed no pin; dereferencing the tail
         // node's next link is what the protection must cover.
         self.prot.pin(m)?;

@@ -16,8 +16,8 @@
 //! * [`SetSim::unprotected`] — bare `(mark, index)` words, immediate free;
 //!   a stale splice or unlink CAS succeeds against a recycled node (lost
 //!   keys, resurrected keys, wedged chains).
-//! * [`SetSim::tagged`] — every head/link word carries a counted tag bumped
-//!   by each CAS (§1 tagging); stale CASes fail.
+//! * [`SetSim::tagged`] — every head/link word is a counted word bumped by
+//!   each CAS (§1 tagging); stale CASes fail.
 //! * [`SetSim::hazard`] — three hazard registers per process, published
 //!   hand-over-hand (successor first, then re-validate the still-protected
 //!   predecessor's link); an unlinked node waits in a private limbo until a
@@ -29,14 +29,16 @@
 //!
 //! Memory layout for a capacity-`C`, `n`-process set: object 0 is `head`,
 //! object 1 is the free set, node `k` owns objects `2 + 2k` (key) and
-//! `3 + 2k` (next link, `(tag, mark, index)` packed); then the protection
+//! `3 + 2k` (next link, `(index, mark)` in the scheme's own hardware codec,
+//! `aba_reclaim::Guard::Links`, counted under tagging); then the protection
 //! registers — one global-epoch object, `n` local-epoch registers and `3n`
 //! hazard registers (allocated in every mode so object ids are uniform;
 //! unused modes never touch them).
 
+use aba_reclaim::{Scheme, NIL};
 use aba_spec::{ProcessId, Word};
 
-use super::protect::{Layout, LinkCodec, Protection, Scheme, HAZ_LANES};
+use super::protect::{Layout, Links, Protection, HAZ_LANES};
 use super::replay::{Mem, Model, Replay, Run};
 use crate::algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
 use crate::object::{BaseObject, ObjId};
@@ -145,11 +147,12 @@ impl SimAlgorithm for SetSim {
             Scheme::Tagged => "HM set sim (tagged)",
             Scheme::Hazard => "HM set sim (hazard)",
             Scheme::Epoch => "HM set sim (epoch)",
+            Scheme::LlSc => unreachable!("no LL/SC set model"),
         }
     }
 
     fn initial_objects(&self) -> Vec<BaseObject> {
-        let nil = self.capacity as u64;
+        let nil = Links::of(self.scheme).fresh(NIL);
         let mut objects = vec![
             BaseObject::cas(nil),                         // head -> nil
             BaseObject::cas((1u64 << self.capacity) - 1), // free set: all nodes
@@ -164,8 +167,6 @@ impl SimAlgorithm for SetSim {
 
     fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess> {
         Box::new(Replay::new(SetProc {
-            capacity: self.capacity as u64,
-            links: self.scheme.links(),
             prot: Protection::new(self.scheme, self.layout(), pid),
         }))
     }
@@ -179,7 +180,7 @@ struct Position {
     prev: ObjId,
     /// The word observed in the predecessor, designating `cur` unmarked.
     prev_raw: u64,
-    /// Current node (`capacity` = nil).
+    /// Current node ([`NIL`] at the end of the chain).
     cur: u64,
     /// `cur`'s observed link (meaningful when `found`).
     next_raw: u64,
@@ -198,8 +199,6 @@ enum Traversal {
 
 #[derive(Debug, Clone)]
 struct SetProc {
-    capacity: u64,
-    links: LinkCodec,
     prot: Protection,
 }
 
@@ -233,7 +232,7 @@ fn reclaim(prot: &mut Protection, m: &mut Mem<'_>) -> Run<()> {
     match prot.scheme {
         Scheme::Hazard => prot.scan(m)?,
         Scheme::Epoch => drop(prot.advance(m)?),
-        Scheme::Unprotected | Scheme::Tagged => {
+        Scheme::Unprotected | Scheme::Tagged | Scheme::LlSc => {
             unreachable!("immediate-free schemes keep no limbo")
         }
     }
@@ -242,13 +241,13 @@ fn reclaim(prot: &mut Protection, m: &mut Mem<'_>) -> Run<()> {
 
 impl SetProc {
     fn idx_of(&self, raw: u64) -> u64 {
-        self.links.index(raw)
+        self.prot.links.index(raw)
     }
 
     /// The word that replaces `old_raw`: the new index and mark, with the
-    /// tag bumped in tagged mode.
+    /// counter bumped in tagged mode.
     fn encode(&self, old_raw: u64, idx: u64, marked: bool) -> u64 {
-        self.links.encode(old_raw, idx, marked)
+        self.prot.links.encode(old_raw, idx, marked)
     }
 
     fn value_obj(&self, idx: u64) -> ObjId {
@@ -280,7 +279,7 @@ impl SetProc {
                 next_raw: 0,
                 found: false,
             };
-            if cur == self.capacity {
+            if cur == NIL {
                 // End of chain: the key belongs after the last node.
                 return Ok(Some(Traversal::At(at)));
             }
@@ -297,7 +296,7 @@ impl SetProc {
             if m.read(prev)? != prev_raw {
                 return Ok(None);
             }
-            if self.links.marked(at.next_raw) {
+            if self.prot.links.marked(at.next_raw) {
                 let past = self.encode(prev_raw, self.idx_of(at.next_raw), false);
                 let unlinked = m.cas(prev, prev_raw, past)?;
                 return Ok(unlinked.then_some(Traversal::Unlinked(cur)));
@@ -350,6 +349,9 @@ impl SetProc {
                     *mine.insert(node)
                 }
             };
+            // Read under every scheme, as the tagged mode must: one step more
+            // than the bare-codec hardware takes, kept because every E11 pin
+            // of the `set/*` rows is a schedule over it.
             let old = m.read(self.next_obj(node))?;
             m.write(self.next_obj(node), self.encode(old, at.cur, false))?;
             if m.cas(at.prev, at.prev_raw, self.encode(at.prev_raw, node, false))? {

@@ -5,12 +5,11 @@
 //! The exhaustive explorer ([`crate::explore::dpor`]) is only as sound as
 //! the [`StepAccess`] footprints it reasons with: its dependency relation,
 //! backtrack insertion and sleep-set filtering all consume the footprints a
-//! step machine *declares* — predictively through
-//! [`Simulation::next_access`] (poised steps and
-//! [`SimProcess::first_step`] declarations) and post hoc through
-//! [`StepOutcome::Stepped`] (where the executor downgrades a failed CAS to a
-//! read).  A machine that **under-reports** — touches an object it did not
-//! declare, or mutates where it declared a read — silently removes
+//! step machine *declares* — predictively through [`Simulation::next_access`]
+//! (poised steps and [`SimProcess::first_step`] declarations) and post hoc
+//! through [`StepOutcome::Stepped`] (where the executor downgrades a failed
+//! CAS to a read).  A machine that **under-reports** — touches an object it
+//! did not declare, or mutates where it declared a read — silently removes
 //! dependency edges, so the Flanagan–Godefroid reduction can prune a class
 //! containing the only witness: "no witness found" stops being a proof.
 //! Over-reporting is harmless by contrast; it only costs reduction.
@@ -19,6 +18,7 @@
 //! itself records an [`ActualAccess`] for every operation it applies (the
 //! shadow memory), and [`Simulation::step_audited`] diffs each executed
 //! step's declarations against that record via [`FootprintAuditor::observe`].
+//!
 //! Two checks run per step:
 //!
 //! 1. **prediction soundness** — the pre-step `next_access` declaration must
@@ -34,6 +34,12 @@
 //! [`audit_bursty`] and [`explore_exhaustive_audited`]) for every protected
 //! row of the model roster ([`standard_family_audits`]), a clean audit
 //! certifies the footprint layer the E11 bounds stand on.
+//!
+//! [`Simulation::next_access`]: crate::executor::Simulation::next_access
+//! [`Simulation::step_audited`]: crate::executor::Simulation::step_audited
+//! [`SimProcess::first_step`]: crate::algorithm::SimProcess::first_step
+//! [`StepOutcome::Stepped`]: crate::executor::StepOutcome::Stepped
+//! [`SharedMemory`]: crate::object::SharedMemory
 
 use aba_spec::ProcessId;
 
@@ -114,7 +120,7 @@ pub struct FootprintAuditor {
     pub over_reports: u64,
     /// Calls that completed without a shared-memory step while a first step
     /// was predicted — the documented, allowed over-approximation of
-    /// [`SimProcess::first_step`].
+    /// [`SimProcess::first_step`](crate::algorithm::SimProcess::first_step).
     pub immediate_over_predictions: u64,
     /// Every under-report found.  Any entry is a soundness failure.
     pub under_reports: Vec<UnderReport>,
@@ -141,11 +147,12 @@ impl FootprintAuditor {
 
     /// Diff one executed step's declarations against the shadow record.
     ///
-    /// `predicted` is the pre-step [`Simulation::next_access`] declaration,
-    /// `declared` the post-hoc [`StepOutcome`](crate::StepOutcome) footprint
-    /// (`None` when no step outcome carried one), `actual` the shadow
-    /// memory's ground truth for this step (`None` when no operation reached
-    /// the memory).
+    /// `predicted` is the pre-step
+    /// [`Simulation::next_access`](crate::executor::Simulation::next_access)
+    /// declaration, `declared` the post-hoc
+    /// [`StepOutcome`](crate::StepOutcome) footprint (`None` when no step
+    /// outcome carried one), `actual` the shadow memory's ground truth for
+    /// this step (`None` when no operation reached the memory).
     pub fn observe(
         &mut self,
         pid: ProcessId,

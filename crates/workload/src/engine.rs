@@ -34,7 +34,7 @@ pub struct EngineConfig {
     /// sampling stride sharing a factor with the op period aliases — an even
     /// stride on `churn` samples only writes, so the reported p50/p99
     /// exclude reads entirely.  The sampling phase is additionally staggered
-    /// by thread id (see [`should_sample`]) so that per-`tid` role splits
+    /// by thread id (see `should_sample`) so that per-`tid` role splits
     /// are covered too.
     pub latency_sample_period: usize,
 }

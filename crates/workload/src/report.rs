@@ -1,4 +1,4 @@
-//! Rendering a [`MatrixResult`](crate::engine::MatrixResult): aligned
+//! Rendering a [`MatrixResult`]: aligned
 //! plain-text tables (one per scenario) and the machine-readable
 //! `BENCH_throughput.json` document.
 //!

@@ -13,8 +13,9 @@ use aba_repro::reclaim::{
 
 /// Bare words, and retired nodes leak until allocation pressure hands them
 /// back — safe only without concurrent readers, which is all these
-/// single-threaded checks need.  Nothing beyond the eight required `Guard`
-/// methods and `type Links` is implemented.
+/// single-threaded checks need.  Nothing beyond the seven required `Guard`
+/// methods and `type Links` is implemented: its slot words are bare indices,
+/// which the provided decoder reads as `BareLinks` words.
 #[derive(Default)]
 struct LeakReclaim {
     slots: Vec<AtomicU64>,
@@ -69,10 +70,6 @@ impl Guard for LeakGuard<'_> {
             .is_ok()
     }
 
-    fn index_of(&self, raw: u64) -> u64 {
-        raw
-    }
-
     fn retire(&mut self, idx: u64, _free: impl FnMut(u64)) {
         self.leaked.push(idx);
     }
@@ -104,17 +101,61 @@ fn roundtrip<R: Reclaimer>() {
     assert_eq!(r.unreclaimed(), 0);
 }
 
+/// One decoder: a slot word and a link word that designate the same node
+/// decode through `index_of` to that node — the nil slot, a fresh arena
+/// link (the legacy bare nil `u64::MAX`) and an encoded nil included.  A
+/// stack's next link recycled A→B→A refuses a stale CAS exactly under the
+/// counted codec.
 fn link_roundtrip<R: Reclaimer>() {
-    let r = R::new(1, 1);
-    let g = r.guard(0, 8);
-    let link = AtomicU64::new(NIL);
-    assert_eq!(g.index_of(g.load_link(&link)), NIL);
-    g.store_link(&link, 5);
-    assert_eq!(g.index_of(g.load_link(&link)), 5);
+    let mut r = R::new(1, 1);
+    let head = r.add_slot(NIL);
+    let mut g = r.guard(0, 8);
+    let link = AtomicU64::new(NIL); // a fresh arena link
+    let scheme = R::SCHEME;
+    let slot_raw = g.load(head);
+    assert_eq!(g.index_of(slot_raw), NIL, "{scheme:?}: nil slot");
+    assert_eq!(
+        g.index_of(g.load_link(&link)),
+        NIL,
+        "{scheme:?}: fresh link"
+    );
+    g.store_link_mark(&link, NIL, false);
+    assert_eq!(
+        g.index_of(g.load_link(&link)),
+        NIL,
+        "{scheme:?}: encoded nil"
+    );
+    for idx in [5, 0] {
+        let raw = g.load(head);
+        assert!(g.cas(head, raw, idx));
+        g.store_link_mark(&link, idx, false);
+        let slot_raw = g.load(head);
+        assert_eq!(g.index_of(slot_raw), idx, "{scheme:?}: slot");
+        assert_eq!(g.index_of(g.load_link(&link)), idx, "{scheme:?}: link");
+    }
     let raw = g.load_link(&link);
-    assert!(g.cas_link(&link, raw, 6));
+    assert_eq!(g.marked_index_of(raw), g.index_of(raw));
+    assert!(g.cas_link_mark(&link, raw, 6, false));
     assert_eq!(g.index_of(g.load_link(&link)), 6);
-    assert!(!g.cas_link(&link, raw, 7), "stale link CAS must fail");
+    assert!(
+        !g.cas_link_mark(&link, raw, 7, false),
+        "stale link CAS must fail"
+    );
+
+    // One node pushed three times, on top of A, of B and of A again: every
+    // push stores its next link afresh.
+    g.store_link_mark(&link, 3, false);
+    let stale = g.load_link(&link);
+    g.store_link_mark(&link, 4, false);
+    g.store_link_mark(&link, 3, false);
+    assert_eq!(g.index_of(g.load_link(&link)), 3);
+    let counted = matches!(scheme, Scheme::Tagged | Scheme::LlSc);
+    assert_eq!(
+        g.cas_link_mark(&link, stale, 9, false),
+        !counted,
+        "{scheme:?}: a stale CAS on a recycled A-B-A link"
+    );
+    g.quiesce();
 }
 
 fn mark_roundtrip<R: Reclaimer>() {
