@@ -21,6 +21,7 @@ pub mod baseline;
 pub mod gate;
 pub mod matrix;
 
+pub use aba_lowerbound as lowerbound;
 pub use aba_workload::report::Table;
 
 /// The usage string of a binary that takes only `--quick` and `--out`.
