@@ -10,8 +10,10 @@
 //!
 //! Run with `cargo run -p aba-bench --bin lowerbound_witness --release`.
 
+use aba_bench::lowerbound::{
+    run_covering_experiment, witness_report, SearchBudget, WitnessOutcome,
+};
 use aba_bench::Table;
-use aba_lowerbound::{run_covering_experiment, witness_report, SearchBudget, WitnessOutcome};
 use aba_sim::algorithms::baselines::{NaiveSim, TaggedSim};
 use aba_sim::algorithms::fig4::Fig4Sim;
 use aba_sim::SimAlgorithm;

@@ -7,8 +7,8 @@
 //!
 //! Run with `cargo run -p aba-bench --bin table_tradeoff --release`.
 
+use aba_bench::lowerbound::{llsc_tradeoff_rows, register_tradeoff_rows, TradeoffRow};
 use aba_bench::Table;
-use aba_lowerbound::{llsc_tradeoff_rows, register_tradeoff_rows, TradeoffRow};
 
 fn render(title: &str, rows: &[TradeoffRow]) {
     let table = Table::of(

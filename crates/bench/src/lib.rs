@@ -3,12 +3,13 @@
 //! The experiment harness shared by the seven table-generating binaries —
 //! `table_step_complexity`, `table_tradeoff`, `lowerbound_witness`,
 //! `table_aba_incidence`, `table_matrix`, `table_dpor` and `table_lint`:
-//! strict flag parsing ([`Args`]), the engine-matrix driver and its
-//! four-row table ([`matrix`]), every rule a binary fails its run on
-//! ([`gate`]), the `BENCH_lint.json` / `BENCH_dpor.json` emitters and the
-//! paired-ratio regression gate ([`baseline`]).  Throughput measurement
-//! itself lives in the `aba-workload` engine, which `table_matrix` drives;
-//! per-layer latency lives in the standalone `benchmark/` package.
+//! strict flag parsing ([`Args`]), the Section 2 lower-bound experiments
+//! E3/E5 ([`lowerbound`]), the engine-matrix driver and its four-row table
+//! ([`matrix`]), every rule a binary fails its run on ([`gate`]), the
+//! `BENCH_lint.json` / `BENCH_dpor.json` emitters and the paired-ratio
+//! regression gate ([`baseline`]).  Throughput measurement itself lives in
+//! the `aba-workload` engine, which `table_matrix` drives; per-layer latency
+//! lives in the standalone `benchmark/` package.
 //!
 //! Every binary prints a self-contained plain-text table whose rows map
 //! one-to-one onto the experiment index in `DESIGN.md` / `EXPERIMENTS.md`.
@@ -19,10 +20,11 @@
 
 pub mod baseline;
 pub mod gate;
+pub mod lowerbound;
 pub mod matrix;
 
-pub use aba_lowerbound as lowerbound;
 pub use aba_workload::report::Table;
+use aba_workload::report::{json_escape, json_join};
 
 /// The usage string of a binary that takes only `--quick` and `--out`.
 pub const QUICK_AND_OUT: &str = "[--quick] [--out <path>]";
@@ -121,62 +123,44 @@ pub fn lint_json(
     report: &aba_analyze::LintReport,
     verdicts: &[aba_sim::AuditVerdict],
 ) -> String {
-    use std::fmt::Write as _;
-
-    let mut json = String::from("{\"schema\":\"aba-repro/lint/v1\",\"quick\":");
-    let _ = write!(
-        json,
-        "{quick},\"files_scanned\":{},\"total_findings\":{},\"rules\":[",
-        report.files_scanned,
-        report.findings.len()
-    );
-    for (i, rule) in aba_analyze::RULE_ROSTER.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
+    let rules = json_join(&aba_analyze::RULE_ROSTER, ",", |rule| {
+        format!(
             "{{\"id\":\"{}\",\"name\":\"{}\",\"summary\":\"{}\",\"findings\":{}}}",
-            rule.id,
-            rule.name,
-            rule.summary,
+            json_escape(rule.id),
+            json_escape(rule.name),
+            json_escape(rule.summary),
             report.count_for(rule.id)
-        );
-    }
-    json.push_str("],\"findings\":[");
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
+        )
+    });
+    let findings = json_join(&report.findings, ",", |f| {
+        format!(
             "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
-            f.rule,
-            f.file,
+            json_escape(f.rule),
+            json_escape(&f.file),
             f.line,
-            f.message.replace('\\', "\\\\").replace('"', "\\\"")
-        );
-    }
-    json.push_str("],\"audits\":[");
-    for (i, v) in verdicts.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
+            json_escape(&f.message)
+        )
+    });
+    let audits = json_join(verdicts, ",", |v| {
+        format!(
             "{{\"family\":\"{}\",\"mode\":\"{}\",\"schedules\":{},\"steps_audited\":{},\
              \"under_reports\":{},\"over_reports\":{},\"sound\":{}}}",
-            v.family,
-            v.mode,
+            json_escape(&v.family),
+            json_escape(&v.mode),
             v.schedules,
             v.steps_audited,
             v.under_reports,
             v.over_reports,
             v.sound
-        );
-    }
-    json.push_str("]}");
-    json
+        )
+    });
+    format!(
+        "{{\"schema\":\"aba-repro/lint/v1\",\"quick\":{quick},\"files_scanned\":{},\
+         \"total_findings\":{},\"rules\":[{rules}],\"findings\":[{findings}],\
+         \"audits\":[{audits}]}}",
+        report.files_scanned,
+        report.findings.len()
+    )
 }
 
 /// One explored roster row of `table_dpor` (experiment E11).
@@ -203,25 +187,17 @@ impl DporRow {
 /// Factored out of the `table_dpor` binary so the golden test can pin the
 /// row keys and their order without running an exploration.
 pub fn dpor_json(quick: bool, rows: &[DporRow]) -> String {
-    use std::fmt::Write as _;
-
-    let mut json = String::from("{\"schema\":\"aba-repro/dpor/v1\",\"quick\":");
-    let _ = write!(json, "{quick},\"rows\":[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
+    let rows = json_join(rows, ",", |row| {
         let witness_len = row.witness_len();
-        let _ = write!(
-            json,
+        format!(
             "{{\"family\":\"{}\",\"mode\":\"{}\",\"protected\":{},\"bound\":\"{}\",\
              \"schedules_executed\":{},\"classes_pruned\":{},\"steps_executed\":{},\
              \"truncated_traces\":{},\"complete\":{},\"hit_schedule_cap\":{},\
              \"witness\":{},\"witness_len\":{},\"elapsed_ms\":{}}}",
-            row.model.family,
-            row.model.mode,
+            json_escape(row.model.family),
+            json_escape(row.model.mode),
             row.model.protected,
-            row.model.bound,
+            json_escape(row.model.bound),
             row.report.schedules_executed,
             row.report.classes_pruned,
             row.report.steps_executed,
@@ -231,10 +207,9 @@ pub fn dpor_json(quick: bool, rows: &[DporRow]) -> String {
             witness_len.is_some(),
             witness_len.map_or("null".to_string(), |l| l.to_string()),
             row.elapsed_ms,
-        );
-    }
-    json.push_str("]}");
-    json
+        )
+    });
+    format!("{{\"schema\":\"aba-repro/dpor/v1\",\"quick\":{quick},\"rows\":[{rows}]}}")
 }
 
 #[cfg(test)]
@@ -276,5 +251,28 @@ mod tests {
         // Nor is a word of the usage string that is not a flag.
         let err = parse(&["<path>"]).unwrap_err();
         assert!(err.contains("unknown argument `<path>`"), "{err}");
+    }
+
+    #[test]
+    fn a_finding_message_is_escaped_into_valid_json() {
+        // The message used to be escaped for `\` and `"` only, so a newline
+        // was written raw and broke the string literal.
+        let report = aba_analyze::LintReport {
+            files_scanned: 1,
+            findings: vec![aba_analyze::Finding {
+                rule: "L1",
+                file: "src/lib.rs".to_string(),
+                line: 7,
+                message: "say \"hi\"\\\nnow\u{1}".to_string(),
+            }],
+        };
+        let json = lint_json(false, &report, &[]);
+        assert!(
+            json.contains(
+                "\"findings\":[{\"rule\":\"L1\",\"file\":\"src/lib.rs\",\"line\":7,\
+                 \"message\":\"say \\\"hi\\\"\\\\\\nnow\\u0001\"}]"
+            ),
+            "{json}"
+        );
     }
 }

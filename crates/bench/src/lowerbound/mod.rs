@@ -1,8 +1,7 @@
-//! # aba-lowerbound
-//!
 //! Empirical companions to the lower bounds of
 //! *"On the Time and Space Complexity of ABA Prevention and Detection"*
-//! (Section 2 of the paper).
+//! (Section 2 of the paper), driven over the `aba-sim` simulator and the
+//! `aba-core` hardware objects.
 //!
 //! Lower bounds cannot be "run", but the structures their proofs build can
 //! be, and the phenomena they predict can be observed:
@@ -20,10 +19,6 @@
 //!   of every implementation and checks them against the `m·t ≥ n-1`
 //!   (resp. `2·m·t ≥ n-1`) bound of **Theorem 1 (b)/(c)** and Corollary 1
 //!   (experiment E3).
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
 
 pub mod covering;
 pub mod tradeoff;

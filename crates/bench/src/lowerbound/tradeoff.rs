@@ -76,64 +76,54 @@ impl TradeoffRow {
     }
 }
 
-/// Stress an ABA-register implementation with `threads` concurrent handles
-/// for `ops_per_thread` operations each and return the maximum steps any
-/// single operation took.
-fn stress_register_worst_case(
-    reg: &dyn AbaRegisterObject,
+/// Run `threads` processes for `ops` rounds each and return the most steps
+/// any single operation took: `process(pid)` is process `pid`'s op script,
+/// which runs round `i` and returns that round's worst.
+fn stress_worst_case<F: FnMut(usize) -> u64>(
     threads: usize,
-    ops_per_thread: usize,
+    ops: usize,
+    process: impl Fn(usize) -> F + Sync,
 ) -> u64 {
-    let mut worst = 0u64;
+    let process = &process;
     std::thread::scope(|s| {
-        let mut joins = Vec::new();
-        for pid in 0..threads {
-            joins.push(s.spawn(move || {
-                let mut h = reg.handle(pid);
-                let mut local_worst = 0u64;
-                for i in 0..ops_per_thread {
-                    if pid % 2 == 0 {
-                        h.dwrite((i % 3) as u32);
-                    } else {
-                        let _ = h.dread();
-                    }
-                    local_worst = local_worst.max(h.last_op_steps());
-                }
-                local_worst
-            }));
-        }
-        for j in joins {
-            worst = worst.max(j.join().expect("stress thread panicked"));
-        }
-    });
-    worst
+        let joins: Vec<_> = (0..threads)
+            .map(|pid| s.spawn(move || (0..ops).map(process(pid)).fold(0, u64::max)))
+            .collect();
+        let worst = joins
+            .into_iter()
+            .map(|j| j.join().expect("stress thread panicked"));
+        worst.fold(0, u64::max)
+    })
 }
 
-/// Stress an LL/SC implementation the same way.
-fn stress_llsc_worst_case(obj: &dyn LlScObject, threads: usize, ops_per_thread: usize) -> u64 {
-    let mut worst = 0u64;
-    std::thread::scope(|s| {
-        let mut joins = Vec::new();
-        for pid in 0..threads {
-            joins.push(s.spawn(move || {
-                let mut h = obj.handle(pid);
-                let mut local_worst = 0u64;
-                for i in 0..ops_per_thread {
-                    h.ll();
-                    local_worst = local_worst.max(h.last_op_steps());
-                    let _ = h.sc((i % 5) as u32);
-                    local_worst = local_worst.max(h.last_op_steps());
-                    let _ = h.vl();
-                    local_worst = local_worst.max(h.last_op_steps());
-                }
-                local_worst
-            }));
+/// Stress an ABA register: even processes `DWrite`, odd ones `DRead`.
+fn stress_register_worst_case(reg: &dyn AbaRegisterObject, threads: usize, ops: usize) -> u64 {
+    stress_worst_case(threads, ops, |pid| {
+        let mut h = reg.handle(pid);
+        move |i| {
+            if pid % 2 == 0 {
+                h.dwrite((i % 3) as u32);
+            } else {
+                let _ = h.dread();
+            }
+            h.last_op_steps()
         }
-        for j in joins {
-            worst = worst.max(j.join().expect("stress thread panicked"));
+    })
+}
+
+/// Stress an LL/SC object: every process runs `LL`, `SC`, `VL`.
+fn stress_llsc_worst_case(obj: &dyn LlScObject, threads: usize, ops: usize) -> u64 {
+    stress_worst_case(threads, ops, |pid| {
+        let mut h = obj.handle(pid);
+        move |i| {
+            h.ll();
+            let ll = h.last_op_steps();
+            let _ = h.sc((i % 5) as u32);
+            let sc = h.last_op_steps();
+            let _ = h.vl();
+            ll.max(sc).max(h.last_op_steps())
         }
-    });
-    worst
+    })
 }
 
 fn hw_threads(n: usize) -> usize {

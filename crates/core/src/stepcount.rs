@@ -8,12 +8,16 @@
 //! [`crate::mem::Mem`] the counting is in one place: `Atomics` counts a step
 //! per access and `Handle` brackets each call.
 
-use aba_spec::traits::StepCounter;
-
-/// Thin convenience wrapper around [`StepCounter`] with shorter method names
-/// for use inside the hot paths of the algorithms.
+/// A saturating per-handle step counter: total steps over the handle's
+/// lifetime, steps of the call in progress, steps of the last completed
+/// call.  Not a shared object — purely local bookkeeping, so incrementing
+/// it does not count as a shared-memory step itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LocalSteps(StepCounter);
+pub struct LocalSteps {
+    total: u64,
+    current_op: u64,
+    last_op: u64,
+}
 
 impl LocalSteps {
     /// A fresh counter.
@@ -24,29 +28,30 @@ impl LocalSteps {
     /// Mark the beginning of a method call.
     #[inline]
     pub fn begin(&mut self) {
-        self.0.begin_op();
+        self.current_op = 0;
     }
 
     /// Record one shared-memory step.
     #[inline]
     pub fn step(&mut self) {
-        self.0.record_step();
+        self.total = self.total.saturating_add(1);
+        self.current_op = self.current_op.saturating_add(1);
     }
 
     /// Mark the end of a method call.
     #[inline]
     pub fn end(&mut self) {
-        self.0.end_op();
+        self.last_op = self.current_op;
     }
 
     /// Total steps over the handle's lifetime.
     pub fn total(&self) -> u64 {
-        self.0.total()
+        self.total
     }
 
     /// Steps taken by the most recently completed method call.
     pub fn last_op(&self) -> u64 {
-        self.0.last_op()
+        self.last_op
     }
 }
 
@@ -57,6 +62,8 @@ mod tests {
     #[test]
     fn wrapper_delegates_to_step_counter() {
         let mut s = LocalSteps::new();
+        assert_eq!(s.total(), 0);
+        assert_eq!(s.last_op(), 0);
         s.begin();
         s.step();
         s.step();
@@ -68,5 +75,10 @@ mod tests {
         s.end();
         assert_eq!(s.last_op(), 0);
         assert_eq!(s.total(), 3);
+        s.begin();
+        s.step();
+        s.end();
+        assert_eq!(s.last_op(), 1);
+        assert_eq!(s.total(), 4);
     }
 }

@@ -77,6 +77,8 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
+use aba_core::CachePadded;
+
 /// Index value meaning "null".  (Identical to `aba_reclaim::NIL`: the
 /// reclamation schemes and the arena agree on the decoded-index domain.)
 pub const NIL: u64 = u64::MAX;
@@ -104,12 +106,6 @@ const _: () = assert!(
     MAX_INDEX < u32::MAX as u64,
     "segmented indices must stay inside every 32-bit link-word index field"
 );
-
-/// A value padded (and aligned) to a private 64-byte cache line, so updates
-/// to one hot word never invalidate a neighbouring one.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-pub(crate) struct CacheAligned<T>(pub(crate) T);
 
 /// One arena node, padded to a full cache line (see the module docs).
 #[derive(Debug)]
@@ -171,15 +167,15 @@ pub struct NodeArena {
     /// capacity the arena can ever reach.
     plan: Vec<usize>,
     /// Number of leading `segments` slots already published.
-    published: CacheAligned<AtomicUsize>,
+    published: CachePadded<AtomicUsize>,
     /// Sum of the published segments' lengths — the *live* capacity.
-    live: CacheAligned<AtomicUsize>,
+    live: CachePadded<AtomicUsize>,
     /// Nodes published at construction time (segment 0, or all of them for a
     /// bounded arena).
     initial: usize,
     /// LIFO free list: the most recently freed index is handed out first,
     /// which maximises recycling pressure (and therefore ABA likelihood).
-    free: CacheAligned<Mutex<Vec<u64>>>,
+    free: CachePadded<Mutex<Vec<u64>>>,
 }
 
 /// Most free indices one [`Magazine`] holds, however large the arena.
@@ -255,10 +251,10 @@ impl NodeArena {
         let arena = NodeArena {
             segments: (0..plan.len()).map(|_| OnceLock::new()).collect(),
             plan,
-            published: CacheAligned(AtomicUsize::new(0)),
-            live: CacheAligned(AtomicUsize::new(0)),
+            published: CachePadded::new(AtomicUsize::new(0)),
+            live: CachePadded::new(AtomicUsize::new(0)),
             initial: 0,
-            free: CacheAligned(Mutex::new(Vec::new())),
+            free: CachePadded::new(Mutex::new(Vec::new())),
         };
         let mut arena = arena;
         let mut published_nodes = 0;
@@ -285,7 +281,7 @@ impl NodeArena {
     /// against (`retry_bound`, eager-scan and epoch-advance triggers): a
     /// growable arena's guards must track what exists, not what might.
     pub fn live_capacity(&self) -> usize {
-        self.live.0.load(Ordering::SeqCst)
+        self.live.load(Ordering::SeqCst)
     }
 
     /// Nodes published at construction time (for a bounded arena, all of
@@ -306,7 +302,7 @@ impl NodeArena {
     /// a pop or a move of whole indices on a `Vec<u64>` — so a poisoned lock
     /// is recovered, not propagated.
     fn shared_free(&self) -> MutexGuard<'_, Vec<u64>> {
-        self.free.0.lock().unwrap_or_else(PoisonError::into_inner)
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// A private cache of free indices for one structure handle, one of at
@@ -346,7 +342,7 @@ impl NodeArena {
     /// ever offered twice) and only the winner advances the published
     /// counter (so slots fill strictly in order).
     fn publish_next(&self) -> Publish {
-        let s = self.published.0.load(Ordering::SeqCst);
+        let s = self.published.load(Ordering::SeqCst);
         if s == self.plan.len() {
             return Publish::Exhausted;
         }
@@ -363,8 +359,8 @@ impl NodeArena {
                         free.push(base | off);
                     }
                 }
-                self.live.0.fetch_add(len, Ordering::SeqCst);
-                self.published.0.store(s + 1, Ordering::SeqCst);
+                self.live.fetch_add(len, Ordering::SeqCst);
+                self.published.store(s + 1, Ordering::SeqCst);
                 Publish::Won
             }
             Err(_) => Publish::Lost,
@@ -405,7 +401,7 @@ impl NodeArena {
                 Publish::Won => {}
                 Publish::Lost => backoff
                     .get_or_insert_with(|| {
-                        aba_core::Backoff::new(self.published.0.load(Ordering::SeqCst) as u64)
+                        aba_core::Backoff::new(self.published.load(Ordering::SeqCst) as u64)
                     })
                     .pause(),
                 Publish::Exhausted => return None,
@@ -734,8 +730,8 @@ mod tests {
         // word it is given to a line of its own.
         assert_eq!(std::mem::size_of::<Node>(), 64);
         assert_eq!(std::mem::align_of::<Node>(), 64);
-        assert_eq!(std::mem::size_of::<CacheAligned<AtomicUsize>>(), 64);
-        assert_eq!(std::mem::align_of::<CacheAligned<AtomicUsize>>(), 64);
+        assert_eq!(std::mem::size_of::<CachePadded<AtomicUsize>>(), 64);
+        assert_eq!(std::mem::align_of::<CachePadded<AtomicUsize>>(), 64);
     }
 
     #[test]
@@ -744,13 +740,13 @@ mod tests {
         let a = arena.alloc().unwrap();
         let panicked = std::thread::scope(|s| {
             s.spawn(|| {
-                let _held = arena.free.0.lock().unwrap();
+                let _held = arena.free.lock().unwrap();
                 panic!("poison the free-list lock");
             })
             .join()
         });
         assert!(panicked.is_err());
-        assert!(arena.free.0.is_poisoned());
+        assert!(arena.free.is_poisoned());
         // The list is a plain vector of indices: nothing a panic can break.
         assert_eq!(arena.free_len(), 3);
         arena.free(a);

@@ -55,9 +55,10 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+use aba_core::CachePadded;
 use aba_reclaim::{EpochReclaim, HazardReclaim, LlScReclaim, NoReclaim, Reclaimer, TagReclaim};
 
-use crate::arena::{CacheAligned, NodeArena, NIL};
+use crate::arena::{NodeArena, NIL};
 use crate::list::{List, ListHandle, Prev, Splice};
 use crate::{Family, Production, Racing, Window};
 
@@ -154,7 +155,7 @@ struct BucketTable {
     /// Total cells across all segments (power of two).
     max: usize,
     /// Current bucket count — the only word `bucket = key % size` reads.
-    size: CacheAligned<AtomicUsize>,
+    size: CachePadded<AtomicUsize>,
 }
 
 impl BucketTable {
@@ -169,14 +170,14 @@ impl BucketTable {
             segments: (0..seg_count).map(|_| OnceLock::new()).collect(),
             initial,
             max,
-            size: CacheAligned(AtomicUsize::new(initial)),
+            size: CachePadded::new(AtomicUsize::new(initial)),
         };
         table.ensure_cells(initial);
         table
     }
 
     fn size(&self) -> usize {
-        self.size.0.load(Ordering::SeqCst)
+        self.size.load(Ordering::SeqCst)
     }
 
     /// (segment, offset) of a bucket cell.
@@ -229,7 +230,7 @@ pub struct GenericMap<R: Reclaimer> {
     list: List<R>,
     buckets: BucketTable,
     /// Live-entry gauge (approximate under unprotected ABA), drives growth.
-    count: CacheAligned<AtomicU64>,
+    count: CachePadded<AtomicU64>,
     key_capacity: usize,
 }
 
@@ -253,7 +254,7 @@ impl<R: Reclaimer> GenericMap<R> {
         let map = GenericMap {
             list: List::new(NodeArena::growable(initial, arena_max), threads),
             buckets: BucketTable::new(INITIAL_BUCKETS, max_buckets),
-            count: CacheAligned(AtomicU64::new(0)),
+            count: CachePadded::new(AtomicU64::new(0)),
             key_capacity: capacity,
         };
         // Bucket 0's dummy is the global list head (split-order key 0, the
@@ -287,7 +288,7 @@ impl<R: Reclaimer> Map for GenericMap<R> {
     }
 
     fn len(&self) -> u64 {
-        self.count.0.load(Ordering::SeqCst)
+        self.count.load(Ordering::SeqCst)
     }
 
     fn buckets(&self) -> usize {
@@ -377,12 +378,12 @@ impl<'a, R: Reclaimer, W: Window> GenericMapHandle<'a, R, W> {
         if size >= self.map.buckets.max {
             return;
         }
-        if self.map.count.0.load(Ordering::SeqCst) < (LOAD_FACTOR * size) as u64 {
+        if self.map.count.load(Ordering::SeqCst) < (LOAD_FACTOR * size) as u64 {
             return;
         }
         let doubled = size * 2;
         self.map.buckets.ensure_cells(doubled);
-        let _ = self.map.buckets.size.0.compare_exchange(
+        let _ = self.map.buckets.size.compare_exchange(
             size,
             doubled,
             Ordering::SeqCst,
@@ -399,7 +400,7 @@ impl<R: Reclaimer, W: Window> MapHandle for GenericMapHandle<'_, R, W> {
         };
         let inserted = self.list.insert(anchor, so_regular(key), value);
         if inserted {
-            self.map.count.0.fetch_add(1, Ordering::SeqCst);
+            self.map.count.fetch_add(1, Ordering::SeqCst);
             self.maybe_grow();
         }
         inserted
@@ -412,7 +413,7 @@ impl<R: Reclaimer, W: Window> MapHandle for GenericMapHandle<'_, R, W> {
         };
         let removed = self.list.remove(anchor, so_regular(key));
         if removed {
-            self.map.count.0.fetch_sub(1, Ordering::SeqCst);
+            self.map.count.fetch_sub(1, Ordering::SeqCst);
         }
         removed
     }

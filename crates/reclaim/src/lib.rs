@@ -27,12 +27,13 @@
 //! bags for epochs, LL/VL/SC for the LL/SC words, counter bumps for tagging
 //! — live entirely behind that interface.
 //!
-//! The two deferred schemes execute the locked instructions their protocols
-//! state and no others — per stack push+pop pair: the two head CASes plus
-//! one hazard publish and one clear, or one pin and one unpin.  A hazard
-//! guard clears only the lanes it has published, and the *unreclaimed*
-//! count both schemes report is a per-thread cell (`gauge.rs`), not a
-//! shared counter.
+//! The two deferred schemes live in modules of their own: [`hazard`] (with
+//! the hazard-pointer domain it runs on) and [`epoch`].  Both execute the
+//! locked instructions their protocols state and no others — per stack
+//! push+pop pair: the two head CASes plus one hazard publish and one clear,
+//! or one pin and one unpin.  A hazard guard clears only the lanes it has
+//! published, and the *unreclaimed* count both schemes report is a
+//! per-thread cell (`gauge.rs`), not a shared counter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,13 +45,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use aba_core::pack::TagWord;
 use aba_core::CachePadded;
 use aba_core::{AnnounceLlSc, AnnounceLlScHandle};
-use aba_hazard::HazardDomain;
 
 pub mod epoch;
 mod gauge;
+pub mod hazard;
 
 pub use epoch::{EpochGuard, EpochReclaim};
-use gauge::{Gauge, GaugeCell};
+pub use hazard::{HazardGuard, HazardReclaim};
 
 /// Index value meaning "null" in the decoded (index) domain.
 pub const NIL: u64 = u64::MAX;
@@ -654,238 +655,6 @@ impl Guard for TagGuard<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// HazardReclaim: Michael's hazard pointers over the aba-hazard domain.
-// ---------------------------------------------------------------------------
-
-/// Hazard-pointer protection (Michael [20, 21]), wrapping the existing
-/// [`HazardDomain`]: `protect` publishes a hazard and re-validates its
-/// source, `retire` defers the free until no thread protects the node.
-#[derive(Debug)]
-pub struct HazardReclaim {
-    domain: HazardDomain,
-    slots: Slots<BareLinks>,
-    lanes: usize,
-    unreclaimed: Gauge,
-}
-
-impl Reclaimer for HazardReclaim {
-    type Guard<'a> = HazardGuard<'a>;
-
-    const SCHEME: Scheme = Scheme::Hazard;
-
-    fn new(threads: usize, lanes: usize) -> Self {
-        let (threads, lanes) = (threads.max(1), lanes.max(1));
-        assert!(
-            lanes <= u64::BITS as usize,
-            "a guard's published-lane mask is one word"
-        );
-        HazardReclaim {
-            domain: HazardDomain::new(threads * lanes),
-            slots: Slots::default(),
-            lanes,
-            unreclaimed: Gauge::new(threads),
-        }
-    }
-
-    fn add_slot(&mut self, idx: u64) -> SlotId {
-        self.slots.add(idx)
-    }
-
-    fn guard(&self, tid: usize, capacity: usize) -> HazardGuard<'_> {
-        let unreclaimed = self.unreclaimed.cell(tid);
-        HazardGuard {
-            lanes: (0..self.lanes)
-                .map(|lane| self.domain.handle(tid * self.lanes + lane))
-                .collect(),
-            cache: (0..self.lanes)
-                .map(|_| CachePadded::new((usize::MAX, NIL, NIL)))
-                .collect(),
-            published: 0,
-            slots: self.slots.view(),
-            unreclaimed,
-            capacity,
-        }
-    }
-
-    fn unreclaimed(&self) -> u64 {
-        self.unreclaimed.sum()
-    }
-}
-
-impl HazardReclaim {
-    /// The underlying hazard domain (for tests and diagnostics).
-    pub fn domain(&self) -> &HazardDomain {
-        &self.domain
-    }
-}
-
-/// Guard of [`HazardReclaim`]: one hazard slot per lane, retirees in lane
-/// 0's retired list, and a per-lane snapshot cache that keeps the `protect`
-/// hot path on one shared cache line.
-///
-/// A hazard slot is written by this guard alone, so the guard knows which
-/// of its slots hold a value without reading them: [`Guard::quiesce`] and
-/// [`Guard::retire`] clear exactly the *published* lanes and never store
-/// empty over empty — a push, which protects nothing, issues no hazard
-/// store at all.
-pub struct HazardGuard<'a> {
-    lanes: Vec<aba_hazard::HazardHandle<'a>>,
-    /// Per-lane `(slot, raw, node)` snapshot of the last successful protect
-    /// of a node, each alone on its cache line: the hot path publishes the
-    /// cached node and pays a *single* shared validating load, instead of
-    /// the load → publish → re-load double touch of the shared slot array.
-    cache: Vec<CachePadded<(SlotId, u64, u64)>>,
-    /// Bit `lane` is set whenever this guard's hazard slot `lane` holds a
-    /// value.
-    published: u64,
-    slots: SlotView<'a, BareLinks>,
-    unreclaimed: GaugeCell<'a>,
-    capacity: usize,
-}
-
-impl std::fmt::Debug for HazardGuard<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HazardGuard")
-            .field("lanes", &self.lanes.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl HazardGuard<'_> {
-    /// Publish `value` in `lane`'s hazard slot.
-    #[inline]
-    fn publish(&mut self, lane: usize, value: u64) {
-        // Mask first: it may name a lane whose slot is empty (a clear over
-        // empty is only wasted), never miss one that holds a value.
-        self.published |= 1 << lane;
-        self.lanes[lane].protect(value);
-    }
-
-    /// Clear every published lane.
-    #[inline]
-    fn clear_published(&mut self) {
-        let mut published = std::mem::take(&mut self.published);
-        while published != 0 {
-            self.lanes[published.trailing_zeros() as usize].clear();
-            published &= published - 1;
-        }
-    }
-}
-
-impl Guard for HazardGuard<'_> {
-    type Links = BareLinks;
-
-    fn protect(&mut self, lane: usize, slot: SlotId) -> u64 {
-        // Hot path: if the lane's cached snapshot is of this slot, publish
-        // the cached node first and pay a single shared validating load
-        // (publish-before-validate order preserved — the white-box
-        // `hazard_traversal` test pins that it is load-bearing).
-        let (cached_slot, cached_raw, cached_idx) = *self.cache[lane];
-        if cached_slot == slot {
-            self.publish(lane, cached_idx);
-            if self.slots.validate(slot, cached_raw) {
-                return cached_raw;
-            }
-        }
-        // Slow path: publish, then re-validate that the word did not move
-        // before the hazard became visible (the standard protocol), looping
-        // until the snapshot is stable; a stable snapshot of a node refills
-        // the cache.
-        loop {
-            let raw = self.slots.load(slot);
-            let idx = self.index_of(raw);
-            if idx == NIL {
-                if self.published & (1 << lane) != 0 {
-                    self.lanes[lane].clear();
-                    self.published &= !(1 << lane);
-                }
-                return raw;
-            }
-            self.publish(lane, idx);
-            if self.slots.validate(slot, raw) {
-                *self.cache[lane] = (slot, raw, idx);
-                return raw;
-            }
-        }
-    }
-
-    fn load(&mut self, slot: SlotId) -> u64 {
-        self.slots.load(slot)
-    }
-
-    fn validate(&mut self, slot: SlotId, raw: u64) -> bool {
-        self.slots.validate(slot, raw)
-    }
-
-    fn cas(&mut self, slot: SlotId, raw: u64, idx: u64) -> bool {
-        self.slots.cas(slot, raw, idx)
-    }
-
-    fn protect_link(&mut self, lane: usize, idx: u64, slot: SlotId, raw: u64) -> bool {
-        // Publish the hazard for the node read out of a link, then confirm
-        // the anchoring slot has not moved: only then was the node really
-        // reachable — and therefore not yet retired — while both hazards
-        // were visible.
-        self.publish(lane, idx);
-        self.slots.validate(slot, raw)
-    }
-
-    fn protect_link_word(&mut self, lane: usize, idx: u64, link: &AtomicU64, raw: u64) -> bool {
-        // Hand-over-hand: publish the hazard for the successor FIRST, then
-        // re-read the (still-protected) predecessor's link.  If the link
-        // still designates `idx`, the node was reachable — and therefore not
-        // yet past a hazard scan — at some instant after the hazard became
-        // visible.  Swapping these two steps opens the classic window: a
-        // validate-then-publish traversal can protect a node that was
-        // retired and scanned between the two, and then dereference it after
-        // recycling (the `hazard_traversal` integration test pins this).
-        self.publish(lane, idx);
-        link.load(Ordering::SeqCst) == raw
-    }
-
-    fn retire(&mut self, idx: u64, mut free: impl FnMut(u64)) {
-        // The operation is complete: its protections are released before the
-        // node is retired, so our own hazards never pin our own retirees.
-        self.clear_published();
-        self.unreclaimed.add(1);
-        let unreclaimed = self.unreclaimed;
-        let mut counted = |v: u64| {
-            unreclaimed.sub(1);
-            free(v);
-        };
-        // The domain scans on its own threshold; small arenas need eager
-        // reclamation on top: flush whenever the retired list holds a
-        // meaningful share of the arena.
-        self.lanes[0].retire(idx, &mut counted);
-        if self.lanes[0].retired_len() * 4 >= self.capacity {
-            self.lanes[0].flush(&mut counted);
-        }
-    }
-
-    fn quiesce(&mut self) {
-        self.clear_published();
-    }
-
-    fn reclaim_pressure(&mut self, mut free: impl FnMut(u64)) {
-        let unreclaimed = self.unreclaimed;
-        self.lanes[0].flush(|v| {
-            unreclaimed.sub(1);
-            free(v);
-        });
-    }
-
-    fn admit_alloc(&mut self, live_capacity: usize, free: impl FnMut(u64)) -> bool {
-        // Hazard reclamation is already bounded (a parked protector pins
-        // exactly one node per lane; the scan policy bounds the rest), so
-        // admission never denies — but the eager-flush rule must track a
-        // growable arena's published prefix, not the construction-time plan.
-        let _ = free;
-        self.capacity = live_capacity;
-        true
-    }
-}
-
-// ---------------------------------------------------------------------------
 // LlScReclaim: every structure word is an LL/SC/VL object.
 // ---------------------------------------------------------------------------
 
@@ -1051,120 +820,6 @@ mod tests {
         assert!(b.cas(head, raw, 3));
         assert!(!a.cas(head, stale, 9), "SC must fail despite the A-B-A");
         assert!(!a.validate(head, stale));
-    }
-
-    #[test]
-    fn hazard_retire_defers_while_protected() {
-        let mut r = HazardReclaim::new(2, 1);
-        let head = r.add_slot(4);
-        let mut protector = r.guard(0, 64);
-        let mut retirer = r.guard(1, 64);
-        let raw = protector.protect(0, head);
-        assert_eq!(protector.index_of(raw), 4);
-        let mut freed = Vec::new();
-        retirer.retire(4, |v| freed.push(v));
-        retirer.reclaim_pressure(|v| freed.push(v));
-        assert!(freed.is_empty(), "4 is protected by guard 0");
-        assert_eq!(r.unreclaimed(), 1);
-        protector.quiesce();
-        retirer.reclaim_pressure(|v| freed.push(v));
-        assert_eq!(freed, vec![4]);
-        assert_eq!(r.unreclaimed(), 0);
-    }
-
-    #[test]
-    fn hazard_small_arena_flushes_eagerly() {
-        // With a capacity-8 arena the 2nd unprotected retiree crosses the
-        // retired_len * 4 >= capacity bar and the whole list is flushed.
-        let mut r = HazardReclaim::new(1, 1);
-        let _ = r.add_slot(NIL);
-        let mut g = r.guard(0, 8);
-        let mut freed = Vec::new();
-        g.retire(1, |v| freed.push(v));
-        g.retire(2, |v| freed.push(v));
-        assert_eq!(freed, vec![1, 2]);
-    }
-
-    /// The guard tracks which of its hazard slots hold a value in a private
-    /// mask and clears only those; the domain's slots are the truth it must
-    /// agree with after any sequence of calls.
-    #[test]
-    fn hazard_published_mask_agrees_with_the_domain_under_a_random_script() {
-        const LANES: usize = 3;
-        let mut r = HazardReclaim::new(2, LANES);
-        let live = r.add_slot(40);
-        let nil = r.add_slot(NIL);
-        let link = AtomicU64::new(0);
-        let mut g = r.guard(1, 1 << 20);
-        let lane_slot = |lane: usize| r.domain().protected_by(LANES + lane);
-        let mut state = 0x9E37_79B9_7F4A_7C15u64; // xorshift64, fixed seed
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for step in 0..10_000 {
-            let (call, lane, idx) = (next() % 6, (next() % 3) as usize, next() % 32);
-            match call {
-                0 => {
-                    let raw = g.protect(lane, live);
-                    assert_eq!(g.index_of(raw), 40);
-                    assert_eq!(lane_slot(lane), Some(40), "step {step}");
-                }
-                1 => {
-                    let raw = g.protect(lane, nil);
-                    assert_eq!(g.index_of(raw), NIL);
-                    assert_eq!(lane_slot(lane), None, "step {step}");
-                }
-                2 => {
-                    assert!(g.protect_link(lane, idx, live, 40));
-                    assert_eq!(lane_slot(lane), Some(idx), "step {step}");
-                }
-                3 => {
-                    g.store_link_mark(&link, idx, false);
-                    assert!(g.protect_link_word(lane, idx, &link, g.load_link(&link)));
-                    assert_eq!(lane_slot(lane), Some(idx), "step {step}");
-                }
-                call => {
-                    if call == 4 {
-                        g.quiesce();
-                    } else {
-                        g.retire(100 + idx, |_| {});
-                    }
-                    for lane in 0..LANES {
-                        assert_eq!(lane_slot(lane), None, "step {step}, lane {lane}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hazard_adoption_on_another_thread_drives_that_cell_negative_and_the_sum_to_zero() {
-        let r = HazardReclaim::new(2, 1);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let mut g = r.guard(0, 1 << 20);
-                g.retire(5, |_| {});
-                g.retire(6, |_| {});
-            }) // dropped with both retired: orphaned onto the domain
-            .join()
-            .unwrap();
-            assert_eq!(r.unreclaimed(), 2);
-            s.spawn(|| r.guard(1, 1 << 20).reclaim_pressure(|_| {}))
-                .join()
-                .unwrap();
-        });
-        assert_eq!(r.unreclaimed(), 0);
-        assert_eq!(r.unreclaimed.cell_value(0), 2);
-        assert_eq!(r.unreclaimed.cell_value(1), -2);
-    }
-
-    #[test]
-    #[should_panic(expected = "tid 2 out of range")]
-    fn hazard_bad_tid_is_rejected() {
-        let _ = HazardReclaim::new(2, 3).guard(2, 8);
     }
 
     #[test]

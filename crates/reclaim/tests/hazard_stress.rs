@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use aba_hazard::{HazardDomain, SCAN_THRESHOLD};
+use aba_reclaim::hazard::{HazardDomain, SCAN_THRESHOLD};
 
 /// Every thread protects, retires and flushes values from a disjoint range;
 /// afterwards each value must have been handed to `free` exactly once.

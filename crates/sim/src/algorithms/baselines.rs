@@ -8,10 +8,10 @@
 //! * [`NaiveSim`] — a single *bounded* register holding only the value, with
 //!   the reader comparing against the last value it saw.  This is what a
 //!   programmer gets without any ABA machinery: it misses every
-//!   same-value ABA, and the violation search of `aba-lowerbound` finds a
-//!   witness against it almost immediately.  Its existence makes the contrast
-//!   with Figure 4 concrete: with a single bounded register the task is
-//!   impossible (Theorem 1 (a) requires at least `n-1`).
+//!   same-value ABA, and the violation search of `aba_bench::lowerbound`
+//!   finds a witness against it almost immediately.  Its existence makes the
+//!   contrast with Figure 4 concrete: with a single bounded register the
+//!   task is impossible (Theorem 1 (a) requires at least `n-1`).
 
 use aba_core::pack::TagWord;
 use aba_spec::{ProcessId, Word, INITIAL_WORD};

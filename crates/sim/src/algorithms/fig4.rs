@@ -8,8 +8,8 @@
 //!
 //! The faithful instantiation ([`Fig4Sim::new`]) uses `n` announce slots and
 //! the full sequence-number domain `{0, …, 2n+1}`; it is the algorithm proven
-//! correct by Theorem 3 and the adversary of `aba-lowerbound` never finds a
-//! violation against it.
+//! correct by Theorem 3 and the adversary of `aba_bench::lowerbound` never
+//! finds a violation against it.
 //!
 //! The crippled instantiations deliberately under-provision the algorithm to
 //! illustrate the lower bound (Theorem 1 (a)) empirically:

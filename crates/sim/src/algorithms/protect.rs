@@ -29,9 +29,8 @@ use crate::object::{BaseObject, ObjId};
 pub(crate) const HAZ_LANES: usize = 3;
 
 /// Consecutive blocked advance attempts after which a process may transfer
-/// its private limbo to the shared quarantine.  Mirrors
-/// `aba_reclaim::EpochReclaim`'s `TRANSFER_AFTER_BLOCKED`.
-pub const TRANSFER_AFTER_BLOCKED: u32 = 2;
+/// its private limbo to the shared quarantine: the hardware's own threshold.
+pub use aba_reclaim::epoch::TRANSFER_AFTER_BLOCKED;
 
 /// A scheme's word codec — its `aba_reclaim::Guard::Links`, `BareLinks` or
 /// `CountedLinks` — held as values, so a model selects the hardware's own
@@ -165,7 +164,7 @@ pub(crate) struct Protection {
     /// Most recent global-epoch value observed (drives free eligibility).
     last_g: u64,
     /// Consecutive advance attempts blocked by a stale pinned peer.
-    blocked_advances: u32,
+    blocked_advances: usize,
     /// Hazard values collected by the last scan.
     scanned: Vec<u64>,
 }

@@ -18,8 +18,8 @@
 //! * a [linearizability checker](linearizability) (Wing–Gong style search)
 //!   specialised to those sequential specifications; and
 //! * the [`WeakRead`/`WeakWrite` correctness condition](weak) that the paper's
-//!   lower bounds are proved against, used by `aba-lowerbound` to exhibit
-//!   violation witnesses for under-provisioned implementations.
+//!   lower bounds are proved against, used by `aba_bench::lowerbound` to
+//!   exhibit violation witnesses for under-provisioned implementations.
 //!
 //! # Example
 //!

@@ -111,77 +111,9 @@ pub trait LlScHandle: Send {
     fn last_op_steps(&self) -> u64;
 }
 
-/// A small helper for implementations: a saturating per-handle step counter.
-///
-/// Not a shared object — purely local bookkeeping, so incrementing it does not
-/// count as a shared-memory step itself.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StepCounter {
-    total: u64,
-    current_op: u64,
-    last_op: u64,
-}
-
-impl StepCounter {
-    /// A fresh counter with all counts zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record the start of a new method call.
-    pub fn begin_op(&mut self) {
-        self.current_op = 0;
-    }
-
-    /// Record one shared-memory step.
-    pub fn record_step(&mut self) {
-        self.total = self.total.saturating_add(1);
-        self.current_op = self.current_op.saturating_add(1);
-    }
-
-    /// Record the end of the current method call.
-    pub fn end_op(&mut self) {
-        self.last_op = self.current_op;
-    }
-
-    /// Total steps across all method calls.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Steps taken by the most recently completed method call.
-    pub fn last_op(&self) -> u64 {
-        self.last_op
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn step_counter_tracks_per_op_and_total() {
-        let mut c = StepCounter::new();
-        c.begin_op();
-        c.record_step();
-        c.record_step();
-        c.end_op();
-        assert_eq!(c.total(), 2);
-        assert_eq!(c.last_op(), 2);
-
-        c.begin_op();
-        c.record_step();
-        c.end_op();
-        assert_eq!(c.total(), 3);
-        assert_eq!(c.last_op(), 1);
-    }
-
-    #[test]
-    fn step_counter_default_is_zero() {
-        let c = StepCounter::default();
-        assert_eq!(c.total(), 0);
-        assert_eq!(c.last_op(), 0);
-    }
 
     #[test]
     fn traits_are_object_safe() {

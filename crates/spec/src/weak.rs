@@ -11,11 +11,11 @@
 //!
 //! Because every linearizable ABA-detecting register satisfies this condition
 //! (with `DRead` as `WeakRead` and `DWrite` as `WeakWrite`), any *violation*
-//! of the condition found by `aba-lowerbound` in a crippled implementation is
-//! also a violation of linearizability.  This module provides the violation
-//! detector.  It is deliberately conservative: it only reports violations
-//! that hold under *every* possible linearization of overlapping operations,
-//! so a reported violation is always genuine.
+//! of the condition found by `aba_bench::lowerbound` in a crippled
+//! implementation is also a violation of linearizability.  This module
+//! provides the violation detector.  It is deliberately conservative: it
+//! only reports violations that hold under *every* possible linearization of
+//! overlapping operations, so a reported violation is always genuine.
 
 use std::fmt;
 

@@ -178,7 +178,10 @@ pub fn render_tables(result: &MatrixResult) -> String {
 /// Schema identifier embedded in every document [`to_json`] produces.
 pub const JSON_SCHEMA: &str = "aba-repro/bench-throughput/v1";
 
-fn json_escape(s: &str) -> String {
+/// `s` as the body of a JSON string literal: quote, backslash and every
+/// control character escaped.  With [`json_join`], the workspace's one JSON
+/// writer.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -194,6 +197,11 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// `items`, each rendered by `render`, joined by `sep`: a JSON array's body.
+pub fn json_join<T>(items: &[T], sep: &str, render: impl FnMut(&T) -> String) -> String {
+    items.iter().map(render).collect::<Vec<_>>().join(sep)
+}
+
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.3}")
@@ -203,10 +211,9 @@ fn json_f64(v: f64) -> String {
 }
 
 fn config_json(config: &EngineConfig) -> String {
-    let threads: Vec<String> = config.thread_counts.iter().map(|t| t.to_string()).collect();
     format!(
         "{{\"thread_counts\":[{}],\"ops_per_thread\":{},\"warmup_ops_per_thread\":{},\"repetitions\":{},\"latency_sample_period\":{}}}",
-        threads.join(","),
+        json_join(&config.thread_counts, ",", |t| t.to_string()),
         config.ops_per_thread,
         config.warmup_ops_per_thread,
         config.repetitions,
@@ -244,12 +251,11 @@ pub fn to_json(result: &MatrixResult) -> String {
 /// their own schema so downstream tooling can tell the documents apart
 /// without inspecting the cell set.
 pub fn to_json_with_schema(result: &MatrixResult, schema: &str) -> String {
-    let cells: Vec<String> = result.cells.iter().map(cell_json).collect();
     format!(
         "{{\n\"schema\":\"{}\",\n\"config\":{},\n\"cells\":[\n{}\n]\n}}\n",
         json_escape(schema),
         config_json(&result.config),
-        cells.join(",\n"),
+        json_join(&result.cells, ",\n", cell_json),
     )
 }
 

@@ -12,11 +12,13 @@
 //! * [`spec`] — object specifications, histories, linearizability checking;
 //! * [`sim`] — the formal-model simulator and adversarial schedules;
 //! * [`lowerbound`] — covering experiments, violation witnesses, the
-//!   time–space tradeoff table;
-//! * [`hazard`] — hazard pointers;
+//!   time–space tradeoff table (the experiment harness's
+//!   [`aba_bench::lowerbound`]);
 //! * [`reclaim`] — the [`Reclaimer`](aba_reclaim::Reclaimer) strategy trait
 //!   unifying every ABA-protection scheme (unprotected, tagged, hazard,
 //!   epoch, LL/SC) behind one guard protocol;
+//! * [`hazard`] — the hazard-pointer domain under the hazard scheme
+//!   ([`aba_reclaim::hazard`]);
 //! * [`lockfree`] — one generic Treiber stack, one generic Michael–Scott
 //!   queue and one generic Harris–Michael ordered set, instantiated per
 //!   reclamation scheme, plus the event-signal scenario;
@@ -36,11 +38,11 @@
 #![warn(missing_docs)]
 
 pub use aba_analyze as analyze;
+pub use aba_bench::lowerbound;
 pub use aba_core as core;
-pub use aba_hazard as hazard;
 pub use aba_lockfree as lockfree;
-pub use aba_lowerbound as lowerbound;
 pub use aba_reclaim as reclaim;
+pub use aba_reclaim::hazard;
 pub use aba_sim as sim;
 pub use aba_spec as spec;
 pub use aba_workload as workload;
