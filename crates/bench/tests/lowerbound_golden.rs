@@ -2,7 +2,9 @@
 //! parameters (n = 6, the standard search budget, 6·(2n+2) covering
 //! rounds): every E5b row's algorithm, base objects, outcome, trials used
 //! and witness seed, and every E5a row's covered registers and repeat
-//! rounds.
+//! rounds.  Also the adaptive adversary's cells under E1, E2 and E3
+//! (`measure_register_worst_case` on Figure 4, `measure_llsc_worst_case` on
+//! Figure 3 and the announce LL/SC, 8 rounds each) at n ∈ {2, 4, 8, 16, 32}.
 //!
 //! The simulator, the schedule RNG and the search are deterministic, so any
 //! change to these values is a change in what the experiment reports.
@@ -10,9 +12,11 @@
 use aba_bench::lowerbound::{
     run_covering_experiment, witness_report, SearchBudget, WitnessOutcome,
 };
+use aba_sim::algorithms::announce::AnnounceSim;
 use aba_sim::algorithms::baselines::{NaiveSim, TaggedSim};
+use aba_sim::algorithms::fig3::Fig3Sim;
 use aba_sim::algorithms::fig4::Fig4Sim;
-use aba_sim::SimAlgorithm;
+use aba_sim::{measure_llsc_worst_case, measure_register_worst_case, SimAlgorithm, StepStats};
 
 const N: usize = 6;
 
@@ -78,6 +82,57 @@ fn witness_rows_match_the_golden_outcomes() {
         })
         .collect();
     assert_eq!(rows, GOLDEN_WITNESSES);
+}
+
+/// `(n, worst case, total, operations)` of one adversary cell.
+type AdversaryCell = (usize, u64, u64, u64);
+
+/// Figure 4's `DRead`, victim 1: 4 steps at every n.
+const GOLDEN_FIG4_DREAD: [AdversaryCell; 5] = [
+    (2, 4, 32, 8),
+    (4, 4, 32, 8),
+    (8, 4, 32, 8),
+    (16, 4, 32, 8),
+    (32, 4, 32, 8),
+];
+
+/// Figure 3's `LL`/`VL`, victim 0: the `LL` reaches its 2n + 1 design bound.
+const GOLDEN_FIG3_LL: [AdversaryCell; 5] = [
+    (2, 5, 44, 16),
+    (4, 9, 72, 16),
+    (8, 17, 128, 16),
+    (16, 33, 240, 16),
+    (32, 65, 464, 16),
+];
+
+/// The announce LL/SC's `LL`/`VL`, victim 0: 3 steps at every n.
+const GOLDEN_ANNOUNCE_LL: [AdversaryCell; 5] = [
+    (2, 3, 27, 16),
+    (4, 3, 29, 16),
+    (8, 3, 29, 16),
+    (16, 3, 28, 16),
+    (32, 3, 29, 16),
+];
+
+/// One adversary measurement at every n of the table.
+fn adversary_cells(measure: impl Fn(usize) -> StepStats) -> Vec<AdversaryCell> {
+    [2, 4, 8, 16, 32]
+        .into_iter()
+        .map(|n| {
+            let s = measure(n);
+            (n, s.worst_case, s.total, s.operations)
+        })
+        .collect()
+}
+
+#[test]
+fn adversary_cells_match_the_golden_counts() {
+    let fig4 = adversary_cells(|n| measure_register_worst_case(&Fig4Sim::new(n), 1, 8));
+    let fig3 = adversary_cells(|n| measure_llsc_worst_case(&Fig3Sim::new(n), 0, 8));
+    let announce = adversary_cells(|n| measure_llsc_worst_case(&AnnounceSim::new(n), 0, 8));
+    assert_eq!(fig4, GOLDEN_FIG4_DREAD);
+    assert_eq!(fig3, GOLDEN_FIG3_LL);
+    assert_eq!(announce, GOLDEN_ANNOUNCE_LL);
 }
 
 #[test]
