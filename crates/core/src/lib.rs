@@ -2,10 +2,12 @@
 //!
 //! Every algorithm in *"On the Time and Space Complexity of ABA Prevention
 //! and Detection"* (Aghazadeh & Woelfel, PODC 2015), plus the baselines the
-//! paper compares against, on real atomics.  The per-process code of
-//! Figures 3 and 4, the announce LL/SC and Moir's LL/SC is written once over
-//! the three-method memory of [`mem`]; this crate runs it on `AtomicU64`s,
-//! `aba-sim` runs the same code one adversarially scheduled step at a time.
+//! paper compares against, on real atomics.  The per-process code of every
+//! object — Figures 3, 4 and 5, the announce LL/SC, Moir's LL/SC and the
+//! tagged register — is written once over the three-method memory of
+//! [`mem`]; this crate runs it on `AtomicU64`s through the one handle type
+//! [`mem::Handle`], `aba-sim` runs the same code one adversarially scheduled
+//! step at a time.
 //!
 //! | Type | Paper source | Base objects | Steps per op |
 //! |------|--------------|--------------|--------------|
@@ -14,7 +16,7 @@
 //! | [`LlScAbaRegister`] | Figure 5, Theorem 4 | whatever the inner LL/SC uses | 2 LL/SC ops |
 //! | [`AnnounceLlSc`] | in the style of \[2,15\] (see DESIGN.md §2) | 1 bounded CAS + `n` registers | O(1) |
 //! | [`MoirLlSc`] | Moir \[26\], unbounded baseline | 1 unbounded CAS | O(1) |
-//! | [`TaggedAbaRegister`] | §1 tagging baseline | 1 unbounded register (+ counter) | O(1) |
+//! | [`TaggedAbaRegister`] | §1 tagging baseline | 1 unbounded register | O(1) |
 //!
 //! Every object hands out per-process handles (`handle(pid)`), mirroring the
 //! paper's split between shared base objects and process-local variables, and

@@ -15,14 +15,21 @@
 //! complexity.
 //!
 //! The paper's w.l.o.g. convention that a first `VL()` succeeds before any
-//! `SC` (Figure 5 caption) is realised here by priming each handle with one
-//! `LL()` when it is created; the priming step is not counted against any
-//! operation.
+//! `SC` (Figure 5 caption) is realised by priming each handle with one `LL()`
+//! when it is created ([`Fig5::prime`]), counted against no operation.
+//!
+//! [`Fig5`], the per-process code, is generic in the inner object's
+//! [`LlScCode`]; its handle is the inner object's own [`Handle`] running
+//! `Fig5`, and `aba_sim`'s `Fig5Sim` runs the same code under the simulator.
 
-use aba_spec::{AbaHandle, AbaRegisterObject, LlScHandle, LlScObject, ProcessId, SpaceUsage, Word};
+use aba_spec::{
+    AbaHandle, AbaRegisterObject, LlScObject, ProcessId, SpaceUsage, Word, INITIAL_WORD,
+};
 
-#[cfg(test)]
-use aba_spec::INITIAL_WORD;
+use crate::announce_llsc::{Announce, AnnounceLlSc};
+use crate::cas_llsc::{CasLlSc, Fig3};
+use crate::mem::{Handle, LlScCode, Mem, RegisterCode};
+use crate::moir_llsc::{Moir, MoirLlSc};
 
 /// Figure 5: ABA-detecting register layered over any LL/SC/VL object.
 #[derive(Debug)]
@@ -30,6 +37,39 @@ pub struct LlScAbaRegister<L> {
     inner: L,
     name: &'static str,
 }
+
+/// Per-process handle of [`LlScAbaRegister`]: [`Fig5`] over the inner
+/// object's code `C`, on the inner object's atomics.
+pub type LlScAbaHandle<'a, C> = Handle<'a, Fig5<C>>;
+
+/// An LL/SC/VL object Figure 5 can be layered over: one whose per-process
+/// handle is [`Handle`] running an [`LlScCode`].  Sealed; implemented by
+/// [`CasLlSc`], [`AnnounceLlSc`] and [`MoirLlSc`].
+pub trait Fig5Base: LlScObject + sealed::Sealed {
+    /// The object's per-process code.
+    type Code: LlScCode + Send;
+
+    /// Process `pid`'s handle on the object.
+    fn code_handle(&self, pid: ProcessId) -> Handle<'_, Self::Code>;
+}
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+macro_rules! fig5_base {
+    ($($object:ty => $code:ty),+) => {$(
+        impl sealed::Sealed for $object {}
+        impl Fig5Base for $object {
+            type Code = $code;
+            fn code_handle(&self, pid: ProcessId) -> Handle<'_, $code> {
+                self.handle(pid)
+            }
+        }
+    )+};
+}
+
+fig5_base!(CasLlSc => Fig3, AnnounceLlSc => Announce, MoirLlSc => Moir);
 
 impl<L: LlScObject> LlScAbaRegister<L> {
     /// Wrap an LL/SC/VL object.
@@ -50,27 +90,22 @@ impl<L: LlScObject> LlScAbaRegister<L> {
     pub fn inner(&self) -> &L {
         &self.inner
     }
+}
 
-    /// Obtain the concrete per-process handle.
+impl<L: Fig5Base> LlScAbaRegister<L> {
+    /// Obtain the concrete per-process handle, primed with one `LL`.
     ///
     /// # Panics
     ///
     /// Panics if `pid >= self.processes()`.
-    pub fn handle(&self, pid: ProcessId) -> LlScAbaHandle<'_> {
-        let mut llsc = self.inner.handle(pid);
-        // Prime the link so that the first DRead's VL refers to the initial
-        // value (paper, Figure 5 caption and proof of Theorem 4).
-        let old = llsc.ll();
-        LlScAbaHandle {
-            llsc,
-            old,
-            pid,
-            last_op: 0,
-        }
+    pub fn handle(&self, pid: ProcessId) -> LlScAbaHandle<'_, L::Code> {
+        let mut handle = self.inner.code_handle(pid).map(Fig5::new);
+        handle.call(|code, m| code.prime(m));
+        handle
     }
 }
 
-impl<L: LlScObject> AbaRegisterObject for LlScAbaRegister<L> {
+impl<L: Fig5Base> AbaRegisterObject for LlScAbaRegister<L> {
     fn processes(&self) -> usize {
         self.inner.processes()
     }
@@ -90,78 +125,57 @@ impl<L: LlScObject> AbaRegisterObject for LlScAbaRegister<L> {
     }
 }
 
-/// Per-process handle of [`LlScAbaRegister`], carrying the paper's local
-/// variable `old`.
-pub struct LlScAbaHandle<'a> {
-    llsc: Box<dyn LlScHandle + 'a>,
+/// Figure 5's per-process code: the inner object's code and the paper's
+/// local variable `old`, on the inner object's [`Mem`].
+#[derive(Debug, Clone)]
+pub struct Fig5<C> {
+    inner: C,
     old: Word,
-    pid: ProcessId,
-    /// Steps of the last `DWrite`/`DRead` — all of its LL/SC/VL calls, where
-    /// the inner handle's own `last_op_steps` is only the last of them.
-    last_op: u64,
 }
 
-impl std::fmt::Debug for LlScAbaHandle<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LlScAbaHandle")
-            .field("pid", &self.pid)
-            .field("old", &self.old)
-            .finish_non_exhaustive()
+impl<C: LlScCode> Fig5<C> {
+    /// Figure 5 over the inner object's code `inner`, not yet primed.
+    pub fn new(inner: C) -> Self {
+        Fig5 {
+            inner,
+            old: INITIAL_WORD,
+        }
+    }
+
+    /// The priming `LL` (Figure 5 caption, proof of Theorem 4): links the
+    /// first `DRead`'s `VL` to the initial value.
+    pub fn prime<M: Mem>(&mut self, m: &mut M) -> Result<(), M::Stop> {
+        self.old = self.inner.ll(m)?;
+        Ok(())
     }
 }
 
-impl LlScAbaHandle<'_> {
+impl<C: LlScCode> RegisterCode for Fig5<C> {
     /// `DWrite(x)` — Figure 5 lines 51–52: `LL()` then `SC(x)`.
-    pub fn dwrite(&mut self, value: Word) {
-        let before = self.llsc.step_count();
-        self.llsc.ll();
+    #[inline]
+    fn dwrite<M: Mem>(&mut self, value: Word, m: &mut M) -> Result<(), M::Stop> {
+        self.inner.ll(m)?;
         // The SC may fail; in that case the write linearizes immediately
         // before the interfering successful SC (Theorem 4's proof), so no
         // retry is needed.
-        let _ = self.llsc.sc(value);
-        self.last_op = self.llsc.step_count() - before;
+        self.inner.sc(value, m)?;
+        Ok(())
     }
 
     /// `DRead()` — Figure 5 lines 53–54.
-    pub fn dread(&mut self) -> (Word, bool) {
-        let before = self.llsc.step_count();
-        let valid = self.llsc.vl();
+    #[inline]
+    fn dread<M: Mem>(&mut self, m: &mut M) -> Result<(Word, bool), M::Stop> {
+        let valid = self.inner.vl(m)?;
         if !valid {
-            self.old = self.llsc.ll();
+            self.old = self.inner.ll(m)?;
         }
-        self.last_op = self.llsc.step_count() - before;
-        (self.old, !valid)
-    }
-}
-
-impl AbaHandle for LlScAbaHandle<'_> {
-    fn pid(&self) -> ProcessId {
-        self.pid
-    }
-
-    fn dwrite(&mut self, value: Word) {
-        LlScAbaHandle::dwrite(self, value);
-    }
-
-    fn dread(&mut self) -> (Word, bool) {
-        LlScAbaHandle::dread(self)
-    }
-
-    fn step_count(&self) -> u64 {
-        self.llsc.step_count()
-    }
-
-    fn last_op_steps(&self) -> u64 {
-        self.last_op
+        Ok((self.old, !valid))
     }
 }
 
 /// Convenience constructors for the three stackings used in the experiments.
 pub mod stacks {
-    use super::LlScAbaRegister;
-    use crate::announce_llsc::AnnounceLlSc;
-    use crate::cas_llsc::CasLlSc;
-    use crate::moir_llsc::MoirLlSc;
+    use super::{AnnounceLlSc, CasLlSc, LlScAbaRegister, MoirLlSc};
 
     /// Figure 5 over Figure 3: a bounded ABA-detecting register from a single
     /// bounded CAS object with O(n) steps (Theorem 2).
@@ -188,7 +202,6 @@ pub mod stacks {
 mod tests {
     use super::stacks;
     use super::*;
-    use crate::cas_llsc::CasLlSc;
 
     #[test]
     fn basic_behaviour_over_figure3() {
@@ -236,13 +249,13 @@ mod tests {
         // Moir's each operation is exactly 2 steps (LL+SC / VL+LL or VL).
         let reg = stacks::over_moir(4);
         let mut w = LlScAbaRegister::handle(&reg, 0);
-        let before = w.llsc.step_count();
+        let before = w.step_count();
         w.dwrite(1);
-        assert_eq!(w.llsc.step_count() - before, 2);
+        assert_eq!(w.step_count() - before, 2);
         let mut r = LlScAbaRegister::handle(&reg, 1);
-        let before = r.llsc.step_count();
+        let before = r.step_count();
         let _ = r.dread();
-        assert!(r.llsc.step_count() - before <= 2);
+        assert!(r.step_count() - before <= 2);
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //!
 //! The paper states each construction as pseudocode whose every shared
 //! access is one step on a base object.  The per-process code of Figure 3
-//! ([`crate::cas_llsc::Fig3`]), Figure 4 ([`crate::bounded_reg::Fig4`]), the
-//! announce LL/SC ([`crate::announce_llsc::Announce`]) and Moir's LL/SC
-//! ([`crate::moir_llsc::Moir`]) is written once, against the three methods
-//! of [`Mem`], and run on two memories:
+//! ([`crate::cas_llsc::Fig3`]), Figure 4 ([`crate::bounded_reg::Fig4`]),
+//! Figure 5 ([`crate::llsc_aba::Fig5`]), the announce LL/SC
+//! ([`crate::announce_llsc::Announce`]), Moir's LL/SC
+//! ([`crate::moir_llsc::Moir`]) and the tagged register
+//! ([`crate::tagged::Tagged`]) is written once, against the three methods of
+//! [`Mem`], and run on two memories:
 //!
 //! * `Atomics`, here — the object's `AtomicU64` words, every access
 //!   `SeqCst` and counted as one step; an access cannot stop the code, so
@@ -60,7 +62,7 @@ pub trait Mem {
 /// The hardware [`Mem`]: one object's atomic words and the step counter of
 /// the handle accessing them.
 #[derive(Debug)]
-struct Atomics<'a> {
+pub(crate) struct Atomics<'a> {
     x: &'a AtomicU64,
     announce: &'a [CachePadded<AtomicU64>],
     steps: LocalSteps,
@@ -153,9 +155,22 @@ impl<'a, C> Handle<'a, C> {
         }
     }
 
+    /// The same process, memory and step counter running `f(code)`: how the
+    /// handle of an LL/SC object becomes the handle of Figure 5 over it.
+    pub(crate) fn map<D>(self, f: impl FnOnce(C) -> D) -> Handle<'a, D> {
+        Handle {
+            pid: self.pid,
+            code: f(self.code),
+            mem: self.mem,
+        }
+    }
+
     /// One method call: its steps are what `last_op_steps` then reports.
     #[inline]
-    fn call<T>(&mut self, op: impl FnOnce(&mut C, &mut Atomics<'a>) -> Result<T, Infallible>) -> T {
+    pub(crate) fn call<T>(
+        &mut self,
+        op: impl FnOnce(&mut C, &mut Atomics<'a>) -> Result<T, Infallible>,
+    ) -> T {
         self.mem.steps.begin();
         let Ok(response) = op(&mut self.code, &mut self.mem);
         self.mem.steps.end();

@@ -16,7 +16,8 @@
 //!
 //! [`Moir`], the per-process code, is written over [`crate::mem::Mem`] like
 //! the paper's own constructions and run on the object's atomic word by the
-//! shared [`Handle`].
+//! shared [`Handle`]; `aba_sim`'s `MoirSim` runs the same code under the
+//! simulator.
 
 use std::sync::atomic::AtomicU64;
 
@@ -71,9 +72,8 @@ impl MoirLlSc {
     pub fn handle(&self, pid: ProcessId) -> MoirHandle<'_> {
         assert!(pid < self.n, "pid {pid} out of range for n={}", self.n);
         let code = Moir {
-            tag_mask: u32::MAX >> (32 - self.tag_bits),
-            link: TagWord::initial(INITIAL_WORD),
-            linked: false,
+            tag_shift: 32 - self.tag_bits,
+            ..Moir::default()
         };
         Handle::new(pid, code, &self.x, &[])
     }
@@ -106,11 +106,12 @@ impl LlScObject for MoirLlSc {
 }
 
 /// Moir's per-process code and its link, on any [`Mem`] whose `X` is the
-/// CAS object `(value, tag)`.
-#[derive(Debug, Clone)]
+/// CAS object `(value, tag)`; `Moir::default()` is a process's code on an
+/// object with the full 32-bit tag.
+#[derive(Debug, Clone, Default)]
 pub struct Moir {
-    /// The bits of the counter kept as the tag.
-    tag_mask: u32,
+    /// The high bits of the counter the tag drops (0: none).
+    tag_shift: u32,
     link: TagWord,
     linked: bool,
 }
@@ -130,7 +131,7 @@ impl LlScCode for Moir {
         if !self.linked {
             return Ok(false);
         }
-        let tag = self.link.tag.wrapping_add(1) & self.tag_mask;
+        let tag = self.link.tag.wrapping_add(1) & (u32::MAX >> self.tag_shift);
         let ok = m.cas(Obj::X, self.link.pack(), TagWord { value, tag }.pack())?;
         // Either way the link is consumed: a second SC without LL must fail.
         self.linked = false;

@@ -167,7 +167,7 @@ impl MaskWord {
 }
 
 /// An unbounded-tag word `(x, tag)` used by the tagging baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct TagWord {
     /// The value.
     pub value: Word,

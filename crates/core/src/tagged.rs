@@ -4,38 +4,33 @@
 //! > changed whenever some process writes to it, it is trivial to obtain an
 //! > ABA-detecting register with constant time complexity."
 //!
-//! This module implements that baseline.  Tag uniqueness across concurrent
-//! writers is obtained from a shared counter (`fetch_add`), so a `DWrite`
-//! costs two shared-memory steps and a `DRead` costs one.  The tag is 32 bits
-//! wide — "practically unbounded" for every experiment in this repository —
-//! and the implementation reports itself as *unbounded* in
-//! [`SpaceUsage::bounded`], because it is exactly the construction the
-//! paper's lower bounds exempt.
-//!
-//! A second constructor, [`TaggedAbaRegister::with_tag_bits`], truncates the
-//! tag to a configurable number of bits.  That variant *is* bounded — and it
-//! is deliberately unsound once the tag wraps, which is what experiment E5
-//! uses to exhibit a missed-ABA witness for bounded tags.
+//! One register `X = (value, tag)`: process `p`'s `k`-th write publishes tag
+//! `k·n + p + 1`, unique and never the initial 0, so a `DWrite` is one write
+//! and a `DRead` one read, flagged iff the tag moved.  The 32-bit tag lasts
+//! 2³²/n writes per process — "practically unbounded" here — so the register
+//! reports itself unbounded ([`SpaceUsage::bounded`]), as the lower bounds
+//! exempt it.  ([`Tagged`] is run on atomics by [`Handle`] and under the
+//! simulator by `aba_sim`'s `TaggedSim`; `MoirLlSc::with_tag_bits` shows the
+//! bounded-tag failure mode.)
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 
 use aba_spec::{AbaHandle, AbaRegisterObject, ProcessId, SpaceUsage, Word, INITIAL_WORD};
 
+use crate::mem::{Handle, Mem, Obj, RegisterCode};
 use crate::pack::TagWord;
-use crate::stepcount::LocalSteps;
 
-/// ABA-detecting register from one tagged register plus a tag counter.
+/// ABA-detecting register from one unbounded tagged register.
 #[derive(Debug)]
 pub struct TaggedAbaRegister {
     n: usize,
     /// The register content `(value, tag)`.
     x: AtomicU64,
-    /// Source of unique tags.
-    counter: AtomicU64,
-    /// Number of low bits of the counter kept as the tag; `32` means the
-    /// full (practically unbounded) tag.
-    tag_bits: u32,
 }
+
+/// Per-process handle of [`TaggedAbaRegister`]: [`Tagged`] on the object's
+/// atomic word.
+pub type TaggedHandle<'a> = Handle<'a, Tagged>;
 
 impl TaggedAbaRegister {
     /// A register for `n` processes with a practically unbounded (32-bit)
@@ -45,32 +40,11 @@ impl TaggedAbaRegister {
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
-        Self::with_tag_bits(n, 32)
-    }
-
-    /// A register whose tag is truncated to `tag_bits` bits (1–32).
-    ///
-    /// With a small `tag_bits` the tag wraps quickly and the register can
-    /// miss ABAs — the bounded-tag failure mode discussed in the paper's
-    /// introduction.  Used by experiment E5.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `tag_bits` is not in `1..=32`.
-    pub fn with_tag_bits(n: usize, tag_bits: u32) -> Self {
         assert!(n > 0, "need at least one process");
-        assert!((1..=32).contains(&tag_bits), "tag_bits must be in 1..=32");
         TaggedAbaRegister {
             n,
             x: AtomicU64::new(TagWord::initial(INITIAL_WORD).pack()),
-            counter: AtomicU64::new(0),
-            tag_bits,
         }
-    }
-
-    /// Number of tag bits in use.
-    pub fn tag_bits(&self) -> u32 {
-        self.tag_bits
     }
 
     /// Obtain the concrete per-process handle.
@@ -79,22 +53,7 @@ impl TaggedAbaRegister {
     ///
     /// Panics if `pid >= self.processes()`.
     pub fn handle(&self, pid: ProcessId) -> TaggedHandle<'_> {
-        assert!(pid < self.n, "pid {pid} out of range for n={}", self.n);
-        TaggedHandle {
-            reg: self,
-            pid,
-            last_tag: 0,
-            has_read: false,
-            steps: LocalSteps::new(),
-        }
-    }
-
-    fn truncate(&self, tag: u64) -> u32 {
-        if self.tag_bits == 32 {
-            tag as u32
-        } else {
-            (tag & ((1u64 << self.tag_bits) - 1)) as u32
-        }
+        Handle::new(pid, Tagged::new(self.n, pid), &self.x, &[])
     }
 }
 
@@ -104,33 +63,14 @@ impl AbaRegisterObject for TaggedAbaRegister {
     }
 
     fn space(&self) -> SpaceUsage {
-        if self.tag_bits == 32 {
-            // One unbounded register plus the tag counter: report both as a
-            // single unbounded-CAS-equivalent plus a register for honesty.
-            SpaceUsage {
-                registers: 1,
-                cas_objects: 1,
-                bits_per_object: 64,
-                bounded: false,
-                ..SpaceUsage::default()
-            }
-        } else {
-            SpaceUsage {
-                registers: 1,
-                cas_objects: 1,
-                bits_per_object: 32 + self.tag_bits,
-                bounded: true,
-                ..SpaceUsage::default()
-            }
+        SpaceUsage {
+            bounded: false,
+            ..SpaceUsage::registers(1, 64)
         }
     }
 
     fn name(&self) -> &'static str {
-        if self.tag_bits == 32 {
-            "tagged (unbounded)"
-        } else {
-            "tagged (bounded tag)"
-        }
+        "tagged (unbounded)"
     }
 
     fn handle(&self, pid: ProcessId) -> Box<dyn AbaHandle + '_> {
@@ -138,70 +78,52 @@ impl AbaRegisterObject for TaggedAbaRegister {
     }
 }
 
-/// Per-process handle of [`TaggedAbaRegister`].
-#[derive(Debug)]
-pub struct TaggedHandle<'a> {
-    reg: &'a TaggedAbaRegister,
+/// The tagged register's per-process code, on any [`Mem`] whose `X` is the
+/// register `(value, tag)`.
+#[derive(Debug, Clone)]
+pub struct Tagged {
+    n: usize,
     pid: ProcessId,
+    /// Writes this process has completed.
+    writes: u64,
+    /// The tag the last `DRead` saw; 0, the initial tag, before the first.
     last_tag: u32,
-    has_read: bool,
-    steps: LocalSteps,
 }
 
-impl TaggedHandle<'_> {
-    /// `DWrite(x)`.
-    pub fn dwrite(&mut self, value: Word) {
-        self.steps.begin();
-        let raw_tag = self.reg.counter.fetch_add(1, Ordering::SeqCst) + 1;
-        self.steps.step();
-        let tag = self.reg.truncate(raw_tag);
-        self.reg
-            .x
-            .store(TagWord { value, tag }.pack(), Ordering::SeqCst);
-        self.steps.step();
-        self.steps.end();
+impl Tagged {
+    /// The code of process `pid` of `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid >= n`.
+    pub fn new(n: usize, pid: ProcessId) -> Self {
+        assert!(pid < n, "pid {pid} out of range for n={n}");
+        Tagged {
+            n,
+            pid,
+            writes: 0,
+            last_tag: 0,
+        }
+    }
+}
+
+impl RegisterCode for Tagged {
+    /// `DWrite(x)`: one write of `(x, writes·n + pid + 1)`.
+    #[inline]
+    fn dwrite<M: Mem>(&mut self, value: Word, m: &mut M) -> Result<(), M::Stop> {
+        let tag = (self.writes * self.n as u64 + self.pid as u64 + 1) as u32;
+        m.write(Obj::X, TagWord { value, tag }.pack())?;
+        self.writes += 1;
+        Ok(())
     }
 
-    /// `DRead()`.
-    pub fn dread(&mut self) -> (Word, bool) {
-        self.steps.begin();
-        let w = TagWord::unpack(self.reg.x.load(Ordering::SeqCst));
-        self.steps.step();
-        let changed = if self.has_read {
-            w.tag != self.last_tag
-        } else {
-            // First DRead: a change is reported iff some write already
-            // happened, which the initial tag 0 vs. non-zero tag captures
-            // (until the truncated tag wraps back onto 0 — the bounded-tag
-            // failure mode).
-            w.tag != 0
-        };
+    /// `DRead()`: one read; the flag is whether the tag moved.
+    #[inline]
+    fn dread<M: Mem>(&mut self, m: &mut M) -> Result<(Word, bool), M::Stop> {
+        let w = TagWord::unpack(m.read(Obj::X)?);
+        let changed = w.tag != self.last_tag;
         self.last_tag = w.tag;
-        self.has_read = true;
-        self.steps.end();
-        (w.value, changed)
-    }
-}
-
-impl AbaHandle for TaggedHandle<'_> {
-    fn pid(&self) -> ProcessId {
-        self.pid
-    }
-
-    fn dwrite(&mut self, value: Word) {
-        TaggedHandle::dwrite(self, value);
-    }
-
-    fn dread(&mut self) -> (Word, bool) {
-        TaggedHandle::dread(self)
-    }
-
-    fn step_count(&self) -> u64 {
-        self.steps.total()
-    }
-
-    fn last_op_steps(&self) -> u64 {
-        self.steps.last_op()
+        Ok((w.value, changed))
     }
 }
 
@@ -259,40 +181,17 @@ mod tests {
         let reg = TaggedAbaRegister::new(4);
         let mut h = reg.handle(2);
         h.dwrite(1);
-        assert_eq!(h.last_op_steps(), 2);
+        assert_eq!(h.last_op_steps(), 1);
         h.dread();
         assert_eq!(h.last_op_steps(), 1);
-        assert_eq!(h.step_count(), 3);
-    }
-
-    #[test]
-    fn bounded_tag_variant_wraps_and_misses_aba() {
-        // With a 1-bit tag, two writes bring the tag back to its previous
-        // value and the reader misses the change — exactly the bounded-tag
-        // weakness the paper describes.
-        let reg = TaggedAbaRegister::with_tag_bits(2, 1);
-        let mut w = reg.handle(0);
-        let mut r = reg.handle(1);
-        w.dwrite(7);
-        assert_eq!(r.dread(), (7, true)); // tag now 1
-        w.dwrite(8); // tag 0
-        w.dwrite(7); // tag 1 again
-        let (v, changed) = r.dread();
-        assert_eq!(v, 7);
-        assert!(!changed, "the wrapped tag hides the ABA (expected failure)");
+        assert_eq!(h.step_count(), 2);
     }
 
     #[test]
     fn space_reporting() {
-        let unbounded = TaggedAbaRegister::new(2);
-        assert!(!AbaRegisterObject::space(&unbounded).bounded);
-        let bounded = TaggedAbaRegister::with_tag_bits(2, 4);
-        assert!(AbaRegisterObject::space(&bounded).bounded);
-        assert_eq!(AbaRegisterObject::space(&bounded).bits_per_object, 36);
-        assert_ne!(
-            AbaRegisterObject::name(&unbounded),
-            AbaRegisterObject::name(&bounded)
-        );
+        let space = AbaRegisterObject::space(&TaggedAbaRegister::new(2));
+        assert!(!space.bounded);
+        assert_eq!(space.total_objects(), 1);
     }
 
     #[test]

@@ -103,7 +103,8 @@ pub(crate) enum Prev {
 /// Result of one successful traversal: the predecessor word and its observed
 /// raw, the candidate node (`NIL` when the key belongs at the tail) with its
 /// observed next word, and the generations that make post-CAS ABA accounting
-/// possible for the unprotected scheme.
+/// possible for the unprotected scheme (0 under the others:
+/// `Worker::generation`).
 #[derive(Debug, Clone, Copy)]
 struct Traversal {
     prev: Prev,
@@ -190,7 +191,7 @@ impl<R: Reclaimer, W: Window> ListHandle<'_, R, W> {
                     // The anchor needs no protection lane (it is never
                     // retired), but its successor does, published-then-
                     // validated against the anchor's always-readable link.
-                    let anchor_gen = arena.generation(anchor);
+                    let anchor_gen = self.worker.generation(anchor);
                     let raw = self.worker.guard.load_link(arena.next_word(anchor));
                     let first = self.worker.guard.marked_index_of(raw);
                     if first != NIL
@@ -221,7 +222,7 @@ impl<R: Reclaimer, W: Window> ListHandle<'_, R, W> {
                         found: false,
                     });
                 }
-                let cur_gen = arena.generation(cur);
+                let cur_gen = self.worker.generation(cur);
                 let next_raw = self.worker.guard.load_link(arena.next_word(cur));
                 // Re-validate prev -> cur before trusting the snapshot: a
                 // CAS that lands between our two reads would otherwise hand

@@ -13,7 +13,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use aba_core::Backoff;
-use aba_reclaim::{Guard, Reclaimer};
+use aba_reclaim::{Guard, Reclaimer, Scheme};
 
 use crate::arena::{Magazine, NodeArena};
 use crate::Window;
@@ -139,12 +139,26 @@ impl<R: Reclaimer, W: Window> Worker<'_, R, W> {
         Budget(nodes.reclaim.retry_bound(nodes.arena.live_capacity()))
     }
 
+    /// Node `idx`'s generation for [`Worker::tally`]; 0, unread, unless the
+    /// scheme is unprotected.  Under the others a successful CAS or the
+    /// protection already rules the ABA out, and an immediate-free scheme
+    /// may recycle the node before a tally reads it (a splice predecessor):
+    /// a false event.
+    #[inline]
+    pub(crate) fn generation(&self, idx: u64) -> u64 {
+        if matches!(R::SCHEME, Scheme::Unprotected) {
+            self.nodes.arena.generation(idx)
+        } else {
+            0
+        }
+    }
+
     /// After a successful CAS that acted on node `idx`, read at generation
     /// `seen`: count an ABA event if the node was recycled in between — the
-    /// post-hoc detector only the unprotected scheme can trip.
+    /// post-hoc detector only the unprotected scheme runs.
     #[inline]
     pub(crate) fn tally(&self, idx: u64, seen: u64) {
-        if self.nodes.arena.generation(idx) != seen {
+        if self.generation(idx) != seen {
             self.nodes.aba_events.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -184,5 +198,35 @@ impl Budget {
                 true
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Production;
+    use aba_reclaim::{EpochReclaim, HazardReclaim, LlScReclaim, NoReclaim, TagReclaim};
+
+    /// The ABA events one successful CAS tallies under `R` when the node it
+    /// acted on was recycled between the generation read and the tally —
+    /// as an immediate-free scheme may recycle a splice predecessor.
+    fn events_after_a_recycle<R: Reclaimer>() -> u64 {
+        let nodes = Nodes::<R>::new(NodeArena::new(8), 1, 1);
+        let mut w = nodes.worker::<Production>(0);
+        let idx = w.alloc(1, 0).expect("a free node");
+        let seen = w.generation(idx);
+        w.free(idx);
+        assert_eq!(w.alloc(2, 0), Some(idx), "the magazine hands it back");
+        w.tally(idx, seen);
+        nodes.aba_events()
+    }
+
+    #[test]
+    fn only_the_unprotected_scheme_tallies_a_stale_generation() {
+        assert_eq!(events_after_a_recycle::<NoReclaim>(), 1);
+        assert_eq!(events_after_a_recycle::<TagReclaim>(), 0);
+        assert_eq!(events_after_a_recycle::<HazardReclaim>(), 0);
+        assert_eq!(events_after_a_recycle::<LlScReclaim>(), 0);
+        assert_eq!(events_after_a_recycle::<EpochReclaim>(), 0);
     }
 }

@@ -205,7 +205,7 @@ impl<R: Reclaimer, W: Window> QueueHandle for GenericQueueHandle<'_, R, W> {
             // Remember the dummy's identity (generation) at read time for
             // the post-CAS ABA tally: the textbook dequeue ABA is a CAS that
             // succeeds on a recycled dummy.
-            let generation = arena.generation(head);
+            let generation = w.generation(head);
             let next_raw = w.guard.load_link(arena.next_word(head));
             if !w.guard.validate(self.head, head_raw) {
                 continue;

@@ -218,7 +218,7 @@ impl<'a, R: Reclaimer, W: Window> GenericStackHandle<'a, R, W> {
             }
             // Remember the node's identity (generation) at read time for the
             // post-CAS ABA tally.
-            let generation = arena.generation(head);
+            let generation = w.generation(head);
             let next_raw = w.guard.load_link(arena.next_word(head));
             let next = w.guard.index_of(next_raw);
             W::preemption_window();

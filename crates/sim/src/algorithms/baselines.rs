@@ -1,10 +1,13 @@
-//! Baseline and deliberately-broken register implementations for the
-//! simulator.
+//! Baseline and deliberately-broken implementations for the simulator.
 //!
 //! * [`TaggedSim`] — the paper's trivial construction from a single
 //!   *unbounded* register carrying a tag that changes on every write.  It is
 //!   correct (the lower bounds do not apply to unbounded objects) and serves
-//!   as the unbounded reference point in the experiments.
+//!   as the unbounded reference point in the experiments.  Its processes
+//!   run `aba_core::TaggedAbaRegister`'s own code
+//!   ([`aba_core::tagged::Tagged`]).
+//! * [`MoirSim`] — Moir's LL/SC from one *unbounded* CAS object, running
+//!   `aba_core::MoirLlSc`'s own code ([`aba_core::moir_llsc::Moir`]).
 //! * [`NaiveSim`] — a single *bounded* register holding only the value, with
 //!   the reader comparing against the last value it saw.  This is what a
 //!   programmer gets without any ABA machinery: it misses every
@@ -13,10 +16,12 @@
 //!   contrast with Figure 4 concrete: with a single bounded register the
 //!   task is impossible (Theorem 1 (a) requires at least `n-1`).
 
+use aba_core::moir_llsc::Moir;
 use aba_core::pack::TagWord;
+use aba_core::tagged::Tagged;
 use aba_spec::{ProcessId, Word, INITIAL_WORD};
 
-use super::replay::{Mem, Model, Replay, Run};
+use super::replay::{LlSc, Mem, Model, Register, Replay, Run};
 use crate::algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
 use crate::object::BaseObject;
 
@@ -54,43 +59,44 @@ impl SimAlgorithm for TaggedSim {
     }
 
     fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess> {
-        assert!(pid < self.n, "pid {pid} out of range");
-        Box::new(Replay::new(TaggedProcess {
-            n: self.n,
-            pid,
-            writes: 0,
-            last_tag: 0,
-        }))
+        Box::new(Replay::new(Register(Tagged::new(self.n, pid))))
     }
 }
 
+/// Moir's LL/SC/VL from one unbounded tagged CAS object.
 #[derive(Debug, Clone)]
-struct TaggedProcess {
+pub struct MoirSim {
     n: usize,
-    pid: ProcessId,
-    /// Local write counter; the published tag `writes * n + pid + 1` is
-    /// unique across all processes and never repeats (unbounded).
-    writes: u64,
-    last_tag: u32,
 }
 
-impl Model for TaggedProcess {
-    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
-        match call {
-            MethodCall::DWrite(value) => {
-                let tag = (self.writes * self.n as u64 + self.pid as u64 + 1) as u32;
-                m.write(X, TagWord { value, tag }.pack())?;
-                self.writes += 1;
-                Ok(MethodResponse::WriteDone)
-            }
-            MethodCall::DRead => {
-                let w = TagWord::unpack(m.read(X)?);
-                let changed = w.tag != self.last_tag;
-                self.last_tag = w.tag;
-                Ok(MethodResponse::ReadResult(w.value, changed))
-            }
-            other => panic!("tagged register does not support {other:?}"),
-        }
+impl MoirSim {
+    /// An instance for `n` processes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(n: usize) -> Self {
+        assert!(n > 0, "need at least one process");
+        MoirSim { n }
+    }
+}
+
+impl SimAlgorithm for MoirSim {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn name(&self) -> &'static str {
+        "Moir (1 unbounded CAS)"
+    }
+
+    fn initial_objects(&self) -> Vec<BaseObject> {
+        vec![BaseObject::cas(TagWord::initial(INITIAL_WORD).pack())]
+    }
+
+    fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess> {
+        assert!(pid < self.n, "pid {pid} out of range");
+        Box::new(Replay::new(LlSc(Moir::default())))
     }
 }
 
@@ -221,5 +227,11 @@ mod tests {
     fn tagged_uses_one_object_and_naive_uses_one_object() {
         assert_eq!(TaggedSim::new(3).initial_objects().len(), 1);
         assert_eq!(NaiveSim::new(3).initial_objects().len(), 1);
+    }
+
+    #[test]
+    fn moir_takes_one_step_per_operation_under_the_adversary() {
+        let stats = crate::measure_llsc_worst_case(&MoirSim::new(4), 0, 8);
+        assert_eq!((stats.worst_case, stats.operations), (1, 16));
     }
 }

@@ -5,10 +5,11 @@
 //! * [`fig4`] — Figure 4 (ABA-detecting register from n+1 registers), with
 //!   deliberately crippled variants for the lower-bound experiments;
 //! * [`announce`] — the announce LL/SC (one bounded CAS plus n registers);
-//!   these three spawn the code `aba-core` runs on atomics, written once
-//!   over `aba_core::mem::Mem`, rather than a model of it;
-//! * [`baselines`] — the unbounded tagged baseline and a broken naive
-//!   register;
+//! * [`fig5`] — Figure 5 (ABA-detecting register from an LL/SC/VL object)
+//!   over Figure 3, the announce LL/SC and Moir's;
+//! * [`baselines`] — the unbounded tagged register and Moir's LL/SC, and a
+//!   broken naive register; every object of these five modules but the
+//!   naive one spawns `aba-core`'s own code, not a model of it;
 //! * [`queue`] — step-level Michael–Scott queues in three protection modes
 //!   (unprotected, tagged, epoch) whose schedules the ABA-witness search
 //!   controls;
@@ -32,6 +33,7 @@ pub mod announce;
 pub mod baselines;
 pub mod fig3;
 pub mod fig4;
+pub mod fig5;
 mod protect;
 pub mod queue;
 mod replay;

@@ -128,11 +128,6 @@ impl QueueSim {
         }
     }
 
-    /// Object id of the global epoch counter (epoch mode).
-    pub fn global_epoch_obj(&self) -> ObjId {
-        self.layout().global_epoch()
-    }
-
     /// Object id of process `p`'s local-epoch register (epoch mode; `0` =
     /// quiescent, `e + 1` = pinned at epoch `e`).
     pub fn local_epoch_obj(&self, p: ProcessId) -> ObjId {
@@ -143,12 +138,6 @@ impl QueueSim {
     /// = node `i` sits in quarantine, adoptable by any process).
     pub fn quarantine_mask_obj(&self) -> ObjId {
         self.layout().quarantine_mask()
-    }
-
-    /// Object id of node `idx`'s quarantine epoch-stamp register (epoch
-    /// mode; written before the node's bit is published in the mask).
-    pub fn quarantine_stamp_obj(&self, idx: usize) -> ObjId {
-        self.layout().quarantine_stamp(idx)
     }
 }
 

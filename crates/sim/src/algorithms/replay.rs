@@ -245,12 +245,11 @@ impl<P: Model> Replay<P> {
     }
 }
 
-/// Test driver: run `f` on `state` to its end against `mem`, one step at a
-/// time as [`Replay`] would (re-running it on a clone per step and
-/// committing at the end), as a lone process — except that `before(op,
-/// mem)` runs ahead of every step, which is where a test lets an adversary
-/// in.  Returns `f`'s value and the steps it executed.
-#[cfg(test)]
+/// Run `f` on `state` to its end against `mem`, one step at a time as
+/// [`Replay`] would (re-running it on a clone per step and committing at the
+/// end), as a lone process — except that `before(op, mem)` runs ahead of
+/// every step, which is where a test lets an adversary in.  Returns `f`'s
+/// value and the steps it executed.
 pub(crate) fn drive<S: Clone, T>(
     state: &mut S,
     mem: &mut crate::object::SharedMemory,

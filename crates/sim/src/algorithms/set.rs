@@ -118,11 +118,6 @@ impl SetSim {
         }
     }
 
-    /// Object id of the global epoch counter (epoch mode).
-    pub fn global_epoch_obj(&self) -> ObjId {
-        self.layout().global_epoch()
-    }
-
     /// Object id of process `p`'s local-epoch register (epoch mode; `0` =
     /// quiescent, `e + 1` = pinned at epoch `e`).
     pub fn local_epoch_obj(&self, p: ProcessId) -> ObjId {

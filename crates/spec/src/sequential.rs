@@ -69,11 +69,6 @@ impl SeqAbaRegister {
         self.dirty[pid] = false;
         (self.value, flag)
     }
-
-    /// Whether a `DRead` by `pid` would currently report a change.
-    pub fn is_dirty(&self, pid: ProcessId) -> bool {
-        self.dirty[pid]
-    }
 }
 
 /// Sequential specification of an LL/SC/VL object.

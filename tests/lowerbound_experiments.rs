@@ -1,6 +1,6 @@
 //! Integration tests for the lower-bound experiments (E3, E5): the covering
 //! regimen, the violation-witness roster and the tradeoff table, run
-//! end-to-end through the public APIs of `aba-lowerbound` and `aba-sim`.
+//! end-to-end through the public APIs of `aba_bench::lowerbound` and `aba-sim`.
 
 use aba_repro::lowerbound::{
     llsc_tradeoff_rows, register_tradeoff_rows, run_covering_experiment, witness_report,
@@ -49,11 +49,11 @@ fn crippled_variants_fail_while_faithful_figure4_survives() {
 #[test]
 fn tradeoff_rows_respect_theorem1_for_all_swept_n() {
     for n in [4usize, 8, 16] {
-        for row in register_tradeoff_rows(n, 300) {
+        for row in register_tradeoff_rows(n) {
             assert!(row.satisfies_bound(), "{} at n={n}", row.name);
             assert!(row.observation_within_design(), "{} at n={n}", row.name);
         }
-        for row in llsc_tradeoff_rows(n, 300) {
+        for row in llsc_tradeoff_rows(n) {
             assert!(row.satisfies_bound(), "{} at n={n}", row.name);
             assert!(row.observation_within_design(), "{} at n={n}", row.name);
         }
@@ -65,7 +65,7 @@ fn figure3_and_announce_products_are_within_constant_of_the_bound() {
     // Both upper bounds are asymptotically optimal: their m·t products are
     // Θ(n), i.e. within a small constant factor of n-1.
     for n in [8usize, 16, 32] {
-        let rows = llsc_tradeoff_rows(n, 100);
+        let rows = llsc_tradeoff_rows(n);
         for name_fragment in ["Figure 3 (1 CAS, O(n) steps)", "Announce"] {
             let row = rows
                 .iter()

@@ -9,24 +9,26 @@
 //! This is the behavioural tie between the two sides (the key tie —
 //! every `queue/*` and `set/*` roster key is an `aba_lockfree::Family` key —
 //! is `crates/bench/tests/dpor_golden.rs`).  One row per model: the nine
-//! `MODEL_ROSTER` keys plus the three constructions the roster does not
-//! explore (`Fig3Sim`, `Fig4Sim`, `AnnounceSim`).  Those three are not
-//! hand-written models: each spawns the code its hardware twin runs, written
-//! once over `aba_core::mem::Mem`, so their rows bind the two *memories* —
-//! the atomics and the simulator's replay log — not two texts.  Structure
-//! rows compare responses only: `Guard` has no step counter yet (ROADMAP
-//! item 3).
+//! `MODEL_ROSTER` keys plus the six constructions the roster does not
+//! explore (`Fig3Sim`, `Fig4Sim`, `AnnounceSim`, `MoirSim` and `Fig5Sim`
+//! over Figure 3, Announce and Moir).  Those six and `register/tagged` are
+//! not hand-written models: each spawns the code its hardware twin runs,
+//! written once over `aba_core::mem::Mem`, so their rows bind the two
+//! *memories* — the atomics and the simulator's replay log — not two texts.
+//! Structure rows compare responses only: `Guard` has no step counter yet
+//! (ROADMAP item 3).
 
 use aba_repro::lockfree::{Family, NaiveEventSignal, Scheme, Structure};
 use aba_repro::sim::algorithms::announce::AnnounceSim;
-use aba_repro::sim::algorithms::baselines::{NaiveSim, TaggedSim};
+use aba_repro::sim::algorithms::baselines::{MoirSim, NaiveSim, TaggedSim};
 use aba_repro::sim::algorithms::fig3::Fig3Sim;
 use aba_repro::sim::algorithms::fig4::Fig4Sim;
+use aba_repro::sim::algorithms::fig5::Fig5Sim;
 use aba_repro::sim::algorithms::queue::QueueSim;
 use aba_repro::sim::algorithms::set::SetSim;
 use aba_repro::sim::{MethodCall, SimAlgorithm, Simulation, MODEL_ROSTER};
 use aba_repro::spec::{AbaRegisterObject, LlScObject, OpKind, ProcessId};
-use aba_repro::{AnnounceLlSc, BoundedAbaRegister, CasLlSc, TaggedAbaRegister};
+use aba_repro::{stacks, AnnounceLlSc, BoundedAbaRegister, CasLlSc, MoirLlSc, TaggedAbaRegister};
 
 /// Processes on both sides.
 const N: usize = 4;
@@ -43,14 +45,6 @@ const MAX_LIVE: usize = 8;
 enum Steps {
     /// The model and the hardware take the same number on every operation.
     Equal,
-    /// Equal except for `DWrite`, which takes `model` / `hardware` steps.
-    /// The one named exception, `TaggedSim` ↔ `TaggedAbaRegister`: the
-    /// hardware draws its tag from a shared counter (`fetch_add`, then the
-    /// store — 2 steps), the model composes a unique tag from a
-    /// process-local write count and its pid, so its `DWrite` is the store
-    /// alone (1 step).  Both are the paper's "trivial" unbounded
-    /// construction; neither side is changed to match the other.
-    TaggedDWriteException { model: u64, hardware: u64 },
     /// The hardware side counts no steps.
     Uncounted,
 }
@@ -87,7 +81,7 @@ fn structure(key: &str) -> Twin {
     Twin::Structure(family.build(scheme, ARENA, N))
 }
 
-const TABLE: [Row; 12] = [
+const TABLE: [Row; 16] = [
     Row {
         key: "Fig4Sim",
         model: || Box::new(Fig4Sim::new(N)),
@@ -107,6 +101,30 @@ const TABLE: [Row; 12] = [
         steps: Steps::Equal,
     },
     Row {
+        key: "MoirSim",
+        model: || Box::new(MoirSim::new(N)),
+        twin: || Twin::LlSc(Box::new(MoirLlSc::new(N))),
+        steps: Steps::Equal,
+    },
+    Row {
+        key: "Fig5Sim over Figure 3",
+        model: || Box::new(Fig5Sim::over_fig3(N)),
+        twin: || Twin::Register(Box::new(stacks::over_cas(N))),
+        steps: Steps::Equal,
+    },
+    Row {
+        key: "Fig5Sim over Announce",
+        model: || Box::new(Fig5Sim::over_announce(N)),
+        twin: || Twin::Register(Box::new(stacks::over_announce(N))),
+        steps: Steps::Equal,
+    },
+    Row {
+        key: "Fig5Sim over Moir",
+        model: || Box::new(Fig5Sim::over_moir(N)),
+        twin: || Twin::Register(Box::new(stacks::over_moir(N))),
+        steps: Steps::Equal,
+    },
+    Row {
         key: "register/naive",
         model: || Box::new(NaiveSim::new(N)),
         twin: || Twin::Event(NaiveEventSignal::new()),
@@ -116,10 +134,7 @@ const TABLE: [Row; 12] = [
         key: "register/tagged",
         model: || Box::new(TaggedSim::new(N)),
         twin: || Twin::Register(Box::new(TaggedAbaRegister::new(N))),
-        steps: Steps::TaggedDWriteException {
-            model: 1,
-            hardware: 2,
-        },
+        steps: Steps::Equal,
     },
     Row {
         key: "queue/unprotected",
@@ -294,12 +309,8 @@ fn bind(
         let (measured, hardware_steps) = hardware(pid, call);
         assert_eq!(modelled, measured, "{at}");
         let model_steps = sim.last_op_steps(pid);
-        match (row.steps, call) {
-            (Steps::Uncounted, _) => {}
-            (Steps::TaggedDWriteException { model, hardware }, MethodCall::DWrite(_)) => {
-                assert_eq!((model_steps, hardware_steps), (model, hardware), "{at}");
-            }
-            _ => assert_eq!(model_steps, hardware_steps, "{at}: steps"),
+        if let Steps::Equal = row.steps {
+            assert_eq!(model_steps, hardware_steps, "{at}: steps");
         }
         answers.extend(answer(&modelled));
     }
