@@ -4,13 +4,15 @@
 //! and witness seed, and every E5a row's covered registers and repeat
 //! rounds.  Also the adaptive adversary's cells under E1, E2 and E3
 //! (`measure_register_worst_case` on Figure 4, `measure_llsc_worst_case` on
-//! Figure 3 and the announce LL/SC, 8 rounds each) at n ∈ {2, 4, 8, 16, 32}.
+//! Figure 3 and the announce LL/SC, 8 rounds each) at n ∈ {2, 4, 8, 16, 32},
+//! and every E3 row at the `table_tradeoff` binary's n ∈ {4, 8, 16, 32}.
 //!
 //! The simulator, the schedule RNG and the search are deterministic, so any
 //! change to these values is a change in what the experiment reports.
 
 use aba_bench::lowerbound::{
-    run_covering_experiment, witness_report, SearchBudget, WitnessOutcome,
+    llsc_tradeoff_rows, register_tradeoff_rows, run_covering_experiment, witness_report,
+    SearchBudget, WitnessOutcome,
 };
 use aba_sim::algorithms::announce::AnnounceSim;
 use aba_sim::algorithms::baselines::{NaiveSim, TaggedSim};
@@ -133,6 +135,54 @@ fn adversary_cells_match_the_golden_counts() {
     assert_eq!(fig4, GOLDEN_FIG4_DREAD);
     assert_eq!(fig3, GOLDEN_FIG3_LL);
     assert_eq!(announce, GOLDEN_ANNOUNCE_LL);
+}
+
+/// `(implementation, m, bounded, design t, observed t)` of one E3 row.
+type TradeoffCell = (&'static str, usize, bool, u64, u64);
+
+const FIG4: &str = "Figure 4 (n+1 registers)";
+const FIG5_FIG3: &str = "Figure 5 over Figure 3 (1 CAS)";
+const FIG5_ANNOUNCE: &str = "Figure 5 over Announce (1 CAS + n regs)";
+const TAGGED: &str = "tagged (unbounded)";
+const FIG3: &str = "Figure 3 (1 CAS, O(n) steps)";
+const ANNOUNCE: &str = "Announce (1 CAS + n registers, O(1) steps)";
+const MOIR: &str = "Moir (1 unbounded CAS)";
+
+/// E3's registers then LL/SC objects at n: Figure 5 over Figure 3 observes
+/// a `VL` plus a full `LL` (2n + 2), Figure 3 its design 2n + 1.
+fn golden_tradeoff(n: usize) -> Vec<TradeoffCell> {
+    let n64 = n as u64;
+    vec![
+        (FIG4, n + 1, true, 4, 4),
+        (FIG5_FIG3, 1, true, 4 * n64 + 1, 2 * n64 + 2),
+        (FIG5_ANNOUNCE, n + 1, true, 5, 4),
+        (TAGGED, 1, false, 1, 1),
+        (FIG3, 1, true, 2 * n64 + 1, 2 * n64 + 1),
+        (ANNOUNCE, n + 1, true, 3, 3),
+        (MOIR, 1, false, 1, 1),
+    ]
+}
+
+#[test]
+fn tradeoff_rows_match_the_golden_table() {
+    for n in [4, 8, 16, 32] {
+        let rows: Vec<_> = register_tradeoff_rows(n)
+            .into_iter()
+            .chain(llsc_tradeoff_rows(n))
+            .map(|r| {
+                assert_eq!(r.n, n);
+                let cell = (r.space.total_objects(), r.space.bounded);
+                (r.name, cell, r.design_worst_steps, r.observed_worst_steps)
+            })
+            .collect();
+        let golden: Vec<_> = golden_tradeoff(n)
+            .into_iter()
+            .map(|(name, m, bounded, design, observed)| {
+                (name.to_string(), (m, bounded), design, observed)
+            })
+            .collect();
+        assert_eq!(rows, golden, "n = {n}");
+    }
 }
 
 #[test]
