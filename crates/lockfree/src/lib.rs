@@ -37,6 +37,7 @@ pub mod arena;
 pub mod event;
 mod list;
 pub mod map;
+pub mod mem;
 mod nodes;
 pub mod queue;
 pub mod set;
@@ -101,8 +102,9 @@ pub use event::{EventSignal, NaiveEventSignal, Signaler, Waiter};
 pub use map::{
     EpochMap, GenericMap, HazardMap, LlScMap, Map, MapHandle, TaggedMap, UnprotectedMap,
 };
+pub use mem::{Attempt, NodeMem};
 pub use queue::{
-    EpochQueue, GenericQueue, HazardQueue, LlScQueue, Queue, QueueHandle, TaggedQueue,
+    EpochQueue, GenericQueue, HazardQueue, LlScQueue, MsQueue, Queue, QueueHandle, TaggedQueue,
     UnprotectedQueue,
 };
 pub use set::{

@@ -7,15 +7,18 @@
 //! the magazine, the backoff and the window.  A structure adds its slots and
 //! its algorithm; how an operation obtains a node, hands it back and accounts
 //! for it is decided here, as the simulator's `algorithms/protect.rs` decides
-//! it for the models (DESIGN.md §3.1).
+//! it for the models (DESIGN.md §3.1).  A [`Worker`] is also the hardware
+//! [`NodeMem`]: the queue's code runs on it directly.
 
+use std::convert::Infallible;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use aba_core::Backoff;
-use aba_reclaim::{Guard, Reclaimer, Scheme};
+use aba_reclaim::{Guard, Reclaimer, Scheme, SlotId};
 
 use crate::arena::{Magazine, NodeArena};
+use crate::mem::{Attempt, NodeMem};
 use crate::Window;
 
 /// The shared half of a structure: its arena, its reclaimer and its
@@ -168,6 +171,140 @@ impl<R: Reclaimer, W: Window> Worker<'_, R, W> {
     pub(crate) fn bail(&mut self) {
         self.nodes.aba_events.fetch_add(1, Ordering::SeqCst);
         self.guard.quiesce();
+    }
+}
+
+/// The hardware [`NodeMem`]: every method is the call the structure made
+/// on the guard or the worker before it was written against the trait.
+impl<R: Reclaimer, W: Window> NodeMem for Worker<'_, R, W> {
+    type Stop = Infallible;
+
+    #[inline]
+    fn protect(&mut self, lane: usize, slot: SlotId) -> Result<u64, Infallible> {
+        Ok(self.guard.protect(lane, slot))
+    }
+
+    #[inline]
+    fn load(&mut self, slot: SlotId) -> Result<u64, Infallible> {
+        Ok(self.guard.load(slot))
+    }
+
+    #[inline]
+    fn validate(&mut self, slot: SlotId, raw: u64) -> Result<bool, Infallible> {
+        Ok(self.guard.validate(slot, raw))
+    }
+
+    #[inline]
+    fn cas(&mut self, slot: SlotId, raw: u64, idx: u64) -> Result<bool, Infallible> {
+        Ok(self.guard.cas(slot, raw, idx))
+    }
+
+    #[inline]
+    fn protect_link(
+        &mut self,
+        lane: usize,
+        idx: u64,
+        slot: SlotId,
+        raw: u64,
+    ) -> Result<bool, Infallible> {
+        Ok(self.guard.protect_link(lane, idx, slot, raw))
+    }
+
+    #[inline]
+    fn load_link(&mut self, node: u64) -> Result<u64, Infallible> {
+        Ok(self.guard.load_link(self.nodes.arena.next_word(node)))
+    }
+
+    #[inline]
+    fn store_link(&mut self, node: u64, idx: u64) -> Result<(), Infallible> {
+        let link = self.nodes.arena.next_word(node);
+        self.guard.store_link_mark(link, idx, false);
+        Ok(())
+    }
+
+    #[inline]
+    fn cas_link(&mut self, node: u64, raw: u64, idx: u64) -> Result<bool, Infallible> {
+        let link = self.nodes.arena.next_word(node);
+        Ok(self.guard.cas_link_mark(link, raw, idx, false))
+    }
+
+    #[inline]
+    fn value(&mut self, node: u64) -> Result<u32, Infallible> {
+        Ok(self.nodes.arena.value(node))
+    }
+
+    #[inline]
+    fn alloc(&mut self, value: u32) -> Result<Option<u64>, Infallible> {
+        Ok(Worker::alloc(self, value, 0))
+    }
+
+    #[inline]
+    fn retire(&mut self, node: u64) -> Result<(), Infallible> {
+        Worker::retire(self, node);
+        Ok(())
+    }
+
+    #[inline]
+    fn free(&mut self, node: u64) -> Result<(), Infallible> {
+        Worker::free(self, node);
+        Ok(())
+    }
+
+    #[inline]
+    fn quiesce(&mut self) -> Result<(), Infallible> {
+        self.guard.quiesce();
+        Ok(())
+    }
+
+    #[inline]
+    fn bail(&mut self) -> Result<(), Infallible> {
+        Worker::bail(self);
+        Ok(())
+    }
+
+    /// The unprotected scheme's [`Budget`], a backoff pause after a lost
+    /// CAS and none after a stale snapshot; the backoff resets once the
+    /// loop is done.
+    #[inline]
+    fn retry<T>(
+        &mut self,
+        attempt: impl Fn(&mut Self) -> Result<Attempt<T>, Infallible>,
+    ) -> Result<Option<T>, Infallible> {
+        let mut budget = self.budget();
+        // retry-bound: `budget` is finite under the unprotected scheme, whose
+        // ABA can cycle a chain; under the others an attempt fails only when
+        // another operation made progress.
+        while budget.spend() {
+            match attempt(self)? {
+                Attempt::Done(value) => {
+                    self.backoff.reset();
+                    return Ok(Some(value));
+                }
+                Attempt::Stale => {}
+                Attempt::Lost => self.backoff.pause(),
+            }
+        }
+        Ok(None)
+    }
+
+    #[inline]
+    fn index_of(&self, raw: u64) -> u64 {
+        self.guard.index_of(raw)
+    }
+
+    #[inline]
+    fn generation(&self, node: u64) -> u64 {
+        Worker::generation(self, node)
+    }
+
+    #[inline]
+    fn tally(&self, node: u64, seen: u64) {
+        Worker::tally(self, node, seen);
+    }
+
+    #[inline]
+    fn window(&self) {
+        W::preemption_window();
     }
 }
 

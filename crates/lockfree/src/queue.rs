@@ -17,15 +17,18 @@
 //! | [`EpochQueue`] | [`EpochReclaim`] | epoch / quiescence reclamation | correct |
 //! | [`LlScQueue`] | [`LlScReclaim`] | LL/SC head and tail words, counted next words | correct |
 //!
-//! This file holds the head and tail slots and the two Michael–Scott loops;
-//! allocation, retirement, the retry budget, the ABA tally and the handle's
-//! drop are the crate's shared node lifecycle (`nodes.rs`).
+//! This file holds the head and tail slots and the two Michael–Scott loops,
+//! [`MsQueue`], written against [`NodeMem`] so that the simulator runs the
+//! same text (DESIGN.md §3.2); allocation, retirement, the retry budget, the
+//! ABA tally and the handle's drop are the crate's shared node lifecycle
+//! (`nodes.rs`), whose per-thread `Worker` is the hardware [`NodeMem`].
 
 use aba_reclaim::{
-    EpochReclaim, Guard, HazardReclaim, LlScReclaim, NoReclaim, Reclaimer, SlotId, TagReclaim,
+    EpochReclaim, HazardReclaim, LlScReclaim, NoReclaim, Reclaimer, SlotId, TagReclaim,
 };
 
 use crate::arena::{NodeArena, NIL};
+use crate::mem::{Attempt, NodeMem};
 use crate::nodes::{Nodes, Worker};
 use crate::{Family, Production, Racing, Window};
 
@@ -73,13 +76,13 @@ const LANE_SUCCESSOR: usize = 1;
 /// Michael–Scott queue over a [`NodeArena`], generic in its ABA-protection /
 /// reclamation scheme `R`.  Head and tail words live inside the reclaimer,
 /// and the per-node next links are encoded by the same codec (counted words
-/// under tagging and LL/SC); enqueue and dequeue are the textbook helping
-/// loops with every shared access routed through the per-thread [`Guard`].
+/// under tagging and LL/SC); enqueue and dequeue are [`MsQueue`]'s helping
+/// loops, every shared access routed through the per-thread
+/// [`Guard`](aba_reclaim::Guard).
 #[derive(Debug)]
 pub struct GenericQueue<R: Reclaimer> {
     nodes: Nodes<R>,
-    head: SlotId,
-    tail: SlotId,
+    code: MsQueue,
 }
 
 impl<R: Reclaimer> GenericQueue<R> {
@@ -98,7 +101,10 @@ impl<R: Reclaimer> GenericQueue<R> {
         // scheme's encoding, so no link initialisation is needed here.
         let head = nodes.reclaim.add_slot(dummy);
         let tail = nodes.reclaim.add_slot(dummy);
-        GenericQueue { nodes, head, tail }
+        GenericQueue {
+            nodes,
+            code: MsQueue::new(head, tail),
+        }
     }
 }
 
@@ -133,16 +139,14 @@ impl<R: Reclaimer> Queue for GenericQueue<R> {
 }
 
 struct GenericQueueHandle<'a, R: Reclaimer, W: Window> {
-    head: SlotId,
-    tail: SlotId,
+    code: MsQueue,
     worker: Worker<'a, R, W>,
 }
 
 impl<'a, R: Reclaimer, W: Window> GenericQueueHandle<'a, R, W> {
     fn new(queue: &'a GenericQueue<R>, tid: usize) -> Self {
         GenericQueueHandle {
-            head: queue.head,
-            tail: queue.tail,
+            code: queue.code,
             worker: queue.nodes.worker(tid),
         }
     }
@@ -150,110 +154,154 @@ impl<'a, R: Reclaimer, W: Window> GenericQueueHandle<'a, R, W> {
 
 impl<R: Reclaimer, W: Window> QueueHandle for GenericQueueHandle<'_, R, W> {
     fn enqueue(&mut self, value: u32) -> bool {
-        let w = &mut self.worker;
-        let Some(idx) = w.alloc(value, 0) else {
-            return false;
+        let Ok(enqueued) = self.code.enqueue(value, &mut self.worker);
+        enqueued
+    }
+
+    fn dequeue(&mut self) -> Option<u32> {
+        let Ok(value) = self.code.dequeue(&mut self.worker);
+        value
+    }
+}
+
+/// The Michael–Scott queue's per-thread code: the slot ids of its head and
+/// tail, and the two operations, written once against [`NodeMem`].  On a
+/// hardware handle's worker they are [`GenericQueue`]'s operations; on the
+/// simulator's replay memory they are the step-by-step processes of the
+/// `queue/*` model rows.
+#[derive(Debug, Clone, Copy)]
+pub struct MsQueue {
+    head: SlotId,
+    tail: SlotId,
+}
+
+impl MsQueue {
+    /// The code of a queue whose head and tail words are `head` and `tail`.
+    pub fn new(head: SlotId, tail: SlotId) -> Self {
+        MsQueue { head, tail }
+    }
+
+    /// Enqueue `value`; `false` if no node could be allocated, or if the
+    /// retry budget ran out (unprotected corruption, counted as an ABA
+    /// event).
+    pub fn enqueue<M: NodeMem>(&self, value: u32, m: &mut M) -> Result<bool, M::Stop> {
+        let Some(idx) = m.alloc(value)? else {
+            return Ok(false);
         };
-        let arena = &w.nodes.arena;
         // Re-nil our node's next link through the guard: a counted codec
         // continues (and bumps) the link's counter across recycling here,
         // which is what defeats a stale CAS aimed at this node's previous
         // incarnation.
-        w.guard.store_link_mark(arena.next_word(idx), NIL, false);
-        let mut budget = w.budget();
-        while budget.spend() {
-            let tail_raw = w.guard.protect(LANE_ANCHOR, self.tail);
-            let tail = w.guard.index_of(tail_raw);
-            let next_raw = w.guard.load_link(arena.next_word(tail));
-            if !w.guard.validate(self.tail, tail_raw) {
-                continue;
+        m.store_link(idx, NIL)?;
+        // retry-bound: an attempt fails only when another enqueue linked its
+        // node or a helper swung the tail — system-wide progress; on a chain
+        // the unprotected scheme has cycled, the hardware budget ends it.
+        let linked = m.retry(|m| {
+            let tail_raw = m.protect(LANE_ANCHOR, self.tail)?;
+            let tail = m.index_of(tail_raw);
+            let next_raw = m.load_link(tail)?;
+            if !m.validate(self.tail, tail_raw)? {
+                return Ok(Attempt::Stale);
             }
-            let next = w.guard.index_of(next_raw);
+            let next = m.index_of(next_raw);
             if next != NIL {
                 // Tail is lagging: help it forward.
-                let _ = w.guard.cas(self.tail, tail_raw, next);
-                continue;
+                m.cas(self.tail, tail_raw, next)?;
+                return Ok(Attempt::Stale);
             }
-            W::preemption_window();
-            if w.guard
-                .cas_link_mark(arena.next_word(tail), next_raw, idx, false)
-            {
-                let _ = w.guard.cas(self.tail, tail_raw, idx);
-                w.guard.quiesce();
-                w.backoff.reset();
-                return true;
+            m.window();
+            if m.cas_link(tail, next_raw, idx)? {
+                Ok(Attempt::Done(tail_raw))
+            } else {
+                // Lost the link race: back off before re-reading the tail.
+                Ok(Attempt::Lost)
             }
-            // Lost the link race: back off before re-reading the tail.
-            w.backoff.pause();
-        }
-        // Retry budget exhausted: an ABA corrupted the chain (e.g. tail sits
-        // on a cycle).  Report the event and give the node back.
-        w.bail();
-        w.free(idx);
-        false
+        })?;
+        let Some(tail_raw) = linked else {
+            // Retry budget exhausted: an ABA corrupted the chain (e.g. tail
+            // sits on a cycle).  Report the event and give the node back.
+            m.bail()?;
+            m.free(idx)?;
+            return Ok(false);
+        };
+        // Whether our swing or a helper's lands, the node is linked.
+        m.cas(self.tail, tail_raw, idx)?;
+        m.quiesce()?;
+        Ok(true)
     }
 
-    fn dequeue(&mut self) -> Option<u32> {
-        let w = &mut self.worker;
-        let arena = &w.nodes.arena;
-        let mut budget = w.budget();
-        while budget.spend() {
-            let head_raw = w.guard.protect(LANE_ANCHOR, self.head);
-            let head = w.guard.index_of(head_raw);
-            let tail_raw = w.guard.load(self.tail);
-            let tail = w.guard.index_of(tail_raw);
+    /// Dequeue the oldest value; `None` if the queue is empty, or if the
+    /// retry budget ran out.
+    pub fn dequeue<M: NodeMem>(&self, m: &mut M) -> Result<Option<u32>, M::Stop> {
+        // retry-bound: an attempt fails only on a snapshot another operation
+        // moved under it or on a lost head CAS — system-wide progress, with
+        // the same budget caveat as the enqueue's loop.
+        let unlinked = m.retry(|m| {
+            let head_raw = m.protect(LANE_ANCHOR, self.head)?;
+            let head = m.index_of(head_raw);
+            let tail_raw = m.load(self.tail)?;
+            let tail = m.index_of(tail_raw);
             // Remember the dummy's identity (generation) at read time for
             // the post-CAS ABA tally: the textbook dequeue ABA is a CAS that
             // succeeds on a recycled dummy.
-            let generation = w.generation(head);
-            let next_raw = w.guard.load_link(arena.next_word(head));
-            if !w.guard.validate(self.head, head_raw) {
-                continue;
+            let generation = m.generation(head);
+            let next_raw = m.load_link(head)?;
+            if !m.validate(self.head, head_raw)? {
+                return Ok(Attempt::Stale);
             }
-            let next = w.guard.index_of(next_raw);
+            let next = m.index_of(next_raw);
             if next == NIL {
-                if head == tail {
-                    w.guard.quiesce();
-                    return None;
-                }
-                // head lagging behind a moved tail: inconsistent snapshot.
-                continue;
+                // Empty — or head lagging behind a moved tail: an
+                // inconsistent snapshot.
+                return Ok(if head == tail {
+                    Attempt::Done(None)
+                } else {
+                    Attempt::Stale
+                });
             }
             // Extend protection to the successor, re-anchored on the head:
             // only if the head has not moved was `next` really `head.next`
             // while both protections were visible.
-            if !w
-                .guard
-                .protect_link(LANE_SUCCESSOR, next, self.head, head_raw)
-            {
-                continue;
+            if !m.protect_link(LANE_SUCCESSOR, next, self.head, head_raw)? {
+                return Ok(Attempt::Stale);
             }
             if head == tail {
-                let _ = w.guard.cas(self.tail, tail_raw, next);
-                continue;
+                m.cas(self.tail, tail_raw, next)?;
+                return Ok(Attempt::Stale);
             }
             // Read the value *before* the CAS: once the head is swung the
             // node may be dequeued (and under immediate-free schemes,
             // recycled) by anyone.
-            let value = arena.value(next);
-            W::preemption_window();
-            if w.guard.cas(self.head, head_raw, next) {
-                w.tally(head, generation);
-                w.retire(head);
+            let value = m.value(next)?;
+            m.window();
+            if m.cas(self.head, head_raw, next)? {
+                Ok(Attempt::Done(Some((head, generation, value))))
+            } else {
+                // Lost the head race: back off before re-protecting.
+                Ok(Attempt::Lost)
+            }
+        })?;
+        match unlinked {
+            Some(Some((dummy, generation, value))) => {
+                m.tally(dummy, generation);
+                m.retire(dummy)?;
                 // The operation is over: drop the pin.  A consumer that
                 // never observes the queue empty would otherwise stay pinned
                 // at its first dequeue's epoch and block every later advance
                 // — the E9 parking pathology reproduced from inside the
                 // structure.
-                w.guard.quiesce();
-                w.backoff.reset();
-                return Some(value);
+                m.quiesce()?;
+                Ok(Some(value))
             }
-            // Lost the head race: back off before re-protecting.
-            w.backoff.pause();
+            Some(None) => {
+                m.quiesce()?;
+                Ok(None)
+            }
+            None => {
+                m.bail()?;
+                Ok(None)
+            }
         }
-        w.bail();
-        None
     }
 }
 
