@@ -39,7 +39,8 @@ pub enum Attempt<T> {
 
 /// Shared memory as a structure's per-thread code sees it.  Every method
 /// that touches shared memory may stop the call ([`NodeMem::Stop`]); the
-/// decoding and the hardware diagnostics take no step.
+/// decoding and the hardware diagnostics take no step, and the provided
+/// methods are what a memory without the diagnostics does.
 ///
 /// Slot words and link words are raw: the code reads the designated node
 /// with [`NodeMem::index_of`] and hands the raw word back to
@@ -66,14 +67,18 @@ pub trait NodeMem {
     fn cas(&mut self, slot: SlotId, raw: u64, idx: u64) -> Result<bool, Self::Stop>;
 
     /// `Guard::protect_link`: extend protection in `lane` to node `idx`,
-    /// then confirm that `slot` still holds `raw`.
+    /// then confirm that `slot` still holds `raw`.  By default, as for every
+    /// scheme but hazard pointers, only the confirmation.
     fn protect_link(
         &mut self,
         lane: usize,
         idx: u64,
         slot: SlotId,
         raw: u64,
-    ) -> Result<bool, Self::Stop>;
+    ) -> Result<bool, Self::Stop> {
+        let _ = (lane, idx);
+        self.validate(slot, raw)
+    }
 
     // -- a node's fields ----------------------------------------------------
 
@@ -106,9 +111,11 @@ pub trait NodeMem {
     /// Release every protection the operation holds.
     fn quiesce(&mut self) -> Result<(), Self::Stop>;
 
-    /// [`NodeMem::retry`] gave up: record the event and release every
-    /// protection.
-    fn bail(&mut self) -> Result<(), Self::Stop>;
+    /// [`NodeMem::retry`] gave up: record the event (a hardware diagnostic)
+    /// and release every protection.
+    fn bail(&mut self) -> Result<(), Self::Stop> {
+        self.quiesce()
+    }
 
     /// Run `attempt` until it is [`Attempt::Done`].  `None`: the retry
     /// budget ran out — only the unprotected scheme, whose ABA can cycle a
@@ -126,16 +133,22 @@ pub trait NodeMem {
     /// none).
     fn index_of(&self, raw: u64) -> u64;
 
-    /// Node `node`'s generation, for [`NodeMem::tally`] (a hardware
-    /// diagnostic; 0 where it is not kept).
-    fn generation(&self, node: u64) -> u64;
+    // The hardware diagnostics, which a simulated memory does without.
+
+    /// Node `node`'s generation, for [`NodeMem::tally`] (0 where none is
+    /// kept).
+    fn generation(&self, node: u64) -> u64 {
+        let _ = node;
+        0
+    }
 
     /// After a successful CAS that acted on node `node`, read at generation
-    /// `seen`: count an ABA event if the node was recycled in between (a
-    /// hardware diagnostic).
-    fn tally(&self, node: u64, seen: u64);
+    /// `seen`: count an ABA event if the node was recycled in between.
+    fn tally(&self, node: u64, seen: u64) {
+        let _ = (node, seen);
+    }
 
     /// The read-then-CAS window of an operation, where a racing hardware
     /// handle yields.
-    fn window(&self);
+    fn window(&self) {}
 }

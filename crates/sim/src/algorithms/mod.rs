@@ -38,3 +38,4 @@ mod protect;
 pub mod queue;
 mod replay;
 pub mod set;
+mod shipped;

@@ -1,17 +1,14 @@
 //! The protection sequences shared by the simulated structures — the
 //! simulator's counterpart of `aba_reclaim`'s `Guard`.
 //!
-//! A structure model ([`queue`](super::queue), [`set`](super::set)) writes
-//! down only its own traversal and linking steps.  Everything a protection
-//! scheme adds — allocating from and releasing to the free set, the epoch
-//! pin / retire stamp / advance / quarantine protocol, hazard publication,
-//! scanning and lane clearing — exists once, here, as a function of
-//! [`Protection`] named after the `Guard` method it models (DESIGN.md §3.1
-//! maps each to its hardware file), every shared-memory access of which is
-//! one schedulable step.  *Which* sequences run in *what* order is the
-//! structure's composition (the queue pins after preparing its node and
-//! chains quarantine transfer/adoption after an advance; the set pins first
-//! and does neither) — nothing here asks which structure it serves.
+//! Everything a protection scheme adds — allocating from and releasing to
+//! the free set, the epoch pin / retire stamp / advance / quarantine
+//! protocol, hazard publication, scanning and lane clearing — exists once,
+//! here, as a function of [`Protection`] named after the `Guard` method it
+//! models (DESIGN.md §3.1), every shared-memory access of which is one
+//! schedulable step.  *Which* sequences run in *what* order is composed by
+//! the set model ([`set`](super::set)) and by the adapter the shipped queue
+//! code runs on (`shipped.rs`); nothing here asks which structure it serves.
 //!
 //! Limbo bags are process-*private* (each process's own retired nodes, never
 //! read by others), so they live in [`Protection`] rather than in shared

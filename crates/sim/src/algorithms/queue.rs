@@ -1,57 +1,31 @@
-//! Step-level Michael–Scott queue models for the simulator.
+//! The Michael–Scott queue rows of the simulator: `aba-lockfree`'s own
+//! queue code, run step by step.
 //!
-//! The hardware MS queues in `aba-lockfree` exhibit their ABA only when a
-//! preemptive scheduler interleaves unluckily; here the *schedule is the
-//! input*, so a small random search can reproducibly produce a concrete
-//! non-linearizable execution of the unprotected variant — the queue
-//! counterpart of `search_violation`'s register witnesses.
+//! The hardware queues exhibit their ABA only when a preemptive scheduler
+//! interleaves unluckily; here the *schedule is the input*, so a small random
+//! search reproducibly produces a non-linearizable execution of the
+//! unprotected variant.  A process is `Replay` of `aba_lockfree::MsQueue` —
+//! the enqueue and dequeue every `GenericQueue` handle runs — over the
+//! adapter in `shipped.rs`, in three modes: [`QueueSim::unprotected`] (bare
+//! words, immediate recycling: the dequeue CAS is the textbook ABA victim),
+//! [`QueueSim::tagged`] (counted words, §1 tagging) and [`QueueSim::epoch`]
+//! (`aba_reclaim::EpochReclaim`'s pin, limbo, advance and E15 quarantine,
+//! with [`TRANSFER_AFTER_BLOCKED`] as its transfer threshold).
 //!
-//! One model holds the queue's own steps (snapshot, link, swing, unlink);
-//! what a protection scheme adds is a function of the shared `protect`
-//! module, composed here in three modes:
-//!
-//! * [`QueueSim::unprotected`] — head/tail/next are `aba_reclaim`'s bare
-//!   words and a dequeued dummy returns to the free set immediately; the
-//!   dequeue CAS is the textbook ABA victim.
-//! * [`QueueSim::tagged`] — every pointer word is a counted word and every
-//!   CAS bumps its counter (§1 tagging), so a recycled index can never be
-//!   confused with its previous incarnation.
-//! * [`QueueSim::epoch`] — the counterpart of `aba_reclaim::EpochReclaim`.
-//!   An enqueue pins once its node is prepared and unpins before responding;
-//!   a dequeue pins first, retires the dummy it unlinks into its private
-//!   limbo, unpins, and makes one reclamation attempt: advance the global
-//!   epoch, then free every limbo entry two or more advances old.  Two E15
-//!   sequences chain onto the advance: one blocked
-//!   [`TRANSFER_AFTER_BLOCKED`] times in a row transfers the limbo into the
-//!   shared quarantine, a successful one adopts what has become eligible
-//!   there.  An enqueue that finds the arena empty while holding limbo runs
-//!   the same attempt once and retries.  (The hardware's `advance_debt`
-//!   counter is a pure diagnostic and deliberately *not* modelled.)
-//!
-//! Under the bursty preemption-style schedules that reliably break the
-//! unprotected variant (a victim parked between its reads and its CAS while
-//! others recycle the dummy through the free set), the epoch variant
-//! survives: the parked victim's pin blocks the second advance, so its dummy
-//! cannot re-enter the free set while the victim still reasons about it.
-//! What the quarantine adds is the converse guarantee: a *parked* process
-//! cannot strand its own retired nodes — once its peers' advances stall on
-//! the stale pin, the bags become adoptable by whichever process next
-//! advances successfully.
-//!
-//! Memory layout for a capacity-`C` queue (node indices `0..C`, node 0 is
-//! the initial dummy): object 0 is `head`, object 1 is `tail`, object 2 is
-//! the free set, and node `k` owns objects `3 + 2k` (value) and `4 + 2k`
-//! (next link).  Head, tail and links are encoded by the scheme's own
-//! hardware codec (`aba_reclaim::Guard::Links`).  The epoch variant appends
-//! its protection registers: the global epoch, `n` local epochs, the
-//! quarantine mask and `C` stamps.
+//! Memory layout for a capacity-`C` queue (node 0 is the initial dummy):
+//! object 0 is `head`, object 1 is `tail`, object 2 is the free set, and
+//! node `k` owns objects `3 + 2k` (value) and `4 + 2k` (next link).  The
+//! epoch variant appends its protection registers: the global epoch, `n`
+//! local epochs, the quarantine mask and `C` stamps.
 
+use aba_lockfree::MsQueue;
 use aba_reclaim::{Scheme, NIL};
-use aba_spec::{ProcessId, Word};
+use aba_spec::ProcessId;
 
-use super::protect::{Advance, Layout, Links, Protection};
-use super::replay::{Mem, Model, Replay, Run};
-use crate::algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
+use super::protect::{Layout, Links, Protection};
+use super::replay::Replay;
+use super::shipped::Shipped;
+use crate::algorithm::{SimAlgorithm, SimProcess};
 use crate::object::{BaseObject, ObjId};
 
 pub use super::protect::TRANSFER_AFTER_BLOCKED;
@@ -107,11 +81,6 @@ impl QueueSim {
         Self::new(n, capacity, Scheme::Epoch)
     }
 
-    /// Arena capacity (number of nodes, including the running dummy).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn layout(&self) -> Layout {
         Layout {
             free: OBJ_FREE,
@@ -122,22 +91,11 @@ impl QueueSim {
         }
     }
 
-    fn process(&self, pid: ProcessId) -> QueueProc {
-        QueueProc {
+    fn process(&self, pid: ProcessId) -> Shipped<MsQueue> {
+        Shipped {
+            code: MsQueue::new(OBJ_HEAD, OBJ_TAIL),
             prot: Protection::new(self.scheme, self.layout(), pid),
         }
-    }
-
-    /// Object id of process `p`'s local-epoch register (epoch mode; `0` =
-    /// quiescent, `e + 1` = pinned at epoch `e`).
-    pub fn local_epoch_obj(&self, p: ProcessId) -> ObjId {
-        self.layout().local_epoch(p)
-    }
-
-    /// Object id of the shared quarantine bit mask (epoch mode; bit `i` set
-    /// = node `i` sits in quarantine, adoptable by any process).
-    pub fn quarantine_mask_obj(&self) -> ObjId {
-        self.layout().quarantine_mask()
     }
 }
 
@@ -179,160 +137,10 @@ impl SimAlgorithm for QueueSim {
     }
 }
 
-#[derive(Debug, Clone)]
-struct QueueProc {
-    prot: Protection,
-}
-
-impl Model for QueueProc {
-    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
-        match call {
-            MethodCall::Enqueue(value) => self.enqueue(value, m).map(MethodResponse::EnqueueResult),
-            MethodCall::Dequeue => self.dequeue(m).map(MethodResponse::DequeueResult),
-            other => panic!("queue simulation given {other:?}"),
-        }
-    }
-}
-
-/// One reclamation attempt: advance the global epoch, then free every limbo
-/// entry two or more advances old.  A successful advance is exactly when
-/// quarantined bags can have become eligible, so it adopts and frees them
-/// first; one blocked too often behind a stale pin hands the private limbo
-/// to the quarantine.
-fn reclaim(prot: &mut Protection, m: &mut Mem<'_>) -> Run<()> {
-    match prot.advance(m)? {
-        Advance::Advanced => {
-            let adopted = prot.adopt(m)?;
-            prot.release(adopted, m)?;
-        }
-        Advance::Blocked if prot.transfer_due() => prot.transfer(m)?,
-        Advance::Blocked | Advance::Raced => {}
-    }
-    prot.release(prot.reclaimable(), m)
-}
-
-impl QueueProc {
-    fn idx_of(&self, raw: u64) -> u64 {
-        self.prot.links.index(raw)
-    }
-
-    fn is_nil(&self, raw: u64) -> bool {
-        self.idx_of(raw) == NIL
-    }
-
-    /// The word that replaces `old_raw` when repointing to `idx`: the bare
-    /// index, or (tagged) the index with `old_raw`'s counter bumped.  Words
-    /// are compared and CASed in full, so the tagged variant gets its
-    /// protection from the same code.
-    fn repoint(&self, old_raw: u64, idx: u64) -> u64 {
-        self.prot.links.encode(old_raw, idx, false)
-    }
-
-    fn value_obj(&self, idx: u64) -> ObjId {
-        3 + 2 * idx as usize
-    }
-
-    fn next_obj(&self, idx: u64) -> ObjId {
-        4 + 2 * idx as usize
-    }
-
-    /// Whether the enqueue reads its fresh node's link before initialising
-    /// it.  On hardware `Guard::store_link_mark` reads the old word only
-    /// under a counted codec (to continue its counter); under the bare codec
-    /// it stores without reading, which is what the epoch variant models.
-    /// The unprotected variant reads too — one step more than its hardware
-    /// twin takes — because it shares the tagged variant's code and every
-    /// E11 pin of `queue/unprotected` is a schedule over that step.
-    fn reads_own_link(&self) -> bool {
-        self.prot.scheme != Scheme::Epoch
-    }
-
-    fn enqueue(&mut self, value: Word, m: &mut Mem<'_>) -> Run<bool> {
-        // An empty arena fails the enqueue without touching the queue words.
-        // A process with an empty limbo fails fast, without a reclamation
-        // attempt — every quarantined node is adoptable through a dequeuer's
-        // advance, and keeping the exhausted enqueue short keeps the DPOR
-        // space tractable.
-        let Some(node) = self.prot.alloc(reclaim, m)? else {
-            return Ok(false);
-        };
-        m.write(self.value_obj(node), value as u64)?;
-        let old = if self.reads_own_link() {
-            m.read(self.next_obj(node))?
-        } else {
-            0
-        };
-        m.write(self.next_obj(node), self.repoint(old, NIL))?;
-        // Allocating and preparing needed no pin; dereferencing the tail
-        // node's next link is what the protection must cover.
-        self.prot.pin(m)?;
-        // retry-bound: an attempt fails only when another enqueue linked its
-        // node or a helper swung the tail — system-wide progress.  (On a
-        // chain the unprotected variant has cycled it can spin for good:
-        // that is the wedge the explorers cut and report.)
-        let tail_raw = m.retry(|m| {
-            let tail_raw = m.read(OBJ_TAIL)?;
-            let tail_next = self.next_obj(self.idx_of(tail_raw));
-            let next_raw = m.read(tail_next)?;
-            if self.is_nil(next_raw) {
-                let linked = m.cas(tail_next, next_raw, self.repoint(next_raw, node))?;
-                return Ok(linked.then_some(tail_raw));
-            }
-            // Help a lagging tail forward.
-            let ahead = self.repoint(tail_raw, self.idx_of(next_raw));
-            m.cas(OBJ_TAIL, tail_raw, ahead)?;
-            Ok(None)
-        })?;
-        // Whether our swing or a helper's lands, the node is linked.
-        m.cas(OBJ_TAIL, tail_raw, self.repoint(tail_raw, node))?;
-        self.prot.quiesce(m)?;
-        Ok(true)
-    }
-
-    fn dequeue(&mut self, m: &mut Mem<'_>) -> Run<Option<Word>> {
-        self.prot.pin(m)?;
-        // retry-bound: an attempt fails only on a snapshot another operation
-        // moved under it or on a lost head CAS — system-wide progress, with
-        // the same wedge caveat as the enqueue's loop.
-        let unlinked = m.retry(|m| {
-            let head_raw = m.read(OBJ_HEAD)?;
-            let tail_raw = m.read(OBJ_TAIL)?;
-            let next_raw = m.read(self.next_obj(self.idx_of(head_raw)))?;
-            let next = self.idx_of(next_raw);
-            if self.idx_of(head_raw) == self.idx_of(tail_raw) {
-                if self.is_nil(next_raw) {
-                    return Ok(Some(None));
-                }
-                // Help a lagging tail forward.
-                m.cas(OBJ_TAIL, tail_raw, self.repoint(tail_raw, next))?;
-                return Ok(None);
-            }
-            if self.is_nil(next_raw) {
-                // Inconsistent snapshot (head moved under us).
-                return Ok(None);
-            }
-            let value = m.read(self.value_obj(next))?;
-            let won = m.cas(OBJ_HEAD, head_raw, self.repoint(head_raw, next))?;
-            Ok(won.then_some(Some((self.idx_of(head_raw), value))))
-        })?;
-        let Some((dummy, value)) = unlinked else {
-            self.prot.quiesce(m)?;
-            return Ok(None);
-        };
-        // The old dummy is ours to retire; then quiesce and, with it (or
-        // older retirees) in limbo, make one reclamation attempt.
-        self.prot.retire(dummy, m)?;
-        self.prot.quiesce(m)?;
-        if self.prot.holds_limbo() {
-            reclaim(&mut self.prot, m)?;
-        }
-        Ok(Some(value as Word))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::{MethodCall, MethodResponse};
     use crate::executor::Simulation;
     use aba_spec::{check_history, Spec};
 
@@ -478,7 +286,7 @@ mod tests {
             let _ = sim.step_audited(1, &mut auditor);
         }
         assert_eq!(
-            sim.registers()[algo.local_epoch_obj(1)],
+            sim.registers()[algo.layout().local_epoch(1)],
             1,
             "process 1 must be parked pinned at epoch 0"
         );
@@ -493,7 +301,7 @@ mod tests {
             assert!(complete_audited(&mut sim, 0, &mut auditor));
         }
         assert_ne!(
-            sim.registers()[algo.quarantine_mask_obj()],
+            sim.registers()[algo.layout().quarantine_mask()],
             0,
             "advances blocked by a stale pin must quarantine the blocked limbo"
         );
@@ -508,7 +316,7 @@ mod tests {
             assert!(complete_audited(&mut sim, 0, &mut auditor));
         }
         assert_eq!(
-            sim.registers()[algo.quarantine_mask_obj()],
+            sim.registers()[algo.layout().quarantine_mask()],
             0,
             "eligible quarantined nodes must be adopted after the pin clears"
         );
@@ -531,7 +339,7 @@ mod tests {
         assert_eq!(p.invoke(MethodCall::Dequeue), None);
         let mut steps = 0;
         let response = loop {
-            // The retire stamps the dummy into the limbo at step 9; the
+            // The retire stamps the dummy into the limbo at step 11; the
             // unpin, the advance and the adoption re-run it five more times.
             assert!(!p.idle().prot.holds_limbo(), "step {steps}");
             steps += 1;
@@ -540,8 +348,45 @@ mod tests {
             }
         };
         assert_eq!(response, MethodResponse::DequeueResult(Some(5)));
-        assert_eq!(steps, 14);
+        assert_eq!(steps, 16);
         assert!(p.idle().prot.holds_limbo(), "committed with the response");
+    }
+
+    /// Run `call` alone on the unprotected queue of capacity 3 whose tail
+    /// sits on node 1, a node linked to itself, while the head's dummy 0 has
+    /// no successor — a chain an ABA has cycled — and node 2 is free.  Both
+    /// operations spin there for good; through `retry`, a spinning call's
+    /// log holds its prefix and at most one attempt: `attempt` steps less
+    /// the one it is poised on.
+    fn spin_on_a_cycled_chain(call: MethodCall, prefix: usize, attempt: usize) {
+        use crate::object::{BaseOp, SharedMemory};
+        let algo = QueueSim::unprotected(1, 3);
+        let links = Links::of(Scheme::Unprotected);
+        let mut mem = SharedMemory::new(algo.initial_objects());
+        mem.apply(BaseOp::Cas(OBJ_TAIL, links.fresh(0), links.fresh(1)));
+        mem.apply(BaseOp::Cas(OBJ_FREE, 0b110, 0b100));
+        mem.apply(BaseOp::Write(6, links.fresh(1))); // node 1's next link
+        let mut p = Replay::new(algo.process(0));
+        assert_eq!(p.invoke(call), None);
+        for k in 0..10_000 {
+            assert_eq!(p.step(&mut mem), None, "{call:?} returned at step {k}");
+            assert!(
+                p.logged() < prefix + attempt,
+                "{call:?} step {k}: {} entries",
+                p.logged()
+            );
+        }
+    }
+
+    #[test]
+    fn queue_calls_spinning_on_a_cycled_chain_keep_one_attempt_in_their_log() {
+        // Each attempt reads head, tail, the dummy's link and head again,
+        // and finds the link nil under a head that is not the tail.
+        spin_on_a_cycled_chain(MethodCall::Dequeue, 0, 4);
+        // Each attempt reads the tail, its link (node 1 again) and the tail,
+        // and swings the tail from node 1 to node 1; the prefix allocates
+        // node 2 (read and CAS the free set), writes its value and its link.
+        spin_on_a_cycled_chain(MethodCall::Enqueue(7), 4, 4);
     }
 
     #[test]
@@ -553,7 +398,7 @@ mod tests {
         sim.run_until_quiescent();
         for p in 0..2 {
             assert_eq!(
-                sim.registers()[algo.local_epoch_obj(p)],
+                sim.registers()[algo.layout().local_epoch(p)],
                 0,
                 "process {p} left its local epoch pinned"
             );

@@ -54,7 +54,7 @@ pub(crate) trait Model: Clone + Debug + 'static {
 pub(crate) struct Mem<'a> {
     log: &'a mut Vec<(BaseOp, StepResult)>,
     /// Log entries consumed so far by this run.
-    at: usize,
+    pub(crate) at: usize,
 }
 
 impl<'a> Mem<'a> {
@@ -101,9 +101,15 @@ impl<'a> Mem<'a> {
             if let Some(value) = attempt(self)? {
                 return Ok(value);
             }
-            self.log.drain(start..self.at);
-            self.at = start;
+            self.forget(start);
         }
+    }
+
+    /// Drop the steps consumed since the run had consumed `start` from the
+    /// log, as [`Mem::retry`] drops a failed attempt's.
+    pub(crate) fn forget(&mut self, start: usize) {
+        self.log.drain(start..self.at);
+        self.at = start;
     }
 }
 
@@ -236,6 +242,11 @@ impl<P: Model> Replay<P> {
     /// touched.
     pub(crate) fn idle(&self) -> &P {
         &self.idle
+    }
+
+    /// The steps the call in progress has logged.
+    pub(crate) fn logged(&self) -> usize {
+        self.log.len()
     }
 
     /// Execute the poised step against `mem` and feed its result back.

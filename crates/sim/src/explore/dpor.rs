@@ -662,7 +662,7 @@ mod tests {
 
     #[test]
     fn dpor_covers_every_queue_class_of_the_brute_force() {
-        // One enqueue vs one dequeue on the unprotected queue: 580
+        // One enqueue vs one dequeue on the unprotected queue: 1 210
         // interleavings collapse to 4 trace classes; DPOR executes exactly
         // one representative of each.
         let algo = QueueSim::unprotected(2, 2);
@@ -672,7 +672,7 @@ mod tests {
         };
         let [(brute_n, brute_all, _), (dpor_n, dpor_all, _)] =
             both_modes(&algo, &|| workload.simulation(&algo), &|_| false);
-        assert_eq!(brute_n, 580);
+        assert_eq!(brute_n, 1_210);
         assert_eq!(brute_all.len(), 4);
         assert_eq!(dpor_n, 4);
         assert_eq!(dpor_all, brute_all);

@@ -19,12 +19,12 @@
 use std::collections::VecDeque;
 use std::fmt::Debug;
 
-use aba_lockfree::{
+use aba_repro::lockfree::{
     elim_stack_builders, map_builders, queue_builders, set_builders, stack_builders, Family,
     MapHandle, QueueHandle, Scheme, SetHandle, StackHandle, Structure,
 };
-use aba_sim::minimize_violation_schedule as shrink_ops;
-use aba_spec::{SeqMap, SeqOrderedSet};
+use aba_repro::sim::minimize_violation_schedule as shrink_ops;
+use aba_repro::spec::{SeqMap, SeqOrderedSet};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
