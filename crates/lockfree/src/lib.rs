@@ -9,7 +9,9 @@
 //!   (unprotected, tagged, hazard pointers, epoch, LL/SC), experiment E6;
 //! * [`queue`] — **one** generic Michael–Scott FIFO queue over the same
 //!   arena with the same five protection strategies (the dequeue CAS is the
-//!   textbook ABA victim), experiment E8;
+//!   textbook ABA victim), experiment E8; its enqueue and dequeue are
+//!   [`MsQueue`]'s, written against [`mem::NodeMem`] so that the simulator
+//!   replays the same text;
 //! * [`set`] — **one** generic Harris–Michael sorted linked-list set over
 //!   the same arena with the same five protection strategies (traversals
 //!   hold references deep inside the chain — the hardest ABA surface),

@@ -1,24 +1,16 @@
-//! The memory a structure's operations run on: the structure's code is
-//! written once, against [`NodeMem`], and run on two memories.
+//! The memory a structure's operations run on: the code is written once,
+//! against [`NodeMem`], and run on two memories — `aba_core::mem`'s pattern
+//! one layer up.  A structure sees its guard and its node lifecycle, not
+//! base objects:
 //!
-//! This is `aba_core::mem`'s pattern one layer up.  Where the paper's
-//! objects see three atomic operations on named base objects, a lock-free
-//! structure sees its guard and its node lifecycle: protected loads and
-//! CASes of registered slots, the next link and value of a node, and
-//! allocation, retirement and release of nodes.  The two memories are
+//! * the crate's per-thread `Worker` is the hardware memory, the scheme's
+//!   `Guard` over the arena's atomic words; `Stop` is [`Infallible`], so the
+//!   `?` after an access compiles to nothing;
+//! * the simulator's adapter (`aba-sim`, `algorithms/shipped.rs`) replays
+//!   each access as schedulable steps; the first step past the logged ones
+//!   stops the call.
 //!
-//! * the crate's per-thread `Worker` — the scheme's `Guard` over the
-//!   arena's atomic words, `Stop` [`Infallible`], so the `?` after an access
-//!   compiles to nothing and the code is the structure handle's own
-//!   operation;
-//! * the simulator's adapter over its replay memory (`aba-sim`,
-//!   `algorithms/shipped.rs`), where each access is one or more schedulable
-//!   steps and the first step past the logged ones stops the call.
-//!
-//! The trait sits at the `Guard`/`Worker` boundary rather than under the
-//! guards, so every `Guard` and `Reclaimer` signature is unchanged.  What a
-//! structure's code may rely on is exactly this surface; the Michael–Scott
-//! queue ([`crate::queue::MsQueue`]) is written against it.
+//! The Michael–Scott queue ([`crate::queue::MsQueue`]) is written against it.
 //!
 //! [`Infallible`]: std::convert::Infallible
 

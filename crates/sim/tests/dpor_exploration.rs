@@ -62,9 +62,6 @@ fn roster_unprotected_rows_yield_a_witness_and_protected_rows_drain() {
         // Pinned: the reduced space of this bound is exactly 225 trace
         // classes, none cut (register methods are bounded).
         ("register/tagged", (None, 225, 0)),
-        // The shipped queue code (`aba_lockfree::MsQueue`); the hand-written
-        // model it replaced read 13 575 classes with 14 cut (EXPERIMENTS.md
-        // E30).
         ("queue/unprotected", (None, 12_272, 12)),
         ("queue/tagged", (Some(1_500), 1_500, 0)),
         // Pinned: deferred reclamation keeps the arena full for most of the

@@ -27,9 +27,7 @@ use aba_spec::ProcessId;
 /// (`aba_lockfree::MsQueue`): `QueueSim::unprotected(6, 3)`, workload 4
 /// enqueues per producer / 5 dequeues per consumer
 /// (`SimWorkload::queue_search(6)`), found by `search_violation(_, _, 200, 1)`
-/// at seed 50 (trial 49) and shrunk from 1080 steps to 41.  (The
-/// hand-written model the shipped code replaced gave seed 115, trial 114 and
-/// 70 steps — EXPERIMENTS.md E30.)
+/// at seed 50 (trial 49) and shrunk from 1080 steps to 41.
 const GOLDEN_QUEUE_SEED: u64 = 50;
 const GOLDEN_QUEUE_TRIAL: u64 = 49;
 const GOLDEN_QUEUE_MIN: [ProcessId; 41] = [
