@@ -104,7 +104,6 @@ pub use event::{EventSignal, NaiveEventSignal, Signaler, Waiter};
 pub use map::{
     EpochMap, GenericMap, HazardMap, LlScMap, Map, MapHandle, TaggedMap, UnprotectedMap,
 };
-pub use mem::{Attempt, NodeMem};
 pub use queue::{
     EpochQueue, GenericQueue, HazardQueue, LlScQueue, MsQueue, Queue, QueueHandle, TaggedQueue,
     UnprotectedQueue,

@@ -174,8 +174,8 @@ impl<R: Reclaimer, W: Window> Worker<'_, R, W> {
     }
 }
 
-/// The hardware [`NodeMem`]: every method is the call the structure made
-/// on the guard or the worker before it was written against the trait.
+/// The hardware [`NodeMem`]: every method is one call on the guard, the
+/// arena or the worker.
 impl<R: Reclaimer, W: Window> NodeMem for Worker<'_, R, W> {
     type Stop = Infallible;
 

@@ -105,8 +105,8 @@ impl<'a> Mem<'a> {
         }
     }
 
-    /// Drop the steps consumed since the run had consumed `start` from the
-    /// log, as [`Mem::retry`] drops a failed attempt's.
+    /// Drop from the log every step this run consumed after its first
+    /// `start`, as [`Mem::retry`] drops a failed attempt's.
     pub(crate) fn forget(&mut self, start: usize) {
         self.log.drain(start..self.at);
         self.at = start;

@@ -600,8 +600,9 @@ mod tests {
         // histories no FIFO order can explain (duplicated or lost values) —
         // the linearizability checker is what rejects them.
         let algo = QueueSim::unprotected(4, 3);
-        // Most witnesses wedge the structure first; search on past each one
-        // until a completed history turns up (the third, at seed 1 365).
+        // The first two witnesses the search finds wedge the structure;
+        // search on past each wedged one until a completed history turns up
+        // (at seed 1 365).
         let mut seed = 1;
         let witness = loop {
             let witness = search_queue(&algo, 1_000, seed).expect("unprotected must break");
