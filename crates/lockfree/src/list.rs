@@ -512,6 +512,30 @@ mod tests {
         both_starts_agree::<EpochReclaim>();
     }
 
+    /// A chain an ABA has cycled wedges no operation: on an unprotected list
+    /// whose second node links back to its first, a walk to a key past the
+    /// cycle never restarts, so only the operation's one retry budget —
+    /// spent on every hop as on every restart — ends it.  Each operation
+    /// then gives up and counts one ABA event.
+    #[test]
+    fn operations_past_a_cycled_chain_give_up_within_the_retry_budget() {
+        let (list, from) = list_of::<NoReclaim>(8, false, &[10, 20]);
+        let arena = &list.nodes.arena;
+        let mut g = list.nodes.reclaim.guard(0, arena.live_capacity());
+        let root_raw = g.load(list.root);
+        let first = g.index_of(root_raw);
+        let second = g.marked_index_of(g.load_link(arena.next_word(first)));
+        assert_eq!((arena.value(first), arena.value(second)), (10, 20));
+        g.store_link_mark(arena.next_word(second), first, false);
+        let mut h = list.handle::<Production>(0);
+        assert_eq!(h.get(from, 30), None);
+        assert_eq!(list.nodes.aba_events(), 1);
+        assert!(!h.insert(from, 30, 0));
+        assert_eq!(list.nodes.aba_events(), 2);
+        assert!(!h.remove(from, 30));
+        assert_eq!(list.nodes.aba_events(), 3);
+    }
+
     /// Nothing is stranded in a dead magazine: once every handle has
     /// dropped, each node is in the arena's shared free list, in the chain,
     /// or in the scheme's orphaned limbo.
