@@ -37,7 +37,7 @@ use aba_reclaim::{Reclaimer, SchemeFn};
 
 pub mod arena;
 pub mod event;
-mod list;
+pub mod list;
 pub mod map;
 pub mod mem;
 mod nodes;

@@ -23,23 +23,25 @@
 //! `aba_reclaim::Guard::cas_link_mark` and DESIGN.md §7), so one CAS
 //! atomically checks "successor unchanged AND not deleted".  Physical
 //! unlinking is Michael's helped variant: any traversal that meets a marked
-//! node CASes it out of the chain and [`retires`](Guard::retire) it, then
-//! restarts.
+//! node CASes it out of the chain and retires it, then restarts.
 //!
-//! This file holds the root slot and the Harris–Michael algorithm;
-//! allocation, retirement, the retry budget, the ABA tally and the handle's
-//! drop are the crate's shared node lifecycle (`nodes.rs`).
+//! The algorithm is [`HmList`]'s, written against [`NodeMem`] so that the
+//! simulator's `set/*` rows run the same text (DESIGN.md §3.2); this file
+//! also holds the root slot and the per-thread handle that runs the code on
+//! its `Worker`.  Allocation, retirement, the retry budget, the ABA tally
+//! and the handle's drop are the crate's shared node lifecycle (`nodes.rs`).
 
 use aba_reclaim::{Guard, Reclaimer, SlotId};
 
 use crate::arena::{NodeArena, NIL};
-use crate::nodes::{Budget, Nodes, Worker};
+use crate::mem::{Attempt, NodeMem};
+use crate::nodes::{Nodes, Worker};
 use crate::Window;
 
 /// The three protection lanes of a traversal, rotated hand-over-hand: the
 /// predecessor node (whose link word the operation will CAS), the current
 /// node (whose key and link are read) and the successor being adopted.
-pub(crate) const LANES: usize = 3;
+pub const LANES: usize = 3;
 
 /// Harris–Michael sorted linked list over a [`NodeArena`], generic in its
 /// ABA-protection / reclamation scheme `R`.  Nodes carry a `u32` sort key
@@ -78,33 +80,64 @@ impl<R: Reclaimer> List<R> {
     /// The per-thread handle for `tid`, with window `W`.
     pub(crate) fn handle<W: Window>(&self, tid: usize) -> ListHandle<'_, R, W> {
         ListHandle {
-            root: self.root,
+            code: HmList::new(self.root),
             worker: self.nodes.worker(tid),
         }
     }
 }
 
-/// Per-thread handle of a [`List`]: the root slot, the [`Worker`] and every
-/// Harris–Michael operation.
+/// Per-thread handle of a [`List`]: [`HmList`]'s operations run on the
+/// handle's [`Worker`].
 pub(crate) struct ListHandle<'a, R: Reclaimer, W: Window> {
-    root: SlotId,
+    code: HmList,
     pub(crate) worker: Worker<'a, R, W>,
+}
+
+impl<R: Reclaimer, W: Window> ListHandle<'_, R, W> {
+    /// [`HmList::splice`].
+    #[inline]
+    pub(crate) fn splice(&mut self, from: Prev, key: u32, idx: u64) -> Splice {
+        let Ok(spliced) = self.code.splice(from, key, idx, &mut self.worker);
+        spliced
+    }
+
+    /// [`HmList::insert`].
+    #[inline]
+    pub(crate) fn insert(&mut self, from: Prev, key: u32, data: u32) -> bool {
+        let Ok(inserted) = self.code.insert(from, key, data, &mut self.worker);
+        inserted
+    }
+
+    /// [`HmList::remove`].
+    #[inline]
+    pub(crate) fn remove(&mut self, from: Prev, key: u32) -> bool {
+        let Ok(removed) = self.code.remove(from, key, &mut self.worker);
+        removed
+    }
+
+    /// [`HmList::get`].
+    #[inline]
+    pub(crate) fn get(&mut self, from: Prev, key: u32) -> Option<u32> {
+        let Ok(data) = self.code.get(from, key, &mut self.worker);
+        data
+    }
 }
 
 /// Where a predecessor word lives — and hence where a walk may start: the
 /// root slot, or the (mark-capable) next link of node `p`.  A walk may start
 /// at `Node(p)` only if `p` is immortal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Prev {
+pub enum Prev {
+    /// The list's root slot.
     Root,
+    /// The next link of this node.
     Node(u64),
 }
 
 /// Result of one successful traversal: the predecessor word and its observed
 /// raw, the candidate node (`NIL` when the key belongs at the tail) with its
 /// observed next word, and the generations that make post-CAS ABA accounting
-/// possible for the unprotected scheme (0 under the others:
-/// `Worker::generation`).
+/// possible for the unprotected scheme (0 under the others).
 #[derive(Debug, Clone, Copy)]
 struct Traversal {
     prev: Prev,
@@ -116,299 +149,334 @@ struct Traversal {
     found: bool,
 }
 
-/// Outcome of [`ListHandle::splice`]; unless `Linked`, the caller still owns
+/// Outcome of [`HmList::splice`]; unless `Linked`, the caller still owns
 /// its node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Splice {
     /// The node is linked in.
     Linked,
     /// The key is already carried by this node (which the caller may name
     /// only if the key's nodes are immortal — no protection is held).
     Present(u64),
-    /// The budget ran out (unprotected corruption, counted as an ABA event).
+    /// The retry budget ran out (unprotected corruption, counted as an ABA
+    /// event).
     Exhausted,
 }
 
-impl<R: Reclaimer, W: Window> ListHandle<'_, R, W> {
+/// The Harris–Michael list's per-thread code: the slot id of its root and
+/// the four operations, written once against [`NodeMem`].  On a hardware
+/// handle's worker they are the set's and the map's operations; on the
+/// simulator's replay memory they are the step-by-step processes of the
+/// `set/*` model rows.
+///
+/// Each operation is one [`NodeMem::retry`] loop whose attempt is one walk
+/// (one pass of its `find`) and the CAS that acts on it, so one retry
+/// budget covers the operation: the hardware spends it on every restart
+/// and, through [`NodeMem::hop`], on every hop.
+#[derive(Debug, Clone, Copy)]
+pub struct HmList {
+    root: SlotId,
+}
+
+impl HmList {
+    /// The code of a list whose root slot is `root`.
+    pub fn new(root: SlotId) -> Self {
+        HmList { root }
+    }
+
     /// Whether the predecessor word still holds `raw` (Michael's
     /// `*prev == cur` re-validation).
-    fn validate_prev(&mut self, prev: Prev, raw: u64) -> bool {
-        let w = &mut self.worker;
+    #[inline(always)]
+    fn validate_prev<M: NodeMem>(&self, prev: Prev, raw: u64, m: &mut M) -> Result<bool, M::Stop> {
         match prev {
-            Prev::Root => w.guard.validate(self.root, raw),
-            Prev::Node(p) => w.guard.validate_link(w.nodes.arena.next_word(p), raw),
+            Prev::Root => m.validate(self.root, raw),
+            Prev::Node(p) => m.validate_link(p, raw),
         }
     }
 
     /// CAS the predecessor word from `raw` to an unmarked word designating
     /// `idx` — the physical unlink and the insert splice share this shape.
-    fn cas_prev(&mut self, prev: Prev, raw: u64, idx: u64) -> bool {
-        let w = &mut self.worker;
+    #[inline(always)]
+    fn cas_prev<M: NodeMem>(
+        &self,
+        prev: Prev,
+        raw: u64,
+        idx: u64,
+        m: &mut M,
+    ) -> Result<bool, M::Stop> {
         match prev {
-            Prev::Root => w.guard.cas(self.root, raw, idx),
-            Prev::Node(p) => w
-                .guard
-                .cas_link_mark(w.nodes.arena.next_word(p), raw, idx, false),
+            Prev::Root => m.cas(self.root, raw, idx),
+            Prev::Node(p) => m.cas_link(p, raw, idx, false),
         }
     }
 
-    /// The Harris–Michael `find`: walk from `from` to the first node with
-    /// `node.key >= key`, physically unlinking (and retiring) every marked
-    /// node met on the way.  On return the traversal's protections are still
-    /// held — lane-rotated hand-over-hand for hazard pointers, the pin for
-    /// epochs — so the caller may CAS and dereference what it names.
-    /// `None` means the budget ran out (unprotected corruption).
+    /// One pass of the Harris–Michael `find`: walk from `from` to the first
+    /// node with `node.key >= key`.  `None` means the pass must restart: a
+    /// snapshot went stale, it unlinked (and retired) a marked node, or a
+    /// hop found the retry budget spent.  On `Some` the traversal's
+    /// protections are still held — lane-rotated hand-over-hand for hazard
+    /// pointers, the pin for epochs — so the caller may CAS and dereference
+    /// what it names.
     ///
     /// Always inlined: each entry point passes a start whose kind its caller
     /// fixes, so an anchored walk's copy carries no `Prev::Root` arm and the
-    /// set and the map — which instantiate the same `ListHandle<R, W>` —
-    /// each keep a traversal specialised to their start, as when each had
-    /// its own (E17: out of line, `map.get` reads 1–3 ns slower).  The entry
-    /// points below are `#[inline]` into the two families' handles for the
-    /// same reason.
+    /// set and the map — which instantiate the same handle — each keep a
+    /// traversal specialised to their start, as when each had its own (E17:
+    /// out of line, `map.get` reads 1–3 ns slower).  The entry points below
+    /// are `#[inline]` into the two families' handles for the same reason.
     #[inline(always)]
-    fn find(&mut self, from: Prev, key: u32, budget: &mut Budget) -> Option<Traversal> {
-        let arena = &self.worker.nodes.arena;
-        // retry-bound: every restart and every hop spends `budget`, which is
-        // finite exactly for the scheme whose chain can become cyclic
-        // (unprotected); under a protected scheme a restart means another
-        // thread's CAS succeeded (lock-free progress).
-        'restart: loop {
-            if !budget.spend() {
-                return None;
+    fn find<M: NodeMem>(
+        &self,
+        from: Prev,
+        key: u32,
+        m: &mut M,
+    ) -> Result<Option<Traversal>, M::Stop> {
+        // The current node's protection lane; successors rotate through the
+        // other two, so the lane being overwritten always belongs to a node
+        // two hops behind the predecessor — out of scope.
+        let mut lane = 0usize;
+        let mut prev = from;
+        // The protected load of the first node for a root walk; the
+        // (re-)pin of an epoch guard for an anchored one, whose root slot is
+        // NIL (module docs).
+        let root_raw = m.protect(lane, self.root)?;
+        let (mut prev_raw, mut prev_gen, mut cur) = match from {
+            Prev::Root => (root_raw, 0u64, m.index_of(root_raw)),
+            Prev::Node(anchor) => {
+                // The anchor needs no protection lane (it is never retired),
+                // but its successor does, published-then-validated against
+                // the anchor's always-readable link.
+                let anchor_gen = m.generation(anchor);
+                let raw = m.load_link(anchor)?;
+                let first = m.index_of(raw);
+                if first != NIL && !m.protect_link_word(lane, first, anchor, raw)? {
+                    return Ok(None);
+                }
+                (raw, anchor_gen, first)
             }
-            // The current node's protection lane; successors rotate through
-            // the other two, so the lane being overwritten always belongs to
-            // a node two hops behind the predecessor — out of scope.
-            let mut lane = 0usize;
-            let mut prev = from;
-            // The protected load of the first node for a root walk; the
-            // (re-)pin of an epoch guard for an anchored one, whose root
-            // slot is NIL (module docs).
-            let root_raw = self.worker.guard.protect(lane, self.root);
-            let (mut prev_raw, mut prev_gen, mut cur) = match from {
-                Prev::Root => (root_raw, 0u64, self.worker.guard.index_of(root_raw)),
-                Prev::Node(anchor) => {
-                    // The anchor needs no protection lane (it is never
-                    // retired), but its successor does, published-then-
-                    // validated against the anchor's always-readable link.
-                    let anchor_gen = self.worker.generation(anchor);
-                    let raw = self.worker.guard.load_link(arena.next_word(anchor));
-                    let first = self.worker.guard.marked_index_of(raw);
-                    if first != NIL
-                        && !self.worker.guard.protect_link_word(
-                            lane,
-                            first,
-                            arena.next_word(anchor),
-                            raw,
-                        )
-                    {
-                        continue 'restart;
-                    }
-                    (raw, anchor_gen, first)
-                }
-            };
-            loop {
-                if !budget.spend() {
-                    return None;
-                }
-                if cur == NIL {
-                    return Some(Traversal {
-                        prev,
-                        prev_raw,
-                        prev_gen,
-                        cur: NIL,
-                        cur_next_raw: 0,
-                        cur_gen: 0,
-                        found: false,
-                    });
-                }
-                let cur_gen = self.worker.generation(cur);
-                let next_raw = self.worker.guard.load_link(arena.next_word(cur));
-                // Re-validate prev -> cur before trusting the snapshot: a
-                // CAS that lands between our two reads would otherwise hand
-                // us a successor of an already-unlinked node.
-                if !self.validate_prev(prev, prev_raw) {
-                    continue 'restart;
-                }
-                let next = self.worker.guard.marked_index_of(next_raw);
-                if self.worker.guard.mark_of(next_raw) {
-                    // cur is logically deleted: help unlink it, retire it,
-                    // and restart (the CAS invalidated our snapshot anyway).
-                    W::preemption_window();
-                    if self.cas_prev(prev, prev_raw, next) {
-                        self.worker.tally(cur, cur_gen);
-                        self.worker.retire(cur);
-                    }
-                    continue 'restart;
-                }
-                // The decisive window of a traversal: the snapshot was
-                // validated, and the node's key is about to steer the final
-                // answer.  A scheme whose protection lapsed here (a hazard
-                // published too late for the retirement scan, a stale epoch
-                // pin) reads the key of a *recycled* node and reports a
-                // present key absent.  A racing handle yields here, under
-                // every scheme alike, so the E10 incidence columns measure
-                // the protection strategy and not the accident of scheduling.
-                W::preemption_window();
-                let cur_key = arena.value(cur);
-                // ...and re-validate once more before the key steers
-                // anything.  Tagging and LL/SC free immediately, so `cur`
-                // may have been unlinked and recycled since the validation
-                // above, and the key just read may be its next life's: a
-                // wrong `contains`, or a splice that returns a short-lived
-                // node as `Present` for an owner that takes it for an
-                // immortal one (the map's bucket cells — the chain ends up
-                // cyclic).  If prev still designates `cur` under an
-                // ABA-proof word, `cur` was linked throughout and the key is
-                // its own.
-                if !self.validate_prev(prev, prev_raw) {
-                    continue 'restart;
-                }
-                if cur_key >= key {
-                    return Some(Traversal {
-                        prev,
-                        prev_raw,
-                        prev_gen,
-                        cur,
-                        cur_next_raw: next_raw,
-                        cur_gen,
-                        found: cur_key == key,
-                    });
-                }
-                // Advance hand-over-hand: protect the successor while the
-                // current node is still protected, then shift roles.
-                lane = (lane + 1) % LANES;
-                if next != NIL
-                    && !self.worker.guard.protect_link_word(
-                        lane,
-                        next,
-                        arena.next_word(cur),
-                        next_raw,
-                    )
-                {
-                    continue 'restart;
-                }
-                prev = Prev::Node(cur);
-                prev_raw = next_raw;
-                prev_gen = cur_gen;
-                cur = next;
+        };
+        // retry-bound: every hop spends the operation's retry budget
+        // (`hop`), which is finite exactly for the scheme whose chain can
+        // become cyclic (unprotected); under a protected scheme the chain
+        // is finite and acyclic.
+        loop {
+            if !m.hop() {
+                return Ok(None);
             }
+            if cur == NIL {
+                return Ok(Some(Traversal {
+                    prev,
+                    prev_raw,
+                    prev_gen,
+                    cur: NIL,
+                    cur_next_raw: 0,
+                    cur_gen: 0,
+                    found: false,
+                }));
+            }
+            let cur_gen = m.generation(cur);
+            let next_raw = m.load_link(cur)?;
+            // Re-validate prev -> cur before trusting the snapshot: a CAS
+            // that lands between our two reads would otherwise hand us a
+            // successor of an already-unlinked node.
+            if !self.validate_prev(prev, prev_raw, m)? {
+                return Ok(None);
+            }
+            let next = m.index_of(next_raw);
+            if m.mark_of(next_raw) {
+                // cur is logically deleted: help unlink it, retire it, and
+                // restart (the CAS invalidated our snapshot anyway).
+                m.window();
+                if self.cas_prev(prev, prev_raw, next, m)? {
+                    m.tally(cur, cur_gen);
+                    m.retire(cur)?;
+                }
+                return Ok(None);
+            }
+            // The decisive window of a traversal: the snapshot was
+            // validated, and the node's key is about to steer the final
+            // answer.  A scheme whose protection lapsed here (a hazard
+            // published too late for the retirement scan, a stale epoch
+            // pin) reads the key of a *recycled* node and reports a present
+            // key absent.  A racing handle yields here, under every scheme
+            // alike, so the E10 incidence columns measure the protection
+            // strategy and not the accident of scheduling.
+            m.window();
+            let cur_key = m.value(cur)?;
+            // ...and re-validate once more before the key steers anything.
+            // Tagging and LL/SC free immediately, so `cur` may have been
+            // unlinked and recycled since the validation above, and the key
+            // just read may be its next life's: a wrong `contains`, or a
+            // splice that returns a short-lived node as `Present` for an
+            // owner that takes it for an immortal one (the map's bucket
+            // cells — the chain ends up cyclic).  If prev still designates
+            // `cur` under an ABA-proof word, `cur` was linked throughout and
+            // the key is its own.
+            if !self.validate_prev(prev, prev_raw, m)? {
+                return Ok(None);
+            }
+            if cur_key >= key {
+                return Ok(Some(Traversal {
+                    prev,
+                    prev_raw,
+                    prev_gen,
+                    cur,
+                    cur_next_raw: next_raw,
+                    cur_gen,
+                    found: cur_key == key,
+                }));
+            }
+            // Advance hand-over-hand: protect the successor while the
+            // current node is still protected, then shift roles.
+            lane = (lane + 1) % LANES;
+            if next != NIL && !m.protect_link_word(lane, next, cur, next_raw)? {
+                return Ok(None);
+            }
+            prev = Prev::Node(cur);
+            prev_raw = next_raw;
+            prev_gen = cur_gen;
+            cur = next;
         }
     }
 
     /// Link the caller-owned node `idx`, which already carries `key`, into
     /// its sorted position, walking from `from`.  Returns quiesced.
     #[inline]
-    pub(crate) fn splice(&mut self, from: Prev, key: u32, idx: u64) -> Splice {
-        let arena = &self.worker.nodes.arena;
-        let mut budget = self.worker.budget();
-        // retry-bound: each iteration runs one budgeted `find`; a lost CAS
-        // means another thread's splice or unlink succeeded.
-        loop {
-            let Some(t) = self.find(from, key, &mut budget) else {
-                self.worker.bail();
-                return Splice::Exhausted;
+    pub(crate) fn splice<M: NodeMem>(
+        &self,
+        from: Prev,
+        key: u32,
+        idx: u64,
+        m: &mut M,
+    ) -> Result<Splice, M::Stop> {
+        // retry-bound: an attempt fails only when a CAS of another operation
+        // landed on a word the walk read, or its own helped unlink did —
+        // system-wide progress; on a chain the unprotected scheme has
+        // cycled, the hardware budget ends it.
+        let spliced = m.retry(|m| {
+            let Some(t) = self.find(from, key, m)? else {
+                return Ok(Attempt::Stale);
             };
             if t.found {
-                self.worker.guard.quiesce();
-                return Splice::Present(t.cur);
+                return Ok(Attempt::Done(Splice::Present(t.cur)));
             }
             // Point our node at the successor, then splice it in.  The
             // store goes through the guard so tagging schemes bump the
             // link's tag across recycling.
-            self.worker
-                .guard
-                .store_link_mark(arena.next_word(idx), t.cur, false);
-            W::preemption_window();
-            if self.cas_prev(t.prev, t.prev_raw, idx) {
+            m.store_link(idx, t.cur)?;
+            m.window();
+            if self.cas_prev(t.prev, t.prev_raw, idx, m)? {
                 if let Prev::Node(p) = t.prev {
                     // The splice succeeded — but did it splice onto the node
                     // we inspected, or onto a recycled incarnation?
-                    self.worker.tally(p, t.prev_gen);
+                    m.tally(p, t.prev_gen);
                 }
-                self.worker.guard.quiesce();
-                self.worker.backoff.reset();
-                return Splice::Linked;
+                Ok(Attempt::Done(Splice::Linked))
+            } else {
+                // Lost the splice race: back off before re-finding.
+                Ok(Attempt::Lost)
             }
-            // Lost the splice race: back off before re-finding.
-            self.worker.backoff.pause();
-        }
+        })?;
+        let Some(spliced) = spliced else {
+            m.bail()?;
+            return Ok(Splice::Exhausted);
+        };
+        m.quiesce()?;
+        Ok(spliced)
     }
 
     /// Insert `key` carrying `data`; `false` if the key was already present,
-    /// no node could be allocated, or the budget ran out.
+    /// no node could be allocated, or the retry budget ran out.
     #[inline]
-    pub(crate) fn insert(&mut self, from: Prev, key: u32, data: u32) -> bool {
+    pub fn insert<M: NodeMem>(
+        &self,
+        from: Prev,
+        key: u32,
+        data: u32,
+        m: &mut M,
+    ) -> Result<bool, M::Stop> {
         // Allocation before the traversal: the allocation-pressure fallback
         // must run quiesced (deferred schemes reclaim here), and the node is
         // exclusively ours until the splice CAS publishes it.
-        let Some(idx) = self.worker.alloc(key, data) else {
-            return false;
+        let Some(idx) = m.alloc(key, data)? else {
+            return Ok(false);
         };
-        let linked = matches!(self.splice(from, key, idx), Splice::Linked);
+        let linked = self.splice(from, key, idx, m)? == Splice::Linked;
         if !linked {
-            self.worker.free(idx);
+            m.free(idx)?;
         }
-        linked
+        Ok(linked)
     }
 
-    /// Remove `key`; `false` if it was absent (or the budget ran out).
+    /// Remove `key`; `false` if it was absent (or the retry budget ran out).
     #[inline]
-    pub(crate) fn remove(&mut self, from: Prev, key: u32) -> bool {
-        let arena = &self.worker.nodes.arena;
-        let mut budget = self.worker.budget();
-        // retry-bound: each iteration runs one budgeted `find`; a lost mark
-        // CAS means another thread's mutation of `cur` succeeded.
-        loop {
-            let Some(t) = self.find(from, key, &mut budget) else {
-                self.worker.bail();
-                return false;
+    pub fn remove<M: NodeMem>(&self, from: Prev, key: u32, m: &mut M) -> Result<bool, M::Stop> {
+        // retry-bound: as the splice's; a lost mark CAS means another
+        // operation's mutation of `cur` succeeded.
+        let marked = m.retry(|m| {
+            let Some(t) = self.find(from, key, m)? else {
+                return Ok(Attempt::Stale);
             };
             if !t.found {
-                self.worker.guard.quiesce();
-                return false;
+                return Ok(Attempt::Done(None));
             }
-            let next = self.worker.guard.marked_index_of(t.cur_next_raw);
+            let next = m.index_of(t.cur_next_raw);
             // Logical deletion: one CAS sets the mark in cur's own link,
             // atomically verifying the successor did not change.  From this
             // instant the key is gone; everything after is physical cleanup.
-            W::preemption_window();
-            if !self
-                .worker
-                .guard
-                .cas_link_mark(arena.next_word(t.cur), t.cur_next_raw, next, true)
-            {
-                // Raced with another mutation on cur: back off, then re-find.
-                self.worker.backoff.pause();
-                continue;
-            }
-            // Physical unlink.  On failure some helper's traversal will (or
-            // already did) unlink and retire the node — exactly one thread
-            // wins that CAS, so exactly one retires.
-            if self.cas_prev(t.prev, t.prev_raw, next) {
-                self.worker.tally(t.cur, t.cur_gen);
-                self.worker.retire(t.cur);
+            m.window();
+            if m.cas_link(t.cur, t.cur_next_raw, next, true)? {
+                Ok(Attempt::Done(Some((t, next))))
             } else {
-                self.worker.guard.quiesce();
+                // Raced with another mutation on cur: back off, then
+                // re-find.
+                Ok(Attempt::Lost)
             }
-            self.worker.backoff.reset();
-            return true;
+        })?;
+        match marked {
+            Some(Some((t, next))) => {
+                // Physical unlink.  On failure some helper's traversal will
+                // (or already did) unlink and retire the node — exactly one
+                // thread wins that CAS, so exactly one retires.
+                if self.cas_prev(t.prev, t.prev_raw, next, m)? {
+                    m.tally(t.cur, t.cur_gen);
+                    m.retire(t.cur)?;
+                } else {
+                    m.quiesce()?;
+                }
+                Ok(true)
+            }
+            Some(None) => {
+                m.quiesce()?;
+                Ok(false)
+            }
+            None => {
+                m.bail()?;
+                Ok(false)
+            }
         }
     }
 
-    /// The data `key` carries, if it is a member.
+    /// The data `key` carries, if it is a member; `None` also if the retry
+    /// budget ran out.
     #[inline]
-    pub(crate) fn get(&mut self, from: Prev, key: u32) -> Option<u32> {
-        let mut budget = self.worker.budget();
-        let Some(t) = self.find(from, key, &mut budget) else {
-            self.worker.bail();
-            return None;
+    pub fn get<M: NodeMem>(&self, from: Prev, key: u32, m: &mut M) -> Result<Option<u32>, M::Stop> {
+        // retry-bound: as the splice's, with no CAS of its own to lose.
+        let found = m.retry(|m| {
+            Ok(match self.find(from, key, m)? {
+                Some(t) => Attempt::Done(t),
+                None => Attempt::Stale,
+            })
+        })?;
+        let Some(t) = found else {
+            m.bail()?;
+            return Ok(None);
         };
         // Read the data while the traversal's protections are still held,
         // then release them.
-        let data = t.found.then(|| self.worker.nodes.arena.data(t.cur));
-        self.worker.guard.quiesce();
-        data
+        let data = if t.found { Some(m.data(t.cur)?) } else { None };
+        m.quiesce()?;
+        Ok(data)
     }
 }
 

@@ -10,7 +10,9 @@
 //!   each access as schedulable steps; the first step past the logged ones
 //!   stops the call.
 //!
-//! The Michael–Scott queue ([`crate::queue::MsQueue`]) is written against it.
+//! The Michael–Scott queue ([`crate::queue::MsQueue`]) and the
+//! Harris–Michael list under the set and the map ([`crate::list::HmList`])
+//! are written against it.
 //!
 //! [`Infallible`]: std::convert::Infallible
 
@@ -35,9 +37,11 @@ pub enum Attempt<T> {
 /// methods are what a memory without the diagnostics does.
 ///
 /// Slot words and link words are raw: the code reads the designated node
-/// with [`NodeMem::index_of`] and hands the raw word back to
-/// [`NodeMem::validate`], [`NodeMem::cas`] or [`NodeMem::cas_link`]
-/// unchanged.  Nodes are arena indices ([`NIL`](crate::NIL) for none).
+/// with [`NodeMem::index_of`] (and a link's deletion mark with
+/// [`NodeMem::mark_of`]) and hands the raw word back to
+/// [`NodeMem::validate`], [`NodeMem::validate_link`], [`NodeMem::cas`] or
+/// [`NodeMem::cas_link`] unchanged.  Nodes are arena indices
+/// ([`NIL`](crate::NIL) for none).
 pub trait NodeMem {
     /// Why an access did not return — never, on hardware; "the call is now
     /// poised on this step", under the simulator.
@@ -59,39 +63,59 @@ pub trait NodeMem {
     fn cas(&mut self, slot: SlotId, raw: u64, idx: u64) -> Result<bool, Self::Stop>;
 
     /// `Guard::protect_link`: extend protection in `lane` to node `idx`,
-    /// then confirm that `slot` still holds `raw`.  By default, as for every
-    /// scheme but hazard pointers, only the confirmation.
+    /// then confirm that `slot` still holds `raw` (under every scheme but
+    /// hazard pointers, only the confirmation).
     fn protect_link(
         &mut self,
         lane: usize,
         idx: u64,
         slot: SlotId,
         raw: u64,
-    ) -> Result<bool, Self::Stop> {
-        let _ = (lane, idx);
-        self.validate(slot, raw)
-    }
+    ) -> Result<bool, Self::Stop>;
 
     // -- a node's fields ----------------------------------------------------
 
     /// Load node `node`'s next link.
     fn load_link(&mut self, node: u64) -> Result<u64, Self::Stop>;
 
+    /// Whether node `node`'s next link still holds `raw`.
+    fn validate_link(&mut self, node: u64, raw: u64) -> Result<bool, Self::Stop>;
+
+    /// `Guard::protect_link_word`, the hand-over-hand step of a walk:
+    /// extend protection in `lane` to node `idx`, read out of node `node`'s
+    /// link, then confirm that the link still holds `raw` (under every
+    /// scheme but hazard pointers, only the confirmation).
+    fn protect_link_word(
+        &mut self,
+        lane: usize,
+        idx: u64,
+        node: u64,
+        raw: u64,
+    ) -> Result<bool, Self::Stop>;
+
     /// Point the next link of `node` — a node the caller owns, not yet
     /// published — at `idx`.
     fn store_link(&mut self, node: u64, idx: u64) -> Result<(), Self::Stop>;
 
-    /// CAS node `node`'s next link from `raw` to a word designating `idx`.
-    fn cas_link(&mut self, node: u64, raw: u64, idx: u64) -> Result<bool, Self::Stop>;
+    /// CAS node `node`'s next link from `raw` to a word designating `idx`
+    /// and carrying the deletion mark `marked`.
+    fn cas_link(&mut self, node: u64, raw: u64, idx: u64, marked: bool)
+        -> Result<bool, Self::Stop>;
 
-    /// Node `node`'s value.
+    /// Node `node`'s value (a list node's key): the low half of its value
+    /// word.
     fn value(&mut self, node: u64) -> Result<u32, Self::Stop>;
+
+    /// Node `node`'s data (a map entry's value): the high half of its value
+    /// word.
+    fn data(&mut self, node: u64) -> Result<u32, Self::Stop>;
 
     // -- the node lifecycle -------------------------------------------------
 
-    /// A node carrying `value`, private to the caller until its publishing
-    /// CAS; `None` if the scheme denies the allocation or no node is free.
-    fn alloc(&mut self, value: u32) -> Result<Option<u64>, Self::Stop>;
+    /// A node carrying `value` and `data`, private to the caller until its
+    /// publishing CAS; `None` if the scheme denies the allocation or no node
+    /// is free.
+    fn alloc(&mut self, value: u32, data: u32) -> Result<Option<u64>, Self::Stop>;
 
     /// Hand over a node unlinked by a successful CAS; this ends the
     /// operation's protection.
@@ -119,11 +143,23 @@ pub trait NodeMem {
         attempt: impl Fn(&mut Self) -> Result<Attempt<T>, Self::Stop>,
     ) -> Result<Option<T>, Self::Stop>;
 
+    /// Spend one unit of the running [`NodeMem::retry`] loop's budget on a
+    /// hop of a walk inside an attempt; `false`: the budget is spent, and
+    /// the attempt must end ([`Attempt::Stale`]) so that the loop does.  A
+    /// walk on a chain the unprotected scheme has cycled never restarts, so
+    /// only this ends it.  By default, with no budget, always `true`.
+    fn hop(&mut self) -> bool {
+        true
+    }
+
     // -- no step ------------------------------------------------------------
 
     /// The node a raw slot or link word designates ([`NIL`](crate::NIL) if
-    /// none).
+    /// none), whether or not the word carries the deletion mark.
     fn index_of(&self, raw: u64) -> u64;
+
+    /// The deletion mark of a raw link word.
+    fn mark_of(&self, raw: u64) -> bool;
 
     // The hardware diagnostics, which a simulated memory does without.
 

@@ -8,7 +8,7 @@
 //! its algorithm; how an operation obtains a node, hands it back and accounts
 //! for it is decided here, as the simulator's `algorithms/protect.rs` decides
 //! it for the models (DESIGN.md §3.1).  A [`Worker`] is also the hardware
-//! [`NodeMem`]: the queue's code runs on it directly.
+//! [`NodeMem`]: the queue's and the list's code run on it directly.
 
 use std::convert::Infallible;
 use std::marker::PhantomData;
@@ -72,6 +72,7 @@ impl<R: Reclaimer> Nodes<R> {
             guard: self.reclaim.guard(tid, self.arena.live_capacity()),
             magazine: self.arena.magazine(self.threads),
             backoff: Backoff::new(tid as u64),
+            left: Budget(None),
             window: PhantomData,
         }
     }
@@ -86,6 +87,8 @@ pub(crate) struct Worker<'a, R: Reclaimer, W: Window> {
     /// (the map's bucket dummies included).
     pub(crate) magazine: Magazine<'a>,
     pub(crate) backoff: Backoff,
+    /// What is left of the running [`NodeMem::retry`] loop's budget.
+    left: Budget,
     window: PhantomData<W>,
 }
 
@@ -134,44 +137,6 @@ impl<R: Reclaimer, W: Window> Worker<'_, R, W> {
     pub(crate) fn free(&mut self, idx: u64) {
         self.magazine.free(idx);
     }
-
-    /// The iteration budget of one operation (see [`Budget`]).
-    #[inline]
-    pub(crate) fn budget(&self) -> Budget {
-        let nodes = self.nodes;
-        Budget(nodes.reclaim.retry_bound(nodes.arena.live_capacity()))
-    }
-
-    /// Node `idx`'s generation for [`Worker::tally`]; 0, unread, unless the
-    /// scheme is unprotected.  Under the others a successful CAS or the
-    /// protection already rules the ABA out, and an immediate-free scheme
-    /// may recycle the node before a tally reads it (a splice predecessor):
-    /// a false event.
-    #[inline]
-    pub(crate) fn generation(&self, idx: u64) -> u64 {
-        if matches!(R::SCHEME, Scheme::Unprotected) {
-            self.nodes.arena.generation(idx)
-        } else {
-            0
-        }
-    }
-
-    /// After a successful CAS that acted on node `idx`, read at generation
-    /// `seen`: count an ABA event if the node was recycled in between — the
-    /// post-hoc detector only the unprotected scheme runs.
-    #[inline]
-    pub(crate) fn tally(&self, idx: u64, seen: u64) {
-        if self.generation(idx) != seen {
-            self.nodes.aba_events.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Budget exhausted (unprotected corruption): record the event, release
-    /// the protections and leave the structure alone.
-    pub(crate) fn bail(&mut self) {
-        self.nodes.aba_events.fetch_add(1, Ordering::SeqCst);
-        self.guard.quiesce();
-    }
 }
 
 /// The hardware [`NodeMem`]: every method is one call on the guard, the
@@ -179,27 +144,22 @@ impl<R: Reclaimer, W: Window> Worker<'_, R, W> {
 impl<R: Reclaimer, W: Window> NodeMem for Worker<'_, R, W> {
     type Stop = Infallible;
 
-    #[inline]
     fn protect(&mut self, lane: usize, slot: SlotId) -> Result<u64, Infallible> {
         Ok(self.guard.protect(lane, slot))
     }
 
-    #[inline]
     fn load(&mut self, slot: SlotId) -> Result<u64, Infallible> {
         Ok(self.guard.load(slot))
     }
 
-    #[inline]
     fn validate(&mut self, slot: SlotId, raw: u64) -> Result<bool, Infallible> {
         Ok(self.guard.validate(slot, raw))
     }
 
-    #[inline]
     fn cas(&mut self, slot: SlotId, raw: u64, idx: u64) -> Result<bool, Infallible> {
         Ok(self.guard.cas(slot, raw, idx))
     }
 
-    #[inline]
     fn protect_link(
         &mut self,
         lane: usize,
@@ -210,71 +170,94 @@ impl<R: Reclaimer, W: Window> NodeMem for Worker<'_, R, W> {
         Ok(self.guard.protect_link(lane, idx, slot, raw))
     }
 
-    #[inline]
     fn load_link(&mut self, node: u64) -> Result<u64, Infallible> {
         Ok(self.guard.load_link(self.nodes.arena.next_word(node)))
     }
 
-    #[inline]
+    fn validate_link(&mut self, node: u64, raw: u64) -> Result<bool, Infallible> {
+        let link = self.nodes.arena.next_word(node);
+        Ok(self.guard.validate_link(link, raw))
+    }
+
+    fn protect_link_word(
+        &mut self,
+        lane: usize,
+        idx: u64,
+        node: u64,
+        raw: u64,
+    ) -> Result<bool, Infallible> {
+        let link = self.nodes.arena.next_word(node);
+        Ok(self.guard.protect_link_word(lane, idx, link, raw))
+    }
+
     fn store_link(&mut self, node: u64, idx: u64) -> Result<(), Infallible> {
         let link = self.nodes.arena.next_word(node);
         self.guard.store_link_mark(link, idx, false);
         Ok(())
     }
 
-    #[inline]
-    fn cas_link(&mut self, node: u64, raw: u64, idx: u64) -> Result<bool, Infallible> {
+    fn cas_link(
+        &mut self,
+        node: u64,
+        raw: u64,
+        idx: u64,
+        marked: bool,
+    ) -> Result<bool, Infallible> {
         let link = self.nodes.arena.next_word(node);
-        Ok(self.guard.cas_link_mark(link, raw, idx, false))
+        Ok(self.guard.cas_link_mark(link, raw, idx, marked))
     }
 
-    #[inline]
     fn value(&mut self, node: u64) -> Result<u32, Infallible> {
         Ok(self.nodes.arena.value(node))
     }
 
-    #[inline]
-    fn alloc(&mut self, value: u32) -> Result<Option<u64>, Infallible> {
-        Ok(Worker::alloc(self, value, 0))
+    fn data(&mut self, node: u64) -> Result<u32, Infallible> {
+        Ok(self.nodes.arena.data(node))
     }
 
     #[inline]
+    fn alloc(&mut self, value: u32, data: u32) -> Result<Option<u64>, Infallible> {
+        Ok(Worker::alloc(self, value, data))
+    }
+
     fn retire(&mut self, node: u64) -> Result<(), Infallible> {
         Worker::retire(self, node);
         Ok(())
     }
 
-    #[inline]
     fn free(&mut self, node: u64) -> Result<(), Infallible> {
         Worker::free(self, node);
         Ok(())
     }
 
-    #[inline]
     fn quiesce(&mut self) -> Result<(), Infallible> {
         self.guard.quiesce();
         Ok(())
     }
 
-    #[inline]
+    /// Count the exhausted budget (unprotected corruption) as an ABA event,
+    /// release the protections and leave the structure alone.
     fn bail(&mut self) -> Result<(), Infallible> {
-        Worker::bail(self);
+        self.nodes.aba_events.fetch_add(1, Ordering::SeqCst);
+        self.guard.quiesce();
         Ok(())
     }
 
-    /// The unprotected scheme's [`Budget`], a backoff pause after a lost
-    /// CAS and none after a stale snapshot; the backoff resets once the
-    /// loop is done.
+    /// The unprotected scheme's [`Budget`], spent on every attempt and
+    /// every [`NodeMem::hop`] in one; a backoff pause after a lost CAS and
+    /// none after a stale snapshot; the backoff resets once the loop is
+    /// done.
     #[inline]
     fn retry<T>(
         &mut self,
         attempt: impl Fn(&mut Self) -> Result<Attempt<T>, Infallible>,
     ) -> Result<Option<T>, Infallible> {
-        let mut budget = self.budget();
-        // retry-bound: `budget` is finite under the unprotected scheme, whose
-        // ABA can cycle a chain; under the others an attempt fails only when
-        // another operation made progress.
-        while budget.spend() {
+        let nodes = self.nodes;
+        self.left = Budget(nodes.reclaim.retry_bound(nodes.arena.live_capacity()));
+        // retry-bound: the budget is finite under the unprotected scheme,
+        // whose ABA can cycle a chain; under the others an attempt fails only
+        // when another operation made progress.
+        while self.hop() {
             match attempt(self)? {
                 Attempt::Done(value) => {
                     self.backoff.reset();
@@ -287,22 +270,39 @@ impl<R: Reclaimer, W: Window> NodeMem for Worker<'_, R, W> {
         Ok(None)
     }
 
-    #[inline]
+    /// Only the unprotected scheme's budget is finite, so under the others
+    /// this is `true` at compile time and a walk keeps no count.
+    fn hop(&mut self) -> bool {
+        !matches!(R::SCHEME, Scheme::Unprotected) || self.left.spend()
+    }
+
     fn index_of(&self, raw: u64) -> u64 {
         self.guard.index_of(raw)
     }
 
-    #[inline]
+    fn mark_of(&self, raw: u64) -> bool {
+        self.guard.mark_of(raw)
+    }
+
+    /// Read only under the unprotected scheme, 0 under the others: there a
+    /// successful CAS or the protection already rules the ABA out, and an
+    /// immediate-free scheme may recycle the node before a tally reads it
+    /// (a splice predecessor): a false event.
     fn generation(&self, node: u64) -> u64 {
-        Worker::generation(self, node)
+        if matches!(R::SCHEME, Scheme::Unprotected) {
+            self.nodes.arena.generation(node)
+        } else {
+            0
+        }
     }
 
-    #[inline]
+    /// The post-hoc detector only the unprotected scheme runs.
     fn tally(&self, node: u64, seen: u64) {
-        Worker::tally(self, node, seen);
+        if self.generation(node) != seen {
+            self.nodes.aba_events.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
-    #[inline]
     fn window(&self) {
         W::preemption_window();
     }

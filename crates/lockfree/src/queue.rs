@@ -185,7 +185,7 @@ impl MsQueue {
     /// retry budget ran out (unprotected corruption, counted as an ABA
     /// event).
     pub fn enqueue<M: NodeMem>(&self, value: u32, m: &mut M) -> Result<bool, M::Stop> {
-        let Some(idx) = m.alloc(value)? else {
+        let Some(idx) = m.alloc(value, 0)? else {
             return Ok(false);
         };
         // Re-nil our node's next link through the guard: a counted codec
@@ -210,7 +210,7 @@ impl MsQueue {
                 return Ok(Attempt::Stale);
             }
             m.window();
-            if m.cas_link(tail, next_raw, idx)? {
+            if m.cas_link(tail, next_raw, idx, false)? {
                 Ok(Attempt::Done(tail_raw))
             } else {
                 // Lost the link race: back off before re-reading the tail.

@@ -33,6 +33,7 @@ use aba_reclaim::{
 };
 
 use crate::arena::{NodeArena, NIL};
+use crate::mem::NodeMem;
 use crate::nodes::{Nodes, Worker};
 use crate::{Family, Production, Racing, Window};
 

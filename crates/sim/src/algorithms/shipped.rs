@@ -105,6 +105,10 @@ impl NodeMem for Nodes<'_, '_> {
         self.m.cas(slot, raw, new)
     }
 
+    fn protect_link(&mut self, _lane: usize, _idx: u64, slot: SlotId, raw: u64) -> Run<bool> {
+        self.validate(slot, raw)
+    }
+
     fn load_link(&mut self, node: u64) -> Run<u64> {
         self.m.read(self.next_obj(node))
     }
@@ -118,8 +122,16 @@ impl NodeMem for Nodes<'_, '_> {
         self.m.write(link, links.encode(old, idx, false))
     }
 
-    fn cas_link(&mut self, node: u64, raw: u64, idx: u64) -> Run<bool> {
-        let new = self.prot.links.encode(raw, idx, false);
+    fn validate_link(&mut self, node: u64, raw: u64) -> Run<bool> {
+        Ok(self.m.read(self.next_obj(node))? == raw)
+    }
+
+    fn protect_link_word(&mut self, _lane: usize, _idx: u64, node: u64, raw: u64) -> Run<bool> {
+        self.validate_link(node, raw)
+    }
+
+    fn cas_link(&mut self, node: u64, raw: u64, idx: u64, marked: bool) -> Run<bool> {
+        let new = self.prot.links.encode(raw, idx, marked);
         self.m.cas(self.next_obj(node), raw, new)
     }
 
@@ -127,7 +139,11 @@ impl NodeMem for Nodes<'_, '_> {
         Ok(self.m.read(self.value_obj(node))? as u32)
     }
 
-    fn alloc(&mut self, value: u32) -> Run<Option<u64>> {
+    fn data(&mut self, node: u64) -> Run<u32> {
+        Ok((self.m.read(self.value_obj(node))? >> 32) as u32)
+    }
+
+    fn alloc(&mut self, value: u32, data: u32) -> Run<Option<u64>> {
         // An empty free set fails the allocation without a reclamation
         // attempt unless limbo is held — every quarantined node is
         // adoptable through a retiring peer's advance, and keeping the
@@ -135,7 +151,8 @@ impl NodeMem for Nodes<'_, '_> {
         let Some(node) = self.prot.alloc(reclaim, self.m)? else {
             return Ok(None);
         };
-        self.m.write(self.value_obj(node), u64::from(value))?;
+        let word = u64::from(data) << 32 | u64::from(value);
+        self.m.write(self.value_obj(node), word)?;
         Ok(Some(node))
     }
 
@@ -182,5 +199,9 @@ impl NodeMem for Nodes<'_, '_> {
 
     fn index_of(&self, raw: u64) -> u64 {
         self.prot.links.index(raw)
+    }
+
+    fn mark_of(&self, raw: u64) -> bool {
+        self.prot.links.marked(raw)
     }
 }
