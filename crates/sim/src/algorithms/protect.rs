@@ -7,8 +7,8 @@
 //! here, as a function of [`Protection`] named after the `Guard` method it
 //! models (DESIGN.md §3.1), every shared-memory access of which is one
 //! schedulable step.  *Which* sequences run in *what* order is composed by
-//! the set model ([`set`](super::set)) and by the adapter the shipped queue
-//! code runs on (`shipped.rs`); nothing here asks which structure it serves.
+//! the adapter the shipped queue and list code run on (`shipped.rs`);
+//! nothing here asks which structure it serves.
 //!
 //! Limbo bags are process-*private* (each process's own retired nodes, never
 //! read by others), so they live in [`Protection`] rather than in shared
@@ -20,10 +20,6 @@ use aba_spec::ProcessId;
 
 use super::replay::{Mem, Run};
 use crate::object::{BaseObject, ObjId};
-
-/// Hazard lanes per process of a traversing structure (predecessor /
-/// current / successor).
-pub(crate) const HAZ_LANES: usize = 3;
 
 /// Consecutive blocked advance attempts after which a process may transfer
 /// its private limbo to the shared quarantine: the hardware's own threshold.
@@ -187,8 +183,11 @@ impl Protection {
 
     /// `true` once [`TRANSFER_AFTER_BLOCKED`] advances in a row were blocked
     /// while limbo is held: the bags are stranded behind a parked peer.
+    /// Never for a layout without a quarantine.
     pub(crate) fn transfer_due(&self) -> bool {
-        self.blocked_advances >= TRANSFER_AFTER_BLOCKED && self.holds_limbo()
+        self.layout.stamps > 0
+            && self.blocked_advances >= TRANSFER_AFTER_BLOCKED
+            && self.holds_limbo()
     }
 
     /// Free-set bits of the limbo nodes the last reclamation attempt made
@@ -280,17 +279,22 @@ impl Protection {
         }
     }
 
-    /// Extend protection in `lane` to the node designated by the word `raw`
-    /// read from `src`: publish-then-revalidate under hazard pointers,
-    /// nothing otherwise.  Whether the source word still held `raw` after
-    /// the publication (always `true` for a scheme that publishes nothing —
-    /// its words or its pin carry the protection).
-    pub(crate) fn protect(&self, lane: usize, src: ObjId, raw: u64, m: &mut Mem<'_>) -> Run<bool> {
-        if self.scheme != Scheme::Hazard {
-            return Ok(true);
+    /// `protect_link` / `protect_link_word`, and each try of a hazard slot
+    /// `protect`: extend protection in `lane` to node `idx`, then confirm
+    /// that `src` still holds the word `raw` — publish-then-revalidate under
+    /// hazard pointers, the confirmation alone under a scheme that publishes
+    /// nothing (its words or its pin carry the protection).
+    pub(crate) fn protect(
+        &self,
+        lane: usize,
+        idx: u64,
+        src: ObjId,
+        raw: u64,
+        m: &mut Mem<'_>,
+    ) -> Run<bool> {
+        if self.scheme == Scheme::Hazard {
+            m.write(self.layout.hazard(self.pid, lane), idx + 1)?;
         }
-        let node = self.links.index(raw);
-        m.write(self.layout.hazard(self.pid, lane), node + 1)?;
         // The hazard protects the node only if its source still designates
         // it after the publication: then the protection took hold before any
         // retirement scan could miss it.
@@ -318,11 +322,13 @@ impl Protection {
         }
     }
 
-    /// Release every protection: clear the hazard lanes, or unpin.
-    pub(crate) fn quiesce(&self, m: &mut Mem<'_>) -> Run<()> {
+    /// Release the protections `held` names: clear each hazard lane whose
+    /// bit is set, or unpin.
+    pub(crate) fn quiesce(&self, held: u64, m: &mut Mem<'_>) -> Run<()> {
         match self.scheme {
             Scheme::Unprotected | Scheme::Tagged | Scheme::LlSc => Ok(()),
             Scheme::Hazard => (0..self.layout.lanes)
+                .filter(|lane| held >> lane & 1 != 0)
                 .try_for_each(|lane| m.write(self.layout.hazard(self.pid, lane), 0)),
             Scheme::Epoch => m.write(self.layout.local_epoch(self.pid), 0),
         }
@@ -383,10 +389,13 @@ impl Protection {
 
     /// Claim every quarantined node at least two advances old; the bits
     /// claimed, which the adopter owns and must `release`.  0: nothing
-    /// eligible, or the claim CAS lost — whoever changed the mask either
-    /// adopted the nodes or transferred new ones, so a single attempt keeps
-    /// adoption bounded.
+    /// eligible, no quarantine in the layout, or the claim CAS lost —
+    /// whoever changed the mask either adopted the nodes or transferred new
+    /// ones, so a single attempt keeps adoption bounded.
     pub(crate) fn adopt(&self, m: &mut Mem<'_>) -> Run<u64> {
+        if self.layout.stamps == 0 {
+            return Ok(0);
+        }
         let qmask = self.layout.quarantine_mask();
         let mask = m.read(qmask)?;
         let mut take = 0;
@@ -411,6 +420,9 @@ mod tests {
     use super::super::replay::drive;
     use super::*;
     use crate::object::{BaseOp, SharedMemory};
+
+    /// Hazard lanes per process of a traversing structure.
+    const HAZ_LANES: usize = aba_lockfree::list::LANES;
 
     /// A structure with no objects of its own but the free set.
     const EPOCH: Layout = Layout {
@@ -610,7 +622,7 @@ mod tests {
         assert!(p.holds_limbo(), "node 2 stays in limbo");
         assert_eq!(p.reclaimable(), 0);
         // quiesce clears every lane of ours and nobody else's.
-        alone(&mut p, &mut mem, |p, m| p.quiesce(m));
+        alone(&mut p, &mut mem, |p, m| p.quiesce(0b111, m));
         assert_eq!(mem.peek(HAZARD.hazard(1, 0)), 0);
         assert_eq!(mem.peek(HAZARD.hazard(0, 1)), 3);
     }

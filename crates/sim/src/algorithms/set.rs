@@ -1,46 +1,47 @@
-//! Step-level Harris–Michael ordered-set models for the simulator.
+//! The Harris–Michael set rows of the simulator: `aba-lockfree`'s own list
+//! code, run step by step.
 //!
-//! The hardware sets in `aba-lockfree` exhibit their ABA only when a
-//! preemptive scheduler interleaves unluckily; here the *schedule is the
-//! input*, so a seeded random search can reproducibly produce a concrete
-//! non-linearizable execution of the unprotected variant — the traversal
-//! counterpart of `search_violation`'s queue witnesses, and the hardest
-//! surface the paper's schemes must defend: an operation parks holding a
-//! predecessor's link word deep inside the chain while other processes
-//! unlink, free and recycle the nodes it reasons about.
-//!
-//! One model holds the set's own steps (traverse, splice, mark, unlink);
-//! everything a protection scheme adds is a function of the shared `protect`
-//! module, composed here in four modes:
+//! The hardware sets exhibit their ABA only when a preemptive scheduler
+//! interleaves unluckily; here the *schedule is the input*, so a seeded
+//! search reproducibly produces a non-linearizable execution of the
+//! unprotected variant — the hardest surface the paper's schemes must
+//! defend: an operation parks holding a predecessor's link word deep inside
+//! the chain while other processes unlink, free and recycle the nodes it
+//! reasons about.  A process is `Replay` of `aba_lockfree::list::HmList` —
+//! the find, insert, remove and get every `GenericSet` and `GenericMap`
+//! handle runs — with every walk started at the root slot, over the adapter
+//! in `shipped.rs`, in four modes:
 //!
 //! * [`SetSim::unprotected`] — bare `(mark, index)` words, immediate free;
 //!   a stale splice or unlink CAS succeeds against a recycled node (lost
 //!   keys, resurrected keys, wedged chains).
-//! * [`SetSim::tagged`] — every head/link word is a counted word bumped by
-//!   each CAS (§1 tagging); stale CASes fail.
-//! * [`SetSim::hazard`] — three hazard registers per process, published
-//!   hand-over-hand (successor first, then re-validate the still-protected
-//!   predecessor's link); an unlinked node waits in a private limbo until a
-//!   scan of the other processes' registers clears it.
-//! * [`SetSim::epoch`] — pin before traversing, stamp retirees with a
-//!   post-unlink epoch read, free after two advances.  Unlike the queue the
-//!   set pins first (every operation starts by traversing) and never uses
-//!   the quarantine.
+//! * [`SetSim::tagged`] — every root and link word is a counted word bumped
+//!   by each CAS (§1 tagging); stale CASes fail.
+//! * [`SetSim::hazard`] — the list's three hazard lanes per process,
+//!   published hand-over-hand (successor first, then re-validate the
+//!   still-protected predecessor's link); a retire clears the lanes and
+//!   keeps the node in a private limbo until a scan of the other processes'
+//!   registers clears it.
+//! * [`SetSim::epoch`] — the first protected load pins, a retiree is
+//!   stamped with a post-unlink epoch read and freed after two advances;
+//!   the layout has no quarantine, so limbo is never transferred.
 //!
-//! Memory layout for a capacity-`C`, `n`-process set: object 0 is `head`,
-//! object 1 is the free set, node `k` owns objects `2 + 2k` (key) and
-//! `3 + 2k` (next link, `(index, mark)` in the scheme's own hardware codec,
-//! `aba_reclaim::Guard::Links`, counted under tagging); then the protection
-//! registers — one global-epoch object, `n` local-epoch registers and `3n`
-//! hazard registers (allocated in every mode so object ids are uniform;
-//! unused modes never touch them).
+//! Memory layout for a capacity-`C`, `n`-process set: object 0 is the root
+//! slot (`head`), object 1 is the free set, node `k` owns objects `2 + 2k`
+//! (value word: the key) and `3 + 2k` (next link, `(index, mark)` in the
+//! scheme's own hardware codec, counted under tagging); then the protection
+//! registers — one global-epoch object, `n` local-epoch registers and three
+//! hazard registers per process (allocated in every mode so object ids are
+//! uniform; unused modes never touch them).
 
+use aba_lockfree::list::{HmList, LANES};
 use aba_reclaim::{Scheme, NIL};
-use aba_spec::{ProcessId, Word};
+use aba_spec::ProcessId;
 
-use super::protect::{Layout, Links, Protection, HAZ_LANES};
-use super::replay::{Mem, Model, Replay, Run};
-use crate::algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
+use super::protect::{Layout, Links, Protection};
+use super::replay::Replay;
+use super::shipped::Shipped;
+use crate::algorithm::{SimAlgorithm, SimProcess};
 use crate::object::{BaseObject, ObjId};
 
 const OBJ_HEAD: ObjId = 0;
@@ -103,31 +104,21 @@ impl SetSim {
         Self::new(n, capacity, Scheme::Epoch)
     }
 
-    /// Arena capacity (number of nodes).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn layout(&self) -> Layout {
         Layout {
             free: OBJ_FREE,
             base: 2 + 2 * self.capacity,
             n: self.n,
-            lanes: HAZ_LANES,
+            lanes: LANES,
             stamps: 0,
         }
     }
 
-    /// Object id of process `p`'s local-epoch register (epoch mode; `0` =
-    /// quiescent, `e + 1` = pinned at epoch `e`).
-    pub fn local_epoch_obj(&self, p: ProcessId) -> ObjId {
-        self.layout().local_epoch(p)
-    }
-
-    /// Object id of process `p`'s hazard register for `lane` (hazard mode;
-    /// `0` = clear, `idx + 1` = protecting node `idx`).
-    pub fn hazard_obj(&self, p: ProcessId, lane: usize) -> ObjId {
-        self.layout().hazard(p, lane)
+    fn process(&self, pid: ProcessId) -> Shipped<HmList> {
+        Shipped {
+            code: HmList::new(OBJ_HEAD),
+            prot: Protection::new(self.scheme, self.layout(), pid),
+        }
     }
 }
 
@@ -161,227 +152,14 @@ impl SimAlgorithm for SetSim {
     }
 
     fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess> {
-        Box::new(Replay::new(SetProc {
-            prot: Protection::new(self.scheme, self.layout(), pid),
-        }))
-    }
-}
-
-/// Where a traversal stopped: at the first node whose key is not below the
-/// one sought, or at the end of the chain.
-#[derive(Debug, Clone, Copy)]
-struct Position {
-    /// The object holding the predecessor word (the head, or a next link).
-    prev: ObjId,
-    /// The word observed in the predecessor, designating `cur` unmarked.
-    prev_raw: u64,
-    /// Current node ([`NIL`] at the end of the chain).
-    cur: u64,
-    /// `cur`'s observed link (meaningful when `found`).
-    next_raw: u64,
-    /// Whether `cur` holds exactly the key sought.
-    found: bool,
-}
-
-/// How one traversal from the head ended.
-#[derive(Debug, Clone, Copy)]
-enum Traversal {
-    At(Position),
-    /// It unlinked this marked node on the way, which the caller must retire
-    /// before traversing again.
-    Unlinked(u64),
-}
-
-#[derive(Debug, Clone)]
-struct SetProc {
-    prot: Protection,
-}
-
-impl Model for SetProc {
-    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
-        // Every operation starts by traversing, so it pins first.
-        self.prot.pin(m)?;
-        let response = match call {
-            MethodCall::Insert(key) => MethodResponse::InsertResult(self.insert(key, m)?),
-            MethodCall::Remove(key) => MethodResponse::RemoveResult(self.remove(key, m)?),
-            MethodCall::Contains(key) => MethodResponse::ContainsResult(self.find(key, m)?.found),
-            other => panic!("set simulation given {other:?}"),
-        };
-        // The mode's epilogue: clear the hazard lanes, or unpin and make at
-        // most one advance attempt.  Epoch reclamation is driven from the
-        // quiescent side of the unpin (hazard limbo was scanned at the
-        // retire); it responds whatever the attempt freed, because waiting
-        // here for the limbo to drain would wait on a parked peer's pin.
-        self.prot.quiesce(m)?;
-        if self.prot.scheme == Scheme::Epoch && self.prot.holds_limbo() {
-            reclaim(&mut self.prot, m)?;
-        }
-        Ok(response)
-    }
-}
-
-/// One reclamation attempt: a hazard scan or an epoch advance, however it
-/// ends, then the release of what it made reclaimable.  Only deferred-free
-/// schemes hold limbo to reclaim.
-fn reclaim(prot: &mut Protection, m: &mut Mem<'_>) -> Run<()> {
-    match prot.scheme {
-        Scheme::Hazard => prot.scan(m)?,
-        Scheme::Epoch => drop(prot.advance(m)?),
-        Scheme::Unprotected | Scheme::Tagged | Scheme::LlSc => {
-            unreachable!("immediate-free schemes keep no limbo")
-        }
-    }
-    prot.release(prot.reclaimable(), m)
-}
-
-impl SetProc {
-    fn idx_of(&self, raw: u64) -> u64 {
-        self.prot.links.index(raw)
-    }
-
-    /// The word that replaces `old_raw`: the new index and mark, with the
-    /// counter bumped in tagged mode.
-    fn encode(&self, old_raw: u64, idx: u64, marked: bool) -> u64 {
-        self.prot.links.encode(old_raw, idx, marked)
-    }
-
-    fn value_obj(&self, idx: u64) -> ObjId {
-        2 + 2 * idx as usize
-    }
-
-    fn next_obj(&self, idx: u64) -> ObjId {
-        3 + 2 * idx as usize
-    }
-
-    /// One pass of the shared Harris–Michael traversal, from the head to
-    /// `key`'s position; `None` when a snapshot went stale under it.
-    fn traverse(&self, key: Word, m: &mut Mem<'_>) -> Run<Option<Traversal>> {
-        let mut prev = OBJ_HEAD;
-        let mut prev_raw = m.read(OBJ_HEAD)?;
-        // Hazard lane protecting `cur`; successors rotate through the other
-        // two, so the overwritten lane is always two hops out of scope.
-        let mut lane = 0;
-        // retry-bound: not a retry — every iteration hops one node further
-        // and the CAS ends the traversal either way.  Only a chain the
-        // unprotected variant has cycled never ends: the wedge the explorers
-        // cut and report.
-        loop {
-            let cur = self.idx_of(prev_raw);
-            let mut at = Position {
-                prev,
-                prev_raw,
-                cur,
-                next_raw: 0,
-                found: false,
-            };
-            if cur == NIL {
-                // End of chain: the key belongs after the last node.
-                return Ok(Some(Traversal::At(at)));
-            }
-            // Hand-over-hand: `cur` takes its lane while its predecessor
-            // stays protected in its own; the hop is trusted only if `prev`
-            // still designates it after the publication.
-            if !self.prot.protect(lane, prev, prev_raw, m)? {
-                return Ok(None);
-            }
-            at.next_raw = m.read(self.next_obj(cur))?;
-            // Michael's `*prev == cur` re-validation: without it a CAS
-            // landing between our two reads hands us the successor of an
-            // already-unlinked node.
-            if m.read(prev)? != prev_raw {
-                return Ok(None);
-            }
-            if self.prot.links.marked(at.next_raw) {
-                let past = self.encode(prev_raw, self.idx_of(at.next_raw), false);
-                let unlinked = m.cas(prev, prev_raw, past)?;
-                return Ok(unlinked.then_some(Traversal::Unlinked(cur)));
-            }
-            let v = m.read(self.value_obj(cur))? as Word;
-            if v >= key {
-                at.found = v == key;
-                return Ok(Some(Traversal::At(at)));
-            }
-            prev = self.next_obj(cur);
-            prev_raw = at.next_raw;
-            lane = (lane + 1) % HAZ_LANES;
-        }
-    }
-
-    /// Traverse until a pass reaches `key`'s position, retiring the marked
-    /// nodes the passes unlink on the way.
-    fn find(&mut self, key: Word, m: &mut Mem<'_>) -> Run<Position> {
-        loop {
-            // retry-bound: a pass fails only when a CAS landed on the words
-            // it read (or its own unlink CAS lost to one) — system-wide
-            // progress.
-            match m.retry(|m| self.traverse(key, m))? {
-                Traversal::At(position) => return Ok(position),
-                Traversal::Unlinked(node) => self.prot.retire(node, m)?,
-            }
-        }
-    }
-
-    fn insert(&mut self, key: Word, m: &mut Mem<'_>) -> Run<bool> {
-        // The allocated-but-unpublished node, kept across failed splices.
-        let mut mine = None;
-        // retry-bound: the splice CAS fails only when another CAS landed on
-        // the predecessor word — system-wide progress.
-        loop {
-            let at = self.find(key, m)?;
-            if at.found {
-                // Undo the allocation of an earlier attempt, if any.
-                self.prot
-                    .release(mine.map_or(0, |node: u64| 1 << node), m)?;
-                return Ok(false);
-            }
-            let node = match mine {
-                Some(node) => node,
-                None => {
-                    let Some(node) = self.prot.alloc(reclaim, m)? else {
-                        return Ok(false);
-                    };
-                    m.write(self.value_obj(node), key as u64)?;
-                    *mine.insert(node)
-                }
-            };
-            // Read under every scheme, as the tagged mode must: one step more
-            // than the bare-codec hardware takes, kept because every E11 pin
-            // of the `set/*` rows is a schedule over it.
-            let old = m.read(self.next_obj(node))?;
-            m.write(self.next_obj(node), self.encode(old, at.cur, false))?;
-            if m.cas(at.prev, at.prev_raw, self.encode(at.prev_raw, node, false))? {
-                return Ok(true);
-            }
-        }
-    }
-
-    fn remove(&mut self, key: Word, m: &mut Mem<'_>) -> Run<bool> {
-        // retry-bound: the mark CAS fails only when another CAS landed on
-        // the node's link — system-wide progress.
-        loop {
-            let at = self.find(key, m)?;
-            if !at.found {
-                return Ok(false);
-            }
-            let next = self.idx_of(at.next_raw);
-            let marked = self.encode(at.next_raw, next, true);
-            if !m.cas(self.next_obj(at.cur), at.next_raw, marked)? {
-                continue;
-            }
-            // The key is logically gone from this instant.  If the unlink
-            // loses, some helper's traversal unlinks (and retires) the node
-            // instead.
-            if m.cas(at.prev, at.prev_raw, self.encode(at.prev_raw, next, false))? {
-                self.prot.retire(at.cur, m)?;
-            }
-            return Ok(true);
-        }
+        Box::new(Replay::new(self.process(pid)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::MethodCall;
     use crate::executor::Simulation;
     use aba_spec::{check_history, Spec};
 
@@ -539,13 +317,14 @@ mod tests {
     }
 
     /// Own steps of an epoch `Remove` that finds its key first in the chain:
-    /// pin (3), traverse to the key (4), mark and unlink (2), stamp the
-    /// retiree (1), unpin (1), then exactly one reclamation attempt — read
-    /// g, scan both locals, CAS g (4).  The retiree is at most one advance
-    /// old, so nothing is freed and the call responds, as the queue model's
-    /// dequeue and the hardware's `quiesce` do, with the node left in limbo
-    /// for a later operation's attempt.
-    const EPOCH_REMOVE_STEPS: u64 = 15;
+    /// pin at the first `protect` (3), walk to the key — read the root, the
+    /// node's link, the root, the key and the root again (5) — mark and
+    /// unlink (2), stamp the retiree (1), unpin (1), then exactly one
+    /// reclamation attempt — read g, scan both locals, CAS g (4).  The
+    /// retiree is at most one advance old, so nothing is freed and the call
+    /// responds, as the queue's dequeue and the hardware's `quiesce` do,
+    /// with the node left in limbo for a later operation's attempt.
+    const EPOCH_REMOVE_STEPS: u64 = 16;
 
     #[test]
     fn a_solo_epoch_remove_makes_one_reclamation_attempt() {
@@ -569,7 +348,11 @@ mod tests {
         for _ in 0..3 {
             let _ = sim.step(1);
         }
-        assert_eq!(sim.registers()[algo.local_epoch_obj(1)], 1, "peer pinned");
+        assert_eq!(
+            sim.registers()[algo.layout().local_epoch(1)],
+            1,
+            "peer pinned"
+        );
         sim.enqueue(0, MethodCall::Remove(5));
         assert_eq!(solo_steps(&mut sim), Some(EPOCH_REMOVE_STEPS));
     }
@@ -582,9 +365,9 @@ mod tests {
         sim.enqueue(1, MethodCall::Remove(5));
         sim.run_until_quiescent();
         for p in 0..2 {
-            for lane in 0..HAZ_LANES {
+            for lane in 0..LANES {
                 assert_eq!(
-                    sim.registers()[algo.hazard_obj(p, lane)],
+                    sim.registers()[algo.layout().hazard(p, lane)],
                     0,
                     "process {p} lane {lane} left a hazard published"
                 );
@@ -598,10 +381,76 @@ mod tests {
         sim.run_until_quiescent();
         for p in 0..2 {
             assert_eq!(
-                sim.registers()[algo.local_epoch_obj(p)],
+                sim.registers()[algo.layout().local_epoch(p)],
                 0,
                 "process {p} left its local epoch pinned"
             );
         }
+    }
+
+    #[test]
+    fn a_hazard_protect_that_rereads_nil_clears_the_lane_it_published() {
+        // Process 1's `Contains(5)` reads the root (node 0) and publishes it;
+        // process 0 then removes the node, so the re-validation fails and the
+        // re-read finds the root nil.  The lane must be cleared there, as
+        // `HazardGuard::protect` clears it: a failed try's publication would
+        // otherwise outlive the call and keep the node in its remover's
+        // limbo.
+        let algo = SetSim::hazard(2, 4);
+        let lane = algo.layout().hazard(1, 0);
+        let mut sim = Simulation::new(&algo);
+        sim.enqueue(0, MethodCall::Insert(5));
+        assert!(solo_steps(&mut sim).is_some());
+        sim.enqueue(1, MethodCall::Contains(5));
+        for _ in 0..2 {
+            let _ = sim.step(1);
+        }
+        assert_eq!(sim.registers()[lane], 1, "node 0 published");
+        sim.enqueue(0, MethodCall::Remove(5));
+        assert!(solo_steps(&mut sim).is_some());
+        sim.run_until_quiescent();
+        let ops = sim.history().ops();
+        assert!(ops
+            .iter()
+            .any(|o| o.kind.to_string() == "Contains(5) -> false"));
+        assert_eq!(sim.registers()[lane], 0, "lane left published");
+    }
+
+    /// Run `call` alone on the unprotected set of capacity 3 whose root
+    /// designates node 0, a node whose link is marked and designates node 0
+    /// itself — a chain an ABA has cycled — while nodes 1 and 2 are free.
+    /// Every walk meets the marked node first, unlinks it by a CAS that
+    /// swings the root from node 0 to node 0, frees it and restarts, for
+    /// good; through `retry`, a spinning call's log holds its prefix and at
+    /// most one attempt: `attempt` steps less the one it is poised on.
+    fn spin_on_a_cycled_chain(call: MethodCall, prefix: usize, attempt: usize) {
+        use crate::object::{BaseOp, SharedMemory};
+        let algo = SetSim::unprotected(1, 3);
+        let links = Links::of(Scheme::Unprotected);
+        let mut mem = SharedMemory::new(algo.initial_objects());
+        mem.apply(BaseOp::Cas(OBJ_HEAD, links.fresh(NIL), links.fresh(0)));
+        mem.apply(BaseOp::Cas(OBJ_FREE, 0b111, 0b110));
+        mem.apply(BaseOp::Write(2, 5)); // node 0's key
+        mem.apply(BaseOp::Write(3, links.encode(0, 0, true))); // node 0's link
+        let mut p = Replay::new(algo.process(0));
+        assert_eq!(p.invoke(call), None);
+        for k in 0..10_000 {
+            assert_eq!(p.step(&mut mem), None, "{call:?} returned at step {k}");
+            assert!(
+                p.logged() < prefix + attempt,
+                "{call:?} step {k}: {} entries",
+                p.logged()
+            );
+        }
+    }
+
+    #[test]
+    fn set_calls_spinning_on_a_cycled_chain_keep_one_attempt_in_their_log() {
+        // Each attempt reads the root, node 0's link and the root again,
+        // CASes the root, and frees node 0 (read and CAS the free set).
+        spin_on_a_cycled_chain(MethodCall::Contains(7), 0, 6);
+        // The prefix allocates node 1 (read and CAS the free set) and writes
+        // its key; the walk never reaches the splice.
+        spin_on_a_cycled_chain(MethodCall::Insert(7), 3, 6);
     }
 }

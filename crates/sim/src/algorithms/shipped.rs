@@ -1,16 +1,17 @@
 //! The simulator's half of `aba_lockfree::mem`: a structure's shipped code
 //! run on the replay memory, so that what an explorer establishes about a
-//! `queue/*` row is established about the code that ships.
+//! `queue/*` or `set/*` row is established about the code that ships.
 //!
-//! [`Shipped`] is the [`Model`] of a code struct ([`MsQueue`]); `Nodes` is
-//! one call's `NodeMem`, each method the `Mem` steps and `protect.rs`
-//! sequences of the `Guard` or `Worker` call it stands for.  Slot `s` is
-//! object `s`; node `k` owns objects `free + 1 + 2k` (value) and
-//! `free + 2 + 2k` (next link), `free` being the free set's id; every word
-//! is encoded by the scheme's hardware codec.  The hardware diagnostics take
-//! no step, `protect_link` is the re-validation of every scheme the queue
-//! rows use, and there is no retry budget: the explorers cut a wedged loop.
+//! [`Shipped`] is the [`Model`] of a code struct ([`MsQueue`], [`HmList`]);
+//! `Nodes` is one call's `NodeMem`, each method the `Mem` steps and
+//! `protect.rs` sequences of the `Guard` or `Worker` call it stands for.
+//! Slot `s` is object `s`; node `k` owns objects `free + 1 + 2k` (value
+//! word) and `free + 2 + 2k` (next link), `free` being the free set's id;
+//! every word is encoded by the scheme's hardware codec.  The hardware
+//! diagnostics take no step, and there is no retry budget: the explorers
+//! cut a wedged loop.
 
+use aba_lockfree::list::{HmList, Prev};
 use aba_lockfree::mem::{Attempt, NodeMem};
 use aba_lockfree::MsQueue;
 use aba_reclaim::{Scheme, SlotId, NIL};
@@ -28,35 +29,67 @@ pub(crate) struct Shipped<C> {
     pub(crate) prot: Protection,
 }
 
-impl Model for Shipped<MsQueue> {
-    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
-        let mut nodes = Nodes {
+impl<C> Shipped<C> {
+    /// One call's memory.
+    fn nodes<'r, 'a>(&'r mut self, m: &'r mut Mem<'a>) -> (&'r C, Nodes<'r, 'a>) {
+        let nodes = Nodes {
             m,
             prot: &mut self.prot,
-            pinned: false,
+            held: 0,
+            deferred: 0,
         };
+        (&self.code, nodes)
+    }
+}
+
+impl Model for Shipped<MsQueue> {
+    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
+        let (code, mut nodes) = self.nodes(m);
         Ok(match call {
             MethodCall::Enqueue(value) => {
-                MethodResponse::EnqueueResult(self.code.enqueue(value, &mut nodes)?)
+                MethodResponse::EnqueueResult(code.enqueue(value, &mut nodes)?)
             }
-            MethodCall::Dequeue => MethodResponse::DequeueResult(self.code.dequeue(&mut nodes)?),
+            MethodCall::Dequeue => MethodResponse::DequeueResult(code.dequeue(&mut nodes)?),
             other => panic!("queue simulation given {other:?}"),
         })
     }
 }
 
-/// One reclamation attempt: advance the global epoch — adopting what the
-/// quarantine holds that became eligible, or after too many blocked
-/// attempts transferring the limbo there — then free every limbo entry two
-/// or more advances old.
+/// The set: every walk starts at the root slot, and `Contains` is a `get`.
+impl Model for Shipped<HmList> {
+    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
+        let (code, mut nodes) = self.nodes(m);
+        Ok(match call {
+            MethodCall::Insert(key) => {
+                MethodResponse::InsertResult(code.insert(Prev::Root, key, 0, &mut nodes)?)
+            }
+            MethodCall::Remove(key) => {
+                MethodResponse::RemoveResult(code.remove(Prev::Root, key, &mut nodes)?)
+            }
+            MethodCall::Contains(key) => {
+                MethodResponse::ContainsResult(code.get(Prev::Root, key, &mut nodes)?.is_some())
+            }
+            other => panic!("set simulation given {other:?}"),
+        })
+    }
+}
+
+/// One reclamation attempt: a hazard scan, or an advance of the global
+/// epoch — adopting what the quarantine holds that became eligible, or
+/// after too many blocked attempts transferring the limbo there — then the
+/// release of every limbo entry the attempt made safe.
 fn reclaim(prot: &mut Protection, m: &mut Mem<'_>) -> Run<()> {
-    match prot.advance(m)? {
-        Advance::Advanced => {
-            let adopted = prot.adopt(m)?;
-            prot.release(adopted, m)?;
+    if prot.scheme == Scheme::Hazard {
+        prot.scan(m)?;
+    } else {
+        match prot.advance(m)? {
+            Advance::Advanced => {
+                let adopted = prot.adopt(m)?;
+                prot.release(adopted, m)?;
+            }
+            Advance::Blocked if prot.transfer_due() => prot.transfer(m)?,
+            Advance::Blocked | Advance::Raced => {}
         }
-        Advance::Blocked if prot.transfer_due() => prot.transfer(m)?,
-        Advance::Blocked | Advance::Raced => {}
     }
     prot.release(prot.reclaimable(), m)
 }
@@ -65,8 +98,13 @@ fn reclaim(prot: &mut Protection, m: &mut Mem<'_>) -> Run<()> {
 struct Nodes<'r, 'a> {
     m: &'r mut Mem<'a>,
     prot: &'r mut Protection,
-    /// Whether this call holds an epoch pin (taken by its first `protect`).
-    pinned: bool,
+    /// The protections this call holds, as [`Protection::quiesce`] releases
+    /// them: a bit per published hazard lane, or bit 0 for the epoch pin
+    /// its first `protect` took.
+    held: u64,
+    /// Nodes this call has put in limbo: with `held`, all the local state
+    /// an attempt of a `retry` loop can change.
+    deferred: u32,
 }
 
 impl Nodes<'_, '_> {
@@ -77,19 +115,56 @@ impl Nodes<'_, '_> {
     fn next_obj(&self, node: u64) -> ObjId {
         self.value_obj(node) + 1
     }
+
+    /// `protect_link` / `protect_link_word`: publish `idx` in `lane` (hazard
+    /// pointers), then confirm that `src` still holds `raw`.
+    fn extend(&mut self, lane: usize, idx: u64, src: ObjId, raw: u64) -> Run<bool> {
+        if self.prot.scheme == Scheme::Hazard {
+            self.held |= 1 << lane;
+        }
+        self.prot.protect(lane, idx, src, raw, self.m)
+    }
 }
 
 impl NodeMem for Nodes<'_, '_> {
     type Stop = super::replay::Poised;
 
-    fn protect(&mut self, _lane: usize, slot: SlotId) -> Run<u64> {
-        // The first protected load of an operation pins, as
-        // `EpochGuard::protect` does.
-        if !self.pinned && self.prot.scheme == Scheme::Epoch {
-            self.prot.pin(self.m)?;
-            self.pinned = true;
+    fn protect(&mut self, lane: usize, slot: SlotId) -> Run<u64> {
+        match self.prot.scheme {
+            Scheme::Epoch => {
+                // The first protected load of an operation pins, as
+                // `EpochGuard::protect` does.
+                if self.held == 0 {
+                    self.prot.pin(self.m)?;
+                    self.held = 1;
+                }
+                self.m.read(slot)
+            }
+            Scheme::Hazard => {
+                // `HazardGuard::protect`'s slow path: publish the node the
+                // slot designates, then re-validate, until the snapshot is
+                // stable; a nil slot publishes nothing and clears the lane.
+                // A plain loop, not `Mem::retry`: a failed try leaves its
+                // publication (and the lane's `held` bit) behind.
+                // retry-bound: the re-validation fails only when another
+                // operation moved the slot — system-wide progress.
+                loop {
+                    let raw = self.m.read(slot)?;
+                    let idx = self.prot.links.index(raw);
+                    if idx == NIL {
+                        if self.held & 1 << lane != 0 {
+                            self.prot.quiesce(1 << lane, self.m)?;
+                            self.held &= !(1 << lane);
+                        }
+                        return Ok(raw);
+                    }
+                    if self.extend(lane, idx, slot, raw)? {
+                        return Ok(raw);
+                    }
+                }
+            }
+            Scheme::Unprotected | Scheme::Tagged | Scheme::LlSc => self.m.read(slot),
         }
-        self.m.read(slot)
     }
 
     fn load(&mut self, slot: SlotId) -> Run<u64> {
@@ -105,12 +180,20 @@ impl NodeMem for Nodes<'_, '_> {
         self.m.cas(slot, raw, new)
     }
 
-    fn protect_link(&mut self, _lane: usize, _idx: u64, slot: SlotId, raw: u64) -> Run<bool> {
-        self.validate(slot, raw)
+    fn protect_link(&mut self, lane: usize, idx: u64, slot: SlotId, raw: u64) -> Run<bool> {
+        self.extend(lane, idx, slot, raw)
     }
 
     fn load_link(&mut self, node: u64) -> Run<u64> {
         self.m.read(self.next_obj(node))
+    }
+
+    fn validate_link(&mut self, node: u64, raw: u64) -> Run<bool> {
+        Ok(self.m.read(self.next_obj(node))? == raw)
+    }
+
+    fn protect_link_word(&mut self, lane: usize, idx: u64, node: u64, raw: u64) -> Run<bool> {
+        self.extend(lane, idx, self.next_obj(node), raw)
     }
 
     fn store_link(&mut self, node: u64, idx: u64) -> Run<()> {
@@ -120,14 +203,6 @@ impl NodeMem for Nodes<'_, '_> {
         let continues = links.encode(0, NIL, false) != links.fresh(NIL);
         let old = if continues { self.m.read(link)? } else { NIL };
         self.m.write(link, links.encode(old, idx, false))
-    }
-
-    fn validate_link(&mut self, node: u64, raw: u64) -> Run<bool> {
-        Ok(self.m.read(self.next_obj(node))? == raw)
-    }
-
-    fn protect_link_word(&mut self, _lane: usize, _idx: u64, node: u64, raw: u64) -> Run<bool> {
-        self.validate_link(node, raw)
     }
 
     fn cas_link(&mut self, node: u64, raw: u64, idx: u64, marked: bool) -> Run<bool> {
@@ -157,6 +232,15 @@ impl NodeMem for Nodes<'_, '_> {
     }
 
     fn retire(&mut self, node: u64) -> Run<()> {
+        if matches!(self.prot.scheme, Scheme::Hazard | Scheme::Epoch) {
+            self.deferred += 1;
+        }
+        if self.prot.scheme == Scheme::Hazard {
+            // `HazardGuard::retire` clears the operation's lanes first, so
+            // its own hazards never pin its own retiree, then scans.
+            self.quiesce()?;
+            return self.prot.retire(node, self.m);
+        }
         // The stamp is read after the unlink; the operation then unpins, as
         // `EpochGuard::retire` does before it may advance, and with the node
         // (or older retirees) in limbo makes one reclamation attempt.
@@ -173,9 +257,9 @@ impl NodeMem for Nodes<'_, '_> {
     }
 
     fn quiesce(&mut self) -> Run<()> {
-        if self.pinned {
-            self.prot.quiesce(self.m)?;
-            self.pinned = false;
+        if self.held != 0 {
+            self.prot.quiesce(self.held, self.m)?;
+            self.held = 0;
         }
         Ok(())
     }
@@ -185,13 +269,14 @@ impl NodeMem for Nodes<'_, '_> {
         // wedge the explorers cut and report; `forget` keeps its replay
         // linear.
         loop {
-            let (start, pinned) = (self.m.at, self.pinned);
+            let (start, held, deferred) = (self.m.at, self.held, self.deferred);
             if let Attempt::Done(value) = attempt(self)? {
                 return Ok(Some(value));
             }
             // A failed attempt leaves no trace but its steps — unless it
-            // pinned: the pin outlives it, so its steps stay in the log.
-            if self.pinned == pinned {
+            // took a protection or put a node in limbo: that outlives it, so
+            // its steps stay in the log.
+            if (self.held, self.deferred) == (held, deferred) {
                 self.m.forget(start);
             }
         }

@@ -5,7 +5,7 @@
 //!
 //! * [`SimWorkload`] describes a bounded workload — the paper's lower-bound
 //!   register workload (process 0 writes, everyone else reads), the
-//!   producer/consumer queue workload, the insert/contains/remove set
+//!   producer/consumer queue workload, the contains/insert/remove set
 //!   workload — and owns everything that depends on the family: seeding, the
 //!   adversarial schedule shape, the specification and the verdict;
 //! * [`run_workload`] runs one under a given schedule;
@@ -114,12 +114,16 @@ pub enum SimWorkload {
         dequeues: usize,
     },
     /// The mixed set workload: every process performs `rounds` rounds of
-    /// `Insert(k)`, `Contains(k')`, `Remove(k)` over a tiny shared key space
+    /// `Contains(k')`, `Insert(k)`, `Remove(k)` over a tiny shared key space
     /// (keys `1..=3`), so distinct processes continually splice, probe and
     /// unlink *adjacent* nodes — the contention shape that recycles a
-    /// predecessor out from under a parked traversal.
+    /// predecessor out from under a parked traversal.  The probe comes
+    /// first because the list allocates before it walks: so placed, a
+    /// round's allocation follows a walk that may have helped unlink (and
+    /// freed) a node the peer still holds a word about, and one round
+    /// already holds an ABA.
     Set {
-        /// Insert/contains/remove rounds per process.
+        /// Contains/insert/remove rounds per process.
         rounds: usize,
     },
 }
@@ -193,8 +197,8 @@ impl SimWorkload {
                     for r in 0..rounds {
                         let key = ((pid + r) % 3 + 1) as u32;
                         let probe = ((pid + r + 1) % 3 + 1) as u32;
-                        sim.enqueue(pid, MethodCall::Insert(key));
                         sim.enqueue(pid, MethodCall::Contains(probe));
+                        sim.enqueue(pid, MethodCall::Insert(key));
                         sim.enqueue(pid, MethodCall::Remove(key));
                     }
                 }

@@ -4,11 +4,12 @@
 //! `table_dpor` explores each row, the footprint audit
 //! ([`crate::audit::standard_family_audits`]) audits the protected ones, and
 //! the family-level exploration tests iterate it — so a new sim model is its
-//! own file plus one row here, and a new scheme for a structure already
-//! modelled is one constructor composing `algorithms/protect.rs`'s
-//! functions plus one row.  `queue/*` and `set/*` keys are keys of
-//! `aba_lockfree::Family`'s table: the row claims to model that hardware
-//! backend, and `tests/model_binding.rs` holds it to the claim.
+//! own file plus one row here.  The `queue/*` and `set/*` rows run
+//! `aba-lockfree`'s own queue and list code (`algorithms/shipped.rs`), so a
+//! new scheme for either is one constructor naming a layout plus one row.
+//! Their keys are keys of `aba_lockfree::Family`'s table: the row claims to
+//! model that hardware backend, and `tests/model_binding.rs` holds it to the
+//! claim.
 
 use crate::algorithm::SimAlgorithm;
 use crate::algorithms::baselines::{NaiveSim, TaggedSim};
