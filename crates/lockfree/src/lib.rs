@@ -113,7 +113,7 @@ pub use set::{
 };
 pub use stack::{
     ElimPolicy, ElimStack, EpochElimStack, EpochStack, GenericStack, HazardElimStack, HazardStack,
-    LlScElimStack, LlScStack, Stack, StackHandle, TaggedElimStack, TaggedStack,
+    LlScElimStack, LlScStack, Stack, StackHandle, TaggedElimStack, TaggedStack, Treiber,
     UnprotectedElimStack, UnprotectedStack,
 };
 pub use stress::{

@@ -357,12 +357,12 @@ impl<'a, R: Reclaimer, W: Window> GenericMapHandle<'a, R, W> {
             // CAS the same winner into the cell, so the lost CAS below is
             // benign.
             Splice::Present(winner) => {
-                self.list.worker.free(idx);
+                self.list.worker.magazine.free(idx);
                 winner
             }
             // The dummy was never published, hand it straight back.
             Splice::Exhausted => {
-                self.list.worker.free(idx);
+                self.list.worker.magazine.free(idx);
                 return None;
             }
         };

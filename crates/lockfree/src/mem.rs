@@ -10,9 +10,10 @@
 //!   each access as schedulable steps; the first step past the logged ones
 //!   stops the call.
 //!
-//! The Michael–Scott queue ([`crate::queue::MsQueue`]) and the
-//! Harris–Michael list under the set and the map ([`crate::list::HmList`])
-//! are written against it.
+//! Every structure's code is written against it: the Treiber stack
+//! ([`crate::stack::Treiber`]), the Michael–Scott queue
+//! ([`crate::queue::MsQueue`]) and the Harris–Michael list under the set and
+//! the map ([`crate::list::HmList`]).
 //!
 //! [`Infallible`]: std::convert::Infallible
 

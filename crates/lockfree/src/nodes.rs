@@ -7,8 +7,9 @@
 //! the magazine, the backoff and the window.  A structure adds its slots and
 //! its algorithm; how an operation obtains a node, hands it back and accounts
 //! for it is decided here, as the simulator's `algorithms/protect.rs` decides
-//! it for the models (DESIGN.md §3.1).  A [`Worker`] is also the hardware
-//! [`NodeMem`]: the queue's and the list's code run on it directly.
+//! it for the models (DESIGN.md §3.1).  A [`Worker`] is the hardware
+//! [`NodeMem`]: the stack's, the queue's and the list's code run on it
+//! directly; the map's bucket dummies bypass it through the magazine.
 
 use std::convert::Infallible;
 use std::marker::PhantomData;
@@ -92,53 +93,6 @@ pub(crate) struct Worker<'a, R: Reclaimer, W: Window> {
     window: PhantomData<W>,
 }
 
-impl<R: Reclaimer, W: Window> Worker<'_, R, W> {
-    /// A node carrying `value` and `data`, private to the caller until its
-    /// publishing CAS; `None` — counted in `alloc_failures` — if the scheme
-    /// denies admission or the arena is exhausted.
-    #[inline]
-    pub(crate) fn alloc(&mut self, value: u32, data: u32) -> Option<u64> {
-        let nodes = self.nodes;
-        // Admission before allocation: a deferred scheme retunes its
-        // capacity-derived trigger to the live (grown) arena and may deny
-        // the allocation outright while its limbo bound is violated by a
-        // stale pin elsewhere — the op fails fast instead of draining the
-        // arena.
-        let mut node = None;
-        if self
-            .guard
-            .admit_alloc(nodes.arena.live_capacity(), |i| self.magazine.free(i))
-        {
-            // The arena may be exhausted only because the scheme still holds
-            // retired-but-reclaimable nodes; reclaim and retry once (a no-op
-            // for the immediate-free schemes).
-            node = self.magazine.alloc().or_else(|| {
-                self.guard.reclaim_pressure(|i| self.magazine.free(i));
-                self.magazine.alloc()
-            });
-        }
-        let Some(idx) = node else {
-            nodes.alloc_failures.fetch_add(1, Ordering::SeqCst);
-            return None;
-        };
-        nodes.arena.init(idx, value, data);
-        Some(idx)
-    }
-
-    /// Hand over a node unlinked by a successful CAS: the guard frees it
-    /// into the magazine now or once the scheme's safety condition holds.
-    #[inline]
-    pub(crate) fn retire(&mut self, idx: u64) {
-        self.guard.retire(idx, |i| self.magazine.free(i));
-    }
-
-    /// Give back a node that was never published.
-    #[inline]
-    pub(crate) fn free(&mut self, idx: u64) {
-        self.magazine.free(idx);
-    }
-}
-
 /// The hardware [`NodeMem`]: every method is one call on the guard, the
 /// arena or the worker.
 impl<R: Reclaimer, W: Window> NodeMem for Worker<'_, R, W> {
@@ -215,18 +169,48 @@ impl<R: Reclaimer, W: Window> NodeMem for Worker<'_, R, W> {
         Ok(self.nodes.arena.data(node))
     }
 
+    /// Admission, then the magazine, then one retry after reclaim
+    /// pressure; a failure is counted in `alloc_failures`.
     #[inline]
     fn alloc(&mut self, value: u32, data: u32) -> Result<Option<u64>, Infallible> {
-        Ok(Worker::alloc(self, value, data))
+        let nodes = self.nodes;
+        // Admission before allocation: a deferred scheme retunes its
+        // capacity-derived trigger to the live (grown) arena and may deny
+        // the allocation outright while its limbo bound is violated by a
+        // stale pin elsewhere — the op fails fast instead of draining the
+        // arena.
+        let mut node = None;
+        if self
+            .guard
+            .admit_alloc(nodes.arena.live_capacity(), |i| self.magazine.free(i))
+        {
+            // The arena may be exhausted only because the scheme still holds
+            // retired-but-reclaimable nodes; reclaim and retry once (a no-op
+            // for the immediate-free schemes).
+            node = self.magazine.alloc().or_else(|| {
+                self.guard.reclaim_pressure(|i| self.magazine.free(i));
+                self.magazine.alloc()
+            });
+        }
+        let Some(idx) = node else {
+            nodes.alloc_failures.fetch_add(1, Ordering::SeqCst);
+            return Ok(None);
+        };
+        nodes.arena.init(idx, value, data);
+        Ok(Some(idx))
     }
 
+    /// The guard frees the node into the magazine now or once the scheme's
+    /// safety condition holds.
+    #[inline]
     fn retire(&mut self, node: u64) -> Result<(), Infallible> {
-        Worker::retire(self, node);
+        self.guard.retire(node, |i| self.magazine.free(i));
         Ok(())
     }
 
+    #[inline]
     fn free(&mut self, node: u64) -> Result<(), Infallible> {
-        Worker::free(self, node);
+        self.magazine.free(node);
         Ok(())
     }
 
@@ -253,7 +237,11 @@ impl<R: Reclaimer, W: Window> NodeMem for Worker<'_, R, W> {
         attempt: impl Fn(&mut Self) -> Result<Attempt<T>, Infallible>,
     ) -> Result<Option<T>, Infallible> {
         let nodes = self.nodes;
-        self.left = Budget(nodes.reclaim.retry_bound(nodes.arena.live_capacity()));
+        // Read only under the unprotected scheme: under the others the loop
+        // keeps no count, and the arena's size is an atomic load.
+        if matches!(R::SCHEME, Scheme::Unprotected) {
+            self.left = Budget(nodes.reclaim.retry_bound(nodes.arena.live_capacity()));
+        }
         // retry-bound: the budget is finite under the unprotected scheme,
         // whose ABA can cycle a chain; under the others an attempt fails only
         // when another operation made progress.
@@ -350,10 +338,12 @@ mod tests {
     fn events_after_a_recycle<R: Reclaimer>() -> u64 {
         let nodes = Nodes::<R>::new(NodeArena::new(8), 1, 1);
         let mut w = nodes.worker::<Production>(0);
-        let idx = w.alloc(1, 0).expect("a free node");
+        let Ok(Some(idx)) = w.alloc(1, 0) else {
+            panic!("a free node")
+        };
         let seen = w.generation(idx);
-        w.free(idx);
-        assert_eq!(w.alloc(2, 0), Some(idx), "the magazine hands it back");
+        let Ok(()) = w.free(idx);
+        assert_eq!(w.alloc(2, 0), Ok(Some(idx)), "the magazine hands it back");
         w.tally(idx, seen);
         nodes.aba_events()
     }

@@ -72,6 +72,8 @@ pub trait QueueHandle: Send {
 const LANE_ANCHOR: usize = 0;
 /// Protection lane guarding `head.next` while its value is read.
 const LANE_SUCCESSOR: usize = 1;
+/// Protection lanes per handle.
+pub const LANES: usize = 2;
 
 /// Michael–Scott queue over a [`NodeArena`], generic in its ABA-protection /
 /// reclamation scheme `R`.  Head and tail words live inside the reclaimer,
@@ -95,7 +97,7 @@ impl<R: Reclaimer> GenericQueue<R> {
     /// field.
     pub fn with_threads(capacity: usize, threads: usize) -> Self {
         assert!(capacity + 1 < u32::MAX as usize, "capacity too large");
-        let mut nodes = Nodes::<R>::new(NodeArena::new(capacity + 1), threads, 2);
+        let mut nodes = Nodes::<R>::new(NodeArena::new(capacity + 1), threads, LANES);
         let dummy = nodes.arena.alloc().expect("fresh arena");
         // A fresh node's next word is already the nil raw under every
         // scheme's encoding, so no link initialisation is needed here.

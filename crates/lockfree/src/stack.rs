@@ -21,19 +21,24 @@
 //! off-stack.  Exchanged values never touch the [`NodeArena`], so the
 //! protocol is orthogonal to the reclamation scheme — see DESIGN.md §11.
 //!
-//! This file holds the head slot and the two Treiber loops; allocation,
-//! retirement, the ABA tally and the handle's drop are the crate's shared
-//! node lifecycle (`nodes.rs`).
+//! This file holds the head slot and the Treiber code, [`Treiber`], written
+//! against [`NodeMem`] so that the simulator runs the same text (DESIGN.md
+//! §3.2); the elimination front end runs one attempt of it at a time.
+//! Allocation, retirement, the retry budget, the ABA tally and the handle's
+//! drop are the crate's shared node lifecycle (`nodes.rs`), whose per-thread
+//! `Worker` is the hardware [`NodeMem`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use aba_core::Backoff;
+#[cfg(test)]
+use aba_reclaim::Guard;
 use aba_reclaim::{
-    EpochReclaim, Guard, HazardReclaim, LlScReclaim, NoReclaim, Reclaimer, SlotId, TagReclaim,
+    EpochReclaim, HazardReclaim, LlScReclaim, NoReclaim, Reclaimer, SlotId, TagReclaim,
 };
 
 use crate::arena::{NodeArena, NIL};
-use crate::mem::NodeMem;
+use crate::mem::{Attempt, NodeMem};
 use crate::nodes::{Nodes, Worker};
 use crate::{Family, Production, Racing, Window};
 
@@ -71,10 +76,14 @@ pub trait StackHandle: Send {
     fn pop(&mut self) -> Option<u32>;
 }
 
+/// Protection lanes per handle: a pop protects the head node in lane 0.
+pub const LANES: usize = 1;
+
 /// Treiber stack over a [`NodeArena`], generic in its ABA-protection /
 /// reclamation scheme `R`.  The head word lives inside the reclaimer (which
-/// owns its encoding); push and pop are the textbook loops, with every
-/// shared access routed through the per-thread [`Guard`].
+/// owns its encoding); push and pop are [`Treiber`]'s loops, every shared
+/// access routed through the per-thread
+/// [`Guard`](aba_reclaim::Guard).
 #[derive(Debug)]
 pub struct GenericStack<R: Reclaimer> {
     nodes: Nodes<R>,
@@ -90,7 +99,7 @@ impl<R: Reclaimer> GenericStack<R> {
     /// Panics if `capacity` is 0 or too large for the scheme's index field.
     pub fn with_threads(capacity: usize, threads: usize) -> Self {
         assert!(capacity < u32::MAX as usize, "capacity too large");
-        let mut nodes = Nodes::<R>::new(NodeArena::new(capacity), threads, 1);
+        let mut nodes = Nodes::<R>::new(NodeArena::new(capacity), threads, LANES);
         let head = nodes.reclaim.add_slot(NIL);
         GenericStack { nodes, head }
     }
@@ -126,143 +135,126 @@ impl<R: Reclaimer> Stack for GenericStack<R> {
     }
 }
 
-/// Outcome of one bounded-attempt round against the central Treiber stack.
-enum CentralPush {
-    /// The node was linked in.
-    Pushed,
-    /// Arena exhausted even after reclaim pressure.
-    Full,
-    /// The head CAS lost `max_attempts` races in a row.
-    Contended,
-}
-
-/// Outcome of one bounded-attempt round against the central Treiber stack.
-enum CentralPop {
-    /// A node was unlinked and its value read.
-    Popped(u32),
-    /// The stack was observed empty.
-    Empty,
-    /// The head CAS lost `max_attempts` races in a row.
-    Contended,
-}
-
 struct GenericStackHandle<'a, R: Reclaimer, W: Window> {
-    head: SlotId,
+    code: Treiber,
     worker: Worker<'a, R, W>,
 }
 
 impl<'a, R: Reclaimer, W: Window> GenericStackHandle<'a, R, W> {
     fn new(stack: &'a GenericStack<R>, tid: usize) -> Self {
         GenericStackHandle {
-            head: stack.head,
+            code: Treiber::new(stack.head),
             worker: stack.nodes.worker(tid),
-        }
-    }
-
-    /// Try to link a new node at the head, giving up after `max_attempts`
-    /// failed CAS rounds (the elimination front end passes a small streak
-    /// bound; the plain stack passes `usize::MAX`, preserving the original
-    /// unbounded-but-lock-free loop).
-    fn try_push_central(&mut self, value: u32, max_attempts: usize) -> CentralPush {
-        if max_attempts == 0 {
-            return CentralPush::Contended;
-        }
-        let w = &mut self.worker;
-        let Some(idx) = w.alloc(value, 0) else {
-            return CentralPush::Full;
-        };
-        let arena = &w.nodes.arena;
-        // retry-bound: at most `max_attempts` CAS rounds per call.
-        let mut attempts = 0;
-        loop {
-            // A plain load suffices: push never dereferences the head node,
-            // it only links to it.
-            let head_raw = w.guard.load(self.head);
-            let head = w.guard.index_of(head_raw);
-            w.guard.store_link_mark(arena.next_word(idx), head, false);
-            if w.guard.cas(self.head, head_raw, idx) {
-                w.guard.quiesce();
-                w.backoff.reset();
-                return CentralPush::Pushed;
-            }
-            attempts += 1;
-            if attempts >= max_attempts {
-                // The node was never published, so it can go straight back
-                // to the arena.
-                w.free(idx);
-                w.guard.quiesce();
-                return CentralPush::Contended;
-            }
-            // Lost the race: back off before retrying so the winning thread
-            // can finish publishing and the loop cannot monopolise a core.
-            w.backoff.pause();
-        }
-    }
-
-    /// Try to unlink the head node, giving up after `max_attempts` failed
-    /// CAS rounds (see [`Self::try_push_central`]).
-    fn try_pop_central(&mut self, max_attempts: usize) -> CentralPop {
-        if max_attempts == 0 {
-            return CentralPop::Contended;
-        }
-        let w = &mut self.worker;
-        let arena = &w.nodes.arena;
-        // retry-bound: at most `max_attempts` CAS rounds per call.
-        let mut attempts = 0;
-        loop {
-            let head_raw = w.guard.protect(0, self.head);
-            let head = w.guard.index_of(head_raw);
-            if head == NIL {
-                w.guard.quiesce();
-                w.backoff.reset();
-                return CentralPop::Empty;
-            }
-            // Remember the node's identity (generation) at read time for the
-            // post-CAS ABA tally.
-            let generation = w.generation(head);
-            let next_raw = w.guard.load_link(arena.next_word(head));
-            let next = w.guard.index_of(next_raw);
-            W::preemption_window();
-            if w.guard.cas(self.head, head_raw, next) {
-                w.tally(head, generation);
-                // Read the value *before* retiring: an immediate-free scheme
-                // may recycle the node the instant it is handed back.
-                let value = arena.value(head);
-                w.retire(head);
-                // The operation is over: drop the pin.  A popper that never
-                // quiesces stays pinned at its first operation's epoch and
-                // blocks every later advance — the E9 parking pathology
-                // reproduced from inside the structure.
-                w.guard.quiesce();
-                w.backoff.reset();
-                return CentralPop::Popped(value);
-            }
-            attempts += 1;
-            if attempts >= max_attempts {
-                w.guard.quiesce();
-                return CentralPop::Contended;
-            }
-            // Lost the race: back off before re-protecting the new head.
-            w.backoff.pause();
         }
     }
 }
 
 impl<R: Reclaimer, W: Window> StackHandle for GenericStackHandle<'_, R, W> {
     fn push(&mut self, value: u32) -> bool {
-        match self.try_push_central(value, usize::MAX) {
-            CentralPush::Pushed => true,
-            CentralPush::Full => false,
-            CentralPush::Contended => unreachable!("usize::MAX attempts cannot exhaust"),
-        }
+        let Ok(pushed) = self.code.push(value, &mut self.worker);
+        pushed
     }
 
     fn pop(&mut self) -> Option<u32> {
-        match self.try_pop_central(usize::MAX) {
-            CentralPop::Popped(value) => Some(value),
-            CentralPop::Empty => None,
-            CentralPop::Contended => unreachable!("usize::MAX attempts cannot exhaust"),
+        let Ok(value) = self.code.pop(&mut self.worker);
+        value
+    }
+}
+
+/// The Treiber stack's per-thread code: the slot id of its head and the two
+/// operations, written once against [`NodeMem`].  On a hardware handle's
+/// worker they are [`GenericStack`]'s operations, and one attempt of each is
+/// [`ElimStack`]'s central path; on the simulator's replay memory they are
+/// the step-by-step processes of the `stack/*` model rows.
+#[derive(Debug, Clone, Copy)]
+pub struct Treiber {
+    head: SlotId,
+}
+
+impl Treiber {
+    /// The code of a stack whose head word is `head`.
+    pub fn new(head: SlotId) -> Self {
+        Treiber { head }
+    }
+
+    /// Push `value`; `false` if no node could be allocated, or if the retry
+    /// budget ran out (counted as an ABA event).
+    pub fn push<M: NodeMem>(&self, value: u32, m: &mut M) -> Result<bool, M::Stop> {
+        let Some(idx) = m.alloc(value, 0)? else {
+            return Ok(false);
+        };
+        // retry-bound: the head CAS fails only when another operation moved
+        // the head — system-wide progress.
+        if m.retry(|m| self.push_attempt(idx, m))?.is_none() {
+            m.bail()?;
+            m.free(idx)?;
+            return Ok(false);
         }
+        m.quiesce()?;
+        Ok(true)
+    }
+
+    /// Pop the newest value; `None` if the stack is empty, or if the retry
+    /// budget ran out.
+    pub fn pop<M: NodeMem>(&self, m: &mut M) -> Result<Option<u32>, M::Stop> {
+        // retry-bound: as for the push.
+        match m.retry(|m| self.pop_attempt(m))? {
+            Some(value) => {
+                // The operation is over: drop the pin.  A popper that never
+                // quiesces stays pinned at its first operation's epoch and
+                // blocks every later advance — the E9 parking pathology
+                // reproduced from inside the structure.
+                m.quiesce()?;
+                Ok(value)
+            }
+            None => {
+                m.bail()?;
+                Ok(None)
+            }
+        }
+    }
+
+    /// One attempt to link node `idx`, allocated and not yet published, at
+    /// the head.
+    pub fn push_attempt<M: NodeMem>(&self, idx: u64, m: &mut M) -> Result<Attempt<()>, M::Stop> {
+        // A plain load suffices: push never dereferences the head node, it
+        // only links to it.
+        let head_raw = m.load(self.head)?;
+        let head = m.index_of(head_raw);
+        m.store_link(idx, head)?;
+        Ok(if m.cas(self.head, head_raw, idx)? {
+            Attempt::Done(())
+        } else {
+            // Lost the race: back off before retrying so the winning thread
+            // can finish publishing and the loop cannot monopolise a core.
+            Attempt::Lost
+        })
+    }
+
+    /// One attempt to unlink the head node: its value, or `None` if the
+    /// stack was observed empty.
+    pub fn pop_attempt<M: NodeMem>(&self, m: &mut M) -> Result<Attempt<Option<u32>>, M::Stop> {
+        let head_raw = m.protect(0, self.head)?;
+        let head = m.index_of(head_raw);
+        if head == NIL {
+            return Ok(Attempt::Done(None));
+        }
+        // Remember the node's identity (generation) at read time for the
+        // post-CAS ABA tally.
+        let generation = m.generation(head);
+        let next_raw = m.load_link(head)?;
+        let next = m.index_of(next_raw);
+        m.window();
+        if !m.cas(self.head, head_raw, next)? {
+            // Lost the race: back off before re-protecting the new head.
+            return Ok(Attempt::Lost);
+        }
+        m.tally(head, generation);
+        // Read the value *before* retiring: an immediate-free scheme may
+        // recycle the node the instant it is handed back.
+        let value = m.value(head)?;
+        m.retire(head)?;
+        Ok(Attempt::Done(Some(value)))
     }
 }
 
@@ -528,45 +520,87 @@ impl<'a, R: Reclaimer, W: Window> ElimStackHandle<'a, R, W> {
     }
 }
 
+impl<R: Reclaimer, W: Window> ElimStackHandle<'_, R, W> {
+    /// Push `value` on the central stack, giving up once
+    /// [`ElimPolicy::central_attempts`] head CASes in a row have failed:
+    /// `None` then, `Some(false)` if no node could be allocated.
+    fn push_central(&mut self, value: u32) -> Option<bool> {
+        let attempts = self.stack.policy.central_attempts;
+        if attempts == 0 {
+            return None;
+        }
+        let GenericStackHandle { code, worker: w } = &mut self.central;
+        let Ok(Some(idx)) = w.alloc(value, 0) else {
+            return Some(false);
+        };
+        // retry-bound: at most `central_attempts` CAS rounds per call.
+        for attempt in 0..attempts {
+            if attempt > 0 {
+                w.backoff.pause();
+            }
+            if let Ok(Attempt::Done(())) = code.push_attempt(idx, w) {
+                w.backoff.reset();
+                let Ok(()) = w.quiesce();
+                return Some(true);
+            }
+        }
+        // The node was never published, so it can go straight back.
+        let Ok(()) = w.free(idx);
+        let Ok(()) = w.quiesce();
+        None
+    }
+
+    /// Pop from the central stack, giving up as [`Self::push_central`]
+    /// does: `None` then, `Some(None)` if the stack was observed empty.
+    fn pop_central(&mut self) -> Option<Option<u32>> {
+        let attempts = self.stack.policy.central_attempts;
+        let GenericStackHandle { code, worker: w } = &mut self.central;
+        // retry-bound: at most `central_attempts` CAS rounds per call.
+        for attempt in 0..attempts {
+            if attempt > 0 {
+                w.backoff.pause();
+            }
+            if let Ok(Attempt::Done(value)) = code.pop_attempt(w) {
+                w.backoff.reset();
+                let Ok(()) = w.quiesce();
+                return Some(value);
+            }
+        }
+        let Ok(()) = w.quiesce();
+        None
+    }
+}
+
 impl<R: Reclaimer, W: Window> StackHandle for ElimStackHandle<'_, R, W> {
     fn push(&mut self, value: u32) -> bool {
         // retry-bound: each round is bounded (central_attempts CAS rounds +
         // exchange_spins wait rounds); the loop itself has the same
         // unbounded-but-lock-free shape as GenericStack::push.
         loop {
-            match self
-                .central
-                .try_push_central(value, self.stack.policy.central_attempts)
-            {
-                CentralPush::Pushed => return true,
-                CentralPush::Full => return false,
-                CentralPush::Contended => {
-                    if self.try_exchange_push(value) {
-                        self.backoff.reset();
-                        return true;
-                    }
-                    self.backoff.pause();
-                }
+            if let Some(pushed) = self.push_central(value) {
+                return pushed;
             }
+            if self.try_exchange_push(value) {
+                self.backoff.reset();
+                return true;
+            }
+            self.backoff.pause();
         }
     }
 
     fn pop(&mut self) -> Option<u32> {
         // retry-bound: see push above.
         loop {
-            match self
-                .central
-                .try_pop_central(self.stack.policy.central_attempts)
-            {
-                CentralPop::Popped(value) => return Some(value),
-                CentralPop::Empty => {
+            match self.pop_central() {
+                Some(Some(value)) => return Some(value),
+                Some(None) => {
                     // The central stack is empty, but a parked pusher may be
                     // sitting in the array; its push overlaps this pop, so
                     // claiming it is admissible — and returning None
                     // otherwise is too (the pair did not exchange).
                     return self.try_exchange_pop();
                 }
-                CentralPop::Contended => {
+                None => {
                     if let Some(value) = self.try_exchange_pop() {
                         self.backoff.reset();
                         return Some(value);
