@@ -11,8 +11,8 @@
 //! bounded verification result, not a sampling one.
 //!
 //! Run with `cargo run -p aba-bench --bin table_dpor --release`.
-//! Flags: `--quick` (caps each exploration at 60k schedules — the hazard
-//! set's ~350k-class space is reported incomplete-but-clean), `--out <path>`
+//! Flags: `--quick` (caps each exploration at 60k schedules; every roster
+//! space drains below it today), `--out <path>`
 //! (JSON destination, default `BENCH_dpor.json`, schema `aba-repro/dpor/v1`).
 //!
 //! Exit status is the gate (`aba_bench::gate::dpor`): non-zero if any
@@ -92,7 +92,7 @@ fn main() {
     );
     println!("{}", table.render());
     println!(
-        "Expected shape: both unprotected modes and the naive register produce a witness within \
+        "Expected shape: every unprotected mode and the naive register produce a witness within \
          the enumeration (for the unprotected rows exploration stops at the first one); every \
          protected mode survives its complete reduced space — tagging, hazard pointers and \
          epochs are verified ABA-free at these bounds, not merely unfalsified by sampling.  \

@@ -14,9 +14,10 @@ use aba_sim::{ExplorationReport, MODEL_ROSTER};
 const REGISTER_BOUND: &str = "n=3, writes=4, reads=2";
 const QUEUE_BOUND: &str = "n=3, enq=2, deq=3, arena=2";
 const SET_BOUND: &str = "n=2, rounds=1, arena=3";
+const STACK_BOUND: &str = "n=2, calls=4, arena=2";
 
 /// The frozen roster `(family, mode, protected, bound)`, in row order.
-const GOLDEN_ROSTER: [(&str, &str, bool, &str); 9] = [
+const GOLDEN_ROSTER: [(&str, &str, bool, &str); 11] = [
     ("register", "naive", false, REGISTER_BOUND),
     ("register", "tagged", true, REGISTER_BOUND),
     ("queue", "unprotected", false, QUEUE_BOUND),
@@ -26,6 +27,8 @@ const GOLDEN_ROSTER: [(&str, &str, bool, &str); 9] = [
     ("set", "tagged", true, SET_BOUND),
     ("set", "hazard", true, SET_BOUND),
     ("set", "epoch", true, SET_BOUND),
+    ("stack", "unprotected", false, STACK_BOUND),
+    ("stack", "tagged", true, STACK_BOUND),
 ];
 
 #[test]
@@ -78,13 +81,10 @@ fn dpor_json_emits_the_roster_rows_in_order() {
 fn every_structure_model_is_keyed_like_its_hardware_backend() {
     for model in MODEL_ROSTER.iter().filter(|m| m.family != "register") {
         let key = model.key();
-        let family = match model.family {
-            "queue" => Family::Queue,
-            "set" => Family::Set,
-            other => panic!("roster family {other} has no hardware counterpart"),
-        };
         assert!(
-            Scheme::ALL.iter().any(|&scheme| family.key(scheme) == key),
+            Family::ALL
+                .iter()
+                .any(|&family| Scheme::ALL.iter().any(|&scheme| family.key(scheme) == key)),
             "sim model {key} names no backend of aba_lockfree::Family's table"
         );
     }

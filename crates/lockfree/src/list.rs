@@ -180,7 +180,7 @@ pub struct HmList {
 
 impl HmList {
     /// The code of a list whose root slot is `root`.
-    pub fn new(root: SlotId) -> Self {
+    pub const fn new(root: SlotId) -> Self {
         HmList { root }
     }
 

@@ -179,7 +179,7 @@ pub struct MsQueue {
 
 impl MsQueue {
     /// The code of a queue whose head and tail words are `head` and `tail`.
-    pub fn new(head: SlotId, tail: SlotId) -> Self {
+    pub const fn new(head: SlotId, tail: SlotId) -> Self {
         MsQueue { head, tail }
     }
 

@@ -28,6 +28,7 @@
 //! drop are the crate's shared node lifecycle (`nodes.rs`), whose per-thread
 //! `Worker` is the hardware [`NodeMem`].
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use aba_core::Backoff;
@@ -149,6 +150,32 @@ impl<'a, R: Reclaimer, W: Window> GenericStackHandle<'a, R, W> {
     }
 }
 
+impl<'a, R: Reclaimer, W: Window> GenericStackHandle<'a, R, W> {
+    /// Run `attempt` at most `tries` times, backing off between them, then
+    /// release the protections: its value, or `None` if every try lost.
+    fn tries<T>(
+        &mut self,
+        tries: usize,
+        attempt: impl Fn(Treiber, &mut Worker<'a, R, W>) -> Result<Attempt<T>, Infallible>,
+    ) -> Option<T> {
+        let (code, w) = (self.code, &mut self.worker);
+        let mut done = None;
+        // retry-bound: at most `tries` CAS rounds.
+        for k in 0..tries {
+            if k > 0 {
+                w.backoff.pause();
+            }
+            if let Ok(Attempt::Done(value)) = attempt(code, w) {
+                w.backoff.reset();
+                done = Some(value);
+                break;
+            }
+        }
+        let Ok(()) = w.quiesce();
+        done
+    }
+}
+
 impl<R: Reclaimer, W: Window> StackHandle for GenericStackHandle<'_, R, W> {
     fn push(&mut self, value: u32) -> bool {
         let Ok(pushed) = self.code.push(value, &mut self.worker);
@@ -173,7 +200,7 @@ pub struct Treiber {
 
 impl Treiber {
     /// The code of a stack whose head word is `head`.
-    pub fn new(head: SlotId) -> Self {
+    pub const fn new(head: SlotId) -> Self {
         Treiber { head }
     }
 
@@ -198,20 +225,16 @@ impl Treiber {
     /// budget ran out.
     pub fn pop<M: NodeMem>(&self, m: &mut M) -> Result<Option<u32>, M::Stop> {
         // retry-bound: as for the push.
-        match m.retry(|m| self.pop_attempt(m))? {
-            Some(value) => {
-                // The operation is over: drop the pin.  A popper that never
-                // quiesces stays pinned at its first operation's epoch and
-                // blocks every later advance — the E9 parking pathology
-                // reproduced from inside the structure.
-                m.quiesce()?;
-                Ok(value)
-            }
-            None => {
-                m.bail()?;
-                Ok(None)
-            }
+        let popped = m.retry(|m| self.pop_attempt(m))?;
+        // The operation is over: drop the pin.  A popper that never quiesces
+        // stays pinned at its first operation's epoch and blocks every later
+        // advance — the E9 parking pathology reproduced from inside the
+        // structure.
+        match popped {
+            Some(_) => m.quiesce()?,
+            None => m.bail()?,
         }
+        Ok(popped.flatten())
     }
 
     /// One attempt to link node `idx`, allocated and not yet published, at
@@ -525,49 +548,20 @@ impl<R: Reclaimer, W: Window> ElimStackHandle<'_, R, W> {
     /// [`ElimPolicy::central_attempts`] head CASes in a row have failed:
     /// `None` then, `Some(false)` if no node could be allocated.
     fn push_central(&mut self, value: u32) -> Option<bool> {
-        let attempts = self.stack.policy.central_attempts;
-        if attempts == 0 {
+        let tries = self.stack.policy.central_attempts;
+        if tries == 0 {
             return None;
         }
-        let GenericStackHandle { code, worker: w } = &mut self.central;
-        let Ok(Some(idx)) = w.alloc(value, 0) else {
+        let central = &mut self.central;
+        let Ok(Some(idx)) = central.worker.alloc(value, 0) else {
             return Some(false);
         };
-        // retry-bound: at most `central_attempts` CAS rounds per call.
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                w.backoff.pause();
-            }
-            if let Ok(Attempt::Done(())) = code.push_attempt(idx, w) {
-                w.backoff.reset();
-                let Ok(()) = w.quiesce();
-                return Some(true);
-            }
+        let pushed = central.tries(tries, |code, w| code.push_attempt(idx, w));
+        if pushed.is_none() {
+            // The node was never published, so it can go straight back.
+            let Ok(()) = central.worker.free(idx);
         }
-        // The node was never published, so it can go straight back.
-        let Ok(()) = w.free(idx);
-        let Ok(()) = w.quiesce();
-        None
-    }
-
-    /// Pop from the central stack, giving up as [`Self::push_central`]
-    /// does: `None` then, `Some(None)` if the stack was observed empty.
-    fn pop_central(&mut self) -> Option<Option<u32>> {
-        let attempts = self.stack.policy.central_attempts;
-        let GenericStackHandle { code, worker: w } = &mut self.central;
-        // retry-bound: at most `central_attempts` CAS rounds per call.
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                w.backoff.pause();
-            }
-            if let Ok(Attempt::Done(value)) = code.pop_attempt(w) {
-                w.backoff.reset();
-                let Ok(()) = w.quiesce();
-                return Some(value);
-            }
-        }
-        let Ok(()) = w.quiesce();
-        None
+        pushed.map(|()| true)
     }
 }
 
@@ -591,7 +585,8 @@ impl<R: Reclaimer, W: Window> StackHandle for ElimStackHandle<'_, R, W> {
     fn pop(&mut self) -> Option<u32> {
         // retry-bound: see push above.
         loop {
-            match self.pop_central() {
+            let tries = self.stack.policy.central_attempts;
+            match self.central.tries(tries, |code, w| code.pop_attempt(w)) {
                 Some(Some(value)) => return Some(value),
                 Some(None) => {
                     // The central stack is empty, but a parked pusher may be

@@ -34,6 +34,10 @@ pub enum MethodCall {
     Sc(Word),
     /// `VL()` on an LL/SC/VL object.
     Vl,
+    /// `Push(x)` on a simulated LIFO stack.
+    Push(Word),
+    /// `Pop()` on a simulated LIFO stack.
+    Pop,
     /// `Enqueue(x)` on a simulated FIFO queue.
     Enqueue(Word),
     /// `Dequeue()` on a simulated FIFO queue.
@@ -59,6 +63,10 @@ pub enum MethodResponse {
     ScResult(bool),
     /// `VL` returned its validity flag.
     VlResult(bool),
+    /// `Push` returned whether a node was linked (`false` = arena full).
+    PushResult(bool),
+    /// `Pop` returned the newest value, if any.
+    PopResult(Option<Word>),
     /// `Enqueue` returned whether a node was linked (`false` = arena full).
     EnqueueResult(bool),
     /// `Dequeue` returned the oldest value, if any.

@@ -10,18 +10,19 @@
 //! * [`baselines`] — the unbounded tagged register and Moir's LL/SC, and a
 //!   broken naive register; every object of these five modules but the
 //!   naive one spawns `aba-core`'s own code, not a model of it;
-//! * [`queue`] — step-level Michael–Scott queues in three protection modes
-//!   (unprotected, tagged, epoch) whose schedules the ABA-witness search
-//!   controls;
-//! * [`set`] — step-level Harris–Michael ordered sets in four protection
-//!   modes (unprotected, tagged, hazard, epoch), the traversal-based ABA
-//!   surface;
-//! * `protect` (crate-private) — the protection sequences under both
-//!   structures, once: free-set alloc/release, epoch pin / retire stamp /
-//!   advance / quarantine and hazard publish / scan / clear, one function
-//!   per `aba_reclaim::Guard` method.  A structure file holds its own steps
-//!   and the *composition* of these functions; a new structure × scheme row
-//!   is a structure file (or one constructor) plus one `MODEL_ROSTER` line.
+//! * [`stack`], [`queue`] and [`set`] — the Treiber stack, the
+//!   Michael–Scott queue and the Harris–Michael set rows: `aba-lockfree`'s
+//!   own structure code run on one generic [`ShippedSim`], each module a
+//!   type alias and its tests; what tells the structures apart is the data
+//!   of their [`ShippedCode`] impls (slots, dummy, lanes, quarantine,
+//!   hardware family);
+//! * `protect` (crate-private) — the protection sequences under the
+//!   structure rows, once: free-set alloc/release, epoch pin / retire stamp
+//!   / advance / quarantine and hazard publish / scan / clear, one function
+//!   per `aba_reclaim::Guard` method.  The adapter in `shipped.rs` composes
+//!   them into the `NodeMem` the shipped code runs on; a new structure is a
+//!   `ShippedCode` impl and its `Model` impl there, a new structure ×
+//!   scheme row one `MODEL_ROSTER` line.
 //! * `replay` (crate-private) — the adapter that makes such code
 //!   schedulable: a model implements `Model::call` over `Mem::read` /
 //!   `write` / `cas` (and `Mem::retry` for unbounded CAS-retry loops), and
@@ -39,3 +40,6 @@ pub mod queue;
 mod replay;
 pub mod set;
 mod shipped;
+pub mod stack;
+
+pub use shipped::{ShippedCode, ShippedSim};

@@ -4,145 +4,35 @@
 //! The hardware queues exhibit their ABA only when a preemptive scheduler
 //! interleaves unluckily; here the *schedule is the input*, so a small random
 //! search reproducibly produces a non-linearizable execution of the
-//! unprotected variant.  A process is `Replay` of `aba_lockfree::MsQueue` —
-//! the enqueue and dequeue every `GenericQueue` handle runs — over the
-//! adapter in `shipped.rs`, in three modes: [`QueueSim::unprotected`] (bare
-//! words, immediate recycling: the dequeue CAS is the textbook ABA victim),
-//! [`QueueSim::tagged`] (counted words, §1 tagging) and [`QueueSim::epoch`]
-//! (`aba_reclaim::EpochReclaim`'s pin, limbo, advance and E15 quarantine,
-//! with [`TRANSFER_AFTER_BLOCKED`] as its transfer threshold).
-//!
-//! Memory layout for a capacity-`C` queue (node 0 is the initial dummy):
-//! object 0 is `head`, object 1 is `tail`, object 2 is the free set, and
-//! node `k` owns objects `3 + 2k` (value) and `4 + 2k` (next link).  The
-//! epoch variant appends its protection registers: the global epoch, `n`
-//! local epochs, the quarantine mask and `C` stamps.
+//! unprotected variant.  A process is `aba_lockfree::MsQueue` — the enqueue
+//! and dequeue every `GenericQueue` handle runs — on the generic
+//! [`ShippedSim`], in the roster's modes unprotected (the dequeue CAS is the
+//! textbook ABA victim), tagged and epoch (with the E15 quarantine and
+//! [`TRANSFER_AFTER_BLOCKED`]).  Objects 0 and 1 are `head` and `tail`,
+//! and node 0 starts as the dummy both designate.
 
 use aba_lockfree::MsQueue;
-use aba_reclaim::{Scheme, NIL};
-use aba_spec::ProcessId;
 
-use super::protect::{Layout, Links, Protection};
-use super::replay::Replay;
-use super::shipped::Shipped;
-use crate::algorithm::{SimAlgorithm, SimProcess};
-use crate::object::{BaseObject, ObjId};
+use super::shipped::ShippedSim;
 
 pub use super::protect::TRANSFER_AFTER_BLOCKED;
 
-const OBJ_HEAD: ObjId = 0;
-const OBJ_TAIL: ObjId = 1;
-const OBJ_FREE: ObjId = 2;
-
 /// A simulated MS queue: `n` processes over a capacity-`capacity` node arena.
-#[derive(Debug, Clone, Copy)]
-pub struct QueueSim {
-    n: usize,
-    capacity: usize,
-    scheme: Scheme,
-}
-
-impl QueueSim {
-    fn new(n: usize, capacity: usize, scheme: Scheme) -> Self {
-        assert!(n > 0, "need at least one process");
-        assert!((1..=63).contains(&capacity), "capacity must be in 1..=63");
-        QueueSim {
-            n,
-            capacity,
-            scheme,
-        }
-    }
-
-    /// The unprotected (ABA-prone) variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `capacity` is 0 or above 63 (the free set is a
-    /// single 64-bit word).
-    pub fn unprotected(n: usize, capacity: usize) -> Self {
-        Self::new(n, capacity, Scheme::Unprotected)
-    }
-
-    /// The tagged (counted-pointer) variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics as for [`QueueSim::unprotected`].
-    pub fn tagged(n: usize, capacity: usize) -> Self {
-        Self::new(n, capacity, Scheme::Tagged)
-    }
-
-    /// The epoch-reclaimed variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics as for [`QueueSim::unprotected`].
-    pub fn epoch(n: usize, capacity: usize) -> Self {
-        Self::new(n, capacity, Scheme::Epoch)
-    }
-
-    fn layout(&self) -> Layout {
-        Layout {
-            free: OBJ_FREE,
-            base: 3 + 2 * self.capacity,
-            n: self.n,
-            lanes: 0,
-            stamps: self.capacity,
-        }
-    }
-
-    fn process(&self, pid: ProcessId) -> Shipped<MsQueue> {
-        Shipped {
-            code: MsQueue::new(OBJ_HEAD, OBJ_TAIL),
-            prot: Protection::new(self.scheme, self.layout(), pid),
-        }
-    }
-}
-
-impl SimAlgorithm for QueueSim {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn name(&self) -> &'static str {
-        match self.scheme {
-            Scheme::Unprotected => "MS queue sim (unprotected)",
-            Scheme::Tagged => "MS queue sim (tagged)",
-            Scheme::Epoch => "MS queue sim (epoch)",
-            Scheme::Hazard | Scheme::LlSc => unreachable!("no {:?} queue model", self.scheme),
-        }
-    }
-
-    fn initial_objects(&self) -> Vec<BaseObject> {
-        let links = Links::of(self.scheme);
-        let mut objects = vec![
-            BaseObject::cas(links.fresh(0)), // head -> dummy 0
-            BaseObject::cas(links.fresh(0)), // tail -> dummy 0
-            BaseObject::cas(((1u64 << self.capacity) - 1) & !1), // free set minus dummy
-        ];
-        for _ in 0..self.capacity {
-            objects.push(BaseObject::register(0)); // value
-            objects.push(BaseObject::writable_cas(links.fresh(NIL))); // next
-        }
-        // The immediate-free variants touch no protection register, so they
-        // carry none (every object is cloned at every explored step).
-        if self.scheme == Scheme::Epoch {
-            objects.extend(self.layout().registers());
-        }
-        objects
-    }
-
-    fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess> {
-        Box::new(Replay::new(self.process(pid)))
-    }
-}
+pub type QueueSim = ShippedSim<MsQueue>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::{MethodCall, MethodResponse};
+    use crate::algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
+    use crate::algorithms::protect::Links;
+    use crate::algorithms::replay::Replay;
     use crate::executor::Simulation;
-    use aba_spec::{check_history, Spec};
+    use crate::object::ObjId;
+    use aba_reclaim::Scheme;
+    use aba_spec::{check_history, ProcessId, Spec};
+
+    const OBJ_TAIL: ObjId = 1;
+    const OBJ_FREE: ObjId = 2;
 
     fn run_sequential(algo: &QueueSim) {
         let mut sim = Simulation::new(algo);

@@ -7,161 +7,37 @@
 //! unprotected variant — the hardest surface the paper's schemes must
 //! defend: an operation parks holding a predecessor's link word deep inside
 //! the chain while other processes unlink, free and recycle the nodes it
-//! reasons about.  A process is `Replay` of `aba_lockfree::list::HmList` —
-//! the find, insert, remove and get every `GenericSet` and `GenericMap`
-//! handle runs — with every walk started at the root slot, over the adapter
-//! in `shipped.rs`, in four modes:
-//!
-//! * [`SetSim::unprotected`] — bare `(mark, index)` words, immediate free;
-//!   a stale splice or unlink CAS succeeds against a recycled node (lost
-//!   keys, resurrected keys, wedged chains).
-//! * [`SetSim::tagged`] — every root and link word is a counted word bumped
-//!   by each CAS (§1 tagging); stale CASes fail.
-//! * [`SetSim::hazard`] — the list's three hazard lanes per process,
-//!   published hand-over-hand (successor first, then re-validate the
-//!   still-protected predecessor's link); a retire clears the lanes and
-//!   keeps the node in a private limbo until a scan of the other processes'
-//!   registers clears it.
-//! * [`SetSim::epoch`] — the first protected load pins, a retiree is
-//!   stamped with a post-unlink epoch read and freed after two advances;
-//!   the layout has no quarantine, so limbo is never transferred.
-//!
-//! Memory layout for a capacity-`C`, `n`-process set: object 0 is the root
-//! slot (`head`), object 1 is the free set, node `k` owns objects `2 + 2k`
-//! (value word: the key) and `3 + 2k` (next link, `(index, mark)` in the
-//! scheme's own hardware codec, counted under tagging); then the protection
-//! registers — one global-epoch object, `n` local-epoch registers and three
-//! hazard registers per process (allocated in every mode so object ids are
-//! uniform; unused modes never touch them).
+//! reasons about.  A process is `aba_lockfree::list::HmList` — the find,
+//! insert, remove and get every `GenericSet` and `GenericMap` handle runs —
+//! with every walk started at the root slot (object 0), on the generic
+//! [`ShippedSim`], in four modes: unprotected (a stale splice or unlink CAS
+//! succeeds against a recycled node), tagged (every root and link word
+//! counted), hazard (the list's three lanes, published hand-over-hand) and
+//! epoch (no quarantine: limbo is never transferred).
 
-use aba_lockfree::list::{HmList, LANES};
-use aba_reclaim::{Scheme, NIL};
-use aba_spec::ProcessId;
+use aba_lockfree::list::HmList;
 
-use super::protect::{Layout, Links, Protection};
-use super::replay::Replay;
-use super::shipped::Shipped;
-use crate::algorithm::{SimAlgorithm, SimProcess};
-use crate::object::{BaseObject, ObjId};
-
-const OBJ_HEAD: ObjId = 0;
-const OBJ_FREE: ObjId = 1;
+use super::shipped::ShippedSim;
 
 /// A simulated Harris–Michael set: `n` processes over a capacity-`capacity`
 /// node arena.
-#[derive(Debug, Clone, Copy)]
-pub struct SetSim {
-    n: usize,
-    capacity: usize,
-    scheme: Scheme,
-}
-
-impl SetSim {
-    fn new(n: usize, capacity: usize, scheme: Scheme) -> Self {
-        assert!(n > 0, "need at least one process");
-        assert!((1..=63).contains(&capacity), "capacity must be in 1..=63");
-        SetSim {
-            n,
-            capacity,
-            scheme,
-        }
-    }
-
-    /// The unprotected (ABA-prone) variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `capacity` is 0 or above 63 (the free set is a
-    /// single 64-bit word).
-    pub fn unprotected(n: usize, capacity: usize) -> Self {
-        Self::new(n, capacity, Scheme::Unprotected)
-    }
-
-    /// The tagged (counted-word) variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics as for [`SetSim::unprotected`].
-    pub fn tagged(n: usize, capacity: usize) -> Self {
-        Self::new(n, capacity, Scheme::Tagged)
-    }
-
-    /// The hazard-pointer variant (three hand-over-hand lanes per process).
-    ///
-    /// # Panics
-    ///
-    /// Panics as for [`SetSim::unprotected`].
-    pub fn hazard(n: usize, capacity: usize) -> Self {
-        Self::new(n, capacity, Scheme::Hazard)
-    }
-
-    /// The epoch-reclaimed variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics as for [`SetSim::unprotected`].
-    pub fn epoch(n: usize, capacity: usize) -> Self {
-        Self::new(n, capacity, Scheme::Epoch)
-    }
-
-    fn layout(&self) -> Layout {
-        Layout {
-            free: OBJ_FREE,
-            base: 2 + 2 * self.capacity,
-            n: self.n,
-            lanes: LANES,
-            stamps: 0,
-        }
-    }
-
-    fn process(&self, pid: ProcessId) -> Shipped<HmList> {
-        Shipped {
-            code: HmList::new(OBJ_HEAD),
-            prot: Protection::new(self.scheme, self.layout(), pid),
-        }
-    }
-}
-
-impl SimAlgorithm for SetSim {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn name(&self) -> &'static str {
-        match self.scheme {
-            Scheme::Unprotected => "HM set sim (unprotected)",
-            Scheme::Tagged => "HM set sim (tagged)",
-            Scheme::Hazard => "HM set sim (hazard)",
-            Scheme::Epoch => "HM set sim (epoch)",
-            Scheme::LlSc => unreachable!("no LL/SC set model"),
-        }
-    }
-
-    fn initial_objects(&self) -> Vec<BaseObject> {
-        let nil = Links::of(self.scheme).fresh(NIL);
-        let mut objects = vec![
-            BaseObject::cas(nil),                         // head -> nil
-            BaseObject::cas((1u64 << self.capacity) - 1), // free set: all nodes
-        ];
-        for _ in 0..self.capacity {
-            objects.push(BaseObject::register(0)); // key
-            objects.push(BaseObject::writable_cas(nil)); // next
-        }
-        objects.extend(self.layout().registers());
-        objects
-    }
-
-    fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess> {
-        Box::new(Replay::new(self.process(pid)))
-    }
-}
+pub type SetSim = ShippedSim<HmList>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithm::MethodCall;
+    use crate::algorithm::{SimAlgorithm, SimProcess};
+    use crate::algorithms::protect::Links;
+    use crate::algorithms::replay::Replay;
     use crate::executor::Simulation;
+    use crate::object::ObjId;
+    use aba_lockfree::list::LANES;
+    use aba_reclaim::{Scheme, NIL};
     use aba_spec::{check_history, Spec};
+
+    const OBJ_HEAD: ObjId = 0;
+    const OBJ_FREE: ObjId = 1;
 
     fn run_sequential(algo: &SetSim) {
         let mut sim = Simulation::new(algo);

@@ -1,25 +1,209 @@
 //! The simulator's half of `aba_lockfree::mem`: a structure's shipped code
 //! run on the replay memory, so that what an explorer establishes about a
-//! `queue/*` or `set/*` row is established about the code that ships.
+//! `stack/*`, `queue/*` or `set/*` row is established about the code that
+//! ships.
 //!
-//! [`Shipped`] is the [`Model`] of a code struct ([`MsQueue`], [`HmList`]);
-//! `Nodes` is one call's `NodeMem`, each method the `Mem` steps and
-//! `protect.rs` sequences of the `Guard` or `Worker` call it stands for.
-//! Slot `s` is object `s`; node `k` owns objects `free + 1 + 2k` (value
-//! word) and `free + 2 + 2k` (next link), `free` being the free set's id;
-//! every word is encoded by the scheme's hardware codec.  The hardware
-//! diagnostics take no step, and there is no retry budget: the explorers
-//! cut a wedged loop.
+//! [`ShippedSim`] is every structure row's [`SimAlgorithm`]; what tells the
+//! structures apart is their [`ShippedCode`] impl: data, and the mapping of
+//! the method calls onto the code's operations.  `Nodes` is one call's
+//! `NodeMem`, each method the `Mem` steps and `protect.rs` sequences of the
+//! `Guard` or `Worker` call it stands for.
+//!
+//! Memory layout for `S` slots and a capacity-`C` arena: object `s < S` is
+//! slot `s`, object `S` is the free set, node `k` owns objects `S + 1 + 2k`
+//! (value word) and `S + 2 + 2k` (next link), every word in the scheme's
+//! hardware codec; the deferred schemes append the protection registers of
+//! `protect::Layout`.  The hardware diagnostics take no step, and there is
+//! no retry budget: the explorers cut a wedged loop.
 
-use aba_lockfree::list::{HmList, Prev};
+use std::fmt::Debug;
+use std::marker::PhantomData;
+
+use aba_lockfree::list::{self, HmList, Prev};
 use aba_lockfree::mem::{Attempt, NodeMem};
-use aba_lockfree::MsQueue;
+use aba_lockfree::{queue, stack, Family, MsQueue, Treiber};
 use aba_reclaim::{Scheme, SlotId, NIL};
+use aba_spec::ProcessId;
 
-use super::protect::{Advance, Protection};
-use super::replay::{Mem, Model, Run};
-use crate::algorithm::{MethodCall, MethodResponse};
-use crate::object::ObjId;
+use super::protect::{Advance, Layout, Links, Protection};
+use super::replay::{Mem, Model, Replay, Run};
+use crate::algorithm::{MethodCall, MethodResponse, SimAlgorithm, SimProcess};
+use crate::object::{BaseObject, ObjId};
+
+/// A structure's shipped code as its simulator rows run it.
+pub trait ShippedCode: Copy + Debug + 'static {
+    /// The hardware family the rows model; their names are its labels.
+    const FAMILY: Family;
+    /// Registered slots: objects `0..SLOTS`.
+    const SLOTS: usize;
+    /// Whether node 0 starts as the dummy every slot designates.
+    const DUMMY: bool;
+    /// Hazard lanes per process.
+    const LANES: usize;
+    /// Whether the epoch layout keeps a quarantine.
+    const QUARANTINE: bool;
+    /// The code over slots `0..SLOTS`.
+    const CODE: Self;
+    /// Run `call` on `m`.
+    fn call<M: NodeMem>(&self, call: MethodCall, m: &mut M) -> Result<MethodResponse, M::Stop>;
+}
+
+impl ShippedCode for Treiber {
+    const FAMILY: Family = Family::Stack;
+    const SLOTS: usize = 1;
+    const DUMMY: bool = false;
+    const LANES: usize = stack::LANES;
+    const QUARANTINE: bool = true;
+    const CODE: Self = Treiber::new(0);
+    fn call<M: NodeMem>(&self, call: MethodCall, m: &mut M) -> Result<MethodResponse, M::Stop> {
+        Ok(match call {
+            MethodCall::Push(value) => MethodResponse::PushResult(self.push(value, m)?),
+            MethodCall::Pop => MethodResponse::PopResult(self.pop(m)?),
+            other => panic!("stack simulation given {other:?}"),
+        })
+    }
+}
+
+impl ShippedCode for MsQueue {
+    const FAMILY: Family = Family::Queue;
+    const SLOTS: usize = 2;
+    const DUMMY: bool = true;
+    const LANES: usize = queue::LANES;
+    const QUARANTINE: bool = true;
+    const CODE: Self = MsQueue::new(0, 1);
+    fn call<M: NodeMem>(&self, call: MethodCall, m: &mut M) -> Result<MethodResponse, M::Stop> {
+        Ok(match call {
+            MethodCall::Enqueue(value) => MethodResponse::EnqueueResult(self.enqueue(value, m)?),
+            MethodCall::Dequeue => MethodResponse::DequeueResult(self.dequeue(m)?),
+            other => panic!("queue simulation given {other:?}"),
+        })
+    }
+}
+
+/// The set: every walk starts at the root slot, and `Contains` is a `get`.
+/// Its epoch layout has no quarantine, so limbo is never transferred.
+impl ShippedCode for HmList {
+    const FAMILY: Family = Family::Set;
+    const SLOTS: usize = 1;
+    const DUMMY: bool = false;
+    const LANES: usize = list::LANES;
+    const QUARANTINE: bool = false;
+    const CODE: Self = HmList::new(0);
+    fn call<M: NodeMem>(&self, call: MethodCall, m: &mut M) -> Result<MethodResponse, M::Stop> {
+        Ok(match call {
+            MethodCall::Insert(key) => {
+                MethodResponse::InsertResult(self.insert(Prev::Root, key, 0, m)?)
+            }
+            MethodCall::Remove(key) => {
+                MethodResponse::RemoveResult(self.remove(Prev::Root, key, m)?)
+            }
+            MethodCall::Contains(key) => {
+                MethodResponse::ContainsResult(self.get(Prev::Root, key, m)?.is_some())
+            }
+            other => panic!("set simulation given {other:?}"),
+        })
+    }
+}
+
+/// The simulator row of shipped code `C`: `n` processes over a
+/// capacity-`capacity` node arena, under one scheme.
+#[derive(Debug, Clone, Copy)]
+pub struct ShippedSim<C> {
+    n: usize,
+    capacity: usize,
+    scheme: Scheme,
+    code: PhantomData<C>,
+}
+
+impl<C: ShippedCode> ShippedSim<C> {
+    fn new(n: usize, capacity: usize, scheme: Scheme) -> Self {
+        assert!(n > 0, "need at least one process");
+        assert!((1..=63).contains(&capacity), "capacity must be in 1..=63");
+        ShippedSim {
+            n,
+            capacity,
+            scheme,
+            code: PhantomData,
+        }
+    }
+
+    /// The unprotected (ABA-prone) variant: bare words, immediate free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `capacity` is 0 or above 63 (the free set is a
+    /// single 64-bit word), as the other three constructors do.
+    pub fn unprotected(n: usize, capacity: usize) -> Self {
+        Self::new(n, capacity, Scheme::Unprotected)
+    }
+
+    /// The tagged variant: counted words, bumped by every CAS (§1 tagging).
+    pub fn tagged(n: usize, capacity: usize) -> Self {
+        Self::new(n, capacity, Scheme::Tagged)
+    }
+
+    /// The hazard-pointer variant, with the code's lanes.
+    pub fn hazard(n: usize, capacity: usize) -> Self {
+        Self::new(n, capacity, Scheme::Hazard)
+    }
+
+    /// The epoch-reclaimed variant, with a quarantine where the code keeps
+    /// one.
+    pub fn epoch(n: usize, capacity: usize) -> Self {
+        Self::new(n, capacity, Scheme::Epoch)
+    }
+
+    pub(crate) fn layout(&self) -> Layout {
+        let hazard = self.scheme == Scheme::Hazard;
+        Layout {
+            free: C::SLOTS,
+            base: C::SLOTS + 1 + 2 * self.capacity,
+            n: self.n,
+            lanes: if hazard { C::LANES } else { 0 },
+            stamps: if C::QUARANTINE { self.capacity } else { 0 },
+        }
+    }
+
+    pub(crate) fn process(&self, pid: ProcessId) -> Shipped<C> {
+        let prot = Protection::new(self.scheme, self.layout(), pid);
+        Shipped {
+            code: C::CODE,
+            prot,
+        }
+    }
+}
+
+impl<C: ShippedCode> SimAlgorithm for ShippedSim<C> {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn name(&self) -> &'static str {
+        C::FAMILY.label(self.scheme)
+    }
+
+    fn initial_objects(&self) -> Vec<BaseObject> {
+        let links = Links::of(self.scheme);
+        let all = (1u64 << self.capacity) - 1;
+        let (top, free) = if C::DUMMY { (0, all & !1) } else { (NIL, all) };
+        let mut objects = vec![BaseObject::cas(links.fresh(top)); C::SLOTS];
+        objects.push(BaseObject::cas(free));
+        for _ in 0..self.capacity {
+            objects.push(BaseObject::register(0)); // value
+            objects.push(BaseObject::writable_cas(links.fresh(NIL))); // next
+        }
+        // The immediate-free schemes touch no protection register, so they
+        // carry none (every object is cloned at every explored step).
+        if matches!(self.scheme, Scheme::Hazard | Scheme::Epoch) {
+            objects.extend(self.layout().registers());
+        }
+        objects
+    }
+
+    fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess> {
+        Box::new(Replay::new(self.process(pid)))
+    }
+}
 
 /// A [`Model`] that runs a structure's shipped code `C` under one process's
 /// [`Protection`].
@@ -29,48 +213,16 @@ pub(crate) struct Shipped<C> {
     pub(crate) prot: Protection,
 }
 
-impl<C> Shipped<C> {
-    /// One call's memory.
-    fn nodes<'r, 'a>(&'r mut self, m: &'r mut Mem<'a>) -> (&'r C, Nodes<'r, 'a>) {
-        let nodes = Nodes {
+impl<C: ShippedCode> Model for Shipped<C> {
+    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
+        let prot = &mut self.prot;
+        let mut nodes = Nodes {
             m,
-            prot: &mut self.prot,
+            prot,
             held: 0,
             deferred: 0,
         };
-        (&self.code, nodes)
-    }
-}
-
-impl Model for Shipped<MsQueue> {
-    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
-        let (code, mut nodes) = self.nodes(m);
-        Ok(match call {
-            MethodCall::Enqueue(value) => {
-                MethodResponse::EnqueueResult(code.enqueue(value, &mut nodes)?)
-            }
-            MethodCall::Dequeue => MethodResponse::DequeueResult(code.dequeue(&mut nodes)?),
-            other => panic!("queue simulation given {other:?}"),
-        })
-    }
-}
-
-/// The set: every walk starts at the root slot, and `Contains` is a `get`.
-impl Model for Shipped<HmList> {
-    fn call(&mut self, call: MethodCall, m: &mut Mem<'_>) -> Run<MethodResponse> {
-        let (code, mut nodes) = self.nodes(m);
-        Ok(match call {
-            MethodCall::Insert(key) => {
-                MethodResponse::InsertResult(code.insert(Prev::Root, key, 0, &mut nodes)?)
-            }
-            MethodCall::Remove(key) => {
-                MethodResponse::RemoveResult(code.remove(Prev::Root, key, &mut nodes)?)
-            }
-            MethodCall::Contains(key) => {
-                MethodResponse::ContainsResult(code.get(Prev::Root, key, &mut nodes)?.is_some())
-            }
-            other => panic!("set simulation given {other:?}"),
-        })
+        self.code.call(call, &mut nodes)
     }
 }
 

@@ -282,6 +282,7 @@ fn audit_model(model: &SimModel, runs: usize, len: usize, cfg: &DporConfig) -> A
         SimWorkload::Register { .. } => 11,
         SimWorkload::Queue { .. } => 12,
         SimWorkload::Set { .. } => 13,
+        SimWorkload::Stack { .. } => 14,
     };
     let mut auditor = audit_bursty(algo, model.workload, runs, len, base_seed);
     let mut make = || model.workload.simulation(algo);

@@ -330,6 +330,8 @@ impl Simulation {
                 OpKind::Sc { value, success }
             }
             (MethodCall::Vl, MethodResponse::VlResult(valid)) => OpKind::Vl { valid },
+            (MethodCall::Push(value), MethodResponse::PushResult(ok)) => OpKind::Push { value, ok },
+            (MethodCall::Pop, MethodResponse::PopResult(value)) => OpKind::Pop { value },
             (MethodCall::Enqueue(value), MethodResponse::EnqueueResult(ok)) => {
                 OpKind::Enqueue { value, ok }
             }

@@ -5,8 +5,8 @@
 //!
 //! * [`SimWorkload`] describes a bounded workload — the paper's lower-bound
 //!   register workload (process 0 writes, everyone else reads), the
-//!   producer/consumer queue workload, the contains/insert/remove set
-//!   workload — and owns everything that depends on the family: seeding, the
+//!   staggered push/pop stack workload, the producer/consumer queue
+//!   workload, the contains/insert/remove set workload — and owns everything that depends on the family: seeding, the
 //!   adversarial schedule shape, the specification and the verdict;
 //! * [`run_workload`] runs one under a given schedule;
 //! * [`search_violation`] hammers an algorithm with random schedules and
@@ -104,6 +104,15 @@ pub enum SimWorkload {
         /// DReads of every other process.
         reads: usize,
     },
+    /// The staggered stack workload: process `p` makes `calls - p` calls,
+    /// cycling through `Push(v)` (unique values), `Pop`, `Pop`.  The free
+    /// set hands out its lowest node, so the pop ABA needs a pusher holding
+    /// an allocated node while its peer pushes, a pop that parks, and its
+    /// peer's two pops and re-push: the longer cycle's last call.
+    Stack {
+        /// Calls of process 0; each later process makes one fewer.
+        calls: usize,
+    },
     /// The producer/consumer queue workload: even processes each enqueue
     /// `enqueues` unique values, odd processes each perform `dequeues`
     /// dequeues.
@@ -177,6 +186,16 @@ impl SimWorkload {
                     }
                 }
             }
+            SimWorkload::Stack { calls } => {
+                for pid in 0..n {
+                    for i in 0..calls.saturating_sub(pid) {
+                        // Unique values so any duplication or loss is
+                        // attributable.
+                        let push = MethodCall::Push((pid * 1_000 + i + 1) as u32);
+                        sim.enqueue(pid, if i % 3 == 0 { push } else { MethodCall::Pop });
+                    }
+                }
+            }
             SimWorkload::Queue { enqueues, dequeues } => {
                 for pid in 0..n {
                     if pid % 2 == 0 {
@@ -211,6 +230,7 @@ impl SimWorkload {
     fn calls(&self, n: usize) -> usize {
         match *self {
             SimWorkload::Register { writes, reads } => writes + (n - 1) * reads,
+            SimWorkload::Stack { calls } => (0..n).map(|pid| calls.saturating_sub(pid)).sum(),
             SimWorkload::Queue { enqueues, dequeues } => {
                 n.div_ceil(2) * enqueues + n / 2 * dequeues
             }
@@ -231,7 +251,7 @@ impl SimWorkload {
             // through whole operations is the window the dequeue and
             // traversal ABAs need (uniformly random schedules almost never
             // open it).
-            SimWorkload::Queue { .. } | SimWorkload::Set { .. } => {
+            SimWorkload::Stack { .. } | SimWorkload::Queue { .. } | SimWorkload::Set { .. } => {
                 schedule::bursty(n, 40 * calls, 36, seed)
             }
         }
@@ -243,6 +263,7 @@ impl SimWorkload {
     fn spec(&self) -> Option<Spec> {
         match self {
             SimWorkload::Register { .. } => None,
+            SimWorkload::Stack { .. } => Some(Spec::Stack),
             SimWorkload::Queue { .. } => Some(Spec::Queue),
             SimWorkload::Set { .. } => Some(Spec::Set),
         }

@@ -3,24 +3,24 @@
 //!
 //! `table_dpor` explores each row, the footprint audit
 //! ([`crate::audit::standard_family_audits`]) audits the protected ones, and
-//! the family-level exploration tests iterate it — so a new sim model is its
-//! own file plus one row here.  The `queue/*` and `set/*` rows run
-//! `aba-lockfree`'s own queue and list code (`algorithms/shipped.rs`), so a
-//! new scheme for either is one constructor naming a layout plus one row.
-//! Their keys are keys of `aba_lockfree::Family`'s table: the row claims to
-//! model that hardware backend, and `tests/model_binding.rs` holds it to the
-//! claim.
+//! the family-level exploration tests iterate it — so a new model is one row
+//! here.  The `stack/*`, `queue/*` and `set/*` rows run `aba-lockfree`'s own
+//! code on the generic [`ShippedSim`](crate::algorithms::ShippedSim), and
+//! their keys are keys of `aba_lockfree::Family`'s table: the row claims to
+//! model that backend, and `tests/model_binding.rs` holds it to the claim.
+//! A family's rows share one bound, where the unprotected row has a witness.
 
 use crate::algorithm::SimAlgorithm;
 use crate::algorithms::baselines::{NaiveSim, TaggedSim};
 use crate::algorithms::queue::QueueSim;
 use crate::algorithms::set::SetSim;
+use crate::algorithms::stack::StackSim;
 use crate::explore::SimWorkload;
 
 /// One roster row: a simulated model at its E11 bound.
 #[derive(Debug, Clone, Copy)]
 pub struct SimModel {
-    /// Algorithm family (`register` / `queue` / `set`).
+    /// Algorithm family (`register` / `queue` / `set` / `stack`).
     pub family: &'static str,
     /// Protection mode; `family/mode` keys the row in `BENCH_dpor.json` and
     /// `BENCH_lint.json`.
@@ -58,6 +58,7 @@ const QUEUE: (&str, SimWorkload) = (
     },
 );
 const SET: (&str, SimWorkload) = ("n=2, rounds=1, arena=3", SimWorkload::Set { rounds: 1 });
+const STACK: (&str, SimWorkload) = ("n=2, calls=4, arena=2", SimWorkload::Stack { calls: 4 });
 
 /// One roster line per model: `family, mode, protected, bound => model;`.
 macro_rules! roster {
@@ -73,8 +74,8 @@ macro_rules! roster {
     };
 }
 
-/// The nine E11 rows, in `BENCH_dpor.json` order.
-pub static MODEL_ROSTER: [SimModel; 9] = roster! {
+/// The eleven E11 rows, in `BENCH_dpor.json` order.
+pub static MODEL_ROSTER: [SimModel; 11] = roster! {
     "register", "naive", false, REGISTER => NaiveSim::new(3);
     "register", "tagged", true, REGISTER => TaggedSim::new(3);
     "queue", "unprotected", false, QUEUE => QueueSim::unprotected(3, 2);
@@ -84,4 +85,6 @@ pub static MODEL_ROSTER: [SimModel; 9] = roster! {
     "set", "tagged", true, SET => SetSim::tagged(2, 3);
     "set", "hazard", true, SET => SetSim::hazard(2, 3);
     "set", "epoch", true, SET => SetSim::epoch(2, 3);
+    "stack", "unprotected", false, STACK => StackSim::unprotected(2, 2);
+    "stack", "tagged", true, STACK => StackSim::tagged(2, 2);
 };

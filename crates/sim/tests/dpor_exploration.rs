@@ -82,6 +82,15 @@ fn roster_unprotected_rows_yield_a_witness_and_protected_rows_drain() {
         // inside an epoch, and the wait also collapsed the space.  A retire
         // makes one reclamation attempt, as `EpochGuard::retire` does.)
         ("set/epoch", (None, 25_148, 0)),
+        // The staggered workload: process 0 pushes, pops twice and pushes
+        // again; process 1 pushes and pops twice.  The witness holds the
+        // textbook pop ABA: process 1's push holds node 0 while process 0
+        // pushes node 1, so its pop parks with the link 0 -> 1; process 0
+        // pops both and re-pushes node 0, the stale CAS lands, and the last
+        // pop returns the popped node 1's value a second time.
+        ("stack/unprotected", (None, 1_764, 0)),
+        // Pinned, drained, nothing cut: the counted head fails that CAS.
+        ("stack/tagged", (None, 11_495, 0)),
     ];
     assert_eq!(pins.len(), MODEL_ROSTER.len());
     for (model, (key, pin)) in MODEL_ROSTER.iter().zip(pins) {

@@ -4,19 +4,21 @@
 //! number of shared-memory steps per operation (`Simulation::last_op_steps`
 //! against the handle's `last_op_steps`).
 //!
-//! The simulator *proves* small-bound properties of hand-written models; a
+//! The simulator *proves* small-bound properties of the models it runs; a
 //! proof about a model that has drifted from the code is worth nothing.
-//! This is the behavioural tie between the two sides (the key tie —
-//! every `queue/*` and `set/*` roster key is an `aba_lockfree::Family` key —
-//! is `crates/bench/tests/dpor_golden.rs`).  One row per model: the nine
-//! `MODEL_ROSTER` keys plus the six constructions the roster does not
+//! This is the behavioural tie between the two sides (the key tie — every
+//! `stack/*`, `queue/*` and `set/*` roster key is an `aba_lockfree::Family`
+//! key — is `crates/bench/tests/dpor_golden.rs`).  One row per model: the
+//! eleven `MODEL_ROSTER` keys plus the six constructions the roster does not
 //! explore (`Fig3Sim`, `Fig4Sim`, `AnnounceSim`, `MoirSim` and `Fig5Sim`
-//! over Figure 3, Announce and Moir).  Those six and `register/tagged` are
-//! not hand-written models: each spawns the code its hardware twin runs,
-//! written once over `aba_core::mem::Mem`, so their rows bind the two
-//! *memories* — the atomics and the simulator's replay log — not two texts.
-//! Structure rows compare responses only: `Guard` has no step counter yet
-//! (ROADMAP item 3).
+//! over Figure 3, Announce and Moir).  Only `register/naive` is a
+//! hand-written model: the paper's objects and `register/tagged` spawn the
+//! code their hardware twins run, written once over `aba_core::mem::Mem`,
+//! and the structure rows run the stack, queue and list code written once
+//! over `aba_lockfree::mem::NodeMem`, so those rows bind the two *memories*
+//! — the atomics and the simulator's replay log — not two texts.  Structure
+//! rows compare responses only: `Guard` has no step counter yet (ROADMAP
+//! item 2).
 
 use aba_repro::lockfree::{Family, NaiveEventSignal, Scheme, Structure};
 use aba_repro::sim::algorithms::announce::AnnounceSim;
@@ -26,6 +28,7 @@ use aba_repro::sim::algorithms::fig4::Fig4Sim;
 use aba_repro::sim::algorithms::fig5::Fig5Sim;
 use aba_repro::sim::algorithms::queue::QueueSim;
 use aba_repro::sim::algorithms::set::SetSim;
+use aba_repro::sim::algorithms::stack::StackSim;
 use aba_repro::sim::{MethodCall, SimAlgorithm, Simulation, MODEL_ROSTER};
 use aba_repro::spec::{AbaRegisterObject, LlScObject, OpKind, ProcessId};
 use aba_repro::{stacks, AnnounceLlSc, BoundedAbaRegister, CasLlSc, MoirLlSc, TaggedAbaRegister};
@@ -69,19 +72,15 @@ struct Row {
 }
 
 fn structure(key: &str) -> Twin {
-    let family = if key.starts_with("queue/") {
-        Family::Queue
-    } else {
-        Family::Set
-    };
-    let scheme = Scheme::ALL
+    let (family, scheme) = Family::ALL
         .into_iter()
-        .find(|&scheme| family.key(scheme) == key)
+        .flat_map(|family| Scheme::ALL.map(|scheme| (family, scheme)))
+        .find(|&(family, scheme)| family.key(scheme) == key)
         .unwrap_or_else(|| panic!("{key} is no key of aba_lockfree::Family's table"));
     Twin::Structure(family.build(scheme, ARENA, N))
 }
 
-const TABLE: [Row; 16] = [
+const TABLE: [Row; 18] = [
     Row {
         key: "Fig4Sim",
         model: || Box::new(Fig4Sim::new(N)),
@@ -178,6 +177,18 @@ const TABLE: [Row; 16] = [
         twin: || structure("set/epoch"),
         steps: Steps::Uncounted,
     },
+    Row {
+        key: "stack/unprotected",
+        model: || Box::new(StackSim::unprotected(N, ARENA)),
+        twin: || structure("stack/unprotected"),
+        steps: Steps::Uncounted,
+    },
+    Row {
+        key: "stack/tagged",
+        model: || Box::new(StackSim::tagged(N, ARENA)),
+        twin: || structure("stack/tagged"),
+        steps: Steps::Uncounted,
+    },
 ];
 
 // ---------------------------------------------------------------------------
@@ -223,6 +234,24 @@ fn llsc_script() -> Script {
         ]
     });
     prime.chain(rounds).collect()
+}
+
+/// Bursts of pushes and longer bursts of pops, so the stack keeps running
+/// empty (and answering so), never above `MAX_LIVE` elements.
+fn stack_script() -> Script {
+    let mut live = 0;
+    (0..OPS)
+        .map(|i| {
+            let call = if live < MAX_LIVE && (i * 7) % 20 < 9 {
+                live += 1;
+                MethodCall::Push(i as u32)
+            } else {
+                live = live.saturating_sub(1);
+                MethodCall::Pop
+            };
+            ((i * 5 + 1) % N, call)
+        })
+        .collect()
 }
 
 /// Bursts of enqueues and longer bursts of dequeues, so the queue keeps
@@ -273,12 +302,13 @@ fn set_script() -> Script {
 
 /// The yes/no answer of an operation that has one, by operation name.
 /// (`DWrite` and `LL` have none, and no script exhausts an arena, so every
-/// `Enqueue` succeeds.)
+/// `Push` and `Enqueue` succeeds.)
 fn answer(kind: &OpKind) -> Option<(&'static str, bool)> {
     Some(match *kind {
         OpKind::DRead { flag, .. } => ("DRead", flag),
         OpKind::Sc { success, .. } => ("SC", success),
         OpKind::Vl { valid } => ("VL", valid),
+        OpKind::Pop { value } => ("Pop", value.is_some()),
         OpKind::Dequeue { value } => ("Dequeue", value.is_some()),
         OpKind::Insert { ok, .. } => ("Insert", ok),
         OpKind::Remove { ok, .. } => ("Remove", ok),
@@ -378,6 +408,22 @@ fn check(row: &Row) {
                     MethodCall::DRead => OpKind::DRead {
                         value,
                         flag: waiters[pid].poll(),
+                    },
+                    other => unsupported(other),
+                };
+                (kind, 0)
+            });
+        }
+        Twin::Structure(Structure::Stack(stack)) => {
+            let mut handles: Vec<_> = (0..N).map(|p| stack.handle(p)).collect();
+            bind(row, &stack_script(), |pid, call| {
+                let kind = match call {
+                    MethodCall::Push(value) => OpKind::Push {
+                        value,
+                        ok: handles[pid].push(value),
+                    },
+                    MethodCall::Pop => OpKind::Pop {
+                        value: handles[pid].pop(),
                     },
                     other => unsupported(other),
                 };
