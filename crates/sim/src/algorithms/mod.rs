@@ -21,8 +21,8 @@
 //!   / advance / quarantine and hazard publish / scan / clear, one function
 //!   per `aba_reclaim::Guard` method.  The adapter in `shipped.rs` composes
 //!   them into the `NodeMem` the shipped code runs on; a new structure is a
-//!   `ShippedCode` impl and its `Model` impl there, a new structure ×
-//!   scheme row one `MODEL_ROSTER` line.
+//!   `ShippedCode` impl there, a new structure × scheme row one
+//!   `MODEL_ROSTER` line.
 //! * `replay` (crate-private) — the adapter that makes such code
 //!   schedulable: a model implements `Model::call` over `Mem::read` /
 //!   `write` / `cas` (and `Mem::retry` for unbounded CAS-retry loops), and
