@@ -148,9 +148,7 @@ impl<'a, R: Reclaimer, W: Window> GenericStackHandle<'a, R, W> {
             worker: stack.nodes.worker(tid),
         }
     }
-}
 
-impl<'a, R: Reclaimer, W: Window> GenericStackHandle<'a, R, W> {
     /// Run `attempt` at most `tries` times, backing off between them, then
     /// release the protections: its value, or `None` if every try lost.
     fn tries<T>(
