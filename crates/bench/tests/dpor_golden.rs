@@ -17,7 +17,7 @@ const SET_BOUND: &str = "n=2, rounds=1, arena=3";
 const STACK_BOUND: &str = "n=2, calls=4, arena=2";
 
 /// The frozen roster `(family, mode, protected, bound)`, in row order.
-const GOLDEN_ROSTER: [(&str, &str, bool, &str); 11] = [
+const GOLDEN_ROSTER: [(&str, &str, bool, &str); 12] = [
     ("register", "naive", false, REGISTER_BOUND),
     ("register", "tagged", true, REGISTER_BOUND),
     ("queue", "unprotected", false, QUEUE_BOUND),
@@ -29,6 +29,7 @@ const GOLDEN_ROSTER: [(&str, &str, bool, &str); 11] = [
     ("set", "epoch", true, SET_BOUND),
     ("stack", "unprotected", false, STACK_BOUND),
     ("stack", "tagged", true, STACK_BOUND),
+    ("queue", "hazard", true, QUEUE_BOUND),
 ];
 
 #[test]

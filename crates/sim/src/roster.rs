@@ -74,8 +74,8 @@ macro_rules! roster {
     };
 }
 
-/// The eleven E11 rows, in `BENCH_dpor.json` order.
-pub static MODEL_ROSTER: [SimModel; 11] = roster! {
+/// The twelve E11 rows, in `BENCH_dpor.json` order.
+pub static MODEL_ROSTER: [SimModel; 12] = roster! {
     "register", "naive", false, REGISTER => NaiveSim::new(3);
     "register", "tagged", true, REGISTER => TaggedSim::new(3);
     "queue", "unprotected", false, QUEUE => QueueSim::unprotected(3, 2);
@@ -87,4 +87,5 @@ pub static MODEL_ROSTER: [SimModel; 11] = roster! {
     "set", "epoch", true, SET => SetSim::epoch(2, 3);
     "stack", "unprotected", false, STACK => StackSim::unprotected(2, 2);
     "stack", "tagged", true, STACK => StackSim::tagged(2, 2);
+    "queue", "hazard", true, QUEUE => QueueSim::hazard(3, 2);
 };

@@ -91,6 +91,9 @@ fn roster_unprotected_rows_yield_a_witness_and_protected_rows_drain() {
         ("stack/unprotected", (None, 1_764, 0)),
         // Pinned, drained, nothing cut: the counted head fails that CAS.
         ("stack/tagged", (None, 11_495, 0)),
+        // Pinned, drained, nothing cut: unlike the tagged queue's 44k
+        // classes, the whole space drains inside a debug test.
+        ("queue/hazard", (None, 27_221, 0)),
     ];
     assert_eq!(pins.len(), MODEL_ROSTER.len());
     for (model, (key, pin)) in MODEL_ROSTER.iter().zip(pins) {

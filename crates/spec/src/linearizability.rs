@@ -8,8 +8,11 @@
 //!
 //! The search is exponential in the worst case; it is intended for the short
 //! histories produced by the stress tests (tens of operations per window).
-//! Histories longer than 128 operations are rejected with
-//! [`LinCheckOutcome::TooLarge`] rather than silently truncated.
+//! Concurrent histories longer than 128 operations are rejected with
+//! [`LinCheckOutcome::TooLarge`] rather than silently truncated.  A totally
+//! ordered history (every operation responds before the next is invoked) has
+//! one candidate linearization, its own order, and is decided at any length
+//! by replaying it through the specification.
 
 use std::collections::HashSet;
 use std::hash::Hash;
@@ -20,7 +23,7 @@ use crate::sequential::{
 };
 use crate::{ProcessId, Word};
 
-/// Maximum history length the exhaustive checker accepts.
+/// Maximum length of a concurrent history the exhaustive checker accepts.
 pub const MAX_CHECKED_OPS: usize = 128;
 
 /// Result of a linearizability check.
@@ -35,7 +38,7 @@ pub enum LinCheckOutcome {
     /// No linearization exists: the history is not linearizable with respect
     /// to the sequential specification.
     NotLinearizable,
-    /// The history exceeds [`MAX_CHECKED_OPS`] operations.
+    /// The history is concurrent and exceeds [`MAX_CHECKED_OPS`] operations.
     TooLarge {
         /// Number of operations in the rejected history.
         len: usize,
@@ -275,11 +278,18 @@ pub fn check_history(history: &History, spec: Spec) -> LinCheckOutcome {
 
 fn check_generic<S: CheckerSpec>(history: &History, initial: S) -> LinCheckOutcome {
     let ops = history.ops();
+    if ops.windows(2).all(|pair| pair[0].happens_before(&pair[1])) {
+        let mut state = initial;
+        return if ops.iter().all(|op| state.apply(op.pid, &op.kind)) {
+            LinCheckOutcome::Linearizable {
+                witness: (0..ops.len()).collect(),
+            }
+        } else {
+            LinCheckOutcome::NotLinearizable
+        };
+    }
     if ops.len() > MAX_CHECKED_OPS {
         return LinCheckOutcome::TooLarge { len: ops.len() };
-    }
-    if ops.is_empty() {
-        return LinCheckOutcome::Linearizable { witness: vec![] };
     }
     debug_assert!(history.is_well_formed(), "history must be well formed");
 
@@ -1069,12 +1079,46 @@ mod tests {
         for i in 0..(MAX_CHECKED_OPS as u64 + 1) {
             ops.push(rec(0, OpKind::DWrite { value: 1 }, 2 * i, 2 * i + 1));
         }
+        // One overlapping pair: a totally ordered history has no cap.
+        ops[1] = rec(1, OpKind::DWrite { value: 1 }, 0, 3);
         let h = History::from_ops(ops);
         assert_eq!(
-            check_history(&h, Spec::AbaRegister { n: 1, initial: 0 }),
+            check_history(&h, Spec::AbaRegister { n: 2, initial: 0 }),
             LinCheckOutcome::TooLarge {
                 len: MAX_CHECKED_OPS + 1
             }
+        );
+    }
+
+    #[test]
+    fn totally_ordered_history_is_decided_at_any_length() {
+        // 600 operations, far past the cap: rounds of two pushes and two
+        // pops, each operation responding before the next is invoked.
+        let mut kinds = Vec::new();
+        for round in 0..150 {
+            let (a, b) = (2 * round, 2 * round + 1);
+            kinds.push(OpKind::Push { value: a, ok: true });
+            kinds.push(OpKind::Push { value: b, ok: true });
+            kinds.push(OpKind::Pop { value: Some(b) });
+            kinds.push(OpKind::Pop { value: Some(a) });
+        }
+        let history = |kinds: &[OpKind]| {
+            let ops = (0..)
+                .zip(kinds)
+                .map(|(i, &kind)| rec(0, kind, 2 * i, 2 * i + 1));
+            History::from_ops(ops.collect())
+        };
+        assert_eq!(
+            check_history(&history(&kinds), Spec::Stack),
+            LinCheckOutcome::Linearizable {
+                witness: (0..600).collect()
+            }
+        );
+        // One pop answers with its round's other value: LIFO is broken.
+        kinds[402] = OpKind::Pop { value: Some(200) };
+        assert_eq!(
+            check_history(&history(&kinds), Spec::Stack),
+            LinCheckOutcome::NotLinearizable
         );
     }
 

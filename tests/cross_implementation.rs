@@ -1,63 +1,10 @@
-//! Cross-implementation integration tests: every ABA-detecting register and
-//! every LL/SC/VL object must behave identically to the sequential
-//! specification under the same sequential operation sequences, and the
-//! paper's headline scenarios must hold for all of them.
+//! Cross-implementation integration tests: the paper's headline scenarios
+//! must hold for every ABA-detecting register and every LL/SC/VL object.
+//! (Their agreement with the sequential specification over long operation
+//! scripts is `tests/model_binding.rs`'s, which checks every paper row's
+//! hardware history against its `Spec`.)
 
-use aba_repro::spec::{SeqAbaRegister, SeqLlSc};
 use aba_repro::{core::all_aba_registers, core::all_llsc_objects};
-
-#[test]
-fn all_registers_agree_with_spec_on_a_long_mixed_sequence() {
-    let n = 4;
-    for reg in all_aba_registers(n) {
-        let mut spec = SeqAbaRegister::new(n, 0);
-        let mut handles: Vec<_> = (0..n).map(|p| reg.handle(p)).collect();
-        // A deterministic but irregular mix of writes and reads, including
-        // many same-value rewrites.
-        for step in 0..2_000usize {
-            let p = (step * 7 + 3) % n;
-            if step % 3 == 0 {
-                let v = (step % 4) as u32;
-                handles[p].dwrite(v);
-                spec.dwrite(p, v);
-            } else {
-                let got = handles[p].dread();
-                let want = spec.dread(p);
-                assert_eq!(got, want, "{} diverged at step {step}", reg.name());
-            }
-        }
-    }
-}
-
-#[test]
-fn all_llsc_objects_agree_with_spec_on_a_long_mixed_sequence() {
-    let n = 4;
-    for obj in all_llsc_objects(n) {
-        let mut spec = SeqLlSc::new(n, 0);
-        let mut handles: Vec<_> = (0..n).map(|p| obj.handle(p)).collect();
-        // Prime every process with an LL so the initial-link conventions of
-        // Figure 3 and the sequential spec coincide.
-        for (p, h) in handles.iter_mut().enumerate() {
-            assert_eq!(h.ll(), spec.ll(p), "{} priming", obj.name());
-        }
-        for step in 0..2_000usize {
-            let p = (step * 5 + 1) % n;
-            match step % 4 {
-                0 => assert_eq!(handles[p].ll(), spec.ll(p), "{} LL at {step}", obj.name()),
-                1 | 2 => {
-                    let v = (step % 6) as u32;
-                    assert_eq!(
-                        handles[p].sc(v),
-                        spec.sc(p, v),
-                        "{} SC at {step}",
-                        obj.name()
-                    );
-                }
-                _ => assert_eq!(handles[p].vl(), spec.vl(p), "{} VL at {step}", obj.name()),
-            }
-        }
-    }
-}
 
 #[test]
 fn every_register_detects_the_canonical_aba_pattern() {
