@@ -362,7 +362,7 @@ pub fn search_violation(
 /// simulator executions are pure functions of the schedule).  The function
 /// is generic over the sequence element: process-id schedules are the
 /// primary client, and the facade's conformance table
-/// (`tests/model_binding.rs`) reuses it to shrink failing op scripts.
+/// (`tests/conformance/mod.rs`) reuses it to shrink failing op scripts.
 pub fn minimize_violation_schedule<T: Clone>(
     schedule: &[T],
     mut still_violates: impl FnMut(&[T]) -> bool,

@@ -1,10 +1,43 @@
-//! Cross-implementation integration tests: the paper's headline scenarios
-//! must hold for every ABA-detecting register and every LL/SC/VL object.
-//! (Their agreement with the sequential specification over long operation
-//! scripts is `tests/model_binding.rs`'s, which checks every paper row's
-//! hardware history against its `Spec`.)
+//! Cross-implementation integration tests: every ABA-detecting register and
+//! every LL/SC/VL object must agree with the sequential specification over
+//! long operation scripts (the paper rows of the conformance table,
+//! `tests/conformance`, through `check_history`), and the paper's headline
+//! scenarios must hold for all of them.
+
+mod conformance;
+
+use std::collections::BTreeSet;
 
 use aba_repro::{core::all_aba_registers, core::all_llsc_objects};
+use conformance::{conforming, table, Hardware, ARENA};
+
+/// The table's rows with register hardware: one per registry entry.
+#[test]
+fn all_registers_agree_with_spec_on_a_long_mixed_sequence() {
+    let mut covered = BTreeSet::new();
+    for row in table() {
+        if let Hardware::Register(new) = row.hardware {
+            covered.insert(new().name());
+            conforming(row.key, row.hardware, ARENA, &row.hardware.script());
+        }
+    }
+    let registry: BTreeSet<_> = all_aba_registers(2).iter().map(|r| r.name()).collect();
+    assert_eq!(covered, registry);
+}
+
+/// The table's rows with LL/SC/VL hardware: one per registry entry.
+#[test]
+fn all_llsc_objects_agree_with_spec_on_a_long_mixed_sequence() {
+    let mut covered = BTreeSet::new();
+    for row in table() {
+        if let Hardware::LlSc(new) = row.hardware {
+            covered.insert(new().name());
+            conforming(row.key, row.hardware, ARENA, &row.hardware.script());
+        }
+    }
+    let registry: BTreeSet<_> = all_llsc_objects(2).iter().map(|o| o.name()).collect();
+    assert_eq!(covered, registry);
+}
 
 #[test]
 fn every_register_detects_the_canonical_aba_pattern() {
