@@ -7,16 +7,22 @@
 //!   totally ordered, so the checker decides it at any length.
 //!   `register/naive`, the introduction's value-comparing strawman, must be
 //!   rejected: that rejection is the table's own proof that the check bites.
+//!   A structure's script runs on an arena it cannot exhaust, so beyond the
+//!   spec (which lets any insert fail, as a concurrent history cannot tell a
+//!   duplicate key from an exhausted arena) nothing may fail for want of a
+//!   node: every push and enqueue succeeds, an insert fails exactly when its
+//!   key is bound, and the structure counts no failed allocation and no ABA
+//!   event.
 //! * **The simulator twin.** A row with a model runs the same script on it
 //!   one operation at a time; every answer must be the hardware's, and for
 //!   the paper's objects so must the shared-memory steps of every operation
 //!   (`Simulation::last_op_steps` against the handle's `last_op_steps`).
 //!   `Guard` has no step counter yet (ROADMAP item 2), so structure rows
 //!   compare answers only.
-//! * **Both handle kinds.** Every structure cell replays the script through
-//!   `racing_handle` as well: the preemption window is a scheduling point
-//!   and nothing else, so the answers, the ABA events (none) and the limbo
-//!   left behind must be the production handle's.
+//! * **Both handle kinds.** A structure cell's script replayed through
+//!   `racing_handle` must leave the production handle's run: the preemption
+//!   window is a scheduling point and nothing else, so the answers, the
+//!   counters and the limbo left behind are the same (`same_structure`).
 //!
 //! The simulator *proves* small-bound properties of the models it runs; a
 //! proof about a model that has drifted from the code is worth nothing, and
@@ -36,15 +42,17 @@
 //! the atomics and the simulator's replay log — not two texts.
 //!
 //! Each family's deterministic script runs on every row of the family, twin
-//! included.  Seeded random scripts run on the hardware of every structure
-//! cell; a failing one is shrunk to a 1-minimal failing script with
-//! `minimize_violation_schedule` and printed.  They skip the twins, whose
-//! free set is one 64-bit word (an arena of at most 63 nodes).
+//! included, its operations spread over `N` processes.  Seeded random
+//! scripts run on the hardware of every structure cell, all through process
+//! 0 of a one-process structure (the shape of every single-thread
+//! throughput number); a failing one is shrunk to a 1-minimal failing
+//! script with `minimize_violation_schedule` and printed.  They skip the
+//! twins, whose free set is one 64-bit word (an arena of at most 63 nodes).
 //!
-//! Three test files hold the table's tests: `model_binding.rs` the whole
-//! check of every row and the roster coverage, `differential.rs` the random
-//! scripts per family, the handle kinds and the checker's non-vacuity, and
-//! `cross_implementation.rs` the paper objects' spec check.
+//! Three test files hold the table's tests: `model_binding.rs` the spec and
+//! twin check of every row and the roster coverage, `differential.rs` the
+//! random scripts per family, the handle kinds and the checker's
+//! non-vacuity, and `cross_implementation.rs` the paper objects' spec check.
 
 // Each test file that includes this module uses a part of it.
 #![allow(dead_code)]
@@ -329,18 +337,14 @@ fn keyed_script() -> Script {
 }
 
 /// `RANDOM_SCRIPTS` seeded random scripts of up to `RANDOM_OPS` calls drawn
-/// from `calls`, operation `i` issued by process `i % N`.
+/// from `calls`, every one issued by process 0.
 fn draw(calls: impl Strategy<Value = MethodCall>) -> Vec<Script> {
     let mut rng = TestRng::deterministic();
     let scripts = proptest::collection::vec(calls, 1..RANDOM_OPS);
     (0..RANDOM_SCRIPTS)
         .map(|_| {
-            scripts
-                .generate(&mut rng)
-                .into_iter()
-                .enumerate()
-                .map(|(i, call)| (i % N, call))
-                .collect()
+            let script = scripts.generate(&mut rng).into_iter();
+            script.map(|call| (0, call)).collect()
         })
         .collect()
 }
@@ -490,13 +494,15 @@ struct Counters {
 }
 
 /// Run `script` on a fresh instance of `hardware` (a structure over `arena`
-/// nodes), through racing handles if `racing`.
+/// nodes, built for as many processes as the script uses), through racing
+/// handles if `racing`.
 pub fn run(
     hardware: Hardware,
     arena: usize,
     script: &[(ProcessId, MethodCall)],
     racing: bool,
 ) -> Run {
+    let processes = script.iter().map(|&(pid, _)| pid + 1).max().unwrap_or(1);
     macro_rules! paper {
         ($object:expr, $driver:ident) => {{
             let object = $object;
@@ -514,7 +520,7 @@ pub fn run(
     macro_rules! structure {
         ($object:expr, $driver:ident) => {{
             let object = $object;
-            let mut handles: Vec<_> = (0..N)
+            let mut handles: Vec<_> = (0..processes)
                 .map(|p| {
                     if racing {
                         object.racing_handle(p)
@@ -568,7 +574,7 @@ pub fn run(
                 ..Run::default()
             }
         }
-        Hardware::Cell(family, scheme) => match family.build(scheme, arena, N) {
+        Hardware::Cell(family, scheme) => match family.build(scheme, arena, processes) {
             Structure::Stack(object) => structure!(object, stack),
             Structure::Queue(object) => structure!(object, queue),
             Structure::Set(object) => structure!(object, set),
@@ -577,9 +583,8 @@ pub fn run(
     }
 }
 
-/// `script` on `hardware`'s production handles, if it meets the spec and, on
-/// a structure, the racing handles leave the same run, with no ABA event and
-/// no failed allocation; what failed otherwise.
+/// `script` on `hardware`'s production handles, if it meets the spec and
+/// nothing failed for want of a node; what failed otherwise.
 fn conform(
     hardware: Hardware,
     arena: usize,
@@ -590,8 +595,29 @@ fn conform(
         LinCheckOutcome::Linearizable { .. } => {}
         verdict => return Err(format!("{verdict:?} under {:?}", hardware.spec())),
     }
-    if let Hardware::Cell(..) = hardware {
-        same_structure(hardware, arena, script, &production)?;
+    let Counters {
+        aba_events,
+        alloc_failures,
+        ..
+    } = production.counters;
+    if aba_events + alloc_failures != 0 {
+        return Err(format!("{:?}", production.counters));
+    }
+    let mut bound = BTreeSet::new();
+    for (i, (kind, _)) in production.ops.iter().enumerate() {
+        // The history met the spec, so the successful inserts and removes
+        // track the keys bound.
+        let spurious = match *kind {
+            OpKind::Push { ok, .. } | OpKind::Enqueue { ok, .. } => !ok,
+            OpKind::Insert { key, ok } | OpKind::MapInsert { key, ok, .. } => {
+                ok != bound.insert(key)
+            }
+            OpKind::Remove { key, ok } | OpKind::MapRemove { key, ok } => ok && !bound.remove(&key),
+            _ => false,
+        };
+        if spurious {
+            return Err(format!("op {i}, {kind}, failed on a free arena"));
+        }
     }
     Ok(production)
 }
@@ -612,8 +638,8 @@ pub fn history(script: &[(ProcessId, MethodCall)], ops: &[(OpKind, Option<u64>)]
 }
 
 /// `Ok` if `script` through the racing handles of structure `hardware`
-/// leaves `production`, its run through the production handles, and that
-/// run saw no ABA event and no failed allocation; what failed otherwise.
+/// leaves `production`, its run through the production handles; where they
+/// part otherwise.
 pub fn same_structure(
     hardware: Hardware,
     arena: usize,
@@ -621,22 +647,14 @@ pub fn same_structure(
     production: &Run,
 ) -> Result<(), String> {
     let racing = run(hardware, arena, script, true);
-    if racing != *production {
-        let op = (production.ops.iter().zip(&racing.ops)).position(|(a, b)| a != b);
-        return Err(format!(
-            "racing_handle parts from handle at op {op:?}: {:?}, {:?}",
-            racing.counters, production.counters
-        ));
+    if racing == *production {
+        return Ok(());
     }
-    let Counters {
-        aba_events,
-        alloc_failures,
-        ..
-    } = production.counters;
-    if aba_events + alloc_failures != 0 {
-        return Err(format!("{:?}", production.counters));
-    }
-    Ok(())
+    let op = (production.ops.iter().zip(&racing.ops)).position(|(a, b)| a != b);
+    Err(format!(
+        "racing_handle parts from handle at op {op:?}: {:?}, {:?}",
+        racing.counters, production.counters
+    ))
 }
 
 /// `conform`, panicking on a failure with the 1-minimal failing script and
@@ -660,8 +678,8 @@ pub fn conforming(
 }
 
 /// The yes/no answer of an operation that has one, by operation name.
-/// (`DWrite` and `LL` have none, and every `Push` and `Enqueue` succeeds: a
-/// failed allocation fails `conform`.)
+/// (`DWrite` and `LL` have none, and every `Push` and `Enqueue` succeeds, or
+/// `conform` fails.)
 fn answer(kind: &OpKind) -> Option<(&'static str, bool)> {
     Some(match *kind {
         OpKind::DRead { flag, .. } => ("DRead", flag),

@@ -1,8 +1,7 @@
 //! The conformance table's own tests (the table is `tests/conformance`):
 //! every row — the nine paper rows and the 25 `Family × Scheme` cells — on
-//! its deterministic script, held to the spec, to its simulator twin where
-//! it has one and, on a structure, to its racing handles; and the table's
-//! coverage of `MODEL_ROSTER`.
+//! its deterministic script, held to the spec and to its simulator twin
+//! where it has one; and the table's coverage of `MODEL_ROSTER`.
 
 mod conformance;
 
