@@ -27,13 +27,15 @@
 //! ~130 ns per round trip for seconds at a time (the same binary measured
 //! 4 M or 20 M ops/s on the contended stack; EXPERIMENTS.md E16).  Until the
 //! engine can price that latency, contended cells keep the pacing that makes
-//! them repeatable (ROADMAP items 1(a) and 3(iii)).
+//! them repeatable (ROADMAP items 1(a) and 2(d)).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use aba_core::{AnnounceLlSc, CasLlSc, MoirLlSc};
 use aba_lockfree::{Family, MapHandle, QueueHandle, Scheme, SetHandle, StackHandle, Structure};
 use aba_spec::{LlScHandle, LlScObject};
+
+use crate::engine::{Round, Tally};
 
 /// A shared object adapted to the scenario vocabulary, sized for a fixed
 /// number of worker threads.
@@ -83,6 +85,18 @@ pub trait WorkloadOps: Send {
     /// Read-modify-write round trip (LL, then SC of a derived value for
     /// LL/SC objects; push immediately followed by pop for stacks).
     fn rmw(&mut self, value: u32);
+
+    /// Issue one worker's share of a round: its ops in script order, with
+    /// latency and the space gauge sampled on the round's stride.
+    ///
+    /// Provided, and not meant to be overridden (an implementation outside
+    /// this crate could not build the [`Tally`] it returns).  The body is the
+    /// engine's op loop: one dynamic call per worker per round, loop
+    /// monomorphised per adapter, so `read`/`write`/`rmw` are static calls
+    /// inside it.
+    fn run(&mut self, round: &Round<'_>) -> Tally {
+        crate::engine::drive(self, round)
+    }
 }
 
 // ---------------------------------------------------------------------------

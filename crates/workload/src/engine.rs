@@ -8,11 +8,18 @@
 //! *private* counters (operations done, sampled latencies) that are merged
 //! only after the round's threads have joined — no shared measurement state
 //! pollutes the thing being measured.
+//!
+//! The engine makes one dynamic call per worker per round, loop
+//! monomorphised per adapter: a worker's share of a round is one
+//! [`WorkloadOps::run`] call, whose provided body (not meant to be
+//! overridden) is the op loop compiled for that adapter.  The loop steps
+//! from one sampled index to the next, so the ops between two samples run
+//! with no sampling test.
 
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use crate::backend::BackendSpec;
+use crate::backend::{BackendSpec, Workload, WorkloadOps};
 use crate::scenario::{Op, Scenario};
 
 /// Engine configuration: the swept thread counts and the per-cell effort.
@@ -129,16 +136,49 @@ pub struct MatrixResult {
     pub cells: Vec<CellResult>,
 }
 
-/// Counters one worker thread accumulates privately during a round, plus
-/// its start/finish timestamps (monotonic `Instant`s are comparable across
-/// threads).
-#[derive(Debug, Clone)]
-struct WorkerStats {
+/// One worker's share of a round, as [`WorkloadOps::run`] receives it: the
+/// script, the worker's thread id, how many ops to issue and the latency
+/// sampling stride (0: sample nothing).
+pub struct Round<'a> {
+    scenario: Scenario,
+    tid: usize,
+    ops: usize,
+    sample_period: usize,
+    /// The round's shared object, whose space gauge is read on every
+    /// sampled op.
+    workload: &'a dyn Workload,
+}
+
+// By hand: `dyn Workload` has no `Debug`, so the object shows as its thread
+// count.
+impl std::fmt::Debug for Round<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Round")
+            .field("scenario", &self.scenario.name())
+            .field("tid", &self.tid)
+            .field("ops", &self.ops)
+            .field("sample_period", &self.sample_period)
+            .field("threads", &self.workload.threads())
+            .finish()
+    }
+}
+
+/// Counters one worker accumulates privately during a round — what
+/// [`WorkloadOps::run`] returns.  Only the engine builds one.
+#[derive(Debug)]
+pub struct Tally {
     ops: u64,
-    started: Instant,
-    finished: Instant,
     latencies_ns: Vec<u64>,
     peak_unreclaimed: u64,
+}
+
+/// A worker's [`Tally`] plus its start/finish timestamps (monotonic
+/// `Instant`s are comparable across threads).
+#[derive(Debug)]
+struct WorkerStats {
+    tally: Tally,
+    started: Instant,
+    finished: Instant,
 }
 
 /// Result of one timed round: merged worker counters plus wall time.
@@ -166,8 +206,68 @@ struct RoundStats {
 /// then-even default strides (16/8) aliased against the period-2 `churn`
 /// script and sampled only its writes — `latency_samples_cover_the_scenario_
 /// op_mix` fails on that logic.
+///
+/// `drive` does not call it: it steps from one selected index to the next.
+/// It stays as the specification the unit tests hold `drive` to.
+#[cfg(test)]
 fn should_sample(tid: usize, i: usize, period: usize) -> bool {
     i % period == tid % period
+}
+
+fn issue<O: WorkloadOps + ?Sized>(worker: &mut O, op: Op) {
+    match op {
+        Op::Read => worker.read(),
+        Op::Write(v) => worker.write(v),
+        Op::Rmw(v) => worker.rmw(v),
+    }
+}
+
+/// The engine's op loop: `round`'s ops in script order, the latency and the
+/// space gauge sampled on exactly the indices `should_sample` selects.  It
+/// is the provided body of [`WorkloadOps::run`], so each adapter gets its
+/// own copy, monomorphised over `O`.  It steps from one sampled index to the
+/// next (`tid % period`, then `+= period`); the ops in between run with no
+/// modulo and no sampling branch, and period 0 samples nothing.
+pub(crate) fn drive<O: WorkloadOps + ?Sized>(worker: &mut O, round: &Round<'_>) -> Tally {
+    let &Round {
+        scenario,
+        tid,
+        ops,
+        sample_period,
+        workload,
+    } = round;
+    let mut tally = Tally {
+        ops: 0,
+        latencies_ns: Vec::new(),
+        peak_unreclaimed: 0,
+    };
+    let mut next_sample = if sample_period == 0 {
+        ops
+    } else {
+        tid % sample_period
+    };
+    let mut i = 0;
+    loop {
+        let unsampled_end = next_sample.min(ops);
+        while i < unsampled_end {
+            issue(worker, scenario.op(tid, i));
+            i += 1;
+        }
+        if i == ops {
+            break;
+        }
+        let t0 = Instant::now();
+        issue(worker, scenario.op(tid, i));
+        tally.latencies_ns.push(t0.elapsed().as_nanos() as u64);
+        // Space gauge on the same stride as the latency sampler: one atomic
+        // load, mid-traffic, so the reported peak reflects limbo under load
+        // rather than the post-round calm.
+        tally.peak_unreclaimed = tally.peak_unreclaimed.max(workload.unreclaimed());
+        i += 1;
+        next_sample = next_sample.saturating_add(sample_period);
+    }
+    tally.ops = i as u64;
+    tally
 }
 
 /// Run one round of `scenario` against `workload` with `threads` workers,
@@ -176,7 +276,7 @@ fn should_sample(tid: usize, i: usize, period: usize) -> bool {
 /// for warmup rounds, which would otherwise pay two `Instant::now` calls
 /// per sampled op for samples nobody reads).
 fn run_round(
-    workload: &dyn crate::backend::Workload,
+    workload: &dyn Workload,
     scenario: Scenario,
     threads: usize,
     ops: usize,
@@ -195,37 +295,20 @@ fn run_round(
             .map(|tid| {
                 s.spawn(move || {
                     let mut worker = workload.worker(tid);
-                    let mut latencies_ns = Vec::new();
-                    let mut ops_done = 0u64;
-                    let mut peak_unreclaimed = 0u64;
+                    let round = Round {
+                        scenario,
+                        tid,
+                        ops,
+                        sample_period,
+                        workload,
+                    };
                     barrier.wait();
                     let started = Instant::now();
-                    for i in 0..ops {
-                        let sampled = sample_period != 0 && should_sample(tid, i, sample_period);
-                        let timer = sampled.then(Instant::now);
-                        match scenario.op(tid, i) {
-                            Op::Read => worker.read(),
-                            Op::Write(v) => worker.write(v),
-                            Op::Rmw(v) => worker.rmw(v),
-                        }
-                        if let Some(t0) = timer {
-                            latencies_ns.push(t0.elapsed().as_nanos() as u64);
-                        }
-                        if sampled {
-                            // Space gauge on the same stride as the latency
-                            // sampler: one atomic load, mid-traffic, so the
-                            // reported peak reflects limbo under load rather
-                            // than the post-round calm.
-                            peak_unreclaimed = peak_unreclaimed.max(workload.unreclaimed());
-                        }
-                        ops_done += 1;
-                    }
+                    let tally = worker.run(&round);
                     WorkerStats {
-                        ops: ops_done,
+                        tally,
                         started,
                         finished: Instant::now(),
-                        latencies_ns,
-                        peak_unreclaimed,
                     }
                 })
             })
@@ -252,10 +335,10 @@ fn run_round(
         latencies_ns: Vec::new(),
         peak_unreclaimed: 0,
     };
-    for stats in per_thread {
-        merged.ops += stats.ops;
-        merged.latencies_ns.extend(stats.latencies_ns);
-        merged.peak_unreclaimed = merged.peak_unreclaimed.max(stats.peak_unreclaimed);
+    for WorkerStats { tally, .. } in per_thread {
+        merged.ops += tally.ops;
+        merged.latencies_ns.extend(tally.latencies_ns);
+        merged.peak_unreclaimed = merged.peak_unreclaimed.max(tally.peak_unreclaimed);
     }
     merged
 }
@@ -580,5 +663,87 @@ mod tests {
         let round = run_round(workload.as_ref(), standard_scenarios()[0], 1, 64, 0);
         assert!(round.latencies_ns.is_empty());
         assert_eq!(round.ops, 64);
+    }
+
+    /// A workload that records what a worker asks of it: every op issued,
+    /// and, at each space-gauge read, the index of the op just issued.
+    #[derive(Default)]
+    struct Recorder {
+        issued: std::sync::Mutex<Vec<Op>>,
+        gauged: std::sync::Mutex<Vec<usize>>,
+    }
+
+    struct RecorderOps<'a>(&'a Recorder);
+
+    impl Workload for Recorder {
+        fn threads(&self) -> usize {
+            4
+        }
+
+        fn worker(&self, _tid: usize) -> Box<dyn WorkloadOps + '_> {
+            Box::new(RecorderOps(self))
+        }
+
+        fn unreclaimed(&self) -> u64 {
+            let issued = self.issued.lock().unwrap().len();
+            self.gauged.lock().unwrap().push(issued - 1);
+            issued as u64
+        }
+    }
+
+    impl WorkloadOps for RecorderOps<'_> {
+        fn read(&mut self) {
+            self.0.issued.lock().unwrap().push(Op::Read);
+        }
+
+        fn write(&mut self, value: u32) {
+            self.0.issued.lock().unwrap().push(Op::Write(value));
+        }
+
+        fn rmw(&mut self, value: u32) {
+            self.0.issued.lock().unwrap().push(Op::Rmw(value));
+        }
+    }
+
+    /// `drive` walks from one sampled index to the next; `should_sample`
+    /// tests every index.  They must agree: the same ops in the same order,
+    /// the gauge read after exactly the sampled ones, and nothing sampled at
+    /// period 0.
+    #[test]
+    fn drive_issues_the_script_and_samples_what_should_sample_selects() {
+        for scenario in standard_scenarios() {
+            for tid in 0..4 {
+                for sample_period in [0, 1, 7, 13] {
+                    for ops in [0, 5, 12, 13, 14, 100] {
+                        let recorder = Recorder::default();
+                        let round = Round {
+                            scenario,
+                            tid,
+                            ops,
+                            sample_period,
+                            workload: &recorder,
+                        };
+                        let tally = recorder.worker(tid).run(&round);
+                        let at = format!(
+                            "{} tid {tid} period {sample_period} ops {ops}",
+                            scenario.name()
+                        );
+                        let script: Vec<Op> = (0..ops).map(|i| scenario.op(tid, i)).collect();
+                        assert_eq!(*recorder.issued.lock().unwrap(), script, "{at}");
+                        let sampled: Vec<usize> = (0..ops)
+                            .filter(|&i| sample_period != 0 && should_sample(tid, i, sample_period))
+                            .collect();
+                        assert_eq!(*recorder.gauged.lock().unwrap(), sampled, "{at}");
+                        assert_eq!(tally.latencies_ns.len(), sampled.len(), "{at}");
+                        assert_eq!(tally.ops, ops as u64, "{at}");
+                        let peak = sampled.last().map_or(0, |&i| i as u64 + 1);
+                        assert_eq!(tally.peak_unreclaimed, peak, "{at}");
+                        if sample_period == 0 {
+                            assert!(tally.latencies_ns.is_empty(), "{at}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -17,6 +17,11 @@
 //! rendered as aligned text tables and a machine-readable
 //! `BENCH_throughput.json` ([report]).
 //!
+//! The engine makes one dynamic call per worker per round, loop
+//! monomorphised per adapter: an adapter implements `read`, `write` and
+//! `rmw` of [`WorkloadOps`], and the provided [`WorkloadOps::run`] — not
+//! meant to be overridden — is the op loop compiled for it.
+//!
 //! The paper has no wall-clock claims; what the matrix makes reproducible is
 //! the *shape*: O(1)-step implementations (announce-array, Moir, tagging)
 //! sustain their rate as threads grow, the O(n)-step Figure 3 object
@@ -51,6 +56,6 @@ pub mod scenario;
 pub use backend::{
     roster_node_capacity, standard_backends, BackendSpec, LlScWorkload, Workload, WorkloadOps,
 };
-pub use engine::{run_cell, run_matrix, CellResult, EngineConfig, MatrixResult};
+pub use engine::{run_cell, run_matrix, CellResult, EngineConfig, MatrixResult, Round, Tally};
 pub use report::{render_tables, to_json, to_json_with_schema, Table, JSON_SCHEMA};
 pub use scenario::{standard_scenarios, Op, Scenario};
