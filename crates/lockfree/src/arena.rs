@@ -131,6 +131,7 @@ impl Node {
     /// free can hand one node to two allocators, who may then count one bump
     /// between them; the post-CAS ABA detectors compare for inequality, and
     /// one bump is as unequal as two.)
+    #[inline]
     fn bump_generation(&self) {
         // ordering: the node is private to its allocator until the
         // publishing CAS, which stays `SeqCst` and orders this before it.
@@ -280,6 +281,7 @@ impl NodeArena {
     /// **live capacity** the reclamation schemes size their behaviour
     /// against (`retry_bound`, eager-scan and epoch-advance triggers): a
     /// growable arena's guards must track what exists, not what might.
+    #[inline]
     pub fn live_capacity(&self) -> usize {
         self.live.load(Ordering::SeqCst)
     }
@@ -316,6 +318,7 @@ impl NodeArena {
         }
     }
 
+    #[inline]
     fn node(&self, idx: u64) -> &Node {
         let seg = (idx >> SEG_SHIFT) as usize;
         let off = (idx & OFF_MASK) as usize;
@@ -324,6 +327,7 @@ impl NodeArena {
     }
 
     /// Whether `idx` designates a node in a published segment.
+    #[inline]
     fn contains(&self, idx: u64) -> bool {
         if idx == NIL || idx > MAX_INDEX {
             return false;
@@ -425,6 +429,7 @@ impl NodeArena {
     }
 
     /// Read the value stored in a node (the low half of the value word).
+    #[inline]
     pub fn value(&self, idx: u64) -> u32 {
         self.node(idx).value.load(Ordering::SeqCst) as u32
     }
@@ -433,6 +438,7 @@ impl NodeArena {
     /// stack/queue/set families use only this accessor and carry no data.
     ///
     /// [`data`]: NodeArena::data
+    #[inline]
     pub fn set_value(&self, idx: u64, value: u32) {
         self.node(idx).value.store(value as u64, Ordering::SeqCst);
     }
@@ -441,6 +447,7 @@ impl NodeArena {
     /// and not yet linked into a structure — the store every push, enqueue
     /// and insert begins with — as one word, so a reader never observes a
     /// torn (value, data) pair.
+    #[inline]
     pub fn init(&self, idx: u64, value: u32, data: u32) {
         let word = ((data as u64) << 32) | value as u64;
         // ordering: private until the publishing CAS, which stays `SeqCst`
@@ -451,6 +458,7 @@ impl NodeArena {
     /// Read the auxiliary data stored next to a node's value (the high half
     /// of the value word) — the mapped value of a hash-map node, whose low
     /// half holds the split-order key.
+    #[inline]
     pub fn data(&self, idx: u64) -> u32 {
         (self.node(idx).value.load(Ordering::SeqCst) >> 32) as u32
     }
@@ -461,11 +469,13 @@ impl NodeArena {
     /// codec: a bare index, or an `(index, counter)` word) — the arena
     /// itself stays encoding-agnostic, and a fresh node's link holds the
     /// legacy nil `u64::MAX`, which every codec decodes as an unmarked nil.
+    #[inline]
     pub fn next_word(&self, idx: u64) -> &AtomicU64 {
         &self.node(idx).next
     }
 
     /// Read a node's generation counter.
+    #[inline]
     pub fn generation(&self, idx: u64) -> u64 {
         self.node(idx).generation.load(Ordering::SeqCst)
     }
@@ -490,6 +500,7 @@ pub struct Magazine<'a> {
 impl Magazine<'_> {
     /// Allocate a node, bumping its generation; `None` once the magazine,
     /// the shared list and the arena's growth plan are all exhausted.
+    #[inline]
     pub fn alloc(&mut self) -> Option<u64> {
         let idx = match self.free.pop() {
             Some(idx) => idx,
@@ -506,6 +517,7 @@ impl Magazine<'_> {
     /// # Panics
     ///
     /// Panics if `idx` is `NIL` or outside the published segments.
+    #[inline]
     pub fn free(&mut self, idx: u64) {
         assert!(self.arena.contains(idx), "bad index");
         if self.free.len() < self.capacity {

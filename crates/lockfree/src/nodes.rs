@@ -93,6 +93,25 @@ pub(crate) struct Worker<'a, R: Reclaimer, W: Window> {
     window: PhantomData<W>,
 }
 
+impl<R: Reclaimer, W: Window> Worker<'_, R, W> {
+    /// [`NodeMem::alloc`] found no node in the magazine, or was denied.
+    /// The arena may be exhausted only because the scheme still holds
+    /// retired-but-reclaimable nodes: if admitted, reclaim and retry once (a
+    /// no-op for the immediate-free schemes); a failure is counted.
+    #[cold]
+    fn alloc_slow(&mut self, admitted: bool) -> Option<u64> {
+        let mut node = None;
+        if admitted {
+            self.guard.reclaim_pressure(|i| self.magazine.free(i));
+            node = self.magazine.alloc();
+        }
+        if node.is_none() {
+            self.nodes.alloc_failures.fetch_add(1, Ordering::SeqCst);
+        }
+        node
+    }
+}
+
 /// The hardware [`NodeMem`]: every method is one call on the guard, the
 /// arena or the worker.
 impl<R: Reclaimer, W: Window> NodeMem for Worker<'_, R, W> {
@@ -171,38 +190,38 @@ impl<R: Reclaimer, W: Window> NodeMem for Worker<'_, R, W> {
 
     /// Admission, then the magazine, then one retry after reclaim
     /// pressure; a failure is counted in `alloc_failures`.
-    #[inline]
+    ///
+    /// `always`: every push, enqueue and insert starts here, and with a
+    /// plain hint LLVM kept it out of line (cost 555–740 against its
+    /// threshold of 325), one call per push (EXPERIMENTS.md E35).
+    #[inline(always)]
     fn alloc(&mut self, value: u32, data: u32) -> Result<Option<u64>, Infallible> {
-        let nodes = self.nodes;
         // Admission before allocation: a deferred scheme retunes its
         // capacity-derived trigger to the live (grown) arena and may deny
         // the allocation outright while its limbo bound is violated by a
         // stale pin elsewhere — the op fails fast instead of draining the
         // arena.
-        let mut node = None;
-        if self
+        let admitted = self
             .guard
-            .admit_alloc(nodes.arena.live_capacity(), |i| self.magazine.free(i))
-        {
-            // The arena may be exhausted only because the scheme still holds
-            // retired-but-reclaimable nodes; reclaim and retry once (a no-op
-            // for the immediate-free schemes).
-            node = self.magazine.alloc().or_else(|| {
-                self.guard.reclaim_pressure(|i| self.magazine.free(i));
-                self.magazine.alloc()
-            });
-        }
-        let Some(idx) = node else {
-            nodes.alloc_failures.fetch_add(1, Ordering::SeqCst);
+            .admit_alloc(self.nodes.arena.live_capacity(), |i| self.magazine.free(i));
+        let node = if admitted {
+            self.magazine.alloc()
+        } else {
+            None
+        };
+        let Some(idx) = node.or_else(|| self.alloc_slow(admitted)) else {
             return Ok(None);
         };
-        nodes.arena.init(idx, value, data);
+        self.nodes.arena.init(idx, value, data);
         Ok(Some(idx))
     }
 
     /// The guard frees the node into the magazine now or once the scheme's
     /// safety condition holds.
-    #[inline]
+    ///
+    /// `always`: once `pop_attempt` is inlined into the pop, LLVM moved the
+    /// deferred schemes' retire out of line under a plain hint.
+    #[inline(always)]
     fn retire(&mut self, node: u64) -> Result<(), Infallible> {
         self.guard.retire(node, |i| self.magazine.free(i));
         Ok(())

@@ -254,6 +254,11 @@ impl Treiber {
 
     /// One attempt to unlink the head node: its value, or `None` if the
     /// stack was observed empty.
+    ///
+    /// `always`: the pop's retry loop and the elimination front end both
+    /// run it, and with a plain hint LLVM kept it out of line, one call per
+    /// pop (EXPERIMENTS.md E35).
+    #[inline(always)]
     pub fn pop_attempt<M: NodeMem>(&self, m: &mut M) -> Result<Attempt<Option<u32>>, M::Stop> {
         let head_raw = m.protect(0, self.head)?;
         let head = m.index_of(head_raw);

@@ -149,6 +149,7 @@ impl Reclaimer for EpochReclaim {
             tid,
             unreclaimed: self.unreclaimed.cell(tid),
             capacity,
+            trigger: self.trigger(capacity),
             pinned: false,
             bags: [Vec::new(), Vec::new(), Vec::new()],
             bag_epoch: [0; 3],
@@ -159,12 +160,20 @@ impl Reclaimer for EpochReclaim {
         }
     }
 
+    #[inline]
     fn unreclaimed(&self) -> u64 {
         self.unreclaimed.sum()
     }
 }
 
 impl EpochReclaim {
+    /// Limbo size (or retire count) at which a guard attempts an epoch
+    /// advance on an arena of `capacity` nodes: its per-thread share of the
+    /// arena, capped by [`ADVANCE_THRESHOLD`].
+    fn trigger(&self, capacity: usize) -> usize {
+        (capacity / (4 * self.locals.len())).clamp(1, ADVANCE_THRESHOLD)
+    }
+
     /// The current global epoch (for tests and diagnostics).
     pub fn global_epoch(&self) -> u64 {
         self.global.load(Ordering::SeqCst)
@@ -213,12 +222,14 @@ pub struct EpochGuard<'a> {
     tid: usize,
     /// This thread's cell of the shared unreclaimed gauge.
     unreclaimed: GaugeCell<'a>,
-    /// Most recently observed arena capacity; the advance trigger and limbo
-    /// budget derive from it on demand, so [`Guard::admit_alloc`] tracking a
-    /// growable arena's *live* capacity retunes both (pre-fix the trigger
-    /// was frozen at guard creation from the full plan capacity — far too
-    /// lax for a small published prefix).
+    /// Most recently observed arena capacity: [`Guard::admit_alloc`] tracks
+    /// a growable arena's *live* capacity (a trigger frozen at guard creation
+    /// from the full plan capacity was far too lax for a small published
+    /// prefix).
     capacity: usize,
+    /// [`EpochReclaim::trigger`] of `capacity`, recomputed only when
+    /// `capacity` changes, so no operation divides.
+    trigger: usize,
     pinned: bool,
     /// Bag `e % 3` holds nodes retired at epoch `bag_epoch[e % 3]`.
     bags: [Vec<u64>; 3],
@@ -236,19 +247,13 @@ pub struct EpochGuard<'a> {
 }
 
 impl EpochGuard<'_> {
-    /// Limbo size (or retire count) at which this guard attempts an epoch
-    /// advance: its per-thread share of the arena, capped by
-    /// [`ADVANCE_THRESHOLD`], recomputed from the latest observed capacity.
-    fn trigger(&self) -> usize {
-        (self.capacity / (4 * self.shared.locals.len())).clamp(1, ADVANCE_THRESHOLD)
-    }
-
     /// Global unreclaimed-node budget enforced by [`Guard::admit_alloc`]:
     /// every guard may hold its trigger's worth of limbo plus per-thread
     /// slack for bag-boundary and in-flight effects.
+    #[inline]
     fn limbo_budget(&self) -> u64 {
         let threads = self.shared.locals.len();
-        (threads * self.trigger() + 2 * threads) as u64
+        (threads * (self.trigger + 2)) as u64
     }
 
     /// Pin: publish the current global epoch in our local slot, re-reading
@@ -256,6 +261,7 @@ impl EpochGuard<'_> {
     /// the race where an advance (and its reclamation) slips between our
     /// read and our publish — a stale publication would otherwise fail to
     /// protect the nodes we are about to traverse.
+    #[inline]
     fn pin(&mut self) {
         if self.pinned {
             return;
@@ -272,6 +278,7 @@ impl EpochGuard<'_> {
         self.pinned = true;
     }
 
+    #[inline]
     fn unpin(&mut self) {
         if self.pinned {
             let local = &self.shared.locals[self.tid];
@@ -289,15 +296,22 @@ impl EpochGuard<'_> {
         }
     }
 
+    /// Free every node in bag `s`.
+    #[cold]
+    fn free_bag(&mut self, s: usize, free: &mut impl FnMut(u64)) {
+        self.limbo -= self.bags[s].len();
+        self.unreclaimed.sub(self.bags[s].len() as u64);
+        self.bags[s].drain(..).for_each(free);
+    }
+
     /// Free every bag (and adopted quarantine entry) whose retire epoch
     /// lies two or more advances in the past.
+    #[cold]
     fn flush_eligible(&mut self, free: &mut impl FnMut(u64)) {
         let g = self.shared.global.load(Ordering::SeqCst);
         for s in 0..3 {
             if !self.bags[s].is_empty() && self.bag_epoch[s] + 2 <= g {
-                self.limbo -= self.bags[s].len();
-                self.unreclaimed.sub(self.bags[s].len() as u64);
-                self.bags[s].drain(..).for_each(&mut *free);
+                self.free_bag(s, free);
             }
         }
         if self.shared.quarantine_count.load(Ordering::SeqCst) == 0 {
@@ -330,6 +344,7 @@ impl EpochGuard<'_> {
     /// but this guard's private limbo drops to zero, so a guard stuck behind
     /// a stale pin stops accumulating and the footprint is centralized
     /// where any later guard can reclaim it.
+    #[cold]
     fn transfer_to_quarantine(&mut self) {
         self.blocked_advances = 0;
         if self.limbo == 0 && self.adopted.is_empty() {
@@ -352,6 +367,7 @@ impl EpochGuard<'_> {
     /// moved, or someone moved it for us); a blocked attempt bumps each
     /// stale slot's advance debt and, after [`TRANSFER_AFTER_BLOCKED`]
     /// consecutive blocks, transfers this guard's bags to quarantine.
+    #[cold]
     fn try_advance(&mut self, free: &mut impl FnMut(u64)) -> bool {
         self.since_advance = 0;
         let g = self.shared.global.load(Ordering::SeqCst);
@@ -379,6 +395,33 @@ impl EpochGuard<'_> {
         self.flush_eligible(free);
         !blocked
     }
+
+    /// The arena's live capacity moved: recompute the trigger.
+    #[cold]
+    fn retune(&mut self, live_capacity: usize) {
+        self.capacity = live_capacity;
+        self.trigger = self.shared.trigger(live_capacity);
+    }
+
+    /// [`Guard::admit_alloc`] over budget: whether to admit anyway.
+    #[cold]
+    fn help_advance(&mut self, mut free: impl FnMut(u64)) -> bool {
+        if self.pinned {
+            // Mid-operation: helping would require dropping our own
+            // protection.  Admit; the post-operation retire path pays the
+            // advance debt.
+            return true;
+        }
+        // Over budget: help-advance.  Admit if any attempt was unblocked
+        // (the epoch moved, so limbo is draining) or the help brought us
+        // back under budget; deny only when a stale pin blocked every
+        // attempt — the bounded-limbo guarantee.
+        let mut advanced = false;
+        for _ in 0..3 {
+            advanced |= self.try_advance(&mut free);
+        }
+        advanced || self.shared.unreclaimed() < self.limbo_budget()
+    }
 }
 
 impl Guard for EpochGuard<'_> {
@@ -387,6 +430,7 @@ impl Guard for EpochGuard<'_> {
     // (the provided `protect_link*`), and link words stay bare.
     type Links = BareLinks;
 
+    #[inline]
     fn protect(&mut self, _lane: usize, slot: SlotId) -> u64 {
         // The pin is the protection: while our local epoch is published,
         // nothing retired from now on can complete two advances, so every
@@ -395,18 +439,24 @@ impl Guard for EpochGuard<'_> {
         self.slots.load(slot)
     }
 
+    #[inline]
     fn load(&mut self, slot: SlotId) -> u64 {
         self.slots.load(slot)
     }
 
+    #[inline]
     fn validate(&mut self, slot: SlotId, raw: u64) -> bool {
         self.slots.validate(slot, raw)
     }
 
+    #[inline]
     fn cas(&mut self, slot: SlotId, raw: u64, idx: u64) -> bool {
         self.slots.cas(slot, raw, idx)
     }
 
+    // `always`: under a plain hint LLVM kept it out of line of the stack's
+    // pop (cost 390 against 325).
+    #[inline(always)]
     fn retire(&mut self, idx: u64, mut free: impl FnMut(u64)) {
         debug_assert!(self.pinned, "retire outside a pinned operation");
         let e = self.shared.global.load(Ordering::SeqCst);
@@ -414,9 +464,7 @@ impl Guard for EpochGuard<'_> {
         if self.bag_epoch[s] != e && !self.bags[s].is_empty() {
             // The bag's residents were retired a full cycle (3 epochs) ago —
             // safely past the 2-advance bar — so the slot can be recycled.
-            self.limbo -= self.bags[s].len();
-            self.unreclaimed.sub(self.bags[s].len() as u64);
-            self.bags[s].drain(..).for_each(&mut free);
+            self.free_bag(s, &mut free);
         }
         self.bag_epoch[s] = e;
         self.bags[s].push(idx);
@@ -426,12 +474,12 @@ impl Guard for EpochGuard<'_> {
         // The operation is complete: quiesce before (possibly) scanning for
         // an advance, so our own pin never blocks it.
         self.unpin();
-        let trigger = self.trigger();
-        if self.since_advance >= trigger || self.limbo >= trigger {
+        if self.since_advance >= self.trigger || self.limbo >= self.trigger {
             let _ = self.try_advance(&mut free);
         }
     }
 
+    #[inline]
     fn quiesce(&mut self) {
         self.unpin();
     }
@@ -449,28 +497,14 @@ impl Guard for EpochGuard<'_> {
         }
     }
 
-    fn admit_alloc(&mut self, live_capacity: usize, mut free: impl FnMut(u64)) -> bool {
+    #[inline]
+    fn admit_alloc(&mut self, live_capacity: usize, free: impl FnMut(u64)) -> bool {
         // Track the published arena, not the construction-time plan: the
         // trigger and budget below retune as a growable arena grows.
-        self.capacity = live_capacity;
-        if self.shared.unreclaimed() < self.limbo_budget() {
-            return true;
+        if live_capacity != self.capacity {
+            self.retune(live_capacity);
         }
-        if self.pinned {
-            // Mid-operation: helping would require dropping our own
-            // protection.  Admit; the post-operation retire path pays the
-            // advance debt.
-            return true;
-        }
-        // Over budget: help-advance.  Admit if any attempt was unblocked
-        // (the epoch moved, so limbo is draining) or the help brought us
-        // back under budget; deny only when a stale pin blocked every
-        // attempt — the bounded-limbo guarantee.
-        let mut advanced = false;
-        for _ in 0..3 {
-            advanced |= self.try_advance(&mut free);
-        }
-        advanced || self.shared.unreclaimed() < self.limbo_budget()
+        self.shared.unreclaimed() < self.limbo_budget() || self.help_advance(free)
     }
 }
 
@@ -667,6 +701,26 @@ mod tests {
              in-retire advance must have reclaimed; the plan-capacity \
              trigger (32) would still be waiting"
         );
+    }
+
+    /// The trigger is stored, not derived per operation, so it must be
+    /// recomputed on every capacity change `admit_alloc` observes — and only
+    /// then.
+    #[test]
+    fn the_stored_trigger_follows_every_capacity_change() {
+        let mut r = EpochReclaim::new(2, 1);
+        let _ = r.add_slot(NIL);
+        let mut g = r.guard(0, 16);
+        assert_eq!((g.capacity, g.trigger), (16, 2)); // 16 / (4 · 2)
+        for (live, trigger) in [(64, 8), (64, 8), (160, 20)] {
+            assert!(g.admit_alloc(live, |_| {}));
+            assert_eq!(
+                (g.capacity, g.trigger),
+                (live, trigger),
+                "live capacity {live}"
+            );
+            assert_eq!(g.limbo_budget(), 2 * (trigger as u64 + 2));
+        }
     }
 
     #[test]

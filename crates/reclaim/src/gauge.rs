@@ -46,6 +46,7 @@ impl Gauge {
     }
 
     /// The wrapping sum of the cells, clamped at 0.
+    #[inline]
     pub(crate) fn sum(&self) -> u64 {
         let sum = self.cells.iter().fold(0u64, |sum, cell| {
             // ordering: a statistic; no decision that frees a node reads it.

@@ -86,6 +86,7 @@ impl HazardDomain {
     }
 
     /// Number of participating threads.
+    #[inline]
     pub fn threads(&self) -> usize {
         self.slots.len()
     }
@@ -99,6 +100,7 @@ impl HazardDomain {
         assert!(tid < self.slots.len(), "tid {tid} out of range");
         HazardHandle {
             domain: self,
+            slot: &self.slots[tid],
             tid,
             retired: Vec::new(),
             scratch: Vec::new(),
@@ -127,6 +129,7 @@ impl HazardDomain {
     /// and quadratic rescans.  With `2n` the scan always frees at least half
     /// the list, making reclamation amortised O(1) per retire; the constant
     /// stays as a floor so small domains keep their batching.
+    #[inline]
     pub fn scan_threshold(&self) -> usize {
         SCAN_THRESHOLD.max(2 * self.threads())
     }
@@ -160,6 +163,8 @@ impl HazardDomain {
 #[derive(Debug)]
 pub struct HazardHandle<'a> {
     domain: &'a HazardDomain,
+    /// `domain`'s slot `tid`, the one this handle writes.
+    slot: &'a AtomicU64,
     tid: usize,
     retired: Vec<u64>,
     /// Protector snapshot reused across scans: after the first scan at a
@@ -183,14 +188,16 @@ impl HazardHandle<'_> {
     /// # Panics
     ///
     /// Panics if `value` is `u64::MAX` (the internal sentinel).
+    #[inline]
     pub fn protect(&self, value: u64) {
         assert_ne!(value, EMPTY, "the sentinel cannot be protected");
-        self.domain.slots[self.tid].store(value, Ordering::SeqCst);
+        self.slot.store(value, Ordering::SeqCst);
     }
 
     /// Drop the current protection.
+    #[inline]
     pub fn clear(&self) {
-        self.domain.slots[self.tid].store(EMPTY, Ordering::SeqCst);
+        self.slot.store(EMPTY, Ordering::SeqCst);
     }
 
     /// Retire `value`: it will be handed to `free` once no thread protects
@@ -203,6 +210,7 @@ impl HazardHandle<'_> {
     /// sentinel could never match any protector, so it would silently bypass
     /// protection and corrupt the accounting — the same reason
     /// [`HazardHandle::protect`] rejects it.
+    #[inline]
     pub fn retire(&mut self, value: u64, free: impl FnMut(u64)) {
         assert_ne!(value, EMPTY, "the sentinel cannot be retired");
         self.retired.push(value);
@@ -218,6 +226,7 @@ impl HazardHandle<'_> {
     }
 
     /// Number of values waiting in the retired list.
+    #[inline]
     pub fn retired_len(&self) -> usize {
         self.retired.len()
     }
@@ -232,6 +241,9 @@ impl HazardHandle<'_> {
         std::mem::take(&mut self.retired)
     }
 
+    /// The O(threads + retired) reclamation pass: off every operation's
+    /// fast path, so [`HazardHandle::retire`] stays small enough to inline.
+    #[cold]
     fn scan(&mut self, mut free: impl FnMut(u64)) {
         // Adopt values orphaned by dropped handles: reclamation responsibility
         // transfers to whichever handle scans next (see the drop contract).
@@ -319,9 +331,6 @@ impl Reclaimer for HazardReclaim {
             lanes: (0..self.lanes)
                 .map(|lane| self.domain.handle(tid * self.lanes + lane))
                 .collect(),
-            cache: (0..self.lanes)
-                .map(|_| CachePadded::new((usize::MAX, NIL, NIL)))
-                .collect(),
             published: 0,
             slots: self.slots.view(),
             unreclaimed,
@@ -341,9 +350,11 @@ impl HazardReclaim {
     }
 }
 
-/// Guard of [`HazardReclaim`]: one hazard slot per lane, retirees in lane
-/// 0's retired list, and a per-lane snapshot cache that keeps the `protect`
-/// hot path on one shared cache line.
+/// Guard of [`HazardReclaim`]: one hazard slot per lane and retirees in
+/// lane 0's retired list.  [`Guard::protect`] is Michael's protocol step for
+/// step — load the slot, publish the node, re-validate the slot, looping
+/// until the snapshot is stable — the order the simulator's hazard adapter
+/// models, and one hazard store per stable snapshot.
 ///
 /// A hazard slot is written by this guard alone, so the guard knows which
 /// of its slots hold a value without reading them: [`Guard::quiesce`] and
@@ -352,11 +363,6 @@ impl HazardReclaim {
 /// store at all.
 pub struct HazardGuard<'a> {
     lanes: Vec<HazardHandle<'a>>,
-    /// Per-lane `(slot, raw, node)` snapshot of the last successful protect
-    /// of a node, each alone on its cache line: the hot path publishes the
-    /// cached node and pays a *single* shared validating load, instead of
-    /// the load → publish → re-load double touch of the shared slot array.
-    cache: Vec<CachePadded<(SlotId, u64, u64)>>,
     /// Bit `lane` is set whenever this guard's hazard slot `lane` holds a
     /// value.
     published: u64,
@@ -383,6 +389,15 @@ impl HazardGuard<'_> {
         self.lanes[lane].protect(value);
     }
 
+    /// Clear `lane`'s hazard slot if it holds a value.
+    #[cold]
+    fn clear_lane(&mut self, lane: usize) {
+        if self.published & (1 << lane) != 0 {
+            self.lanes[lane].clear();
+            self.published &= !(1 << lane);
+        }
+    }
+
     /// Clear every published lane.
     #[inline]
     fn clear_published(&mut self) {
@@ -397,52 +412,43 @@ impl HazardGuard<'_> {
 impl Guard for HazardGuard<'_> {
     type Links = BareLinks;
 
+    #[inline]
     fn protect(&mut self, lane: usize, slot: SlotId) -> u64 {
-        // Hot path: if the lane's cached snapshot is of this slot, publish
-        // the cached node first and pay a single shared validating load
-        // (publish-before-validate order preserved — the white-box
-        // `hazard_traversal` test pins that it is load-bearing).
-        let (cached_slot, cached_raw, cached_idx) = *self.cache[lane];
-        if cached_slot == slot {
-            self.publish(lane, cached_idx);
-            if self.slots.validate(slot, cached_raw) {
-                return cached_raw;
-            }
-        }
-        // Slow path: publish, then re-validate that the word did not move
-        // before the hazard became visible (the standard protocol), looping
-        // until the snapshot is stable; a stable snapshot of a node refills
-        // the cache.
+        // Load, publish, then re-validate that the word did not move before
+        // the hazard became visible (the standard protocol), looping until
+        // the snapshot is stable.  Publish-before-validate is load-bearing:
+        // the white-box `hazard_traversal` test pins it.
+        let word = self.slots.word(slot);
         loop {
-            let raw = self.slots.load(slot);
+            let raw = word.load(Ordering::SeqCst);
             let idx = self.index_of(raw);
             if idx == NIL {
-                if self.published & (1 << lane) != 0 {
-                    self.lanes[lane].clear();
-                    self.published &= !(1 << lane);
-                }
+                self.clear_lane(lane);
                 return raw;
             }
             self.publish(lane, idx);
-            if self.slots.validate(slot, raw) {
-                *self.cache[lane] = (slot, raw, idx);
+            if word.load(Ordering::SeqCst) == raw {
                 return raw;
             }
         }
     }
 
+    #[inline]
     fn load(&mut self, slot: SlotId) -> u64 {
         self.slots.load(slot)
     }
 
+    #[inline]
     fn validate(&mut self, slot: SlotId, raw: u64) -> bool {
         self.slots.validate(slot, raw)
     }
 
+    #[inline]
     fn cas(&mut self, slot: SlotId, raw: u64, idx: u64) -> bool {
         self.slots.cas(slot, raw, idx)
     }
 
+    #[inline]
     fn protect_link(&mut self, lane: usize, idx: u64, slot: SlotId, raw: u64) -> bool {
         // Publish the hazard for the node read out of a link, then confirm
         // the anchoring slot has not moved: only then was the node really
@@ -452,6 +458,7 @@ impl Guard for HazardGuard<'_> {
         self.slots.validate(slot, raw)
     }
 
+    #[inline]
     fn protect_link_word(&mut self, lane: usize, idx: u64, link: &AtomicU64, raw: u64) -> bool {
         // Hand-over-hand: publish the hazard for the successor FIRST, then
         // re-read the (still-protected) predecessor's link.  If the link
@@ -465,6 +472,9 @@ impl Guard for HazardGuard<'_> {
         link.load(Ordering::SeqCst) == raw
     }
 
+    // `always`: under a plain hint LLVM kept it out of line of the stack's
+    // pop (cost 410 against 325).
+    #[inline(always)]
     fn retire(&mut self, idx: u64, mut free: impl FnMut(u64)) {
         // The operation is complete: its protections are released before the
         // node is retired, so our own hazards never pin our own retirees.
@@ -484,6 +494,7 @@ impl Guard for HazardGuard<'_> {
         }
     }
 
+    #[inline]
     fn quiesce(&mut self) {
         self.clear_published();
     }
@@ -496,6 +507,7 @@ impl Guard for HazardGuard<'_> {
         });
     }
 
+    #[inline]
     fn admit_alloc(&mut self, live_capacity: usize, free: impl FnMut(u64)) -> bool {
         // Hazard reclamation is already bounded (a parked protector pins
         // exactly one node per lane; the scan policy bounds the rest), so
@@ -894,6 +906,55 @@ mod tests {
                 }
                 call => {
                     if call == 4 {
+                        g.quiesce();
+                    } else {
+                        g.retire(100 + idx, |_| {});
+                    }
+                    for lane in 0..LANES {
+                        assert_eq!(lane_slot(lane), None, "step {step}, lane {lane}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `protect` publishes the node of the word it returns — never one an
+    /// earlier protect saw — while a second guard swings the slot between
+    /// calls, to fresh nodes, back to old ones and to nil.
+    #[test]
+    fn hazard_protect_publishes_the_returned_node_while_another_guard_moves_the_slot() {
+        const LANES: usize = 2;
+        let mut r = HazardReclaim::new(2, LANES);
+        let head = r.add_slot(0);
+        let mut g = r.guard(0, 1 << 20);
+        let mut mover = r.guard(1, 1 << 20);
+        let lane_slot = |lane: usize| r.domain().protected_by(lane);
+        let mut state = 0x2545_F491_4F6C_DD1Du64; // xorshift64, fixed seed
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for step in 0..10_000 {
+            let (call, lane, idx) = (next() % 5, (next() % LANES as u64) as usize, next() % 8);
+            match call {
+                0 | 1 => {
+                    let raw = g.protect(lane, head);
+                    let node = g.index_of(raw);
+                    assert_eq!(
+                        lane_slot(lane),
+                        (node != NIL).then_some(node),
+                        "step {step}"
+                    );
+                }
+                2 => {
+                    let raw = mover.load(head);
+                    let to = if idx == 7 { NIL } else { idx };
+                    assert!(mover.cas(head, raw, to), "step {step}");
+                }
+                call => {
+                    if call == 3 {
                         g.quiesce();
                     } else {
                         g.retire(100 + idx, |_| {});

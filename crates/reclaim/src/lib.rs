@@ -494,10 +494,16 @@ struct SlotView<'a, C> {
     codec: PhantomData<C>,
 }
 
-impl<C: LinkCodec> SlotView<'_, C> {
+impl<'a, C: LinkCodec> SlotView<'a, C> {
+    /// The word of `slot` itself, for a protocol that reads it twice.
+    #[inline]
+    fn word(&self, slot: SlotId) -> &'a AtomicU64 {
+        &self.words[slot]
+    }
+
     #[inline]
     fn load(&self, slot: SlotId) -> u64 {
-        self.words[slot].load(Ordering::SeqCst)
+        self.word(slot).load(Ordering::SeqCst)
     }
 
     #[inline]
@@ -561,28 +567,35 @@ pub struct NoGuard<'a> {
 impl Guard for NoGuard<'_> {
     type Links = BareLinks;
 
+    #[inline]
     fn protect(&mut self, _lane: usize, slot: SlotId) -> u64 {
         self.slots.load(slot)
     }
 
+    #[inline]
     fn load(&mut self, slot: SlotId) -> u64 {
         self.slots.load(slot)
     }
 
+    #[inline]
     fn validate(&mut self, slot: SlotId, raw: u64) -> bool {
         self.slots.validate(slot, raw)
     }
 
+    #[inline]
     fn cas(&mut self, slot: SlotId, raw: u64, idx: u64) -> bool {
         self.slots.cas(slot, raw, idx)
     }
 
+    #[inline]
     fn retire(&mut self, idx: u64, mut free: impl FnMut(u64)) {
         free(idx);
     }
 
+    #[inline]
     fn quiesce(&mut self) {}
 
+    #[inline]
     fn reclaim_pressure(&mut self, _free: impl FnMut(u64)) {}
 }
 
@@ -629,28 +642,35 @@ pub struct TagGuard<'a> {
 impl Guard for TagGuard<'_> {
     type Links = CountedLinks;
 
+    #[inline]
     fn protect(&mut self, _lane: usize, slot: SlotId) -> u64 {
         self.slots.load(slot)
     }
 
+    #[inline]
     fn load(&mut self, slot: SlotId) -> u64 {
         self.slots.load(slot)
     }
 
+    #[inline]
     fn validate(&mut self, slot: SlotId, raw: u64) -> bool {
         self.slots.validate(slot, raw)
     }
 
+    #[inline]
     fn cas(&mut self, slot: SlotId, raw: u64, idx: u64) -> bool {
         self.slots.cas(slot, raw, idx)
     }
 
+    #[inline]
     fn retire(&mut self, idx: u64, mut free: impl FnMut(u64)) {
         free(idx);
     }
 
+    #[inline]
     fn quiesce(&mut self) {}
 
+    #[inline]
     fn reclaim_pressure(&mut self, _free: impl FnMut(u64)) {}
 }
 
@@ -709,8 +729,13 @@ impl Guard for LlScGuard<'_> {
     // are arena words, so their protection is the counted encoding (a stale
     // CAS fails on the bumped counter) and advancing along them only needs
     // the snapshot re-validated — the provided `protect_link_word`.
+    //
+    // Only `protect` carries `#[inline]`: with `load` (the `LL`) and `cas`
+    // (the `SC`) hinted as well, the LL/SC stack lane ran ≈ 2 % slower
+    // (EXPERIMENTS.md E35).
     type Links = CountedLinks;
 
+    #[inline]
     fn protect(&mut self, _lane: usize, slot: SlotId) -> u64 {
         self.load(slot)
     }

@@ -293,9 +293,9 @@ impl NodeMem for Nodes<'_, '_> {
                 self.m.read(slot)
             }
             Scheme::Hazard => {
-                // `HazardGuard::protect`'s slow path: publish the node the
-                // slot designates, then re-validate, until the snapshot is
-                // stable; a nil slot publishes nothing and clears the lane.
+                // `HazardGuard::protect`, step for step: publish the node
+                // the slot designates, then re-validate, until the snapshot
+                // is stable; a nil slot publishes nothing and clears the lane.
                 // A plain loop, not `Mem::retry`: a failed try leaves its
                 // publication (and the lane's `held` bit) behind.
                 // retry-bound: the re-validation fails only when another
