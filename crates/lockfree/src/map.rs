@@ -95,12 +95,12 @@ pub trait Map: Send + Sync {
     /// Arena nodes published at construction time.
     fn arena_initial_capacity(&self) -> usize;
     /// Obtain the per-thread handle for `tid`: operations run at algorithm
-    /// cost.
+    /// cost.  What every measurement uses, at every thread count.
     fn handle(&self, tid: usize) -> Box<dyn MapHandle + '_>;
     /// The same handle with the preemption window open: the thread yields
-    /// at every traversal step and before every link CAS.  For the stress
-    /// harnesses, race-provoking tests and the workload engine's contended
-    /// cells (DESIGN.md §7).
+    /// at every traversal step and before every link CAS.  For the
+    /// adversaries only — the stress harnesses, the race-provoking tests
+    /// and the benchmark's correctness gate (DESIGN.md §7).
     fn racing_handle(&self, tid: usize) -> Box<dyn MapHandle + '_>;
 }
 
@@ -715,27 +715,43 @@ mod tests {
         static HOPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
-    /// The [`Racing`] window with a hop meter: every node a traversal visits
-    /// passes one window, so a walk that would spin forever panics instead.
+    /// The hop meter: every node a traversal visits passes one window, so a
+    /// walk that would spin forever panics instead.
+    fn count_hop() {
+        let hops = HOPS.with(|h| h.replace(h.get() + 1));
+        assert!(
+            hops < HOP_BUDGET,
+            "an operation exceeded its budget of {HOP_BUDGET} traversal hops"
+        );
+    }
+
+    /// The [`Racing`] window with the hop meter.
     struct HopBudget;
 
     impl Window for HopBudget {
         fn preemption_window() {
             Racing::preemption_window();
-            let hops = HOPS.with(|h| h.replace(h.get() + 1));
-            assert!(
-                hops < HOP_BUDGET,
-                "an operation exceeded its budget of {HOP_BUDGET} traversal hops"
-            );
+            count_hop();
+        }
+    }
+
+    /// The [`Production`] window with the hop meter: it counts and never
+    /// yields, so the walk interleaves as the engine's cells run it.
+    struct HopMeter;
+
+    impl Window for HopMeter {
+        fn preemption_window() {
+            count_hop();
         }
     }
 
     /// One engine cell of `table_matrix --family all --quick --threads 4` on
     /// `aba-workload`'s `hot-key-contention` mix (publish/retract cycles on
     /// 4 hot keys, a cold 64-key range, rolling-probe gets; a 100-op warm-up
-    /// and two 800-op rounds on one 128-key map), through racing handles
-    /// that carry the hop meter.  Returns how many workers blew the budget.
-    fn hot_key_cell<R: Reclaimer>() -> usize {
+    /// and two 800-op rounds on one 128-key map), through handles whose
+    /// window `W` carries the hop meter.  Returns how many workers blew the
+    /// budget.
+    fn hot_key_cell<R: Reclaimer, W: Window>() -> usize {
         const THREADS: usize = 4;
         let map = GenericMap::<R>::with_threads(64 + 16 * THREADS, THREADS);
         for ops in [100, 800, 800] {
@@ -745,7 +761,7 @@ mod tests {
                     .map(|tid| {
                         let (map, barrier) = (&map, &barrier);
                         s.spawn(move || {
-                            let mut h = GenericMapHandle::<R, HopBudget>::new(map, tid);
+                            let mut h = GenericMapHandle::<R, W>::new(map, tid);
                             let mut probe = tid as u32;
                             barrier.wait();
                             for i in 0..ops {
@@ -775,22 +791,45 @@ mod tests {
         0
     }
 
-    /// Regression test for ROADMAP item 4's counted-links livelock: under
-    /// the preemption window, 4 threads of hot-key churn used to leave the
-    /// workers of `map/tagged` / `map/llsc` walking a cycle forever in about
-    /// one cell in forty on 2 vCPUs, because the list's `find` let the key
-    /// of a recycled node steer `bucket_anchor` (fixed by re-validating the
-    /// predecessor after the key read).  The hop meter turns that hang into
-    /// a panic.
+    /// Regression test for the counted-links livelock of EXPERIMENTS.md
+    /// E17: under the preemption window, 4 threads of hot-key churn used to
+    /// leave the workers of `map/tagged` / `map/llsc` walking a cycle
+    /// forever in about one cell in forty on 2 vCPUs, because the list's
+    /// `find` let the key of a recycled node steer `bucket_anchor` (fixed by
+    /// re-validating the predecessor after the key read).  The hop meter
+    /// turns that hang into a panic.
     #[test]
     fn counted_links_maps_finish_hot_key_churn_within_the_hop_budget() {
         for cell in 0..400 {
-            let wedged = hot_key_cell::<TagReclaim>();
+            let wedged = hot_key_cell::<TagReclaim, HopBudget>();
             assert_eq!(
                 wedged, 0,
                 "map/tagged: {wedged} workers wedged in cell {cell}"
             );
-            let wedged = hot_key_cell::<LlScReclaim>();
+            let wedged = hot_key_cell::<LlScReclaim, HopBudget>();
+            assert_eq!(
+                wedged, 0,
+                "map/llsc: {wedged} workers wedged in cell {cell}"
+            );
+        }
+    }
+
+    /// Cells per scheme of the window-free test below: about three seconds
+    /// in release on two cores.
+    const WINDOW_FREE_CELLS: usize = 800;
+
+    /// The same cells without the window, as the workload engine runs them
+    /// at every thread count: the hop budget also guards the window-free
+    /// interleavings.
+    #[test]
+    fn counted_links_maps_finish_window_free_hot_key_churn_within_the_hop_budget() {
+        for cell in 0..WINDOW_FREE_CELLS {
+            let wedged = hot_key_cell::<TagReclaim, HopMeter>();
+            assert_eq!(
+                wedged, 0,
+                "map/tagged: {wedged} workers wedged in cell {cell}"
+            );
+            let wedged = hot_key_cell::<LlScReclaim, HopMeter>();
             assert_eq!(
                 wedged, 0,
                 "map/llsc: {wedged} workers wedged in cell {cell}"

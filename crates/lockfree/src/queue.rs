@@ -49,12 +49,12 @@ pub trait Queue: Send + Sync {
     /// admission): the ops a throughput report must not count as completed.
     fn alloc_failures(&self) -> u64;
     /// Obtain the per-thread handle for `tid`: operations run at algorithm
-    /// cost.
+    /// cost.  What every measurement uses, at every thread count.
     fn handle(&self, tid: usize) -> Box<dyn QueueHandle + '_>;
     /// The same handle with the preemption window open: the thread yields
     /// between reading head/tail and the CAS that acts on them.  For the
-    /// stress harnesses, race-provoking tests and the workload engine's
-    /// contended cells (DESIGN.md §7).
+    /// adversaries only — the stress harnesses, the race-provoking tests
+    /// and the benchmark's correctness gate (DESIGN.md §7).
     fn racing_handle(&self, tid: usize) -> Box<dyn QueueHandle + '_>;
 }
 

@@ -20,14 +20,16 @@
 //!
 //! The workers attack through `racing_handle`s: the preemption window is
 //! open, so every read-then-CAS window is a scheduling point under every
-//! scheme alike.  Callers that measure algorithm cost use `handle`.
+//! scheme alike.  Callers that measure algorithm cost use `handle`, and so
+//! does each family's window-free conservation test below: every script is
+//! a private driver that takes the handle constructor as a parameter.
 
 use std::collections::HashMap;
 use std::sync::Barrier;
 
-use crate::map::Map;
-use crate::queue::Queue;
-use crate::set::Set;
+use crate::map::{Map, MapHandle};
+use crate::queue::{Queue, QueueHandle};
+use crate::set::{Set, SetHandle};
 use crate::stack::{Stack, StackHandle};
 
 /// Arena size for a conservation stress run: a deliberately *tight* shared
@@ -239,6 +241,19 @@ pub fn stress_queue(
     consumers: usize,
     ops_per_thread: usize,
 ) -> StressReport {
+    queue_churn(queue, producers, consumers, ops_per_thread, |tid| {
+        queue.racing_handle(tid)
+    })
+}
+
+/// [`stress_queue`]'s script over handles opened by `handle(tid)`.
+fn queue_churn<'a>(
+    queue: &dyn Queue,
+    producers: usize,
+    consumers: usize,
+    ops_per_thread: usize,
+    handle: impl Fn(usize) -> Box<dyn QueueHandle + 'a> + Sync,
+) -> StressReport {
     assert!(producers > 0, "need at least one producer");
     assert!(consumers > 0, "need at least one consumer");
     let mut report = run_conservation(
@@ -246,7 +261,7 @@ pub fn stress_queue(
         producers + consumers,
         ops_per_thread,
         |tid| {
-            let mut handle = queue.racing_handle(tid);
+            let mut handle = handle(tid);
             if tid < producers {
                 let mut enqueued = Vec::new();
                 for i in 0..ops_per_thread {
@@ -371,12 +386,22 @@ fn stress_keyed<H>(
 /// conservation: every key that went in must come out (by its inserter or
 /// the drain) exactly once.
 pub fn stress_set(set: &dyn Set, threads: usize, ops_per_thread: usize) -> StressReport {
+    set_churn(set, threads, ops_per_thread, |tid| set.racing_handle(tid))
+}
+
+/// [`stress_set`]'s script over handles opened by `handle(tid)`.
+fn set_churn<'a>(
+    set: &dyn Set,
+    threads: usize,
+    ops_per_thread: usize,
+    handle: impl Fn(usize) -> Box<dyn SetHandle + 'a> + Sync,
+) -> StressReport {
     let mut report = stress_keyed(
         set.name(),
         set.capacity(),
         threads,
         ops_per_thread,
-        |tid| set.racing_handle(tid),
+        handle,
         |handle, op| match op {
             KeyOp::Insert(key) => handle.insert(key),
             KeyOp::Remove(key) => handle.remove(key),
@@ -392,12 +417,22 @@ pub fn stress_set(set: &dyn Set, threads: usize, ops_per_thread: usize) -> Stres
 /// as the growth workload: the map's arena starts small and must publish
 /// segments to keep up.
 pub fn stress_map(map: &dyn Map, threads: usize, ops_per_thread: usize) -> StressReport {
+    map_churn(map, threads, ops_per_thread, |tid| map.racing_handle(tid))
+}
+
+/// [`stress_map`]'s script over handles opened by `handle(tid)`.
+fn map_churn<'a>(
+    map: &dyn Map,
+    threads: usize,
+    ops_per_thread: usize,
+    handle: impl Fn(usize) -> Box<dyn MapHandle + 'a> + Sync,
+) -> StressReport {
     let mut report = stress_keyed(
         map.name(),
         map.capacity(),
         threads,
         ops_per_thread,
-        |tid| map.racing_handle(tid),
+        handle,
         |handle, op| match op {
             KeyOp::Insert(key) => handle.insert(key, key ^ 0x5A5A_5A5A),
             KeyOp::Remove(key) => handle.remove(key),
@@ -446,23 +481,67 @@ mod tests {
         assert!(report.is_conserved(), "{report:?}");
     }
 
+    /// Rounds per thread of the window-free conservation tests: without the
+    /// yields a round is tens of nanoseconds, so only a long run makes the
+    /// two threads overlap at all.
+    const WINDOW_FREE_OPS: usize = 100_000;
+
     #[test]
     fn protected_stacks_conserve_values_through_production_handles() {
-        // The harness attacks through racing handles and the workload
-        // engine's contended cells use them too; this is the only place
-        // two production handles share a structure, i.e. the conservation
-        // check of the window-free interleavings.  Two threads, and many
-        // more rounds than above: without the yields a round is tens of
-        // nanoseconds, so only a long run makes the threads overlap at all.
-        // `skip(1)`: the unprotected variant heads the roster.
+        // The harness attacks through racing handles; the workload engine
+        // runs every cell, contended ones included, through production
+        // handles.  This test and its three siblings below are the
+        // conservation check of those window-free interleavings, two
+        // threads on one structure.  `skip(1)`: the unprotected variant
+        // heads the roster.
         const THREADS: usize = 2;
         for stack in crate::all_stacks(conservation_capacity(CAPACITY, THREADS), THREADS)
             .into_iter()
             .skip(1)
         {
-            let report = stack_churn(&*stack, THREADS, 100_000, |tid| stack.handle(tid));
+            let report = stack_churn(&*stack, THREADS, WINDOW_FREE_OPS, |tid| stack.handle(tid));
             assert!(report.is_conserved(), "{report:?}");
             assert_eq!(report.aba_events, 0, "{}", stack.name());
+        }
+    }
+
+    #[test]
+    fn protected_queues_conserve_values_through_production_handles() {
+        // One producer against one consumer, the window-free sibling of
+        // the stack test above.
+        for queue in crate::all_queues(conservation_capacity(CAPACITY, 2), 2)
+            .into_iter()
+            .skip(1)
+        {
+            let report = queue_churn(&*queue, 1, 1, WINDOW_FREE_OPS, |tid| queue.handle(tid));
+            assert!(report.is_conserved(), "{report:?}");
+            assert_eq!(report.aba_events, 0, "{}", queue.name());
+        }
+    }
+
+    #[test]
+    fn protected_sets_conserve_membership_through_production_handles() {
+        const THREADS: usize = 2;
+        for set in crate::all_sets(conservation_capacity(CAPACITY, THREADS), THREADS)
+            .into_iter()
+            .skip(1)
+        {
+            let report = set_churn(&*set, THREADS, WINDOW_FREE_OPS, |tid| set.handle(tid));
+            assert!(report.is_conserved(), "{report:?}");
+            assert_eq!(report.aba_events, 0, "{}", set.name());
+        }
+    }
+
+    #[test]
+    fn protected_maps_conserve_keys_through_production_handles() {
+        const THREADS: usize = 2;
+        for map in crate::all_maps(conservation_capacity(CAPACITY, THREADS), THREADS)
+            .into_iter()
+            .skip(1)
+        {
+            let report = map_churn(&*map, THREADS, WINDOW_FREE_OPS, |tid| map.handle(tid));
+            assert!(report.is_conserved(), "{report:?}");
+            assert_eq!(report.aba_events, 0, "{}", map.name());
         }
     }
 

@@ -16,18 +16,16 @@
 //! per `aba-reclaim` scheme (unprotected, tagged, hazard-protected,
 //! epoch-reclaimed and LL/SC-worded), 30 backends total.
 //!
-//! The structure adapters pick the handle kind from the cell's thread count,
-//! once, when a worker is created: a 1-thread cell runs through `handle(tid)`
-//! (algorithm cost, no injected yield), a contended cell through
-//! `racing_handle(tid)` (a yield in every read-then-CAS window).  The second
-//! half is a measurement constraint, not a preference: window-free workers
-//! on two cores spend their operations waiting for the few hot cache lines
-//! every family funnels through, so the cell's rate is the host's inter-core
-//! latency — which the reference host's hypervisor moves between ~22 ns and
-//! ~130 ns per round trip for seconds at a time (the same binary measured
-//! 4 M or 20 M ops/s on the contended stack; EXPERIMENTS.md E16).  Until the
-//! engine can price that latency, contended cells keep the pacing that makes
-//! them repeatable (ROADMAP items 1(a) and 2(d)).
+//! Every structure worker, at every thread count, runs through
+//! `handle(tid)`: the production code, with no yield injected anywhere.  A
+//! 1-thread cell therefore prices the algorithm, and a contended cell prices
+//! it under real cache-line contention on the few hot words every family
+//! funnels through, with the algorithms' own `Backoff` as the only pacing.
+//! That contended rate follows the host's inter-core latency, which the
+//! 2-vCPU reference host moves between two regimes (DESIGN.md §7,
+//! EXPERIMENTS.md E16 and E36).  `racing_handle(tid)` is for the adversaries
+//! (the stress harnesses, race tests and the benchmark's correctness gate),
+//! never for a measurement.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -206,34 +204,23 @@ impl Workload for StructureWorkload {
 
     fn worker(&self, tid: usize) -> Box<dyn WorkloadOps + '_> {
         assert!(tid < self.threads, "tid {tid} out of range");
-        let contended = self.threads > 1;
-        // The handle-kind rule of the module docs, for any family's trait.
-        macro_rules! handle {
-            ($structure:expr) => {
-                if contended {
-                    $structure.racing_handle(tid)
-                } else {
-                    $structure.handle(tid)
-                }
-            };
-        }
         let failed = &self.failed;
         let probe = tid as u32;
         match &self.structure {
             Structure::Stack(stack) => Box::new(StackOps {
-                handle: handle!(stack),
+                handle: stack.handle(tid),
                 failed,
             }),
             Structure::Queue(queue) => Box::new(QueueOps {
-                handle: handle!(queue),
+                handle: queue.handle(tid),
                 failed,
             }),
             Structure::Set(set) => Box::new(SetOps {
-                handle: handle!(set),
+                handle: set.handle(tid),
                 probe,
             }),
             Structure::Map(map) => Box::new(MapOps {
-                handle: handle!(map),
+                handle: map.handle(tid),
                 probe,
             }),
         }
