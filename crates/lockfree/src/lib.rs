@@ -61,17 +61,21 @@ pub use arena::{NodeArena, NIL};
 /// * `handle(tid)` instantiates it with [`Production`]: the window is
 ///   empty, the monomorphised operations contain no `yield_now`, and an
 ///   operation costs what the algorithm costs.  Every measurement uses
-///   these handles: every workload engine cell at every thread count (so a
-///   contended cell prices real cache-line contention and `Backoff`) and
-///   the benchmark's per-layer ladder.
+///   these handles: every workload engine cell except a contended map cell
+///   (so a contended stack, queue or set cell prices real cache-line
+///   contention and `Backoff`), and the benchmark's per-layer ladder.
 /// * `racing_handle(tid)` instantiates it with [`Racing`]: the thread
 ///   yields inside every window, uniformly for every scheme, so a short run
-///   on few cores provokes the preemptions a long run on many would.  Only
-///   the adversaries attack through these handles — the stress harnesses
+///   on few cores provokes the preemptions a long run on many would.  The
+///   adversaries attack through these handles — the stress harnesses
 ///   (`stress_*`, hence E6/E8/E10/E13's incidence columns and the
 ///   benchmark's correctness gate) and the tests that provoke or rule out a
 ///   race; they compare protection strategies, not the accident of
-///   scheduling.
+///   scheduling.  The engine's contended map cells use them too, for
+///   repeatability rather than attack: window-free, their rate swings with
+///   the host's inter-core latency beyond what a `-tn` map comparison can
+///   resolve (see `aba-workload`'s `backend` module and EXPERIMENTS.md
+///   E36).
 pub(crate) trait Window: Send {
     /// Called at each read-then-CAS window of a structure operation.
     fn preemption_window();

@@ -95,12 +95,13 @@ pub trait Map: Send + Sync {
     /// Arena nodes published at construction time.
     fn arena_initial_capacity(&self) -> usize;
     /// Obtain the per-thread handle for `tid`: operations run at algorithm
-    /// cost.  What every measurement uses, at every thread count.
+    /// cost.  What the 1-thread engine cells and the benchmark's ladder
+    /// measure.
     fn handle(&self, tid: usize) -> Box<dyn MapHandle + '_>;
     /// The same handle with the preemption window open: the thread yields
-    /// at every traversal step and before every link CAS.  For the
-    /// adversaries only — the stress harnesses, the race-provoking tests
-    /// and the benchmark's correctness gate (DESIGN.md §7).
+    /// at every traversal step and before every link CAS.  For the stress
+    /// harnesses, race-provoking tests, the benchmark's correctness gate and
+    /// the workload engine's contended map cells (DESIGN.md §7).
     fn racing_handle(&self, tid: usize) -> Box<dyn MapHandle + '_>;
 }
 
@@ -736,7 +737,7 @@ mod tests {
     }
 
     /// The [`Production`] window with the hop meter: it counts and never
-    /// yields, so the walk interleaves as the engine's cells run it.
+    /// yields, so the walk interleaves as production handles run it.
     struct HopMeter;
 
     impl Window for HopMeter {
@@ -818,9 +819,8 @@ mod tests {
     /// in release on two cores.
     const WINDOW_FREE_CELLS: usize = 800;
 
-    /// The same cells without the window, as the workload engine runs them
-    /// at every thread count: the hop budget also guards the window-free
-    /// interleavings.
+    /// The same cells without the window, as every production caller runs
+    /// them: the hop budget also guards the window-free interleavings.
     #[test]
     fn counted_links_maps_finish_window_free_hot_key_churn_within_the_hop_budget() {
         for cell in 0..WINDOW_FREE_CELLS {

@@ -489,11 +489,11 @@ mod tests {
     #[test]
     fn protected_stacks_conserve_values_through_production_handles() {
         // The harness attacks through racing handles; the workload engine
-        // runs every cell, contended ones included, through production
-        // handles.  This test and its three siblings below are the
-        // conservation check of those window-free interleavings, two
-        // threads on one structure.  `skip(1)`: the unprotected variant
-        // heads the roster.
+        // runs its contended stack, queue and set cells through production
+        // handles, and every production caller shares a structure that way.
+        // This test and its three siblings below are the conservation
+        // check of those window-free interleavings, two threads on one
+        // structure.  `skip(1)`: the unprotected variant heads the roster.
         const THREADS: usize = 2;
         for stack in crate::all_stacks(conservation_capacity(CAPACITY, THREADS), THREADS)
             .into_iter()

@@ -16,16 +16,23 @@
 //! per `aba-reclaim` scheme (unprotected, tagged, hazard-protected,
 //! epoch-reclaimed and LL/SC-worded), 30 backends total.
 //!
-//! Every structure worker, at every thread count, runs through
-//! `handle(tid)`: the production code, with no yield injected anywhere.  A
-//! 1-thread cell therefore prices the algorithm, and a contended cell prices
-//! it under real cache-line contention on the few hot words every family
-//! funnels through, with the algorithms' own `Backoff` as the only pacing.
-//! That contended rate follows the host's inter-core latency, which the
-//! 2-vCPU reference host moves between two regimes (DESIGN.md §7,
-//! EXPERIMENTS.md E16 and E36).  `racing_handle(tid)` is for the adversaries
-//! (the stress harnesses, race tests and the benchmark's correctness gate),
-//! never for a measurement.
+//! Every structure worker runs through `handle(tid)`, the production code
+//! with no yield injected, except a map worker in a contended cell.  A
+//! 1-thread cell therefore prices the algorithm, and a contended stack,
+//! queue or set cell prices it under real cache-line contention on the few
+//! hot words every family funnels through, with the algorithms' own
+//! `Backoff` as the only pacing.  That contended rate follows the host's
+//! inter-core latency, which the 2-vCPU reference host moves between two
+//! regimes (DESIGN.md §7, EXPERIMENTS.md E16 and E36).
+//!
+//! A contended map cell runs through `racing_handle(tid)`, a yield in every
+//! read-then-CAS window and on every hop.  Window-free, the map's contended
+//! rate swung ×1.5–×2.5 from one run of one binary to the next with that
+//! regime, far past what the repo benchmark's two `-tn` map workloads must
+//! resolve to guard against a regression (E36).  The yield keeps them
+//! repeatable until each round carries its regime (ROADMAP item 1(a)).
+//! Otherwise `racing_handle(tid)` is for the adversaries (the stress
+//! harnesses, race tests and the benchmark's correctness gate).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -219,8 +226,14 @@ impl Workload for StructureWorkload {
                 handle: set.handle(tid),
                 probe,
             }),
+            // The one exception to the module docs' rule: a contended map
+            // cell keeps the window (see there).
             Structure::Map(map) => Box::new(MapOps {
-                handle: map.handle(tid),
+                handle: if self.threads > 1 {
+                    map.racing_handle(tid)
+                } else {
+                    map.handle(tid)
+                },
                 probe,
             }),
         }
