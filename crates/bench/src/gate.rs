@@ -124,16 +124,17 @@ pub fn incidence(rows: &[(Scheme, StressReport)], parallel_host: bool) -> Vec<St
 }
 
 /// The E11 gate (`table_dpor`): a protected model must yield no witness, cut
-/// no trace at the depth bound and, outside `quick` mode, drain its space;
-/// an unprotected model must yield a witness; every exploration must execute
-/// at least one schedule.
+/// no trace at the depth bound and drain its space, in quick mode too (a
+/// space that outgrows the quick cap fails rather than passing capped); an
+/// unprotected model must yield a witness; every exploration must execute at
+/// least one schedule.
 ///
 /// The depth-cut rule is lock-freedom: a lock-free model on a finite
 /// workload has no infinite execution, so a protected row with a cut trace
 /// has either too small a depth bound or a model in which one process waits
 /// on another.  Unprotected rows are exempt — a wedged structure (cycled
 /// links) *is* their witness, and it spins until the cut.
-pub fn dpor(rows: &[DporRow], quick: bool) -> Vec<String> {
+pub fn dpor(rows: &[DporRow]) -> Vec<String> {
     let mut failures = Vec::new();
     for row in rows {
         let (name, protected) = (row.model.key(), row.model.protected);
@@ -149,8 +150,8 @@ pub fn dpor(rows: &[DporRow], quick: bool) -> Vec<String> {
                 row.report.truncated_traces
             ));
         }
-        if protected && !quick && !row.report.complete {
-            failures.push(format!("{name}: space not drained in full mode"));
+        if protected && !row.report.complete {
+            failures.push(format!("{name}: space not drained"));
         }
         if row.report.schedules_executed == 0 {
             failures.push(format!("{name}: explorer executed zero schedules"));
@@ -457,38 +458,33 @@ mod tests {
             dpor_row(false, true, false, 3),
             wedging,
         ];
-        assert_eq!(dpor(&rows, false), Vec::<String>::new());
-        // Quick mode tolerates a capped (incomplete) protected space.
-        assert_eq!(
-            dpor(&[dpor_row(true, false, false, 40)], true),
-            Vec::<String>::new()
-        );
+        assert_eq!(dpor(&rows), Vec::<String>::new());
     }
 
     #[test]
     fn each_dpor_rule_names_its_row() {
-        let failures = dpor(&[dpor_row(true, true, true, 40)], false);
+        let failures = dpor(&[dpor_row(true, true, true, 40)]);
         assert_one(
             &failures,
             &["queue/tagged", "protected mode produced an ABA witness"],
         );
-        let failures = dpor(&[dpor_row(false, false, true, 40)], false);
+        let failures = dpor(&[dpor_row(false, false, true, 40)]);
         assert_one(&failures, &["queue/unprotected", "no witness"]);
-        let failures = dpor(&[dpor_row(true, false, false, 40)], false);
-        assert_one(&failures, &["queue/tagged", "not drained in full mode"]);
-        let failures = dpor(&[dpor_row(true, false, true, 0)], true);
+        // A capped space fails, quick or full: `table_dpor`'s quick cap sits
+        // above every roster space, so one that outgrows it is a finding.
+        let failures = dpor(&[dpor_row(true, false, false, 40)]);
+        assert_one(&failures, &["queue/tagged", "space not drained"]);
+        let failures = dpor(&[dpor_row(true, false, true, 0)]);
         assert_one(&failures, &["queue/tagged", "zero schedules"]);
         // `set/epoch` as committed before its epilogue became one-shot:
         // drained, clean, and 11 traces cut inside a blocking model.
         let mut blocking = dpor_row(true, false, true, 1_452);
         blocking.report.truncated_traces = 11;
-        for quick in [false, true] {
-            let failures = dpor(std::slice::from_ref(&blocking), quick);
-            assert_one(
-                &failures,
-                &["queue/tagged", "11 trace(s) cut", "must be lock-free"],
-            );
-        }
+        let failures = dpor(std::slice::from_ref(&blocking));
+        assert_one(
+            &failures,
+            &["queue/tagged", "11 trace(s) cut", "must be lock-free"],
+        );
     }
 
     // --- scaling -------------------------------------------------------------

@@ -15,14 +15,16 @@
 //!   own structure code run on one generic [`ShippedSim`], each module a
 //!   type alias and its tests; what tells the structures apart is the data
 //!   of their [`ShippedCode`] impls (slots, dummy, lanes, quarantine,
-//!   hardware family);
+//!   hardware family).  [`shipped_model`] is the one pairing of a hardware
+//!   `Family × Scheme` cell with its model, which the model roster and the
+//!   conformance table both derive their structure rows from;
 //! * `protect` (crate-private) — the protection sequences under the
 //!   structure rows, once: free-set alloc/release, epoch pin / retire stamp
 //!   / advance / quarantine and hazard publish / scan / clear, one function
 //!   per `aba_reclaim::Guard` method.  The adapter in `shipped.rs` composes
 //!   them into the `NodeMem` the shipped code runs on; a new structure is a
-//!   `ShippedCode` impl there, a new structure × scheme row one
-//!   `MODEL_ROSTER` line.
+//!   `ShippedCode` impl there, one link of `shipped_model`'s chain and a
+//!   bound in the roster; its structure × scheme rows are derived.
 //! * `replay` (crate-private) — the adapter that makes such code
 //!   schedulable: a model implements `Model::call` over `Mem::read` /
 //!   `write` / `cas` (and `Mem::retry` for unbounded CAS-retry loops), and
@@ -42,4 +44,4 @@ pub mod set;
 mod shipped;
 pub mod stack;
 
-pub use shipped::{ShippedCode, ShippedSim};
+pub use shipped::{shipped_model, ShippedCode, ShippedSim};

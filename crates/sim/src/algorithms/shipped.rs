@@ -153,6 +153,12 @@ impl<C: ShippedCode> ShippedSim<C> {
         Self::new(n, capacity, Scheme::Epoch)
     }
 
+    /// This model, boxed, if `C` is `family`'s code and the simulator
+    /// encodes the scheme (every one but LL/SC).
+    fn of(self, family: Family) -> Option<Box<dyn SimAlgorithm>> {
+        (C::FAMILY == family && self.scheme != Scheme::LlSc).then(|| Box::new(self) as _)
+    }
+
     pub(crate) fn layout(&self) -> Layout {
         let hazard = self.scheme == Scheme::Hazard;
         Layout {
@@ -203,6 +209,28 @@ impl<C: ShippedCode> SimAlgorithm for ShippedSim<C> {
     fn spawn(&self, pid: ProcessId) -> Box<dyn SimProcess> {
         Box::new(Replay::new(self.process(pid)))
     }
+}
+
+/// The simulator model of hardware cell `(family, scheme)`: the
+/// [`ShippedCode`] whose `FAMILY` is `family`, under `scheme`, for `n`
+/// processes over a capacity-`capacity` arena.  `None` where the simulator
+/// encodes no such cell: a family without a `ShippedCode` impl (the
+/// elimination stack, the map) or [`Scheme::LlSc`].
+///
+/// # Panics
+///
+/// Panics if `n == 0` or `capacity` is not in `1..=63`, as
+/// [`ShippedSim::unprotected`] does.
+pub fn shipped_model(
+    family: Family,
+    scheme: Scheme,
+    n: usize,
+    capacity: usize,
+) -> Option<Box<dyn SimAlgorithm>> {
+    ShippedSim::<Treiber>::new(n, capacity, scheme)
+        .of(family)
+        .or_else(|| ShippedSim::<MsQueue>::new(n, capacity, scheme).of(family))
+        .or_else(|| ShippedSim::<HmList>::new(n, capacity, scheme).of(family))
 }
 
 /// A [`Model`] that runs a structure's shipped code `C` under one process's

@@ -3,24 +3,28 @@
 //!
 //! `table_dpor` explores each row, the footprint audit
 //! ([`crate::audit::standard_family_audits`]) audits the protected ones, and
-//! the family-level exploration tests iterate it — so a new model is one row
-//! here.  The `stack/*`, `queue/*` and `set/*` rows run `aba-lockfree`'s own
-//! code on the generic [`ShippedSim`](crate::algorithms::ShippedSim), and
-//! their keys are keys of `aba_lockfree::Family`'s table: the row claims to
-//! model that backend, and `tests/model_binding.rs` holds it to the claim.
-//! A family's rows share one bound, where the unprotected row has a witness.
+//! the family-level exploration tests iterate it.  Two rows are the paper's
+//! registers; every other row is derived: one per `aba_lockfree::Family ×
+//! Scheme` cell that [`shipped_model`] encodes, so each runs that backend's
+//! own code on the generic [`ShippedSim`](crate::algorithms::ShippedSim) and
+//! is keyed by the cell's key.  A new structure is a `ShippedCode` impl
+//! joined to `shipped_model` and a bound here; its rows follow.  A family's
+//! rows share one bound, where the unprotected row has a witness.
+
+use std::sync::LazyLock;
+
+use aba_lockfree::Family;
+use aba_reclaim::Scheme;
 
 use crate::algorithm::SimAlgorithm;
 use crate::algorithms::baselines::{NaiveSim, TaggedSim};
-use crate::algorithms::queue::QueueSim;
-use crate::algorithms::set::SetSim;
-use crate::algorithms::stack::StackSim;
+use crate::algorithms::shipped_model;
 use crate::explore::SimWorkload;
 
 /// One roster row: a simulated model at its E11 bound.
 #[derive(Debug, Clone, Copy)]
 pub struct SimModel {
-    /// Algorithm family (`register` / `queue` / `set` / `stack`).
+    /// Algorithm family (`register` / `stack` / `queue` / `set`).
     pub family: &'static str,
     /// Protection mode; `family/mode` keys the row in `BENCH_dpor.json` and
     /// `BENCH_lint.json`.
@@ -32,8 +36,18 @@ pub struct SimModel {
     pub bound: &'static str,
     /// The bounded workload explored.
     pub workload: SimWorkload,
-    /// Build the model at the bound's process count and arena size.
-    pub build: fn() -> Box<dyn SimAlgorithm>,
+    n: usize,
+    arena: usize,
+    build: Build,
+}
+
+/// The model of a row: one of the paper's registers, or the shipped code
+/// of a hardware cell.
+#[derive(Debug, Clone, Copy)]
+enum Build {
+    Naive,
+    Tagged,
+    Cell(Family, Scheme),
 }
 
 impl SimModel {
@@ -41,51 +55,94 @@ impl SimModel {
     pub fn key(&self) -> String {
         format!("{}/{}", self.family, self.mode)
     }
+
+    /// Build the model at the bound's process count and arena size.
+    pub fn build(&self) -> Box<dyn SimAlgorithm> {
+        match self.build {
+            Build::Naive => Box::new(NaiveSim::new(self.n)),
+            Build::Tagged => Box::new(TaggedSim::new(self.n)),
+            Build::Cell(family, scheme) => shipped_model(family, scheme, self.n, self.arena)
+                .expect("a roster cell is one the simulator encodes"),
+        }
+    }
 }
 
-const REGISTER: (&str, SimWorkload) = (
+/// A family's one E11 bound: the text the tables print, the workload, and
+/// the process count and arena size its models are built at.
+type Bound = (&'static str, SimWorkload, usize, usize);
+
+const REGISTER: Bound = (
     "n=3, writes=4, reads=2",
     SimWorkload::Register {
         writes: 4,
         reads: 2,
     },
+    3,
+    0, // a register has no arena
 );
-const QUEUE: (&str, SimWorkload) = (
+const STACK: Bound = (
+    "n=2, calls=4, arena=2",
+    SimWorkload::Stack { calls: 4 },
+    2,
+    2,
+);
+const QUEUE: Bound = (
     "n=3, enq=2, deq=3, arena=2",
     SimWorkload::Queue {
         enqueues: 2,
         dequeues: 3,
     },
+    3,
+    2,
 );
-const SET: (&str, SimWorkload) = ("n=2, rounds=1, arena=3", SimWorkload::Set { rounds: 1 });
-const STACK: (&str, SimWorkload) = ("n=2, calls=4, arena=2", SimWorkload::Stack { calls: 4 });
+const SET: Bound = (
+    "n=2, rounds=1, arena=3",
+    SimWorkload::Set { rounds: 1 },
+    2,
+    3,
+);
 
-/// One roster line per model: `family, mode, protected, bound => model;`.
-macro_rules! roster {
-    ($($family:literal, $mode:literal, $protected:literal, $bound:ident => $model:expr;)*) => {
-        [$(SimModel {
-            family: $family,
-            mode: $mode,
-            protected: $protected,
-            bound: $bound.0,
-            workload: $bound.1,
-            build: || Box::new($model),
-        }),*]
-    };
+/// The bound of a family's rows; `None` for a family without a model.
+fn bound(family: Family) -> Option<Bound> {
+    match family {
+        Family::Stack => Some(STACK),
+        Family::Queue => Some(QUEUE),
+        Family::Set => Some(SET),
+        Family::ElimStack | Family::Map => None,
+    }
 }
 
-/// The twelve E11 rows, in `BENCH_dpor.json` order.
-pub static MODEL_ROSTER: [SimModel; 12] = roster! {
-    "register", "naive", false, REGISTER => NaiveSim::new(3);
-    "register", "tagged", true, REGISTER => TaggedSim::new(3);
-    "queue", "unprotected", false, QUEUE => QueueSim::unprotected(3, 2);
-    "queue", "tagged", true, QUEUE => QueueSim::tagged(3, 2);
-    "queue", "epoch", true, QUEUE => QueueSim::epoch(3, 2);
-    "set", "unprotected", false, SET => SetSim::unprotected(2, 3);
-    "set", "tagged", true, SET => SetSim::tagged(2, 3);
-    "set", "hazard", true, SET => SetSim::hazard(2, 3);
-    "set", "epoch", true, SET => SetSim::epoch(2, 3);
-    "stack", "unprotected", false, STACK => StackSim::unprotected(2, 2);
-    "stack", "tagged", true, STACK => StackSim::tagged(2, 2);
-    "queue", "hazard", true, QUEUE => QueueSim::hazard(3, 2);
-};
+fn row(key: &'static str, (bound, workload, n, arena): Bound, build: Build) -> SimModel {
+    let (family, mode) = key.split_once('/').expect("a key is family/mode");
+    let protected = !matches!(build, Build::Naive | Build::Cell(_, Scheme::Unprotected));
+    SimModel {
+        family,
+        mode,
+        protected,
+        bound,
+        workload,
+        n,
+        arena,
+        build,
+    }
+}
+
+/// The E11 rows, in `BENCH_dpor.json` order: the two registers, then every
+/// `Family × Scheme` cell with a model, in roster order.
+pub static MODEL_ROSTER: LazyLock<Vec<SimModel>> = LazyLock::new(|| {
+    let mut rows = vec![
+        row("register/naive", REGISTER, Build::Naive),
+        row("register/tagged", REGISTER, Build::Tagged),
+    ];
+    for family in Family::ALL {
+        let Some(bound @ (_, _, n, arena)) = bound(family) else {
+            continue;
+        };
+        for scheme in Scheme::ALL {
+            if shipped_model(family, scheme, n, arena).is_some() {
+                rows.push(row(family.key(scheme), bound, Build::Cell(family, scheme)));
+            }
+        }
+    }
+    rows
+});

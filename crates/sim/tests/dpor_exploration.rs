@@ -6,8 +6,8 @@
 use aba_sim::algorithms::queue::QueueSim;
 use aba_sim::algorithms::set::SetSim;
 use aba_sim::{
-    explore_workload, run_workload, DporConfig, ExplorationReport, SimAlgorithm, SimWorkload,
-    MODEL_ROSTER,
+    explore_workload, run_workload, DporConfig, ExplorationReport, SimAlgorithm, SimModel,
+    SimWorkload, MODEL_ROSTER,
 };
 
 /// Explore `workload` and check the outcome `protected` demands: a protected
@@ -15,14 +15,15 @@ use aba_sim::{
 /// schedules, where the full space is release-mode-only), an unprotected one
 /// yields a replayable witness.  `schedules` (executions run: the classes of a
 /// drained or capped space, or those explored until the witness) and `cut`
-/// (traces cut at the depth bound) are the pinned counters, both exact, so a
-/// refactor that changes any exploration fails here.
+/// (traces cut at the depth bound) are the pinned counters, both exact and
+/// checked first, so a refactor that changes any exploration fails here
+/// with the counts it observed.
 fn explore_pinned(
     name: &str,
     algo: &dyn SimAlgorithm,
     workload: SimWorkload,
     protected: bool,
-    (cap, schedules, cut): (Option<u64>, u64, u64),
+    (cap, schedules, cut): Pin,
 ) -> ExplorationReport {
     let cfg = DporConfig {
         stop_on_first: !protected,
@@ -30,6 +31,8 @@ fn explore_pinned(
         ..DporConfig::default()
     };
     let report = explore_workload(algo, workload, &cfg);
+    let counters = (report.schedules_executed, report.truncated_traces);
+    assert_eq!(counters, (schedules, cut), "{name}: (schedules, cut)");
     if protected {
         assert!(report.witness().is_none(), "{name}: protected but broken");
         assert_eq!(report.hit_schedule_cap, cap.is_some(), "{name}");
@@ -45,62 +48,92 @@ fn explore_pinned(
         assert_eq!(replay.history, w.history, "{name}");
         assert_eq!(replay.wedged, w.wedged, "{name}");
     }
-    assert_eq!(report.schedules_executed, schedules, "{name}");
-    assert_eq!(report.truncated_traces, cut, "{name}");
     report
 }
 
+const REGISTER: &str = "n=3, writes=4, reads=2";
+const STACK: &str = "n=2, calls=4, arena=2";
+const QUEUE: &str = "n=3, enq=2, deq=3, arena=2";
+const SET: &str = "n=2, rounds=1, arena=3";
+
+/// `explore_pinned`'s `(cap, schedules, cut)`: `cap` is the schedule cap of
+/// a capped slice, `None` for the whole space.
+type Pin = (Option<u64>, u64, u64);
+
+/// The roster as E11 certifies it: every row's key, bound and pin, in row
+/// order (the register rows, then `Family × Scheme` order).  The keys name
+/// the rows of `BENCH_dpor.json` and `BENCH_lint.json`.  The spaces of
+/// `stack/hazard` (111 434 classes), `stack/epoch` (283 393) and
+/// `queue/tagged` (43 547) drain only in the release-mode table binary;
+/// here a capped slice of each must stay clean.
+const PINS: [(&str, &str, Pin); 14] = [
+    // n=3, 4 ABA-patterned writes, 2 reads per reader: the same workload
+    // shape the random search samples, now enumerated.
+    ("register/naive", REGISTER, (None, 37, 0)),
+    // Pinned: the reduced space of this bound is exactly 225 trace
+    // classes, none cut (register methods are bounded).
+    ("register/tagged", REGISTER, (None, 225, 0)),
+    // The staggered workload: process 0 pushes, pops twice and pushes
+    // again; process 1 pushes and pops twice.  The witness holds the
+    // textbook pop ABA: process 1's push holds node 0 while process 0
+    // pushes node 1, so its pop parks with the link 0 -> 1; process 0
+    // pops both and re-pushes node 0, the stale CAS lands, and the last
+    // pop returns the popped node 1's value a second time.
+    ("stack/unprotected", STACK, (None, 1_764, 0)),
+    // Pinned, drained, nothing cut: the counted head fails that CAS.
+    ("stack/tagged", STACK, (None, 11_495, 0)),
+    // Slices of about a second each in a debug test.
+    ("stack/hazard", STACK, (Some(3_000), 3_000, 0)),
+    ("stack/epoch", STACK, (Some(3_000), 3_000, 0)),
+    ("queue/unprotected", QUEUE, (None, 12_272, 12)),
+    ("queue/tagged", QUEUE, (Some(1_500), 1_500, 0)),
+    // Pinned, drained, nothing cut: unlike the tagged queue's 44k
+    // classes, the whole space drains inside a debug test.
+    ("queue/hazard", QUEUE, (None, 27_221, 0)),
+    // Pinned: deferred reclamation keeps the arena full for most of the
+    // workload, collapsing the space to 76 classes.  (The E15 quarantine
+    // steps leave this count untouched: with a single spare node an
+    // advance can never be re-blocked while limbo is non-empty, so the
+    // transfer is unreachable here — the off-roster bound below sizes the
+    // arena so it *is*.)
+    ("queue/epoch", QUEUE, (None, 76, 0)),
+    ("set/unprotected", SET, (None, 46, 0)),
+    ("set/tagged", SET, (None, 7_566, 0)),
+    ("set/hazard", SET, (None, 49_049, 0)),
+    // Pinned, drained, nothing cut: the list is lock-free.  (An early
+    // hand-written model of this row read 1 452 classes with 11 traces
+    // cut at the depth bound.  The cause was not a process
+    // spinning on a full arena — the allocation retries exactly once —
+    // but a blocking epilogue: a completing operation re-entered unpin →
+    // advance until its limbo had drained, i.e. waited on a peer parked
+    // inside an epoch, and the wait also collapsed the space.  A retire
+    // makes one reclamation attempt, as `EpochGuard::retire` does.)
+    ("set/epoch", SET, (None, 25_148, 0)),
+];
+
 #[test]
 fn roster_unprotected_rows_yield_a_witness_and_protected_rows_drain() {
-    // In roster order.  The tagged queue's space (44k classes) drains only
-    // in the release-mode table binary; here a capped slice must stay clean.
-    let pins = [
-        // n=3, 4 ABA-patterned writes, 2 reads per reader: the same workload
-        // shape the random search samples, now enumerated.
-        ("register/naive", (None, 37, 0)),
-        // Pinned: the reduced space of this bound is exactly 225 trace
-        // classes, none cut (register methods are bounded).
-        ("register/tagged", (None, 225, 0)),
-        ("queue/unprotected", (None, 12_272, 12)),
-        ("queue/tagged", (Some(1_500), 1_500, 0)),
-        // Pinned: deferred reclamation keeps the arena full for most of the
-        // workload, collapsing the space to 76 classes.  (The E15 quarantine
-        // steps leave this count untouched: with a single spare node an
-        // advance can never be re-blocked while limbo is non-empty, so the
-        // transfer is unreachable here — the off-roster bound below sizes the
-        // arena so it *is*.)
-        ("queue/epoch", (None, 76, 0)),
-        ("set/unprotected", (None, 46, 0)),
-        ("set/tagged", (None, 7_566, 0)),
-        ("set/hazard", (None, 49_049, 0)),
-        // Pinned, drained, nothing cut: the list is lock-free.  (An early
-        // hand-written model of this row read 1 452 classes with 11 traces
-        // cut at the depth bound.  The cause was not a process
-        // spinning on a full arena — the allocation retries exactly once —
-        // but a blocking epilogue: a completing operation re-entered unpin →
-        // advance until its limbo had drained, i.e. waited on a peer parked
-        // inside an epoch, and the wait also collapsed the space.  A retire
-        // makes one reclamation attempt, as `EpochGuard::retire` does.)
-        ("set/epoch", (None, 25_148, 0)),
-        // The staggered workload: process 0 pushes, pops twice and pushes
-        // again; process 1 pushes and pops twice.  The witness holds the
-        // textbook pop ABA: process 1's push holds node 0 while process 0
-        // pushes node 1, so its pop parks with the link 0 -> 1; process 0
-        // pops both and re-pushes node 0, the stale CAS lands, and the last
-        // pop returns the popped node 1's value a second time.
-        ("stack/unprotected", (None, 1_764, 0)),
-        // Pinned, drained, nothing cut: the counted head fails that CAS.
-        ("stack/tagged", (None, 11_495, 0)),
-        // Pinned, drained, nothing cut: unlike the tagged queue's 44k
-        // classes, the whole space drains inside a debug test.
-        ("queue/hazard", (None, 27_221, 0)),
-    ];
-    assert_eq!(pins.len(), MODEL_ROSTER.len());
-    for (model, (key, pin)) in MODEL_ROSTER.iter().zip(pins) {
-        assert_eq!(model.key(), key);
-        let algo = (model.build)();
-        explore_pinned(key, algo.as_ref(), model.workload, model.protected, pin);
+    for model in MODEL_ROSTER.iter() {
+        let key = model.key();
+        // A row without a pin explores under the default cap and fails on
+        // the counters, printing them.
+        let unpinned = ("", "", (None, 0, 0));
+        let (_, bound, pin) = *PINS.iter().find(|row| row.0 == key).unwrap_or(&unpinned);
+        explore_pinned(
+            &key,
+            model.build().as_ref(),
+            model.workload,
+            model.protected,
+            pin,
+        );
+        assert_eq!(model.bound, bound, "{key}");
     }
+    let keys: Vec<String> = MODEL_ROSTER.iter().map(SimModel::key).collect();
+    assert_eq!(
+        keys,
+        PINS.map(|row| row.0),
+        "the pins list the roster in order"
+    );
 }
 
 #[test]

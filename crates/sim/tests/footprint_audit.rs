@@ -21,7 +21,7 @@ use aba_sim::{
 #[test]
 fn honest_families_audit_clean_under_bursty_schedules() {
     for (seed, model) in MODEL_ROSTER.iter().filter(|m| m.protected).enumerate() {
-        let algo = (model.build)();
+        let algo = model.build();
         let a = audit_bursty(algo.as_ref(), model.workload, 6, 200, seed as u64 + 1);
         assert!(
             a.sound(),

@@ -26,15 +26,16 @@
 //!
 //! The simulator *proves* small-bound properties of the models it runs; a
 //! proof about a model that has drifted from the code is worth nothing, and
-//! this table is the behavioural tie between the two sides (the key tie,
-//! every structure roster key being an `aba_lockfree::Family` key, is
-//! `crates/bench/tests/dpor_golden.rs`).  The paper rows are listed: the two
-//! register rows of `MODEL_ROSTER` and the seven constructions the roster
-//! does not explore (`Fig3Sim`, `Fig4Sim`, `AnnounceSim`, `MoirSim` and
-//! `Fig5Sim` over Figure 3, Announce and Moir).  The structure rows are
-//! derived from `Family::ALL × Scheme::ALL`; a cell's twin is its family's
-//! `ShippedSim` under its scheme where one exists (the stack, queue and set
-//! under the four schemes the simulator encodes), and the other cells (every
+//! this table is the behavioural tie between the two sides.  (The key tie
+//! holds by construction: `MODEL_ROSTER` derives its structure rows, keys
+//! included, from the same `shipped_model` pairing the twins come from.)
+//! The paper rows are listed: the two register rows of `MODEL_ROSTER` and
+//! the seven constructions the roster does not explore (`Fig3Sim`,
+//! `Fig4Sim`, `AnnounceSim`, `MoirSim` and `Fig5Sim` over Figure 3,
+//! Announce and Moir).  The structure rows are derived from `Family::ALL ×
+//! Scheme::ALL`; a cell's twin is `aba_sim::algorithms::shipped_model` of
+//! the cell at `(N, ARENA)` where the simulator encodes it (the stack, queue
+//! and set under the four schemes it runs), and the other cells (every
 //! `*/llsc` cell, the map and the elimination stack) are hardware-only.
 //! Only `register/naive` is a hand-written model: every other twin runs the
 //! code its hardware runs, written once over `aba_core::mem::Mem` or
@@ -59,17 +60,15 @@
 
 use std::collections::BTreeSet;
 
-use aba_repro::lockfree::list::HmList;
 use aba_repro::lockfree::{
-    Family, MapHandle, MsQueue, NaiveEventSignal, QueueHandle, Scheme, SetHandle, StackHandle,
-    Structure, Treiber,
+    Family, MapHandle, NaiveEventSignal, QueueHandle, Scheme, SetHandle, StackHandle, Structure,
 };
 use aba_repro::sim::algorithms::announce::AnnounceSim;
 use aba_repro::sim::algorithms::baselines::{MoirSim, NaiveSim, TaggedSim};
 use aba_repro::sim::algorithms::fig3::Fig3Sim;
 use aba_repro::sim::algorithms::fig4::Fig4Sim;
 use aba_repro::sim::algorithms::fig5::Fig5Sim;
-use aba_repro::sim::algorithms::{ShippedCode, ShippedSim};
+use aba_repro::sim::algorithms::shipped_model;
 use aba_repro::sim::{minimize_violation_schedule, MethodCall, SimAlgorithm, Simulation};
 use aba_repro::spec::{
     check_history, AbaHandle, AbaRegisterObject, History, LinCheckOutcome, LlScHandle, LlScObject,
@@ -208,32 +207,6 @@ const PAPER: [(&str, NewModel, Hardware); 9] = [
     ),
 ];
 
-/// The simulator twin of cell `(family, scheme)`: the family's shipped code
-/// on the replay memory, under the scheme, if the simulator runs both.
-fn twin(family: Family, scheme: Scheme) -> Option<Box<dyn SimAlgorithm>> {
-    fn shipped<C: ShippedCode>(scheme: Scheme) -> Option<Box<dyn SimAlgorithm>> {
-        Some(Box::new(match scheme {
-            Scheme::Unprotected => ShippedSim::<C>::unprotected(N, ARENA),
-            Scheme::Tagged => ShippedSim::<C>::tagged(N, ARENA),
-            Scheme::Hazard => ShippedSim::<C>::hazard(N, ARENA),
-            Scheme::Epoch => ShippedSim::<C>::epoch(N, ARENA),
-            Scheme::LlSc => return None,
-        }))
-    }
-    let model = match family {
-        Family::Stack => shipped::<Treiber>(scheme),
-        Family::Queue => shipped::<MsQueue>(scheme),
-        Family::Set => shipped::<HmList>(scheme),
-        Family::ElimStack | Family::Map => None,
-    }?;
-    assert_eq!(
-        model.name(),
-        family.label(scheme),
-        "a twin claims another cell"
-    );
-    Some(model)
-}
-
 /// Every row: the paper's, then one per `Family × Scheme` cell.
 pub fn table() -> Vec<Row> {
     let paper = PAPER.iter().map(|&(key, model, hardware)| Row {
@@ -245,7 +218,7 @@ pub fn table() -> Vec<Row> {
         Scheme::ALL.map(|scheme| Row {
             key: family.key(scheme),
             hardware: Hardware::Cell(family, scheme),
-            model: twin(family, scheme),
+            model: shipped_model(family, scheme, N, ARENA),
         })
     });
     paper.chain(cells).collect()
