@@ -98,7 +98,7 @@ fn l3_flags_sleep_and_instant_now_in_library_code() {
 #[test]
 fn l3_allowlists_bench_examples_timing_and_justified_sites() {
     let now = "fn f() { let t = std::time::Instant::now(); }\n";
-    assert!(findings_for("crates/bench/src/baseline.rs", now).is_empty());
+    assert!(findings_for("crates/bench/src/matrix.rs", now).is_empty());
     assert!(findings_for("examples/demo.rs", now).is_empty());
     assert!(findings_for("crates/workload/src/engine.rs", now).is_empty());
 

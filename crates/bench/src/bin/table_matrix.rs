@@ -14,21 +14,16 @@
 //! - `--ops <n>`: override timed operations per worker thread.
 //! - `--scenarios <prefix,...>` / `--backends <prefix,...>`: keep only the
 //!   row's scenarios/backends whose name starts with one of the prefixes.
-//! - `--baseline <path>`: compare against a committed `BENCH_baseline.json`
-//!   and exit 1 when any shared backend loses more than 25% of its
-//!   fleet-relative throughput (see `aba_bench::baseline`).
 //!
 //! Exit status is the gate: 1 if `aba_bench::gate::matrix` reports a cell
-//! (the document is then not written) or the baseline comparison fails, 2 on
-//! a malformed command line.
+//! (the document is then not written), 2 on a malformed command line.
 
 use aba_bench::matrix::MatrixTable;
-use aba_bench::{baseline, exit_on_failures, gate, Args};
+use aba_bench::{exit_on_failures, gate, Args};
 use aba_workload::{to_json_with_schema, EngineConfig};
 
 const USAGE: &str = "--family <all|reclamation|set|map> [--quick] [--out <path>] \
-    [--threads <a,b,c>] [--ops <n>] [--scenarios <prefix,...>] [--backends <prefix,...>] \
-    [--baseline <path>]";
+    [--threads <a,b,c>] [--ops <n>] [--scenarios <prefix,...>] [--backends <prefix,...>]";
 
 fn main() {
     let args = Args::from_env(USAGE);
@@ -59,18 +54,6 @@ fn main() {
     if let Some(ops) = args.value("--ops") {
         config.ops_per_thread = count("--ops", ops);
     }
-    // Read before the sweep: a wrong path or a truncated baseline should
-    // fail now, not after minutes of measurement.
-    let baseline_cells = args.value("--baseline").map(|path| {
-        std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|json| baseline::parse_cells(&json))
-            .unwrap_or_else(|e| {
-                eprintln!("baseline {path}: {e}");
-                std::process::exit(1);
-            })
-    });
-
     let result = table
         .run(&config, &list("--scenarios"), &list("--backends"))
         .unwrap_or_else(|e| args.fail(&e));
@@ -88,17 +71,4 @@ fn main() {
     std::fs::write(out_path, to_json_with_schema(&result, table.schema))
         .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!("wrote {out_path} ({} cells)", result.cells.len());
-
-    if let Some(base_cells) = baseline_cells {
-        let current: Vec<_> = result.cells.iter().map(Into::into).collect();
-        let failures = match baseline::compare(&base_cells, &current, baseline::DEFAULT_TOLERANCE) {
-            Ok(cmp) => {
-                print!("{}", cmp.report());
-                let lost = |r: &baseline::Regression| format!("{} regressed", r.key);
-                cmp.regressions.iter().map(lost).collect()
-            }
-            Err(e) => vec![e],
-        };
-        exit_on_failures("baseline", &failures);
-    }
 }

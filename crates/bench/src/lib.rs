@@ -5,11 +5,10 @@
 //! `table_aba_incidence`, `table_matrix`, `table_dpor` and `table_lint`:
 //! strict flag parsing ([`Args`]), the Section 2 lower-bound experiments
 //! E3/E5 ([`lowerbound`]), the engine-matrix driver and its four-row table
-//! ([`matrix`]), every rule a binary fails its run on ([`gate`]), the
-//! `BENCH_lint.json` / `BENCH_dpor.json` emitters and the paired-ratio
-//! regression gate ([`baseline`]).  Throughput measurement itself lives in
-//! the `aba-workload` engine, which `table_matrix` drives; per-layer latency
-//! lives in the standalone `benchmark/` package.
+//! ([`matrix`]), every rule a binary fails its run on ([`gate`]) and the
+//! `BENCH_lint.json` / `BENCH_dpor.json` emitters.  Throughput measurement
+//! itself lives in the `aba-workload` engine, which `table_matrix` drives;
+//! per-layer latency lives in the standalone `benchmark/` package.
 //!
 //! Every binary prints a self-contained plain-text table whose rows map
 //! one-to-one onto the experiment index in `DESIGN.md` / `EXPERIMENTS.md`.
@@ -18,7 +17,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod baseline;
 pub mod gate;
 pub mod lowerbound;
 pub mod matrix;
@@ -33,7 +31,7 @@ pub const QUICK_AND_OUT: &str = "[--quick] [--out <path>]";
 /// accepted `--flag` appears and one followed by a `<placeholder>` takes a
 /// value.  Nothing is ignored: a misspelt flag would otherwise run the
 /// default (full) sweep, and a value flag left last would silently take its
-/// default — for `--baseline`, skipping the regression gate with exit 0.
+/// default.
 #[derive(Debug)]
 pub struct Args {
     usage: &'static str,
@@ -216,7 +214,7 @@ pub fn dpor_json(quick: bool, rows: &[DporRow]) -> String {
 mod tests {
     use super::*;
 
-    const USAGE: &str = "[--quick] [--out <path>] [--baseline <path>]";
+    const USAGE: &str = "[--quick] [--out <path>] [--ops <n>]";
 
     fn parse(args: &[&str]) -> Result<Args, String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
@@ -228,15 +226,15 @@ mod tests {
         let args = parse(&["--quick", "--out", "a.json,b.json"]).unwrap();
         assert!(args.has("--quick"));
         assert_eq!(args.value("--out"), Some("a.json,b.json"));
-        assert_eq!(args.value("--baseline"), None);
-        assert!(!args.has("--baseline"));
+        assert_eq!(args.value("--ops"), None);
+        assert!(!args.has("--ops"));
     }
 
     #[test]
     fn a_value_flag_left_last_is_an_error_not_a_default() {
-        // `--baseline` with its path forgotten used to skip the gate, exit 0.
-        let err = parse(&["--quick", "--baseline"]).unwrap_err();
-        assert!(err.contains("`--baseline` needs a value"), "{err}");
+        // A value flag with its value forgotten used to run the default.
+        let err = parse(&["--quick", "--ops"]).unwrap_err();
+        assert!(err.contains("`--ops` needs a value"), "{err}");
         let err = parse(&["--out"]).unwrap_err();
         assert!(err.contains("`--out` needs a value"), "{err}");
         // Another flag is not a value either.

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use aba_spec::{AbaHandle, LlScHandle, ProcessId, Word};
 
 use crate::pad::CachePadded;
-use crate::stepcount::LocalSteps;
+use crate::stepcount::{self, LocalSteps};
 
 /// A base object of one of the paper's constructions, named as the
 /// pseudocode names it.  (Named rather than numbered: with `X = 0`,
@@ -83,11 +83,13 @@ impl Mem for Atomics<'_> {
 
     // Each access is counted *after* it: the counter's stores would
     // otherwise sit in the store buffer that a `SeqCst` store or CAS has to
-    // drain before it completes (EXPERIMENTS.md E23).
+    // drain before it completes (EXPERIMENTS.md E23).  Every write is a
+    // `SeqCst` store, so the thread's tally counts it as locked.
     #[inline]
     fn read(&mut self, obj: Obj) -> Result<u64, Infallible> {
         let value = self.word(obj).load(Ordering::SeqCst);
         self.steps.step();
+        stepcount::plain();
         Ok(value)
     }
 
@@ -95,6 +97,7 @@ impl Mem for Atomics<'_> {
     fn write(&mut self, obj: Obj, value: u64) -> Result<(), Infallible> {
         self.word(obj).store(value, Ordering::SeqCst);
         self.steps.step();
+        stepcount::locked();
         Ok(())
     }
 
@@ -105,6 +108,7 @@ impl Mem for Atomics<'_> {
             .compare_exchange(expected, new, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok();
         self.steps.step();
+        stepcount::locked();
         Ok(swapped)
     }
 }

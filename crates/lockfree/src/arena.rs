@@ -77,7 +77,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-use aba_core::CachePadded;
+use aba_core::{stepcount, CachePadded};
 
 /// Index value meaning "null".  (Identical to `aba_reclaim::NIL`: the
 /// reclamation schemes and the arena agree on the decoded-index domain.)
@@ -136,8 +136,10 @@ impl Node {
         // ordering: the node is private to its allocator until the
         // publishing CAS, which stays `SeqCst` and orders this before it.
         let generation = self.generation.load(Ordering::Relaxed);
+        stepcount::plain();
         // ordering: private until the publishing CAS, which stays `SeqCst`.
         self.generation.store(generation + 1, Ordering::Relaxed);
+        stepcount::plain();
     }
 }
 
@@ -283,7 +285,9 @@ impl NodeArena {
     /// growable arena's guards must track what exists, not what might.
     #[inline]
     pub fn live_capacity(&self) -> usize {
-        self.live.load(Ordering::SeqCst)
+        let live = self.live.load(Ordering::SeqCst);
+        stepcount::plain();
+        live
     }
 
     /// Nodes published at construction time (for a bounded arena, all of
@@ -304,7 +308,9 @@ impl NodeArena {
     /// a pop or a move of whole indices on a `Vec<u64>` — so a poisoned lock
     /// is recovered, not propagated.
     fn shared_free(&self) -> MutexGuard<'_, Vec<u64>> {
-        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+        let free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
+        stepcount::locked();
+        free
     }
 
     /// A private cache of free indices for one structure handle, one of at
@@ -346,7 +352,7 @@ impl NodeArena {
     /// ever offered twice) and only the winner advances the published
     /// counter (so slots fill strictly in order).
     fn publish_next(&self) -> Publish {
-        let s = self.published.load(Ordering::SeqCst);
+        let s = self.published();
         if s == self.plan.len() {
             return Publish::Exhausted;
         }
@@ -364,7 +370,9 @@ impl NodeArena {
                     }
                 }
                 self.live.fetch_add(len, Ordering::SeqCst);
+                stepcount::locked();
                 self.published.store(s + 1, Ordering::SeqCst);
+                stepcount::locked();
                 Publish::Won
             }
             Err(_) => Publish::Lost,
@@ -404,13 +412,18 @@ impl NodeArena {
             match self.publish_next() {
                 Publish::Won => {}
                 Publish::Lost => backoff
-                    .get_or_insert_with(|| {
-                        aba_core::Backoff::new(self.published.load(Ordering::SeqCst) as u64)
-                    })
+                    .get_or_insert_with(|| aba_core::Backoff::new(self.published() as u64))
                     .pause(),
                 Publish::Exhausted => return None,
             }
         }
+    }
+
+    /// Number of segments published so far.
+    fn published(&self) -> usize {
+        let published = self.published.load(Ordering::SeqCst);
+        stepcount::plain();
+        published
     }
 
     /// Return a node to the free list.
@@ -431,7 +444,7 @@ impl NodeArena {
     /// Read the value stored in a node (the low half of the value word).
     #[inline]
     pub fn value(&self, idx: u64) -> u32 {
-        self.node(idx).value.load(Ordering::SeqCst) as u32
+        self.word(idx) as u32
     }
 
     /// Store a value into a node.  Clears the auxiliary [`data`] half — the
@@ -441,6 +454,7 @@ impl NodeArena {
     #[inline]
     pub fn set_value(&self, idx: u64, value: u32) {
         self.node(idx).value.store(value as u64, Ordering::SeqCst);
+        stepcount::locked();
     }
 
     /// Write the value and auxiliary data of a node its caller has allocated
@@ -453,6 +467,7 @@ impl NodeArena {
         // ordering: private until the publishing CAS, which stays `SeqCst`
         // (a reader reaches the node only through the word that CAS wrote).
         self.node(idx).value.store(word, Ordering::Relaxed);
+        stepcount::plain();
     }
 
     /// Read the auxiliary data stored next to a node's value (the high half
@@ -460,7 +475,15 @@ impl NodeArena {
     /// half holds the split-order key.
     #[inline]
     pub fn data(&self, idx: u64) -> u32 {
-        (self.node(idx).value.load(Ordering::SeqCst) >> 32) as u32
+        (self.word(idx) >> 32) as u32
+    }
+
+    /// A node's whole value word: the value, and the data above it.
+    #[inline]
+    fn word(&self, idx: u64) -> u64 {
+        let word = self.node(idx).value.load(Ordering::SeqCst);
+        stepcount::plain();
+        word
     }
 
     /// The next-link word of a node, as the raw atomic — the only access
@@ -477,7 +500,9 @@ impl NodeArena {
     /// Read a node's generation counter.
     #[inline]
     pub fn generation(&self, idx: u64) -> u64 {
-        self.node(idx).generation.load(Ordering::SeqCst)
+        let generation = self.node(idx).generation.load(Ordering::SeqCst);
+        stepcount::plain();
+        generation
     }
 }
 

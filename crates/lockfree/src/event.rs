@@ -12,6 +12,7 @@
 //! observed.  [`NaiveEventSignal`] shows what happens with a plain register:
 //! the reset restores the old value and the waiter misses the event.
 
+use aba_core::stepcount;
 use aba_spec::{AbaHandle, AbaRegisterObject, ProcessId};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -116,11 +117,13 @@ impl NaiveEventSignal {
     /// Raise the event.
     pub fn signal(&self) {
         self.value.store(SIGNALED, Ordering::SeqCst);
+        stepcount::locked();
     }
 
     /// Reset the event.
     pub fn reset(&self) {
         self.value.store(IDLE, Ordering::SeqCst);
+        stepcount::locked();
     }
 
     /// Waiter handle.
@@ -144,6 +147,7 @@ impl NaiveWaiter<'_> {
     /// which misses a signal that was reset in between (the ABA).
     pub fn poll(&mut self) -> bool {
         let now = self.event.value.load(Ordering::SeqCst);
+        stepcount::plain();
         let changed = now != self.last;
         self.last = now;
         changed

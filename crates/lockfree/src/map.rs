@@ -55,7 +55,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use aba_core::CachePadded;
+use aba_core::{stepcount, CachePadded};
 use aba_reclaim::{EpochReclaim, HazardReclaim, LlScReclaim, NoReclaim, Reclaimer, TagReclaim};
 
 use crate::arena::{NodeArena, NIL};
@@ -178,7 +178,9 @@ impl BucketTable {
     }
 
     fn size(&self) -> usize {
-        self.size.load(Ordering::SeqCst)
+        let size = self.size.load(Ordering::SeqCst);
+        stepcount::plain();
+        size
     }
 
     /// (segment, offset) of a bucket cell.
@@ -263,6 +265,7 @@ impl<R: Reclaimer> GenericMap<R> {
         // has an anchor.
         let dummy = map.list.first_anchor(so_dummy(0));
         map.buckets.cell(0).store(dummy, Ordering::SeqCst);
+        stepcount::locked();
         map
     }
 }
@@ -289,7 +292,9 @@ impl<R: Reclaimer> Map for GenericMap<R> {
     }
 
     fn len(&self) -> u64 {
-        self.count.load(Ordering::SeqCst)
+        let count = self.count.load(Ordering::SeqCst);
+        stepcount::plain();
+        count
     }
 
     fn buckets(&self) -> usize {
@@ -338,6 +343,7 @@ impl<'a, R: Reclaimer, W: Window> GenericMapHandle<'a, R, W> {
     fn bucket_anchor(&mut self, bucket: usize) -> Option<u64> {
         let cell = self.map.buckets.cell(bucket);
         let dummy = cell.load(Ordering::SeqCst);
+        stepcount::plain();
         if dummy != NIL {
             return Some(dummy);
         }
@@ -368,6 +374,7 @@ impl<'a, R: Reclaimer, W: Window> GenericMapHandle<'a, R, W> {
             }
         };
         let _ = cell.compare_exchange(NIL, dummy, Ordering::SeqCst, Ordering::SeqCst);
+        stepcount::locked();
         Some(dummy)
     }
 
@@ -379,7 +386,9 @@ impl<'a, R: Reclaimer, W: Window> GenericMapHandle<'a, R, W> {
         if size >= self.map.buckets.max {
             return;
         }
-        if self.map.count.load(Ordering::SeqCst) < (LOAD_FACTOR * size) as u64 {
+        let count = self.map.count.load(Ordering::SeqCst);
+        stepcount::plain();
+        if count < (LOAD_FACTOR * size) as u64 {
             return;
         }
         let doubled = size * 2;
@@ -390,6 +399,7 @@ impl<'a, R: Reclaimer, W: Window> GenericMapHandle<'a, R, W> {
             Ordering::SeqCst,
             Ordering::SeqCst,
         );
+        stepcount::locked();
     }
 }
 
@@ -402,6 +412,7 @@ impl<R: Reclaimer, W: Window> MapHandle for GenericMapHandle<'_, R, W> {
         let inserted = self.list.insert(anchor, so_regular(key), value);
         if inserted {
             self.map.count.fetch_add(1, Ordering::SeqCst);
+            stepcount::locked();
             self.maybe_grow();
         }
         inserted
@@ -415,6 +426,7 @@ impl<R: Reclaimer, W: Window> MapHandle for GenericMapHandle<'_, R, W> {
         let removed = self.list.remove(anchor, so_regular(key));
         if removed {
             self.map.count.fetch_sub(1, Ordering::SeqCst);
+            stepcount::locked();
         }
         removed
     }

@@ -15,7 +15,7 @@ use std::convert::Infallible;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use aba_core::Backoff;
+use aba_core::{stepcount, Backoff};
 use aba_reclaim::{Guard, Reclaimer, Scheme, SlotId};
 
 use crate::arena::{Magazine, NodeArena};
@@ -49,11 +49,21 @@ impl<R: Reclaimer> Nodes<R> {
     }
 
     pub(crate) fn aba_events(&self) -> u64 {
-        self.aba_events.load(Ordering::SeqCst)
+        let events = self.aba_events.load(Ordering::SeqCst);
+        stepcount::plain();
+        events
     }
 
     pub(crate) fn alloc_failures(&self) -> u64 {
-        self.alloc_failures.load(Ordering::SeqCst)
+        let failures = self.alloc_failures.load(Ordering::SeqCst);
+        stepcount::plain();
+        failures
+    }
+
+    /// Count one ABA event.
+    fn aba_event(&self) {
+        self.aba_events.fetch_add(1, Ordering::SeqCst);
+        stepcount::locked();
     }
 
     pub(crate) fn unreclaimed(&self) -> u64 {
@@ -107,6 +117,7 @@ impl<R: Reclaimer, W: Window> Worker<'_, R, W> {
         }
         if node.is_none() {
             self.nodes.alloc_failures.fetch_add(1, Ordering::SeqCst);
+            stepcount::locked();
         }
         node
     }
@@ -241,7 +252,7 @@ impl<R: Reclaimer, W: Window> NodeMem for Worker<'_, R, W> {
     /// Count the exhausted budget (unprotected corruption) as an ABA event,
     /// release the protections and leave the structure alone.
     fn bail(&mut self) -> Result<(), Infallible> {
-        self.nodes.aba_events.fetch_add(1, Ordering::SeqCst);
+        self.nodes.aba_event();
         self.guard.quiesce();
         Ok(())
     }
@@ -306,7 +317,7 @@ impl<R: Reclaimer, W: Window> NodeMem for Worker<'_, R, W> {
     /// The post-hoc detector only the unprotected scheme runs.
     fn tally(&self, node: u64, seen: u64) {
         if self.generation(node) != seen {
-            self.nodes.aba_events.fetch_add(1, Ordering::SeqCst);
+            self.nodes.aba_event();
         }
     }
 

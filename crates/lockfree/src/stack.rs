@@ -31,7 +31,7 @@
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use aba_core::Backoff;
+use aba_core::{stepcount, Backoff};
 #[cfg(test)]
 use aba_reclaim::Guard;
 use aba_reclaim::{
@@ -419,7 +419,9 @@ impl<R: Reclaimer> ElimStack<R> {
     /// Number of push/pop pairs that exchanged values off-stack (counted
     /// once per pair, on the popper's claim).
     pub fn exchanges(&self) -> u64 {
-        self.exchanges.load(Ordering::SeqCst)
+        let exchanges = self.exchanges.load(Ordering::SeqCst);
+        stepcount::plain();
+        exchanges
     }
 }
 
@@ -481,6 +483,7 @@ impl<'a, R: Reclaimer, W: Window> ElimStackHandle<'a, R, W> {
         let slots = &self.stack.slots;
         let slot = &slots[(self.backoff.next_rand() as usize) % slots.len()];
         let observed = slot.word.load(Ordering::SeqCst);
+        stepcount::plain();
         if elim_state(observed) != ELIM_EMPTY {
             // Someone else is mid-exchange here; don't pile on.
             return false;
@@ -489,17 +492,20 @@ impl<'a, R: Reclaimer, W: Window> ElimStackHandle<'a, R, W> {
         let parked = elim_word(seq, ELIM_ITEM, value);
         let taken = elim_word(seq, ELIM_TAKEN, value);
         let cleared = elim_word(seq.wrapping_add(1), ELIM_EMPTY, 0);
-        if slot
-            .word
-            .compare_exchange(observed, parked, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
+        let parks =
+            slot.word
+                .compare_exchange(observed, parked, Ordering::SeqCst, Ordering::SeqCst);
+        stepcount::locked();
+        if parks.is_err() {
             return false;
         }
         // retry-bound: exchange_spins wait rounds, then cancel.
         for _ in 0..self.stack.policy.exchange_spins {
-            if slot.word.load(Ordering::SeqCst) == taken {
+            let now = slot.word.load(Ordering::SeqCst);
+            stepcount::plain();
+            if now == taken {
                 slot.word.store(cleared, Ordering::SeqCst);
+                stepcount::locked();
                 return true;
             }
             std::thread::yield_now();
@@ -507,15 +513,16 @@ impl<'a, R: Reclaimer, W: Window> ElimStackHandle<'a, R, W> {
         // Timed out: cancel — unless a popper claimed the value in the
         // meantime, in which case the only possible slot transition was
         // parked → taken, and the exchange succeeded after all.
-        if slot
-            .word
-            .compare_exchange(parked, cleared, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
+        let cancels =
+            slot.word
+                .compare_exchange(parked, cleared, Ordering::SeqCst, Ordering::SeqCst);
+        stepcount::locked();
+        if cancels.is_ok() {
             return false;
         }
         debug_assert_eq!(slot.word.load(Ordering::SeqCst), taken);
         slot.word.store(cleared, Ordering::SeqCst);
+        stepcount::locked();
         true
     }
 
@@ -527,18 +534,20 @@ impl<'a, R: Reclaimer, W: Window> ElimStackHandle<'a, R, W> {
         for k in 0..slots.len() {
             let slot = &slots[(start + k) % slots.len()];
             let observed = slot.word.load(Ordering::SeqCst);
+            stepcount::plain();
             if elim_state(observed) != ELIM_ITEM {
                 continue;
             }
             let taken = elim_word(elim_seq(observed), ELIM_TAKEN, elim_value(observed));
-            if slot
-                .word
-                .compare_exchange(observed, taken, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
+            let claims =
+                slot.word
+                    .compare_exchange(observed, taken, Ordering::SeqCst, Ordering::SeqCst);
+            stepcount::locked();
+            if claims.is_ok() {
                 // One exchange = one claim; the parked pusher sees TAKEN and
                 // completes without counting.
                 self.stack.exchanges.fetch_add(1, Ordering::SeqCst);
+                stepcount::locked();
                 return Some(elim_value(observed));
             }
         }

@@ -58,7 +58,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use aba_core::CachePadded;
+use aba_core::{stepcount, CachePadded};
 
 use crate::gauge::{Gauge, GaugeCell};
 use crate::{BareLinks, Guard, Reclaimer, Scheme, SlotId, SlotView, Slots};
@@ -176,7 +176,9 @@ impl EpochReclaim {
 
     /// The current global epoch (for tests and diagnostics).
     pub fn global_epoch(&self) -> u64 {
-        self.global.load(Ordering::SeqCst)
+        let e = self.global.load(Ordering::SeqCst);
+        stepcount::plain();
+        e
     }
 
     /// Number of advance attempts blocked by thread `tid`'s *current* pin
@@ -187,23 +189,30 @@ impl EpochReclaim {
     /// an advancer that raced the unpin can leave a stale 1 behind until the
     /// thread's next unpin.
     pub fn advance_debt(&self, tid: usize) -> u64 {
-        self.locals[tid].advance_debt.load(Ordering::SeqCst)
+        let debt = self.locals[tid].advance_debt.load(Ordering::SeqCst);
+        stepcount::plain();
+        debt
     }
 
     /// Number of `(node, retire-epoch)` pairs currently in the shared
     /// quarantine (stranded by dropped guards or transferred by
     /// debt-blocked ones).
     pub fn quarantined(&self) -> u64 {
-        self.quarantine_count.load(Ordering::SeqCst)
+        let n = self.quarantine_count.load(Ordering::SeqCst);
+        stepcount::plain();
+        n
     }
 
     /// Lock the quarantine.  A poisoned lock is recovered: the list is a
     /// plain `Vec` of pairs that only `extend` and `retain` touch under the
     /// lock, valid at every step, and no caller's code runs while it is held.
     fn lock_quarantine(&self) -> MutexGuard<'_, Vec<(u64, u64)>> {
-        self.quarantine
+        let quarantine = self
+            .quarantine
             .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner);
+        stepcount::locked();
+        quarantine
     }
 
     /// Mirror the quarantine's length outside the mutex — called with the
@@ -211,6 +220,7 @@ impl EpochReclaim {
     fn mirror_quarantine_len(&self, quarantine: &MutexGuard<'_, Vec<(u64, u64)>>) {
         self.quarantine_count
             .store(quarantine.len() as u64, Ordering::SeqCst);
+        stepcount::locked();
     }
 }
 
@@ -268,10 +278,14 @@ impl EpochGuard<'_> {
         }
         loop {
             let e = self.shared.global.load(Ordering::SeqCst);
+            stepcount::plain();
             self.shared.locals[self.tid]
                 .epoch
                 .store(e + 1, Ordering::SeqCst);
-            if self.shared.global.load(Ordering::SeqCst) == e {
+            stepcount::locked();
+            let now = self.shared.global.load(Ordering::SeqCst);
+            stepcount::plain();
+            if now == e {
                 break;
             }
         }
@@ -283,14 +297,18 @@ impl EpochGuard<'_> {
         if self.pinned {
             let local = &self.shared.locals[self.tid];
             local.epoch.store(0, Ordering::SeqCst);
+            stepcount::locked();
             // The pin that accrued the debt is over; the diagnostic tracks
             // the *current* pin only.  Almost every pin accrues none, and a
             // store of 0 over 0 is a locked instruction for nothing.  (An
             // advancer that read the pin before it was withdrawn may charge
             // it after this check — a stale 1, as an unconditional store
             // would leave too.)
-            if local.advance_debt.load(Ordering::SeqCst) != 0 {
+            let debt = local.advance_debt.load(Ordering::SeqCst);
+            stepcount::plain();
+            if debt != 0 {
                 local.advance_debt.store(0, Ordering::SeqCst);
+                stepcount::locked();
             }
             self.pinned = false;
         }
@@ -309,12 +327,15 @@ impl EpochGuard<'_> {
     #[cold]
     fn flush_eligible(&mut self, free: &mut impl FnMut(u64)) {
         let g = self.shared.global.load(Ordering::SeqCst);
+        stepcount::plain();
         for s in 0..3 {
             if !self.bags[s].is_empty() && self.bag_epoch[s] + 2 <= g {
                 self.free_bag(s, free);
             }
         }
-        if self.shared.quarantine_count.load(Ordering::SeqCst) == 0 {
+        let quarantined = self.shared.quarantine_count.load(Ordering::SeqCst);
+        stepcount::plain();
+        if quarantined == 0 {
             return;
         }
         // Take the eligible entries under the lock and free them after it
@@ -371,11 +392,14 @@ impl EpochGuard<'_> {
     fn try_advance(&mut self, free: &mut impl FnMut(u64)) -> bool {
         self.since_advance = 0;
         let g = self.shared.global.load(Ordering::SeqCst);
+        stepcount::plain();
         let mut blocked = false;
         for local in self.shared.locals.iter() {
             let v = local.epoch.load(Ordering::SeqCst);
+            stepcount::plain();
             if v != 0 && v != g + 1 {
                 local.advance_debt.fetch_add(1, Ordering::SeqCst);
+                stepcount::locked();
                 blocked = true;
             }
         }
@@ -391,6 +415,7 @@ impl EpochGuard<'_> {
                 self.shared
                     .global
                     .compare_exchange(g, g + 1, Ordering::SeqCst, Ordering::SeqCst);
+            stepcount::locked();
         }
         self.flush_eligible(free);
         !blocked
@@ -460,6 +485,7 @@ impl Guard for EpochGuard<'_> {
     fn retire(&mut self, idx: u64, mut free: impl FnMut(u64)) {
         debug_assert!(self.pinned, "retire outside a pinned operation");
         let e = self.shared.global.load(Ordering::SeqCst);
+        stepcount::plain();
         let s = (e % 3) as usize;
         if self.bag_epoch[s] != e && !self.bags[s].is_empty() {
             // The bag's residents were retired a full cycle (3 epochs) ago —

@@ -18,7 +18,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use aba_core::CachePadded;
+use aba_core::{stepcount, CachePadded};
 
 /// The per-thread cells.
 #[derive(Debug)]
@@ -50,7 +50,9 @@ impl Gauge {
     pub(crate) fn sum(&self) -> u64 {
         let sum = self.cells.iter().fold(0u64, |sum, cell| {
             // ordering: a statistic; no decision that frees a node reads it.
-            sum.wrapping_add(cell.load(Ordering::Relaxed))
+            let v = cell.load(Ordering::Relaxed);
+            stepcount::plain();
+            sum.wrapping_add(v)
         });
         (sum as i64).max(0) as u64
     }
@@ -73,8 +75,10 @@ impl GaugeCell<'_> {
     pub(crate) fn add(self, n: u64) {
         // ordering: single writer, so load + store loses no update.
         let v = self.0.load(Ordering::Relaxed);
+        stepcount::plain();
         // ordering: a statistic; no decision that frees a node reads it.
         self.0.store(v.wrapping_add(n), Ordering::Relaxed);
+        stepcount::plain();
     }
 
     /// Count `n` nodes handed back to the allocator (possibly ones another

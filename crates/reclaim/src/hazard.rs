@@ -37,7 +37,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use aba_core::CachePadded;
+use aba_core::{stepcount, CachePadded};
 
 use crate::gauge::{Gauge, GaugeCell};
 use crate::{BareLinks, Guard, Reclaimer, Scheme, SlotId, SlotView, Slots, NIL};
@@ -109,12 +109,17 @@ impl HazardDomain {
 
     /// Whether any thread currently protects `value`.
     pub fn is_protected(&self, value: u64) -> bool {
-        self.slots.iter().any(|s| s.load(Ordering::SeqCst) == value)
+        self.slots.iter().any(|s| {
+            let v = s.load(Ordering::SeqCst);
+            stepcount::plain();
+            v == value
+        })
     }
 
     /// The value currently protected by `tid`, if any.
     pub fn protected_by(&self, tid: usize) -> Option<u64> {
         let v = self.slots[tid].load(Ordering::SeqCst);
+        stepcount::plain();
         (v != EMPTY).then_some(v)
     }
 
@@ -144,7 +149,9 @@ impl HazardDomain {
     /// plain `Vec<u64>` that only `append` touches under the lock, valid at
     /// every step, and no caller's code runs while it is held.
     fn lock_orphans(&self) -> MutexGuard<'_, Vec<u64>> {
-        self.orphans.lock().unwrap_or_else(PoisonError::into_inner)
+        let orphans = self.orphans.lock().unwrap_or_else(PoisonError::into_inner);
+        stepcount::locked();
+        orphans
     }
 }
 
@@ -192,12 +199,14 @@ impl HazardHandle<'_> {
     pub fn protect(&self, value: u64) {
         assert_ne!(value, EMPTY, "the sentinel cannot be protected");
         self.slot.store(value, Ordering::SeqCst);
+        stepcount::locked();
     }
 
     /// Drop the current protection.
     #[inline]
     pub fn clear(&self) {
         self.slot.store(EMPTY, Ordering::SeqCst);
+        stepcount::locked();
     }
 
     /// Retire `value`: it will be handed to `free` once no thread protects
@@ -421,13 +430,16 @@ impl Guard for HazardGuard<'_> {
         let word = self.slots.word(slot);
         loop {
             let raw = word.load(Ordering::SeqCst);
+            stepcount::plain();
             let idx = self.index_of(raw);
             if idx == NIL {
                 self.clear_lane(lane);
                 return raw;
             }
             self.publish(lane, idx);
-            if word.load(Ordering::SeqCst) == raw {
+            let now = word.load(Ordering::SeqCst);
+            stepcount::plain();
+            if now == raw {
                 return raw;
             }
         }
@@ -469,7 +481,9 @@ impl Guard for HazardGuard<'_> {
         // retired and scanned between the two, and then dereference it after
         // recycling (the `hazard_traversal` integration test pins this).
         self.publish(lane, idx);
-        link.load(Ordering::SeqCst) == raw
+        let now = link.load(Ordering::SeqCst);
+        stepcount::plain();
+        now == raw
     }
 
     // `always`: under a plain hint LLVM kept it out of line of the stack's

@@ -43,6 +43,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use aba_core::pack::TagWord;
+use aba_core::stepcount;
 use aba_core::CachePadded;
 use aba_core::{AnnounceLlSc, AnnounceLlScHandle};
 
@@ -404,7 +405,9 @@ pub trait Guard: Send {
     /// Load a link word.
     #[inline]
     fn load_link(&self, link: &AtomicU64) -> u64 {
-        link.load(Ordering::SeqCst)
+        let raw = link.load(Ordering::SeqCst);
+        stepcount::plain();
+        raw
     }
 
     /// Whether `link` still holds `raw` — the `*prev == cur` re-validation
@@ -426,12 +429,15 @@ pub trait Guard: Send {
     #[inline]
     fn store_link_mark(&self, link: &AtomicU64, idx: u64, marked: bool) {
         let old = if continues::<Self::Links>() {
-            link.load(Ordering::SeqCst)
+            let old = link.load(Ordering::SeqCst);
+            stepcount::plain();
+            old
         } else {
             NIL
         };
         // ordering: private until the publishing CAS, which stays `SeqCst`.
         link.store(Self::Links::encode(old, idx, marked), Ordering::Relaxed);
+        stepcount::plain();
     }
 
     /// CAS a link word from the observed `raw` to a word designating `idx`
@@ -439,8 +445,11 @@ pub trait Guard: Send {
     #[inline]
     fn cas_link_mark(&self, link: &AtomicU64, raw: u64, idx: u64, marked: bool) -> bool {
         let new = Self::Links::encode(raw, idx, marked);
-        link.compare_exchange(raw, new, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
+        let swapped = link
+            .compare_exchange(raw, new, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok();
+        stepcount::locked();
+        swapped
     }
 }
 
@@ -503,7 +512,9 @@ impl<'a, C: LinkCodec> SlotView<'a, C> {
 
     #[inline]
     fn load(&self, slot: SlotId) -> u64 {
-        self.word(slot).load(Ordering::SeqCst)
+        let raw = self.word(slot).load(Ordering::SeqCst);
+        stepcount::plain();
+        raw
     }
 
     #[inline]
@@ -514,9 +525,11 @@ impl<'a, C: LinkCodec> SlotView<'a, C> {
     #[inline]
     fn cas(&self, slot: SlotId, raw: u64, idx: u64) -> bool {
         let new = C::encode(raw, idx, false);
-        self.words[slot]
+        let swapped = self.words[slot]
             .compare_exchange(raw, new, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
+            .is_ok();
+        stepcount::locked();
+        swapped
     }
 }
 

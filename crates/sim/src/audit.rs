@@ -302,14 +302,19 @@ fn audit_model(model: &SimModel, runs: usize, len: usize, cfg: &DporConfig) -> A
 
 /// The standard audit at CI-sized bounds: every protected row of
 /// [`MODEL_ROSTER`] is audited under bursty schedules and the DPOR frontier
-/// of exactly the space E11 certifies it over, capped at 30k schedules in
+/// of exactly the space E11 certifies it over — capped at 30k schedules in
 /// `quick` mode (which `stack/hazard`, `stack/epoch`, `queue/tagged` and
-/// `set/hazard` exceed) and 200k otherwise (which only `stack/epoch`'s
-/// 283 393 classes exceed).  `quick` also shrinks the bursty batch.
+/// `set/hazard` exceed), whole otherwise (the default cap of 1M is above
+/// the largest space, `stack/epoch`'s 283 393 classes).  `quick` also
+/// shrinks the bursty batch.
 pub fn standard_family_audits(quick: bool) -> Vec<AuditVerdict> {
     let (runs, len) = if quick { (12, 240) } else { (48, 600) };
     let cfg = DporConfig {
-        max_schedules: if quick { 30_000 } else { 200_000 },
+        max_schedules: if quick {
+            30_000
+        } else {
+            DporConfig::default().max_schedules
+        },
         ..DporConfig::default()
     };
     MODEL_ROSTER

@@ -61,15 +61,18 @@ impl EngineConfig {
     }
 
     /// A CI-sized configuration (`table_matrix --quick`): threads 1/2/4,
-    /// 2 repetitions.  Operations per thread match [`EngineConfig::standard`]:
-    /// a structure operation costs tens of nanoseconds, and a round much
-    /// shorter than a millisecond measures thread start-up, not the backend
-    /// (the baseline gate flapped on 800-op rounds).  The sample period is
-    /// prime — see [`EngineConfig::latency_sample_period`].
+    /// 2 repetitions, 800 operations per thread — sized by what its gates
+    /// read, not by its rates.  No gate compares a quick cell's ops/s (a
+    /// round this short times thread start-up as much as the backend;
+    /// EXPERIMENTS.md E14); the limbo bound needs every deferred cell to
+    /// turn its arena over several times, and at 800 ops per thread a
+    /// 4-thread churn cell retires about 1 600 nodes through its 128-node
+    /// arena.  The sample period is prime — see
+    /// [`EngineConfig::latency_sample_period`].
     pub fn quick() -> Self {
         EngineConfig {
             thread_counts: vec![1, 2, 4],
-            ops_per_thread: 8_000,
+            ops_per_thread: 800,
             warmup_ops_per_thread: 1_000,
             repetitions: 2,
             latency_sample_period: 7,
@@ -353,12 +356,15 @@ fn median(mut samples: Vec<f64>) -> f64 {
     }
 }
 
-fn percentile(sorted: &[u64], pct: u64) -> u64 {
-    if sorted.is_empty() {
+/// The `pct`-th percentile of `samples` — the element at rank
+/// `(len − 1) · pct / 100` of their sorted order, 0 for no samples — found
+/// by selection, which reorders `samples` but sorts nothing.
+fn percentile(samples: &mut [u64], pct: u64) -> u64 {
+    if samples.is_empty() {
         return 0;
     }
-    let rank = (sorted.len() as u64 - 1) * pct / 100;
-    sorted[rank as usize]
+    let rank = (samples.len() as u64 - 1) * pct / 100;
+    *samples.select_nth_unstable(rank as usize).1
 }
 
 /// Measure one cell: warmup round, then `config.repetitions` timed rounds on
@@ -414,7 +420,8 @@ pub fn run_cell(
         peak_unreclaimed = peak_unreclaimed.max(round.peak_unreclaimed);
         failed_ops = failed_ops.max(round.failed_ops);
     }
-    pooled_latencies.sort_unstable();
+    let p99_ns = percentile(&mut pooled_latencies, 99);
+    let p50_ns = percentile(&mut pooled_latencies, 50);
     CellResult {
         scenario: scenario.name().to_string(),
         backend: backend.name().to_string(),
@@ -422,8 +429,8 @@ pub fn run_cell(
         ops_per_rep,
         ops_per_sec: median(throughputs),
         failed_ops,
-        p50_ns: percentile(&pooled_latencies, 50),
-        p99_ns: percentile(&pooled_latencies, 99),
+        p50_ns,
+        p99_ns,
         peak_unreclaimed,
         repetitions: config.repetitions,
     }
@@ -540,10 +547,32 @@ mod tests {
 
     #[test]
     fn percentile_bounds() {
-        let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&sorted, 50), 50);
-        assert_eq!(percentile(&sorted, 99), 99);
-        assert_eq!(percentile(&[], 99), 0);
+        let mut sorted: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&mut sorted, 50), 50);
+        assert_eq!(percentile(&mut sorted, 99), 99);
+        assert_eq!(percentile(&mut [0u64; 0], 99), 0);
+    }
+
+    /// Selection reads the ranks a full sort would: p99 then p50 on the
+    /// same buffer, as `run_cell` takes them, against the sorted reference,
+    /// for every length up to 300 over a draw with many repeated values.
+    #[test]
+    fn percentiles_by_selection_match_the_sorted_reference() {
+        let mut rng = aba_core::Backoff::new(7);
+        for len in 0..300usize {
+            let samples: Vec<u64> = (0..len).map(|_| rng.next_rand() % 50).collect();
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            let rank = |pct: usize| sorted[len.saturating_sub(1) * pct / 100];
+            let mut buffer = samples;
+            let p99 = percentile(&mut buffer, 99);
+            let p50 = percentile(&mut buffer, 50);
+            if len == 0 {
+                assert_eq!((p99, p50), (0, 0));
+            } else {
+                assert_eq!((p99, p50), (rank(99), rank(50)), "{len} samples");
+            }
+        }
     }
 
     #[test]
